@@ -12,7 +12,7 @@ use dqec_core::circuit_gen::{memory_z, stability};
 use dqec_core::CoreError;
 use dqec_matching::{DecodeStats, Decoder, MwpmDecoder};
 use dqec_sim::circuit::Circuit;
-use dqec_sim::frame::FrameSampler;
+use dqec_sim::frame::{FrameProgram, FrameScratchPool};
 use dqec_sim::noise::NoiseModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,14 +36,14 @@ where
 {
     let batch = batch.max(1);
     let num_batches = shots.div_ceil(batch);
+    let program = FrameProgram::new(noisy);
+    let frames = FrameScratchPool::default();
     let results: Vec<DecodeStats> = (0..num_batches)
         .into_par_iter()
         .map(|b| {
-            let sampler = FrameSampler::new(noisy);
             let n = batch.min(shots - b * batch);
             let mut rng = make_rng(b as u64);
-            let shot_batch = sampler.sample(n, &mut rng);
-            decoder.decode_batch(&shot_batch)
+            frames.with(|scratch| decoder.decode_batch(program.sample(n, &mut rng, scratch)))
         })
         .collect();
     let mut stats = DecodeStats::new(decoder.num_observables());

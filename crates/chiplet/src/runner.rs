@@ -38,7 +38,7 @@ use dqec_core::circuit_gen::{memory_z, stability};
 use dqec_core::{Coord, CoreError};
 use dqec_matching::{DecodeStats, Decoder, MwpmDecoder, UfDecoder};
 use dqec_sim::circuit::Circuit;
-use dqec_sim::frame::FrameSampler;
+use dqec_sim::frame::{FrameProgram, FrameScratchPool};
 use dqec_sim::noise::NoiseModel;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -325,7 +325,7 @@ impl ExperimentSpec {
 }
 
 /// Packs a coordinate into one hash word.
-fn coord_word(c: Coord) -> u64 {
+pub fn coord_word(c: Coord) -> u64 {
     ((c.x as u32 as u64) << 32) | c.y as u32 as u64
 }
 
@@ -417,7 +417,9 @@ pub struct CompiledExperiment {
     bad: Option<(u32, f64)>,
     build: DecoderBuilder,
     decoder: Box<dyn Decoder>,
-    noisy: Option<Circuit>,
+    /// The selected point's noisy circuit, compiled for sampling.
+    program: Option<FrameProgram>,
+    frames: FrameScratchPool,
     current_point: Option<usize>,
     warned_rebuild: bool,
 }
@@ -477,7 +479,8 @@ impl CompiledExperiment {
             bad,
             build,
             decoder,
-            noisy: None,
+            program: None,
+            frames: FrameScratchPool::default(),
             current_point: None,
             warned_rebuild: false,
         })
@@ -507,7 +510,7 @@ impl CompiledExperiment {
         }
     }
 
-    /// Retargets the decoder and noisy circuit at sweep point `point`:
+    /// Retargets the decoder and frame program at sweep point `point`:
     /// reweights the decoder in place, rebuilding it from the clean
     /// circuit when it declines (surfaced on stderr once per compiled
     /// experiment, since the fallback silently multiplies sweep time by
@@ -534,7 +537,7 @@ impl CompiledExperiment {
             }
             self.decoder = (self.build)(&self.circuit, &noise);
         }
-        self.noisy = Some(noise.apply(&self.circuit));
+        self.program = Some(FrameProgram::new(&noise.apply(&self.circuit)));
         self.current_point = Some(point);
     }
 
@@ -581,7 +584,7 @@ impl CompiledExperiment {
     ) -> DecodeStats {
         let _span = dqec_obs::trace::span("chiplet.sample");
         assert!(self.current_point.is_some(), "select_point before sampling");
-        let noisy = self.noisy.as_ref().expect("noisy circuit built");
+        let program = self.program.as_ref().expect("frame program built");
         let batch = batch.max(1);
         let decoder = self.decoder.as_ref();
         let results: Vec<DecodeStats> = batches
@@ -592,9 +595,9 @@ impl CompiledExperiment {
                 if n == 0 {
                     return DecodeStats::new(decoder.num_observables());
                 }
-                let sampler = FrameSampler::new(noisy);
                 let mut rng = ChaCha8Rng::seed_from_u64(batch_seed(seed, b));
-                decoder.decode_batch(&sampler.sample(n, &mut rng))
+                self.frames
+                    .with(|scratch| decoder.decode_batch(program.sample(n, &mut rng, scratch)))
             })
             .collect();
         let mut stats = DecodeStats::new(self.decoder.num_observables());

@@ -67,29 +67,39 @@ impl DefectSet {
         self.num_faulty() + self.links.len()
     }
 
+    /// The faulty data qubits that exist in `layout`, ascending.
+    pub fn data_in<'a>(&'a self, layout: &'a PatchLayout) -> impl Iterator<Item = Coord> + 'a {
+        self.data
+            .iter()
+            .copied()
+            .filter(|&c| layout.contains_data(c))
+    }
+
+    /// The faulty syndrome qubits that exist in `layout`, ascending.
+    pub fn synd_in<'a>(&'a self, layout: &'a PatchLayout) -> impl Iterator<Item = Coord> + 'a {
+        self.synd
+            .iter()
+            .copied()
+            .filter(|&c| layout.contains_face(c))
+    }
+
+    /// The faulty couplers that exist in `layout` (an in-layout data
+    /// qubit next to an in-layout face), ascending.
+    pub fn links_in<'a>(
+        &'a self,
+        layout: &'a PatchLayout,
+    ) -> impl Iterator<Item = (Coord, Coord)> + 'a {
+        self.links.iter().copied().filter(|&(d, f)| {
+            layout.contains_data(d) && layout.contains_face(f) && d.chebyshev(f) == 1
+        })
+    }
+
     /// Restricts the defect set to elements that exist in `layout`.
     pub fn clamp_to(&self, layout: &PatchLayout) -> DefectSet {
         DefectSet {
-            data: self
-                .data
-                .iter()
-                .copied()
-                .filter(|&c| layout.contains_data(c))
-                .collect(),
-            synd: self
-                .synd
-                .iter()
-                .copied()
-                .filter(|&c| layout.contains_face(c))
-                .collect(),
-            links: self
-                .links
-                .iter()
-                .copied()
-                .filter(|&(d, f)| {
-                    layout.contains_data(d) && layout.contains_face(f) && d.chebyshev(f) == 1
-                })
-                .collect(),
+            data: self.data_in(layout).collect(),
+            synd: self.synd_in(layout).collect(),
+            links: self.links_in(layout).collect(),
         }
     }
 

@@ -576,24 +576,49 @@ impl DecodeStats {
     }
 
     /// Publishes this tally into the process-global `dqec_obs` metrics
-    /// registry under `prefix`: shots/failures as counters (summed
+    /// registry through `metrics`: shots/failures as counters (summed
     /// across calls) and the syndrome-cache split as both counters and
     /// a hit-rate gauge in basis points.
-    pub fn publish(&self, prefix: &str) {
-        let reg = dqec_obs::registry();
-        reg.counter(&format!("{prefix}.shots"))
-            .add(self.shots as u64);
+    pub fn publish(&self, metrics: &DecodeStatsMetrics) {
+        metrics.shots.add(self.shots as u64);
         let failures: usize = self.failures.iter().sum();
-        reg.counter(&format!("{prefix}.failures"))
-            .add(failures as u64);
-        reg.counter(&format!("{prefix}.syndrome_hits"))
-            .add(self.cache_hits);
-        reg.counter(&format!("{prefix}.syndrome_misses"))
-            .add(self.cache_misses);
+        metrics.failures.add(failures as u64);
+        metrics.syndrome_hits.add(self.cache_hits);
+        metrics.syndrome_misses.add(self.cache_misses);
         let total = self.cache_hits + self.cache_misses;
         if total > 0 {
             let bp = (self.cache_hits as f64 / total as f64 * 10_000.0) as i64;
-            reg.gauge(&format!("{prefix}.syndrome_hit_rate_bp")).set(bp);
+            metrics.syndrome_hit_rate_bp.set(bp);
+        }
+    }
+}
+
+/// Interned registry handles for [`DecodeStats::publish`] under one
+/// name prefix: built once by whoever publishes per request, so the
+/// publishing itself only touches atomics.
+#[derive(Debug)]
+pub struct DecodeStatsMetrics {
+    shots: &'static dqec_obs::Counter,
+    failures: &'static dqec_obs::Counter,
+    syndrome_hits: &'static dqec_obs::Counter,
+    syndrome_misses: &'static dqec_obs::Counter,
+    /// Registered with the first syndrome-cache lookup.
+    syndrome_hit_rate_bp: dqec_obs::LazyGauge,
+}
+
+impl DecodeStatsMetrics {
+    /// Registers `{prefix}.shots`, `.failures`, `.syndrome_hits` and
+    /// `.syndrome_misses`.
+    pub fn new(prefix: &str) -> Self {
+        let reg = dqec_obs::registry();
+        DecodeStatsMetrics {
+            shots: reg.counter(&format!("{prefix}.shots")),
+            failures: reg.counter(&format!("{prefix}.failures")),
+            syndrome_hits: reg.counter(&format!("{prefix}.syndrome_hits")),
+            syndrome_misses: reg.counter(&format!("{prefix}.syndrome_misses")),
+            syndrome_hit_rate_bp: dqec_obs::LazyGauge::new(format!(
+                "{prefix}.syndrome_hit_rate_bp"
+            )),
         }
     }
 }

@@ -8,7 +8,7 @@
 
 use dqec_sim::circuit::{CheckBasis, Circuit};
 use dqec_sim::dem::DetectorErrorModel;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Smallest probability an edge is allowed to carry (avoids infinite
 /// weights).
@@ -142,7 +142,7 @@ impl DecodingGraph {
         #[derive(Default)]
         struct Accum {
             p: f64,
-            obs_votes: HashMap<u64, f64>,
+            obs_votes: BTreeMap<u64, f64>,
             sources: Vec<u32>,
         }
         let mut accum: HashMap<Key, Accum> = HashMap::new();
@@ -213,6 +213,10 @@ impl DecodingGraph {
         }
 
         // Finalize edges: pick the dominant observable mask per edge.
+        // Votes are summed in mechanism order and compared in mask
+        // order, and of tied masks the numerically smallest wins
+        // (`max_by` keeps the last maximum, so scan downwards) — every
+        // build of one circuit yields the same edges.
         let mut paired = Vec::with_capacity(accum.len());
         for ((a, b), acc) in accum {
             // Every accumulated edge carries at least one vote (it was
@@ -220,6 +224,7 @@ impl DecodingGraph {
             let obs = acc
                 .obs_votes
                 .iter()
+                .rev()
                 .max_by(|x, y| x.1.total_cmp(y.1))
                 .map(|(&obs, _)| obs)
                 .unwrap_or(0);

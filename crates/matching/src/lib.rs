@@ -43,7 +43,8 @@ pub mod unionfind;
 
 pub use blossom::{min_weight_perfect_matching, BlossomArena, PerfectMatching};
 pub use decoder::{
-    check_decoder_conformance, DecodeScratch, DecodeStats, Decoder, MwpmDecoder, SyndromeCache,
+    check_decoder_conformance, DecodeScratch, DecodeStats, DecodeStatsMetrics, Decoder,
+    MwpmDecoder, SyndromeCache,
 };
 pub use graph::{DecodingGraph, GraphDiagnostics, GraphEdge};
 pub use unionfind::{UfDecoder, UfGraph, UfScratch};

@@ -4,70 +4,19 @@
 //! allocator directly: a warm decode of an 8k-shot batch must allocate
 //! exactly as much as a warm decode of a 2k-shot batch (the constant
 //! per-call overhead, e.g. the returned stats), i.e. the per-shot cost
-//! is zero.
+//! is zero. The frame sampler is held to the stricter standard it can
+//! meet: a warm `FrameProgram::sample` allocates nothing at all.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-
-use dqec_check::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+mod support {
+    pub mod counting_alloc;
+}
 
 use dqec_matching::{Decoder, MwpmDecoder, UfDecoder};
 use dqec_sim::circuit::{CheckBasis, Circuit, Noise1};
-use dqec_sim::frame::FrameSampler;
+use dqec_sim::frame::{FrameProgram, FrameSampler, FrameScratch, FrameScratchPool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Forwards to the system allocator, counting allocation calls while
-/// armed. `realloc` counts too (it may move); `dealloc` is free.
-struct CountingAlloc;
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: defers entirely to `System` with unchanged arguments; the
-// only added behaviour is incrementing atomic counters, which
-// allocates nothing and cannot panic or recurse into the allocator.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: same contract as `System::alloc`; the counter bump has
-    // no allocator-visible effect.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: `layout` is the caller's layout, forwarded verbatim.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: `ptr` was produced by `Self::alloc`/`Self::realloc`,
-    // which delegate to `System`, so returning it to `System` with
-    // the same layout is sound.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarded verbatim; see the method-level comment.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: same `ptr`/`layout` contract as `dealloc`; `new_size`
-    // is forwarded verbatim.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: forwarded verbatim; see the method-level comment.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Runs `f` with the allocation counter armed, returning how many
-/// allocator calls it made.
-fn count_allocs<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    let r = f();
-    ARMED.store(false, Ordering::SeqCst);
-    (ALLOCS.load(Ordering::SeqCst), r)
-}
+use support::counting_alloc::count_allocs;
 
 /// 3-qubit repetition code over `rounds` rounds (same fixture as the
 /// decoder-trait conformance tests).
@@ -153,5 +102,29 @@ fn warm_decode_batch_allocations_do_not_scale_with_shots() {
              per-shot allocations must be zero"
         );
         eprintln!("{name}: warm decode_batch = {small} allocs/call (shot-independent)");
+    }
+}
+
+#[test]
+fn warm_frame_program_sample_allocates_nothing() {
+    let circuit = repetition(3, 0.02);
+    let program = FrameProgram::new(&circuit);
+    let mut rng = StdRng::seed_from_u64(0xf4a3e);
+    // Warm at the largest size: buffers only ever grow.
+    let mut scratch = FrameScratch::default();
+    program.sample(4096, &mut rng, &mut scratch);
+    let pool = FrameScratchPool::default();
+    pool.with(|s| program.sample(4096, &mut rng, s).detectors.shots());
+    for shots in [16usize, 4096, 16] {
+        let (direct, _) = count_allocs(|| {
+            program
+                .sample(shots, &mut rng, &mut scratch)
+                .detectors
+                .shots()
+        });
+        assert_eq!(direct, 0, "FrameProgram::sample at {shots} shots");
+        let (pooled, _) =
+            count_allocs(|| pool.with(|s| program.sample(shots, &mut rng, s).detectors.shots()));
+        assert_eq!(pooled, 0, "pooled FrameProgram::sample at {shots} shots");
     }
 }

@@ -31,5 +31,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use clock::Clock;
-pub use metrics::{registry, Counter, Gauge, HistSnapshot, Histogram, Registry, Snapshot};
+pub use metrics::{
+    registry, Counter, Gauge, HistSnapshot, Histogram, LazyGauge, Registry, Snapshot,
+};
 pub use trace::Span;

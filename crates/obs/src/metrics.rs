@@ -122,6 +122,33 @@ impl Gauge {
     }
 }
 
+/// A gauge that joins the registry on its first [`LazyGauge::set`], for
+/// hot paths that intern their handles once but whose value must stay
+/// out of snapshots until it exists.
+#[derive(Debug)]
+pub struct LazyGauge {
+    name: String,
+    cell: OnceLock<&'static Gauge>,
+}
+
+impl LazyGauge {
+    /// A handle to the gauge named `name`, not yet registered.
+    pub fn new(name: impl Into<String>) -> LazyGauge {
+        LazyGauge {
+            name: name.into(),
+            cell: OnceLock::new(),
+        }
+    }
+
+    /// Overwrites the gauge, registering it first if this is the first
+    /// call.
+    pub fn set(&self, v: i64) {
+        self.cell
+            .get_or_init(|| registry().gauge(&self.name))
+            .set(v);
+    }
+}
+
 /// Maps a value to its log-linear bucket index.
 pub fn bucket_index(v: u64) -> usize {
     if v < 32 {

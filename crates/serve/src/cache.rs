@@ -3,10 +3,18 @@
 //! shortest-path step dominates) across every request that shares a
 //! (patch, decoder, noise) configuration.
 //!
-//! A request is **normalized** before keying: shots, seed, and id are
-//! serving parameters, not compilation parameters, so requests that
-//! differ only in those share one [`CompiledExperiment`]. Each request
-//! is then sampled under its *own* seed through
+//! The cache is keyed on the **request**, not on what it compiles to:
+//! [`request_key`] hashes the fields of a [`DecodeRequest`] that
+//! determine its [`CompiledExperiment`] — `d`, the defects that lie
+//! inside the `d x d` layout, `p`, `rounds` and the decoder — and none
+//! of the serving parameters (shots, seed, id), so requests that differ
+//! only in those share one entry. A hit therefore touches only compiled
+//! state; patch adaptation ([`normalized_spec`]) and compilation run on
+//! a miss. One consequence: `rounds: Some(r)` with `r` equal to the
+//! patch's default round count gets its own entry beside the
+//! `rounds: None` one, although the two compile alike.
+//!
+//! Each request is sampled under its *own* seed through
 //! [`CompiledExperiment::sample_batches_with_seed`] with the standard
 //! 4096-shot batch layout, which makes a served tally bit-identical to
 //! a one-shot [`Runner`](dqec_chiplet::runner::Runner) run of the same
@@ -17,22 +25,30 @@
 //! is the `bench_serve` cold mode.
 
 use crate::protocol::{DecodeRequest, ErrorKind, ErrorResponse, LerResponse};
-use dqec_chiplet::runner::{CompiledExperiment, ExperimentSpec, Fnv};
+use dqec_chiplet::runner::{coord_word, CompiledExperiment, ExperimentSpec, Fnv};
 use dqec_core::adapt::AdaptedPatch;
 use dqec_core::layout::PatchLayout;
-use dqec_matching::DecodeStats;
-use dqec_obs::Clock;
+use dqec_matching::{DecodeStats, DecodeStatsMetrics};
+use dqec_obs::{Clock, Gauge, Histogram, LazyGauge};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The standard batch granularity shared with the `Runner`.
 pub const BATCH_SHOTS: usize = 4096;
 
+#[cfg(test)]
+thread_local! {
+    /// How often this thread ran [`normalized_spec`] (and with it
+    /// `AdaptedPatch::new`).
+    static NORMALIZED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// The normalized experiment spec a decode request compiles to: same
 /// patch, protocol, error rate, rounds, and decoder backend — shots,
-/// seed, and label pinned so serving parameters do not fragment the
-/// cache key space.
+/// seed, and label pinned, as they are serving parameters.
 pub fn normalized_spec(req: &DecodeRequest) -> ExperimentSpec {
+    #[cfg(test)]
+    NORMALIZED.with(|n| n.set(n.get() + 1));
     let layout = PatchLayout::memory(req.d);
     let defects = req.defects.clamp_to(&layout);
     let patch = AdaptedPatch::new(layout, &defects);
@@ -48,14 +64,37 @@ pub fn normalized_spec(req: &DecodeRequest) -> ExperimentSpec {
     spec
 }
 
-/// The cache key of a normalized spec + decoder backend. The spec
-/// fingerprint covers protocol, patch geometry/defects, `p`, and
-/// rounds; the backend tag is mixed separately because decoder
-/// builders are opaque closures the fingerprint cannot see.
-pub fn cache_key(spec: &ExperimentSpec, decoder_tag: &str) -> u64 {
+/// The cache key of a validated request: FNV-1a over `d`, the defects
+/// [`DefectSet::clamp_to`](dqec_core::DefectSet::clamp_to) would keep
+/// for the `d x d` memory layout (filtered while hashing, nothing
+/// allocated), the bits of `p`, `rounds` (`None` apart from every
+/// `Some`) and the decoder name.
+///
+/// # Panics
+///
+/// Panics if `req.d < 2`, which [`DecodeRequest::validate`] rejects.
+pub fn request_key(req: &DecodeRequest) -> u64 {
+    let layout = PatchLayout::memory(req.d);
+    // Ends a defect list; no in-layout coordinate is (-1, -1).
+    const END: u64 = u64::MAX;
     let mut h = Fnv::new();
-    h.word(spec.fingerprint());
-    h.bytes(decoder_tag.as_bytes());
+    h.word(u64::from(req.d));
+    for c in req.defects.data_in(&layout) {
+        h.word(coord_word(c));
+    }
+    h.word(END);
+    for c in req.defects.synd_in(&layout) {
+        h.word(coord_word(c));
+    }
+    h.word(END);
+    for (d, f) in req.defects.links_in(&layout) {
+        h.word(coord_word(d));
+        h.word(coord_word(f));
+    }
+    h.word(END);
+    h.word(req.p.to_bits());
+    h.word(req.rounds.map_or(0, |r| u64::from(r) + 1));
+    h.bytes(req.decoder.name().as_bytes());
     h.finish()
 }
 
@@ -83,8 +122,32 @@ pub struct CacheCounters {
     pub syndrome_misses: u64,
 }
 
-/// An LRU cache of [`CompiledExperiment`]s keyed by
-/// (patch, decoder, noise) fingerprint.
+/// Interned handles to everything [`ExperimentCache::execute`]
+/// publishes per request, so the warm path takes no registry lock.
+struct Published {
+    decode: &'static Histogram,
+    tally: DecodeStatsMetrics,
+    entries: &'static Gauge,
+    hit_rate_bp: &'static Gauge,
+    /// Registered with the first syndrome-cache lookup.
+    syndrome_hit_rate_bp: LazyGauge,
+}
+
+fn published() -> &'static Published {
+    static PUBLISHED: OnceLock<Published> = OnceLock::new();
+    PUBLISHED.get_or_init(|| {
+        let reg = dqec_obs::registry();
+        Published {
+            decode: reg.histogram("serve.stage.decode"),
+            tally: DecodeStatsMetrics::new("serve.decode"),
+            entries: reg.gauge("serve.cache.entries"),
+            hit_rate_bp: reg.gauge("serve.cache.hit_rate_bp"),
+            syndrome_hit_rate_bp: LazyGauge::new("serve.syndrome.hit_rate_bp"),
+        }
+    })
+}
+
+/// An LRU cache of [`CompiledExperiment`]s keyed by [`request_key`].
 pub struct ExperimentCache {
     capacity: usize,
     tick: u64,
@@ -111,29 +174,24 @@ impl ExperimentCache {
         c
     }
 
-    /// Fetches the compiled experiment for `key`, compiling from
-    /// `spec` on a miss. Returns the entry and whether it was a hit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compilation failures (degenerate patch, bad rounds)
-    /// as an [`ErrorResponse`] of kind
-    /// [`bad-request`](crate::protocol::ErrorKind::BadRequest) —
-    /// compile errors are properties of the request, not the server.
-    pub fn get_or_compile(
+    /// One cache lookup: advances the use tick and, on a hit, marks the
+    /// entry used and counts the hit.
+    fn lookup(&mut self, key: u64) -> Option<Arc<CompiledExperiment>> {
+        self.tick += 1;
+        let entry = self.entries.get_mut(&key)?;
+        entry.last_used = self.tick;
+        self.counters.hits += 1;
+        Some(Arc::clone(&entry.exp))
+    }
+
+    /// The miss half of a lookup: compiles `spec`, counts the miss, and
+    /// inserts the result under `key`, evicting as needed.
+    fn compile(
         &mut self,
         key: u64,
         spec: &ExperimentSpec,
         id: u64,
-    ) -> Result<(Arc<CompiledExperiment>, bool), ErrorResponse> {
-        self.tick += 1;
-        if self.capacity > 0 {
-            if let Some(entry) = self.entries.get_mut(&key) {
-                entry.last_used = self.tick;
-                self.counters.hits += 1;
-                return Ok((Arc::clone(&entry.exp), true));
-            }
-        }
+    ) -> Result<Arc<CompiledExperiment>, ErrorResponse> {
         self.counters.misses += 1;
         let _span = dqec_obs::trace::span("serve.compile");
         let t0 = Clock::now_ns();
@@ -147,7 +205,7 @@ impl ExperimentCache {
             .record(Clock::now_ns().saturating_sub(t0));
         // Single-point spec: select once at insert so every request
         // sampled from this entry reuses the reweighted decoder and
-        // noisy circuit.
+        // frame program.
         compiled.select_point(0);
         let exp = Arc::new(compiled);
         if self.capacity > 0 {
@@ -175,16 +233,36 @@ impl ExperimentCache {
                 },
             );
         }
-        Ok((exp, false))
+        Ok(exp)
     }
 
-    /// Runs one validated decode request end to end: normalize, fetch
-    /// or compile, then sample `shots` under the request's seed in the
-    /// standard batch layout. `batched` reports how many requests of
-    /// the current coalesced batch share the entry (1 when serving
-    /// solo). Returns the response and the raw tally (whose
-    /// syndrome-cache counters have already been folded into
-    /// [`Self::counters`]).
+    /// Fetches the compiled experiment for `key`, compiling from
+    /// `spec` on a miss. Returns the entry and whether it was a hit.
+    ///
+    /// # Errors
+    ///
+    /// Propagates compilation failures (degenerate patch, bad rounds)
+    /// as an [`ErrorResponse`] of kind
+    /// [`bad-request`](crate::protocol::ErrorKind::BadRequest) —
+    /// compile errors are properties of the request, not the server.
+    pub fn get_or_compile(
+        &mut self,
+        key: u64,
+        spec: &ExperimentSpec,
+        id: u64,
+    ) -> Result<(Arc<CompiledExperiment>, bool), ErrorResponse> {
+        match self.lookup(key) {
+            Some(exp) => Ok((exp, true)),
+            None => Ok((self.compile(key, spec, id)?, false)),
+        }
+    }
+
+    /// Runs one decode request end to end: validate, fetch or compile,
+    /// then sample `shots` under the request's seed in the standard
+    /// batch layout. `batched` reports how many requests of the
+    /// current coalesced batch share the entry (1 when serving solo).
+    /// Returns the response and the raw tally (whose syndrome-cache
+    /// counters have already been folded into [`Self::counters`]).
     ///
     /// # Errors
     ///
@@ -200,9 +278,22 @@ impl ExperimentCache {
             kind: ErrorKind::BadRequest,
             detail,
         })?;
-        let spec = normalized_spec(req);
-        let key = cache_key(&spec, req.decoder.name());
-        let (exp, hit) = self.get_or_compile(key, &spec, req.id)?;
+        self.execute_keyed(request_key(req), req, batched)
+    }
+
+    /// [`Self::execute`] for a request the caller has already validated
+    /// and keyed (`key` must be its [`request_key`]): the executor's
+    /// coalescing pre-pass computes the key once per work item.
+    pub(crate) fn execute_keyed(
+        &mut self,
+        key: u64,
+        req: &DecodeRequest,
+        batched: usize,
+    ) -> Result<(LerResponse, DecodeStats), ErrorResponse> {
+        let (exp, hit) = match self.lookup(key) {
+            Some(exp) => (exp, true),
+            None => (self.compile(key, &normalized_spec(req), req.id)?, false),
+        };
         let num_batches = req.shots.div_ceil(BATCH_SHOTS) as u64;
         let t0 = Clock::now_ns();
         let stats = {
@@ -231,21 +322,20 @@ impl ExperimentCache {
     /// stage histogram, the tally bridge, and the hit-rate gauges of
     /// both cache levels.
     fn publish_metrics(&self, stats: &DecodeStats, decode_ns: u64) {
-        let reg = dqec_obs::registry();
-        reg.histogram("serve.stage.decode").record(decode_ns);
-        stats.publish("serve.decode");
+        let published = published();
+        published.decode.record(decode_ns);
+        stats.publish(&published.tally);
         let c = self.counters;
-        reg.gauge("serve.cache.entries")
-            .set(self.entries.len() as i64);
+        published.entries.set(self.entries.len() as i64);
         let lookups = c.hits + c.misses;
         if lookups > 0 {
             let bp = (c.hits as f64 / lookups as f64 * 10_000.0) as i64;
-            reg.gauge("serve.cache.hit_rate_bp").set(bp);
+            published.hit_rate_bp.set(bp);
         }
         let syndrome = c.syndrome_hits + c.syndrome_misses;
         if syndrome > 0 {
             let bp = (c.syndrome_hits as f64 / syndrome as f64 * 10_000.0) as i64;
-            reg.gauge("serve.syndrome.hit_rate_bp").set(bp);
+            published.syndrome_hit_rate_bp.set(bp);
         }
     }
 }
@@ -299,6 +389,118 @@ mod tests {
         cache.execute(&defective, 1).unwrap();
         let c = cache.counters();
         assert_eq!((c.hits, c.misses, c.entries), (0, 3, 3));
+    }
+
+    #[test]
+    fn request_key_ignores_serving_parameters_and_out_of_layout_defects() {
+        let mut base = req(1, 5, 3e-3, 0, DecoderChoice::Mwpm);
+        base.defects.add_data(Coord::new(3, 3));
+        base.defects.add_synd(Coord::new(4, 4));
+        base.defects.add_link(Coord::new(5, 5), Coord::new(6, 6));
+        let key = request_key(&base);
+
+        let mut same = base.clone();
+        same.id = 99;
+        same.seed = 7;
+        same.shots = 16;
+        // A data qubit and a face off the 5x5 patch, a face site that
+        // the layout does not keep, and links that are out of the
+        // patch or not a coupler.
+        same.defects.add_data(Coord::new(11, 3));
+        same.defects.add_synd(Coord::new(12, 12));
+        same.defects.add_synd(Coord::new(0, 0));
+        same.defects
+            .add_link(Coord::new(13, 13), Coord::new(14, 14));
+        same.defects.add_link(Coord::new(1, 1), Coord::new(4, 4));
+        assert_eq!(request_key(&same), key);
+        assert_eq!(
+            normalized_spec(&same).fingerprint(),
+            normalized_spec(&base).fingerprint(),
+            "the key must clamp exactly as the spec does"
+        );
+    }
+
+    #[test]
+    fn request_key_splits_on_every_compilation_parameter() {
+        let mut base = req(1, 5, 3e-3, 0, DecoderChoice::Mwpm);
+        base.defects.add_data(Coord::new(3, 3));
+        type Change = Box<dyn Fn(&mut DecodeRequest)>;
+        let variants: Vec<(&str, Change)> = vec![
+            ("d", Box::new(|r| r.d = 7)),
+            ("p", Box::new(|r| r.p = 3.0000000000000005e-3)),
+            ("rounds", Box::new(|r| r.rounds = Some(5))),
+            ("decoder", Box::new(|r| r.decoder = DecoderChoice::Uf)),
+            (
+                "data defect",
+                Box::new(|r| r.defects.add_data(Coord::new(5, 5))),
+            ),
+            (
+                "face defect",
+                Box::new(|r| r.defects.add_synd(Coord::new(4, 4))),
+            ),
+            (
+                "link defect",
+                Box::new(|r| r.defects.add_link(Coord::new(5, 5), Coord::new(6, 6))),
+            ),
+            (
+                // The same coordinates as a data qubit plus a face.
+                "defect kind",
+                Box::new(|r| {
+                    r.defects.data.clear();
+                    r.defects.add_link(Coord::new(3, 3), Coord::new(4, 4));
+                }),
+            ),
+        ];
+        let mut keys = vec![request_key(&base)];
+        for (what, change) in &variants {
+            let mut r = base.clone();
+            change(&mut r);
+            let key = request_key(&r);
+            assert!(!keys.contains(&key), "{what} must split the key");
+            keys.push(key);
+        }
+        // `rounds: None` is apart from every explicit count, the
+        // patch's default (5 here) included.
+        let mut zero = base.clone();
+        zero.rounds = Some(0);
+        assert!(!keys.contains(&request_key(&zero)));
+    }
+
+    #[test]
+    fn a_hit_adapts_no_patch() {
+        let mut cache = ExperimentCache::new(4);
+        let mut r = req(1, 5, 3e-3, 0, DecoderChoice::Uf);
+        r.defects.add_data(Coord::new(3, 3));
+        let before = NORMALIZED.with(std::cell::Cell::get);
+        let (cold, _) = cache.execute(&r, 1).unwrap();
+        assert!(!cold.cache_hit);
+        assert_eq!(NORMALIZED.with(std::cell::Cell::get), before + 1);
+        for seed in 1..5 {
+            r.seed = seed;
+            let (warm, _) = cache.execute(&r, 1).unwrap();
+            assert!(warm.cache_hit);
+        }
+        assert_eq!(
+            NORMALIZED.with(std::cell::Cell::get),
+            before + 1,
+            "a hit must not run normalized_spec"
+        );
+    }
+
+    #[test]
+    fn explicit_default_rounds_get_their_own_entry() {
+        let mut cache = ExperimentCache::new(4);
+        let implicit = req(1, 3, 3e-3, 0, DecoderChoice::Uf);
+        let mut explicit = implicit.clone();
+        explicit.rounds = Some(3);
+        let (a, _) = cache.execute(&implicit, 1).unwrap();
+        let (b, _) = cache.execute(&explicit, 1).unwrap();
+        assert_eq!(a.rounds, b.rounds);
+        assert!(
+            !b.cache_hit,
+            "keyed on the request, not on what it compiles to"
+        );
+        assert_eq!((a.shots, a.failures), (b.shots, b.failures));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //!            reader (per conn)         executor (one)
-//! socket ──▶ parse JSON line ──▶ Inbox ──▶ group by cache key
+//! socket ──▶ parse JSON line ──▶ Inbox ──▶ group by request key
 //!        ◀── writer ◀── Bounded ◀──────── sample_batches_with_seed
 //! ```
 //!
@@ -436,8 +436,7 @@ fn executor_loop(shared: &Arc<Shared>) {
         for item in &batch {
             match &item.kind {
                 WorkKind::Decode(req) if req.validate().is_ok() => {
-                    let spec = crate::cache::normalized_spec(req);
-                    let key = crate::cache::cache_key(&spec, req.decoder.name());
+                    let key = crate::cache::request_key(req);
                     *group_sizes.entry(key).or_insert(0) += 1;
                     keys.push(Some(key));
                 }
@@ -478,7 +477,13 @@ fn executor_loop(shared: &Arc<Shared>) {
                         }
                         None => {
                             let _span = trace::span("serve.execute");
-                            let result = cache.execute(&req, batched).map(|(resp, _stats)| resp);
+                            // An unkeyed request failed validation;
+                            // `execute` answers it with the reason.
+                            let result = match key {
+                                Some(k) => cache.execute_keyed(k, &req, batched),
+                                None => cache.execute(&req, batched),
+                            }
+                            .map(|(resp, _stats)| resp);
                             if let Some(k) = share_key {
                                 computed.insert(k, result.clone());
                             }

@@ -9,9 +9,10 @@
 use crate::circuit::{Circuit, Gate1, Gate2, Noise1, Op};
 use crate::pauli::Pauli;
 use rand::Rng;
+use std::sync::{Mutex, PoisonError};
 
 /// A dense bit table: `rows` bit-rows of `shots` columns each.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitTable {
     rows: usize,
     shots: usize,
@@ -29,6 +30,16 @@ impl BitTable {
             words_per_row,
             data: vec![0; rows * words_per_row],
         }
+    }
+
+    /// Reshapes to an all-zero `rows` x `shots` table, keeping the
+    /// allocation when it is large enough.
+    pub fn reset(&mut self, rows: usize, shots: usize) {
+        self.rows = rows;
+        self.shots = shots;
+        self.words_per_row = shots.div_ceil(64).max(1);
+        self.data.clear();
+        self.data.resize(rows * self.words_per_row, 0);
     }
 
     /// The number of rows.
@@ -161,8 +172,15 @@ impl Iterator for OnesInRow<'_> {
     }
 }
 
+impl Default for BitTable {
+    /// The empty table, `zeros(0, 0)`.
+    fn default() -> Self {
+        BitTable::zeros(0, 0)
+    }
+}
+
 /// The outcome of sampling a batch of shots.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShotBatch {
     /// Detector flip bits: row = detector id, column = shot.
     pub detectors: BitTable,
@@ -265,6 +283,10 @@ impl ShotEvents {
 
 /// Samples noisy shots of a circuit via batch Pauli-frame simulation.
 ///
+/// A thin compile-then-run wrapper over [`FrameProgram`]: callers that
+/// sample one circuit repeatedly should compile the program once and
+/// reuse a [`FrameScratch`] instead.
+///
 /// # Examples
 ///
 /// ```
@@ -299,7 +321,456 @@ impl<'a> FrameSampler<'a> {
     /// Samples `shots` noisy executions and returns detector/observable
     /// flip tables.
     pub fn sample<R: Rng>(&self, shots: usize, rng: &mut R) -> ShotBatch {
-        let c = self.circuit;
+        let mut scratch = FrameScratch::default();
+        FrameProgram::new(self.circuit).sample(shots, rng, &mut scratch);
+        scratch.batch
+    }
+}
+
+/// One instruction of a [`FrameProgram`]. Qubits index frame rows;
+/// `prob` indexes the program's table of distinct noise probabilities;
+/// the `k`-th `Measure` of the program owns the `k`-th span of the
+/// detector and observable feed lists.
+#[derive(Debug, Clone, Copy)]
+enum Instr {
+    H { q: u32 },
+    S { q: u32 },
+    Cx { c: u32, t: u32 },
+    Cz { a: u32, b: u32 },
+    Reset { q: u32 },
+    Measure { q: u32 },
+    Noise1 { kind: Noise1, q: u32, prob: u32 },
+    Depolarize2 { a: u32, b: u32, prob: u32 },
+}
+
+/// Relative slack of the first-draw no-hit threshold, see
+/// [`NoiseProb::no_hit_threshold`].
+const NO_HIT_SLACK: f64 = 1e-9;
+
+/// One distinct firing probability of a program's noise channels, with
+/// the logarithm the geometric skip divides by computed once.
+#[derive(Debug, Clone, Copy)]
+struct NoiseProb {
+    p: f64,
+    /// `ln(1 - p)`.
+    log1m: f64,
+}
+
+impl NoiseProb {
+    fn new(p: f64) -> Self {
+        NoiseProb {
+            p,
+            log1m: (1.0 - p).ln(),
+        }
+    }
+
+    /// A bound `thr` such that a first geometric draw `u < thr` is
+    /// certain to skip past all `shots` shots, so the channel fires on
+    /// no shot of the batch and [`sample_hits`] may return without
+    /// evaluating `ln(u)`.
+    ///
+    /// The exact test is `floor(ln(u) / log1m) >= shots`, which in real
+    /// arithmetic is `u <= (1-p)^shots = exp(shots·log1m)`. Error
+    /// budget of the shortcut: `u < thr = exp(x)·(1-ε)` with
+    /// `x = shots·log1m` puts `ln(u)/log1m` at least `ε/|log1m|` above
+    /// `shots`, a *relative* margin of `ε/|x|`. `thr` is only above
+    /// `f64::MIN_POSITIVE` (and `u` never is below it) for `|x| < 709`,
+    /// so the margin is at least `1e-9/709 ≈ 1.4e-12`; against it stand
+    /// the rounding of the product `x` (2⁻⁵³ relative, amplified by
+    /// `|x|` through `exp`: < 8e-14), of `exp` and `ln` (≤ 1 ulp each)
+    /// and of the division (½ ulp) — under 1e-13 in total. A draw at or
+    /// above `thr` falls through to the exact expression, so the
+    /// shortcut never changes a result; ε only sets how rarely
+    /// (probability ε·(1-p)^shots) a no-hit draw still pays for `ln`.
+    fn no_hit_threshold(&self, shots: usize) -> f64 {
+        (shots as f64 * self.log1m).exp() * (1.0 - NO_HIT_SLACK)
+    }
+}
+
+/// A [`Circuit`] compiled for repeated frame sampling: a flat
+/// instruction list (identity gates and ticks dropped), per-measurement
+/// lists of the detector and observable rows the measurement feeds (so
+/// record flips are XORed straight into the output tables and no
+/// record table exists), and the table of distinct noise probabilities.
+///
+/// [`FrameProgram::sample`] draws from the RNG in exactly the order
+/// the circuit's operations prescribe — one word per 64 shots for each
+/// reset and each measurement, one geometric draw sequence per noise
+/// channel — so tables and the RNG's final position are a pure function
+/// of `(circuit, shots, rng)`; the checkpoint, shard and serve
+/// byte-identity contracts rest on that.
+#[derive(Debug, Clone)]
+pub struct FrameProgram {
+    num_qubits: usize,
+    instrs: Vec<Instr>,
+    probs: Vec<NoiseProb>,
+    /// CSR over measurements: measurement `k` feeds detector rows
+    /// `det_rows[det_offsets[k]..det_offsets[k + 1]]`.
+    det_offsets: Vec<u32>,
+    det_rows: Vec<u32>,
+    /// The same for observable rows.
+    obs_offsets: Vec<u32>,
+    obs_rows: Vec<u32>,
+    num_detectors: usize,
+    num_observables: usize,
+}
+
+/// Reusable working memory of [`FrameProgram::sample`]: the X and Z
+/// frame tables, the per-probability no-hit thresholds, and the output
+/// batch. Buffers grow to the largest `(circuit, shots)` sampled and
+/// are then reused, so a warm sample allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct FrameScratch {
+    fx: Vec<u64>,
+    fz: Vec<u64>,
+    thresholds: Vec<f64>,
+    batch: ShotBatch,
+}
+
+/// A stash of [`FrameScratch`]es shared by the workers sampling one
+/// circuit: each batch borrows a scratch for its duration and returns
+/// it, so once every worker has sampled a batch of the largest size no
+/// batch allocates. Reuse is invisible to results — a scratch carries
+/// no state from one sample to the next.
+#[derive(Debug, Default)]
+pub struct FrameScratchPool {
+    stack: Mutex<Vec<FrameScratch>>,
+}
+
+impl FrameScratchPool {
+    /// Runs `f` with a scratch borrowed from the pool (a fresh one when
+    /// the pool is empty).
+    pub fn with<T>(&self, f: impl FnOnce(&mut FrameScratch) -> T) -> T {
+        let popped = self
+            .stack
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop();
+        let mut scratch = popped.unwrap_or_default();
+        let out = f(&mut scratch);
+        self.stack
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(scratch);
+        out
+    }
+}
+
+/// CSR feed lists from per-target record lists: `rows` of measurement
+/// `k` are the targets listing record `k`, once per listing (a record
+/// listed twice cancels, as it did in the record table).
+fn feeds<'a>(
+    num_measurements: usize,
+    targets: impl Iterator<Item = &'a [u32]> + Clone,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut offsets = vec![0u32; num_measurements + 1];
+    for records in targets.clone() {
+        for &r in records {
+            offsets[r as usize + 1] += 1;
+        }
+    }
+    for k in 0..num_measurements {
+        offsets[k + 1] += offsets[k];
+    }
+    let mut cursor = offsets.clone();
+    let mut rows = vec![0u32; offsets[num_measurements] as usize];
+    for (row, records) in targets.enumerate() {
+        for &r in records {
+            rows[cursor[r as usize] as usize] = row as u32;
+            cursor[r as usize] += 1;
+        }
+    }
+    (offsets, rows)
+}
+
+/// Rows `a != b` of a `w`-words-per-row table, both mutable.
+#[inline]
+fn two_rows(table: &mut [u64], w: usize, a: usize, b: usize) -> (&mut [u64], &mut [u64]) {
+    if a < b {
+        let (lo, hi) = table.split_at_mut(b * w);
+        (&mut lo[a * w..(a + 1) * w], &mut hi[..w])
+    } else {
+        let (lo, hi) = table.split_at_mut(a * w);
+        (&mut hi[..w], &mut lo[b * w..(b + 1) * w])
+    }
+}
+
+#[inline]
+fn xor_into(dst: &mut [u64], src: &[u64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= *s;
+    }
+}
+
+impl FrameProgram {
+    /// Compiles `circuit`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a two-qubit operation whose qubits coincide, which
+    /// [`Circuit`]'s builder methods reject.
+    pub fn new(circuit: &Circuit) -> Self {
+        let mut instrs = Vec::with_capacity(circuit.ops().len());
+        let mut probs: Vec<NoiseProb> = Vec::new();
+        let mut prob_index = |p: f64| -> u32 {
+            let at = probs
+                .iter()
+                .position(|known| known.p.to_bits() == p.to_bits())
+                .unwrap_or_else(|| {
+                    probs.push(NoiseProb::new(p));
+                    probs.len() - 1
+                });
+            at as u32
+        };
+        for op in circuit.ops() {
+            if let Op::Gate2 { a, b, .. } | Op::Depolarize2 { a, b, .. } = *op {
+                assert_ne!(a, b, "two-qubit operation on one qubit");
+            }
+            instrs.push(match *op {
+                Op::Gate1 { kind: Gate1::H, q } => Instr::H { q },
+                Op::Gate1 { kind: Gate1::S, q } => Instr::S { q },
+                // Paulis commute with a Pauli frame up to sign.
+                Op::Gate1 { .. } | Op::Tick => continue,
+                Op::Gate2 {
+                    kind: Gate2::Cx,
+                    a,
+                    b,
+                } => Instr::Cx { c: a, t: b },
+                Op::Gate2 {
+                    kind: Gate2::Cz,
+                    a,
+                    b,
+                } => Instr::Cz { a, b },
+                Op::Reset { q } => Instr::Reset { q },
+                Op::Measure { q } => Instr::Measure { q },
+                Op::Noise1 { kind, q, p } => Instr::Noise1 {
+                    kind,
+                    q,
+                    prob: prob_index(p),
+                },
+                Op::Depolarize2 { a, b, p } => Instr::Depolarize2 {
+                    a,
+                    b,
+                    prob: prob_index(p),
+                },
+            });
+        }
+        let m = circuit.num_measurements() as usize;
+        let (det_offsets, det_rows) =
+            feeds(m, circuit.detectors().iter().map(|d| d.records.as_slice()));
+        let (obs_offsets, obs_rows) = feeds(m, circuit.observables().iter().map(Vec::as_slice));
+        FrameProgram {
+            num_qubits: circuit.num_qubits() as usize,
+            instrs,
+            probs,
+            det_offsets,
+            det_rows,
+            obs_offsets,
+            obs_rows,
+            num_detectors: circuit.detectors().len(),
+            num_observables: circuit.observables().len(),
+        }
+    }
+
+    /// Samples `shots` noisy executions into `scratch` and returns the
+    /// detector/observable flip tables, which live in `scratch` until
+    /// its next use.
+    pub fn sample<'s, R: Rng>(
+        &self,
+        shots: usize,
+        rng: &mut R,
+        scratch: &'s mut FrameScratch,
+    ) -> &'s ShotBatch {
+        let w = shots.div_ceil(64).max(1);
+        let FrameScratch {
+            fx,
+            fz,
+            thresholds,
+            batch,
+        } = scratch;
+        for frame in [&mut *fx, &mut *fz] {
+            frame.clear();
+            frame.resize(self.num_qubits * w, 0);
+        }
+        thresholds.clear();
+        thresholds.extend(self.probs.iter().map(|pr| pr.no_hit_threshold(shots)));
+        batch.detectors.reset(self.num_detectors, shots);
+        batch.observables.reset(self.num_observables, shots);
+
+        // Mask to keep random bits within the shot count in the last word.
+        let tail_bits = shots % 64;
+        let tail_mask = if tail_bits == 0 {
+            u64::MAX
+        } else {
+            (1u64 << tail_bits) - 1
+        };
+        let random_word = |i: usize, rng: &mut R| -> u64 {
+            let r: u64 = rng.gen();
+            if i == w - 1 {
+                r & tail_mask
+            } else {
+                r
+            }
+        };
+
+        let mut measurement = 0usize;
+        for instr in &self.instrs {
+            match *instr {
+                Instr::H { q } => {
+                    let q = q as usize;
+                    fx[q * w..(q + 1) * w].swap_with_slice(&mut fz[q * w..(q + 1) * w]);
+                }
+                Instr::S { q } => {
+                    let q = q as usize;
+                    xor_into(&mut fz[q * w..(q + 1) * w], &fx[q * w..(q + 1) * w]);
+                }
+                Instr::Cx { c, t } => {
+                    let (xc, xt) = two_rows(fx, w, c as usize, t as usize);
+                    xor_into(xt, xc);
+                    let (zc, zt) = two_rows(fz, w, c as usize, t as usize);
+                    xor_into(zc, zt);
+                }
+                Instr::Cz { a, b } => {
+                    let (a, b) = (a as usize, b as usize);
+                    let (za, zb) = two_rows(fz, w, a, b);
+                    xor_into(za, &fx[b * w..(b + 1) * w]);
+                    xor_into(zb, &fx[a * w..(a + 1) * w]);
+                }
+                Instr::Reset { q } => {
+                    let q = q as usize;
+                    fx[q * w..(q + 1) * w].fill(0);
+                    for (i, word) in fz[q * w..(q + 1) * w].iter_mut().enumerate() {
+                        *word = random_word(i, rng);
+                    }
+                }
+                Instr::Measure { q } => {
+                    let q = q as usize;
+                    let flips = &fx[q * w..(q + 1) * w];
+                    let k = measurement;
+                    measurement += 1;
+                    for &d in &self.det_rows
+                        [self.det_offsets[k] as usize..self.det_offsets[k + 1] as usize]
+                    {
+                        xor_into(batch.detectors.row_mut(d as usize), flips);
+                    }
+                    for &o in &self.obs_rows
+                        [self.obs_offsets[k] as usize..self.obs_offsets[k + 1] as usize]
+                    {
+                        xor_into(batch.observables.row_mut(o as usize), flips);
+                    }
+                    // Randomize the anticommuting part of the frame to
+                    // model measurement collapse (Stim's convention).
+                    for (i, word) in fz[q * w..(q + 1) * w].iter_mut().enumerate() {
+                        *word ^= random_word(i, rng);
+                    }
+                }
+                Instr::Noise1 { kind, q, prob } => {
+                    let q = q as usize;
+                    let (pr, thr) = (&self.probs[prob as usize], thresholds[prob as usize]);
+                    sample_hits(pr, thr, shots, rng, |shot, rng| {
+                        let (ex, ez) = match kind {
+                            Noise1::XError => (true, false),
+                            Noise1::ZError => (false, true),
+                            Noise1::Depolarize1 => {
+                                Pauli::ONE_QUBIT_ERRORS[rng.gen_range(0..3usize)].xz()
+                            }
+                        };
+                        let (at, bit) = (q * w + shot / 64, 1u64 << (shot % 64));
+                        if ex {
+                            fx[at] ^= bit;
+                        }
+                        if ez {
+                            fz[at] ^= bit;
+                        }
+                    });
+                }
+                Instr::Depolarize2 { a, b, prob } => {
+                    let (a, b) = (a as usize, b as usize);
+                    let (pr, thr) = (&self.probs[prob as usize], thresholds[prob as usize]);
+                    sample_hits(pr, thr, shots, rng, |shot, rng| {
+                        let (pa, pb) = Pauli::TWO_QUBIT_ERRORS[rng.gen_range(0..15usize)];
+                        let (wi, bit) = (shot / 64, 1u64 << (shot % 64));
+                        let (ax, az) = pa.xz();
+                        let (bx, bz) = pb.xz();
+                        if ax {
+                            fx[a * w + wi] ^= bit;
+                        }
+                        if az {
+                            fz[a * w + wi] ^= bit;
+                        }
+                        if bx {
+                            fx[b * w + wi] ^= bit;
+                        }
+                        if bz {
+                            fz[b * w + wi] ^= bit;
+                        }
+                    });
+                }
+            }
+        }
+        batch
+    }
+}
+
+/// Calls `hit(shot, rng)` for each shot independently selected with
+/// probability `pr.p`, using geometric skipping (cost proportional to
+/// the number of hits rather than the number of shots). `no_hit` is
+/// [`NoiseProb::no_hit_threshold`] of `shots`: a first draw below it
+/// ends the channel without a logarithm.
+fn sample_hits<R: Rng>(
+    pr: &NoiseProb,
+    no_hit: f64,
+    shots: usize,
+    rng: &mut R,
+    mut hit: impl FnMut(usize, &mut R),
+) {
+    if pr.p <= 0.0 {
+        return;
+    }
+    if pr.p >= 1.0 {
+        for s in 0..shots {
+            hit(s, rng);
+        }
+        return;
+    }
+    let mut u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    if u < no_hit {
+        return;
+    }
+    let mut s: usize = 0;
+    loop {
+        // Geometric gap: floor(ln(U) / ln(1-p)).
+        let gap = (u.ln() / pr.log1m).floor();
+        if !gap.is_finite() || gap >= (shots - s) as f64 {
+            break;
+        }
+        s += gap as usize;
+        hit(s, rng);
+        s += 1;
+        if s >= shots {
+            break;
+        }
+        u = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::circuit::{CheckBasis, MeasRecord};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    fn rng() -> StdRng {
+        StdRng::seed_from_u64(0x5eed)
+    }
+
+    /// The `Op`-walking interpreter [`FrameProgram`] replaced, kept as
+    /// the oracle the program must reproduce bit for bit, RNG position
+    /// included.
+    fn reference_sample<R: Rng>(c: &Circuit, shots: usize, rng: &mut R) -> ShotBatch {
         let nq = c.num_qubits() as usize;
         let w = shots.div_ceil(64).max(1);
         let mut fx = vec![0u64; nq * w];
@@ -384,7 +855,7 @@ impl<'a> FrameSampler<'a> {
                 }
                 Op::Noise1 { kind, q, p } => {
                     let q = q as usize;
-                    sample_hits(p, shots, rng, |shot, rng| {
+                    reference_sample_hits(p, shots, rng, |shot, rng| {
                         let (ex, ez) = match kind {
                             Noise1::XError => (true, false),
                             Noise1::ZError => (false, true),
@@ -403,7 +874,7 @@ impl<'a> FrameSampler<'a> {
                 }
                 Op::Depolarize2 { a, b, p } => {
                     let (a, b) = (a as usize, b as usize);
-                    sample_hits(p, shots, rng, |shot, rng| {
+                    reference_sample_hits(p, shots, rng, |shot, rng| {
                         let (pa, pb) = Pauli::TWO_QUBIT_ERRORS[rng.gen_range(0..15usize)];
                         let (wi, bit) = (shot / 64, shot % 64);
                         let (ax, az) = pa.xz();
@@ -444,48 +915,171 @@ impl<'a> FrameSampler<'a> {
             observables,
         }
     }
-}
 
-/// Calls `hit(shot, rng)` for each shot independently selected with
-/// probability `p`, using geometric skipping (cost proportional to the
-/// number of hits rather than the number of shots).
-fn sample_hits<R: Rng>(p: f64, shots: usize, rng: &mut R, mut hit: impl FnMut(usize, &mut R)) {
-    if p <= 0.0 {
-        return;
-    }
-    if p >= 1.0 {
-        for s in 0..shots {
+    fn reference_sample_hits<R: Rng>(
+        p: f64,
+        shots: usize,
+        rng: &mut R,
+        mut hit: impl FnMut(usize, &mut R),
+    ) {
+        if p <= 0.0 {
+            return;
+        }
+        if p >= 1.0 {
+            for s in 0..shots {
+                hit(s, rng);
+            }
+            return;
+        }
+        let log1m = (1.0 - p).ln();
+        let mut s: usize = 0;
+        loop {
+            // Geometric gap: floor(ln(U) / ln(1-p)).
+            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+            let gap = (u.ln() / log1m).floor();
+            if !gap.is_finite() || gap >= (shots - s) as f64 {
+                break;
+            }
+            s += gap as usize;
             hit(s, rng);
-        }
-        return;
-    }
-    let log1m = (1.0 - p).ln();
-    let mut s: usize = 0;
-    loop {
-        // Geometric gap: floor(ln(U) / ln(1-p)).
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let gap = (u.ln() / log1m).floor();
-        if !gap.is_finite() || gap >= (shots - s) as f64 {
-            break;
-        }
-        s += gap as usize;
-        hit(s, rng);
-        s += 1;
-        if s >= shots {
-            break;
+            s += 1;
+            if s >= shots {
+                break;
+            }
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::circuit::CheckBasis;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    /// A random small Clifford+noise circuit: every operation kind,
+    /// noise probabilities from the edge set, detectors and observables
+    /// over random (possibly repeated) records.
+    fn random_circuit(rng: &mut StdRng) -> Circuit {
+        const PS: [f64; 5] = [0.0, 1e-12, 1e-3, 0.3, 1.0];
+        let n = rng.gen_range(2..6u32);
+        let mut c = Circuit::new(n);
+        let mut records = Vec::new();
+        for _ in 0..rng.gen_range(0..40usize) {
+            let a = rng.gen_range(0..n);
+            let b = (a + rng.gen_range(1..n)) % n;
+            let p = PS[rng.gen_range(0..PS.len())];
+            match rng.gen_range(0..13u32) {
+                0 => c.h(a).unwrap(),
+                1 => c.s(a).unwrap(),
+                2 => c.x(a).unwrap(),
+                3 => c.z(a).unwrap(),
+                4 => c.cx(a, b).unwrap(),
+                5 => c.cz(a, b).unwrap(),
+                6 => c.reset(a).unwrap(),
+                7 => records.push(c.measure(a).unwrap()),
+                8 => c.noise1(Noise1::XError, a, p).unwrap(),
+                9 => c.noise1(Noise1::ZError, a, p).unwrap(),
+                10 => c.noise1(Noise1::Depolarize1, a, p).unwrap(),
+                11 => c.depolarize2(a, b, p).unwrap(),
+                _ => c.tick(),
+            }
+        }
+        records.push(c.measure(0).unwrap());
+        let pick = |rng: &mut StdRng| -> Vec<MeasRecord> {
+            (0..rng.gen_range(0..4usize))
+                .map(|_| records[rng.gen_range(0..records.len())])
+                .collect()
+        };
+        for d in 0..rng.gen_range(0..5i32) {
+            c.add_detector(&pick(rng), CheckBasis::Z, (d, 0, 0))
+                .unwrap();
+        }
+        for o in 0..rng.gen_range(0..3u32) {
+            c.include_observable(o, &pick(rng)).unwrap();
+        }
+        c
+    }
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(0x5eed)
+    /// Samples `c` through the program (twice over one scratch, so
+    /// buffer reuse is covered) and through the reference; tables and
+    /// the RNG state afterwards must be equal.
+    fn assert_matches_reference<R: Rng + Clone>(c: &Circuit, shots: usize, rng: &R) {
+        let program = FrameProgram::new(c);
+        let mut scratch = FrameScratch::default();
+        let mut warm = rng.clone();
+        program.sample(shots.max(7) - 3, &mut warm, &mut scratch);
+        let (mut ours, mut theirs) = (rng.clone(), rng.clone());
+        let want = reference_sample(c, shots, &mut theirs);
+        let got = program.sample(shots, &mut ours, &mut scratch);
+        assert_eq!(*got, want, "tables differ at {shots} shots of {c:?}");
+        assert_eq!(
+            ours.next_u64(),
+            theirs.next_u64(),
+            "RNG position differs at {shots} shots of {c:?}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(150))]
+
+        #[test]
+        fn program_matches_reference_interpreter(seed in 0u64..u64::MAX) {
+            let mut gen = StdRng::seed_from_u64(seed);
+            let c = random_circuit(&mut gen);
+            for shots in [1usize, 16, 63, 64, 65, 1000, 4096] {
+                assert_matches_reference(&c, shots, &StdRng::seed_from_u64(seed ^ 1));
+                let chacha = ChaCha8Rng::seed_from_u64(seed ^ 2);
+                assert_matches_reference(&c, shots, &chacha);
+                // The cursor the sweep checkpoints would persist.
+                let (mut ours, mut theirs) = (chacha.clone(), chacha);
+                FrameSampler::new(&c).sample(shots, &mut ours);
+                reference_sample(&c, shots, &mut theirs);
+                prop_assert_eq!(ours.word_pos(), theirs.word_pos());
+            }
+        }
+    }
+
+    /// The exact first-draw test of [`sample_hits`]: does the gap of
+    /// draw `u` skip all `shots` shots?
+    fn first_draw_skips_all(u: f64, pr: &NoiseProb, shots: usize) -> bool {
+        let gap = (u.ln() / pr.log1m).floor();
+        !gap.is_finite() || gap >= shots as f64
+    }
+
+    #[test]
+    fn no_hit_shortcut_agrees_with_the_exact_test_around_the_threshold() {
+        let mut rng = rng();
+        let mut shortcuts = 0usize;
+        for shots in (1..=4096usize).step_by(7).chain([4095, 4096]) {
+            for p in [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.5] {
+                let pr = NoiseProb::new(p);
+                let thr = pr.no_hit_threshold(shots);
+                let edge = (shots as f64 * pr.log1m).exp();
+                let mut check = |u: f64| {
+                    if (f64::MIN_POSITIVE..1.0).contains(&u) && u < thr {
+                        shortcuts += 1;
+                        assert!(
+                            first_draw_skips_all(u, &pr, shots),
+                            "shortcut taken but the exact test hits: u={u:e} p={p} shots={shots}"
+                        );
+                    }
+                };
+                for rel in [
+                    -1e-6, -1e-8, -2e-9, -1e-9, -1e-10, -1e-13, 0.0, 1e-13, 1e-9, 1e-6,
+                ] {
+                    check(edge * (1.0 + rel));
+                }
+                // Neighbouring floats of the threshold itself, and
+                // random draws in the +-1e-6 band.
+                check(f64::from_bits(thr.to_bits().saturating_sub(1)));
+                check(thr);
+                for _ in 0..8 {
+                    check(edge * (1.0 + rng.gen_range(-1e-6..1e-6)));
+                }
+            }
+        }
+        assert!(shortcuts > 1000, "the band must exercise the shortcut");
+    }
+
+    #[test]
+    fn no_hit_shortcut_is_off_where_the_threshold_underflows() {
+        // (1-p)^shots below the smallest draw: no draw can take the
+        // shortcut, the exact expression decides alone.
+        let pr = NoiseProb::new(0.5);
+        assert!(pr.no_hit_threshold(4096) < f64::MIN_POSITIVE);
     }
 
     #[test]
@@ -498,21 +1092,29 @@ mod tests {
         assert_eq!(t.count_row(1), 1);
     }
 
+    fn count_hits(p: f64, shots: usize) -> usize {
+        let pr = NoiseProb::new(p);
+        let mut n = 0usize;
+        sample_hits(
+            &pr,
+            pr.no_hit_threshold(shots),
+            shots,
+            &mut rng(),
+            |_, _| n += 1,
+        );
+        n
+    }
+
     #[test]
     fn sample_hits_density_matches() {
-        let mut n = 0usize;
-        let shots = 100_000;
-        sample_hits(0.01, shots, &mut rng(), |_, _| n += 1);
+        let n = count_hits(0.01, 100_000);
         assert!((700..1350).contains(&n), "got {n} hits for p=0.01");
     }
 
     #[test]
     fn sample_hits_extremes() {
-        let mut n = 0usize;
-        sample_hits(0.0, 1000, &mut rng(), |_, _| n += 1);
-        assert_eq!(n, 0);
-        sample_hits(1.0, 1000, &mut rng(), |_, _| n += 1);
-        assert_eq!(n, 1000);
+        assert_eq!(count_hits(0.0, 1000), 0);
+        assert_eq!(count_hits(1.0, 1000), 1000);
     }
 
     #[test]

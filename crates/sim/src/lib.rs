@@ -59,6 +59,6 @@ pub mod tableau;
 pub use circuit::{CheckBasis, Circuit, MeasRecord};
 pub use dem::{DetectorErrorModel, ParametricDem};
 pub use error::SimError;
-pub use frame::{BitTable, FrameSampler, ShotBatch};
+pub use frame::{BitTable, FrameProgram, FrameSampler, FrameScratch, FrameScratchPool, ShotBatch};
 pub use noise::{NoiseModel, NoiseParam};
 pub use tableau::ReferenceSample;
