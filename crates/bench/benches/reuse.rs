@@ -1,8 +1,8 @@
 //! Criterion benchmark: sweeping a d = 9 memory LER curve with
 //! decode-graph *reuse* (build the decoder once, reweight per point —
-//! what `Runner` does) versus the per-point *rebuild* the seed's
-//! `memory_ler_curve` performed. Decoding work is excluded from both
-//! sides so the comparison isolates construction cost.
+//! what `Runner` does) versus a per-point *rebuild*. Decoding work is
+//! excluded from both sides so the comparison isolates construction
+//! cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dqec_core::adapt::AdaptedPatch;

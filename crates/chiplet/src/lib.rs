@@ -42,7 +42,7 @@ pub mod yields;
 pub use criteria::{QualityTarget, Ranking};
 pub use defect_model::DefectModel;
 pub use device::{assemble_device, AssemblyReport, DeviceSpec};
-pub use experiment::{fit_loglog, memory_ler, stability_ler, LerPoint, SlopeFit};
+pub use experiment::{fit_loglog, LerPoint, SlopeFit};
 pub use record::{
     fmt_compact, JsonSink, LerRecord, MemorySink, NullSink, Record, Sink, SlopeFitRecord, TsvSink,
     Value, YieldRecord,

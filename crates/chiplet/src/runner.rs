@@ -5,11 +5,13 @@
 //! The paper's Monte-Carlo evaluation is one pipeline — adapt patch →
 //! generate circuit → apply noise → frame-sample → decode → fit — swept
 //! over physical error rates. Rebuilding the decoder at every sweep
-//! point (the old `memory_ler_curve` behaviour) re-extracts the
-//! detector error model and re-runs all-pairs shortest paths per point;
-//! the runner instead compiles the clean circuit *once* per patch,
-//! builds the decoder once at the sweep's largest `p`, and only
+//! point would re-extract the detector error model and re-run
+//! all-pairs shortest paths per point; the runner instead compiles the
+//! clean circuit *once* per patch, builds the decoder once at the
+//! sweep's largest `p`, and only
 //! [`reweights`](dqec_matching::Decoder::reweight) its edges per point.
+//! [`CompiledExperiment::sample_batches_with_seed`] is the workspace's
+//! one sample→decode fan-out and [`batch_seed`] its one seed formula.
 //!
 //! # Examples
 //!
@@ -237,8 +239,8 @@ impl ExperimentSpec {
         self
     }
 
-    /// Plugs in an alternative decoder implementation; the default
-    /// builds a reweightable [`MwpmDecoder`].
+    /// Plugs in an alternative decoder implementation; the default is
+    /// [`DecoderChoice::default`]'s builder.
     pub fn decoder(mut self, builder: DecoderBuilder) -> Self {
         self.decoder = Some(builder);
         self
@@ -464,10 +466,10 @@ impl CompiledExperiment {
             }
         };
         let template_p = spec.ps.iter().fold(0.0f64, |a, &b| a.max(b));
-        let build: DecoderBuilder = spec
+        let build = spec
             .decoder
             .clone()
-            .unwrap_or_else(|| Arc::new(|c, n| Box::new(MwpmDecoder::from_clean(c, n))));
+            .unwrap_or_else(|| DecoderChoice::default().builder());
         let template_noise = match bad {
             Some((q, p_bad)) => NoiseModel::new(template_p).with_bad_qubit(q, p_bad),
             None => NoiseModel::new(template_p),
@@ -695,7 +697,6 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{memory_ler, stability_ler};
     use crate::record::MemorySink;
     use dqec_core::defect::DefectSet;
     use dqec_core::layout::PatchLayout;
@@ -706,9 +707,10 @@ mod tests {
 
     #[test]
     fn runner_sweep_matches_per_point_experiments_statistically() {
-        // The runner reuses one decoder across the sweep; the legacy
-        // path rebuilds per point (and seeds differently), so compare
-        // rates, not raw tallies.
+        // The sweep builds one decoder at its largest p and reweights
+        // it per point; a single-point spec builds its decoder at that
+        // very p (and here seeds differently), so compare rates, not
+        // raw tallies.
         let ps = [8e-3, 1.2e-2];
         let spec = ExperimentSpec::memory(patch(3))
             .ps(&ps)
@@ -717,12 +719,15 @@ mod tests {
             .seed(5);
         let outcome = Runner::new().collect(&spec).unwrap();
         for (pt, &p) in outcome.points.iter().zip(&ps) {
-            let legacy = memory_ler(&patch(3), p, 3, 20_000, 99).unwrap();
-            let (lo, hi) = legacy.ci95();
+            let single = Runner::new()
+                .collect(&spec.clone().p(p).seed(99))
+                .unwrap()
+                .points[0];
+            let (lo, hi) = single.ci95();
             let (plo, phi) = pt.ci95();
             assert!(
                 phi > lo && plo < hi,
-                "runner CI ({plo}, {phi}) disjoint from legacy ({lo}, {hi}) at p={p}"
+                "sweep CI ({plo}, {phi}) disjoint from single-point ({lo}, {hi}) at p={p}"
             );
         }
     }
@@ -765,20 +770,16 @@ mod tests {
     }
 
     #[test]
-    fn stability_spec_with_bad_qubit_behaves_like_legacy() {
+    fn stability_spec_with_bad_qubit_sees_the_elevated_rate() {
         let p = AdaptedPatch::new(PatchLayout::stability(4, 4), &DefectSet::new());
-        let bad = Coord::new(3, 3);
-        let spec = ExperimentSpec::stability(p.clone())
+        let spec = ExperimentSpec::stability(p)
             .p(4e-3)
             .rounds(8)
             .shots(20_000)
             .seed(7)
-            .bad_qubit(bad, 0.25);
+            .bad_qubit(Coord::new(3, 3), 0.25);
         let outcome = Runner::new().collect(&spec).unwrap();
-        let legacy = stability_ler(&p, 4e-3, Some((bad, 0.25)), 8, 20_000, 7).unwrap();
-        // Both should see the elevated failure rate of the bad qubit.
         assert!(outcome.points[0].ler() > 0.01, "{:?}", outcome.points);
-        assert!(legacy.ler() > 0.01);
     }
 
     #[test]

@@ -1,20 +1,23 @@
-//! The end-to-end MWPM decoder.
+//! The [`Decoder`] trait and the one decoder shell behind it.
 //!
-//! Combines the two CSS decoding graphs: each shot's detection events
-//! are split by basis, matched independently with the blossom algorithm
-//! over cached shortest-path weights, and the predicted observable flips
-//! are XORed together.
+//! [`GraphDecoder`] owns everything a graph-based decoder needs apart
+//! from the matching itself: the two CSS decoding graphs, the
+//! parametric detector error model behind in-place reweighting, pooled
+//! per-worker scratch, the per-chunk syndrome memo ([`SyndromeCache`])
+//! and the fixed-chunk shot fan-out whose tallies merge through
+//! [`DecodeStats::merge`], so results never depend on the worker count.
+//! What happens per basis is a [`Kernel`]: [`MwpmDecoder`] instantiates
+//! the shell with [`Blossom`] (this module),
+//! [`UfDecoder`](crate::UfDecoder) with the union-find view
+//! [`UfGraph`](crate::UfGraph).
 //!
-//! The per-shot hot path is sparse and allocation-free: all working
-//! memory lives in a reusable [`DecodeScratch`] (flat matching matrix,
-//! blossom arena, basis-split and candidate buffers), single events and
-//! isolated pairs take closed-form fast paths, and clusters of events
-//! are split into independent components before the dense O(n³)
-//! blossom runs — at low physical error rates almost every component is
-//! a singleton or a pair. Batch decoding additionally memoizes repeated
-//! syndromes ([`SyndromeCache`]) and fans shots out over fixed-size
-//! chunks via rayon, with tallies merged by [`DecodeStats::merge`] so
-//! results are independent of worker count.
+//! The blossom kernel is exact and allocation-free once warm: all
+//! working memory lives in a reusable [`DecodeScratch`], zero, one and
+//! two events take closed-form paths, and larger syndromes are split
+//! into their independent components — two events belong together only
+//! when matching them beats sending both to the boundary — before the
+//! dense O(n³) solver runs on each. At low physical error rates almost
+//! every component is a singleton or a pair.
 
 use crate::blossom::BlossomArena;
 use crate::graph::DecodingGraph;
@@ -36,10 +39,6 @@ const DECODE_CHUNK: usize = 1024;
 /// Default bound on memoized syndromes per decode chunk worker.
 const DEFAULT_CACHE_ENTRIES: usize = 1 << 15;
 
-/// Default cap on each event's non-boundary matching candidates; see
-/// [`DecodeScratch::with_candidate_cap`].
-const DEFAULT_CANDIDATE_CAP: usize = 8;
-
 /// Syndromes longer than this are not memoized: large event lists
 /// essentially never repeat within a chunk, so hashing and storing them
 /// would only burn time and memory on guaranteed misses.
@@ -50,7 +49,7 @@ const CACHE_KEY_MAX_EVENTS: usize = 16;
 /// dominates the decode fast path. Not DoS-resistant — keys here are
 /// detector ids from our own sampler, never attacker-controlled.
 #[derive(Default)]
-pub(crate) struct FxHasher(u64);
+struct FxHasher(u64);
 
 impl FxHasher {
     #[inline]
@@ -116,13 +115,13 @@ impl Hasher for FxHasher {
 /// would compute. The one event that *does* invalidate entries is
 /// reweighting — [`ScratchPool::clear`] must be called whenever the
 /// decoder's weights change.
-pub(crate) struct ScratchPool<S> {
+struct ScratchPool<S> {
     stack: Mutex<Vec<(S, SyndromeCache)>>,
 }
 
 impl<S> ScratchPool<S> {
     /// An empty pool.
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         ScratchPool {
             stack: Mutex::new(Vec::new()),
         }
@@ -130,7 +129,10 @@ impl<S> ScratchPool<S> {
 
     /// Borrows a scratch/cache pair, creating a fresh one on a cold
     /// pool.
-    fn take(&self, new_scratch: impl FnOnce() -> S) -> (S, SyndromeCache) {
+    fn take(&self) -> (S, SyndromeCache)
+    where
+        S: Default,
+    {
         let popped = self
             .stack
             .lock()
@@ -138,7 +140,7 @@ impl<S> ScratchPool<S> {
             .pop();
         popped.unwrap_or_else(|| {
             (
-                new_scratch(),
+                S::default(),
                 SyndromeCache::with_capacity(DEFAULT_CACHE_ENTRIES),
             )
         })
@@ -154,17 +156,11 @@ impl<S> ScratchPool<S> {
 
     /// Drops every pooled pair. Required whenever the owning decoder's
     /// weights change (the memoized predictions are stale).
-    pub(crate) fn clear(&self) {
+    fn clear(&self) {
         self.stack
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .clear();
-    }
-}
-
-impl<S> Default for ScratchPool<S> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -193,78 +189,9 @@ impl<S> std::fmt::Debug for ScratchPool<S> {
 /// misses depends on which pooled cache each chunk happened to borrow,
 /// so it is *not* deterministic across worker counts — predictions are.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct CacheCounters {
-    pub hits: u64,
-    pub misses: u64,
-}
-
-/// The shared scratch-reusing, syndrome-memoizing batch decode: fans
-/// fixed-size shot chunks out over worker threads, gives each chunk a
-/// private scratch/cache pair borrowed from `pool` (created by
-/// `new_scratch` when the pool runs dry), and decodes each shot with
-/// `decode` directly into a preallocated output. Chunk boundaries
-/// depend only on the shot count and `decode` is contractually
-/// deterministic, so predictions are identical for any worker count
-/// and any pool state. Used by both the MWPM and union-find
-/// `decode_all` implementations. Also returns the batch's aggregate
-/// syndrome-cache hit/miss deltas for observability.
-pub(crate) fn decode_all_chunked<S, N, F>(
-    batch: &ShotBatch,
-    pool: &ScratchPool<S>,
-    new_scratch: N,
-    decode: F,
-) -> (Vec<u64>, CacheCounters)
-where
-    S: Send,
-    N: Fn() -> S + Sync,
-    F: Fn(&[u32], &mut S) -> u64 + Sync,
-{
-    let ev = batch.shot_events();
-    let shots = ev.shots();
-    let ev = &ev;
-    let new_scratch = &new_scratch;
-    let decode = &decode;
-    let mut out = vec![0u64; shots];
-    let chunks: Vec<(usize, &mut [u64])> = out
-        .chunks_mut(DECODE_CHUNK)
-        .enumerate()
-        .map(|(c, slot)| (c * DECODE_CHUNK, slot))
-        .collect();
-    let deltas: Vec<(u64, u64)> = chunks
-        .into_par_iter()
-        .map(|(lo, slot)| {
-            let (mut scratch, mut cache) = pool.take(new_scratch);
-            let (h0, m0) = (cache.hits(), cache.misses());
-            for (i, pred) in slot.iter_mut().enumerate() {
-                let events = ev.events_of(lo + i);
-                *pred = if events.is_empty() {
-                    0
-                } else if events.len() > CACHE_KEY_MAX_EVENTS {
-                    decode(events, &mut scratch)
-                } else {
-                    match cache.get_or_slot(events) {
-                        Ok(p) => p,
-                        Err(open) => {
-                            let p = decode(events, &mut scratch);
-                            if let Some(open) = open {
-                                cache.fill(open, events, p);
-                            }
-                            p
-                        }
-                    }
-                };
-            }
-            let delta = (cache.hits() - h0, cache.misses() - m0);
-            pool.put(scratch, cache);
-            delta
-        })
-        .collect();
-    let mut counters = CacheCounters::default();
-    for (h, m) in deltas {
-        counters.hits += h;
-        counters.misses += m;
-    }
-    (out, counters)
+struct CacheCounters {
+    hits: u64,
+    misses: u64,
 }
 
 /// A syndrome decoder for a fixed circuit.
@@ -340,8 +267,8 @@ pub trait Decoder: Send + Sync {
 /// per-chunk allocation, see `tests/alloc_regression.rs`) summed in
 /// chunk order, so the result does not depend on how many threads
 /// participated. Shared by the default [`Decoder::decode_batch`] and
-/// the cache-counting overrides of the MWPM and union-find decoders.
-pub(crate) fn tally_failures(nobs: usize, preds: &[u64], batch: &ShotBatch) -> DecodeStats {
+/// the cache-counting override of [`GraphDecoder`].
+fn tally_failures(nobs: usize, preds: &[u64], batch: &ShotBatch) -> DecodeStats {
     let shots = batch.detectors.shots();
     debug_assert_eq!(preds.len(), shots);
     let mut stats = DecodeStats::new(nobs);
@@ -623,68 +550,28 @@ impl DecodeStatsMetrics {
     }
 }
 
-/// Reusable working memory for per-shot decoding: the flat matching
-/// matrix and [`BlossomArena`], the basis-split event buffers, and the
-/// candidate/component tables of the sparse path. One scratch decodes
-/// any number of shots (of any size) without touching the allocator
-/// once warm; it carries no results, so it may be reused across
-/// decoders and after reweighting.
+/// Reusable working memory of the [`Blossom`] kernel: the flat matching
+/// matrix and [`BlossomArena`] plus the node, boundary-distance and
+/// component tables of the split. One scratch decodes any number of
+/// shots (of any size) without touching the allocator once warm; it
+/// carries no results, so it may be reused across decoders and after
+/// reweighting.
+#[derive(Default)]
 pub struct DecodeScratch {
-    candidate_cap: usize,
     arena: BlossomArena,
-    z_events: Vec<u32>,
-    x_events: Vec<u32>,
     nodes: Vec<u32>,
     db: Vec<f64>,
-    knn: Vec<u32>,
-    knn_d: Vec<f64>,
-    knn_len: Vec<u32>,
     uf: Vec<u32>,
-    useful: Vec<(u32, u32)>,
-    overflow: Vec<(u32, u32)>,
     roots: Vec<u32>,
     members: Vec<u32>,
     w: Vec<f64>,
     mate: Vec<usize>,
 }
 
-impl Default for DecodeScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl DecodeScratch {
     /// Creates an empty scratch; buffers grow on first use.
     pub fn new() -> Self {
-        DecodeScratch {
-            candidate_cap: DEFAULT_CANDIDATE_CAP,
-            arena: BlossomArena::new(),
-            z_events: Vec::new(),
-            x_events: Vec::new(),
-            nodes: Vec::new(),
-            db: Vec::new(),
-            knn: Vec::new(),
-            knn_d: Vec::new(),
-            knn_len: Vec::new(),
-            uf: Vec::new(),
-            useful: Vec::new(),
-            overflow: Vec::new(),
-            roots: Vec::new(),
-            members: Vec::new(),
-            w: Vec::new(),
-            mate: Vec::new(),
-        }
-    }
-
-    /// Overrides the cap on each event's non-boundary matching
-    /// candidates (its `cap` nearest flagged neighbours). Smaller caps
-    /// prune harder and fall back to the exact dense solve more often;
-    /// results are exact either way. Mostly useful for testing the
-    /// fallback; the default of 8 is ample for surface-code graphs.
-    pub fn with_candidate_cap(mut self, cap: usize) -> Self {
-        self.candidate_cap = cap.max(1);
-        self
+        Self::default()
     }
 }
 
@@ -755,20 +642,9 @@ impl SyndromeCache {
         }
     }
 
-    /// Looks up a syndrome, counting the hit or miss.
-    pub fn get(&mut self, events: &[u32]) -> Option<u64> {
-        let i = self.probe(events);
-        if self.slots[i].0 == CACHE_EMPTY {
-            self.misses += 1;
-            None
-        } else {
-            self.hits += 1;
-            Some(self.slots[i].2)
-        }
-    }
-
-    /// Combined lookup: a hit returns the prediction, a miss returns
-    /// the empty slot where [`SyndromeCache::fill`] may store it — so
+    /// Looks up a syndrome, counting the hit or miss: a hit returns the
+    /// prediction, a miss returns the empty slot where
+    /// [`SyndromeCache::fill`] may store it (`None` at capacity) — so
     /// the miss-then-insert path of batch decoding probes (and hashes)
     /// only once. Any growth needed for the upcoming insert happens
     /// here, keeping the returned slot index stable.
@@ -793,24 +669,6 @@ impl SyndromeCache {
         let off = self.arena.len() as u32;
         self.arena.extend_from_slice(events);
         self.slots[slot] = (off, events.len() as u32, prediction);
-        self.len += 1;
-    }
-
-    /// Stores a prediction unless the cache is at capacity.
-    pub fn insert(&mut self, events: &[u32], prediction: u64) {
-        if self.len >= self.capacity {
-            return;
-        }
-        if (self.len + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
-        let i = self.probe(events);
-        if self.slots[i].0 != CACHE_EMPTY {
-            return; // already stored
-        }
-        let off = self.arena.len() as u32;
-        self.arena.extend_from_slice(events);
-        self.slots[i] = (off, events.len() as u32, prediction);
         self.len += 1;
     }
 
@@ -840,6 +698,71 @@ impl SyndromeCache {
     /// Lookups that had to decode so far.
     pub fn misses(&self) -> u64 {
         self.misses
+    }
+}
+
+/// The per-basis matching kernel a [`GraphDecoder`] is instantiated
+/// with: given one basis graph and a shot's detection events, predict
+/// the observable flips. Everything around that — graph construction,
+/// reweighting, scratch pooling, memoization, the shot fan-out — is the
+/// shell's, written once.
+pub trait Kernel: Clone + std::fmt::Debug + Send + Sync {
+    /// Reusable per-worker working memory; carries no results between
+    /// shots, so the shell pools and reuses it freely.
+    type Scratch: Default + Send;
+
+    /// Builds the kernel's view of one basis graph.
+    fn from_graph(graph: &DecodingGraph) -> Self;
+
+    /// Re-derives the view after `graph` was reweighted in place (same
+    /// structure, new weights).
+    fn reweighted(&mut self, graph: &DecodingGraph);
+
+    /// Predicts the observable flips `graph`'s basis contributes for
+    /// one shot. `events` holds the flagged detector ids of *both*
+    /// bases in any order; the ones without a node in `graph` are the
+    /// other basis's and must be ignored.
+    fn decode_basis(
+        &self,
+        graph: &DecodingGraph,
+        events: &[u32],
+        scratch: &mut Self::Scratch,
+    ) -> u64;
+
+    /// Runs `f` on the calling thread's resident scratch (what
+    /// [`Decoder::decode_events`] decodes with).
+    fn with_thread_scratch<R>(f: impl FnOnce(&mut Self::Scratch) -> R) -> R;
+}
+
+/// The exact minimum-weight perfect-matching [`Kernel`]: blossom over
+/// the graph's cached shortest-path weights, see [`decode_basis_sparse`].
+/// It needs no view of its own.
+#[derive(Debug, Clone)]
+pub struct Blossom;
+
+impl Kernel for Blossom {
+    type Scratch = DecodeScratch;
+
+    fn from_graph(_graph: &DecodingGraph) -> Self {
+        Blossom
+    }
+
+    fn reweighted(&mut self, _graph: &DecodingGraph) {}
+
+    fn decode_basis(
+        &self,
+        graph: &DecodingGraph,
+        events: &[u32],
+        scratch: &mut DecodeScratch,
+    ) -> u64 {
+        decode_basis_sparse(graph, events, scratch).0
+    }
+
+    fn with_thread_scratch<R>(f: impl FnOnce(&mut DecodeScratch) -> R) -> R {
+        thread_local! {
+            static SCRATCH: RefCell<DecodeScratch> = RefCell::default();
+        }
+        SCRATCH.with(|s| f(&mut s.borrow_mut()))
     }
 }
 
@@ -874,18 +797,26 @@ impl SyndromeCache {
 /// assert_eq!(stats.failures[0], 0);
 /// # Ok::<(), dqec_sim::SimError>(())
 /// ```
+pub type MwpmDecoder = GraphDecoder<Blossom>;
+
+/// A decoder for a fixed noisy circuit: the two CSS decoding graphs, a
+/// [`Kernel`] view of each, and the batch machinery shared by every
+/// kernel. Each shot's events are matched per basis and the predicted
+/// observable flips XORed together. Use it through its instantiations
+/// [`MwpmDecoder`] and [`UfDecoder`](crate::UfDecoder).
 #[derive(Debug, Clone)]
-pub struct MwpmDecoder {
+pub struct GraphDecoder<K: Kernel> {
     z_graph: DecodingGraph,
     x_graph: DecodingGraph,
-    det_basis: Vec<CheckBasis>,
+    z_kernel: K,
+    x_kernel: K,
     num_observables: usize,
-    /// Present when built via [`MwpmDecoder::from_clean`]: enables
+    /// Present when built via [`GraphDecoder::from_clean`]: enables
     /// in-place reweighting for a different baseline error rate.
     parametric: Option<Box<ParametricState>>,
     /// Pooled per-chunk scratch/cache pairs reused across batch
     /// decodes; cleared on reweight (memoized predictions go stale).
-    scratch_pool: ScratchPool<DecodeScratch>,
+    scratch_pool: ScratchPool<K::Scratch>,
 }
 
 #[derive(Debug, Clone)]
@@ -899,7 +830,7 @@ struct ParametricState {
     current_p: f64,
 }
 
-impl MwpmDecoder {
+impl<K: Kernel> GraphDecoder<K> {
     /// Builds a decoder for `circuit` by extracting its detector error
     /// model and constructing both basis graphs.
     pub fn new(circuit: &Circuit) -> Self {
@@ -910,10 +841,13 @@ impl MwpmDecoder {
     /// Builds a decoder from a precomputed DEM.
     pub fn with_dem(circuit: &Circuit, dem: &DetectorErrorModel) -> Self {
         let (z_mask, x_mask) = DecodingGraph::split_observables(circuit, dem);
-        MwpmDecoder {
-            z_graph: DecodingGraph::build_with_observables(circuit, dem, CheckBasis::Z, z_mask),
-            x_graph: DecodingGraph::build_with_observables(circuit, dem, CheckBasis::X, x_mask),
-            det_basis: circuit.detectors().iter().map(|d| d.basis).collect(),
+        let z_graph = DecodingGraph::build_with_observables(circuit, dem, CheckBasis::Z, z_mask);
+        let x_graph = DecodingGraph::build_with_observables(circuit, dem, CheckBasis::X, x_mask);
+        GraphDecoder {
+            z_kernel: K::from_graph(&z_graph),
+            x_kernel: K::from_graph(&x_graph),
+            z_graph,
+            x_graph,
             num_observables: circuit.observables().len(),
             parametric: None,
             scratch_pool: ScratchPool::new(),
@@ -976,142 +910,105 @@ impl MwpmDecoder {
         &self.x_graph
     }
 
-    /// Splits `events` by basis into `scratch`'s buffers and decodes
-    /// both graphs through the sparse path. Equivalent to
-    /// [`Decoder::decode_events`] but with caller-owned scratch, so a
-    /// tight loop performs no allocation at all.
-    pub fn decode_events_with(&self, events: &[u32], scratch: &mut DecodeScratch) -> u64 {
-        let mut z = std::mem::take(&mut scratch.z_events);
-        let mut x = std::mem::take(&mut scratch.x_events);
-        z.clear();
-        x.clear();
-        for &d in events {
-            match self.det_basis[d as usize] {
-                CheckBasis::Z => z.push(d),
-                CheckBasis::X => x.push(d),
-            }
-        }
-        let (zo, _) = decode_basis_sparse(&self.z_graph, &z, scratch);
-        let (xo, _) = decode_basis_sparse(&self.x_graph, &x, scratch);
-        scratch.z_events = z;
-        scratch.x_events = x;
-        zo ^ xo
+    /// Decodes both bases with caller-owned scratch. Equivalent to
+    /// [`Decoder::decode_events`], but a tight loop around it performs
+    /// no allocation at all. Each graph has nodes only for its own
+    /// basis's detectors, so the whole event list goes to both kernels.
+    pub fn decode_events_with(&self, events: &[u32], scratch: &mut K::Scratch) -> u64 {
+        self.z_kernel.decode_basis(&self.z_graph, events, scratch)
+            ^ self.x_kernel.decode_basis(&self.x_graph, events, scratch)
     }
 
-    /// Decodes through the pre-optimization dense path: per-shot
-    /// basis-split vectors, one freshly allocated `2k × 2k`
-    /// `Vec<Vec<f64>>` matching matrix over all flagged events per
-    /// basis, and a from-scratch blossom solve — no component
-    /// splitting, no fast paths, no buffer reuse. The decode loop is
-    /// the seed's verbatim; the underlying solver is the current
-    /// flat-arena one (freshly allocated per call), which is somewhat
-    /// faster than the seed's nested-`Vec` solver — so speedups
-    /// measured against this baseline are conservative. Kept as the
-    /// reference benchmarks measure the sparse path against; for
-    /// scratch-reusing cost cross-validation in tests see
-    /// [`decode_basis_dense`].
-    pub fn decode_events_dense(&self, events: &[u32]) -> u64 {
-        let mut z_events = Vec::new();
-        let mut x_events = Vec::new();
-        for &d in events {
-            match self.det_basis[d as usize] {
-                CheckBasis::Z => z_events.push(d),
-                CheckBasis::X => x_events.push(d),
-            }
+    /// The scratch-reusing, syndrome-memoizing batch decode: fans
+    /// fixed-size shot chunks out over worker threads, gives each chunk
+    /// a private scratch/cache pair borrowed from the pool, and decodes
+    /// each shot directly into a preallocated output. Chunk boundaries
+    /// depend only on the shot count and decoding is contractually
+    /// deterministic, so predictions are identical for any worker count
+    /// and any pool state. Also returns the batch's aggregate
+    /// syndrome-cache hit/miss deltas for observability.
+    fn decode_chunked(&self, batch: &ShotBatch) -> (Vec<u64>, CacheCounters) {
+        let ev = batch.shot_events();
+        let shots = ev.shots();
+        let ev = &ev;
+        let mut out = vec![0u64; shots];
+        let chunks: Vec<(usize, &mut [u64])> = out
+            .chunks_mut(DECODE_CHUNK)
+            .enumerate()
+            .map(|(c, slot)| (c * DECODE_CHUNK, slot))
+            .collect();
+        let deltas: Vec<(u64, u64)> = chunks
+            .into_par_iter()
+            .map(|(lo, slot)| {
+                let (mut scratch, mut cache) = self.scratch_pool.take();
+                let (h0, m0) = (cache.hits(), cache.misses());
+                for (i, pred) in slot.iter_mut().enumerate() {
+                    let events = ev.events_of(lo + i);
+                    *pred = if events.is_empty() {
+                        0
+                    } else if events.len() > CACHE_KEY_MAX_EVENTS {
+                        self.decode_events_with(events, &mut scratch)
+                    } else {
+                        match cache.get_or_slot(events) {
+                            Ok(p) => p,
+                            Err(open) => {
+                                let p = self.decode_events_with(events, &mut scratch);
+                                if let Some(open) = open {
+                                    cache.fill(open, events, p);
+                                }
+                                p
+                            }
+                        }
+                    };
+                }
+                let delta = (cache.hits() - h0, cache.misses() - m0);
+                self.scratch_pool.put(scratch, cache);
+                delta
+            })
+            .collect();
+        let mut counters = CacheCounters::default();
+        for (h, m) in deltas {
+            counters.hits += h;
+            counters.misses += m;
         }
-        decode_one_prepr(&self.z_graph, &z_events) ^ decode_one_prepr(&self.x_graph, &x_events)
+        (out, counters)
     }
 }
 
-/// The seed's `decode_one`, verbatim: dense `2k × 2k` matrix as nested
-/// `Vec`s, fresh solver per call.
-fn decode_one_prepr(graph: &DecodingGraph, events: &[u32]) -> u64 {
-    let nodes: Vec<u32> = events
-        .iter()
-        .filter_map(|&d| graph.node_of_detector(d))
-        .collect();
-    let k = nodes.len();
-    if k == 0 {
-        return 0;
-    }
-    // Complete graph on k real + k virtual boundary copies.
-    let m = 2 * k;
-    let mut w = vec![vec![0.0f64; m]; m];
-    for i in 0..k {
-        for j in 0..k {
-            if i != j {
-                w[i][j] = graph.distance(Some(nodes[i]), Some(nodes[j]));
-            }
-        }
-        let db = graph.distance(Some(nodes[i]), None);
-        for j in 0..k {
-            w[i][k + j] = db;
-            w[k + j][i] = db;
-        }
-    }
-    // virtual-virtual edges are free (already 0).
-    let matching = crate::blossom::min_weight_perfect_matching(&w);
-    let mut obs = 0u64;
-    for i in 0..k {
-        let mate = matching.mate[i];
-        if mate < k {
-            if i < mate {
-                obs ^= graph.path_observables(Some(nodes[i]), Some(nodes[mate]));
-            }
-        } else {
-            obs ^= graph.path_observables(Some(nodes[i]), None);
-        }
-    }
-    obs
-}
-
-impl Decoder for MwpmDecoder {
+impl<K: Kernel> Decoder for GraphDecoder<K> {
     fn num_observables(&self) -> usize {
         self.num_observables
     }
 
     fn decode_events(&self, events: &[u32]) -> u64 {
-        thread_local! {
-            static SCRATCH: RefCell<DecodeScratch> = RefCell::new(DecodeScratch::new());
-        }
-        SCRATCH.with(|s| self.decode_events_with(events, &mut s.borrow_mut()))
+        K::with_thread_scratch(|scratch| self.decode_events_with(events, scratch))
     }
 
     /// Shot-parallel batch decode with per-chunk scratch reuse and
     /// syndrome memoization. Chunks are fixed-size, each worker owns a
-    /// private [`DecodeScratch`] and [`SyndromeCache`], and decoding is
+    /// private scratch and [`SyndromeCache`], and decoding is
     /// deterministic, so predictions are identical for any worker
     /// count.
     fn decode_all(&self, batch: &ShotBatch) -> Vec<u64> {
-        decode_all_chunked(
-            batch,
-            &self.scratch_pool,
-            DecodeScratch::new,
-            |events, scratch| self.decode_events_with(events, scratch),
-        )
-        .0
+        self.decode_chunked(batch).0
     }
 
     /// Same tallies as the default implementation, plus the batch's
     /// syndrome-cache hit/miss counts in the stats.
     fn decode_batch(&self, batch: &ShotBatch) -> DecodeStats {
-        let (preds, counters) = decode_all_chunked(
-            batch,
-            &self.scratch_pool,
-            DecodeScratch::new,
-            |events, scratch| self.decode_events_with(events, scratch),
-        );
+        let (preds, counters) = self.decode_chunked(batch);
         let mut stats = tally_failures(self.num_observables(), &preds, batch);
         stats.cache_hits = counters.hits;
         stats.cache_misses = counters.misses;
         stats
     }
 
-    /// Reweights both basis graphs from the cached parametric DEM.
-    /// Requires construction via [`MwpmDecoder::from_clean`] and a noise
-    /// model with the *same* per-qubit overrides as the template (the
-    /// overrides shape the mechanism structure; only the baseline `p`
-    /// may move). Returns `false` otherwise.
+    /// Reweights both basis graphs from the cached parametric DEM and
+    /// lets each kernel refresh its view. Requires construction via
+    /// [`GraphDecoder::from_clean`] and a noise model with the *same*
+    /// per-qubit overrides as the template (the overrides shape the
+    /// mechanism structure; only the baseline `p` may move). Returns
+    /// `false` otherwise.
     fn reweight(&mut self, noise: &NoiseModel) -> bool {
         let Some(state) = &mut self.parametric else {
             return false;
@@ -1125,6 +1022,8 @@ impl Decoder for MwpmDecoder {
         let dem = state.pdem.concretize(noise.p());
         self.z_graph.reweight_from(&dem);
         self.x_graph.reweight_from(&dem);
+        self.z_kernel.reweighted(&self.z_graph);
+        self.x_kernel.reweighted(&self.x_graph);
         state.current_p = noise.p();
         // Pooled syndrome caches memoize predictions under the *old*
         // weights; drop them so no stale prediction survives.
@@ -1223,8 +1122,8 @@ fn solve_group(
 /// Exact dense matching over `members` (indices into `nodes`) plus one
 /// virtual boundary copy per member: the classic `2c × 2c` formulation,
 /// built in the caller's flat scratch matrix and solved in its arena.
-/// Kept as the reference for cost cross-validation; the sparse path
-/// uses the halved [`solve_group`] formulation instead.
+/// Kept as the one reference for cost cross-validation; the sparse
+/// path uses the halved [`solve_group`] formulation instead.
 fn solve_dense(
     graph: &DecodingGraph,
     nodes: &[u32],
@@ -1278,14 +1177,9 @@ fn solve_dense(
 ///
 /// Structure: map events to graph nodes (sorted, so the result is
 /// independent of event order); fast paths for zero, one, and two
-/// events; otherwise split events into independent components — two
-/// events belong together only when their pairwise distance beats
-/// routing both to the boundary — and solve each component with its own
-/// dense matching. Candidate edges per node are capped at the node's K
-/// nearest flagged neighbours; if a useful edge dropped by the cap
-/// would bridge two components, optimality of the split cannot be
-/// certified against the boundary bound and the whole event set falls
-/// back to one exact dense solve.
+/// events; otherwise one triangular sweep unions every *useful* pair —
+/// `d(i, j) < d(i, boundary) + d(j, boundary)` — and each resulting
+/// component is solved with its own dense matching.
 ///
 /// Correctness of the split: any cross-component pair satisfies
 /// `d(i, j) >= d(i, boundary) + d(j, boundary)`, so matching such a
@@ -1299,23 +1193,15 @@ pub fn decode_basis_sparse(
     scratch: &mut DecodeScratch,
 ) -> (u64, f64) {
     let DecodeScratch {
-        candidate_cap,
         arena,
         nodes,
         db,
-        knn,
-        knn_d,
-        knn_len,
         uf,
-        useful,
-        overflow,
         roots,
         members,
         w,
         mate,
-        ..
     } = scratch;
-    let cap = *candidate_cap;
     nodes.clear();
     nodes.extend(events.iter().filter_map(|&d| graph.node_of_detector(d)));
     nodes.sort_unstable();
@@ -1344,74 +1230,13 @@ pub fn decode_basis_sparse(
         };
     }
 
-    // One triangular sweep collects every *useful* pair (distance beats
-    // routing both endpoints to the boundary) and each node's K nearest
-    // useful neighbours, kept sorted by (distance, index) for
-    // deterministic admission.
-    knn.clear();
-    knn.resize(k * cap, 0);
-    knn_d.clear();
-    knn_d.resize(k * cap, 0.0);
-    knn_len.clear();
-    knn_len.resize(k, 0);
-    useful.clear();
-    let knn_insert =
-        |knn: &mut [u32], knn_d: &mut [f64], knn_len: &mut [u32], i: usize, j: u32, d: f64| {
-            let base = i * cap;
-            let len = knn_len[i] as usize;
-            let mut pos = len;
-            while pos > 0 && knn_d[base + pos - 1] > d {
-                pos -= 1;
-            }
-            if pos < cap {
-                let end = len.min(cap - 1);
-                for t in (pos..end).rev() {
-                    knn_d[base + t + 1] = knn_d[base + t];
-                    knn[base + t + 1] = knn[base + t];
-                }
-                knn_d[base + pos] = d;
-                knn[base + pos] = j;
-                if len < cap {
-                    knn_len[i] = (len + 1) as u32;
-                }
-            }
-        };
-    for i in 0..k {
-        for j in (i + 1)..k {
-            let d = graph.distance(Some(nodes[i]), Some(nodes[j]));
-            if d >= db[i] + db[j] {
-                continue;
-            }
-            useful.push((i as u32, j as u32));
-            knn_insert(knn, knn_d, knn_len, i, j as u32, d);
-            knn_insert(knn, knn_d, knn_len, j, i as u32, d);
-        }
-    }
-    let knn_contains = |knn: &[u32], knn_len: &[u32], i: usize, j: u32| -> bool {
-        knn[i * cap..i * cap + knn_len[i] as usize].contains(&j)
-    };
-
-    // Union candidate edges into components; useful edges the cap
-    // dropped go to the overflow list for certification.
     uf.clear();
     uf.extend(0..k as u32);
-    overflow.clear();
-    for &(i, j) in useful.iter() {
-        if knn_contains(knn, knn_len, i as usize, j) || knn_contains(knn, knn_len, j as usize, i) {
-            uf_union(uf, i, j);
-        } else {
-            overflow.push((i, j));
-        }
-    }
-    // Certification: a dropped useful edge inside one component is
-    // harmless (component solves use true all-pairs distances); one
-    // *bridging* components would invalidate the split, so fall back to
-    // the exact dense solve over everything.
-    for &(a, b) in overflow.iter() {
-        if uf_find(uf, a) != uf_find(uf, b) {
-            members.clear();
-            members.extend(0..k as u32);
-            return solve_group(graph, nodes, members, db, w, mate, arena);
+    for i in 0..k {
+        for j in (i + 1)..k {
+            if graph.distance(Some(nodes[i]), Some(nodes[j])) < db[i] + db[j] {
+                uf_union(uf, i as u32, j as u32);
+            }
         }
     }
 
@@ -1586,42 +1411,40 @@ mod tests {
         // The sparse component path must find matchings of exactly the
         // same weight as the dense reference on random syndromes (the
         // chosen matching may differ on degenerate ties, the weight may
-        // not). Exercised with the default cap and with a cap of 1,
-        // which forces the certification fallback frequently.
+        // not). `tests/decoder_oracle.rs` repeats this on adapted
+        // patches, where boundaries and super-stabilizers are present.
         let c = repetition(4, 0.02);
         let decoder = MwpmDecoder::new(&c);
         let ndet = c.detectors().len() as u32;
         let mut rng = StdRng::seed_from_u64(0x5eed5);
-        for cap in [DEFAULT_CANDIDATE_CAP, 1] {
-            let mut sparse = DecodeScratch::new().with_candidate_cap(cap);
-            let mut dense = DecodeScratch::new();
-            for _ in 0..500 {
-                let events: Vec<u32> = (0..ndet).filter(|_| rng.gen_bool(0.3)).collect();
-                let (_, sc) = decode_basis_sparse(decoder.z_graph(), &events, &mut sparse);
-                let (_, dc) = decode_basis_dense(decoder.z_graph(), &events, &mut dense);
-                // Both paths return realizable matchings (cost >= the
-                // true optimum); the sparse path must never be worse.
+        let mut sparse = DecodeScratch::new();
+        let mut dense = DecodeScratch::new();
+        for _ in 0..500 {
+            let events: Vec<u32> = (0..ndet).filter(|_| rng.gen_bool(0.3)).collect();
+            let (_, sc) = decode_basis_sparse(decoder.z_graph(), &events, &mut sparse);
+            let (_, dc) = decode_basis_dense(decoder.z_graph(), &events, &mut dense);
+            // Both paths return realizable matchings (cost >= the true
+            // optimum); the sparse path must never be worse.
+            assert!(
+                sc <= dc + 1e-6,
+                "sparse weight {sc} exceeds dense {dc} for {events:?}"
+            );
+            // When no unreachable-node sentinel (1e12) enters the
+            // matrix, the dense integer scaling is exact to ~1e-9
+            // relative and the weights must agree. (With a sentinel
+            // present, dense quantizes real weights away — ~1e3
+            // absolute slop — and only the one-sided bound holds.)
+            let degenerate = events.iter().any(|&e| {
+                decoder
+                    .z_graph()
+                    .node_of_detector(e)
+                    .is_some_and(|n| decoder.z_graph().distance(Some(n), None) > 1e11)
+            });
+            if !degenerate {
                 assert!(
-                    sc <= dc + 1e-6,
-                    "cap {cap}: sparse weight {sc} beats dense {dc} for {events:?}"
+                    (sc - dc).abs() < 1e-6,
+                    "sparse weight {sc} != dense weight {dc} for {events:?}"
                 );
-                // When no unreachable-node sentinel (1e12) enters the
-                // matrix, the dense integer scaling is exact to ~1e-9
-                // relative and the weights must agree. (With a sentinel
-                // present, dense quantizes real weights away — ~1e3
-                // absolute slop — and only the one-sided bound holds.)
-                let degenerate = events.iter().any(|&e| {
-                    decoder
-                        .z_graph()
-                        .node_of_detector(e)
-                        .is_some_and(|n| decoder.z_graph().distance(Some(n), None) > 1e11)
-                });
-                if !degenerate {
-                    assert!(
-                        (sc - dc).abs() < 1e-6,
-                        "cap {cap}: sparse weight {sc} != dense weight {dc} for {events:?}"
-                    );
-                }
             }
         }
     }
@@ -1655,14 +1478,18 @@ mod tests {
     #[test]
     fn syndrome_cache_counts_and_bounds() {
         let mut cache = SyndromeCache::with_capacity(2);
-        assert_eq!(cache.get(&[1, 2]), None);
-        cache.insert(&[1, 2], 7);
-        assert_eq!(cache.get(&[1, 2]), Some(7));
-        cache.insert(&[3], 1);
-        cache.insert(&[4], 2); // over capacity: silently not stored
-        assert_eq!(cache.get(&[4]), None);
+        for (events, prediction) in [(&[1u32, 2][..], 7), (&[3], 1)] {
+            let slot = cache
+                .get_or_slot(events)
+                .unwrap_err()
+                .expect("below capacity");
+            cache.fill(slot, events, prediction);
+        }
+        assert_eq!(cache.get_or_slot(&[1, 2]), Ok(7));
+        // At capacity a miss decodes without being stored.
+        assert_eq!(cache.get_or_slot(&[4]), Err(None));
         assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.misses(), 3);
     }
 
     #[test]

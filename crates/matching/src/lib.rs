@@ -11,22 +11,23 @@
 //!   detector error model, with cached all-pairs shortest paths and
 //!   observable parities;
 //! * [`decoder`] — the [`Decoder`] trait every consumer decodes
-//!   through, and its first implementor [`MwpmDecoder`]: split
-//!   detection events by basis, match against the boundary, XOR
-//!   predicted observables. The per-shot path is sparse (fast paths
-//!   for small syndromes, independent-component splitting before the
-//!   dense solve) and allocation-free via [`DecodeScratch`]; batch
-//!   decoding memoizes repeated syndromes ([`SyndromeCache`]) and runs
-//!   shot-parallel with worker-count-independent tallies
-//!   ([`DecodeStats::merge`]). Decoders built with
-//!   [`MwpmDecoder::from_clean`] can be *reweighted* to a new physical
-//!   error rate without rebuilding their graphs;
-//! * [`unionfind`] — [`UfDecoder`], the almost-linear-time alternative
-//!   backend: weighted Delfosse–Nickerson cluster growth over the same
-//!   decoding graphs, parity merging through a path-compressed DSU,
-//!   boundary-absorbing clusters, and a peeling pass that extracts the
-//!   correction. Faster but slightly less accurate than MWPM; selected
-//!   end-to-end via `ExperimentSpec::decoder` / `--decoder uf`.
+//!   through and the one shell that implements it, [`GraphDecoder`]:
+//!   both basis graphs, in-place *reweighting* to a new physical error
+//!   rate ([`GraphDecoder::from_clean`]), pooled scratch, memoized
+//!   repeated syndromes ([`SyndromeCache`]) and a shot-parallel batch
+//!   decode with worker-count-independent tallies
+//!   ([`DecodeStats::merge`]), parameterised by a per-basis [`Kernel`].
+//!   [`MwpmDecoder`] is the shell over the exact [`Blossom`] kernel:
+//!   closed forms for ≤ 2 events, otherwise an exact split into
+//!   independent components before the dense solve, allocation-free
+//!   via [`DecodeScratch`];
+//! * [`unionfind`] — [`UfDecoder`], the same shell over the
+//!   almost-linear-time [`UfGraph`] kernel: weighted Delfosse–Nickerson
+//!   cluster growth over the same decoding graphs, parity merging
+//!   through a path-compressed DSU, boundary-absorbing clusters, and a
+//!   peeling pass that extracts the correction. Faster but slightly
+//!   less accurate than MWPM; selected end-to-end via
+//!   `ExperimentSpec::decoder` / `--decoder uf`.
 //!
 //! # Examples
 //!
@@ -43,8 +44,8 @@ pub mod unionfind;
 
 pub use blossom::{min_weight_perfect_matching, BlossomArena, PerfectMatching};
 pub use decoder::{
-    check_decoder_conformance, DecodeScratch, DecodeStats, DecodeStatsMetrics, Decoder,
-    MwpmDecoder, SyndromeCache,
+    check_decoder_conformance, Blossom, DecodeScratch, DecodeStats, DecodeStatsMetrics, Decoder,
+    GraphDecoder, Kernel, MwpmDecoder, SyndromeCache,
 };
 pub use graph::{DecodingGraph, GraphDiagnostics, GraphEdge};
 pub use unionfind::{UfDecoder, UfGraph, UfScratch};

@@ -3,9 +3,10 @@
 //! decoding graphs (as used for defect-adapted surface codes by Siegel
 //! et al.).
 //!
-//! [`UfDecoder`] is the workspace's second [`Decoder`] implementation,
-//! trading a little accuracy for a much cheaper per-shot kernel than
-//! [`MwpmDecoder`](crate::MwpmDecoder)'s cluster-blossom path. Per
+//! [`UfDecoder`] is the [`GraphDecoder`] shell instantiated with this
+//! module's [`Kernel`], the [`UfGraph`] view: a little accuracy traded
+//! for a much cheaper per-shot kernel than
+//! [`MwpmDecoder`](crate::MwpmDecoder)'s component-blossom one. Per
 //! basis it runs three phases over the same [`DecodingGraph`]s MWPM
 //! decodes:
 //!
@@ -44,14 +45,9 @@
 //! no allocation — mirroring the [`DecodeScratch`](crate::DecodeScratch)
 //! design of the MWPM hot path.
 
-use crate::decoder::{decode_all_chunked, Decoder, ScratchPool};
+use crate::decoder::{GraphDecoder, Kernel};
 use crate::graph::{weight_of, DecodingGraph};
-use dqec_sim::circuit::{CheckBasis, Circuit};
-use dqec_sim::dem::{DetectorErrorModel, ParametricDem};
-use dqec_sim::frame::ShotBatch;
-use dqec_sim::noise::NoiseModel;
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 /// Quantization grid for edge weights: matching weights (≈ 0.004…32
 /// after the probability clamp) are scaled by this factor and rounded,
@@ -331,9 +327,7 @@ pub struct UfScratch {
     peel_head: Vec<u32>,
     peel_entries: Vec<(u32, u32, u32)>, // (other node, edge, next)
     peel_stack: Vec<u32>,
-    // Basis split buffers for full-shot decoding.
-    z_events: Vec<u32>,
-    x_events: Vec<u32>,
+    // The shot's events mapped to graph nodes.
     nodes: Vec<u32>,
 }
 
@@ -363,8 +357,6 @@ impl UfScratch {
             peel_head: Vec::new(),
             peel_entries: Vec::new(),
             peel_stack: Vec::new(),
-            z_events: Vec::new(),
-            x_events: Vec::new(),
             nodes: Vec::new(),
         }
     }
@@ -1205,12 +1197,12 @@ fn decode_basis_uf(
 
 /// A weighted union-find decoder for a fixed noisy circuit.
 ///
-/// Construction mirrors [`MwpmDecoder`](crate::MwpmDecoder): the same
-/// per-basis [`DecodingGraph`]s are built (their cached shortest paths
-/// also power the ≤ 2-event fast paths), plus a [`UfGraph`] view per
-/// basis for cluster growth. Decoders built with
-/// [`UfDecoder::from_clean`] support in-place
-/// [`reweighting`](Decoder::reweight) across an error-rate sweep.
+/// The same [`GraphDecoder`] shell as [`MwpmDecoder`](crate::MwpmDecoder)
+/// — per-basis [`DecodingGraph`]s (their cached shortest paths also
+/// power the ≤ 2-event fast paths), pooled scratch, memoized batch
+/// decoding, in-place [`reweighting`](crate::Decoder::reweight) when
+/// built with [`GraphDecoder::from_clean`] — instantiated with a
+/// [`UfGraph`] view per basis for cluster growth.
 ///
 /// # Examples
 ///
@@ -1239,174 +1231,41 @@ fn decode_basis_uf(
 /// assert_eq!(stats.failures[0], 0);
 /// # Ok::<(), dqec_sim::SimError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct UfDecoder {
-    z_graph: DecodingGraph,
-    x_graph: DecodingGraph,
-    z_uf: UfGraph,
-    x_uf: UfGraph,
-    det_basis: Vec<CheckBasis>,
-    num_observables: usize,
-    parametric: Option<Box<UfParametric>>,
-    /// Pooled per-chunk scratch/cache pairs reused across batch
-    /// decodes; cleared on reweight (memoized predictions go stale).
-    scratch_pool: ScratchPool<UfScratch>,
-}
+pub type UfDecoder = GraphDecoder<UfGraph>;
 
-#[derive(Debug, Clone)]
-struct UfParametric {
-    pdem: ParametricDem,
-    overrides: HashMap<u32, f64>,
-    current_p: f64,
-}
+/// The union-find [`Kernel`]: a [`UfGraph`] view per basis graph,
+/// requantized when the shell reweights the graph.
+impl Kernel for UfGraph {
+    type Scratch = UfScratch;
 
-impl UfDecoder {
-    /// Builds a decoder for `circuit` from its detector error model.
-    pub fn new(circuit: &Circuit) -> Self {
-        let dem = DetectorErrorModel::from_circuit(circuit);
-        Self::with_dem(circuit, &dem)
+    fn from_graph(graph: &DecodingGraph) -> Self {
+        UfGraph::from_graph(graph)
     }
 
-    /// Builds a decoder from a precomputed DEM.
-    pub fn with_dem(circuit: &Circuit, dem: &DetectorErrorModel) -> Self {
-        let (z_mask, x_mask) = DecodingGraph::split_observables(circuit, dem);
-        let z_graph = DecodingGraph::build_with_observables(circuit, dem, CheckBasis::Z, z_mask);
-        let x_graph = DecodingGraph::build_with_observables(circuit, dem, CheckBasis::X, x_mask);
-        let z_uf = UfGraph::from_graph(&z_graph);
-        let x_uf = UfGraph::from_graph(&x_graph);
-        UfDecoder {
-            z_graph,
-            x_graph,
-            z_uf,
-            x_uf,
-            det_basis: circuit.detectors().iter().map(|d| d.basis).collect(),
-            num_observables: circuit.observables().len(),
-            parametric: None,
-            scratch_pool: ScratchPool::new(),
-        }
+    fn reweighted(&mut self, graph: &DecodingGraph) {
+        self.requantize(graph);
     }
 
-    /// Builds a *reweightable* decoder from a clean circuit and a noise
-    /// model, exactly like
-    /// [`MwpmDecoder::from_clean`](crate::MwpmDecoder::from_clean):
-    /// build at the sweep's largest `p`, then
-    /// [`reweight`](Decoder::reweight) per point.
-    pub fn from_clean(clean: &Circuit, noise: &NoiseModel) -> Self {
-        let (noisy, params) = noise.apply_with_params(clean);
-        let pdem = ParametricDem::from_noisy(&noisy, &params);
-        let dem = pdem.concretize(noise.p());
-        let mut decoder = Self::with_dem(&noisy, &dem);
-        decoder.parametric = Some(Box::new(UfParametric {
-            pdem,
-            overrides: noise.overrides().clone(),
-            current_p: noise.p(),
-        }));
-        decoder
+    fn decode_basis(&self, graph: &DecodingGraph, events: &[u32], scratch: &mut UfScratch) -> u64 {
+        decode_basis_uf(graph, self, events, scratch)
     }
 
-    /// The Z-basis decoding graph.
-    pub fn z_graph(&self) -> &DecodingGraph {
-        &self.z_graph
-    }
-
-    /// The X-basis decoding graph.
-    pub fn x_graph(&self) -> &DecodingGraph {
-        &self.x_graph
-    }
-
-    /// Splits `events` by basis into `scratch`'s buffers and decodes
-    /// both graphs; equivalent to [`Decoder::decode_events`] but with
-    /// caller-owned scratch so tight loops never allocate.
-    pub fn decode_events_with(&self, events: &[u32], scratch: &mut UfScratch) -> u64 {
-        let mut z = std::mem::take(&mut scratch.z_events);
-        let mut x = std::mem::take(&mut scratch.x_events);
-        z.clear();
-        x.clear();
-        for &d in events {
-            match self.det_basis[d as usize] {
-                CheckBasis::Z => z.push(d),
-                CheckBasis::X => x.push(d),
-            }
-        }
-        let zo = decode_basis_uf(&self.z_graph, &self.z_uf, &z, scratch);
-        let xo = decode_basis_uf(&self.x_graph, &self.x_uf, &x, scratch);
-        scratch.z_events = z;
-        scratch.x_events = x;
-        zo ^ xo
-    }
-}
-
-impl Decoder for UfDecoder {
-    fn num_observables(&self) -> usize {
-        self.num_observables
-    }
-
-    fn decode_events(&self, events: &[u32]) -> u64 {
+    fn with_thread_scratch<R>(f: impl FnOnce(&mut UfScratch) -> R) -> R {
         thread_local! {
             static SCRATCH: RefCell<UfScratch> = RefCell::new(UfScratch::new());
         }
-        SCRATCH.with(|s| self.decode_events_with(events, &mut s.borrow_mut()))
-    }
-
-    /// Shot-parallel batch decode with per-chunk scratch reuse and
-    /// syndrome memoization — the same fixed-chunk machinery as the
-    /// MWPM decoder, so predictions are identical for any worker count.
-    fn decode_all(&self, batch: &ShotBatch) -> Vec<u64> {
-        decode_all_chunked(
-            batch,
-            &self.scratch_pool,
-            UfScratch::new,
-            |events, scratch| self.decode_events_with(events, scratch),
-        )
-        .0
-    }
-
-    /// Same tallies as the default implementation, plus the batch's
-    /// syndrome-cache hit/miss counts in the stats.
-    fn decode_batch(&self, batch: &ShotBatch) -> crate::decoder::DecodeStats {
-        let (preds, counters) = decode_all_chunked(
-            batch,
-            &self.scratch_pool,
-            UfScratch::new,
-            |events, scratch| self.decode_events_with(events, scratch),
-        );
-        let mut stats = crate::decoder::tally_failures(self.num_observables(), &preds, batch);
-        stats.cache_hits = counters.hits;
-        stats.cache_misses = counters.misses;
-        stats
-    }
-
-    /// Reweights both basis graphs (and requantizes the growth weights)
-    /// from the cached parametric DEM. Requires construction via
-    /// [`UfDecoder::from_clean`] and unchanged per-qubit overrides.
-    fn reweight(&mut self, noise: &NoiseModel) -> bool {
-        let Some(state) = &mut self.parametric else {
-            return false;
-        };
-        if state.overrides != *noise.overrides() {
-            return false;
-        }
-        if state.current_p == noise.p() {
-            return true;
-        }
-        let dem = state.pdem.concretize(noise.p());
-        self.z_graph.reweight_from(&dem);
-        self.x_graph.reweight_from(&dem);
-        self.z_uf.requantize(&self.z_graph);
-        self.x_uf.requantize(&self.x_graph);
-        state.current_p = noise.p();
-        // Pooled syndrome caches memoize predictions under the *old*
-        // weights; drop them so no stale prediction survives.
-        self.scratch_pool.clear();
-        true
+        SCRATCH.with(|s| f(&mut s.borrow_mut()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqec_sim::circuit::Noise1;
+    use crate::Decoder;
+    use dqec_sim::circuit::{CheckBasis, Circuit, Noise1};
+    use dqec_sim::dem::DetectorErrorModel;
     use dqec_sim::frame::FrameSampler;
+    use dqec_sim::noise::NoiseModel;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

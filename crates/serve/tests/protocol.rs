@@ -141,4 +141,14 @@ fn malformed_requests_yield_typed_errors_not_panics() {
     ] {
         assert!(parse_request(bad).is_err(), "accepted {bad:?}");
     }
+    // Nesting that would overflow a recursive parser's stack is one
+    // more malformed line.
+    for bad in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+        let (id, reason) = parse_request(&bad).expect_err("accepted hostile nesting");
+        assert_eq!(id, None);
+        assert!(
+            reason.contains("malformed JSON: nesting deeper"),
+            "{reason}"
+        );
+    }
 }

@@ -78,7 +78,15 @@ fn malformed_line_answers_error_and_keeps_connection() {
         other => panic!("expected error, got {other:?}"),
     }
 
-    // The connection survived both: a real request still works.
+    // Nesting deep enough to overflow a recursive parser's stack is
+    // just another malformed line, not a dead server.
+    client.send_line(&"[".repeat(100_000));
+    match client.recv() {
+        Response::Error(e) => assert_eq!(e.kind, ErrorKind::BadRequest),
+        other => panic!("expected error, got {other:?}"),
+    }
+
+    // The connection survived all three: a real request still works.
     client.send_line(&decode_line(32, 3, 3e-3, 64, 0, "mwpm"));
     match client.recv() {
         Response::Ler(r) => assert_eq!((r.id, r.shots), (32, 64)),

@@ -142,6 +142,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -152,9 +153,18 @@ pub fn parse(text: &str) -> Result<Json, String> {
     Ok(value)
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level and its input crosses process boundaries (request
+/// lines, shard frames, checkpoint files), so without a cap a line of
+/// `[` overflows the stack and aborts the process. Checkpoints and wire
+/// frames nest at most 4 deep.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -196,11 +206,25 @@ impl Parser<'_> {
             Some(b't') => self.eat_lit("true", Json::Bool(true)),
             Some(b'f') => self.eat_lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object with the nesting depth accounted.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -387,6 +411,13 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+        // Hostile nesting is an error at the cap, not a stack overflow.
+        for bad in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            let err = parse(&bad).unwrap_err();
+            assert!(err.contains("nesting deeper than 64 at byte"), "{err}");
+        }
+        let deepest = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&deepest).is_ok(), "the cap itself must parse");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! End-to-end integration tests spanning the whole stack: adaptation ->
 //! circuit generation -> noise -> frame sampling -> MWPM decoding.
 
-use dqec::chiplet::experiment::{memory_ler, stability_ler};
+use dqec::chiplet::{ExperimentSpec, Runner};
 use dqec::core::{memory_z, AdaptedPatch, Coord, DefectSet, PatchIndicators, PatchLayout};
 use dqec::matching::{Decoder, MwpmDecoder};
 use dqec::sim::{FrameSampler, NoiseModel, ReferenceSample};
@@ -12,6 +12,16 @@ fn defect_free(l: u32) -> AdaptedPatch {
     AdaptedPatch::new(PatchLayout::memory(l), &DefectSet::new())
 }
 
+/// The logical error rate of `spec` at one `p` through the runner.
+fn ler(spec: ExperimentSpec, p: f64, rounds: u32, shots: usize, seed: u64) -> f64 {
+    let spec = spec.p(p).rounds(rounds).shots(shots).seed(seed);
+    Runner::new().collect(&spec).unwrap().points[0].ler()
+}
+
+fn memory_rate(patch: AdaptedPatch, p: f64, rounds: u32, shots: usize, seed: u64) -> f64 {
+    ler(ExperimentSpec::memory(patch), p, rounds, shots, seed)
+}
+
 #[test]
 fn logical_error_rate_is_suppressed_exponentially_with_distance() {
     // The paper's headline property: at p ~ 1e-3, growing d suppresses
@@ -19,8 +29,8 @@ fn logical_error_rate_is_suppressed_exponentially_with_distance() {
     // shot counts.
     let p = 3e-3;
     let shots = 60_000;
-    let l3 = memory_ler(&defect_free(3), p, 3, shots, 11).unwrap().ler();
-    let l5 = memory_ler(&defect_free(5), p, 5, shots, 12).unwrap().ler();
+    let l3 = memory_rate(defect_free(3), p, 3, shots, 11);
+    let l5 = memory_rate(defect_free(5), p, 5, shots, 12);
     assert!(l3 > 1e-4, "d=3 should fail visibly, got {l3}");
     assert!(l5 < l3 / 1.8, "d=5 ({l5}) must be well below d=3 ({l3})");
 }
@@ -36,9 +46,9 @@ fn defective_patch_behaves_like_its_adapted_distance() {
     let defective = AdaptedPatch::new(PatchLayout::memory(5), &defects);
     assert_eq!(PatchIndicators::of(&defective).distance(), 4);
 
-    let ler_d3 = memory_ler(&defect_free(3), p, 4, shots, 21).unwrap().ler();
-    let ler_def = memory_ler(&defective, p, 4, shots, 22).unwrap().ler();
-    let ler_d5 = memory_ler(&defect_free(5), p, 4, shots, 23).unwrap().ler();
+    let ler_d3 = memory_rate(defect_free(3), p, 4, shots, 21);
+    let ler_def = memory_rate(defective, p, 4, shots, 22);
+    let ler_d5 = memory_rate(defect_free(5), p, 4, shots, 23);
     assert!(
         ler_d5 < ler_def && ler_def < ler_d3,
         "expected ordering d5 {ler_d5} < defective {ler_def} < d3 {ler_d3}"
@@ -53,19 +63,15 @@ fn super_stabilizer_patch_with_gauge_schedule_decodes() {
     defects.add_synd(Coord::new(6, 6));
     let patch = AdaptedPatch::new(PatchLayout::memory(7), &defects);
     assert_eq!(PatchIndicators::of(&patch).distance(), 5);
-    let pt = memory_ler(&patch, 1e-3, 8, 40_000, 31).unwrap();
-    assert!(
-        pt.ler() < 5e-3,
-        "gauge-schedule patch LER too high: {}",
-        pt.ler()
-    );
+    let rate = memory_rate(patch, 1e-3, 8, 40_000, 31);
+    assert!(rate < 5e-3, "gauge-schedule patch LER too high: {rate}");
 }
 
 #[test]
 fn noiseless_pipeline_has_zero_failures_everywhere() {
     for l in [3u32, 5] {
-        let pt = memory_ler(&defect_free(l), 0.0, l, 5_000, 41).unwrap();
-        assert_eq!(pt.failures, 0, "noiseless l={l}");
+        let rate = memory_rate(defect_free(l), 0.0, l, 5_000, 41);
+        assert_eq!(rate, 0.0, "noiseless l={l}");
     }
 }
 
@@ -123,17 +129,20 @@ fn stability_experiment_keep_vs_disable_tradeoff() {
     let p_bad = 0.20;
 
     let keep_patch = AdaptedPatch::new(PatchLayout::stability(6, 6), &DefectSet::new());
-    let keep = stability_ler(&keep_patch, p, Some((bad, p_bad)), rounds, shots, 71)
-        .unwrap()
-        .ler();
+    let keep_spec = ExperimentSpec::stability(keep_patch).bad_qubit(bad, p_bad);
+    let keep = ler(keep_spec, p, rounds, shots, 71);
 
     let mut defects = DefectSet::new();
     defects.add_data(bad);
     let disable_patch = AdaptedPatch::new(PatchLayout::stability(6, 6), &defects);
     assert!(disable_patch.is_valid());
-    let disable = stability_ler(&disable_patch, p, None, rounds, shots, 72)
-        .unwrap()
-        .ler();
+    let disable = ler(
+        ExperimentSpec::stability(disable_patch),
+        p,
+        rounds,
+        shots,
+        72,
+    );
     assert!(
         disable < keep,
         "disabling a 20% qubit should win: keep={keep} disable={disable}"
