@@ -402,8 +402,10 @@ pub fn run_reproduction(name: &str, cfg: &RunConfig) -> Result<(), String> {
     };
     sink.emit(&cfg.meta(rep.name, rep.what));
     let result = (rep.run)(cfg, sink.as_mut());
-    sink.finish();
-    result.map_err(|e| e.to_string())
+    // A closed pipe or full disk surfaces here, not as a panic mid-run.
+    let written = sink.finish();
+    result.map_err(|e| e.to_string())?;
+    written.map_err(|e| format!("write: {e}"))
 }
 
 /// The shared `main` of every reproduction binary: parse arguments, run

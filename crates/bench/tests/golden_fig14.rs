@@ -34,7 +34,7 @@ fn fig14_tsv_output_is_pinned() {
     let mut sink = TsvSink::new(Vec::new());
     sink.emit(&cfg.meta(rep.name, rep.what));
     (rep.run)(&cfg, &mut sink).expect("fig14 runs");
-    sink.finish();
+    sink.finish().expect("in-memory sink");
     let text = String::from_utf8(sink.into_inner()).expect("utf-8 output");
     assert_eq!(text, EXPECTED);
 }

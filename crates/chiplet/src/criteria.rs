@@ -15,7 +15,6 @@ use dqec_core::layout::PatchLayout;
 /// A quality target: "performs as well as the defect-free distance-d
 /// patch".
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QualityTarget {
     /// Required code distance.
     pub distance: u32,

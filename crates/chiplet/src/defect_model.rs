@@ -11,7 +11,6 @@ use rand::Rng;
 
 /// Which components can be fabrication-faulty.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DefectModel {
     /// Only links (couplers) fail.
     LinkOnly,

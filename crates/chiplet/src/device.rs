@@ -20,7 +20,6 @@ use rand::SeedableRng;
 
 /// Parameters of a device assembly run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeviceSpec {
     /// Logical qubits needed (grid slots to fill).
     pub logical_qubits: usize,
@@ -41,7 +40,6 @@ pub struct DeviceSpec {
 
 /// The outcome of assembling one device.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AssemblyReport {
     /// Slots filled with accepted chiplets.
     pub placed: usize,

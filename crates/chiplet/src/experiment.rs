@@ -8,7 +8,6 @@
 
 /// One logical-error-rate measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LerPoint {
     /// Physical (two-qubit gate) error rate.
     pub p: f64,
@@ -49,7 +48,6 @@ impl LerPoint {
 
 /// A least-squares line through log-log LER data.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SlopeFit {
     /// Gradient of ln(LER) vs ln(p) — the paper's "slope", ≈ αd.
     pub slope: f64,

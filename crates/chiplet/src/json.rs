@@ -1,15 +1,21 @@
-//! A minimal JSON value model, writer, and recursive-descent parser for
-//! the sweep checkpoint files.
+//! The workspace's one JSON codec: a value model, a writer, typed field
+//! readers, and a recursive-descent parser.
 //!
-//! The vendored `serde` shim is derive-only (no serializer exists in
-//! the offline container), so checkpoint state is written and read
-//! through this module instead; the state structs still carry
-//! `serde` derives behind the feature gate for the day the real crates
-//! replace the shims. The subset implemented is exactly what the
-//! checkpoint format needs: objects, arrays, strings with standard
-//! escapes, finite numbers, booleans, and null.
+//! Everything that crosses a process boundary as JSON goes through this
+//! module — the serve/dist wire frames (`dqec_serve::protocol`), the
+//! sweep state files (`dqec_sweep::checkpoint`, which re-exports the
+//! module as `dqec_sweep::json`) and the `--json` record stream
+//! ([`crate::record::JsonSink`]). It lives here because `dqec_chiplet`
+//! is the lowest crate that writes JSON; only the zero-dependency
+//! `dqec_obs` exporters sit below it and keep their own writer.
+//!
+//! The subset implemented is what those formats need: objects, arrays,
+//! strings with standard escapes, finite numbers, booleans, and null.
+//! There is one string escaper ([`Quoted`]) and one float rule
+//! ([`Float`]); both are `Display` adapters so write-only callers can
+//! drop them into a `format!` template.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,13 +34,68 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+impl From<f64> for Json {
+    fn from(v: f64) -> Json {
+        Json::Num(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+/// Integers are numbers; exact below 2⁵³, like everything read back
+/// through [`Json::as_int`].
+macro_rules! json_from_int {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                Json::Num(v as f64)
+            }
+        }
+    )*};
+}
+json_from_int!(i32, i64, u32, u64, usize);
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+/// A vector is an array.
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(items: Vec<T>) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
 impl Json {
+    /// An object from `(key, value)` pairs, in order.
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     /// Looks up a key of an object.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
+    }
+
+    /// An optional field: absent and `null` are both `None`.
+    pub fn opt(&self, key: &str) -> Option<&Json> {
+        self.get(key).filter(|v| **v != Json::Null)
     }
 
     /// The value as a finite `f64`.
@@ -45,12 +106,21 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer (exact below 2⁵³).
-    pub fn as_u64(&self) -> Option<u64> {
+    /// The value as an integer of type `T`: integral, exact (at most
+    /// 2⁵³ in magnitude) and within `T`'s range — never rounded,
+    /// truncated or wrapped.
+    pub fn as_int<T: TryFrom<i64>>(&self) -> Option<T> {
         match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= 2f64.powi(53) => Some(*v as u64),
+            Json::Num(v) if v.fract() == 0.0 && v.abs() <= 2f64.powi(53) => {
+                T::try_from(*v as i64).ok()
+            }
             _ => None,
         }
+    }
+
+    /// The value as a non-negative integer (exact below 2⁵³).
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_int()
     }
 
     /// The value as a string slice.
@@ -69,6 +139,38 @@ impl Json {
         }
     }
 
+    /// A required non-negative integer field, narrowed to `T`; the error
+    /// is `missing or non-integer field "key"`, or `key out of range`
+    /// when the value does not fit `T`.
+    pub fn uint_field<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        let v = self
+            .get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("missing or non-integer field {key:?}"))?;
+        T::try_from(v).map_err(|_| format!("{key} out of range"))
+    }
+
+    /// A required numeric field, or `missing or non-numeric field "key"`.
+    pub fn f64_field(&self, key: &str) -> Result<f64, String> {
+        self.get(key)
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
+    }
+
+    /// A required string field, or `missing string field "key"`.
+    pub fn str_field(&self, key: &str) -> Result<&str, String> {
+        self.get(key)
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("missing string field {key:?}"))
+    }
+
+    /// A required array field, or `missing array field "key"`.
+    pub fn arr_field(&self, key: &str) -> Result<&[Json], String> {
+        self.get(key)
+            .and_then(Json::as_arr)
+            .ok_or_else(|| format!("missing array field {key:?}"))
+    }
+
     /// Renders this value as compact JSON text.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -81,14 +183,17 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(v) => {
-                if v.fract() == 0.0 && v.abs() <= 2f64.powi(53) {
-                    let _ = write!(out, "{}", *v as i64);
+                // Integers print without a fraction so counts and
+                // cursors read back exactly.
+                let _ = if v.fract() == 0.0 && v.abs() <= 2f64.powi(53) {
+                    write!(out, "{}", *v as i64)
                 } else {
-                    // `{:?}` round-trips f64 exactly.
-                    let _ = write!(out, "{v:?}");
-                }
+                    write!(out, "{}", Float(*v))
+                };
             }
-            Json::Str(s) => write_str(s, out),
+            Json::Str(s) => {
+                let _ = escape(s, out);
+            }
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -105,7 +210,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_str(k, out);
+                    let _ = escape(k, out);
                     out.push(':');
                     v.write(out);
                 }
@@ -115,22 +220,56 @@ impl Json {
     }
 }
 
-fn write_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// The string escaper: displays as a quoted, escaped JSON string
+/// literal.
+#[derive(Debug, Clone, Copy)]
+pub struct Quoted<'a>(pub &'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        escape(self.0, f)
+    }
+}
+
+/// Writes `s` as a quoted, escaped string literal — the one escaper.
+fn escape(s: &str, out: &mut impl fmt::Write) -> fmt::Result {
+    out.write_char('"')?;
+    // Every byte that needs an escape is ASCII, so the runs between
+    // them are whole UTF-8 slices and go out unexamined.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.write_str(&s[run..i])?;
+        run = i + 1;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{b:04x}")?,
         }
     }
-    out.push('"');
+    out.write_str(&s[run..])?;
+    out.write_char('"')
+}
+
+/// The float rule: a finite value displays as `{:?}` (round-trips
+/// exactly and always carries a decimal point or exponent), anything
+/// else as `null` — JSON has no token for NaN or infinity.
+#[derive(Debug, Clone, Copy)]
+pub struct Float(pub f64);
+
+impl fmt::Display for Float {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            write!(f, "{:?}", self.0)
+        } else {
+            f.write_str("null")
+        }
+    }
 }
 
 /// Parses a JSON document.

@@ -9,6 +9,9 @@
 //! executed by a [`Runner`] that compiles the circuit and decoding
 //! graph once per patch, reweighting per swept error rate; results flow
 //! as typed [`Record`]s into a [`Sink`] (TSV, JSON, memory, or null).
+//! [`json`] is the workspace's one JSON codec — this is the lowest crate
+//! that writes JSON, so the sweep state files and the serve/dist wire
+//! frames above it share the module the `--json` sink uses.
 //!
 //! # Examples
 //!
@@ -35,6 +38,7 @@ pub mod criteria;
 pub mod defect_model;
 pub mod device;
 pub mod experiment;
+pub mod json;
 pub mod record;
 pub mod runner;
 pub mod yields;

@@ -5,9 +5,16 @@
 //! [`Sink`]: the same run can render as human-readable TSV
 //! ([`TsvSink`]), machine-readable JSON ([`JsonSink`]), be captured for
 //! tests ([`MemorySink`]), or be discarded ([`NullSink`]).
+//!
+//! [`Sink::emit`] cannot fail, so the writing sinks latch the first
+//! I/O error (a closed pipe under `| head`, a full disk), drop every
+//! later record, and report it from [`Sink::finish`] — a figure binary
+//! exits 1 with one line instead of panicking mid-run.
 
 use crate::experiment::{LerPoint, SlopeFit};
-use std::io::Write;
+use crate::json::{Float, Quoted};
+use std::fmt;
+use std::io::{self, Write};
 
 /// One cell of a tabular [`Record::Row`].
 #[derive(Debug, Clone, PartialEq)]
@@ -202,10 +209,18 @@ pub trait Sink {
     /// Consumes one record.
     fn emit(&mut self, record: &Record);
 
-    /// Finalizes the output (e.g. closes a JSON array). Must be called
-    /// once after the last `emit`; implementations should tolerate
-    /// repeated calls.
-    fn finish(&mut self) {}
+    /// Finalizes the output (e.g. closes a JSON array) and flushes it.
+    /// Must be called once after the last `emit`; implementations
+    /// should tolerate repeated calls.
+    ///
+    /// # Errors
+    ///
+    /// The first I/O error the sink met, in `emit` or here: `emit`
+    /// cannot fail, so a writing sink latches the error, drops every
+    /// later record, and reports it from this call.
+    fn finish(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Discards every record (for callers that only want return values).
@@ -229,6 +244,35 @@ impl Sink for MemorySink {
     }
 }
 
+/// A line writer that latches its first error: once a write fails
+/// (a closed pipe, a full disk) later lines are dropped, and
+/// [`Latched::finish`] reports the failure.
+#[derive(Debug)]
+struct Latched<W: Write> {
+    out: W,
+    error: Option<io::Error>,
+}
+
+impl<W: Write> Latched<W> {
+    fn new(out: W) -> Self {
+        Latched { out, error: None }
+    }
+
+    fn line(&mut self, line: fmt::Arguments<'_>) {
+        if self.error.is_none() {
+            self.error = writeln!(self.out, "{line}").err();
+        }
+    }
+
+    fn finish(&mut self) -> io::Result<()> {
+        match &self.error {
+            // `io::Error` is not `Clone`; keep the latch, hand out a copy.
+            Some(e) => Err(io::Error::new(e.kind(), e.to_string())),
+            None => self.out.flush(),
+        }
+    }
+}
+
 /// Which typed-record header a [`TsvSink`] last wrote, so repeated
 /// records of one kind share a single header line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,7 +287,7 @@ enum TsvHeader {
 /// binaries printed, now driven by typed records.
 #[derive(Debug)]
 pub struct TsvSink<W: Write> {
-    out: W,
+    out: Latched<W>,
     header: TsvHeader,
 }
 
@@ -251,19 +295,19 @@ impl<W: Write> TsvSink<W> {
     /// Creates a TSV sink writing to `out`.
     pub fn new(out: W) -> Self {
         TsvSink {
-            out,
+            out: Latched::new(out),
             header: TsvHeader::None,
         }
     }
 
     /// Consumes the sink, returning the writer.
     pub fn into_inner(self) -> W {
-        self.out
+        self.out.out
     }
 
     fn typed_header(&mut self, kind: TsvHeader, columns: &str) {
         if self.header != kind {
-            writeln!(self.out, "{columns}").expect("sink write");
+            self.out.line(format_args!("{columns}"));
             self.header = kind;
         }
     }
@@ -280,30 +324,28 @@ impl<W: Write> Sink for TsvSink<W> {
                 shots,
                 seed,
             } => {
-                writeln!(self.out, "# {name}: {what}").expect("sink write");
-                writeln!(
-                    self.out,
+                self.out.line(format_args!("# {name}: {what}"));
+                self.out.line(format_args!(
                     "# mode={} samples={samples} shots={shots} seed={seed}",
                     if mode == "full" {
                         "full (paper-scale)"
                     } else {
                         "quick (shape-reproduction)"
                     },
-                )
-                .expect("sink write");
+                ));
             }
             Record::Section(title) => {
-                writeln!(self.out, "\n## {title}").expect("sink write");
+                self.out.line(format_args!("\n## {title}"));
                 self.header = TsvHeader::None;
             }
-            Record::Note(text) => writeln!(self.out, "# {text}").expect("sink write"),
+            Record::Note(text) => self.out.line(format_args!("# {text}")),
             Record::Columns(cols) => {
-                writeln!(self.out, "{}", cols.join("\t")).expect("sink write");
+                self.out.line(format_args!("{}", cols.join("\t")));
                 self.header = TsvHeader::None;
             }
             Record::Row(cells) => {
                 let line: Vec<String> = cells.iter().map(Value::tsv).collect();
-                writeln!(self.out, "{}", line.join("\t")).expect("sink write");
+                self.out.line(format_args!("{}", line.join("\t")));
                 self.header = TsvHeader::None;
             }
             Record::Ler(r) => {
@@ -312,8 +354,7 @@ impl<W: Write> Sink for TsvSink<W> {
                     "series\tp\tshots\tfailures\tler\tci_lo\tci_hi",
                 );
                 let (lo, hi) = r.point.ci95();
-                writeln!(
-                    self.out,
+                self.out.line(format_args!(
                     "{}\t{}\t{}\t{}\t{}\t{}\t{}",
                     r.series,
                     fmt_compact(r.point.p),
@@ -322,20 +363,17 @@ impl<W: Write> Sink for TsvSink<W> {
                     fmt_compact(r.point.ler()),
                     fmt_compact(lo),
                     fmt_compact(hi)
-                )
-                .expect("sink write");
+                ));
             }
             Record::Slope(r) => {
                 self.typed_header(TsvHeader::Slope, "series\tslope\tintercept\tpoints_used");
-                writeln!(
-                    self.out,
+                self.out.line(format_args!(
                     "{}\t{}\t{}\t{}",
                     r.series,
                     fmt_compact(r.fit.slope),
                     fmt_compact(r.fit.intercept),
                     r.fit.points_used
-                )
-                .expect("sink write");
+                ));
             }
             Record::Yield(r) => {
                 self.typed_header(
@@ -345,28 +383,31 @@ impl<W: Write> Sink for TsvSink<W> {
                 let (kept, samples) = r.counts.map_or(("-".into(), "-".into()), |(k, n)| {
                     (k.to_string(), n.to_string())
                 });
-                writeln!(
-                    self.out,
+                self.out.line(format_args!(
                     "{}\t{}\t{kept}\t{samples}\t{}\t{}",
                     r.series,
                     fmt_compact(r.rate),
                     fmt_compact(r.fraction()),
                     r.overhead.map_or_else(|| "-".into(), fmt_compact)
-                )
-                .expect("sink write");
+                ));
             }
         }
     }
 
-    fn finish(&mut self) {
-        self.out.flush().expect("sink flush");
+    fn finish(&mut self) -> io::Result<()> {
+        self.out.finish()
     }
 }
 
 /// Renders records as one JSON array of objects (`--json` output).
+///
+/// The sink only writes, so each record is a one-line template — the
+/// templates are the format (`seed` prints as the full `u64`, floats
+/// always carry a decimal point) — with strings and floats going
+/// through the codec's [`Quoted`] escaper and [`Float`] rule.
 #[derive(Debug)]
 pub struct JsonSink<W: Write> {
-    out: W,
+    out: Latched<W>,
     count: usize,
     finished: bool,
 }
@@ -375,7 +416,7 @@ impl<W: Write> JsonSink<W> {
     /// Creates a JSON sink writing to `out`.
     pub fn new(out: W) -> Self {
         JsonSink {
-            out,
+            out: Latched::new(out),
             count: 0,
             finished: false,
         }
@@ -384,44 +425,14 @@ impl<W: Write> JsonSink<W> {
     /// Consumes the sink, returning the writer. Call
     /// [`Sink::finish`] first or the array stays unterminated.
     pub fn into_inner(self) -> W {
-        self.out
-    }
-}
-
-/// Escapes a string for a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders an `f64` as a JSON number (`null` for non-finite values).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        // `{:?}` round-trips f64 exactly and always includes a decimal
-        // point or exponent, keeping the value unambiguously a float.
-        format!("{v:?}")
-    } else {
-        "null".into()
+        self.out.out
     }
 }
 
 fn json_value(v: &Value) -> String {
     match v {
-        Value::Text(s) => json_str(s),
-        Value::Num(n) => json_num(*n),
+        Value::Text(s) => Quoted(s).to_string(),
+        Value::Num(n) => Float(*n).to_string(),
         Value::Int(i) => i.to_string(),
     }
 }
@@ -438,16 +449,16 @@ impl<W: Write> Sink for JsonSink<W> {
                 seed,
             } => format!(
                 "{{\"type\":\"meta\",\"name\":{},\"what\":{},\"mode\":{},\"samples\":{samples},\"shots\":{shots},\"seed\":{seed}}}",
-                json_str(name),
-                json_str(what),
-                json_str(mode)
+                Quoted(name),
+                Quoted(what),
+                Quoted(mode)
             ),
             Record::Section(title) => {
-                format!("{{\"type\":\"section\",\"title\":{}}}", json_str(title))
+                format!("{{\"type\":\"section\",\"title\":{}}}", Quoted(title))
             }
-            Record::Note(text) => format!("{{\"type\":\"note\",\"text\":{}}}", json_str(text)),
+            Record::Note(text) => format!("{{\"type\":\"note\",\"text\":{}}}", Quoted(text)),
             Record::Columns(cols) => {
-                let cells: Vec<String> = cols.iter().map(|c| json_str(c)).collect();
+                let cells: Vec<String> = cols.iter().map(|c| Quoted(c).to_string()).collect();
                 format!("{{\"type\":\"columns\",\"columns\":[{}]}}", cells.join(","))
             }
             Record::Row(cells) => {
@@ -458,20 +469,20 @@ impl<W: Write> Sink for JsonSink<W> {
                 let (lo, hi) = r.point.ci95();
                 format!(
                     "{{\"type\":\"ler\",\"series\":{},\"p\":{},\"shots\":{},\"failures\":{},\"ler\":{},\"ci95\":[{},{}]}}",
-                    json_str(&r.series),
-                    json_num(r.point.p),
+                    Quoted(&r.series),
+                    Float(r.point.p),
                     r.point.shots,
                     r.point.failures,
-                    json_num(r.point.ler()),
-                    json_num(lo),
-                    json_num(hi)
+                    Float(r.point.ler()),
+                    Float(lo),
+                    Float(hi)
                 )
             }
             Record::Slope(r) => format!(
                 "{{\"type\":\"slope\",\"series\":{},\"slope\":{},\"intercept\":{},\"points_used\":{}}}",
-                json_str(&r.series),
-                json_num(r.fit.slope),
-                json_num(r.fit.intercept),
+                Quoted(&r.series),
+                Float(r.fit.slope),
+                Float(r.fit.intercept),
                 r.fit.points_used
             ),
             Record::Yield(r) => {
@@ -480,34 +491,33 @@ impl<W: Write> Sink for JsonSink<W> {
                 });
                 format!(
                     "{{\"type\":\"yield\",\"series\":{},\"rate\":{},\"kept\":{kept},\"samples\":{samples},\"yield\":{},\"overhead\":{}}}",
-                    json_str(&r.series),
-                    json_num(r.rate),
-                    json_num(r.fraction()),
-                    r.overhead.map_or_else(|| "null".into(), json_num)
+                    Quoted(&r.series),
+                    Float(r.rate),
+                    Float(r.fraction()),
+                    r.overhead
+                        .map_or_else(|| "null".into(), |v| Float(v).to_string())
                 )
             }
         };
         let sep = if self.count == 0 { "[" } else { "," };
-        writeln!(self.out, "{sep}{object}").expect("sink write");
+        self.out.line(format_args!("{sep}{object}"));
         self.count += 1;
     }
 
-    fn finish(&mut self) {
+    fn finish(&mut self) -> io::Result<()> {
         if !self.finished {
-            if self.count == 0 {
-                writeln!(self.out, "[]").expect("sink write");
-            } else {
-                writeln!(self.out, "]").expect("sink write");
-            }
+            self.out
+                .line(format_args!("{}", if self.count == 0 { "[]" } else { "]" }));
             self.finished = true;
         }
-        self.out.flush().expect("sink flush");
+        self.out.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     fn sample_records() -> Vec<Record> {
         vec![
@@ -541,7 +551,7 @@ mod tests {
         for r in sample_records() {
             sink.emit(&r);
         }
-        sink.finish();
+        sink.finish().unwrap();
         let text = String::from_utf8(sink.into_inner()).unwrap();
         assert!(text.contains("# figXX: demo"));
         assert!(text.contains("## panel"));
@@ -566,7 +576,7 @@ mod tests {
         };
         sink.emit(&ler(1e-3));
         sink.emit(&ler(2e-3));
-        sink.finish();
+        sink.finish().unwrap();
         let text = String::from_utf8(sink.into_inner()).unwrap();
         assert_eq!(text.matches("series\tp").count(), 1);
     }
@@ -577,22 +587,29 @@ mod tests {
         for r in sample_records() {
             sink.emit(&r);
         }
-        sink.finish();
+        sink.finish().unwrap();
         let text = String::from_utf8(sink.into_inner()).unwrap();
-        // Structural sanity without a JSON parser: one array, balanced
-        // braces, escaped quote survived.
-        assert!(text.starts_with('['));
-        assert!(text.trim_end().ends_with(']'));
-        assert_eq!(text.matches('{').count(), text.matches('}').count());
-        assert!(text.contains("\\\"quoted\\\""));
-        assert!(text.contains("\"type\":\"ler\""));
-        assert!(text.contains("\"overhead\":null"));
+        let doc = crate::json::parse(&text).unwrap();
+        let records = doc.as_arr().unwrap();
+        assert_eq!(records.len(), sample_records().len());
+        let of_type = |ty: &str| {
+            records
+                .iter()
+                .find(|r| r.str_field("type") == Ok(ty))
+                .unwrap_or_else(|| panic!("no {ty} record in {text}"))
+        };
+        // The escaped quote survived the round trip.
+        assert_eq!(of_type("meta").str_field("what"), Ok("demo \"quoted\""));
+        assert_eq!(of_type("meta").uint_field::<u64>("seed"), Ok(7));
+        assert_eq!(of_type("ler").f64_field("p"), Ok(1e-3));
+        assert_eq!(of_type("yield").get("overhead"), Some(&Json::Null));
+        assert_eq!(of_type("yield").uint_field::<u64>("kept"), Ok(8));
     }
 
     #[test]
     fn empty_json_sink_finishes_as_empty_array() {
         let mut sink = JsonSink::new(Vec::new());
-        sink.finish();
+        sink.finish().unwrap();
         assert_eq!(String::from_utf8(sink.into_inner()).unwrap().trim(), "[]");
     }
 

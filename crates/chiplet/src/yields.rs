@@ -17,7 +17,6 @@ use rayon::prelude::*;
 
 /// Parameters of one chiplet sampling run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SampleConfig {
     /// Chiplet width (patch is `l x l`).
     pub l: u32,

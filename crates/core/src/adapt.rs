@@ -36,7 +36,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Why a qubit or face was disabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DeadReason {
     /// Fabrication-faulty (or disabled by a faulty link).
     Faulty,
@@ -54,7 +53,6 @@ pub enum DeadReason {
 
 /// A connected cluster of disabled cells and its gauge operators.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Cluster {
     /// The disabled data/face cells in this cluster.
     pub cells: Vec<Coord>,
@@ -87,7 +85,6 @@ impl Cluster {
 
 /// Whether the adaptation produced a usable code.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AdaptStatus {
     /// The patch passed all structural checks.
     Valid,

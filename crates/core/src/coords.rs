@@ -10,7 +10,6 @@ use dqec_sim::circuit::CheckBasis;
 
 /// A position in the doubled coordinate system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Coord {
     /// Horizontal position (grows rightward).
     pub x: i32,
@@ -92,7 +91,6 @@ impl std::fmt::Display for Coord {
 
 /// The four sides of a patch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Side {
     /// y = 0 boundary.
     Top,

@@ -21,7 +21,6 @@ use std::collections::BTreeSet;
 /// assert_eq!(defects.num_faulty(), 1);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DefectSet {
     /// Faulty data qubits.
     pub data: BTreeSet<Coord>,

@@ -13,7 +13,6 @@ use dqec_sim::circuit::CheckBasis;
 
 /// All per-patch indicators used in the paper's evaluation.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PatchIndicators {
     /// Whether the patch hosts a usable code at all; when false every
     /// distance is reported as 0.

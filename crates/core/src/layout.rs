@@ -9,7 +9,6 @@ use dqec_sim::circuit::CheckBasis;
 /// faces on the left/right columns (logical X vertical, logical Z
 /// horizontal). The stability experiment uses X faces on all four sides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BoundarySpec {
     /// Basis kept on the y = 0 row.
     pub top: CheckBasis,
@@ -61,7 +60,6 @@ impl BoundarySpec {
 /// assert_eq!(l.face_sites().count(), 8);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PatchLayout {
     width: u32,
     height: u32,

@@ -100,7 +100,6 @@ pub fn merged_distance(defects: &DefectSet, l: u32, side: Side) -> Option<u32> {
 
 /// The paper's four boundary-quality standards (Fig. 15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BoundaryStandard {
     /// Standard 1: no deformation on any boundary.
     NoDeformationAnywhere,

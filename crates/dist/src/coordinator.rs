@@ -10,19 +10,23 @@
 //! injected executor in place of real processes — see
 //! `tests/model_coordinator.rs`.
 //!
-//! [`drive_shards`] is execution-agnostic: the *local* backend
-//! ([`run_local`]) spawns one figure-binary process per attempt on this
-//! machine; the *remote* backend ([`crate::remote`]) ships the attempt
-//! to a `dqec_dist agent` over TCP. Either way a shard's only output is
-//! its checkpoint state file, so a crashed attempt re-run with
-//! `--resume` loses at most one allocation round and the finished
+//! [`drive_shards`] is execution-agnostic — its executor closure is the
+//! transport: the *local* backend ([`run_local`]) spawns one
+//! figure-binary process per attempt on this machine; the *remote*
+//! backend ([`crate::remote`]) ships the attempt to a `dqec_dist agent`
+//! over TCP. Shards are enqueued in index order: the partition is
+//! balanced by construction (every shard owns the same share of every
+//! point's batches), so no cost-aware ordering is needed. Both backends
+//! end in one shared dispatch → merge → timing tail. A shard's only
+//! output is its checkpoint state file, so a crashed attempt re-run
+//! with `--resume` loses at most one allocation round and the finished
 //! partition merges bit-exactly ([`crate::merge`]).
 
 use crate::merge::{merge_dir, MergeReport};
 use dqec_core::CoreError;
 use dqec_serve::chan::Bounded;
 use dqec_sweep::shard::Shard;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::Arc;
 
@@ -255,6 +259,31 @@ pub struct DistReport {
     pub merged: Vec<MergeReport>,
 }
 
+/// The tail both backends share: drive every shard through `exec`
+/// ([`drive_shards`]), then merge the states in `checkpoint`, timing
+/// the two phases. The closure is the transport.
+pub(crate) fn run_and_merge<F>(
+    count: u32,
+    workers: usize,
+    max_retries: u32,
+    checkpoint: &Path,
+    exec: F,
+) -> Result<DistReport, CoreError>
+where
+    F: Fn(u32, u32) -> Result<(), String> + Send + Sync + 'static,
+{
+    let started = dqec_obs::clock::now_ns();
+    let outcomes = drive_shards(count, workers, max_retries, exec)?;
+    let merge_started = dqec_obs::clock::now_ns();
+    let merged = merge_dir(checkpoint)?;
+    Ok(DistReport {
+        outcomes,
+        dispatch_ns: merge_started.saturating_sub(started),
+        merge_ns: dqec_obs::clock::now_ns().saturating_sub(merge_started),
+        merged,
+    })
+}
+
 /// Runs every shard of `job` as local child processes and merges the
 /// completed partition (shard stdout is discarded — the state files
 /// are the output; run the binary once more with `--resume` on the
@@ -267,11 +296,11 @@ pub struct DistReport {
 pub fn run_local(job: &ShardJob, opts: &LocalOptions) -> Result<DistReport, CoreError> {
     let exec_job = job.clone();
     let threads = opts.threads_per_worker;
-    let started = dqec_obs::clock::now_ns();
-    let outcomes = drive_shards(
+    run_and_merge(
         job.count,
         opts.workers,
         opts.max_retries,
+        &job.checkpoint,
         move |index, attempt| {
             let mut args = exec_job
                 .attempt_args(index, attempt)
@@ -282,17 +311,7 @@ pub fn run_local(job: &ShardJob, opts: &LocalOptions) -> Result<DistReport, Core
             }
             run_shard_process(&exec_job.bin, &args)
         },
-    )?;
-    let dispatch_ns = dqec_obs::clock::now_ns().saturating_sub(started);
-    let merge_started = dqec_obs::clock::now_ns();
-    let merged = merge_dir(&job.checkpoint)?;
-    let merge_ns = dqec_obs::clock::now_ns().saturating_sub(merge_started);
-    Ok(DistReport {
-        outcomes,
-        dispatch_ns,
-        merge_ns,
-        merged,
-    })
+    )
 }
 
 /// Runs one shard attempt as a child process: stdout discarded (shard
@@ -309,14 +328,18 @@ fn run_shard_process(bin: &PathBuf, args: &[String]) -> Result<(), String> {
     if output.status.success() {
         return Ok(());
     }
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    let tail: Vec<&str> = stderr.lines().rev().take(4).collect();
-    let tail: Vec<&str> = tail.into_iter().rev().collect();
     Err(format!(
         "exit {:?}: {}",
         output.status.code(),
-        tail.join(" | ")
+        stderr_tail(&String::from_utf8_lossy(&output.stderr))
     ))
+}
+
+/// The last few lines of a failed child's stderr, on one line.
+pub(crate) fn stderr_tail(stderr: &str) -> String {
+    let mut tail: Vec<&str> = stderr.lines().rev().take(4).collect();
+    tail.reverse();
+    tail.join(" | ")
 }
 
 /// Runs the figure binary once over the merged whole-plan state

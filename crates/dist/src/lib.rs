@@ -21,13 +21,15 @@
 //!
 //! * [`merge`] — verification (fingerprints, partition completeness)
 //!   and additive recombination of shard states;
-//! * [`schedule`] — deterministic LPT makespan heuristics for
-//!   cost-aware dispatch;
 //! * [`coordinator`] — the retry-driving work queue (model-checkable
-//!   under `--cfg dqec_check`) and the local process backend;
+//!   under `--cfg dqec_check`), the local process backend, and the
+//!   dispatch → merge tail both backends share. Shards dispatch in
+//!   index order: the partition is balanced by construction, so there
+//!   is no scheduler;
 //! * [`remote`] — the `dqec_dist agent` daemon and the TCP dispatcher
 //!   with heartbeat-based straggler re-dispatch, on the decode
-//!   service's JSON-lines protocol.
+//!   service's JSON-lines protocol, codec and length-capped line
+//!   framer.
 //!
 //! The `dqec_dist` binary fronts all of it: `run` (local or
 //! `--agents`), `merge`, and `agent` subcommands.
@@ -38,7 +40,6 @@
 pub mod coordinator;
 pub mod merge;
 pub mod remote;
-pub mod schedule;
 
 pub use coordinator::{drive_shards, run_local, DistReport, LocalOptions, ShardJob};
 pub use dqec_sweep::shard::Shard;

@@ -11,7 +11,7 @@
 //!   ships the finished shard's state file back **inline** in the
 //!   `shard-done` frame — coordinator and agent share no filesystem.
 //! * **Dispatcher** ([`run_remote`]) — the coordinator side. Shard
-//!   attempts flow through the same [`drive_shards`] retry loop as
+//!   attempts flow through the same [`crate::drive_shards`] retry loop as
 //!   local runs; each attempt leases an agent from a shared pool, sends
 //!   one `shard` request, and watches the connection with a read
 //!   timeout slightly above the heartbeat period. A silent agent — a
@@ -22,17 +22,22 @@
 //!   agent that kept its scratch resumes instead of recomputing.
 //!
 //! The wire frames live in `dqec_serve::protocol` so the decode
-//! service's parser, normalizer, and conformance tooling cover them.
+//! service's parser, normalizer, and conformance tooling cover them,
+//! and both directions are framed by its `read_frame`: the agent caps
+//! request lines at `MAX_REQUEST_BYTES` and answers an over-long or
+//! non-UTF-8 one with a typed error on the same connection; the
+//! dispatcher caps reply frames at `MAX_REPLY_BYTES` and fails the
+//! attempt (which is then retried) on a frame it cannot accept. The
+//! agent is its own listener, not an op of the decode server: a shard
+//! child runs for minutes and must not sit behind the decode executor.
 
-use crate::coordinator::{drive_shards, DistReport};
-use crate::merge::merge_dir;
+use crate::coordinator::{run_and_merge, stderr_tail, DistReport};
 use dqec_core::CoreError;
 use dqec_serve::chan::Bounded;
 use dqec_serve::protocol::{
-    self, Request, Response, ShardDoneResponse, ShardRequest, ShardStateFile,
+    self, Frame, Request, Response, ShardDoneResponse, ShardRequest, ShardStateFile,
 };
-use dqec_serve::ErrorKind;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -124,43 +129,34 @@ pub fn start_agent(config: AgentConfig) -> Result<AgentHandle, CoreError> {
 /// (one shard at a time per connection — the coordinator leases one
 /// agent per in-flight attempt, so serial is the contract).
 fn serve_connection(stream: TcpStream, config: &AgentConfig) -> Result<(), String> {
-    let reader = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
+    let mut reader = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
     let mut writer = stream;
-    for line in reader.lines() {
-        let line = line.map_err(|e| format!("read: {e}"))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match protocol::parse_request(&line) {
-            Err((id, detail)) => Response::Error(protocol::ErrorResponse {
-                id,
-                kind: ErrorKind::BadRequest,
-                detail,
-            }),
+    let mut buf = Vec::new();
+    loop {
+        let parsed = match protocol::read_frame(&mut reader, &mut buf, protocol::MAX_REQUEST_BYTES)
+            .map_err(|e| format!("read: {e}"))?
+        {
+            Frame::Eof => return Ok(()),
+            Frame::Line(line) if line.trim().is_empty() => continue,
+            Frame::Line(line) => protocol::parse_request(line),
+            Frame::Rejected(reason) => Err((None, reason)),
+        };
+        let response = match parsed {
+            Err((id, detail)) => Response::bad_request(id, detail),
             Ok(Request::Ping { id }) => Response::Pong { id },
             Ok(Request::Shard(req)) => match execute_shard(&req, config, &mut writer) {
                 Ok(states) => Response::ShardDone(ShardDoneResponse { id: req.id, states }),
-                Err(detail) => Response::Error(protocol::ErrorResponse {
-                    id: Some(req.id),
-                    kind: ErrorKind::BadRequest,
-                    detail,
-                }),
+                Err(detail) => Response::bad_request(Some(req.id), detail),
             },
-            Ok(Request::Decode(req)) => agent_wrong_op(Some(req.id)),
-            Ok(Request::Stats { id }) | Ok(Request::Metrics { id }) => agent_wrong_op(Some(id)),
+            // The decode service's ops share the frame format, not the
+            // endpoint.
+            Ok(other) => Response::bad_request(
+                Some(other.id()),
+                "this is a dqec_dist agent; decode/stats/metrics go to dqec_serve".into(),
+            ),
         };
         writeln!(writer, "{}", response.render_line()).map_err(|e| format!("write: {e}"))?;
     }
-    Ok(())
-}
-
-/// The error frame for decode-service ops sent to an agent.
-fn agent_wrong_op(id: Option<u64>) -> Response {
-    Response::Error(protocol::ErrorResponse {
-        id,
-        kind: ErrorKind::BadRequest,
-        detail: "this is a dqec_dist agent; decode/stats/metrics go to dqec_serve".into(),
-    })
 }
 
 /// Runs one shard request to completion, emitting heartbeat frames on
@@ -220,12 +216,7 @@ fn execute_shard(
         }
     };
     if !status.success() {
-        let tail = std::fs::read_to_string(&stderr_log)
-            .map(|s| {
-                let lines: Vec<&str> = s.lines().rev().take(4).collect();
-                lines.into_iter().rev().collect::<Vec<_>>().join(" | ")
-            })
-            .unwrap_or_default();
+        let tail = stderr_tail(&std::fs::read_to_string(&stderr_log).unwrap_or_default());
         return Err(format!(
             "{} exited with {:?}: {tail}",
             req.bin,
@@ -338,26 +329,28 @@ fn dispatch_to_agent(
     });
     writeln!(writer, "{}", request.render_line()).map_err(|e| format!("send: {e}"))?;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        let n = reader.read_line(&mut line).map_err(|e| {
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ) {
-                format!(
-                    "agent {agent} silent for {}ms; presumed straggler",
-                    timeout.as_millis()
-                )
-            } else {
-                format!("receive from {agent}: {e}")
-            }
-        })?;
-        if n == 0 {
-            return Err(format!("agent {agent} closed the connection mid-shard"));
-        }
-        match protocol::parse_response(line.trim_end()) {
+        let frame = protocol::read_frame(&mut reader, &mut buf, protocol::MAX_REPLY_BYTES)
+            .map_err(|e| {
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) {
+                    format!(
+                        "agent {agent} silent for {}ms; presumed straggler",
+                        timeout.as_millis()
+                    )
+                } else {
+                    format!("receive from {agent}: {e}")
+                }
+            })?;
+        let line = match frame {
+            Frame::Line(line) => line,
+            Frame::Rejected(reason) => return Err(format!("bad frame from {agent}: {reason}")),
+            Frame::Eof => return Err(format!("agent {agent} closed the connection mid-shard")),
+        };
+        match protocol::parse_response(line) {
             Err(e) => return Err(format!("bad frame from {agent}: {e}")),
             Ok(Response::ShardProgress { .. }) => continue, // heartbeat
             Ok(Response::ShardDone(done)) => {
@@ -424,40 +417,27 @@ pub fn run_remote(job: &RemoteJob, opts: &RemoteOptions) -> Result<DistReport, C
     }
     let timeout = Duration::from_millis(opts.heartbeat_timeout_ms.max(1));
     let exec_job = job.clone();
-    let exec_pool = pool.clone();
-    let started = dqec_obs::clock::now_ns();
-    let outcomes = drive_shards(
+    run_and_merge(
         job.count,
         opts.agents.len(),
         opts.max_retries,
+        &job.checkpoint,
         move |index, _attempt| {
-            let agent = exec_pool
-                .recv()
-                .ok_or_else(|| "agent pool closed".to_string())?;
+            let agent = pool.recv().ok_or_else(|| "agent pool closed".to_string())?;
             let result = dispatch_to_agent(&agent, &exec_job, index, timeout);
             // Return the lease even after a failure: a transient error
             // must not shrink the pool (bounded retries protect against
             // a permanently dead agent).
-            let _ = exec_pool.send(agent);
+            let _ = pool.send(agent);
             result
         },
-    )?;
-    let dispatch_ns = dqec_obs::clock::now_ns().saturating_sub(started);
-    pool.close();
-    let merge_started = dqec_obs::clock::now_ns();
-    let merged = merge_dir(&job.checkpoint)?;
-    let merge_ns = dqec_obs::clock::now_ns().saturating_sub(merge_started);
-    Ok(DistReport {
-        outcomes,
-        dispatch_ns,
-        merge_ns,
-        merged,
-    })
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufRead;
 
     #[test]
     fn state_names_are_screened_before_hitting_the_filesystem() {

@@ -19,6 +19,8 @@ use dqec_core::DefectSet;
 use dqec_dist::{run_remote, start_agent, AgentConfig, RemoteJob, RemoteOptions, Shard};
 use dqec_sweep::checkpoint::SweepState;
 use dqec_sweep::{EngineConfig, SweepEngine, SweepPlan};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpListener;
 use std::os::unix::fs::PermissionsExt;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -93,14 +95,14 @@ fn fixture() -> &'static Fixture {
         })
         .run(&plan, &mut MemorySink::default())
         .expect("whole-plan run");
-        for index in 0..SHARDS {
-            let shard = Shard::new(index, SHARDS).expect("valid shard");
+        // The 2-way partition, and the whole plan as a 1-way one.
+        for (index, count) in [(0, SHARDS), (1, SHARDS), (0, 1)] {
+            let shard = Shard::new(index, count).expect("valid shard");
             SweepEngine::new(EngineConfig {
                 shard: Some(shard),
-                checkpoint: Some(premade.join(format!(
-                    "stub.plan.shard{}.sweep.json",
-                    shard.file_tag()
-                ))),
+                checkpoint: Some(
+                    premade.join(format!("stub.plan.shard{}.sweep.json", shard.file_tag())),
+                ),
                 ..base()
             })
             .run(&plan, &mut MemorySink::default())
@@ -181,4 +183,66 @@ fn a_failing_child_fails_the_run_with_its_stderr_tail() {
     let msg = err.to_string();
     assert!(msg.contains("shard 0/1"), "{msg}");
     assert!(msg.contains("stub figure exploded"), "{msg}");
+}
+
+/// A peer that answers each connection's first request line with the
+/// next of `replies`, verbatim, then hangs up.
+fn misbehaving_agent(replies: Vec<Vec<u8>>) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    dqec_check::thread::spawn(move || {
+        for reply in replies {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut request = String::new();
+            BufReader::new(stream.try_clone().expect("clone"))
+                .read_line(&mut request)
+                .expect("request line");
+            // The dispatcher may hang up mid-reply once it has seen enough.
+            let _ = stream.write_all(&reply);
+        }
+    });
+    addr
+}
+
+/// One byte over the reply cap, and no newline in sight.
+fn over_cap_reply() -> Vec<u8> {
+    vec![b'x'; dqec_serve::protocol::MAX_REPLY_BYTES + 1]
+}
+
+#[test]
+fn frames_the_dispatcher_cannot_accept_fail_the_attempt_and_are_retried() {
+    let fx = fixture();
+    let bad = misbehaving_agent(vec![b"\xff\xfe\n".to_vec(), over_cap_reply()]);
+    let job = RemoteJob {
+        bin: "copy_stub".into(),
+        args: vec!["--from".into(), fx.premade.display().to_string()],
+        count: 1,
+        checkpoint: fx.root.join("retried"),
+    };
+    // One shard, so one worker, so the lease pool rotates in order: the
+    // non-UTF-8 reply, then the over-long one, then the real agent.
+    let opts = RemoteOptions {
+        max_retries: 2,
+        ..options(vec![bad.clone(), bad, fx.agent.clone()])
+    };
+    let report = run_remote(&job, &opts).expect("third attempt reaches the real agent");
+    assert_eq!(report.outcomes[0].attempts, 3);
+    let merged = SweepState::load(&report.merged[0].out).expect("merged state");
+    assert_eq!(merged.points, fx.whole.points);
+}
+
+#[test]
+fn an_over_long_reply_is_refused_with_the_limit_not_buffered() {
+    let fx = fixture();
+    let job = RemoteJob {
+        bin: "copy_stub".into(),
+        args: Vec::new(),
+        count: 1,
+        checkpoint: fx.root.join("over-cap"),
+    };
+    let agent = misbehaving_agent(vec![over_cap_reply()]);
+    let err = run_remote(&job, &options(vec![agent])).expect_err("reply over the cap");
+    let msg = err.to_string();
+    assert!(msg.contains("shard 0/1"), "{msg}");
+    assert!(msg.contains("16777216-byte limit"), "{msg}");
 }

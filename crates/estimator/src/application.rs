@@ -3,7 +3,6 @@
 /// A fault-tolerant application workload: a grid of logical qubits kept
 /// alive for a number of surface code cycles.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ApplicationSpec {
     /// Number of logical qubit patches.
     pub patches: u64,

@@ -14,7 +14,6 @@ use rayon::prelude::*;
 
 /// One row of the paper's resource tables.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ResourceRow {
     /// Approach name.
     pub label: String,

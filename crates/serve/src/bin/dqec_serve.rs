@@ -1,13 +1,15 @@
 //! The decode-service CLI: serve (default), client, and oneshot modes.
 //!
-//! The three modes share one execution path (`ExperimentCache` over
-//! `sample_batches_with_seed`), so `--client` output against a running
-//! server is byte-identical to `--oneshot` output for the same request
-//! file — the conformance property CI enforces.
+//! `--oneshot` answers through the same [`dqec_serve::respond`] the
+//! server's executor calls, behind the same [`protocol::read_frame`]
+//! limit, so `--client` output against a running server is
+//! byte-identical to `--oneshot` output for the same request file —
+//! the conformance property CI enforces.
 
-use dqec_serve::protocol::{self, Request, Response, StatsResponse};
+use dqec_serve::protocol::{self, Frame, Response};
+use dqec_serve::server::Metrics;
 use dqec_serve::{ExperimentCache, ServerConfig};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 
 const USAGE: &str = "\
@@ -150,25 +152,20 @@ fn serve(config: ServerConfig) {
     handle.wait();
 }
 
-fn read_request_lines(path: &std::path::Path) -> Vec<String> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {}: {e}", path.display());
-        std::process::exit(1);
-    });
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_string)
-        .collect()
+/// Blank lines and `#` comments of a request file are not requests.
+fn is_request(line: &str) -> bool {
+    let line = line.trim();
+    !line.is_empty() && !line.starts_with('#')
 }
 
-/// Sorts normalized lines by (id, arrival) and prints them.
-fn print_normalized(mut responses: Vec<(u64, usize, String)>) {
-    responses.sort_by_key(|&(id, arrival, _)| (id, arrival));
+/// Prints the responses normalized, sorted by id; the sort is stable,
+/// so equal (or absent) ids keep their arrival order.
+fn print_normalized(mut responses: Vec<Response>) {
+    responses.sort_by_key(|resp| resp.id().unwrap_or(u64::MAX));
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    for (_, _, line) in responses {
-        writeln!(out, "{line}").unwrap_or_else(|e| {
+    for resp in responses {
+        writeln!(out, "{}", resp.normalized_line()).unwrap_or_else(|e| {
             eprintln!("error: stdout: {e}");
             std::process::exit(1);
         });
@@ -179,61 +176,29 @@ fn oneshot(path: &std::path::Path, cache_capacity: usize, trace_out: Option<&std
     if trace_out.is_some() {
         dqec_obs::trace::set_enabled(true);
     }
-    let lines = read_request_lines(path);
+    let fail = |e: std::io::Error| -> ! {
+        eprintln!("error: cannot read {}: {e}", path.display());
+        std::process::exit(1);
+    };
+    let mut reader = BufReader::new(std::fs::File::open(path).unwrap_or_else(|e| fail(e)));
+    let mut buf = Vec::new();
     let mut cache = ExperimentCache::new(cache_capacity);
-    let mut served = 0u64;
-    let mut rejected = 0u64;
+    let metrics = Metrics::default();
     let mut responses = Vec::new();
-    for (idx, line) in lines.iter().enumerate() {
-        let resp = match protocol::parse_request(line) {
-            Err((id, detail)) => {
-                rejected += 1;
-                Response::Error(protocol::ErrorResponse {
-                    id,
-                    kind: dqec_serve::ErrorKind::BadRequest,
-                    detail,
-                })
-            }
-            Ok(Request::Ping { id }) => Response::Pong { id },
-            Ok(Request::Stats { id }) => {
-                let c = cache.counters();
-                Response::Stats(StatsResponse {
-                    id,
-                    served,
-                    rejected,
-                    cache_hits: c.hits,
-                    cache_misses: c.misses,
-                    cache_evictions: c.evictions,
-                    cache_entries: c.entries,
-                    syndrome_hits: c.syndrome_hits,
-                    syndrome_misses: c.syndrome_misses,
-                    pool_workers: 0,
-                    coalesce_hits: 0,
-                })
-            }
-            Ok(Request::Metrics { id }) => Response::Metrics(dqec_serve::metrics_snapshot(id)),
-            Ok(Request::Decode(req)) => match cache.execute(&req, 1) {
-                Ok((resp, _)) => {
-                    served += 1;
-                    Response::Ler(resp)
-                }
-                Err(err) => {
-                    rejected += 1;
-                    Response::Error(err)
-                }
+    loop {
+        let frame = protocol::read_frame(&mut reader, &mut buf, protocol::MAX_REQUEST_BYTES)
+            .unwrap_or_else(|e| fail(e));
+        let resp = match frame {
+            Frame::Eof => break,
+            Frame::Line(line) if !is_request(line) => continue,
+            Frame::Line(line) => match protocol::parse_request(line) {
+                Ok(request) => dqec_serve::respond(&request, &mut cache, &metrics, 1),
+                Err((id, detail)) => Response::bad_request(id, detail),
             },
-            Ok(Request::Shard(req)) => {
-                rejected += 1;
-                Response::Error(protocol::ErrorResponse {
-                    id: Some(req.id),
-                    kind: dqec_serve::ErrorKind::BadRequest,
-                    detail: "this is the decode server; shard jobs go to a \
-                             `dqec_dist agent` endpoint"
-                        .to_string(),
-                })
-            }
+            Frame::Rejected(reason) => Response::bad_request(None, reason),
         };
-        responses.push((resp.id().unwrap_or(u64::MAX), idx, resp.normalized_line()));
+        metrics.count(&resp);
+        responses.push(resp);
     }
     print_normalized(responses);
     if let Some(out) = trace_out {
@@ -245,7 +210,11 @@ fn oneshot(path: &std::path::Path, cache_capacity: usize, trace_out: Option<&std
 }
 
 fn client(addr: &str, path: &std::path::Path) {
-    let lines = read_request_lines(path);
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("error: cannot read {}: {e}", path.display());
+        std::process::exit(1);
+    });
+    let lines: Vec<&str> = text.lines().filter(|l| is_request(l)).collect();
     let stream = TcpStream::connect(addr).unwrap_or_else(|e| {
         eprintln!("error: cannot connect to {addr}: {e}");
         std::process::exit(1);
@@ -268,21 +237,26 @@ fn client(addr: &str, path: &std::path::Path) {
 
     // One response per request line, in whatever order the server
     // produced them; normalize and sort for stable output.
-    let reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
     let mut responses = Vec::new();
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line.unwrap_or_else(|e| {
-            eprintln!("error: receive failed: {e}");
-            std::process::exit(1);
-        });
-        let resp = protocol::parse_response(&line).unwrap_or_else(|e| {
+    while responses.len() < lines.len() {
+        let line = match protocol::read_frame(&mut reader, &mut buf, protocol::MAX_REPLY_BYTES) {
+            Ok(Frame::Line(line)) => line,
+            Ok(Frame::Eof) => break,
+            Ok(Frame::Rejected(reason)) => {
+                eprintln!("error: bad response frame: {reason}");
+                std::process::exit(1);
+            }
+            Err(e) => {
+                eprintln!("error: receive failed: {e}");
+                std::process::exit(1);
+            }
+        };
+        responses.push(protocol::parse_response(line).unwrap_or_else(|e| {
             eprintln!("error: bad response line {line:?}: {e}");
             std::process::exit(1);
-        });
-        responses.push((resp.id().unwrap_or(u64::MAX), idx, resp.normalized_line()));
-        if responses.len() == lines.len() {
-            break;
-        }
+        }));
     }
     if responses.len() != lines.len() {
         eprintln!(

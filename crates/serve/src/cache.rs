@@ -236,27 +236,6 @@ impl ExperimentCache {
         Ok(exp)
     }
 
-    /// Fetches the compiled experiment for `key`, compiling from
-    /// `spec` on a miss. Returns the entry and whether it was a hit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compilation failures (degenerate patch, bad rounds)
-    /// as an [`ErrorResponse`] of kind
-    /// [`bad-request`](crate::protocol::ErrorKind::BadRequest) —
-    /// compile errors are properties of the request, not the server.
-    pub fn get_or_compile(
-        &mut self,
-        key: u64,
-        spec: &ExperimentSpec,
-        id: u64,
-    ) -> Result<(Arc<CompiledExperiment>, bool), ErrorResponse> {
-        match self.lookup(key) {
-            Some(exp) => Ok((exp, true)),
-            None => Ok((self.compile(key, spec, id)?, false)),
-        }
-    }
-
     /// Runs one decode request end to end: validate, fetch or compile,
     /// then sample `shots` under the request's seed in the standard
     /// batch layout. `batched` reports how many requests of the
@@ -266,8 +245,9 @@ impl ExperimentCache {
     ///
     /// # Errors
     ///
-    /// A typed [`ErrorResponse`]: `bad-request` for validation or
-    /// compilation failures.
+    /// A typed [`ErrorResponse`] of kind `bad-request` for validation
+    /// or compilation failures (degenerate patch, bad rounds) — both
+    /// are properties of the request, not the server.
     pub fn execute(
         &mut self,
         req: &DecodeRequest,
@@ -278,18 +258,7 @@ impl ExperimentCache {
             kind: ErrorKind::BadRequest,
             detail,
         })?;
-        self.execute_keyed(request_key(req), req, batched)
-    }
-
-    /// [`Self::execute`] for a request the caller has already validated
-    /// and keyed (`key` must be its [`request_key`]): the executor's
-    /// coalescing pre-pass computes the key once per work item.
-    pub(crate) fn execute_keyed(
-        &mut self,
-        key: u64,
-        req: &DecodeRequest,
-        batched: usize,
-    ) -> Result<(LerResponse, DecodeStats), ErrorResponse> {
+        let key = request_key(req);
         let (exp, hit) = match self.lookup(key) {
             Some(exp) => (exp, true),
             None => (self.compile(key, &normalized_spec(req), req.id)?, false),

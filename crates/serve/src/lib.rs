@@ -12,16 +12,21 @@
 //!   MPMC channel and the fair per-client admission [`chan::Inbox`],
 //!   both model-checked under `RUSTFLAGS="--cfg dqec_check"`;
 //! * [`protocol`] — the JSON-lines wire protocol (typed requests,
-//!   responses, and error kinds) over the workspace's own JSON model;
+//!   responses, and error kinds) over the workspace's one JSON codec
+//!   (`dqec_chiplet::json`), and [`protocol::read_frame`], the one
+//!   length-capped UTF-8 line framer every socket and request-file
+//!   reader of the serve and dist layers goes through;
 //! * [`cache`] — the LRU [`cache::ExperimentCache`] of
 //!   [`CompiledExperiment`](dqec_chiplet::runner::CompiledExperiment)s
 //!   keyed by (patch, decoder, noise) fingerprint;
 //! * [`server`] — the accept/reader/executor/writer thread structure
-//!   with coalesced batching and end-to-end backpressure.
+//!   with coalesced batching and end-to-end backpressure, and
+//!   [`respond`], the one function that routes or refuses an op.
 //!
-//! Serving is **conformant by construction**: a served request is
-//! sampled through the same batch-seeded
-//! `sample_batches_with_seed` path a one-shot
+//! Serving is **conformant by construction**: the executor and the
+//! `--oneshot` CLI mode answer through the same [`respond`] behind the
+//! same frame limit, and a served request is sampled through the same
+//! batch-seeded `sample_batches_with_seed` path a one-shot
 //! [`Runner`](dqec_chiplet::runner::Runner) uses, so responses are
 //! bit-identical to the equivalent CLI run — the CI smoke job diffs
 //! the two. See the README "Serving" section for the protocol spec and
@@ -37,4 +42,4 @@ pub mod server;
 
 pub use cache::ExperimentCache;
 pub use protocol::{DecodeRequest, ErrorKind, MetricsResponse, Request, Response, StageSummary};
-pub use server::{metrics_snapshot, start, ServerConfig, ServerHandle};
+pub use server::{metrics_snapshot, respond, start, ServerConfig, ServerHandle};

@@ -1,6 +1,6 @@
 //! The JSON-lines wire protocol: one request object per line in, one
-//! response object per line out, over the workspace's own JSON model
-//! ([`dqec_sweep::json`] — the vendored `serde` shim is derive-only).
+//! response object per line out, over the workspace's one JSON codec
+//! ([`dqec_chiplet::json`]) and one line framer ([`read_frame`]).
 //!
 //! # Requests
 //!
@@ -32,17 +32,21 @@
 //! {"type":"pong","id":3}
 //! ```
 //!
-//! A malformed line produces one `error` response and leaves the
-//! connection open. Every response type has a **normalized** rendering
-//! ([`Response::normalized_line`]) restricted to fields that are a pure
-//! function of the request — `cache`, `batched`, and live counters are
-//! diagnostics that depend on scheduling — which is what the
-//! conformance gate diffs between a served session and a one-shot CLI
-//! run.
+//! Lines are UTF-8 and length-capped — requests at
+//! [`MAX_REQUEST_BYTES`], replies at [`MAX_REPLY_BYTES`]; a line over
+//! its cap is discarded through its newline without being buffered. A
+//! malformed, over-long or non-UTF-8 line produces one `error` response
+//! and leaves the connection open. Every response type has a
+//! **normalized** rendering ([`Response::normalized_line`]) restricted
+//! to fields that are a pure function of the request — `cache`,
+//! `batched`, and live counters are diagnostics that depend on
+//! scheduling — which is what the conformance gate diffs between a
+//! served session and a one-shot CLI run.
 
+use dqec_chiplet::json::{self, Json};
 use dqec_chiplet::runner::DecoderChoice;
 use dqec_core::{Coord, DefectSet};
-use dqec_sweep::json::{self, Json};
+use std::io::{self, BufRead, Read};
 
 /// Largest accepted patch distance (compile cost grows steeply).
 pub const MAX_DISTANCE: u32 = 21;
@@ -50,6 +54,70 @@ pub const MAX_DISTANCE: u32 = 21;
 pub const MAX_SHOTS: usize = 10_000_000;
 /// Largest accepted shard count in a `shard` dispatch.
 pub const MAX_SHARDS: u32 = 4096;
+
+/// Largest accepted request line, in bytes. The largest legal decode
+/// request (d = 21 with every qubit and coupler listed as defective)
+/// is about 32 kB.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+/// Largest accepted reply line, in bytes. A `shard-done` frame carries
+/// whole state files (120–136 B per sweep point, ×1.17 string-escaped):
+/// the largest plan in the tree, 1250 points, ships about 200 kB.
+pub const MAX_REPLY_BYTES: usize = 16 << 20;
+
+/// What [`read_frame`] found on the stream.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Frame<'a> {
+    /// One line, without its `\n` (or `\r\n`).
+    Line(&'a str),
+    /// A line over the cap or not UTF-8, with the reason. It has been
+    /// consumed through its `\n`, so the next read starts a new frame.
+    Rejected(String),
+    /// The stream ended cleanly before another frame began.
+    Eof,
+}
+
+/// Reads one `\n`-terminated frame of at most `cap` bytes into `buf`
+/// (reused across calls, never grown past `cap + 1`). Every socket and
+/// request-file reader of the serve and dist layers goes through here,
+/// so a peer that never sends `\n` cannot grow memory and a stray
+/// non-UTF-8 byte costs one frame, not the connection.
+///
+/// # Errors
+///
+/// I/O errors of the underlying reader, read timeouts included.
+pub fn read_frame<'a>(
+    reader: &mut impl BufRead,
+    buf: &'a mut Vec<u8>,
+    cap: usize,
+) -> io::Result<Frame<'a>> {
+    let limit = cap as u64 + 1;
+    buf.clear();
+    if reader.by_ref().take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(Frame::Eof);
+    }
+    if buf.last() != Some(&b'\n') && buf.len() > cap {
+        // Discard the rest of the line a bounded chunk at a time.
+        loop {
+            buf.clear();
+            let n = reader.by_ref().take(limit).read_until(b'\n', buf)?;
+            if n == 0 || buf.last() == Some(&b'\n') {
+                return Ok(Frame::Rejected(format!(
+                    "frame exceeds the {cap}-byte limit"
+                )));
+            }
+        }
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    }
+    Ok(match std::str::from_utf8(buf) {
+        Ok(line) => Frame::Line(line),
+        Err(e) => Frame::Rejected(format!("frame is not valid UTF-8: {e}")),
+    })
+}
 
 /// One parsed request line.
 #[derive(Debug, Clone, PartialEq)]
@@ -385,146 +453,101 @@ pub enum Response {
     ShardDone(ShardDoneResponse),
 }
 
-fn num(v: u64) -> Json {
-    Json::Num(v as f64)
+/// One frame's fields in wire order, written like the JSON they
+/// become; every value goes through `Json::from`. A `None` value is
+/// `null` here and omitted by the caller, never sent.
+macro_rules! fields {
+    ($($key:literal: $value:expr),* $(,)?) => {
+        vec![$(($key.to_string(), Json::from($value))),*]
+    };
 }
 
-fn coord_pair(c: Coord) -> Json {
-    Json::Arr(vec![Json::Num(f64::from(c.x)), Json::Num(f64::from(c.y))])
+/// Drops the optional fields that are absent.
+fn present(mut fields: Vec<(String, Json)>) -> Vec<(String, Json)> {
+    fields.retain(|(_, v)| *v != Json::Null);
+    fields
 }
 
 fn defects_json(d: &DefectSet) -> Json {
-    Json::Obj(vec![
-        (
-            "data".to_string(),
-            Json::Arr(d.data.iter().copied().map(coord_pair).collect()),
-        ),
-        (
-            "synd".to_string(),
-            Json::Arr(d.synd.iter().copied().map(coord_pair).collect()),
-        ),
-        (
-            "links".to_string(),
-            Json::Arr(
-                d.links
-                    .iter()
-                    .map(|&(a, b)| {
-                        Json::Arr(vec![
-                            Json::Num(f64::from(a.x)),
-                            Json::Num(f64::from(a.y)),
-                            Json::Num(f64::from(b.x)),
-                            Json::Num(f64::from(b.y)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    let site = |c: &Coord| vec![c.x, c.y];
+    let link = |(a, b): &(Coord, Coord)| vec![a.x, a.y, b.x, b.y];
+    Json::Obj(fields! {
+        "data": d.data.iter().map(site).collect::<Vec<_>>(),
+        "synd": d.synd.iter().map(site).collect::<Vec<_>>(),
+        "links": d.links.iter().map(link).collect::<Vec<_>>(),
+    })
 }
 
 impl Request {
-    /// This request as a JSON value.
-    pub fn to_json(&self) -> Json {
+    /// The client-chosen correlation id.
+    pub fn id(&self) -> u64 {
         match self {
-            Request::Ping { id } => Json::Obj(vec![
-                ("op".to_string(), Json::Str("ping".to_string())),
-                ("id".to_string(), num(*id)),
-            ]),
-            Request::Stats { id } => Json::Obj(vec![
-                ("op".to_string(), Json::Str("stats".to_string())),
-                ("id".to_string(), num(*id)),
-            ]),
-            Request::Metrics { id } => Json::Obj(vec![
-                ("op".to_string(), Json::Str("metrics".to_string())),
-                ("id".to_string(), num(*id)),
-            ]),
-            Request::Shard(r) => Json::Obj(vec![
-                ("op".to_string(), Json::Str("shard".to_string())),
-                ("id".to_string(), num(r.id)),
-                ("bin".to_string(), Json::Str(r.bin.clone())),
-                (
-                    "shard".to_string(),
-                    Json::Str(format!("{}/{}", r.index, r.count)),
-                ),
-                (
-                    "args".to_string(),
-                    Json::Arr(r.args.iter().cloned().map(Json::Str).collect()),
-                ),
-            ]),
-            Request::Decode(r) => {
-                let mut fields = vec![
-                    ("op".to_string(), Json::Str("decode".to_string())),
-                    ("id".to_string(), num(r.id)),
-                    ("d".to_string(), num(u64::from(r.d))),
-                    ("p".to_string(), Json::Num(r.p)),
-                    ("shots".to_string(), num(r.shots as u64)),
-                    ("seed".to_string(), num(r.seed)),
-                    (
-                        "decoder".to_string(),
-                        Json::Str(r.decoder.name().to_string()),
-                    ),
-                ];
-                if let Some(rounds) = r.rounds {
-                    fields.push(("rounds".to_string(), num(u64::from(rounds))));
-                }
-                if !r.defects.is_empty() {
-                    fields.push(("defects".to_string(), defects_json(&r.defects)));
-                }
-                Json::Obj(fields)
-            }
+            Request::Ping { id } | Request::Stats { id } | Request::Metrics { id } => *id,
+            Request::Decode(r) => r.id,
+            Request::Shard(r) => r.id,
         }
     }
 
     /// This request as one wire line (no trailing newline).
     pub fn render_line(&self) -> String {
-        self.to_json().render()
+        let fields = match self {
+            Request::Ping { id } => fields! { "op": "ping", "id": *id },
+            Request::Stats { id } => fields! { "op": "stats", "id": *id },
+            Request::Metrics { id } => fields! { "op": "metrics", "id": *id },
+            Request::Shard(r) => fields! {
+                "op": "shard",
+                "id": r.id,
+                "bin": r.bin.as_str(),
+                "shard": format!("{}/{}", r.index, r.count),
+                "args": r.args.clone(),
+            },
+            Request::Decode(r) => fields! {
+                "op": "decode",
+                "id": r.id,
+                "d": r.d,
+                "p": r.p,
+                "shots": r.shots,
+                "seed": r.seed,
+                "decoder": r.decoder.name(),
+                "rounds": r.rounds,
+                "defects": (!r.defects.is_empty()).then(|| defects_json(&r.defects)),
+            },
+        };
+        Json::Obj(present(fields)).render()
     }
 }
 
-fn get_u64(obj: &Json, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-}
-
-fn get_coord(v: &Json, what: &str) -> Result<Coord, String> {
+/// Reads `N` coordinates of one defect entry. Each must be an exact
+/// integer in `i32` range: a cast would fold `1.5` or `2e300` onto a
+/// different, valid site and alias another request's cache key.
+fn parse_coords<const N: usize>(v: &Json, what: &str) -> Result<[i32; N], String> {
     let arr = v.as_arr().ok_or_else(|| format!("{what}: not an array"))?;
-    if arr.len() != 2 {
-        return Err(format!("{what}: need [x, y]"));
+    if arr.len() != N {
+        return Err(format!("{what}: need {N} coordinates"));
     }
-    let x = arr[0]
-        .as_f64()
-        .ok_or_else(|| format!("{what}: non-numeric x"))?;
-    let y = arr[1]
-        .as_f64()
-        .ok_or_else(|| format!("{what}: non-numeric y"))?;
-    Ok(Coord::new(x as i32, y as i32))
+    let mut xs = [0i32; N];
+    for (slot, v) in xs.iter_mut().zip(arr) {
+        *slot = v
+            .as_int()
+            .ok_or_else(|| format!("{what}: coordinates must be integers in i32 range"))?;
+    }
+    Ok(xs)
 }
 
 fn parse_defects(v: &Json) -> Result<DefectSet, String> {
     let mut out = DefectSet::new();
-    if let Some(items) = v.get("data").and_then(Json::as_arr) {
-        for item in items {
-            out.add_data(get_coord(item, "defects.data")?);
-        }
+    let items = |key: &str| v.get(key).and_then(Json::as_arr).unwrap_or_default();
+    for item in items("data") {
+        let [x, y] = parse_coords(item, "defects.data")?;
+        out.add_data(Coord::new(x, y));
     }
-    if let Some(items) = v.get("synd").and_then(Json::as_arr) {
-        for item in items {
-            out.add_synd(get_coord(item, "defects.synd")?);
-        }
+    for item in items("synd") {
+        let [x, y] = parse_coords(item, "defects.synd")?;
+        out.add_synd(Coord::new(x, y));
     }
-    if let Some(items) = v.get("links").and_then(Json::as_arr) {
-        for item in items {
-            let arr = item.as_arr().ok_or("defects.links: not an array")?;
-            if arr.len() != 4 {
-                return Err("defects.links: need [dx, dy, fx, fy]".to_string());
-            }
-            let mut xs = [0i32; 4];
-            for (slot, v) in xs.iter_mut().zip(arr) {
-                *slot = v.as_f64().ok_or("defects.links: non-numeric entry")? as i32;
-            }
-            out.add_link(Coord::new(xs[0], xs[1]), Coord::new(xs[2], xs[3]));
-        }
+    for item in items("links") {
+        let [dx, dy, fx, fy] = parse_coords(item, "defects.links")?;
+        out.add_link(Coord::new(dx, dy), Coord::new(fx, fy));
     }
     Ok(out)
 }
@@ -537,214 +560,153 @@ fn parse_defects(v: &Json) -> Result<DefectSet, String> {
 /// was recoverable so the error response can still be correlated.
 pub fn parse_request(line: &str) -> Result<Request, (Option<u64>, String)> {
     let obj = json::parse(line).map_err(|e| (None, format!("malformed JSON: {e}")))?;
-    let id = obj.get("id").and_then(Json::as_u64);
-    let fail = |msg: String| (id, msg);
-    let op = obj
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or_else(|| fail("missing string field \"op\"".to_string()))?;
-    match op {
-        "ping" => Ok(Request::Ping {
-            id: get_u64(&obj, "id").map_err(fail)?,
-        }),
-        "stats" => Ok(Request::Stats {
-            id: get_u64(&obj, "id").map_err(fail)?,
-        }),
-        "metrics" => Ok(Request::Metrics {
-            id: get_u64(&obj, "id").map_err(fail)?,
-        }),
+    request_from(&obj).map_err(|reason| (obj.get("id").and_then(Json::as_u64), reason))
+}
+
+fn request_from(obj: &Json) -> Result<Request, String> {
+    let id = || obj.uint_field("id");
+    match obj.str_field("op")? {
+        "ping" => Ok(Request::Ping { id: id()? }),
+        "stats" => Ok(Request::Stats { id: id()? }),
+        "metrics" => Ok(Request::Metrics { id: id()? }),
         "decode" => {
             let decoder = match obj.get("decoder").and_then(Json::as_str) {
                 None => DecoderChoice::default(),
-                Some(name) => DecoderChoice::parse(name).map_err(fail)?,
+                Some(name) => DecoderChoice::parse(name)?,
             };
             let req = DecodeRequest {
-                id: get_u64(&obj, "id").map_err(fail)?,
-                d: u32::try_from(get_u64(&obj, "d").map_err(fail)?)
-                    .map_err(|_| fail("d out of range".to_string()))?,
-                p: obj
-                    .get("p")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| fail("missing or non-numeric field \"p\"".to_string()))?,
-                rounds: match obj.get("rounds") {
-                    None | Some(Json::Null) => None,
-                    Some(v) => Some(
-                        v.as_u64()
-                            .and_then(|r| u32::try_from(r).ok())
-                            .ok_or_else(|| fail("non-integer field \"rounds\"".to_string()))?,
-                    ),
+                id: id()?,
+                d: obj.uint_field("d")?,
+                p: obj.f64_field("p")?,
+                rounds: match obj.opt("rounds") {
+                    None => None,
+                    Some(v) => Some(v.as_int().ok_or("non-integer field \"rounds\"")?),
                 },
-                shots: get_u64(&obj, "shots").map_err(fail)? as usize,
-                seed: get_u64(&obj, "seed").map_err(fail)?,
+                shots: obj.uint_field("shots")?,
+                seed: obj.uint_field("seed")?,
                 decoder,
-                defects: match obj.get("defects") {
-                    None | Some(Json::Null) => DefectSet::new(),
-                    Some(v) => parse_defects(v).map_err(fail)?,
-                },
+                defects: obj
+                    .opt("defects")
+                    .map_or_else(|| Ok(DefectSet::new()), parse_defects)?,
             };
-            req.validate().map_err(fail)?;
+            req.validate()?;
             Ok(Request::Decode(req))
         }
         "shard" => {
             let spec = obj
-                .get("shard")
-                .and_then(Json::as_str)
-                .ok_or_else(|| fail("missing string field \"shard\" (\"I/N\")".to_string()))?;
+                .str_field("shard")
+                .map_err(|e| format!("{e} (\"I/N\")"))?;
             let (index, count) = spec
                 .split_once('/')
                 .and_then(|(i, n)| Some((i.parse().ok()?, n.parse().ok()?)))
-                .ok_or_else(|| fail(format!("shard spec {spec:?} is not of the form I/N")))?;
-            let args = match obj.get("args") {
-                None | Some(Json::Null) => Vec::new(),
-                Some(v) => v
-                    .as_arr()
-                    .ok_or_else(|| fail("\"args\" must be an array of strings".to_string()))?
-                    .iter()
-                    .map(|a| {
-                        a.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| fail("\"args\" must be an array of strings".to_string()))
-                    })
-                    .collect::<Result<_, _>>()?,
+                .ok_or_else(|| format!("shard spec {spec:?} is not of the form I/N"))?;
+            let strings = |v: &Json| {
+                let items = v.as_arr()?.iter();
+                items.map(|a| a.as_str().map(str::to_string)).collect()
             };
+            let args = obj
+                .opt("args")
+                .map_or_else(|| Some(Vec::new()), strings)
+                .ok_or("\"args\" must be an array of strings")?;
             let req = ShardRequest {
-                id: get_u64(&obj, "id").map_err(fail)?,
-                bin: obj
-                    .get("bin")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| fail("missing string field \"bin\"".to_string()))?
-                    .to_string(),
+                id: id()?,
+                bin: obj.str_field("bin")?.to_string(),
                 index,
                 count,
                 args,
             };
-            req.validate().map_err(fail)?;
+            req.validate()?;
             Ok(Request::Shard(req))
         }
-        other => Err(fail(format!("unknown op {other:?}"))),
+        other => Err(format!("unknown op {other:?}")),
     }
 }
 
 impl Response {
-    /// This response as a JSON value (all fields, diagnostics
-    /// included).
-    pub fn to_json(&self) -> Json {
-        match self {
-            Response::Pong { id } => Json::Obj(vec![
-                ("type".to_string(), Json::Str("pong".to_string())),
-                ("id".to_string(), num(*id)),
-            ]),
-            Response::ShardProgress { id } => Json::Obj(vec![
-                ("type".to_string(), Json::Str("shard-progress".to_string())),
-                ("id".to_string(), num(*id)),
-            ]),
-            Response::ShardDone(r) => Json::Obj(vec![
-                ("type".to_string(), Json::Str("shard-done".to_string())),
-                ("id".to_string(), num(r.id)),
-                (
-                    "states".to_string(),
-                    Json::Arr(
-                        r.states
-                            .iter()
-                            .map(|s| {
-                                Json::Obj(vec![
-                                    ("file".to_string(), Json::Str(s.file.clone())),
-                                    ("doc".to_string(), Json::Str(s.doc.clone())),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Response::Error(e) => {
-                let mut fields = vec![("type".to_string(), Json::Str("error".to_string()))];
-                if let Some(id) = e.id {
-                    fields.push(("id".to_string(), num(id)));
-                }
-                fields.push(("error".to_string(), Json::Str(e.kind.as_str().to_string())));
-                fields.push(("detail".to_string(), Json::Str(e.detail.clone())));
-                Json::Obj(fields)
-            }
-            Response::Ler(r) => Json::Obj(vec![
-                ("type".to_string(), Json::Str("ler".to_string())),
-                ("id".to_string(), num(r.id)),
-                ("d".to_string(), num(u64::from(r.d))),
-                ("p".to_string(), Json::Num(r.p)),
-                ("rounds".to_string(), num(u64::from(r.rounds))),
-                (
-                    "decoder".to_string(),
-                    Json::Str(r.decoder.name().to_string()),
-                ),
-                ("seed".to_string(), num(r.seed)),
-                ("shots".to_string(), num(r.shots as u64)),
-                ("failures".to_string(), num(r.failures)),
-                ("ler".to_string(), Json::Num(r.ler())),
-                (
-                    "cache".to_string(),
-                    Json::Str(if r.cache_hit { "hit" } else { "miss" }.to_string()),
-                ),
-                ("batched".to_string(), num(r.batched as u64)),
-            ]),
-            Response::Stats(s) => Json::Obj(vec![
-                ("type".to_string(), Json::Str("stats".to_string())),
-                ("id".to_string(), num(s.id)),
-                ("served".to_string(), num(s.served)),
-                ("rejected".to_string(), num(s.rejected)),
-                ("cache_hits".to_string(), num(s.cache_hits)),
-                ("cache_misses".to_string(), num(s.cache_misses)),
-                ("cache_evictions".to_string(), num(s.cache_evictions)),
-                ("cache_entries".to_string(), num(s.cache_entries)),
-                ("syndrome_hits".to_string(), num(s.syndrome_hits)),
-                ("syndrome_misses".to_string(), num(s.syndrome_misses)),
-                ("pool_workers".to_string(), num(s.pool_workers)),
-                ("coalesce_hits".to_string(), num(s.coalesce_hits)),
-            ]),
-            Response::Metrics(m) => Json::Obj(vec![
-                ("type".to_string(), Json::Str("metrics".to_string())),
-                ("id".to_string(), num(m.id)),
-                (
-                    "stages".to_string(),
-                    Json::Arr(
-                        m.stages
-                            .iter()
-                            .map(|s| {
-                                Json::Obj(vec![
-                                    ("name".to_string(), Json::Str(s.name.clone())),
-                                    ("count".to_string(), num(s.count)),
-                                    ("p50_us".to_string(), Json::Num(s.p50_us)),
-                                    ("p99_us".to_string(), Json::Num(s.p99_us)),
-                                    ("p999_us".to_string(), Json::Num(s.p999_us)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "counters".to_string(),
-                    Json::Obj(
-                        m.counters
-                            .iter()
-                            .map(|(k, v)| (k.clone(), num(*v)))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "gauges".to_string(),
-                    Json::Obj(
-                        m.gauges
-                            .iter()
-                            .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-                            .collect(),
-                    ),
-                ),
-                ("prometheus".to_string(), Json::Str(m.prometheus.clone())),
-            ]),
-        }
+    /// The typed `bad-request` error: the reply to a frame that never
+    /// became a request, or to an op the answering service refuses.
+    pub fn bad_request(id: Option<u64>, detail: String) -> Response {
+        let kind = ErrorKind::BadRequest;
+        Response::Error(ErrorResponse { id, kind, detail })
     }
 
-    /// This response as one wire line (no trailing newline).
+    /// The fields of this response's JSON object, diagnostics included.
+    fn fields(&self) -> Vec<(String, Json)> {
+        present(match self {
+            Response::Pong { id } => fields! { "type": "pong", "id": *id },
+            Response::ShardProgress { id } => fields! { "type": "shard-progress", "id": *id },
+            Response::ShardDone(r) => {
+                let state = |s: &ShardStateFile| {
+                    Json::Obj(fields! { "file": s.file.as_str(), "doc": s.doc.as_str() })
+                };
+                fields! {
+                    "type": "shard-done",
+                    "id": r.id,
+                    "states": r.states.iter().map(state).collect::<Vec<_>>(),
+                }
+            }
+            Response::Error(e) => fields! {
+                "type": "error",
+                "id": e.id,
+                "error": e.kind.as_str(),
+                "detail": e.detail.as_str(),
+            },
+            Response::Ler(r) => fields! {
+                "type": "ler",
+                "id": r.id,
+                "d": r.d,
+                "p": r.p,
+                "rounds": r.rounds,
+                "decoder": r.decoder.name(),
+                "seed": r.seed,
+                "shots": r.shots,
+                "failures": r.failures,
+                "ler": r.ler(),
+                "cache": if r.cache_hit { "hit" } else { "miss" },
+                "batched": r.batched,
+            },
+            Response::Stats(s) => fields! {
+                "type": "stats",
+                "id": s.id,
+                "served": s.served,
+                "rejected": s.rejected,
+                "cache_hits": s.cache_hits,
+                "cache_misses": s.cache_misses,
+                "cache_evictions": s.cache_evictions,
+                "cache_entries": s.cache_entries,
+                "syndrome_hits": s.syndrome_hits,
+                "syndrome_misses": s.syndrome_misses,
+                "pool_workers": s.pool_workers,
+                "coalesce_hits": s.coalesce_hits,
+            },
+            Response::Metrics(m) => {
+                let counters = m.counters.iter().map(|(k, v)| (k.as_str(), (*v).into()));
+                let gauges = m.gauges.iter().map(|(k, v)| (k.as_str(), (*v).into()));
+                let stage = |s: &StageSummary| {
+                    Json::Obj(fields! {
+                        "name": s.name.as_str(),
+                        "count": s.count,
+                        "p50_us": s.p50_us,
+                        "p99_us": s.p99_us,
+                        "p999_us": s.p999_us,
+                    })
+                };
+                fields! {
+                    "type": "metrics",
+                    "id": m.id,
+                    "stages": m.stages.iter().map(stage).collect::<Vec<_>>(),
+                    "counters": Json::obj(counters),
+                    "gauges": Json::obj(gauges),
+                    "prometheus": m.prometheus.as_str(),
+                }
+            }
+        })
+    }
+
+    /// This response as one wire line (no trailing newline), all
+    /// fields and diagnostics included.
     pub fn render_line(&self) -> String {
-        self.to_json().render()
+        Json::Obj(self.fields()).render()
     }
 
     /// The deterministic rendering used by the conformance gate: only
@@ -752,53 +714,20 @@ impl Response {
     /// `cache`/`batched`, counter values, and error detail text are
     /// dropped.
     pub fn normalized_line(&self) -> String {
-        match self {
+        let keep: fn(&str) -> bool = match self {
+            Response::Ler(_) => |k| !matches!(k, "cache" | "batched"),
+            Response::Error(_) => |k| matches!(k, "type" | "id" | "error"),
+            // Shard state files are bit-exact by construction, so the
+            // whole frame is a pure function of the request.
+            Response::ShardDone(_) => |_| true,
             Response::Pong { .. }
             | Response::Stats(_)
             | Response::Metrics(_)
-            | Response::ShardProgress { .. } => {
-                let keep = ["type", "id"];
-                let Json::Obj(fields) = self.to_json() else {
-                    unreachable!("responses render as objects")
-                };
-                Json::Obj(
-                    fields
-                        .into_iter()
-                        .filter(|(k, _)| keep.contains(&k.as_str()))
-                        .collect(),
-                )
-                .render()
-            }
-            Response::Error(_) => {
-                let keep = ["type", "id", "error"];
-                let Json::Obj(fields) = self.to_json() else {
-                    unreachable!("responses render as objects")
-                };
-                Json::Obj(
-                    fields
-                        .into_iter()
-                        .filter(|(k, _)| keep.contains(&k.as_str()))
-                        .collect(),
-                )
-                .render()
-            }
-            // Shard state files are bit-exact by construction, so the
-            // whole frame is a pure function of the request.
-            Response::ShardDone(_) => self.to_json().render(),
-            Response::Ler(_) => {
-                let drop = ["cache", "batched"];
-                let Json::Obj(fields) = self.to_json() else {
-                    unreachable!("responses render as objects")
-                };
-                Json::Obj(
-                    fields
-                        .into_iter()
-                        .filter(|(k, _)| !drop.contains(&k.as_str()))
-                        .collect(),
-                )
-                .render()
-            }
-        }
+            | Response::ShardProgress { .. } => |k| matches!(k, "type" | "id"),
+        };
+        let mut fields = self.fields();
+        fields.retain(|(k, _)| keep(k));
+        Json::Obj(fields).render()
     }
 
     /// The id this response correlates to, when it carries one.
@@ -822,139 +751,85 @@ impl Response {
 /// A human-readable reason on malformed input.
 pub fn parse_response(line: &str) -> Result<Response, String> {
     let obj = json::parse(line).map_err(|e| format!("malformed JSON: {e}"))?;
-    let ty = obj
-        .get("type")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"type\"")?;
-    match ty {
-        "pong" => Ok(Response::Pong {
-            id: get_u64(&obj, "id")?,
-        }),
-        "shard-progress" => Ok(Response::ShardProgress {
-            id: get_u64(&obj, "id")?,
-        }),
+    let id = || obj.uint_field("id");
+    match obj.str_field("type")? {
+        "pong" => Ok(Response::Pong { id: id()? }),
+        "shard-progress" => Ok(Response::ShardProgress { id: id()? }),
         "shard-done" => Ok(Response::ShardDone(ShardDoneResponse {
-            id: get_u64(&obj, "id")?,
+            id: id()?,
             states: obj
-                .get("states")
-                .and_then(Json::as_arr)
-                .ok_or("missing array field \"states\"")?
+                .arr_field("states")?
                 .iter()
                 .map(|s| {
-                    let field = |key: &str| {
-                        s.get(key)
-                            .and_then(Json::as_str)
-                            .map(str::to_string)
-                            .ok_or_else(|| format!("state entry missing string {key:?}"))
-                    };
                     Ok(ShardStateFile {
-                        file: field("file")?,
-                        doc: field("doc")?,
+                        file: s.str_field("file")?.to_string(),
+                        doc: s.str_field("doc")?.to_string(),
                     })
                 })
                 .collect::<Result<_, String>>()?,
         })),
         "error" => Ok(Response::Error(ErrorResponse {
             id: obj.get("id").and_then(Json::as_u64),
-            kind: ErrorKind::parse(
-                obj.get("error")
-                    .and_then(Json::as_str)
-                    .ok_or("missing string field \"error\"")?,
-            )?,
-            detail: obj
-                .get("detail")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
+            kind: ErrorKind::parse(obj.str_field("error")?)?,
+            detail: obj.str_field("detail").unwrap_or_default().to_string(),
         })),
         "ler" => Ok(Response::Ler(LerResponse {
-            id: get_u64(&obj, "id")?,
-            d: u32::try_from(get_u64(&obj, "d")?).map_err(|_| "d out of range".to_string())?,
-            p: obj
-                .get("p")
-                .and_then(Json::as_f64)
-                .ok_or("missing or non-numeric field \"p\"")?,
-            rounds: u32::try_from(get_u64(&obj, "rounds")?)
-                .map_err(|_| "rounds out of range".to_string())?,
-            decoder: DecoderChoice::parse(
-                obj.get("decoder")
-                    .and_then(Json::as_str)
-                    .ok_or("missing string field \"decoder\"")?,
-            )?,
-            seed: get_u64(&obj, "seed")?,
-            shots: get_u64(&obj, "shots")? as usize,
-            failures: get_u64(&obj, "failures")?,
-            cache_hit: obj.get("cache").and_then(Json::as_str) == Some("hit"),
-            batched: obj.get("batched").and_then(Json::as_u64).unwrap_or(1) as usize,
+            id: id()?,
+            d: obj.uint_field("d")?,
+            p: obj.f64_field("p")?,
+            rounds: obj.uint_field("rounds")?,
+            decoder: DecoderChoice::parse(obj.str_field("decoder")?)?,
+            seed: obj.uint_field("seed")?,
+            shots: obj.uint_field("shots")?,
+            failures: obj.uint_field("failures")?,
+            cache_hit: obj.str_field("cache") == Ok("hit"),
+            batched: obj.uint_field("batched").unwrap_or(1),
         })),
         "stats" => Ok(Response::Stats(StatsResponse {
-            id: get_u64(&obj, "id")?,
-            served: get_u64(&obj, "served")?,
-            rejected: get_u64(&obj, "rejected")?,
-            cache_hits: get_u64(&obj, "cache_hits")?,
-            cache_misses: get_u64(&obj, "cache_misses")?,
-            cache_evictions: get_u64(&obj, "cache_evictions")?,
-            cache_entries: get_u64(&obj, "cache_entries")?,
-            syndrome_hits: get_u64(&obj, "syndrome_hits")?,
-            syndrome_misses: get_u64(&obj, "syndrome_misses")?,
-            pool_workers: get_u64(&obj, "pool_workers")?,
+            id: id()?,
+            served: obj.uint_field("served")?,
+            rejected: obj.uint_field("rejected")?,
+            cache_hits: obj.uint_field("cache_hits")?,
+            cache_misses: obj.uint_field("cache_misses")?,
+            cache_evictions: obj.uint_field("cache_evictions")?,
+            cache_entries: obj.uint_field("cache_entries")?,
+            syndrome_hits: obj.uint_field("syndrome_hits")?,
+            syndrome_misses: obj.uint_field("syndrome_misses")?,
+            pool_workers: obj.uint_field("pool_workers")?,
             // Absent in pre-observability responses: default 0.
-            coalesce_hits: obj.get("coalesce_hits").and_then(Json::as_u64).unwrap_or(0),
+            coalesce_hits: obj.uint_field("coalesce_hits").unwrap_or(0),
         })),
         "metrics" => {
             let stages = obj
-                .get("stages")
-                .and_then(Json::as_arr)
-                .ok_or("missing array field \"stages\"")?
+                .arr_field("stages")?
                 .iter()
                 .map(|s| {
-                    let f = |key: &str| {
-                        s.get(key)
-                            .and_then(Json::as_f64)
-                            .ok_or_else(|| format!("stage missing numeric {key:?}"))
-                    };
                     Ok(StageSummary {
-                        name: s
-                            .get("name")
-                            .and_then(Json::as_str)
-                            .ok_or("stage missing string \"name\"")?
-                            .to_string(),
-                        count: get_u64(s, "count")?,
-                        p50_us: f("p50_us")?,
-                        p99_us: f("p99_us")?,
-                        p999_us: f("p999_us")?,
+                        name: s.str_field("name")?.to_string(),
+                        count: s.uint_field("count")?,
+                        p50_us: s.f64_field("p50_us")?,
+                        p99_us: s.f64_field("p99_us")?,
+                        p999_us: s.f64_field("p999_us")?,
                     })
                 })
-                .collect::<Result<Vec<_>, String>>()?;
-            let kv = |key: &str| -> Result<Vec<(String, f64)>, String> {
-                match obj.get(key) {
-                    Some(Json::Obj(fields)) => fields
-                        .iter()
-                        .map(|(k, v)| {
-                            v.as_f64()
-                                .map(|v| (k.clone(), v))
-                                .ok_or_else(|| format!("non-numeric entry in {key:?}"))
-                        })
-                        .collect(),
-                    _ => Err(format!("missing object field {key:?}")),
-                }
-            };
+                .collect::<Result<_, String>>()?;
+            // One name → integer map (`counters` or `gauges`).
+            fn int_map<T: TryFrom<i64>>(obj: &Json, key: &str) -> Result<Vec<(String, T)>, String> {
+                let Some(Json::Obj(fields)) = obj.get(key) else {
+                    return Err(format!("missing object field {key:?}"));
+                };
+                fields
+                    .iter()
+                    .map(|(k, v)| Some((k.clone(), v.as_int()?)))
+                    .collect::<Option<_>>()
+                    .ok_or_else(|| format!("non-integer entry in {key:?}"))
+            }
             Ok(Response::Metrics(MetricsResponse {
-                id: get_u64(&obj, "id")?,
+                id: id()?,
                 stages,
-                counters: kv("counters")?
-                    .into_iter()
-                    .map(|(k, v)| (k, v as u64))
-                    .collect(),
-                gauges: kv("gauges")?
-                    .into_iter()
-                    .map(|(k, v)| (k, v as i64))
-                    .collect(),
-                prometheus: obj
-                    .get("prometheus")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
+                counters: int_map(&obj, "counters")?,
+                gauges: int_map(&obj, "gauges")?,
+                prometheus: obj.str_field("prometheus").unwrap_or_default().to_string(),
             }))
         }
         other => Err(format!("unknown response type {other:?}")),
@@ -1024,6 +899,16 @@ mod tests {
             (
                 r#"{"op":"decode","id":1,"d":5,"p":0.003,"shots":10,"seed":0,"rounds":0}"#,
                 "rounds must",
+            ),
+            // Coordinates are exact `i32`s: a cast would accept these as
+            // (1, i32::MAX) and alias a different defect's cache key.
+            (
+                r#"{"op":"decode","id":1,"d":5,"p":0.003,"shots":10,"seed":0,"defects":{"data":[[1.5,3]]}}"#,
+                "defects.data: coordinates must be integers",
+            ),
+            (
+                r#"{"op":"decode","id":1,"d":5,"p":0.003,"shots":10,"seed":0,"defects":{"links":[[1,1,2,2e300]]}}"#,
+                "defects.links: coordinates must be integers",
             ),
         ] {
             let (_, msg) = parse_request(line).unwrap_err();

@@ -10,16 +10,20 @@
 //!
 //! Division of labour:
 //!
-//! * **reader** — parses each line; malformed input is answered with a
-//!   typed `bad-request` error *on the same connection* (framing
-//!   errors never tear the connection down), pings are answered
-//!   inline, decode/stats work is admitted through
-//!   [`Inbox::try_push`]; a full queue becomes a typed `backpressure`
-//!   error.
+//! * **reader** — frames the socket with [`protocol::read_frame`] and
+//!   parses each line. A frame that never becomes a request — over
+//!   [`protocol::MAX_REQUEST_BYTES`], not UTF-8, not JSON, a bad field
+//!   — is answered with a typed `bad-request` error *on the same
+//!   connection* (framing errors never tear the connection down);
+//!   every parsed request, whatever its op, is admitted through
+//!   [`Inbox::try_push`], so one connection's replies come back in
+//!   request order; a full queue becomes a typed `backpressure` error.
 //! * **executor** — drains up to `batch_max` requests round-robin
 //!   across clients, counts how many of them share each compiled
-//!   experiment (the coalescing diagnostic), then executes in arrival
-//!   order against the [`ExperimentCache`]; the actual Monte-Carlo
+//!   experiment (the coalescing diagnostic), then answers in arrival
+//!   order through [`respond`] — the one place the decode service
+//!   routes or refuses an op, shared with the `--oneshot` CLI mode so
+//!   served == one-shot holds by construction; the actual Monte-Carlo
 //!   decode fans out on the resident worker pool via the `rayon` shim.
 //! * **writer** — drains the connection's bounded response channel to
 //!   the socket, decoupling slow clients from the executor up to the
@@ -32,15 +36,15 @@
 use crate::cache::ExperimentCache;
 use crate::chan::{Bounded, Inbox, PushError};
 use crate::protocol::{
-    self, DecodeRequest, ErrorKind, ErrorResponse, LerResponse, MetricsResponse, Request, Response,
-    StageSummary, StatsResponse,
+    self, ErrorKind, ErrorResponse, Frame, MetricsResponse, Request, Response, StageSummary,
+    StatsResponse,
 };
 use dqec_check::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use dqec_check::sync::Mutex;
 use dqec_check::thread;
 use dqec_obs::{trace, Clock};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, OnceLock, PoisonError};
 
@@ -105,6 +109,18 @@ impl Default for Metrics {
     }
 }
 
+impl Metrics {
+    /// Counts one reply: a `ler` as served, a typed error as rejected.
+    pub fn count(&self, response: &Response) {
+        let counter = match response {
+            Response::Ler(_) => &self.served,
+            Response::Error(_) => &self.rejected,
+            _ => return,
+        };
+        counter.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
 /// Interned handles to the pipeline-stage latency histograms (ns).
 struct Stages {
     queue_wait: &'static dqec_obs::Histogram,
@@ -126,15 +142,9 @@ fn stages() -> &'static Stages {
 
 struct WorkItem {
     reply: Bounded<String>,
-    kind: WorkKind,
+    request: Request,
     /// Obs-clock timestamp at admission, for the queue-wait histogram.
     admitted_ns: u64,
-}
-
-enum WorkKind {
-    Decode(DecodeRequest),
-    Stats { id: u64 },
-    Metrics { id: u64 },
 }
 
 struct Shared {
@@ -148,7 +158,9 @@ struct Shared {
 }
 
 impl Shared {
-    fn send_response(reply: &Bounded<String>, resp: &Response) {
+    /// Counts `resp` and queues it for the connection's writer.
+    fn send_response(&self, reply: &Bounded<String>, resp: &Response) {
+        self.metrics.count(resp);
         let t0 = Clock::now_ns();
         let line = resp.render_line();
         stages()
@@ -173,11 +185,6 @@ impl ServerHandle {
     /// The bound listen address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Live counters.
-    pub fn metrics(&self) -> &Metrics {
-        &self.shared.metrics
     }
 
     /// Stops the server: closes the listener, shuts every connection
@@ -317,58 +324,20 @@ fn writer_loop(mut stream: TcpStream, reply: &Bounded<String>) {
 
 fn reader_loop(stream: TcpStream, shared: &Arc<Shared>, reply: &Bounded<String>) {
     let slot = shared.inbox.register();
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        let parsed = match protocol::read_frame(&mut reader, &mut buf, protocol::MAX_REQUEST_BYTES)
+        {
+            Ok(Frame::Line(line)) if line.trim().is_empty() => continue,
+            Ok(Frame::Line(line)) => protocol::parse_request(line),
+            Ok(Frame::Rejected(reason)) => Err((None, reason)),
+            Ok(Frame::Eof) | Err(_) => break,
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match protocol::parse_request(&line) {
-            Err((id, detail)) => {
-                // Framing/validation errors answer in place and keep
-                // the connection alive.
-                shared.metrics.rejected.fetch_add(1, Ordering::SeqCst);
-                Shared::send_response(
-                    reply,
-                    &Response::Error(ErrorResponse {
-                        id,
-                        kind: ErrorKind::BadRequest,
-                        detail,
-                    }),
-                );
-            }
-            Ok(Request::Ping { id }) => {
-                Shared::send_response(reply, &Response::Pong { id });
-            }
-            Ok(Request::Stats { id }) => {
-                admit(shared, reply, slot, WorkKind::Stats { id }, Some(id));
-            }
-            Ok(Request::Metrics { id }) => {
-                admit(shared, reply, slot, WorkKind::Metrics { id }, Some(id));
-            }
-            Ok(Request::Decode(req)) => {
-                let id = req.id;
-                admit(shared, reply, slot, WorkKind::Decode(req), Some(id));
-            }
-            Ok(Request::Shard(req)) => {
-                // Shard dispatch is the dqec_dist agent's job; the
-                // decode server shares the frame format but not the
-                // role.
-                shared.metrics.rejected.fetch_add(1, Ordering::SeqCst);
-                Shared::send_response(
-                    reply,
-                    &Response::Error(ErrorResponse {
-                        id: Some(req.id),
-                        kind: ErrorKind::BadRequest,
-                        detail: "this is the decode server; shard jobs go to a \
-                                 `dqec_dist agent` endpoint"
-                            .to_string(),
-                    }),
-                );
-            }
+        match parsed {
+            Ok(request) => admit(shared, reply, slot, request),
+            // Answered in place; the connection stays usable.
+            Err((id, detail)) => shared.send_response(reply, &Response::bad_request(id, detail)),
         }
     }
     shared.inbox.deregister(slot);
@@ -377,46 +346,29 @@ fn reader_loop(stream: TcpStream, shared: &Arc<Shared>, reply: &Bounded<String>)
     reply.close();
 }
 
-fn admit(
-    shared: &Arc<Shared>,
-    reply: &Bounded<String>,
-    slot: usize,
-    kind: WorkKind,
-    id: Option<u64>,
-) {
+fn admit(shared: &Arc<Shared>, reply: &Bounded<String>, slot: usize, request: Request) {
+    let id = request.id();
     let item = WorkItem {
         reply: reply.clone(),
-        kind,
+        request,
         admitted_ns: Clock::now_ns(),
     };
-    match shared.inbox.try_push(slot, item) {
-        Ok(()) => {}
-        Err(PushError::Full) => {
-            shared.metrics.rejected.fetch_add(1, Ordering::SeqCst);
-            Shared::send_response(
-                reply,
-                &Response::Error(ErrorResponse {
-                    id,
-                    kind: ErrorKind::Backpressure,
-                    detail: format!(
-                        "admission queue full (capacity {}); retry later",
-                        shared.config.queue_capacity
-                    ),
-                }),
-            );
-        }
-        Err(PushError::Closed) => {
-            shared.metrics.rejected.fetch_add(1, Ordering::SeqCst);
-            Shared::send_response(
-                reply,
-                &Response::Error(ErrorResponse {
-                    id,
-                    kind: ErrorKind::Unavailable,
-                    detail: "server is shutting down".to_string(),
-                }),
-            );
-        }
-    }
+    let (kind, detail) = match shared.inbox.try_push(slot, item) {
+        Ok(()) => return,
+        Err(PushError::Full) => (
+            ErrorKind::Backpressure,
+            format!(
+                "admission queue full (capacity {}); retry later",
+                shared.config.queue_capacity
+            ),
+        ),
+        Err(PushError::Closed) => (
+            ErrorKind::Unavailable,
+            "server is shutting down".to_string(),
+        ),
+    };
+    let id = Some(id);
+    shared.send_response(reply, &Response::Error(ErrorResponse { id, kind, detail }));
 }
 
 fn executor_loop(shared: &Arc<Shared>) {
@@ -434,8 +386,8 @@ fn executor_loop(shared: &Arc<Shared>) {
         let mut group_sizes: BTreeMap<u64, usize> = BTreeMap::new();
         let mut keys: Vec<Option<u64>> = Vec::with_capacity(batch.len());
         for item in &batch {
-            match &item.kind {
-                WorkKind::Decode(req) if req.validate().is_ok() => {
+            match &item.request {
+                Request::Decode(req) if req.validate().is_ok() => {
                     let key = crate::cache::request_key(req);
                     *group_sizes.entry(key).or_insert(0) += 1;
                     keys.push(Some(key));
@@ -447,62 +399,71 @@ fn executor_loop(shared: &Arc<Shared>) {
         // shots) are pure-function duplicates: compute once, share the
         // response (re-correlated per request id) instead of repeating
         // the Monte-Carlo run.
-        let mut computed: BTreeMap<(u64, u64, u64), Result<LerResponse, ErrorResponse>> =
-            BTreeMap::new();
+        let mut computed: BTreeMap<(u64, u64, u64), Response> = BTreeMap::new();
         for (item, key) in batch.into_iter().zip(keys) {
             stages()
                 .queue_wait
                 .record(Clock::now_ns().saturating_sub(item.admitted_ns));
-            match item.kind {
-                WorkKind::Stats { id } => {
-                    let resp = stats_snapshot(shared, &cache, id);
-                    Shared::send_response(&item.reply, &Response::Stats(resp));
-                }
-                WorkKind::Metrics { id } => {
-                    let resp = metrics_snapshot(id);
-                    Shared::send_response(&item.reply, &Response::Metrics(resp));
-                }
-                WorkKind::Decode(req) => {
-                    let batched = key.and_then(|k| group_sizes.get(&k).copied()).unwrap_or(1);
-                    let share_key = key.map(|k| (k, req.seed, req.shots as u64));
-                    let result = match share_key.and_then(|k| computed.get(&k).cloned()) {
-                        Some(mut prior) => {
+            let response = match (&item.request, key) {
+                (Request::Decode(req), Some(key)) => {
+                    let share_key = (key, req.seed, req.shots as u64);
+                    match computed.get(&share_key) {
+                        Some(prior) => {
                             shared.metrics.coalesce_hits.fetch_add(1, Ordering::SeqCst);
                             trace::instant("serve.coalesce_hit");
-                            match &mut prior {
-                                Ok(resp) => resp.id = req.id,
-                                Err(err) => err.id = Some(req.id),
+                            let mut response = prior.clone();
+                            match &mut response {
+                                Response::Ler(resp) => resp.id = req.id,
+                                Response::Error(err) => err.id = Some(req.id),
+                                _ => {}
                             }
-                            prior
+                            response
                         }
                         None => {
                             let _span = trace::span("serve.execute");
-                            // An unkeyed request failed validation;
-                            // `execute` answers it with the reason.
-                            let result = match key {
-                                Some(k) => cache.execute_keyed(k, &req, batched),
-                                None => cache.execute(&req, batched),
-                            }
-                            .map(|(resp, _stats)| resp);
-                            if let Some(k) = share_key {
-                                computed.insert(k, result.clone());
-                            }
-                            result
-                        }
-                    };
-                    match result {
-                        Ok(resp) => {
-                            shared.metrics.served.fetch_add(1, Ordering::SeqCst);
-                            Shared::send_response(&item.reply, &Response::Ler(resp));
-                        }
-                        Err(err) => {
-                            shared.metrics.rejected.fetch_add(1, Ordering::SeqCst);
-                            Shared::send_response(&item.reply, &Response::Error(err));
+                            let batched = group_sizes.get(&key).copied().unwrap_or(1);
+                            let response =
+                                respond(&item.request, &mut cache, &shared.metrics, batched);
+                            computed.insert(share_key, response.clone());
+                            response
                         }
                     }
                 }
-            }
+                // Everything else, a decode that fails validation
+                // included: `respond` answers it with the reason.
+                _ => respond(&item.request, &mut cache, &shared.metrics, 1),
+            };
+            shared.send_response(&item.reply, &response);
         }
+    }
+}
+
+/// Answers one parsed request — the only place the decode service
+/// routes or refuses an op. The server's executor and the `--oneshot`
+/// CLI mode both call it, which is what makes a served session and a
+/// one-shot run of the same request file agree byte for byte.
+/// `batched` is how many requests of the caller's batch share the
+/// request's compiled experiment (1 when answering solo). The caller
+/// counts the reply ([`Metrics::count`]); `metrics` here feeds `stats`.
+pub fn respond(
+    request: &Request,
+    cache: &mut ExperimentCache,
+    metrics: &Metrics,
+    batched: usize,
+) -> Response {
+    match request {
+        Request::Ping { id } => Response::Pong { id: *id },
+        Request::Stats { id } => Response::Stats(stats_snapshot(metrics, cache, *id)),
+        Request::Metrics { id } => Response::Metrics(metrics_snapshot(*id)),
+        Request::Decode(req) => match cache.execute(req, batched) {
+            Ok((resp, _stats)) => Response::Ler(resp),
+            Err(err) => Response::Error(err),
+        },
+        // The frame lives in this protocol; the role does not.
+        Request::Shard(req) => Response::bad_request(
+            Some(req.id),
+            "this is the decode server; shard jobs go to a `dqec_dist agent` endpoint".to_string(),
+        ),
     }
 }
 
@@ -533,12 +494,12 @@ pub fn metrics_snapshot(id: u64) -> MetricsResponse {
     }
 }
 
-fn stats_snapshot(shared: &Arc<Shared>, cache: &ExperimentCache, id: u64) -> StatsResponse {
+fn stats_snapshot(metrics: &Metrics, cache: &ExperimentCache, id: u64) -> StatsResponse {
     let c = cache.counters();
     StatsResponse {
         id,
-        served: shared.metrics.served.load(Ordering::SeqCst) as u64,
-        rejected: shared.metrics.rejected.load(Ordering::SeqCst) as u64,
+        served: metrics.served.load(Ordering::SeqCst) as u64,
+        rejected: metrics.rejected.load(Ordering::SeqCst) as u64,
         cache_hits: c.hits,
         cache_misses: c.misses,
         cache_evictions: c.evictions,
@@ -546,7 +507,7 @@ fn stats_snapshot(shared: &Arc<Shared>, cache: &ExperimentCache, id: u64) -> Sta
         syndrome_hits: c.syndrome_hits,
         syndrome_misses: c.syndrome_misses,
         pool_workers: pool_workers() as u64,
-        coalesce_hits: shared.metrics.coalesce_hits.load(Ordering::SeqCst) as u64,
+        coalesce_hits: metrics.coalesce_hits.load(Ordering::SeqCst) as u64,
     }
 }
 

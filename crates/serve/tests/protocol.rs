@@ -1,15 +1,15 @@
 //! Protocol framing and round-trip coverage: malformed lines must
-//! produce typed errors without tearing down the connection, and
-//! arbitrary request/response values must survive the render → parse
-//! round trip through the JSON shim.
+//! produce typed errors without tearing down the connection, the line
+//! framer must cap and survive garbage, and arbitrary request/response
+//! values must survive the render → parse round trip through the codec.
 
 #![cfg(not(dqec_check))]
 
 use dqec_chiplet::runner::DecoderChoice;
 use dqec_core::{Coord, DefectSet};
 use dqec_serve::protocol::{
-    parse_request, parse_response, DecodeRequest, ErrorKind, ErrorResponse, LerResponse, Request,
-    Response, StatsResponse,
+    parse_request, parse_response, read_frame, DecodeRequest, ErrorKind, ErrorResponse, Frame,
+    LerResponse, Request, Response, StatsResponse,
 };
 use proptest::prelude::*;
 
@@ -151,4 +151,27 @@ fn malformed_requests_yield_typed_errors_not_panics() {
             "{reason}"
         );
     }
+}
+
+#[test]
+fn read_frame_caps_lines_and_survives_garbage() {
+    let stream = b"one\r\n\n12345\n123456\n1234567890123\n\xff\xfe\nlast".to_vec();
+    let mut reader = stream.as_slice();
+    let mut buf = Vec::new();
+    let mut next = || match read_frame(&mut reader, &mut buf, 5).expect("in-memory read") {
+        Frame::Line(line) => Ok(Some(line.to_string())),
+        Frame::Rejected(reason) => Err(reason),
+        Frame::Eof => Ok(None),
+    };
+    assert_eq!(next(), Ok(Some("one".to_string())));
+    assert_eq!(next(), Ok(Some(String::new())));
+    assert_eq!(next(), Ok(Some("12345".to_string())), "the cap itself fits");
+    // One byte over, and far over (several discard chunks): each
+    // costs exactly its own line.
+    for _ in 0..2 {
+        assert_eq!(next(), Err("frame exceeds the 5-byte limit".to_string()));
+    }
+    assert!(next().expect_err("not UTF-8").contains("UTF-8"));
+    assert_eq!(next(), Ok(Some("last".to_string())), "no trailing newline");
+    assert_eq!(next(), Ok(None));
 }

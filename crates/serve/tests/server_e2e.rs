@@ -86,7 +86,30 @@ fn malformed_line_answers_error_and_keeps_connection() {
         other => panic!("expected error, got {other:?}"),
     }
 
-    // The connection survived all three: a real request still works.
+    // A line over the request cap is discarded through its newline,
+    // not buffered, and answered with the limit it broke.
+    client.send_line(&"x".repeat(2 << 20));
+    match client.recv() {
+        Response::Error(e) => {
+            assert_eq!((e.kind, e.id), (ErrorKind::BadRequest, None));
+            assert!(e.detail.contains("1048576-byte limit"), "{}", e.detail);
+        }
+        other => panic!("expected error, got {other:?}"),
+    }
+
+    // Bytes that are not UTF-8 cost one frame, not the connection.
+    client.write.write_all(b"\xff\xfe\n").expect("send");
+    match client.recv() {
+        Response::Error(e) => {
+            assert_eq!((e.kind, e.id), (ErrorKind::BadRequest, None));
+            assert!(e.detail.contains("UTF-8"), "{}", e.detail);
+        }
+        other => panic!("expected error, got {other:?}"),
+    }
+
+    // The connection survived all five: real requests still work.
+    client.send_line("{\"op\":\"ping\",\"id\":33}");
+    assert_eq!(client.recv(), Response::Pong { id: 33 });
     client.send_line(&decode_line(32, 3, 3e-3, 64, 0, "mwpm"));
     match client.recv() {
         Response::Ler(r) => assert_eq!((r.id, r.shots), (32, 64)),

@@ -11,7 +11,6 @@ use crate::error::SimError;
 
 /// Single-qubit Clifford gates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Gate1 {
     /// Hadamard: X <-> Z.
     H,
@@ -25,7 +24,6 @@ pub enum Gate1 {
 
 /// Two-qubit Clifford gates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Gate2 {
     /// Controlled-X with the first target as control.
     Cx,
@@ -35,7 +33,6 @@ pub enum Gate2 {
 
 /// Single-qubit Pauli noise channels.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Noise1 {
     /// Applies X with the given probability.
     XError,
@@ -48,7 +45,6 @@ pub enum Noise1 {
 
 /// One operation in a circuit.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Op {
     /// A single-qubit Clifford gate.
     Gate1 {
@@ -102,7 +98,6 @@ pub enum Op {
 /// The stabilizer basis a detector compares, used to split the detector
 /// set into the two CSS decoding graphs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CheckBasis {
     /// An X-type stabilizer or super-stabilizer comparison.
     X,
@@ -123,7 +118,6 @@ impl CheckBasis {
 /// A detector: a parity of measurement records that is deterministic in
 /// the absence of noise.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Detector {
     /// Absolute measurement-record indices whose parity forms the
     /// detector.
@@ -137,7 +131,6 @@ pub struct Detector {
 
 /// A handle to a measurement record returned by [`Circuit::measure`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MeasRecord(pub u32);
 
 /// A stabilizer circuit with detector and observable annotations.
@@ -160,7 +153,6 @@ pub struct MeasRecord(pub u32);
 /// # Ok::<(), dqec_sim::SimError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Circuit {
     num_qubits: u32,
     ops: Vec<Op>,

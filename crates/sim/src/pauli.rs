@@ -8,7 +8,6 @@
 
 /// A single-qubit Pauli operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Pauli {
     /// The identity.
     #[default]

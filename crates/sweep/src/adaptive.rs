@@ -22,7 +22,6 @@ use dqec_chiplet::experiment::LerPoint;
 
 /// The adaptive controller's tunables.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Precision {
     /// Target relative width of the 95% Wilson interval,
     /// `(hi − lo) / ler` (e.g. `0.2` for ±10%-ish error bars).

@@ -11,8 +11,8 @@
 //! parameters, decoder tag) guards against resuming state against a
 //! different plan.
 
-use crate::json::{parse, Json};
 use crate::shard::Shard;
+use dqec_chiplet::json::{parse, Json};
 use dqec_core::CoreError;
 use std::path::Path;
 
@@ -24,7 +24,6 @@ pub const STATE_VERSION: u64 = 2;
 
 /// Accumulated Monte-Carlo state of one sweep point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PointTally {
     /// Shots sampled and decoded so far.
     pub shots: usize,
@@ -37,7 +36,6 @@ pub struct PointTally {
 
 /// One sweep point's identity and tally in the state file.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PointEntry {
     /// Index of the owning spec in the plan.
     pub spec: usize,
@@ -59,7 +57,6 @@ pub struct PointEntry {
 
 /// The whole persistent state of one sweep.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SweepState {
     /// Digest of the plan and engine parameters this state belongs to.
     pub fingerprint: u64,
@@ -83,40 +80,29 @@ impl SweepState {
             .points
             .iter()
             .map(|e| {
-                Json::Obj(vec![
-                    ("spec".into(), Json::Num(e.spec as f64)),
-                    ("point".into(), Json::Num(e.point as f64)),
-                    ("series".into(), Json::Str(e.series.clone())),
-                    ("p".into(), Json::Num(e.p)),
-                    ("total_batches".into(), Json::Num(e.total_batches as f64)),
-                    ("shots".into(), Json::Num(e.tally.shots as f64)),
-                    ("failures".into(), Json::Num(e.tally.failures as f64)),
-                    ("next_batch".into(), Json::Num(e.tally.next_batch as f64)),
+                Json::obj([
+                    ("spec", e.spec.into()),
+                    ("point", e.point.into()),
+                    ("series", e.series.as_str().into()),
+                    ("p", e.p.into()),
+                    ("total_batches", e.total_batches.into()),
+                    ("shots", e.tally.shots.into()),
+                    ("failures", e.tally.failures.into()),
+                    ("next_batch", e.tally.next_batch.into()),
                 ])
             })
             .collect();
-        Json::Obj(vec![
-            ("version".into(), Json::Num(STATE_VERSION as f64)),
-            (
-                "fingerprint".into(),
-                Json::Str(format!("{:#018x}", self.fingerprint)),
-            ),
-            ("batch".into(), Json::Num(self.batch as f64)),
-            (
-                "precision".into(),
-                self.precision.map_or(Json::Null, Json::Num),
-            ),
-            (
-                "shard".into(),
-                self.shard.map_or(Json::Null, |s| {
-                    Json::Obj(vec![
-                        ("index".into(), Json::Num(s.index() as f64)),
-                        ("count".into(), Json::Num(s.count() as f64)),
-                    ])
-                }),
-            ),
-            ("rounds_done".into(), Json::Num(self.rounds_done as f64)),
-            ("points".into(), Json::Arr(points)),
+        let shard = self
+            .shard
+            .map(|s| Json::obj([("index", s.index().into()), ("count", s.count().into())]));
+        Json::obj([
+            ("version", STATE_VERSION.into()),
+            ("fingerprint", format!("{:#018x}", self.fingerprint).into()),
+            ("batch", self.batch.into()),
+            ("precision", self.precision.into()),
+            ("shard", shard.into()),
+            ("rounds_done", self.rounds_done.into()),
+            ("points", Json::Arr(points)),
         ])
         .render()
     }
@@ -128,92 +114,57 @@ impl SweepState {
     /// Rejects malformed JSON, unknown versions, and missing fields.
     pub fn from_text(text: &str) -> Result<SweepState, CoreError> {
         let bad = |detail: String| CoreError::Sweep { detail };
+        let field = |e: String| bad(format!("checkpoint: {e}"));
         let doc = parse(text).map_err(|e| bad(format!("checkpoint does not parse: {e}")))?;
-        let version = doc
-            .get("version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad("checkpoint has no version".into()))?;
+        let version: u64 = doc.uint_field("version").map_err(field)?;
         if version == 0 || version > STATE_VERSION {
             return Err(bad(format!(
                 "checkpoint version {version} unsupported (this build reads 1..={STATE_VERSION})"
             )));
         }
-        let fingerprint = doc
-            .get("fingerprint")
-            .and_then(Json::as_str)
-            .and_then(|s| u64::from_str_radix(s.trim_start_matches("0x"), 16).ok())
-            .ok_or_else(|| bad("checkpoint has no fingerprint".into()))?;
-        let batch =
-            doc.get("batch")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("checkpoint has no batch size".into()))? as usize;
-        let precision = match doc.get("precision") {
-            None | Some(Json::Null) => None,
+        let fingerprint = doc.str_field("fingerprint").map_err(field)?;
+        let fingerprint = u64::from_str_radix(fingerprint.trim_start_matches("0x"), 16)
+            .map_err(|e| bad(format!("checkpoint fingerprint {fingerprint:?}: {e}")))?;
+        let precision = match doc.opt("precision") {
+            None => None,
             Some(v) => Some(
                 v.as_f64()
                     .ok_or_else(|| bad("checkpoint precision is not a number".into()))?,
             ),
         };
-        let shard = match doc.get("shard") {
-            None | Some(Json::Null) => None,
-            Some(v) => {
-                let part = |name: &str| {
-                    v.get(name)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad(format!("checkpoint shard: missing field {name:?}")))
-                };
-                Some(
-                    Shard::new(part("index")? as u32, part("count")? as u32).map_err(|e| {
-                        bad(format!("checkpoint shard is not a valid partition: {e}"))
-                    })?,
+        let shard = match doc.opt("shard") {
+            None => None,
+            Some(v) => Some(
+                Shard::new(
+                    v.uint_field("index").map_err(field)?,
+                    v.uint_field("count").map_err(field)?,
                 )
-            }
+                .map_err(|e| bad(format!("checkpoint shard is not a valid partition: {e}")))?,
+            ),
         };
-        let rounds_done = doc.get("rounds_done").and_then(Json::as_u64).unwrap_or(0);
         let mut points = Vec::new();
-        for (i, entry) in doc
-            .get("points")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("checkpoint has no points array".into()))?
-            .iter()
-            .enumerate()
-        {
-            let field = |name: &str| {
-                entry
-                    .get(name)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad(format!("point {i}: missing field {name:?}")))
-            };
+        for (i, entry) in doc.arr_field("points").map_err(field)?.iter().enumerate() {
+            let field = |e: String| bad(format!("checkpoint point {i}: {e}"));
             points.push(PointEntry {
-                spec: field("spec")? as usize,
-                point: field("point")? as usize,
-                series: entry
-                    .get("series")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-                p: entry
-                    .get("p")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| bad(format!("point {i}: missing field \"p\"")))?,
+                spec: entry.uint_field("spec").map_err(field)?,
+                point: entry.uint_field("point").map_err(field)?,
+                series: entry.str_field("series").unwrap_or_default().to_string(),
+                p: entry.f64_field("p").map_err(field)?,
                 // Absent in version-1 files; zero means "unknown".
-                total_batches: entry
-                    .get("total_batches")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
+                total_batches: entry.uint_field("total_batches").unwrap_or(0),
                 tally: PointTally {
-                    shots: field("shots")? as usize,
-                    failures: field("failures")? as usize,
-                    next_batch: field("next_batch")?,
+                    shots: entry.uint_field("shots").map_err(field)?,
+                    failures: entry.uint_field("failures").map_err(field)?,
+                    next_batch: entry.uint_field("next_batch").map_err(field)?,
                 },
             });
         }
         Ok(SweepState {
             fingerprint,
-            batch,
+            batch: doc.uint_field("batch").map_err(field)?,
             precision,
             shard,
-            rounds_done,
+            rounds_done: doc.uint_field("rounds_done").unwrap_or(0),
             points,
         })
     }

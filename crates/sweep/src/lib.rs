@@ -53,10 +53,13 @@
 pub mod adaptive;
 pub mod checkpoint;
 pub mod engine;
-pub mod json;
 pub mod shard;
 
 pub use adaptive::Precision;
 pub use checkpoint::{PointTally, SweepState};
+/// The workspace JSON codec the state files are written with; it lives
+/// in `dqec_chiplet` (the lowest crate that writes JSON) and keeps its
+/// historical path here.
+pub use dqec_chiplet::json;
 pub use engine::{EngineConfig, SweepEngine, SweepPlan};
 pub use shard::Shard;

@@ -54,5 +54,5 @@ fn main() {
         .label("defective l=7")
         .fit(true);
     runner.run(&spec, &mut sink).expect("circuit builds");
-    sink.finish();
+    sink.finish().expect("write stdout");
 }
