@@ -1,21 +1,34 @@
 //! Decoder-level oracle on real decoding graphs.
 //!
-//! The exact MWPM kernel splits a syndrome into independent components
-//! before it runs blossom on each (`decode_basis_sparse`). On adapted
-//! patches with random qubit + link defects — so deformed boundaries
-//! and super-stabilizer gauge schedules are in the graphs — and in both
-//! bases, its total matching weight must equal that of the one dense
-//! reference (`decode_basis_dense`: no split, no fast path) on sampled
-//! and on random dense syndromes, and must equal brute-force
-//! enumeration of every matching on syndromes of at most ten events.
-//! Equal-weight ties may pick different matchings; the weight may not
-//! differ.
+//! Whatever the exact MWPM kernel does inside (`decode_basis_sparse`),
+//! it is judged from outside on adapted patches with random qubit +
+//! link defects — so deformed boundaries and super-stabilizer gauge
+//! schedules are in the graphs — and in both bases, three ways per
+//! syndrome:
+//!
+//! * its total matching weight must equal that of the one dense
+//!   reference (`decode_basis_dense`: every pair through the cached
+//!   distance table, no split, no fast path);
+//! * on syndromes of at most ten events it must equal brute-force
+//!   enumeration of every matching;
+//! * its *observable mask* must equal the dense reference's. A weight
+//!   check alone cannot see a wrong mask accumulated along the way, and
+//!   the mask is what the decoder is for. Equal-weight optima may carry
+//!   different masks, so a differing mask is allowed only as such a tie
+//!   — proven by brute force where that is affordable — and ties must
+//!   stay rare.
+//!
+//! Traffic: defective l = 5 and l = 7 patches at p = 5·10⁻³ with
+//! sampled and random dense syndromes, plus one defective l = 9 patch
+//! at the benchmark's rates (p = 1.1·10⁻³ and 2·10⁻³, 10–27 events per
+//! shot, reached by reweighting one decoder), sampled syndromes only.
 
 use dqec::chiplet::runner::default_rounds;
 use dqec::chiplet::DefectModel;
 use dqec::core::{memory_z, AdaptedPatch, PatchLayout};
 use dqec::matching::decoder::{decode_basis_dense, decode_basis_sparse};
-use dqec::matching::{DecodeScratch, DecodingGraph, MwpmDecoder};
+use dqec::matching::{DecodeScratch, Decoder, DecodingGraph, MwpmDecoder};
+use dqec::sim::circuit::Circuit;
 use dqec::sim::frame::FrameSampler;
 use dqec::sim::noise::NoiseModel;
 use rand::rngs::StdRng;
@@ -27,25 +40,65 @@ const FAR: f64 = 1e11;
 /// Largest syndrome the brute-force enumeration is asked to cover.
 const BRUTE_MAX: usize = 10;
 
-/// Minimum total weight over every way of matching `nodes[i..]` not yet
-/// `used`: the first free node goes to the boundary or pairs with any
-/// later free node.
-fn brute_force(graph: &DecodingGraph, nodes: &[u32], used: &mut [bool]) -> f64 {
+/// Weight agreement bound. An exact kernel may match on edge weights
+/// rounded to a fixed grid (steps below 10⁻⁶) while the dense reference
+/// sums unrounded `f64` weights; a matching's paths hold at most a few
+/// hundred edges here, so the two optima — and the two costs of any one
+/// matching — differ by well under 10⁻³, while distinct optima on these
+/// graphs differ by far more unless they tie.
+const TOL: f64 = 1e-3;
+
+/// Most syndromes (as a fraction) on which the kernel may return a
+/// different mask than the dense reference at equal weight.
+const MAX_TIE_FRACTION: f64 = 0.02;
+
+/// The kernel under test: one basis's share of `events`, as
+/// `(observable mask, total matching weight)`.
+fn kernel(graph: &DecodingGraph, events: &[u32], scratch: &mut DecodeScratch) -> (u64, f64) {
+    decode_basis_sparse(graph, events, scratch)
+}
+
+/// Every way of matching `nodes[i..]` not yet `used` — the first free
+/// node goes to the boundary or pairs with any later free node — as
+/// `(total weight, observable mask)` pushed onto `out`.
+fn enumerate(
+    graph: &DecodingGraph,
+    nodes: &[u32],
+    used: &mut [bool],
+    weight: f64,
+    mask: u64,
+    out: &mut Vec<(f64, u64)>,
+) {
     let Some(i) = used.iter().position(|&u| !u) else {
-        return 0.0;
+        out.push((weight, mask));
+        return;
     };
+    let a = Some(nodes[i]);
     used[i] = true;
-    let mut best = graph.distance(Some(nodes[i]), None) + brute_force(graph, nodes, used);
+    enumerate(
+        graph,
+        nodes,
+        used,
+        weight + graph.distance(a, None),
+        mask ^ graph.path_observables(a, None),
+        out,
+    );
     for j in (i + 1)..nodes.len() {
         if !used[j] {
             used[j] = true;
-            let pair = graph.distance(Some(nodes[i]), Some(nodes[j]));
-            best = best.min(pair + brute_force(graph, nodes, used));
+            let b = Some(nodes[j]);
+            enumerate(
+                graph,
+                nodes,
+                used,
+                weight + graph.distance(a, b),
+                mask ^ graph.path_observables(a, b),
+                out,
+            );
             used[j] = false;
         }
     }
     used[i] = false;
-    best
 }
 
 /// How many syndromes each oracle judged.
@@ -54,12 +107,19 @@ struct Checked {
     dense: usize,
     brute: usize,
     split: usize,
+    /// Masks differing from the dense reference at equal weight.
+    ties: usize,
+    /// Of those, proven to be equal-weight optima by brute force.
+    ties_proven: usize,
+    /// Syndromes with an event the boundary cannot reach.
+    far: usize,
 }
 
-/// Checks one basis's share of `events` against both oracles.
+/// Checks one basis's share of `events` against the oracles.
 fn check(
     graph: &DecodingGraph,
     events: &[u32],
+    brute: bool,
     sparse: &mut DecodeScratch,
     dense: &mut DecodeScratch,
     checked: &mut Checked,
@@ -69,35 +129,71 @@ fn check(
         .filter_map(|&d| graph.node_of_detector(d))
         .collect();
     nodes.sort_unstable();
-    let (_, sc) = decode_basis_sparse(graph, events, sparse);
-    let (_, dc) = decode_basis_dense(graph, events, dense);
-    // Both are realizable matchings, so neither can beat the optimum;
-    // the sparse path must never be the worse one.
-    assert!(
-        sc <= dc + 1e-6,
-        "sparse weight {sc} exceeds dense {dc} on {nodes:?}"
-    );
+    let (sm, sc) = kernel(graph, events, sparse);
+    let (dm, dc) = decode_basis_dense(graph, events, dense);
     // With an unreachable-node sentinel in the dense matrix its integer
-    // scaling quantizes real weights away, and only the one-sided bound
-    // holds.
+    // scaling quantizes real weights away: the reference is no longer
+    // exact there, so it judges nothing (the kernel's own unit tests
+    // pin what an unreachable event decodes to).
     if nodes.iter().any(|&n| graph.distance(Some(n), None) > FAR) {
+        checked.far += 1;
         return;
     }
     assert!(
-        (sc - dc).abs() < 1e-6,
-        "sparse weight {sc} != dense weight {dc} on {nodes:?}"
+        (sc - dc).abs() < TOL,
+        "kernel weight {sc} != dense weight {dc} on {nodes:?}"
     );
     checked.dense += 1;
-    if nodes.len() >= 3 && sc + 1e-6 < nodes.iter().map(|&n| graph.distance(Some(n), None)).sum() {
+    if nodes.len() >= 3 && sc + TOL < nodes.iter().map(|&n| graph.distance(Some(n), None)).sum() {
         checked.split += 1; // some pair beat the boundary: a real component
     }
-    if nodes.len() <= BRUTE_MAX {
-        let bf = brute_force(graph, &nodes, &mut vec![false; nodes.len()]);
+    let optima = (brute && nodes.len() <= BRUTE_MAX).then(|| {
+        let mut all = Vec::new();
+        enumerate(
+            graph,
+            &nodes,
+            &mut vec![false; nodes.len()],
+            0.0,
+            0,
+            &mut all,
+        );
+        let best = all.iter().map(|m| m.0).fold(f64::INFINITY, f64::min);
         assert!(
-            (sc - bf).abs() < 1e-6,
-            "sparse weight {sc} != brute-force minimum {bf} on {nodes:?}"
+            (sc - best).abs() < TOL,
+            "kernel weight {sc} != brute-force minimum {best} on {nodes:?}"
         );
         checked.brute += 1;
+        all.retain(|m| m.0 < best + TOL);
+        all
+    });
+    if sm != dm {
+        // Only an equal-weight optimum may carry another mask.
+        checked.ties += 1;
+        if let Some(optima) = optima {
+            assert!(
+                optima.iter().any(|m| m.1 == sm),
+                "kernel mask {sm:#x} belongs to no minimum-weight matching \
+                 (dense {dm:#x}) on {nodes:?}"
+            );
+            checked.ties_proven += 1;
+        }
+    }
+}
+
+/// Draws defective `LinkAndQubit` patches of size `l` until one is
+/// valid, hosts a memory experiment and has a defect; returns it with
+/// its clean circuit.
+fn defective_patch(l: u32, rng: &mut StdRng) -> (AdaptedPatch, Circuit) {
+    let layout = PatchLayout::memory(l);
+    loop {
+        let defects = DefectModel::LinkAndQubit.sample(&layout, 0.02, rng);
+        let patch = AdaptedPatch::new(layout.clone(), &defects);
+        if defects.is_empty() || !patch.is_valid() {
+            continue;
+        }
+        if let Ok(exp) = memory_z(&patch, default_rounds(&patch)) {
+            return (patch, exp.circuit);
+        }
     }
 }
 
@@ -109,20 +205,10 @@ fn sparse_weight_equals_dense_and_brute_force_on_defective_patches() {
     let mut sparse = DecodeScratch::new();
     let mut dense = DecodeScratch::new();
     for l in [5u32, 7] {
-        let layout = PatchLayout::memory(l);
-        let mut patches = 0;
-        while patches < 3 {
-            let defects = DefectModel::LinkAndQubit.sample(&layout, 0.02, &mut rng);
-            let patch = AdaptedPatch::new(layout.clone(), &defects);
-            if defects.is_empty() || !patch.is_valid() {
-                continue;
-            }
-            let Ok(exp) = memory_z(&patch, default_rounds(&patch)) else {
-                continue;
-            };
-            patches += 1;
+        for _ in 0..3 {
+            let (patch, clean) = defective_patch(l, &mut rng);
             with_gauges += usize::from(patch.clusters().iter().any(|c| c.has_gauges()));
-            let noisy = NoiseModel::new(5e-3).apply(&exp.circuit);
+            let noisy = NoiseModel::new(5e-3).apply(&clean);
             let decoder = MwpmDecoder::new(&noisy);
             let ndet = noisy.detectors().len() as u32;
 
@@ -136,7 +222,7 @@ fn sparse_weight_equals_dense_and_brute_force_on_defective_patches() {
             }
             for events in &syndromes {
                 for graph in [decoder.z_graph(), decoder.x_graph()] {
-                    check(graph, events, &mut sparse, &mut dense, &mut checked);
+                    check(graph, events, true, &mut sparse, &mut dense, &mut checked);
                 }
             }
         }
@@ -148,4 +234,51 @@ fn sparse_weight_equals_dense_and_brute_force_on_defective_patches() {
     assert!(checked.dense >= 2000, "{} dense checks", checked.dense);
     assert!(checked.brute >= 500, "{} brute-force checks", checked.brute);
     assert!(checked.split >= 500, "{} split checks", checked.split);
+    let small = checked.dense;
+
+    // The benchmark's traffic: one defective l = 9 patch at the two
+    // ends of the paper's window, the second reached by reweighting.
+    // Sampled syndromes only, dense reference only.
+    let (_, clean) = defective_patch(9, &mut rng);
+    let mut decoder = MwpmDecoder::from_clean(&clean, &NoiseModel::new(2e-3));
+    let mut events_seen = 0;
+    for p in [2e-3, 1.1e-3] {
+        let noise = NoiseModel::new(p);
+        assert!(decoder.reweight(&noise));
+        let syndromes = FrameSampler::new(&noise.apply(&clean))
+            .sample(300, &mut rng)
+            .detection_events_by_shot();
+        for events in &syndromes {
+            events_seen += events.len();
+            for graph in [decoder.z_graph(), decoder.x_graph()] {
+                check(graph, events, false, &mut sparse, &mut dense, &mut checked);
+            }
+        }
+    }
+    let large = checked.dense - small;
+    assert!(large >= 1000, "{large} dense checks at l = 9");
+    assert!(
+        events_seen >= 600 * 8,
+        "{events_seen} events in 600 shots: not the benchmark's traffic"
+    );
+
+    let fraction = checked.ties as f64 / checked.dense as f64;
+    eprintln!(
+        "decoder oracle: {} dense checks ({large} at l = 9), {} brute-force, {} with a real \
+         component, {} skipped on an unreachable event; {} equal-weight mask ties \
+         ({:.3} %, {} proven by brute force)",
+        checked.dense,
+        checked.brute,
+        checked.split,
+        checked.far,
+        checked.ties,
+        100.0 * fraction,
+        checked.ties_proven
+    );
+    assert!(
+        fraction <= MAX_TIE_FRACTION,
+        "{} of {} masks differ from the dense reference",
+        checked.ties,
+        checked.dense
+    );
 }
