@@ -5,8 +5,8 @@
 //! The paper's Monte-Carlo evaluation is one pipeline — adapt patch →
 //! generate circuit → apply noise → frame-sample → decode → fit — swept
 //! over physical error rates. Rebuilding the decoder at every sweep
-//! point would re-extract the detector error model and re-run
-//! all-pairs shortest paths per point; the runner instead compiles the
+//! point would re-walk the circuit for its detector error model and
+//! rebuild both decoding graphs per point; the runner instead compiles the
 //! clean circuit *once* per patch, builds the decoder once at the
 //! sweep's largest `p`, and only
 //! [`reweights`](dqec_matching::Decoder::reweight) its edges per point.

@@ -5,10 +5,22 @@
 //! detectors is an internal edge, one flipping a single detector is a
 //! boundary edge, and rarer multi-detector mechanisms (hook errors) are
 //! decomposed into known edges, mirroring Stim's `decompose_errors`.
+//!
+//! A [`DecodingGraph`] is its edge list plus one CSR adjacency, built
+//! once, with the per-edge matching weights `ln((1-p)/p)` beside it;
+//! [`DecodingGraph::reweight_from`] refreshes probabilities and weights
+//! in place. The exact matcher ([`crate::sparse`]) decodes on that
+//! adjacency directly. All-pairs shortest-path tables — what
+//! [`DecodingGraph::distance`] and [`DecodingGraph::path_observables`]
+//! answer from — are *not* part of a graph: they are materialised by
+//! the first such call (the union-find fast paths and the dense test
+//! oracle make it) and from then on kept current by `reweight_from`.
 
 use dqec_sim::circuit::{CheckBasis, Circuit};
 use dqec_sim::dem::DetectorErrorModel;
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::sync::OnceLock;
 
 /// Smallest probability an edge is allowed to carry (avoids infinite
 /// weights).
@@ -16,7 +28,7 @@ const P_FLOOR: f64 = 1e-14;
 /// Largest probability (keeps weights positive).
 const P_CEIL: f64 = 0.4999;
 /// Stand-in weight for unreachable node pairs.
-const UNREACHABLE: f64 = 1e12;
+pub(crate) const UNREACHABLE: f64 = 1e12;
 
 /// One edge of a decoding graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,7 +59,9 @@ pub struct GraphDiagnostics {
     pub undetectable_logical_mechanisms: usize,
 }
 
-/// A single-basis matching graph with cached all-pairs shortest paths.
+/// A single-basis matching graph: nodes, weighted edges and their
+/// adjacency. Shortest-path tables are derived on demand (see the
+/// module docs).
 #[derive(Debug, Clone)]
 pub struct DecodingGraph {
     basis: CheckBasis,
@@ -58,6 +72,18 @@ pub struct DecodingGraph {
     /// accumulation order) whose XOR-combination gives its probability;
     /// kept so [`DecodingGraph::reweight_from`] can recompute weights.
     edge_sources: Vec<Vec<u32>>,
+    /// Per edge, the matching weight of its current probability.
+    weights: Vec<f64>,
+    adjacency: Adjacency,
+    /// Built by the first [`DecodingGraph::distance`] or
+    /// [`DecodingGraph::path_observables`] call.
+    tables: OnceLock<PathTables>,
+    diagnostics: GraphDiagnostics,
+}
+
+/// All-pairs shortest paths over the real nodes plus the boundary.
+#[derive(Debug, Clone)]
+struct PathTables {
     /// Row-major `(n+1) x (n+1)` distances; index `n` is the boundary.
     dist: Vec<f64>,
     /// Observable parity along the corresponding shortest path.
@@ -67,7 +93,6 @@ pub struct DecodingGraph {
     /// the source itself and unreachable nodes). Reweighting re-derives
     /// distances along these trees instead of re-running Dijkstra.
     pred: Vec<u32>,
-    diagnostics: GraphDiagnostics,
 }
 
 /// Sentinel for "no predecessor edge" in the shortest-path trees.
@@ -145,7 +170,7 @@ impl DecodingGraph {
             obs_votes: BTreeMap<u64, f64>,
             sources: Vec<u32>,
         }
-        let mut accum: HashMap<Key, Accum> = HashMap::new();
+        let mut accum: BTreeMap<Key, Accum> = BTreeMap::new();
         let key_of = |dets: &[u32]| -> Key {
             match dets {
                 [a] => (*a, u32::MAX),
@@ -154,7 +179,7 @@ impl DecodingGraph {
             }
         };
         let add_edge =
-            |nodes: &[u32], p: f64, obs: u64, mech: u32, accum: &mut HashMap<Key, Accum>| {
+            |nodes: &[u32], p: f64, obs: u64, mech: u32, accum: &mut BTreeMap<Key, Accum>| {
                 let e = accum.entry(key_of(nodes)).or_default();
                 e.p = e.p * (1.0 - p) + p * (1.0 - e.p);
                 *e.obs_votes.entry(obs).or_insert(0.0) += p;
@@ -186,7 +211,7 @@ impl DecodingGraph {
         }
 
         // Pass 2: decompose multi-detector mechanisms into known edges.
-        let known: std::collections::HashSet<Key> = accum.keys().copied().collect();
+        let known: BTreeSet<Key> = accum.keys().copied().collect();
         for (m, dets, obs, p) in deferred {
             let nodes: Vec<u32> = dets
                 .iter()
@@ -244,146 +269,58 @@ impl DecodingGraph {
         paired.sort_by_key(|(e, _)| (e.a, e.b));
         let (edges, edge_sources): (Vec<GraphEdge>, Vec<Vec<u32>>) = paired.into_iter().unzip();
 
-        let (dist, parity, pred) = all_pairs(n, &edges);
         DecodingGraph {
             basis,
             node_of_det,
             det_of_node,
+            weights: edges.iter().map(|e| weight_of(e.probability)).collect(),
+            adjacency: Adjacency::build(n, edges.iter().map(|e| ends(e, n))),
             edges,
             edge_sources,
-            dist,
-            parity,
-            pred,
+            tables: OnceLock::new(),
             diagnostics,
         }
     }
 
-    /// Recomputes every edge's probability from `dem` — which must be a
-    /// reweighting of the DEM this graph was built from, i.e. have the
-    /// same mechanisms in the same order (as produced by
-    /// `dqec_sim::dem::ParametricDem::concretize`) — then refreshes the
-    /// cached shortest-path tables. The graph *structure* (nodes, edges,
-    /// observable masks) is reused, and so are the cached shortest-path
+    /// Recomputes every edge's probability and matching weight from
+    /// `dem` — which must be a reweighting of the DEM this graph was
+    /// built from, i.e. have the same mechanisms in the same order (as
+    /// produced by `dqec_sim::dem::ParametricDem::concretize`). The
+    /// graph *structure* (nodes, edges, observable masks, adjacency) is
+    /// reused, which is what makes sweeping a logical-error-rate curve
+    /// much cheaper than rebuilding the decoder at every physical error
+    /// rate.
+    ///
+    /// If the shortest-path tables have been materialised they are
+    /// brought up to date as well, reusing the cached shortest-path
     /// trees: each row's distances are first re-derived along its old
     /// tree in O(V + E) and accepted when the shortest-path certificate
     /// (no edge can relax any distance further) holds; only rows whose
     /// tree went stale re-run Dijkstra. Under the paper's noise model a
     /// p-change shifts every edge weight by nearly the same amount, so
-    /// trees almost always survive — this is what makes sweeping a
-    /// logical-error-rate curve much cheaper than rebuilding the decoder
-    /// at every physical error rate.
+    /// trees almost always survive.
     ///
     /// # Panics
     ///
     /// Panics if `dem` has fewer mechanisms than the graph was built
     /// with.
     pub fn reweight_from(&mut self, dem: &DetectorErrorModel) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        for (edge, sources) in self.edges.iter_mut().zip(&self.edge_sources) {
+        for ((edge, weight), sources) in self
+            .edges
+            .iter_mut()
+            .zip(&mut self.weights)
+            .zip(&self.edge_sources)
+        {
             let mut p_acc = 0.0;
             for &m in sources {
                 let p = dem.mechanisms[m as usize].probability;
                 p_acc = p_acc * (1.0 - p) + p * (1.0 - p_acc);
             }
             edge.probability = p_acc;
+            *weight = weight_of(p_acc);
         }
-
-        let n = self.det_of_node.len();
-        let total = n + 1;
-        let weights: Vec<f64> = self
-            .edges
-            .iter()
-            .map(|e| weight_of(e.probability))
-            .collect();
-        let endpoints: Vec<(usize, usize)> = self
-            .edges
-            .iter()
-            .map(|e| (e.a as usize, e.b.map_or(n, |x| x as usize)))
-            .collect();
-        let csr = Csr::build(total, &endpoints, &weights);
-
-        // Row scratch, reused across sources.
-        let mut order: Vec<u32> = (0..total as u32).collect();
-        let mut d = vec![f64::INFINITY; total];
-        let mut par = vec![0u64; total];
-        let mut heap: BinaryHeap<Reverse<HeapItem>> = BinaryHeap::new();
-        for src in 0..total {
-            let row = src * total;
-            let old = &self.dist[row..row + total];
-            // Parents settled before children, so increasing old
-            // distance is a topological order of the old tree.
-            order.sort_unstable_by(|&a, &b| {
-                old[a as usize].total_cmp(&old[b as usize]).then(a.cmp(&b))
-            });
-            let pred = &mut self.pred[row..row + total];
-            for &t in order.iter() {
-                let t = t as usize;
-                if t == src {
-                    d[t] = 0.0;
-                    par[t] = 0;
-                    continue;
-                }
-                match pred[t] {
-                    NO_PRED => {
-                        // Unreachable before; weights cannot change that.
-                        d[t] = f64::INFINITY;
-                        par[t] = 0;
-                    }
-                    e => {
-                        let e = e as usize;
-                        let (a, b) = endpoints[e];
-                        let parent = if a == t { b } else { a };
-                        d[t] = d[parent] + weights[e];
-                        par[t] = par[parent] ^ self.edges[e].observables;
-                    }
-                }
-            }
-            // The tree distances are upper bounds achieved by real
-            // paths. Repair them to the exact optimum with a
-            // warm-started Dijkstra: seed the heap with every edge
-            // relaxation that still improves a bound, then run the
-            // usual pop-min/relax loop to the fixed point. Rows whose
-            // tree survived the weight change (the common case under a
-            // uniform p-shift) skip the loop entirely.
-            heap.clear();
-            for (e, &(a, b)) in endpoints.iter().enumerate() {
-                let w = weights[e];
-                let obs = self.edges[e].observables;
-                if d[a] + w < d[b] {
-                    d[b] = d[a] + w;
-                    par[b] = par[a] ^ obs;
-                    pred[b] = e as u32;
-                    heap.push(Reverse(HeapItem(d[b], b as u32)));
-                }
-                if d[b] + w < d[a] {
-                    d[a] = d[b] + w;
-                    par[a] = par[b] ^ obs;
-                    pred[a] = e as u32;
-                    heap.push(Reverse(HeapItem(d[a], a as u32)));
-                }
-            }
-            while let Some(Reverse(HeapItem(du, u))) = heap.pop() {
-                let u = u as usize;
-                if du > d[u] {
-                    continue;
-                }
-                for &(v, w, _, e) in &csr.entries[csr.starts[u]..csr.starts[u + 1]] {
-                    let v = v as usize;
-                    let nd = du + w;
-                    if nd < d[v] {
-                        d[v] = nd;
-                        par[v] = par[u] ^ self.edges[e as usize].observables;
-                        pred[v] = e;
-                        heap.push(Reverse(HeapItem(nd, v as u32)));
-                    }
-                }
-            }
-            for t in 0..total {
-                self.dist[row + t] = if d[t].is_finite() { d[t] } else { UNREACHABLE };
-                self.parity[row + t] = par[t];
-            }
+        if let Some(tables) = self.tables.get_mut() {
+            tables.repair(&self.edges, &self.weights, &self.adjacency);
         }
     }
 
@@ -412,20 +349,49 @@ impl DecodingGraph {
         self.node_of_det.get(det as usize).copied().flatten()
     }
 
-    /// Shortest-path weight between two nodes (`None` = boundary).
-    pub fn distance(&self, a: Option<u32>, b: Option<u32>) -> f64 {
-        let n = self.num_nodes();
-        let ia = a.map_or(n, |x| x as usize);
-        let ib = b.map_or(n, |x| x as usize);
-        self.dist[ia * (n + 1) + ib]
+    /// Per edge (same order as [`DecodingGraph::edges`]), the matching
+    /// weight `ln((1-p)/p)` of its current probability.
+    pub(crate) fn weights(&self) -> &[f64] {
+        &self.weights
     }
 
-    /// Observable parity along the shortest path between two nodes.
-    pub fn path_observables(&self, a: Option<u32>, b: Option<u32>) -> u64 {
+    /// The adjacency over the real nodes plus the boundary (vertex
+    /// [`DecodingGraph::num_nodes`]).
+    pub(crate) fn adjacency(&self) -> &Adjacency {
+        &self.adjacency
+    }
+
+    /// The all-pairs tables, computed on first use.
+    fn tables(&self) -> &PathTables {
+        self.tables
+            .get_or_init(|| PathTables::all_pairs(&self.edges, &self.weights, &self.adjacency))
+    }
+
+    /// Whether the all-pairs shortest-path tables have been
+    /// materialised (test pin: the MWPM path must never do so).
+    #[doc(hidden)]
+    pub fn path_tables_built(&self) -> bool {
+        self.tables.get().is_some()
+    }
+
+    /// Row-major index of the `(a, b)` table entry.
+    fn table_index(&self, a: Option<u32>, b: Option<u32>) -> usize {
         let n = self.num_nodes();
         let ia = a.map_or(n, |x| x as usize);
         let ib = b.map_or(n, |x| x as usize);
-        self.parity[ia * (n + 1) + ib]
+        ia * (n + 1) + ib
+    }
+
+    /// Shortest-path weight between two nodes (`None` = boundary). The
+    /// first call computes the all-pairs tables.
+    pub fn distance(&self, a: Option<u32>, b: Option<u32>) -> f64 {
+        self.tables().dist[self.table_index(a, b)]
+    }
+
+    /// Observable parity along the shortest path between two nodes. The
+    /// first call computes the all-pairs tables.
+    pub fn path_observables(&self, a: Option<u32>, b: Option<u32>) -> u64 {
+        self.tables().parity[self.table_index(a, b)]
     }
 
     /// The graphlike circuit-level distance for observable `obs`: the
@@ -487,10 +453,7 @@ pub(crate) fn weight_of(p: f64) -> f64 {
 
 /// Tries to split `nodes` (sorted, len >= 3) into parts that all exist
 /// as known edges; parts are pairs or boundary singletons.
-fn decompose(
-    nodes: &[u32],
-    known: &std::collections::HashSet<(u32, u32)>,
-) -> Option<Vec<Vec<u32>>> {
+fn decompose(nodes: &[u32], known: &BTreeSet<(u32, u32)>) -> Option<Vec<Vec<u32>>> {
     if nodes.is_empty() {
         return Some(Vec::new());
     }
@@ -518,37 +481,56 @@ fn decompose(
     None
 }
 
-/// Flat CSR adjacency shared by the all-pairs build and per-row
-/// Dijkstra fallbacks; entries carry the edge index so predecessor
-/// trees can be recorded.
-struct Csr {
-    starts: Vec<usize>,
-    /// `(neighbor, weight, observables, edge index)`.
-    entries: Vec<(u32, f64, u64, u32)>,
+/// Flat CSR adjacency over the real nodes plus the boundary (vertex
+/// `n`), built once per graph: the lazy all-pairs tables, their repair
+/// and the matching kernels' packed views all walk it. Entries carry
+/// the edge index, which keys the per-edge weights and observables.
+#[derive(Debug, Clone)]
+pub(crate) struct Adjacency {
+    /// Row starts over `n + 1` vertices (`n + 2` entries).
+    pub(crate) starts: Vec<u32>,
+    /// `(neighbor, edge index)`, grouped by vertex, in edge order.
+    pub(crate) entries: Vec<(u32, u32)>,
 }
 
-impl Csr {
-    fn build(total: usize, endpoints: &[(usize, usize)], weights: &[f64]) -> Csr {
-        let mut degree = vec![0usize; total];
-        for &(a, b) in endpoints {
-            degree[a] += 1;
-            degree[b] += 1;
+impl Adjacency {
+    /// The adjacency of `n` real nodes plus the boundary (vertex `n`)
+    /// under the edges whose endpoint pairs `ends` yields, in order.
+    pub(crate) fn build(n: usize, ends: impl Iterator<Item = (usize, usize)> + Clone) -> Adjacency {
+        let total = n + 1;
+        let mut starts = vec![0u32; total + 1];
+        for (a, b) in ends.clone() {
+            starts[a + 1] += 1;
+            starts[b + 1] += 1;
         }
-        let mut starts = vec![0usize; total + 1];
         for v in 0..total {
-            starts[v + 1] = starts[v] + degree[v];
+            starts[v + 1] += starts[v];
         }
         let mut cursor = starts.clone();
-        let mut entries = vec![(0u32, 0.0f64, 0u64, 0u32); starts[total]];
-        for (e, &(a, b)) in endpoints.iter().enumerate() {
-            let w = weights[e];
-            entries[cursor[a]] = (b as u32, w, 0, e as u32);
+        let mut entries = vec![(0u32, 0u32); starts[total] as usize];
+        for (i, (a, b)) in ends.enumerate() {
+            entries[cursor[a] as usize] = (b as u32, i as u32);
             cursor[a] += 1;
-            entries[cursor[b]] = (a as u32, w, 0, e as u32);
+            entries[cursor[b] as usize] = (a as u32, i as u32);
             cursor[b] += 1;
         }
-        Csr { starts, entries }
+        Adjacency { starts, entries }
     }
+
+    /// The number of vertices, boundary included.
+    pub(crate) fn total(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The `(neighbor, edge index)` entries of vertex `v`.
+    pub(crate) fn of(&self, v: usize) -> &[(u32, u32)] {
+        &self.entries[self.starts[v] as usize..self.starts[v + 1] as usize]
+    }
+}
+
+/// Both endpoints of `e` as vertex indices (`n` is the boundary).
+fn ends(e: &GraphEdge, n: usize) -> (usize, usize) {
+    (e.a as usize, e.b.map_or(n, |x| x as usize))
 }
 
 #[derive(PartialEq)]
@@ -565,79 +547,150 @@ impl Ord for HeapItem {
     }
 }
 
-/// One full Dijkstra from `src`, writing distances, path parities, and
-/// the predecessor-edge tree into the provided row buffers.
-fn dijkstra_row(
-    src: usize,
-    csr: &Csr,
-    edges: &[GraphEdge],
-    d: &mut [f64],
-    par: &mut [u64],
-    pred: &mut [u32],
-) {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+/// Single-row working memory of the all-pairs build and its repair,
+/// reused across source rows.
+struct RowScratch {
+    d: Vec<f64>,
+    par: Vec<u64>,
+    heap: BinaryHeap<Reverse<HeapItem>>,
+}
 
-    d.fill(f64::INFINITY);
-    par.fill(0);
-    pred.fill(NO_PRED);
-    let mut done = vec![false; d.len()];
-    let mut heap: BinaryHeap<Reverse<HeapItem>> = BinaryHeap::new();
-    d[src] = 0.0;
-    heap.push(Reverse(HeapItem(0.0, src as u32)));
-    while let Some(Reverse(HeapItem(du, u))) = heap.pop() {
-        let u = u as usize;
-        if done[u] {
-            continue;
+impl RowScratch {
+    fn new(total: usize) -> Self {
+        RowScratch {
+            d: vec![f64::INFINITY; total],
+            par: vec![0; total],
+            heap: BinaryHeap::new(),
         }
-        done[u] = true;
-        for &(v, w, _, e) in &csr.entries[csr.starts[u]..csr.starts[u + 1]] {
-            let v = v as usize;
-            let nd = du + w;
-            if nd < d[v] {
-                d[v] = nd;
-                par[v] = par[u] ^ edges[e as usize].observables;
-                pred[v] = e;
-                heap.push(Reverse(HeapItem(nd, v as u32)));
+    }
+
+    /// Dijkstra's pop-min/relax loop from whatever the heap holds to
+    /// the fixed point, updating distances, path parities and the
+    /// predecessor-edge tree `pred`.
+    fn settle(
+        &mut self,
+        edges: &[GraphEdge],
+        weights: &[f64],
+        adjacency: &Adjacency,
+        pred: &mut [u32],
+    ) {
+        let RowScratch { d, par, heap } = self;
+        while let Some(Reverse(HeapItem(du, u))) = heap.pop() {
+            let u = u as usize;
+            if du > d[u] {
+                continue;
+            }
+            for &(v, e) in adjacency.of(u) {
+                let v = v as usize;
+                let nd = du + weights[e as usize];
+                if nd < d[v] {
+                    d[v] = nd;
+                    par[v] = par[u] ^ edges[e as usize].observables;
+                    pred[v] = e;
+                    heap.push(Reverse(HeapItem(nd, v as u32)));
+                }
             }
         }
     }
+
+    /// Copies the finished row into the tables.
+    fn store(&self, dist: &mut [f64], parity: &mut [u64]) {
+        for (out, &d) in dist.iter_mut().zip(&self.d) {
+            *out = if d.is_finite() { d } else { UNREACHABLE };
+        }
+        parity.copy_from_slice(&self.par);
+    }
 }
 
-/// All-pairs Dijkstra over `n` real nodes plus the boundary (index `n`),
-/// also recording each row's shortest-path tree (predecessor edges) so
-/// [`DecodingGraph::reweight_from`] can refresh distances without
-/// re-running every Dijkstra.
-fn all_pairs(n: usize, edges: &[GraphEdge]) -> (Vec<f64>, Vec<u64>, Vec<u32>) {
-    let total = n + 1;
-    let endpoints: Vec<(usize, usize)> = edges
-        .iter()
-        .map(|e| (e.a as usize, e.b.map_or(n, |x| x as usize)))
-        .collect();
-    let weights: Vec<f64> = edges.iter().map(|e| weight_of(e.probability)).collect();
-    let csr = Csr::build(total, &endpoints, &weights);
+impl PathTables {
+    /// All-pairs Dijkstra, also recording each row's shortest-path tree
+    /// (predecessor edges) so [`PathTables::repair`] can refresh
+    /// distances without re-running every Dijkstra.
+    fn all_pairs(edges: &[GraphEdge], weights: &[f64], adjacency: &Adjacency) -> PathTables {
+        let total = adjacency.total();
+        let mut dist = vec![UNREACHABLE; total * total];
+        let mut parity = vec![0u64; total * total];
+        let mut pred = vec![NO_PRED; total * total];
+        let mut row = RowScratch::new(total);
+        for src in 0..total {
+            let at = src * total..(src + 1) * total;
+            row.d.fill(f64::INFINITY);
+            row.par.fill(0);
+            row.d[src] = 0.0;
+            row.heap.push(Reverse(HeapItem(0.0, src as u32)));
+            row.settle(edges, weights, adjacency, &mut pred[at.clone()]);
+            row.store(&mut dist[at.clone()], &mut parity[at]);
+        }
+        PathTables { dist, parity, pred }
+    }
 
-    let mut dist = vec![UNREACHABLE; total * total];
-    let mut parity = vec![0u64; total * total];
-    let mut pred = vec![NO_PRED; total * total];
-    let mut d = vec![f64::INFINITY; total];
-    let mut par = vec![0u64; total];
-    for src in 0..total {
-        let row = src * total;
-        dijkstra_row(
-            src,
-            &csr,
-            edges,
-            &mut d,
-            &mut par,
-            &mut pred[row..row + total],
-        );
-        for t in 0..total {
-            dist[row + t] = if d[t].is_finite() { d[t] } else { UNREACHABLE };
-            parity[row + t] = par[t];
+    /// Brings the tables up to date after the edge weights changed (see
+    /// [`DecodingGraph::reweight_from`]).
+    fn repair(&mut self, edges: &[GraphEdge], weights: &[f64], adjacency: &Adjacency) {
+        let total = adjacency.total();
+        let n = total - 1;
+        let mut order: Vec<u32> = (0..total as u32).collect();
+        let mut row = RowScratch::new(total);
+        for src in 0..total {
+            let at = src * total..(src + 1) * total;
+            let old = &self.dist[at.clone()];
+            // Parents settled before children, so increasing old
+            // distance is a topological order of the old tree.
+            order.sort_unstable_by(|&a, &b| {
+                old[a as usize].total_cmp(&old[b as usize]).then(a.cmp(&b))
+            });
+            let pred = &mut self.pred[at.clone()];
+            let RowScratch { d, par, heap } = &mut row;
+            for &t in order.iter() {
+                let t = t as usize;
+                if t == src {
+                    d[t] = 0.0;
+                    par[t] = 0;
+                    continue;
+                }
+                match pred[t] {
+                    NO_PRED => {
+                        // Unreachable before; weights cannot change that.
+                        d[t] = f64::INFINITY;
+                        par[t] = 0;
+                    }
+                    e => {
+                        let e = e as usize;
+                        let (a, b) = ends(&edges[e], n);
+                        let parent = if a == t { b } else { a };
+                        d[t] = d[parent] + weights[e];
+                        par[t] = par[parent] ^ edges[e].observables;
+                    }
+                }
+            }
+            // The tree distances are upper bounds achieved by real
+            // paths. Repair them to the exact optimum with a
+            // warm-started Dijkstra: seed the heap with every edge
+            // relaxation that still improves a bound, then run the
+            // usual pop-min/relax loop to the fixed point. Rows whose
+            // tree survived the weight change (the common case under a
+            // uniform p-shift) skip the loop entirely.
+            for (e, edge) in edges.iter().enumerate() {
+                let (a, b) = ends(edge, n);
+                let w = weights[e];
+                let obs = edge.observables;
+                if d[a] + w < d[b] {
+                    d[b] = d[a] + w;
+                    par[b] = par[a] ^ obs;
+                    pred[b] = e as u32;
+                    heap.push(Reverse(HeapItem(d[b], b as u32)));
+                }
+                if d[b] + w < d[a] {
+                    d[a] = d[b] + w;
+                    par[a] = par[b] ^ obs;
+                    pred[a] = e as u32;
+                    heap.push(Reverse(HeapItem(d[a], a as u32)));
+                }
+            }
+            row.settle(edges, weights, adjacency, pred);
+            row.store(&mut self.dist[at.clone()], &mut self.parity[at]);
         }
     }
-    (dist, parity, pred)
 }
 
 #[cfg(test)]
@@ -779,7 +832,7 @@ mod tests {
 
     #[test]
     fn decompose_finds_boundary_plus_pair() {
-        let mut known = std::collections::HashSet::new();
+        let mut known = BTreeSet::new();
         known.insert((0u32, u32::MAX));
         known.insert((1u32, 2u32));
         let parts = decompose(&[0, 1, 2], &known).unwrap();
@@ -788,13 +841,13 @@ mod tests {
 
     #[test]
     fn decompose_fails_when_no_edges_known() {
-        let known = std::collections::HashSet::new();
+        let known = BTreeSet::new();
         assert!(decompose(&[0, 1, 2], &known).is_none());
     }
 
     #[test]
     fn decompose_two_pairs() {
-        let mut known = std::collections::HashSet::new();
+        let mut known = BTreeSet::new();
         known.insert((0u32, 3u32));
         known.insert((1u32, 2u32));
         let parts = decompose(&[0, 1, 2, 3], &known).unwrap();

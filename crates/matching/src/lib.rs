@@ -4,12 +4,15 @@
 //! `dqec` workspace — a from-scratch replacement for PyMatching at the
 //! problem sizes used in the ASPLOS'24 chiplet-codesign reproduction.
 //!
-//! * [`blossom`] — exact O(n³) weighted blossom matching on dense
-//!   graphs, property-tested against brute force, with all solver
-//!   state in a reusable [`BlossomArena`] so hot loops never allocate;
 //! * [`graph`] — per-basis decoding graphs built from a circuit's
-//!   detector error model, with cached all-pairs shortest paths and
-//!   observable parities;
+//!   detector error model: weighted edges and one adjacency, reweighted
+//!   in place; all-pairs shortest paths and observable parities only on
+//!   demand;
+//! * [`sparse`] — [`Blossom`], the exact matcher: sparse blossom
+//!   (Higgott & Gidney) grown directly on a graph's adjacency — regions
+//!   around detection events, a time-ordered queue, alternating trees,
+//!   blossoms formed and shattered — with all per-shot state
+//!   epoch-stamped in a reusable [`DecodeScratch`];
 //! * [`decoder`] — the [`Decoder`] trait every consumer decodes
 //!   through and the one shell that implements it, [`GraphDecoder`]:
 //!   both basis graphs, in-place *reweighting* to a new physical error
@@ -17,10 +20,13 @@
 //!   repeated syndromes ([`SyndromeCache`]) and a shot-parallel batch
 //!   decode with worker-count-independent tallies
 //!   ([`DecodeStats::merge`]), parameterised by a per-basis [`Kernel`].
-//!   [`MwpmDecoder`] is the shell over the exact [`Blossom`] kernel:
-//!   closed forms for ≤ 2 events, otherwise an exact split into
-//!   independent components before the dense solve, allocation-free
-//!   via [`DecodeScratch`];
+//!   [`MwpmDecoder`] is the shell over [`Blossom`];
+//! * [`blossom`] — exact O(n³) weighted blossom matching on dense
+//!   graphs, property-tested against brute force, all solver state in a
+//!   reusable [`BlossomArena`]. Nothing decodes through it any more: it
+//!   is the reference the sparse matcher is tested against
+//!   ([`decoder::decode_basis_dense`]) and a general-purpose
+//!   [`min_weight_perfect_matching`];
 //! * [`unionfind`] — [`UfDecoder`], the same shell over the
 //!   almost-linear-time [`UfGraph`] kernel: weighted Delfosse–Nickerson
 //!   cluster growth over the same decoding graphs, parity merging
@@ -40,12 +46,14 @@
 pub mod blossom;
 pub mod decoder;
 pub mod graph;
+pub mod sparse;
 pub mod unionfind;
 
 pub use blossom::{min_weight_perfect_matching, BlossomArena, PerfectMatching};
 pub use decoder::{
-    check_decoder_conformance, Blossom, DecodeScratch, DecodeStats, DecodeStatsMetrics, Decoder,
-    GraphDecoder, Kernel, MwpmDecoder, SyndromeCache,
+    check_decoder_conformance, DecodeStats, DecodeStatsMetrics, Decoder, GraphDecoder, Kernel,
+    KernelCounters, MwpmDecoder, SyndromeCache,
 };
 pub use graph::{DecodingGraph, GraphDiagnostics, GraphEdge};
+pub use sparse::{Blossom, DecodeScratch};
 pub use unionfind::{UfDecoder, UfGraph, UfScratch};

@@ -5,10 +5,9 @@
 //!
 //! [`UfDecoder`] is the [`GraphDecoder`] shell instantiated with this
 //! module's [`Kernel`], the [`UfGraph`] view: a little accuracy traded
-//! for a much cheaper per-shot kernel than
-//! [`MwpmDecoder`](crate::MwpmDecoder)'s component-blossom one. Per
-//! basis it runs three phases over the same [`DecodingGraph`]s MWPM
-//! decodes:
+//! for a cheaper per-shot kernel than
+//! [`MwpmDecoder`](crate::MwpmDecoder)'s sparse-blossom one. Per basis
+//! it runs three phases over the same [`DecodingGraph`]s MWPM decodes:
 //!
 //! 1. **Growth** — every odd-parity cluster grows all of its boundary
 //!    half-edges in lockstep, by the largest increment that just
@@ -25,25 +24,28 @@
 //!    the correction's observable masks are XORed into the prediction.
 //!
 //! Syndromes whose per-basis event count is ≤ 2 skip all three phases
-//! and take the *same* closed-form shortest-path fast paths as the MWPM
-//! decoder, so the two decoders agree exactly there (pinned by a
-//! property test in `tests/uf_accuracy.rs`). Larger syndromes first run
+//! and take closed forms over the graph's shortest-path tables — one
+//! event goes to the boundary, two take the cheaper of pairing up and
+//! both going to the boundary — which is what exact matching decides
+//! too, so the two decoders agree there (pinned by a property test in
+//! `tests/uf_accuracy.rs`). Larger syndromes first run
 //! *first-event shortcuts*: isolated boundary-adjacent defects and
 //! isolated mutual-nearest pairs resolve in closed form (each is
 //! exactly the outcome of the cluster's first growth event, with the
 //! frozen ball's footprint credited to its edges), and when at most two
 //! clusters remain the whole growth schedule collapses to a race
 //! between three cached shortest-path times. Only genuinely entangled
-//! multi-cluster syndromes pay for the full grow/merge/peel cycle —
-//! which is what makes the decoder ~3x faster than the sparse MWPM
-//! path at d = 9, p = 10⁻³ while staying within a few percent of its
-//! logical error rate.
+//! multi-cluster syndromes pay for the full grow/merge/peel cycle,
+//! while the logical error rate stays within a few percent of MWPM's.
+//! These fast paths are the last production readers of the all-pairs
+//! tables ([`DecodingGraph::distance`]), which building this view
+//! materialises.
 //!
 //! All per-shot state lives in a reusable [`UfScratch`]: arrays are
 //! epoch-stamped instead of cleared, so a shot touching `t` nodes costs
 //! `O(t α(t))` regardless of graph size and the steady state performs
-//! no allocation — mirroring the [`DecodeScratch`](crate::DecodeScratch)
-//! design of the MWPM hot path.
+//! no allocation — as does the MWPM kernel's
+//! [`DecodeScratch`](crate::DecodeScratch).
 
 use crate::decoder::{GraphDecoder, Kernel};
 use crate::graph::{weight_of, DecodingGraph};
@@ -832,7 +834,7 @@ fn uf_decode_nodes(graph: &UfGraph, nodes: &[u32], s: &mut UfScratch) -> u64 {
 }
 
 /// Unreachable-node sentinel guard (distances above this are the
-/// graph's "no path" stand-in, as in the MWPM fast paths).
+/// graph's "no path" stand-in).
 const FAR: f64 = 1e11;
 
 /// Most residual clusters the closed-form race handles; beyond this the
@@ -1149,8 +1151,7 @@ fn flush_to_absorber(graph: &UfGraph, s: &UfScratch, start: u32) -> Option<u64> 
 }
 
 /// Decodes one basis: closed-form shortest-path fast paths for at most
-/// two events (bit-identical to the MWPM fast paths), cluster growth
-/// otherwise.
+/// two events, cluster growth otherwise.
 fn decode_basis_uf(
     graph: &DecodingGraph,
     ufg: &UfGraph,
@@ -1166,10 +1167,10 @@ fn decode_basis_uf(
     if !nodes.is_sorted() {
         nodes.sort_unstable();
     }
-    // The ≤ 2-event fast paths make the *same* decisions from the same
-    // shortest-path data as the MWPM fast paths (the per-node boundary
-    // values come from small mirrored arrays instead of the big
-    // all-pairs tables; only the pair lookup still goes there).
+    // The ≤ 2-event fast paths decide what exact matching decides, from
+    // shortest-path data (the per-node boundary values come from small
+    // mirrored arrays instead of the big all-pairs tables; only the
+    // pair lookup still goes there).
     let out = match nodes.len() {
         0 => 0,
         1 => ufg.obs_b[nodes[0] as usize],
@@ -1198,8 +1199,9 @@ fn decode_basis_uf(
 /// A weighted union-find decoder for a fixed noisy circuit.
 ///
 /// The same [`GraphDecoder`] shell as [`MwpmDecoder`](crate::MwpmDecoder)
-/// — per-basis [`DecodingGraph`]s (their cached shortest paths also
-/// power the ≤ 2-event fast paths), pooled scratch, memoized batch
+/// — per-basis [`DecodingGraph`]s (whose shortest-path tables, built
+/// on this decoder's demand, power its fast paths), pooled scratch,
+/// memoized batch
 /// decoding, in-place [`reweighting`](crate::Decoder::reweight) when
 /// built with [`GraphDecoder::from_clean`] — instantiated with a
 /// [`UfGraph`] view per basis for cluster growth.

@@ -1,19 +1,24 @@
 //! Allocation regression gate: once warm, `decode_batch` must run its
-//! steady state out of the solver arenas and the syndrome memo — zero
+//! steady state out of the kernel scratch and the syndrome memo — zero
 //! heap allocations per shot, for both decoders. The test measures the
 //! allocator directly: a warm decode of an 8k-shot batch must allocate
 //! exactly as much as a warm decode of a 2k-shot batch (the constant
 //! per-call overhead, e.g. the returned stats), i.e. the per-shot cost
-//! is zero. The frame sampler is held to the stricter standard it can
-//! meet: a warm `FrameProgram::sample` allocates nothing at all.
+//! is zero — on a toy repetition code, and on a defective l = 7 patch
+//! at p = 2·10⁻³, where the matcher's alternating trees and blossoms
+//! (their arenas, the queue) are in play. The frame sampler is held to
+//! the stricter standard it can meet: a warm `FrameProgram::sample`
+//! allocates nothing at all.
 
 mod support {
     pub mod counting_alloc;
 }
 
-use dqec_matching::{Decoder, MwpmDecoder, UfDecoder};
+use dqec_core::{memory_z, AdaptedPatch, Coord, DefectSet, PatchLayout};
+use dqec_matching::{DecodeStats, Decoder, MwpmDecoder, UfDecoder};
 use dqec_sim::circuit::{CheckBasis, Circuit, Noise1};
 use dqec_sim::frame::{FrameProgram, FrameSampler, FrameScratch, FrameScratchPool};
+use dqec_sim::noise::NoiseModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use support::counting_alloc::count_allocs;
@@ -64,12 +69,30 @@ fn repetition(rounds: usize, p: f64) -> Circuit {
     c
 }
 
+/// The noisy memory circuit of an l = 7 patch with a broken data qubit
+/// and a broken syndrome qubit (so super-stabilizers and a deformed
+/// boundary are in its graphs).
+fn defective_patch(p: f64) -> Circuit {
+    let mut defects = DefectSet::new();
+    defects.add_data(Coord::new(5, 5));
+    defects.add_synd(Coord::new(8, 10));
+    let patch = AdaptedPatch::new(PatchLayout::memory(7), &defects);
+    assert!(patch.is_valid(), "the fixture patch must be usable");
+    let exp = memory_z(&patch, 7).expect("the patch hosts a memory experiment");
+    NoiseModel::new(p).apply(&exp.circuit)
+}
+
 /// Warm steady-state allocation count of `decode_batch` on `shots`
-/// random shots: two warm-up decodes populate the arenas and the
-/// syndrome memo, then the third (identical) decode is measured.
-fn warm_decode_allocs(decoder: &dyn Decoder, shots: usize, seed: u64) -> usize {
-    let circuit = repetition(3, 0.02);
-    let batch = FrameSampler::new(&circuit).sample(shots, &mut StdRng::seed_from_u64(seed));
+/// random shots of `circuit`, with the measured decode's tally: two
+/// warm-up decodes populate the scratch and the syndrome memo, then
+/// the third (identical) decode is measured.
+fn warm_decode_allocs(
+    decoder: &dyn Decoder,
+    circuit: &Circuit,
+    shots: usize,
+    seed: u64,
+) -> (usize, DecodeStats) {
+    let batch = FrameSampler::new(circuit).sample(shots, &mut StdRng::seed_from_u64(seed));
     // Sequential decode: worker spawns would allocate stacks and
     // channels, which is a per-call (and platform) cost, not a
     // per-shot one.
@@ -79,29 +102,46 @@ fn warm_decode_allocs(decoder: &dyn Decoder, shots: usize, seed: u64) -> usize {
         assert_eq!(warm1.shots, warm2.shots);
         let (allocs, warm3) = count_allocs(|| decoder.decode_batch(&batch));
         assert_eq!(warm2.failures, warm3.failures);
-        allocs
+        (allocs, warm3)
     })
 }
 
 #[test]
 fn warm_decode_batch_allocations_do_not_scale_with_shots() {
-    let circuit = repetition(3, 0.02);
-    for (name, decoder) in [
-        (
-            "mwpm",
-            Box::new(MwpmDecoder::new(&circuit)) as Box<dyn Decoder>,
-        ),
-        ("uf", Box::new(UfDecoder::new(&circuit)) as Box<dyn Decoder>),
+    for (fixture, circuit) in [
+        ("repetition", repetition(3, 0.02)),
+        ("defective l=7", defective_patch(2e-3)),
     ] {
-        let small = warm_decode_allocs(decoder.as_ref(), 2_000, 0xa110c);
-        let large = warm_decode_allocs(decoder.as_ref(), 8_000, 0xa110c);
-        assert_eq!(
-            small, large,
-            "{name}: warm decode_batch allocations scale with shot count \
-             (2k shots: {small} allocs, 8k shots: {large} allocs) — \
-             per-shot allocations must be zero"
-        );
-        eprintln!("{name}: warm decode_batch = {small} allocs/call (shot-independent)");
+        for (name, decoder) in [
+            (
+                "mwpm",
+                Box::new(MwpmDecoder::new(&circuit)) as Box<dyn Decoder>,
+            ),
+            ("uf", Box::new(UfDecoder::new(&circuit)) as Box<dyn Decoder>),
+        ] {
+            let (small, _) = warm_decode_allocs(decoder.as_ref(), &circuit, 2_000, 0xa110c);
+            let (large, stats) = warm_decode_allocs(decoder.as_ref(), &circuit, 8_000, 0xa110c);
+            assert_eq!(
+                small, large,
+                "{fixture}/{name}: warm decode_batch allocations scale with shot count \
+                 (2k shots: {small} allocs, 8k shots: {large} allocs) — \
+                 per-shot allocations must be zero"
+            );
+            eprintln!(
+                "{fixture}/{name}: warm decode_batch = {small} allocs/call (shot-independent); \
+                 kernel {:?}",
+                stats.kernel
+            );
+            if (fixture, name) == ("defective l=7", "mwpm") {
+                // The gate must have covered the matcher proper, not
+                // just the closed forms.
+                assert!(
+                    stats.kernel.blossoms_formed > 0 && stats.kernel.tree_collisions > 0,
+                    "{:?}",
+                    stats.kernel
+                );
+            }
+        }
     }
 }
 

@@ -71,6 +71,41 @@ fn mwpm_from_clean_conforms_before_and_after_reweighting() {
 }
 
 #[test]
+fn conformance_covers_a_detector_no_mechanism_flips() {
+    // The fixture's noise sits before each round only, so nothing ever
+    // flips the two final-readout detectors: they are nodes without an
+    // edge, which the conformance bank (every detector flipped with
+    // probability 0.08) hands to the decoder all the same. No region
+    // grown from such an event can reach anything; it must decode as
+    // "no correction" and leave the rest of the syndrome alone.
+    let noisy = repetition(3, 0.02);
+    let clean = repetition(3, 0.0);
+    let decoder = MwpmDecoder::new(&noisy);
+    let last = noisy.detectors().len() as u32 - 1;
+    let node = decoder.z_graph().node_of_detector(last).expect("a Z node");
+    assert!(
+        decoder
+            .z_graph()
+            .edges()
+            .iter()
+            .all(|e| e.a != node && e.b != Some(node)),
+        "the fixture must have a detector without an edge"
+    );
+    check_decoder_conformance(&decoder, &clean);
+    assert_eq!(decoder.decode_events(&[last]), 0);
+    assert_eq!(decoder.decode_events(&[last - 1, last]), 0);
+    for events in [vec![0u32], vec![0, 1, 3], vec![1, 2, 3, 4, 5]] {
+        let mut with_dead = events.clone();
+        with_dead.push(last);
+        assert_eq!(
+            decoder.decode_events(&with_dead),
+            decoder.decode_events(&events),
+            "{events:?}"
+        );
+    }
+}
+
+#[test]
 fn uf_from_noisy_circuit_conforms() {
     // The same 1k-random-syndrome suite the MWPM decoder passes:
     // cold/warm memo cache agreement and worker caps of 1, 4, and 16.

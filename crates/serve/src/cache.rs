@@ -1,7 +1,8 @@
 //! The compiled-experiment cache: the server-side seam that amortizes
-//! circuit generation and decoder construction (the all-pairs
-//! shortest-path step dominates) across every request that shares a
-//! (patch, decoder, noise) configuration.
+//! circuit generation and decoder construction (detector-error-model
+//! extraction dominates; union-find adds all-pairs shortest paths)
+//! across every request that shares a (patch, decoder, noise)
+//! configuration.
 //!
 //! The cache is keyed on the **request**, not on what it compiles to:
 //! [`request_key`] hashes the fields of a [`DecodeRequest`] that

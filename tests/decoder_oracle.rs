@@ -1,7 +1,7 @@
 //! Decoder-level oracle on real decoding graphs.
 //!
-//! Whatever the exact MWPM kernel does inside (`decode_basis_sparse`),
-//! it is judged from outside on adapted patches with random qubit +
+//! Whatever the exact MWPM kernel does inside (`Blossom`: sparse blossom
+//! on the graph's adjacency), it is judged from outside on adapted patches with random qubit +
 //! link defects — so deformed boundaries and super-stabilizer gauge
 //! schedules are in the graphs — and in both bases, three ways per
 //! syndrome:
@@ -10,7 +10,10 @@
 //!   reference (`decode_basis_dense`: every pair through the cached
 //!   distance table, no split, no fast path);
 //! * on syndromes of at most ten events it must equal brute-force
-//!   enumeration of every matching;
+//!   enumeration of every matching — within the weight-rounding bound
+//!   against the graph's `f64` distance tables, and *exactly*, in the
+//!   kernel's integer units, against distances this test derives itself
+//!   (Floyd–Warshall) from the kernel's own per-edge integer weights;
 //! * its *observable mask* must equal the dense reference's. A weight
 //!   check alone cannot see a wrong mask accumulated along the way, and
 //!   the mask is what the decoder is for. Equal-weight optima may carry
@@ -26,8 +29,9 @@
 use dqec::chiplet::runner::default_rounds;
 use dqec::chiplet::DefectModel;
 use dqec::core::{memory_z, AdaptedPatch, PatchLayout};
-use dqec::matching::decoder::{decode_basis_dense, decode_basis_sparse};
-use dqec::matching::{DecodeScratch, Decoder, DecodingGraph, MwpmDecoder};
+use dqec::matching::decoder::decode_basis_dense;
+use dqec::matching::sparse::weight_of_result;
+use dqec::matching::{Blossom, BlossomArena, DecodeScratch, Decoder, DecodingGraph, MwpmDecoder};
 use dqec::sim::circuit::Circuit;
 use dqec::sim::frame::FrameSampler;
 use dqec::sim::noise::NoiseModel;
@@ -52,10 +56,75 @@ const TOL: f64 = 1e-3;
 /// different mask than the dense reference at equal weight.
 const MAX_TIE_FRACTION: f64 = 0.02;
 
-/// The kernel under test: one basis's share of `events`, as
-/// `(observable mask, total matching weight)`.
-fn kernel(graph: &DecodingGraph, events: &[u32], scratch: &mut DecodeScratch) -> (u64, f64) {
-    decode_basis_sparse(graph, events, scratch)
+/// One basis under test: the graph, the kernel's view of it and — on
+/// graphs small enough — exact all-pairs distances in the kernel's
+/// integer units.
+struct Basis<'a> {
+    graph: &'a DecodingGraph,
+    view: &'a Blossom,
+    exact: Option<Vec<Vec<i64>>>,
+}
+
+const NO_PATH: i64 = i64::MAX / 4;
+
+impl<'a> Basis<'a> {
+    fn both(decoder: &'a MwpmDecoder, exact: bool) -> [Basis<'a>; 2] {
+        decoder.kernels().map(|(graph, view)| Basis {
+            graph,
+            view,
+            exact: exact.then(|| integer_distances(graph)),
+        })
+    }
+}
+
+/// Floyd–Warshall over the real nodes plus the boundary (index `n`) on
+/// the integer weight the kernel gives every edge.
+fn integer_distances(graph: &DecodingGraph) -> Vec<Vec<i64>> {
+    let n = graph.num_nodes();
+    let mut d = vec![vec![NO_PATH; n + 1]; n + 1];
+    for (v, row) in d.iter_mut().enumerate() {
+        row[v] = 0;
+    }
+    for (e, w) in graph.edges().iter().zip(Blossom::edge_weights(graph)) {
+        let (a, b) = (e.a as usize, e.b.map_or(n, |b| b as usize));
+        d[a][b] = d[a][b].min(w);
+        d[b][a] = d[b][a].min(w);
+    }
+    for k in 0..=n {
+        let via = d[k].clone();
+        for row in d.iter_mut() {
+            let to_k = row[k];
+            if to_k == NO_PATH {
+                continue;
+            }
+            for (cell, &from_k) in row.iter_mut().zip(&via) {
+                *cell = (*cell).min(to_k + from_k);
+            }
+        }
+    }
+    d
+}
+
+/// Minimum total integer weight over every way of matching the nodes
+/// not yet `used`: the first free node goes to the boundary or pairs
+/// with any later free node.
+fn brute_force_units(d: &[Vec<i64>], nodes: &[u32], used: &mut [bool]) -> i64 {
+    let Some(i) = used.iter().position(|&u| !u) else {
+        return 0;
+    };
+    let n = d.len() - 1;
+    let a = nodes[i] as usize;
+    used[i] = true;
+    let mut best = d[a][n] + brute_force_units(d, nodes, used);
+    for j in (i + 1)..nodes.len() {
+        if !used[j] {
+            used[j] = true;
+            best = best.min(d[a][nodes[j] as usize] + brute_force_units(d, nodes, used));
+            used[j] = false;
+        }
+    }
+    used[i] = false;
+    best
 }
 
 /// Every way of matching `nodes[i..]` not yet `used` — the first free
@@ -106,6 +175,8 @@ fn enumerate(
 struct Checked {
     dense: usize,
     brute: usize,
+    /// Brute-force checks that held `==` in integer units.
+    exact: usize,
     split: usize,
     /// Masks differing from the dense reference at equal weight.
     ties: usize,
@@ -117,19 +188,21 @@ struct Checked {
 
 /// Checks one basis's share of `events` against the oracles.
 fn check(
-    graph: &DecodingGraph,
+    basis: &Basis,
     events: &[u32],
     brute: bool,
     sparse: &mut DecodeScratch,
-    dense: &mut DecodeScratch,
+    dense: &mut BlossomArena,
     checked: &mut Checked,
 ) {
+    let graph = basis.graph;
     let mut nodes: Vec<u32> = events
         .iter()
         .filter_map(|&d| graph.node_of_detector(d))
         .collect();
     nodes.sort_unstable();
-    let (sm, sc) = kernel(graph, events, sparse);
+    let result = basis.view.decode_weighted(graph, events, sparse);
+    let (sm, sc) = weight_of_result(result);
     let (dm, dc) = decode_basis_dense(graph, events, dense);
     // With an unreachable-node sentinel in the dense matrix its integer
     // scaling quantizes real weights away: the reference is no longer
@@ -163,6 +236,17 @@ fn check(
             "kernel weight {sc} != brute-force minimum {best} on {nodes:?}"
         );
         checked.brute += 1;
+        if let Some(d) = &basis.exact {
+            assert_eq!(
+                (result.1, result.2),
+                (
+                    brute_force_units(d, &nodes, &mut vec![false; nodes.len()]),
+                    0
+                ),
+                "kernel weight is not the integer optimum on {nodes:?}"
+            );
+            checked.exact += 1;
+        }
         all.retain(|m| m.0 < best + TOL);
         all
     });
@@ -203,7 +287,7 @@ fn sparse_weight_equals_dense_and_brute_force_on_defective_patches() {
     let mut checked = Checked::default();
     let mut with_gauges = 0;
     let mut sparse = DecodeScratch::new();
-    let mut dense = DecodeScratch::new();
+    let mut dense = BlossomArena::new();
     for l in [5u32, 7] {
         for _ in 0..3 {
             let (patch, clean) = defective_patch(l, &mut rng);
@@ -220,9 +304,10 @@ fn sparse_weight_equals_dense_and_brute_force_on_defective_patches() {
                     syndromes.push((0..ndet).filter(|_| rng.gen_bool(density)).collect());
                 }
             }
+            let bases = Basis::both(&decoder, true);
             for events in &syndromes {
-                for graph in [decoder.z_graph(), decoder.x_graph()] {
-                    check(graph, events, true, &mut sparse, &mut dense, &mut checked);
+                for basis in &bases {
+                    check(basis, events, true, &mut sparse, &mut dense, &mut checked);
                 }
             }
         }
@@ -233,6 +318,7 @@ fn sparse_weight_equals_dense_and_brute_force_on_defective_patches() {
     assert!(with_gauges >= 1, "no sampled patch had a super-stabilizer");
     assert!(checked.dense >= 2000, "{} dense checks", checked.dense);
     assert!(checked.brute >= 500, "{} brute-force checks", checked.brute);
+    assert_eq!(checked.exact, checked.brute, "integer-exact checks");
     assert!(checked.split >= 500, "{} split checks", checked.split);
     let small = checked.dense;
 
@@ -241,6 +327,16 @@ fn sparse_weight_equals_dense_and_brute_force_on_defective_patches() {
     // Sampled syndromes only, dense reference only.
     let (_, clean) = defective_patch(9, &mut rng);
     let mut decoder = MwpmDecoder::from_clean(&clean, &NoiseModel::new(2e-3));
+    // Building, reweighting and decoding never touch the all-pairs
+    // tables; the dense reference below is what materialises them (and
+    // the second reweight then has tables to repair).
+    assert!(decoder.reweight(&NoiseModel::new(1.5e-3)));
+    decoder.decode_batch(
+        &FrameSampler::new(&NoiseModel::new(1.5e-3).apply(&clean)).sample(64, &mut rng),
+    );
+    for (graph, _) in decoder.kernels() {
+        assert!(!graph.path_tables_built(), "{:?}", graph.basis());
+    }
     let mut events_seen = 0;
     for p in [2e-3, 1.1e-3] {
         let noise = NoiseModel::new(p);
@@ -248,10 +344,11 @@ fn sparse_weight_equals_dense_and_brute_force_on_defective_patches() {
         let syndromes = FrameSampler::new(&noise.apply(&clean))
             .sample(300, &mut rng)
             .detection_events_by_shot();
+        let bases = Basis::both(&decoder, false);
         for events in &syndromes {
             events_seen += events.len();
-            for graph in [decoder.z_graph(), decoder.x_graph()] {
-                check(graph, events, false, &mut sparse, &mut dense, &mut checked);
+            for basis in &bases {
+                check(basis, events, false, &mut sparse, &mut dense, &mut checked);
             }
         }
     }
@@ -264,8 +361,8 @@ fn sparse_weight_equals_dense_and_brute_force_on_defective_patches() {
 
     let fraction = checked.ties as f64 / checked.dense as f64;
     eprintln!(
-        "decoder oracle: {} dense checks ({large} at l = 9), {} brute-force, {} with a real \
-         component, {} skipped on an unreachable event; {} equal-weight mask ties \
+        "decoder oracle: {} dense checks ({large} at l = 9), {} brute-force (all == in integer \
+         units), {} with a real component, {} skipped on an unreachable event; {} equal-weight mask ties \
          ({:.3} %, {} proven by brute force)",
         checked.dense,
         checked.brute,

@@ -3,8 +3,9 @@
 //! Two complementary guarantees pin the new backend to the exact one:
 //!
 //! * a property test that the two decoders agree *bit-for-bit* on every
-//!   syndrome of at most two detection events (both route such
-//!   syndromes through the same closed-form shortest-path decisions);
+//!   syndrome of at most two detection events (union-find answers such
+//!   syndromes in closed form from shortest-path tables, which is the
+//!   decision exact matching reaches by growing regions on the graph);
 //! * a statistical bound that union-find's logical error rate on a
 //!   d = 5 memory circuit at p = 3·10⁻³ stays within a fixed factor of
 //!   MWPM's over a seeded Monte-Carlo batch — the known accuracy cost
@@ -31,9 +32,11 @@ proptest! {
 
     /// Any syndrome with at most two detection events decodes
     /// identically under union-find and MWPM: a single event matches to
-    /// the boundary along the cached shortest path, and a pair takes
-    /// whichever of pair-vs-both-to-boundary is cheaper — decisions
-    /// both decoders make from the same shortest-path tables.
+    /// the boundary along a shortest path, and a pair takes whichever
+    /// of pair-vs-both-to-boundary is cheaper — union-find reads that
+    /// off its shortest-path tables, MWPM finds it on the graph (an
+    /// exact tie between the two options could legitimately resolve
+    /// differently; none arises on this circuit).
     #[test]
     fn uf_and_mwpm_agree_exactly_on_tiny_syndromes(events in tiny_syndrome()) {
         let (mwpm, uf) = decoders();
