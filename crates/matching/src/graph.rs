@@ -522,9 +522,14 @@ impl Adjacency {
         self.starts.len() - 1
     }
 
-    /// The `(neighbor, edge index)` entries of vertex `v`.
-    pub(crate) fn of(&self, v: usize) -> &[(u32, u32)] {
-        &self.entries[self.starts[v] as usize..self.starts[v + 1] as usize]
+    /// The entries with each edge's weight inline — `(neighbor, edge
+    /// index, weight)`, same order — so a Dijkstra's inner loop reads
+    /// one array.
+    fn weighted(&self, weights: &[f64]) -> Vec<(u32, u32, f64)> {
+        self.entries
+            .iter()
+            .map(|&(v, e)| (v, e, weights[e as usize]))
+            .collect()
     }
 }
 
@@ -570,8 +575,8 @@ impl RowScratch {
     fn settle(
         &mut self,
         edges: &[GraphEdge],
-        weights: &[f64],
-        adjacency: &Adjacency,
+        starts: &[u32],
+        weighted: &[(u32, u32, f64)],
         pred: &mut [u32],
     ) {
         let RowScratch { d, par, heap } = self;
@@ -580,9 +585,9 @@ impl RowScratch {
             if du > d[u] {
                 continue;
             }
-            for &(v, e) in adjacency.of(u) {
+            for &(v, e, w) in &weighted[starts[u] as usize..starts[u + 1] as usize] {
                 let v = v as usize;
-                let nd = du + weights[e as usize];
+                let nd = du + w;
                 if nd < d[v] {
                     d[v] = nd;
                     par[v] = par[u] ^ edges[e as usize].observables;
@@ -612,13 +617,14 @@ impl PathTables {
         let mut parity = vec![0u64; total * total];
         let mut pred = vec![NO_PRED; total * total];
         let mut row = RowScratch::new(total);
+        let weighted = adjacency.weighted(weights);
         for src in 0..total {
             let at = src * total..(src + 1) * total;
             row.d.fill(f64::INFINITY);
             row.par.fill(0);
             row.d[src] = 0.0;
             row.heap.push(Reverse(HeapItem(0.0, src as u32)));
-            row.settle(edges, weights, adjacency, &mut pred[at.clone()]);
+            row.settle(edges, &adjacency.starts, &weighted, &mut pred[at.clone()]);
             row.store(&mut dist[at.clone()], &mut parity[at]);
         }
         PathTables { dist, parity, pred }
@@ -630,6 +636,7 @@ impl PathTables {
         let total = adjacency.total();
         let n = total - 1;
         let mut order: Vec<u32> = (0..total as u32).collect();
+        let weighted = adjacency.weighted(weights);
         let mut row = RowScratch::new(total);
         for src in 0..total {
             let at = src * total..(src + 1) * total;
@@ -687,7 +694,7 @@ impl PathTables {
                     heap.push(Reverse(HeapItem(d[a], a as u32)));
                 }
             }
-            row.settle(edges, weights, adjacency, pred);
+            row.settle(edges, &adjacency.starts, &weighted, pred);
             row.store(&mut self.dist[at.clone()], &mut self.parity[at]);
         }
     }
