@@ -274,7 +274,12 @@ impl DecodingGraph {
             node_of_det,
             det_of_node,
             weights: edges.iter().map(|e| weight_of(e.probability)).collect(),
-            adjacency: Adjacency::build(n, edges.iter().map(|e| ends(e, n))),
+            adjacency: Adjacency::build(
+                n,
+                edges
+                    .iter()
+                    .map(|e| (e.a as usize, e.b.map_or(n, |b| b as usize))),
+            ),
             edges,
             edge_sources,
             tables: OnceLock::new(),
@@ -491,6 +496,8 @@ pub(crate) struct Adjacency {
     pub(crate) starts: Vec<u32>,
     /// `(neighbor, edge index)`, grouped by vertex, in edge order.
     pub(crate) entries: Vec<(u32, u32)>,
+    /// Per edge, both endpoints as vertex indices.
+    ends: Vec<(u32, u32)>,
 }
 
 impl Adjacency {
@@ -508,13 +515,17 @@ impl Adjacency {
         }
         let mut cursor = starts.clone();
         let mut entries = vec![(0u32, 0u32); starts[total] as usize];
-        for (i, (a, b)) in ends.enumerate() {
+        for (i, (a, b)) in ends.clone().enumerate() {
             entries[cursor[a] as usize] = (b as u32, i as u32);
             cursor[a] += 1;
             entries[cursor[b] as usize] = (a as u32, i as u32);
             cursor[b] += 1;
         }
-        Adjacency { starts, entries }
+        Adjacency {
+            starts,
+            entries,
+            ends: ends.map(|(a, b)| (a as u32, b as u32)).collect(),
+        }
     }
 
     /// The number of vertices, boundary included.
@@ -531,11 +542,6 @@ impl Adjacency {
             .map(|&(v, e)| (v, e, weights[e as usize]))
             .collect()
     }
-}
-
-/// Both endpoints of `e` as vertex indices (`n` is the boundary).
-fn ends(e: &GraphEdge, n: usize) -> (usize, usize) {
-    (e.a as usize, e.b.map_or(n, |x| x as usize))
 }
 
 #[derive(PartialEq)]
@@ -634,7 +640,6 @@ impl PathTables {
     /// [`DecodingGraph::reweight_from`]).
     fn repair(&mut self, edges: &[GraphEdge], weights: &[f64], adjacency: &Adjacency) {
         let total = adjacency.total();
-        let n = total - 1;
         let mut order: Vec<u32> = (0..total as u32).collect();
         let weighted = adjacency.weighted(weights);
         let mut row = RowScratch::new(total);
@@ -663,8 +668,8 @@ impl PathTables {
                     }
                     e => {
                         let e = e as usize;
-                        let (a, b) = ends(&edges[e], n);
-                        let parent = if a == t { b } else { a };
+                        let (a, b) = adjacency.ends[e];
+                        let parent = if a as usize == t { b } else { a } as usize;
                         d[t] = d[parent] + weights[e];
                         par[t] = par[parent] ^ edges[e].observables;
                     }
@@ -677,19 +682,17 @@ impl PathTables {
             // usual pop-min/relax loop to the fixed point. Rows whose
             // tree survived the weight change (the common case under a
             // uniform p-shift) skip the loop entirely.
-            for (e, edge) in edges.iter().enumerate() {
-                let (a, b) = ends(edge, n);
-                let w = weights[e];
-                let obs = edge.observables;
+            for (e, (&(a, b), &w)) in adjacency.ends.iter().zip(weights).enumerate() {
+                let (a, b) = (a as usize, b as usize);
                 if d[a] + w < d[b] {
                     d[b] = d[a] + w;
-                    par[b] = par[a] ^ obs;
+                    par[b] = par[a] ^ edges[e].observables;
                     pred[b] = e as u32;
                     heap.push(Reverse(HeapItem(d[b], b as u32)));
                 }
                 if d[b] + w < d[a] {
                     d[a] = d[b] + w;
-                    par[a] = par[b] ^ obs;
+                    par[a] = par[b] ^ edges[e].observables;
                     pred[a] = e as u32;
                     heap.push(Reverse(HeapItem(d[a], a as u32)));
                 }
