@@ -441,8 +441,14 @@ mod tests {
         }
     }
 
+    /// Serialises the tests that record against the one that turns
+    /// the process-wide enable flag off: in between, a concurrent
+    /// `add` is dropped by design.
+    static ENABLE_FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn registry_interns_and_snapshots() {
+        let _flag = ENABLE_FLAG.lock().unwrap_or_else(|e| e.into_inner());
         let reg = Registry::default();
         let c = reg.counter("test.counter");
         c.add(3);
@@ -466,6 +472,7 @@ mod tests {
 
     #[test]
     fn disabled_metrics_freeze() {
+        let _flag = ENABLE_FLAG.lock().unwrap_or_else(|e| e.into_inner());
         let reg = Registry::default();
         let c = reg.counter("x");
         c.inc();
