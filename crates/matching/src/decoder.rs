@@ -13,10 +13,11 @@
 //!
 //! This module also keeps the one reference the exact kernel is judged
 //! against in tests: [`decode_basis_dense`], dense blossom over every
-//! pair of events through the graph's all-pairs distance tables.
+//! pair of events through a [`PathTables`] the test builds.
 
 use crate::blossom::BlossomArena;
 use crate::graph::DecodingGraph;
+use crate::paths::PathTables;
 use crate::sparse::Blossom;
 use dqec_sim::circuit::{CheckBasis, Circuit};
 use dqec_sim::dem::{DetectorErrorModel, ParametricDem};
@@ -24,7 +25,6 @@ use dqec_sim::frame::ShotBatch;
 use dqec_sim::noise::NoiseModel;
 use rayon::prelude::*;
 use std::collections::HashMap;
-use std::hash::Hasher;
 use std::sync::Mutex;
 
 /// Shots per work unit in batch decoding. Chunk boundaries depend only
@@ -39,64 +39,6 @@ const DEFAULT_CACHE_ENTRIES: usize = 1 << 15;
 /// essentially never repeat within a chunk, so hashing and storing them
 /// would only burn time and memory on guaranteed misses.
 const CACHE_KEY_MAX_EVENTS: usize = 16;
-
-/// FxHash-style multiply-rotate hasher for the syndrome memo: event
-/// lists are short integer slices, for which SipHash's per-call setup
-/// dominates the decode fast path. Not DoS-resistant — keys here are
-/// detector ids from our own sampler, never attacker-controlled.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        const K: u64 = 0x517c_c1b7_2722_0a95;
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(K);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            let mut word = [0u8; 8];
-            word.copy_from_slice(c);
-            self.mix(u64::from_le_bytes(word));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..rest.len()].copy_from_slice(rest);
-            self.mix(u64::from_le_bytes(buf));
-        }
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.mix(n as u64);
-    }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.mix(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.mix(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.mix(n);
-    }
-}
 
 /// A reusable stash of per-chunk decode state — one `(scratch,
 /// syndrome cache)` pair per worker that has ever decoded a chunk
@@ -181,11 +123,14 @@ impl<S> std::fmt::Debug for ScratchPool<S> {
 }
 
 /// What a kernel did while decoding, for explaining a decode time
-/// from a metrics dump: how far regions grew, how often alternating
-/// trees met something, how many blossoms came and went, and how many
-/// per-basis decodes never reached the matcher. Kernels accumulate
-/// these in their scratch and the shell drains them once per chunk
-/// ([`Kernel::take_counters`]); the union-find kernel reports none.
+/// from a metrics dump. For the exact matcher: how far regions grew,
+/// how often alternating trees met something, how many blossoms came
+/// and went. For union-find (the `uf_` fields): which of its exits each
+/// per-basis decode beyond the closed forms took, and how many growth
+/// rounds the slow one ran. For both: how many per-basis decodes were
+/// answered in closed form. Kernels accumulate these in their scratch
+/// and the shell drains them once per chunk
+/// ([`Kernel::take_counters`]); a kernel leaves the other's fields 0.
 ///
 /// Diagnostic only, like the syndrome-cache counters: a shot answered
 /// from a pooled cache runs no kernel, and which cache a chunk borrows
@@ -203,8 +148,21 @@ pub struct KernelCounters {
     pub blossoms_formed: u64,
     /// Blossoms that shrank to nothing and were shattered.
     pub blossoms_shattered: u64,
-    /// Per-basis decodes answered in closed form (at most one event).
+    /// Per-basis decodes answered in closed form (at most one event;
+    /// at most two under union-find).
     pub closed_form: u64,
+    /// Union-find decodes (three or more events) fully resolved by the
+    /// first-event shortcuts.
+    pub uf_shortcut: u64,
+    /// Union-find decodes ended by the single cluster the shortcuts
+    /// left going to the boundary.
+    pub uf_single_residual: u64,
+    /// Union-find decodes ended by the closed-form cluster race.
+    pub uf_race: u64,
+    /// Union-find decodes that ran the grow/merge/peel loop.
+    pub uf_growth: u64,
+    /// Growth rounds those ran.
+    pub uf_growth_rounds: u64,
 }
 
 impl KernelCounters {
@@ -215,6 +173,11 @@ impl KernelCounters {
         self.blossoms_formed += other.blossoms_formed;
         self.blossoms_shattered += other.blossoms_shattered;
         self.closed_form += other.closed_form;
+        self.uf_shortcut += other.uf_shortcut;
+        self.uf_single_residual += other.uf_single_residual;
+        self.uf_race += other.uf_race;
+        self.uf_growth += other.uf_growth;
+        self.uf_growth_rounds += other.uf_growth_rounds;
     }
 }
 
@@ -559,6 +522,13 @@ impl DecodeStats {
             .blossoms_shattered
             .add(self.kernel.blossoms_shattered);
         metrics.closed_form.add(self.kernel.closed_form);
+        metrics.uf_shortcut.add(self.kernel.uf_shortcut);
+        metrics
+            .uf_single_residual
+            .add(self.kernel.uf_single_residual);
+        metrics.uf_race.add(self.kernel.uf_race);
+        metrics.uf_growth.add(self.kernel.uf_growth);
+        metrics.uf_growth_rounds.add(self.kernel.uf_growth_rounds);
         let total = self.cache_hits + self.cache_misses;
         if total > 0 {
             let bp = (self.cache_hits as f64 / total as f64 * 10_000.0) as i64;
@@ -581,6 +551,11 @@ pub struct DecodeStatsMetrics {
     blossoms_formed: &'static dqec_obs::Counter,
     blossoms_shattered: &'static dqec_obs::Counter,
     closed_form: &'static dqec_obs::Counter,
+    uf_shortcut: &'static dqec_obs::Counter,
+    uf_single_residual: &'static dqec_obs::Counter,
+    uf_race: &'static dqec_obs::Counter,
+    uf_growth: &'static dqec_obs::Counter,
+    uf_growth_rounds: &'static dqec_obs::Counter,
     /// Registered with the first syndrome-cache lookup.
     syndrome_hit_rate_bp: dqec_obs::LazyGauge,
 }
@@ -589,7 +564,9 @@ impl DecodeStatsMetrics {
     /// Registers `{prefix}.shots`, `.failures`, `.syndrome_hits`,
     /// `.syndrome_misses` and one counter per [`KernelCounters`] field
     /// (`.nodes_explored`, `.tree_collisions`, `.blossoms_formed`,
-    /// `.blossoms_shattered`, `.closed_form`).
+    /// `.blossoms_shattered`, `.closed_form`, `.uf_shortcut`,
+    /// `.uf_single_residual`, `.uf_race`, `.uf_growth`,
+    /// `.uf_growth_rounds`).
     pub fn new(prefix: &str) -> Self {
         let reg = dqec_obs::registry();
         let counter = |name: &str| reg.counter(&format!("{prefix}.{name}"));
@@ -603,6 +580,11 @@ impl DecodeStatsMetrics {
             blossoms_formed: counter("blossoms_formed"),
             blossoms_shattered: counter("blossoms_shattered"),
             closed_form: counter("closed_form"),
+            uf_shortcut: counter("uf_shortcut"),
+            uf_single_residual: counter("uf_single_residual"),
+            uf_race: counter("uf_race"),
+            uf_growth: counter("uf_growth"),
+            uf_growth_rounds: counter("uf_growth_rounds"),
             syndrome_hit_rate_bp: dqec_obs::LazyGauge::new(format!(
                 "{prefix}.syndrome_hit_rate_bp"
             )),
@@ -650,12 +632,15 @@ impl SyndromeCache {
         }
     }
 
+    /// FxHash-style multiply-rotate over the event ids: event lists are
+    /// short integer slices, for which SipHash's per-call setup would
+    /// dominate the decode fast path. Not DoS-resistant — keys here are
+    /// detector ids from our own sampler, never attacker-controlled.
     fn hash(events: &[u32]) -> u64 {
-        let mut h = FxHasher::default();
-        for &e in events {
-            h.write_u32(e);
-        }
-        h.finish()
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        events.iter().fold(0u64, |h, &e| {
+            (h.rotate_left(5) ^ u64::from(e)).wrapping_mul(K)
+        })
     }
 
     /// The slot index holding `events`, or the empty slot where it
@@ -1062,14 +1047,15 @@ impl<K: Kernel> Decoder for GraphDecoder<K> {
 
 /// Matches one basis's events through the reference dense path — the
 /// classic formulation with one virtual boundary copy per event: a
-/// `2k × 2k` matrix of all-pairs table distances, virtual–virtual
-/// edges free, solved by the O(n³) [`BlossomArena`] — and returns the
-/// predicted observable mask plus the matching weight. The test oracle
-/// of the exact kernel, and the one consumer of the distance tables on
-/// the MWPM side; nothing decodes through it.
+/// `2k × 2k` matrix of all-pairs distances from `tables` (built from
+/// `graph`), virtual–virtual edges free, solved by the O(n³)
+/// [`BlossomArena`] — and returns the predicted observable mask plus
+/// the matching weight. The test oracle of the exact kernel; nothing
+/// decodes through it.
 #[doc(hidden)]
 pub fn decode_basis_dense(
     graph: &DecodingGraph,
+    tables: &PathTables,
     events: &[u32],
     arena: &mut BlossomArena,
 ) -> (u64, f64) {
@@ -1084,14 +1070,14 @@ pub fn decode_basis_dense(
     }
     let db: Vec<f64> = nodes
         .iter()
-        .map(|&nd| graph.distance(Some(nd), None))
+        .map(|&nd| tables.distance(Some(nd), None))
         .collect();
     let m = 2 * c;
     let mut w = vec![0.0; m * m];
     for (i, &ni) in nodes.iter().enumerate() {
         for (j, &nj) in nodes.iter().enumerate() {
             if i != j {
-                w[i * m + j] = graph.distance(Some(ni), Some(nj));
+                w[i * m + j] = tables.distance(Some(ni), Some(nj));
             }
         }
         for j in 0..c {
@@ -1106,10 +1092,10 @@ pub fn decode_basis_dense(
     for (i, &ni) in nodes.iter().enumerate() {
         let mate_i = mate[i];
         if mate_i >= c {
-            obs ^= graph.path_observables(Some(ni), None);
+            obs ^= tables.path_observables(Some(ni), None);
             cost += db[i];
         } else if i < mate_i {
-            obs ^= graph.path_observables(Some(ni), Some(nodes[mate_i]));
+            obs ^= tables.path_observables(Some(ni), Some(nodes[mate_i]));
             cost += w[i * m + mate_i];
         }
     }
@@ -1119,58 +1105,11 @@ pub fn decode_basis_dense(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::repetition;
     use crate::sparse::{weight_of_result, DecodeScratch};
-    use dqec_sim::circuit::Noise1;
     use dqec_sim::frame::FrameSampler;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    /// Distance-3 repetition code over `rounds` rounds with data-flip
-    /// probability `p` per round; observable = data qubit 0.
-    fn repetition(rounds: usize, p: f64) -> Circuit {
-        let mut c = Circuit::new(5);
-        for q in 0..5 {
-            c.reset(q).unwrap();
-        }
-        let mut prev: Option<[dqec_sim::MeasRecord; 2]> = None;
-        for t in 0..rounds {
-            for q in 0..3 {
-                c.noise1(Noise1::XError, q, p).unwrap();
-            }
-            c.cx(0, 3).unwrap();
-            c.cx(1, 3).unwrap();
-            c.cx(1, 4).unwrap();
-            c.cx(2, 4).unwrap();
-            let m3 = c.measure_reset(3).unwrap();
-            let m4 = c.measure_reset(4).unwrap();
-            match prev {
-                None => {
-                    c.add_detector(&[m3], CheckBasis::Z, (0, 0, t as i32))
-                        .unwrap();
-                    c.add_detector(&[m4], CheckBasis::Z, (1, 0, t as i32))
-                        .unwrap();
-                }
-                Some([p3, p4]) => {
-                    c.add_detector(&[m3, p3], CheckBasis::Z, (0, 0, t as i32))
-                        .unwrap();
-                    c.add_detector(&[m4, p4], CheckBasis::Z, (1, 0, t as i32))
-                        .unwrap();
-                }
-            }
-            prev = Some([m3, m4]);
-        }
-        let d0 = c.measure(0).unwrap();
-        let d1 = c.measure(1).unwrap();
-        let d2 = c.measure(2).unwrap();
-        let [p3, p4] = prev.unwrap();
-        c.add_detector(&[d0, d1, p3], CheckBasis::Z, (0, 0, rounds as i32))
-            .unwrap();
-        c.add_detector(&[d1, d2, p4], CheckBasis::Z, (1, 0, rounds as i32))
-            .unwrap();
-        c.include_observable(0, &[d0]).unwrap();
-        c
-    }
-
     #[test]
     fn noiseless_batch_has_no_failures() {
         let c = repetition(3, 0.0);
@@ -1223,6 +1162,7 @@ mod tests {
         let c = repetition(4, 0.02);
         let decoder = MwpmDecoder::new(&c);
         let [(graph, kernel), _] = decoder.kernels();
+        let tables = PathTables::build(graph);
         let ndet = c.detectors().len() as u32;
         let mut rng = StdRng::seed_from_u64(0x5eed5);
         let mut scratch = DecodeScratch::new();
@@ -1230,7 +1170,7 @@ mod tests {
         for _ in 0..500 {
             let events: Vec<u32> = (0..ndet).filter(|_| rng.gen_bool(0.3)).collect();
             let (_, sc) = weight_of_result(kernel.decode_weighted(graph, &events, &mut scratch));
-            let (_, dc) = decode_basis_dense(graph, &events, &mut arena);
+            let (_, dc) = decode_basis_dense(graph, &tables, &events, &mut arena);
             // Both are realizable matchings (cost >= the true optimum);
             // the kernel must never be the worse one.
             assert!(
@@ -1245,7 +1185,7 @@ mod tests {
             let degenerate = events.iter().any(|&e| {
                 graph
                     .node_of_detector(e)
-                    .is_some_and(|n| graph.distance(Some(n), None) > 1e11)
+                    .is_some_and(|n| tables.boundary(n).0 > 1e11)
             });
             if !degenerate {
                 assert!(
@@ -1381,7 +1321,10 @@ mod tests {
     fn decode_batch_reports_what_the_kernel_did() {
         let c = repetition(4, 0.04);
         let batch = FrameSampler::new(&c).sample(3000, &mut StdRng::seed_from_u64(5));
-        let stats = MwpmDecoder::new(&c).decode_batch(&batch);
+        // One worker: which pooled memo a chunk borrows — and so how
+        // many shots reach the kernel — depends on chunk scheduling.
+        let decode = |d: &dyn Decoder| rayon::with_worker_cap(1, || d.decode_batch(&batch));
+        let stats = decode(&MwpmDecoder::new(&c));
         // Every cache miss ran the kernel once per basis: in closed
         // form or through region growth, which explores at least the
         // events' own nodes and ends every tree in a collision.
@@ -1393,11 +1336,14 @@ mod tests {
         assert!(k.nodes_explored > 0 && k.tree_collisions > 0, "{k:?}");
         assert!(k.blossoms_shattered <= k.blossoms_formed, "{k:?}");
         // Counters are per call, not cumulative over the pooled scratch.
-        let again = MwpmDecoder::new(&c).decode_batch(&batch);
+        let again = decode(&MwpmDecoder::new(&c));
         assert_eq!(again.kernel, k);
-        // The union-find kernel counts nothing.
-        let uf = crate::UfDecoder::new(&c).decode_batch(&batch);
-        assert_eq!(uf.kernel, KernelCounters::default());
+        // The union-find kernel counts its own exits, and none of the
+        // matcher's.
+        let uf = decode(&crate::UfDecoder::new(&c)).kernel;
+        assert!(uf.closed_form > 0 && uf.uf_shortcut + uf.uf_race > 0);
+        assert_eq!((uf.nodes_explored, uf.tree_collisions), (0, 0), "{uf:?}");
+        assert_eq!((k.uf_shortcut, k.uf_race, k.uf_growth), (0, 0, 0), "{k:?}");
     }
 
     #[test]
@@ -1414,16 +1360,23 @@ mod tests {
             "the matcher must have run"
         );
         mwpm.decode_events(&[0, 1, 3, 4, 6]);
-        for graph in [mwpm.z_graph(), mwpm.x_graph()] {
-            assert!(!graph.path_tables_built(), "{:?}", graph.basis());
-        }
-        // Asking for a distance is what builds them.
-        assert!(mwpm.z_graph().distance(Some(0), None) > 0.0);
-        assert!(mwpm.z_graph().path_tables_built());
+        // None of that could have built a table: a graph has none, and
+        // neither does the matcher's view. Whoever wants distances
+        // builds them from the graph,
+        let tables = PathTables::build(mwpm.z_graph());
+        assert!(tables.distance(Some(0), None) > 0.0);
 
-        // (The repetition code has no X detectors to ask about.)
-        let uf = crate::UfDecoder::from_clean(&clean, &NoiseModel::new(2e-2));
-        assert!(uf.z_graph().path_tables_built());
+        // and union-find does, once per basis view, keeping them
+        // current through reweights: its one-event closed form is a
+        // table read.
+        let mut uf = crate::UfDecoder::from_clean(&clean, &NoiseModel::new(2e-2));
+        assert!(uf.reweight(&NoiseModel::new(4e-2)));
+        for det in 0..noisy.detectors().len() as u32 {
+            assert_eq!(
+                uf.decode_events(&[det]),
+                tables.path_observables(Some(det), None)
+            );
+        }
     }
 
     #[test]

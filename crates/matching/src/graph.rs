@@ -9,18 +9,15 @@
 //! A [`DecodingGraph`] is its edge list plus one CSR adjacency, built
 //! once, with the per-edge matching weights `ln((1-p)/p)` beside it;
 //! [`DecodingGraph::reweight_from`] refreshes probabilities and weights
-//! in place. The exact matcher ([`crate::sparse`]) decodes on that
-//! adjacency directly. All-pairs shortest-path tables — what
-//! [`DecodingGraph::distance`] and [`DecodingGraph::path_observables`]
-//! answer from — are *not* part of a graph: they are materialised by
-//! the first such call (the union-find fast paths and the dense test
-//! oracle make it) and from then on kept current by `reweight_from`.
+//! in place, in O(E). The exact matcher ([`crate::sparse`]) decodes on
+//! that adjacency directly. All-pairs shortest paths are *not* part of
+//! a graph: whoever needs them builds a [`crate::PathTables`] from one
+//! (the union-find kernel keeps the only production instance).
 
 use dqec_sim::circuit::{CheckBasis, Circuit};
 use dqec_sim::dem::DetectorErrorModel;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-use std::sync::OnceLock;
 
 /// Smallest probability an edge is allowed to carry (avoids infinite
 /// weights).
@@ -60,8 +57,7 @@ pub struct GraphDiagnostics {
 }
 
 /// A single-basis matching graph: nodes, weighted edges and their
-/// adjacency. Shortest-path tables are derived on demand (see the
-/// module docs).
+/// adjacency.
 #[derive(Debug, Clone)]
 pub struct DecodingGraph {
     basis: CheckBasis,
@@ -75,28 +71,8 @@ pub struct DecodingGraph {
     /// Per edge, the matching weight of its current probability.
     weights: Vec<f64>,
     adjacency: Adjacency,
-    /// Built by the first [`DecodingGraph::distance`] or
-    /// [`DecodingGraph::path_observables`] call.
-    tables: OnceLock<PathTables>,
     diagnostics: GraphDiagnostics,
 }
-
-/// All-pairs shortest paths over the real nodes plus the boundary.
-#[derive(Debug, Clone)]
-struct PathTables {
-    /// Row-major `(n+1) x (n+1)` distances; index `n` is the boundary.
-    dist: Vec<f64>,
-    /// Observable parity along the corresponding shortest path.
-    parity: Vec<u64>,
-    /// Row-major shortest-path trees: `pred[s*(n+1)+t]` is the edge
-    /// index reaching `t` on the cached `s → t` path (`NO_PRED` for
-    /// the source itself and unreachable nodes). Reweighting re-derives
-    /// distances along these trees instead of re-running Dijkstra.
-    pred: Vec<u32>,
-}
-
-/// Sentinel for "no predecessor edge" in the shortest-path trees.
-const NO_PRED: u32 = u32::MAX;
 
 impl DecodingGraph {
     /// Builds the decoding graph for `basis` from a circuit's DEM,
@@ -282,7 +258,6 @@ impl DecodingGraph {
             ),
             edges,
             edge_sources,
-            tables: OnceLock::new(),
             diagnostics,
         }
     }
@@ -295,15 +270,6 @@ impl DecodingGraph {
     /// reused, which is what makes sweeping a logical-error-rate curve
     /// much cheaper than rebuilding the decoder at every physical error
     /// rate.
-    ///
-    /// If the shortest-path tables have been materialised they are
-    /// brought up to date as well, reusing the cached shortest-path
-    /// trees: each row's distances are first re-derived along its old
-    /// tree in O(V + E) and accepted when the shortest-path certificate
-    /// (no edge can relax any distance further) holds; only rows whose
-    /// tree went stale re-run Dijkstra. Under the paper's noise model a
-    /// p-change shifts every edge weight by nearly the same amount, so
-    /// trees almost always survive.
     ///
     /// # Panics
     ///
@@ -323,9 +289,6 @@ impl DecodingGraph {
             }
             edge.probability = p_acc;
             *weight = weight_of(p_acc);
-        }
-        if let Some(tables) = self.tables.get_mut() {
-            tables.repair(&self.edges, &self.weights, &self.adjacency);
         }
     }
 
@@ -366,39 +329,6 @@ impl DecodingGraph {
         &self.adjacency
     }
 
-    /// The all-pairs tables, computed on first use.
-    fn tables(&self) -> &PathTables {
-        self.tables
-            .get_or_init(|| PathTables::all_pairs(&self.edges, &self.weights, &self.adjacency))
-    }
-
-    /// Whether the all-pairs shortest-path tables have been
-    /// materialised (test pin: the MWPM path must never do so).
-    #[doc(hidden)]
-    pub fn path_tables_built(&self) -> bool {
-        self.tables.get().is_some()
-    }
-
-    /// Row-major index of the `(a, b)` table entry.
-    fn table_index(&self, a: Option<u32>, b: Option<u32>) -> usize {
-        let n = self.num_nodes();
-        let ia = a.map_or(n, |x| x as usize);
-        let ib = b.map_or(n, |x| x as usize);
-        ia * (n + 1) + ib
-    }
-
-    /// Shortest-path weight between two nodes (`None` = boundary). The
-    /// first call computes the all-pairs tables.
-    pub fn distance(&self, a: Option<u32>, b: Option<u32>) -> f64 {
-        self.tables().dist[self.table_index(a, b)]
-    }
-
-    /// Observable parity along the shortest path between two nodes. The
-    /// first call computes the all-pairs tables.
-    pub fn path_observables(&self, a: Option<u32>, b: Option<u32>) -> u64 {
-        self.tables().parity[self.table_index(a, b)]
-    }
-
     /// The graphlike circuit-level distance for observable `obs`: the
     /// minimum number of error mechanisms (edges) whose combined
     /// symptom is trivial but which flip the observable — i.e. the
@@ -409,35 +339,32 @@ impl DecodingGraph {
     /// boundary or around a cycle) with odd observable parity. Returns
     /// `None` when no such error exists in the graph.
     pub fn graphlike_distance(&self, obs: u32) -> Option<u32> {
-        use std::collections::BinaryHeap;
-        let n = self.num_nodes() + 1; // + boundary
-        let mut adj: Vec<Vec<(usize, bool)>> = vec![Vec::new(); n];
-        for e in &self.edges {
-            let b = e.b.map_or(n - 1, |x| x as usize);
-            let flips = (e.observables >> obs) & 1 == 1;
-            adj[e.a as usize].push((b, flips));
-            adj[b].push((e.a as usize, flips));
-        }
+        let Adjacency {
+            starts, entries, ..
+        } = &self.adjacency;
+        let total = self.adjacency.total();
         // State (node, parity); start at every node with parity 0 and
         // look for returning to the same node with parity 1. Starting
         // from the boundary covers boundary-to-boundary strings; cycle
         // cases are covered by starting from each edge's endpoint.
         let mut best: Option<u32> = None;
-        for start in 0..n {
-            let mut dist = vec![[u32::MAX; 2]; n];
+        let mut dist = vec![[u32::MAX; 2]; total];
+        let mut heap: BinaryHeap<Reverse<(u32, u32, u8)>> = BinaryHeap::new();
+        for start in 0..total {
+            dist.fill([u32::MAX; 2]);
             dist[start][0] = 0;
-            let mut heap: BinaryHeap<std::cmp::Reverse<(u32, usize, u8)>> = BinaryHeap::new();
-            heap.push(std::cmp::Reverse((0, start, 0)));
-            while let Some(std::cmp::Reverse((d, v, p))) = heap.pop() {
+            heap.push(Reverse((0, start as u32, 0)));
+            while let Some(Reverse((d, v, p))) = heap.pop() {
+                let v = v as usize;
                 if d > dist[v][p as usize] {
                     continue;
                 }
-                for &(w, flips) in &adj[v] {
-                    let np = p ^ (flips as u8);
+                for &(w, e) in &entries[starts[v] as usize..starts[v + 1] as usize] {
+                    let np = p ^ ((self.edges[e as usize].observables >> obs) & 1) as u8;
                     let nd = d + 1;
-                    if nd < dist[w][np as usize] {
-                        dist[w][np as usize] = nd;
-                        heap.push(std::cmp::Reverse((nd, w, np)));
+                    if nd < dist[w as usize][np as usize] {
+                        dist[w as usize][np as usize] = nd;
+                        heap.push(Reverse((nd, w, np)));
                     }
                 }
             }
@@ -487,9 +414,10 @@ fn decompose(nodes: &[u32], known: &BTreeSet<(u32, u32)>) -> Option<Vec<Vec<u32>
 }
 
 /// Flat CSR adjacency over the real nodes plus the boundary (vertex
-/// `n`), built once per graph: the lazy all-pairs tables, their repair
-/// and the matching kernels' packed views all walk it. Entries carry
-/// the edge index, which keys the per-edge weights and observables.
+/// `n`), built once per graph: [`crate::PathTables`], the matching
+/// kernels' packed views and [`DecodingGraph::graphlike_distance`] all
+/// walk it. Entries carry the edge index, which keys the per-edge
+/// weights and observables.
 #[derive(Debug, Clone)]
 pub(crate) struct Adjacency {
     /// Row starts over `n + 1` vertices (`n + 2` entries).
@@ -497,7 +425,7 @@ pub(crate) struct Adjacency {
     /// `(neighbor, edge index)`, grouped by vertex, in edge order.
     pub(crate) entries: Vec<(u32, u32)>,
     /// Per edge, both endpoints as vertex indices.
-    ends: Vec<(u32, u32)>,
+    pub(crate) ends: Vec<(u32, u32)>,
 }
 
 impl Adjacency {
@@ -532,232 +460,17 @@ impl Adjacency {
     pub(crate) fn total(&self) -> usize {
         self.starts.len() - 1
     }
-
-    /// The entries with each edge's weight inline — `(neighbor, edge
-    /// index, weight)`, same order — so a Dijkstra's inner loop reads
-    /// one array.
-    fn weighted(&self, weights: &[f64]) -> Vec<(u32, u32, f64)> {
-        self.entries
-            .iter()
-            .map(|&(v, e)| (v, e, weights[e as usize]))
-            .collect()
-    }
-}
-
-#[derive(PartialEq)]
-struct HeapItem(f64, u32);
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-    }
-}
-
-/// Single-row working memory of the all-pairs build and its repair,
-/// reused across source rows.
-struct RowScratch {
-    d: Vec<f64>,
-    par: Vec<u64>,
-    heap: BinaryHeap<Reverse<HeapItem>>,
-}
-
-impl RowScratch {
-    fn new(total: usize) -> Self {
-        RowScratch {
-            d: vec![f64::INFINITY; total],
-            par: vec![0; total],
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Dijkstra's pop-min/relax loop from whatever the heap holds to
-    /// the fixed point, updating distances, path parities and the
-    /// predecessor-edge tree `pred`.
-    fn settle(
-        &mut self,
-        edges: &[GraphEdge],
-        starts: &[u32],
-        weighted: &[(u32, u32, f64)],
-        pred: &mut [u32],
-    ) {
-        let RowScratch { d, par, heap } = self;
-        while let Some(Reverse(HeapItem(du, u))) = heap.pop() {
-            let u = u as usize;
-            if du > d[u] {
-                continue;
-            }
-            for &(v, e, w) in &weighted[starts[u] as usize..starts[u + 1] as usize] {
-                let v = v as usize;
-                let nd = du + w;
-                if nd < d[v] {
-                    d[v] = nd;
-                    par[v] = par[u] ^ edges[e as usize].observables;
-                    pred[v] = e;
-                    heap.push(Reverse(HeapItem(nd, v as u32)));
-                }
-            }
-        }
-    }
-
-    /// Copies the finished row into the tables.
-    fn store(&self, dist: &mut [f64], parity: &mut [u64]) {
-        for (out, &d) in dist.iter_mut().zip(&self.d) {
-            *out = if d.is_finite() { d } else { UNREACHABLE };
-        }
-        parity.copy_from_slice(&self.par);
-    }
-}
-
-impl PathTables {
-    /// All-pairs Dijkstra, also recording each row's shortest-path tree
-    /// (predecessor edges) so [`PathTables::repair`] can refresh
-    /// distances without re-running every Dijkstra.
-    fn all_pairs(edges: &[GraphEdge], weights: &[f64], adjacency: &Adjacency) -> PathTables {
-        let total = adjacency.total();
-        let mut dist = vec![UNREACHABLE; total * total];
-        let mut parity = vec![0u64; total * total];
-        let mut pred = vec![NO_PRED; total * total];
-        let mut row = RowScratch::new(total);
-        let weighted = adjacency.weighted(weights);
-        for src in 0..total {
-            let at = src * total..(src + 1) * total;
-            row.d.fill(f64::INFINITY);
-            row.par.fill(0);
-            row.d[src] = 0.0;
-            row.heap.push(Reverse(HeapItem(0.0, src as u32)));
-            row.settle(edges, &adjacency.starts, &weighted, &mut pred[at.clone()]);
-            row.store(&mut dist[at.clone()], &mut parity[at]);
-        }
-        PathTables { dist, parity, pred }
-    }
-
-    /// Brings the tables up to date after the edge weights changed (see
-    /// [`DecodingGraph::reweight_from`]).
-    fn repair(&mut self, edges: &[GraphEdge], weights: &[f64], adjacency: &Adjacency) {
-        let total = adjacency.total();
-        let mut order: Vec<u32> = (0..total as u32).collect();
-        let weighted = adjacency.weighted(weights);
-        let mut row = RowScratch::new(total);
-        for src in 0..total {
-            let at = src * total..(src + 1) * total;
-            let old = &self.dist[at.clone()];
-            // Parents settled before children, so increasing old
-            // distance is a topological order of the old tree.
-            order.sort_unstable_by(|&a, &b| {
-                old[a as usize].total_cmp(&old[b as usize]).then(a.cmp(&b))
-            });
-            let pred = &mut self.pred[at.clone()];
-            let RowScratch { d, par, heap } = &mut row;
-            for &t in order.iter() {
-                let t = t as usize;
-                if t == src {
-                    d[t] = 0.0;
-                    par[t] = 0;
-                    continue;
-                }
-                match pred[t] {
-                    NO_PRED => {
-                        // Unreachable before; weights cannot change that.
-                        d[t] = f64::INFINITY;
-                        par[t] = 0;
-                    }
-                    e => {
-                        let e = e as usize;
-                        let (a, b) = adjacency.ends[e];
-                        let parent = if a as usize == t { b } else { a } as usize;
-                        d[t] = d[parent] + weights[e];
-                        par[t] = par[parent] ^ edges[e].observables;
-                    }
-                }
-            }
-            // The tree distances are upper bounds achieved by real
-            // paths. Repair them to the exact optimum with a
-            // warm-started Dijkstra: seed the heap with every edge
-            // relaxation that still improves a bound, then run the
-            // usual pop-min/relax loop to the fixed point. Rows whose
-            // tree survived the weight change (the common case under a
-            // uniform p-shift) skip the loop entirely.
-            for (e, (&(a, b), &w)) in adjacency.ends.iter().zip(weights).enumerate() {
-                let (a, b) = (a as usize, b as usize);
-                if d[a] + w < d[b] {
-                    d[b] = d[a] + w;
-                    par[b] = par[a] ^ edges[e].observables;
-                    pred[b] = e as u32;
-                    heap.push(Reverse(HeapItem(d[b], b as u32)));
-                }
-                if d[b] + w < d[a] {
-                    d[a] = d[b] + w;
-                    par[a] = par[b] ^ edges[e].observables;
-                    pred[a] = e as u32;
-                    heap.push(Reverse(HeapItem(d[a], a as u32)));
-                }
-            }
-            row.settle(edges, &adjacency.starts, &weighted, pred);
-            row.store(&mut self.dist[at.clone()], &mut self.parity[at]);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqec_sim::circuit::Noise1;
-
-    /// A 3-qubit repetition code measured for `rounds` rounds, with a
-    /// data X error probability `p` before each round.
-    fn repetition_circuit(rounds: usize, p: f64) -> Circuit {
-        let mut c = Circuit::new(5); // data 0,1,2; ancilla 3,4
-        for q in 0..5 {
-            c.reset(q).unwrap();
-        }
-        let mut prev: Option<[dqec_sim::MeasRecord; 2]> = None;
-        for t in 0..rounds {
-            for q in 0..3 {
-                c.noise1(Noise1::XError, q, p).unwrap();
-            }
-            c.cx(0, 3).unwrap();
-            c.cx(1, 3).unwrap();
-            c.cx(1, 4).unwrap();
-            c.cx(2, 4).unwrap();
-            let m3 = c.measure_reset(3).unwrap();
-            let m4 = c.measure_reset(4).unwrap();
-            match prev {
-                None => {
-                    c.add_detector(&[m3], CheckBasis::Z, (0, 0, t as i32))
-                        .unwrap();
-                    c.add_detector(&[m4], CheckBasis::Z, (1, 0, t as i32))
-                        .unwrap();
-                }
-                Some([p3, p4]) => {
-                    c.add_detector(&[m3, p3], CheckBasis::Z, (0, 0, t as i32))
-                        .unwrap();
-                    c.add_detector(&[m4, p4], CheckBasis::Z, (1, 0, t as i32))
-                        .unwrap();
-                }
-            }
-            prev = Some([m3, m4]);
-        }
-        // Final data readout.
-        let d0 = c.measure(0).unwrap();
-        let d1 = c.measure(1).unwrap();
-        let d2 = c.measure(2).unwrap();
-        let [p3, p4] = prev.unwrap();
-        c.add_detector(&[d0, d1, p3], CheckBasis::Z, (0, 0, rounds as i32))
-            .unwrap();
-        c.add_detector(&[d1, d2, p4], CheckBasis::Z, (1, 0, rounds as i32))
-            .unwrap();
-        c.include_observable(0, &[d0]).unwrap();
-        c
-    }
+    use crate::fixtures::repetition;
+    use crate::PathTables;
 
     #[test]
     fn repetition_graph_structure() {
-        let c = repetition_circuit(2, 0.01);
+        let c = repetition(2, 0.01);
         let dem = DetectorErrorModel::from_circuit(&c);
         let g = DecodingGraph::build(&c, &dem, CheckBasis::Z);
         assert_eq!(g.num_nodes(), 6); // 2 checks x 3 detector layers
@@ -770,17 +483,21 @@ mod tests {
 
     #[test]
     fn distances_are_symmetric_and_triangle() {
-        let c = repetition_circuit(3, 0.01);
+        let c = repetition(3, 0.01);
         let dem = DetectorErrorModel::from_circuit(&c);
         let g = DecodingGraph::build(&c, &dem, CheckBasis::Z);
+        let t = PathTables::build(&g);
         let n = g.num_nodes() as u32;
         for a in 0..n {
-            assert_eq!(g.distance(Some(a), Some(a)), 0.0);
+            assert_eq!(t.distance(Some(a), Some(a)), 0.0);
+            let to_boundary = (t.distance(Some(a), None), t.path_observables(Some(a), None));
+            assert_eq!(t.boundary(a), to_boundary);
             for b in 0..n {
-                let dab = g.distance(Some(a), Some(b));
-                let dba = g.distance(Some(b), Some(a));
+                let dab = t.distance(Some(a), Some(b));
+                let dba = t.distance(Some(b), Some(a));
+                assert_eq!(t.pair(a, b), (dab, t.path_observables(Some(a), Some(b))));
                 assert!((dab - dba).abs() < 1e-9);
-                let via_boundary = g.distance(Some(a), None) + g.distance(None, Some(b));
+                let via_boundary = t.distance(Some(a), None) + t.distance(None, Some(b));
                 assert!(dab <= via_boundary + 1e-9, "triangle through boundary");
             }
         }
@@ -793,7 +510,7 @@ mod tests {
 
         // Strip the hand-placed noise and let the model decorate the
         // clean circuit, so rates follow the parametric form.
-        let clean = repetition_circuit(3, 0.0);
+        let clean = repetition(3, 0.0);
         let template = NoiseModel::new(1e-3);
         let (noisy, params) = template.apply_with_params(&clean);
         let pdem = ParametricDem::from_noisy(&noisy, &params);
@@ -819,11 +536,12 @@ mod tests {
                     b.probability
                 );
             }
+            let (reweighted, rebuilt) = (PathTables::build(&graph), PathTables::build(&fresh));
             let n = graph.num_nodes() as u32;
             for x in 0..n {
                 for y in 0..n {
-                    let d_re = graph.distance(Some(x), Some(y));
-                    let d_fr = fresh.distance(Some(x), Some(y));
+                    let d_re = reweighted.distance(Some(x), Some(y));
+                    let d_fr = rebuilt.distance(Some(x), Some(y));
                     assert!(
                         (d_re - d_fr).abs() < 1e-9,
                         "p={p}: dist({x},{y}) {d_re} vs {d_fr}"

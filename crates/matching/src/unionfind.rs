@@ -24,7 +24,7 @@
 //!    the correction's observable masks are XORed into the prediction.
 //!
 //! Syndromes whose per-basis event count is ≤ 2 skip all three phases
-//! and take closed forms over the graph's shortest-path tables — one
+//! and take closed forms over the view's shortest-path tables — one
 //! event goes to the boundary, two take the cheaper of pairing up and
 //! both going to the boundary — which is what exact matching decides
 //! too, so the two decoders agree there (pinned by a property test in
@@ -37,18 +37,24 @@
 //! between three cached shortest-path times. Only genuinely entangled
 //! multi-cluster syndromes pay for the full grow/merge/peel cycle,
 //! while the logical error rate stays within a few percent of MWPM's.
-//! These fast paths are the last production readers of the all-pairs
-//! tables ([`DecodingGraph::distance`]), which building this view
-//! materialises.
+//! These fast paths are why a [`UfGraph`] owns a [`PathTables`] — built
+//! with the view, repaired on every reweight: measured on the
+//! `ler-uf-lowp` benchmark traffic, 40 % of the per-basis decodes behind
+//! a memo miss carry two events and 17 % of the larger ones end in the
+//! race, and answering both from bounded searches instead costs more
+//! per shot than the tables cost to keep (ROADMAP has the numbers).
 //!
 //! All per-shot state lives in a reusable [`UfScratch`]: arrays are
 //! epoch-stamped instead of cleared, so a shot touching `t` nodes costs
 //! `O(t α(t))` regardless of graph size and the steady state performs
 //! no allocation — as does the MWPM kernel's
-//! [`DecodeScratch`](crate::DecodeScratch).
+//! [`DecodeScratch`](crate::DecodeScratch). The scratch also counts how
+//! each decode ended (closed form, shortcuts, single residual, race,
+//! growth loop) for [`KernelCounters`].
 
-use crate::decoder::{GraphDecoder, Kernel};
-use crate::graph::{weight_of, DecodingGraph};
+use crate::decoder::{GraphDecoder, Kernel, KernelCounters};
+use crate::graph::DecodingGraph;
+use crate::paths::PathTables;
 use std::cell::RefCell;
 
 /// Quantization grid for edge weights: matching weights (≈ 0.004…32
@@ -107,7 +113,8 @@ struct UfEdge {
 /// A [`DecodingGraph`] re-indexed for union-find growth: flat CSR
 /// adjacency over the real nodes plus the virtual boundary (node index
 /// [`UfGraph::num_nodes`]), with per-edge integer weights on a fixed
-/// quantization grid and the edge observable masks.
+/// quantization grid, the edge observable masks, and the graph's
+/// all-pairs shortest paths for the fast paths.
 #[derive(Debug, Clone)]
 pub struct UfGraph {
     num_nodes: usize,
@@ -125,78 +132,47 @@ pub struct UfGraph {
     /// first-event shortcuts (no growth contact can cross a hop in
     /// less).
     wmin: u32,
-    /// Per-node shortest-path distance to the boundary, mirrored from
-    /// the source graph so the ≤ 2-event fast paths stay out of the
-    /// big all-pairs tables where possible.
-    db: Vec<f64>,
-    /// Observable parity along each node's shortest boundary path.
-    obs_b: Vec<u64>,
-    /// Interleaved `(distance, path parity)` over all real node pairs
-    /// (row-major `n × n`), so the two-event fast path touches one
-    /// cache line instead of one in each of the graph's big tables.
-    /// Only materialized for graphs up to [`PAIR_TABLE_MAX_NODES`]
-    /// nodes; empty means "fall back to the graph's tables".
-    pairs: Vec<(f64, u64)>,
+    /// All-pairs shortest paths of the source graph under its current
+    /// (unquantized) weights: what the k ≤ 2 closed forms, the
+    /// single-residual exit and the cluster race decide from.
+    paths: PathTables,
 }
-
-/// Largest node count for which [`UfGraph`] duplicates the all-pairs
-/// tables in interleaved form (16 MiB at the bound); beyond it the
-/// two-event fast path reads the source graph's tables directly.
-const PAIR_TABLE_MAX_NODES: usize = 1024;
 
 impl UfGraph {
     /// Builds the union-find view of `graph` (same nodes, same edges,
     /// quantized weights).
     pub fn from_graph(graph: &DecodingGraph) -> Self {
         let n = graph.num_nodes();
-        let total = n + 1;
-        let src = graph.edges();
-        let mut edges = Vec::with_capacity(src.len());
-        let mut observables = Vec::with_capacity(src.len());
-        let mut degree = vec![0u32; total];
-        for e in src {
-            let a = e.a;
-            let b = e.b.unwrap_or(n as u32);
-            edges.push(UfEdge {
-                a,
-                b,
-                w: quantize(weight_of(e.probability)),
-            });
-            observables.push(e.observables);
-            degree[a as usize] += 1;
-            degree[b as usize] += 1;
-        }
-        let mut starts = vec![0u32; total + 1];
-        for v in 0..total {
-            starts[v + 1] = starts[v] + degree[v];
-        }
-        let mut cursor: Vec<u32> = starts[..total].to_vec();
-        let mut incident = vec![(0u32, 0u32, 0u32); starts[total] as usize];
-        for (e, edge) in edges.iter().enumerate() {
-            incident[cursor[edge.a as usize] as usize] = (edge.b, e as u32, edge.w);
-            cursor[edge.a as usize] += 1;
-            incident[cursor[edge.b as usize] as usize] = (edge.a, e as u32, edge.w);
-            cursor[edge.b as usize] += 1;
-        }
-        let wmin = edges.iter().map(|e| e.w).min().unwrap_or(1);
-        let (db, obs_b) = boundary_tables(graph);
+        let edges: Vec<UfEdge> = graph
+            .edges()
+            .iter()
+            .zip(graph.weights())
+            .map(|(e, &w)| UfEdge {
+                a: e.a,
+                b: e.b.unwrap_or(n as u32),
+                w: quantize(w),
+            })
+            .collect();
+        let adjacency = graph.adjacency();
         UfGraph {
             num_nodes: n,
-            starts,
-            incident,
+            starts: adjacency.starts.clone(),
+            incident: adjacency
+                .entries
+                .iter()
+                .map(|&(other, e)| (other, e, edges[e as usize].w))
+                .collect(),
+            observables: graph.edges().iter().map(|e| e.observables).collect(),
+            wmin: edges.iter().map(|e| e.w).min().unwrap_or(1),
             edges,
-            observables,
-            wmin,
-            db,
-            obs_b,
-            pairs: pair_table(graph),
+            paths: PathTables::build(graph),
         }
     }
 
     /// Re-derives the quantized weights from `graph`'s (reweighted)
-    /// edge probabilities. The structure must be unchanged — this is
-    /// the cheap `O(E)` companion to
-    /// [`DecodingGraph::reweight_from`].
+    /// edge weights and repairs the shortest-path tables along their
+    /// cached trees. The structure must be unchanged — this is the
+    /// companion to [`DecodingGraph::reweight_from`].
     ///
     /// # Panics
     ///
@@ -208,17 +184,14 @@ impl UfGraph {
             self.edges.len(),
             "reweighted graph must keep its edge structure"
         );
-        for (edge, e) in self.edges.iter_mut().zip(graph.edges()) {
-            edge.w = quantize(weight_of(e.probability));
+        for (edge, &w) in self.edges.iter_mut().zip(graph.weights()) {
+            edge.w = quantize(w);
         }
         self.wmin = self.edges.iter().map(|e| e.w).min().unwrap_or(1);
         for entry in &mut self.incident {
             entry.2 = self.edges[entry.1 as usize].w;
         }
-        let (db, obs_b) = boundary_tables(graph);
-        self.db = db;
-        self.obs_b = obs_b;
-        self.pairs = pair_table(graph);
+        self.paths.repair(graph);
     }
 
     /// The number of real (non-boundary) nodes.
@@ -230,38 +203,6 @@ impl UfGraph {
     pub fn num_edges(&self) -> usize {
         self.edges.len()
     }
-}
-
-/// Per-node boundary distances and path parities, copied out of the
-/// graph's all-pairs tables into small dense arrays.
-fn boundary_tables(graph: &DecodingGraph) -> (Vec<f64>, Vec<u64>) {
-    let n = graph.num_nodes();
-    let mut db = Vec::with_capacity(n);
-    let mut obs_b = Vec::with_capacity(n);
-    for v in 0..n as u32 {
-        db.push(graph.distance(Some(v), None));
-        obs_b.push(graph.path_observables(Some(v), None));
-    }
-    (db, obs_b)
-}
-
-/// The interleaved pair table (see [`UfGraph::pairs`]), or empty when
-/// the graph is too large to duplicate.
-fn pair_table(graph: &DecodingGraph) -> Vec<(f64, u64)> {
-    let n = graph.num_nodes();
-    if n > PAIR_TABLE_MAX_NODES {
-        return Vec::new();
-    }
-    let mut pairs = Vec::with_capacity(n * n);
-    for a in 0..n as u32 {
-        for b in 0..n as u32 {
-            pairs.push((
-                graph.distance(Some(a), Some(b)),
-                graph.path_observables(Some(a), Some(b)),
-            ));
-        }
-    }
-    pairs
 }
 
 /// Matching weight → integer growth units.
@@ -308,6 +249,7 @@ struct EdgeState {
 /// visits. One scratch serves any number of decoders and graph sizes
 /// (buffers grow to the largest seen) and carries no results between
 /// shots.
+#[derive(Default)]
 pub struct UfScratch {
     epoch: u32,
     // Per-node state (boundary included), valid when stamp == epoch.
@@ -329,38 +271,19 @@ pub struct UfScratch {
     peel_head: Vec<u32>,
     peel_entries: Vec<(u32, u32, u32)>, // (other node, edge, next)
     peel_stack: Vec<u32>,
+    // `flush_to_absorber`'s DFS stack: (node, parent, observables
+    // accumulated from the start node).
+    flush_stack: Vec<(u32, u32, u64)>,
     // The shot's events mapped to graph nodes.
     nodes: Vec<u32>,
-}
-
-impl Default for UfScratch {
-    fn default() -> Self {
-        Self::new()
-    }
+    // How decodes ended since the shell last asked.
+    counters: KernelCounters,
 }
 
 impl UfScratch {
     /// Creates an empty scratch; buffers grow on first use.
     pub fn new() -> Self {
-        UfScratch {
-            epoch: 0,
-            nodes_st: Vec::new(),
-            csize: Vec::new(),
-            head: Vec::new(),
-            tail: Vec::new(),
-            edges_st: Vec::new(),
-            entries: Vec::new(),
-            clusters: Vec::new(),
-            forest: Vec::new(),
-            frontier: Vec::new(),
-            grown: Vec::new(),
-            peel_stamp: Vec::new(),
-            peel_deg: Vec::new(),
-            peel_head: Vec::new(),
-            peel_entries: Vec::new(),
-            peel_stack: Vec::new(),
-            nodes: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Starts a new shot over `graph`: bumps the epoch (invalidating
@@ -641,6 +564,7 @@ fn uf_decode_nodes(graph: &UfGraph, nodes: &[u32], s: &mut UfScratch) -> u64 {
         s.clusters.push(v);
     }
     if s.clusters.is_empty() {
+        s.counters.uf_shortcut += 1;
         return correction;
     }
 
@@ -652,18 +576,21 @@ fn uf_decode_nodes(graph: &UfGraph, nodes: &[u32], s: &mut UfScratch) -> u64 {
     // grow/merge/peel machinery never has to run. (Frozen shortcut
     // regions are ignored here: they are neutral waypoints whose credit
     // only shifts timings, and routing through them reduces to the same
-    // shortest paths.) Falls through to the growth loop when the graph
-    // carries no pair table or the geometry is degenerate.
+    // shortest paths.) Falls through to the growth loop when the
+    // geometry is degenerate.
     if s.clusters.len() == 1 {
-        let u = s.clusters[0] as usize;
-        if graph.db[u] < FAR {
-            return correction ^ graph.obs_b[u];
+        let (db, obs_b) = graph.paths.boundary(s.clusters[0]);
+        if db < FAR {
+            s.counters.uf_single_residual += 1;
+            return correction ^ obs_b;
         }
-    } else if s.clusters.len() <= RACE_MAX_CLUSTERS && !graph.pairs.is_empty() {
-        if let Some(race) = race_residual(graph, &s.clusters) {
+    } else if s.clusters.len() <= RACE_MAX_CLUSTERS {
+        if let Some(race) = race_residual(&graph.paths, &s.clusters) {
+            s.counters.uf_race += 1;
             return correction ^ race;
         }
     }
+    s.counters.uf_growth += 1;
 
     for ci in 0..s.clusters.len() {
         let v = s.clusters[ci];
@@ -780,6 +707,7 @@ fn uf_decode_nodes(graph: &UfGraph, nodes: &[u32], s: &mut UfScratch) -> u64 {
         if s.grown.is_empty() && (!any_active || delta == u32::MAX) {
             break;
         }
+        s.counters.uf_growth_rounds += 1;
 
         // Pass 2 — grow the flattened frontier by delta (dual-active
         // edges appear once per side, so they advance twice) and queue
@@ -854,23 +782,23 @@ const RACE_MAX_CLUSTERS: usize = 4;
 /// boundary path. Returns `None` when a needed distance is degenerate
 /// (unreachable sentinel), leaving the syndrome to the full growth
 /// loop.
-fn race_residual(graph: &UfGraph, clusters: &[u32]) -> Option<u64> {
+fn race_residual(paths: &PathTables, clusters: &[u32]) -> Option<u64> {
     const M: usize = RACE_MAX_CLUSTERS;
     let m = clusters.len();
     debug_assert!((2..=M).contains(&m));
-    let n = graph.num_nodes;
 
     // Geometry, loaded once from the cached tables.
     let mut db = [0.0f64; M];
+    let mut bobs = [0u64; M];
     let mut d = [[0.0f64; M]; M];
     let mut pobs = [[0u64; M]; M];
     for (i, &c) in clusters.iter().enumerate() {
-        db[i] = graph.db[c as usize];
+        (db[i], bobs[i]) = paths.boundary(c);
         if db[i] >= FAR {
             return None;
         }
         for (j, &c2) in clusters.iter().enumerate().take(i) {
-            let (dij, oij) = graph.pairs[c as usize * n + c2 as usize];
+            let (dij, oij) = paths.pair(c, c2);
             if dij >= FAR {
                 return None;
             }
@@ -947,9 +875,11 @@ fn race_residual(graph: &UfGraph, clusters: &[u32]) -> Option<u64> {
             // Group absorbed through member i: its defect exits via the
             // path to i and i's boundary path.
             let g = group[i];
-            let dn = defect[g].take().expect("absorbing group was active");
+            // (A group that was not growing after all goes to the
+            // growth loop.)
+            let dn = defect[g].take()?;
             correction ^= if dn == i { 0 } else { pobs[dn][i] };
-            correction ^= graph.obs_b[clusters[i] as usize];
+            correction ^= bobs[i];
             anchor[g] = Some(i);
         } else {
             // Groups meet between members i and j. Resolution routes
@@ -975,10 +905,7 @@ fn race_residual(graph: &UfGraph, clusters: &[u32]) -> Option<u64> {
                         // A lone defect reaching a boundary-connected
                         // region exits through that region's anchor.
                         Some(x) => {
-                            correction ^= pobs[a][near]
-                                ^ via
-                                ^ pobs[far][x]
-                                ^ graph.obs_b[clusters[x] as usize];
+                            correction ^= pobs[a][near] ^ via ^ pobs[far][x] ^ bobs[x];
                             None
                         }
                         None => Some(a),
@@ -1127,11 +1054,11 @@ fn peel(graph: &UfGraph, s: &mut UfScratch) -> u64 {
 /// path plus the absorber's own exit parity; `None` when the component
 /// has no absorber. The forest is a tree, so tracking the parent node
 /// suffices to avoid revisits.
-fn flush_to_absorber(graph: &UfGraph, s: &UfScratch, start: u32) -> Option<u64> {
+fn flush_to_absorber(graph: &UfGraph, s: &mut UfScratch, start: u32) -> Option<u64> {
     let boundary = graph.num_nodes as u32;
-    // (node, parent, obs accumulated from `start` to node)
-    let mut stack: Vec<(u32, u32, u64)> = vec![(start, NIL, 0)];
-    while let Some((v, parent, obs)) = stack.pop() {
+    s.flush_stack.clear();
+    s.flush_stack.push((start, NIL, 0));
+    while let Some((v, parent, obs)) = s.flush_stack.pop() {
         if v == boundary {
             return Some(obs);
         }
@@ -1142,7 +1069,8 @@ fn flush_to_absorber(graph: &UfGraph, s: &UfScratch, start: u32) -> Option<u64> 
         while cur != NIL {
             let (o, e, next) = s.peel_entries[cur as usize];
             if o != parent && s.edges_st[e as usize].growth & G_PEELED == 0 {
-                stack.push((o, v, obs ^ graph.observables[e as usize]));
+                s.flush_stack
+                    .push((o, v, obs ^ graph.observables[e as usize]));
             }
             cur = next;
         }
@@ -1168,30 +1096,23 @@ fn decode_basis_uf(
         nodes.sort_unstable();
     }
     // The ≤ 2-event fast paths decide what exact matching decides, from
-    // shortest-path data (the per-node boundary values come from small
-    // mirrored arrays instead of the big all-pairs tables; only the
-    // pair lookup still goes there).
-    let out = match nodes.len() {
-        0 => 0,
-        1 => ufg.obs_b[nodes[0] as usize],
-        2 => {
-            let (a, b) = (nodes[0] as usize, nodes[1] as usize);
-            let (d01, obs01) = if ufg.pairs.is_empty() {
-                (
-                    graph.distance(Some(nodes[0]), Some(nodes[1])),
-                    graph.path_observables(Some(nodes[0]), Some(nodes[1])),
-                )
-            } else {
-                ufg.pairs[a * ufg.num_nodes + b]
-            };
-            if d01 < ufg.db[a] + ufg.db[b] {
+    // shortest-path data.
+    let paths = &ufg.paths;
+    let out = match nodes[..] {
+        [] => 0,
+        [v] => paths.boundary(v).1,
+        [a, b] => {
+            let (d01, obs01) = paths.pair(a, b);
+            let ((da, obs_a), (db, obs_b)) = (paths.boundary(a), paths.boundary(b));
+            if d01 < da + db {
                 obs01
             } else {
-                ufg.obs_b[a] ^ ufg.obs_b[b]
+                obs_a ^ obs_b
             }
         }
         _ => uf_decode_nodes(ufg, &nodes, scratch),
     };
+    scratch.counters.closed_form += u64::from(nodes.len() <= 2);
     scratch.nodes = nodes;
     out
 }
@@ -1199,12 +1120,11 @@ fn decode_basis_uf(
 /// A weighted union-find decoder for a fixed noisy circuit.
 ///
 /// The same [`GraphDecoder`] shell as [`MwpmDecoder`](crate::MwpmDecoder)
-/// — per-basis [`DecodingGraph`]s (whose shortest-path tables, built
-/// on this decoder's demand, power its fast paths), pooled scratch,
-/// memoized batch
+/// — per-basis [`DecodingGraph`]s, pooled scratch, memoized batch
 /// decoding, in-place [`reweighting`](crate::Decoder::reweight) when
 /// built with [`GraphDecoder::from_clean`] — instantiated with a
-/// [`UfGraph`] view per basis for cluster growth.
+/// [`UfGraph`] view per basis: cluster growth, and the shortest-path
+/// tables its fast paths read.
 ///
 /// # Examples
 ///
@@ -1236,7 +1156,8 @@ fn decode_basis_uf(
 pub type UfDecoder = GraphDecoder<UfGraph>;
 
 /// The union-find [`Kernel`]: a [`UfGraph`] view per basis graph,
-/// requantized when the shell reweights the graph.
+/// requantized (and its tables repaired) when the shell reweights the
+/// graph.
 impl Kernel for UfGraph {
     type Scratch = UfScratch;
 
@@ -1258,96 +1179,30 @@ impl Kernel for UfGraph {
         }
         SCRATCH.with(|s| f(&mut s.borrow_mut()))
     }
+
+    fn take_counters(scratch: &mut UfScratch) -> KernelCounters {
+        std::mem::take(&mut scratch.counters)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{chain_circuit, repetition};
+    use crate::graph::weight_of;
     use crate::Decoder;
-    use dqec_sim::circuit::{CheckBasis, Circuit, Noise1};
+    use dqec_sim::circuit::CheckBasis;
     use dqec_sim::dem::DetectorErrorModel;
     use dqec_sim::frame::FrameSampler;
     use dqec_sim::noise::NoiseModel;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Distance-3 repetition code over `rounds` rounds with data-flip
-    /// probability `p` per round; observable = data qubit 0.
-    fn repetition(rounds: usize, p: f64) -> Circuit {
-        let mut c = Circuit::new(5);
-        for q in 0..5 {
-            c.reset(q).unwrap();
-        }
-        let mut prev: Option<[dqec_sim::MeasRecord; 2]> = None;
-        for t in 0..rounds {
-            for q in 0..3 {
-                c.noise1(Noise1::XError, q, p).unwrap();
-            }
-            c.cx(0, 3).unwrap();
-            c.cx(1, 3).unwrap();
-            c.cx(1, 4).unwrap();
-            c.cx(2, 4).unwrap();
-            let m3 = c.measure_reset(3).unwrap();
-            let m4 = c.measure_reset(4).unwrap();
-            match prev {
-                None => {
-                    c.add_detector(&[m3], CheckBasis::Z, (0, 0, t as i32))
-                        .unwrap();
-                    c.add_detector(&[m4], CheckBasis::Z, (1, 0, t as i32))
-                        .unwrap();
-                }
-                Some([p3, p4]) => {
-                    c.add_detector(&[m3, p3], CheckBasis::Z, (0, 0, t as i32))
-                        .unwrap();
-                    c.add_detector(&[m4, p4], CheckBasis::Z, (1, 0, t as i32))
-                        .unwrap();
-                }
-            }
-            prev = Some([m3, m4]);
-        }
-        let d0 = c.measure(0).unwrap();
-        let d1 = c.measure(1).unwrap();
-        let d2 = c.measure(2).unwrap();
-        let [p3, p4] = prev.unwrap();
-        c.add_detector(&[d0, d1, p3], CheckBasis::Z, (0, 0, rounds as i32))
-            .unwrap();
-        c.add_detector(&[d1, d2, p4], CheckBasis::Z, (1, 0, rounds as i32))
-            .unwrap();
-        c.include_observable(0, &[d0]).unwrap();
-        c
-    }
-
-    /// A 1D matching chain: n checks in a row, data errors between
-    /// them; both ends connect to the boundary (data 0 flips obs 0).
-    fn chain_circuit(n: u32, p: f64) -> Circuit {
-        let mut c = Circuit::new(2 * n + 1);
-        for q in 0..=2 * n {
-            c.reset(q).unwrap();
-        }
-        for q in 0..=n {
-            c.noise1(Noise1::XError, q, p).unwrap();
-        }
-        let mut records = Vec::new();
-        for i in 0..n {
-            let anc = n + 1 + i;
-            c.cx(i, anc).unwrap();
-            c.cx(i + 1, anc).unwrap();
-            records.push(c.measure(anc).unwrap());
-        }
-        for (i, &m) in records.iter().enumerate() {
-            c.add_detector(&[m], CheckBasis::Z, (i as i32, 0, 0))
-                .unwrap();
-        }
-        let d0 = c.measure(0).unwrap();
-        c.include_observable(0, &[d0]).unwrap();
-        c
-    }
-
     #[test]
     fn chain_pairs_adjacent_and_boundary_matches_far_event() {
         // Events 0,1 pair up (one data error between them); event 4
         // goes to the nearby right boundary. Same as MWPM.
-        let c = chain_circuit(6, 0.01);
+        let c = chain_circuit(6, |_| 0.01);
         let uf = UfDecoder::new(&c);
         let mwpm = crate::MwpmDecoder::new(&c);
         for events in [vec![0u32, 1, 4], vec![0, 3, 4], vec![1, 2, 5]] {
@@ -1374,6 +1229,54 @@ mod tests {
             .iter()
             .all(|&(_, e, _)| (e as usize) < ufg.num_edges()));
         assert!(ufg.edges.iter().all(|e| e.w >= 1));
+        // The incident lists are the graph's adjacency, entry for entry.
+        assert_eq!(ufg.starts, g.adjacency().starts);
+        for (inc, adj) in ufg.incident.iter().zip(&g.adjacency().entries) {
+            assert_eq!((inc.0, inc.1), *adj);
+            assert_eq!(inc.2, ufg.edges[inc.1 as usize].w);
+        }
+    }
+
+    #[test]
+    fn counters_classify_every_decode_on_a_defective_patch() {
+        use dqec_core::{memory_z, AdaptedPatch, Coord, DefectSet, PatchLayout};
+
+        // The defective l = 7 patch of `tests/alloc_regression.rs`.
+        let mut defects = DefectSet::new();
+        defects.add_data(Coord::new(5, 5));
+        defects.add_synd(Coord::new(8, 10));
+        let patch = AdaptedPatch::new(PatchLayout::memory(7), &defects);
+        let exp = memory_z(&patch, 7).unwrap();
+        let noisy = NoiseModel::new(1e-3).apply(&exp.circuit);
+        let decoder = UfDecoder::new(&noisy);
+        let batch = FrameSampler::new(&noisy).sample(6000, &mut StdRng::seed_from_u64(0xc1a55));
+
+        let mut scratch = UfScratch::new();
+        let (mut empty, mut nonempty) = (0u64, 0u64);
+        for events in batch.detection_events_by_shot() {
+            decoder.decode_events_with(&events, &mut scratch);
+            for (graph, _) in decoder.kernels() {
+                let hit = events.iter().any(|&d| graph.node_of_detector(d).is_some());
+                *if hit { &mut nonempty } else { &mut empty } += 1;
+            }
+        }
+        let k = UfGraph::take_counters(&mut scratch);
+        assert_eq!(
+            UfGraph::take_counters(&mut scratch),
+            KernelCounters::default()
+        );
+        let classes = [
+            k.closed_form - empty,
+            k.uf_shortcut,
+            k.uf_single_residual,
+            k.uf_race,
+            k.uf_growth,
+        ];
+        assert!(classes.iter().all(|&c| c > 0), "{k:?}");
+        assert_eq!(classes.iter().sum::<u64>(), nonempty, "{k:?}");
+        assert!(k.uf_growth_rounds >= k.uf_growth, "{k:?}");
+        // The matcher's counters are not this kernel's.
+        assert_eq!((k.nodes_explored, k.blossoms_formed), (0, 0));
     }
 
     #[test]

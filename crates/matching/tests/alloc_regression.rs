@@ -6,21 +6,24 @@
 //! per-call overhead, e.g. the returned stats), i.e. the per-shot cost
 //! is zero — on a toy repetition code, and on a defective l = 7 patch
 //! at p = 2·10⁻³, where the matcher's alternating trees and blossoms
-//! (their arenas, the queue) are in play. The frame sampler is held to
-//! the stricter standard it can meet: a warm `FrameProgram::sample`
-//! allocates nothing at all.
+//! (their arenas, the queue) are in play. Sampled shots repeat, and the
+//! memo hides what the kernel does on the rest, so the union-find
+//! kernel is also driven directly: a warm `decode_events_with` over
+//! banks of random dense syndromes (growth loop, peeling, the flush of
+//! defects stranded between absorbers) allocates nothing at all — the
+//! standard a warm `FrameProgram::sample` is held to as well.
 
 mod support {
     pub mod counting_alloc;
 }
 
 use dqec_core::{memory_z, AdaptedPatch, Coord, DefectSet, PatchLayout};
-use dqec_matching::{DecodeStats, Decoder, MwpmDecoder, UfDecoder};
+use dqec_matching::{DecodeStats, Decoder, MwpmDecoder, UfDecoder, UfScratch};
 use dqec_sim::circuit::{CheckBasis, Circuit, Noise1};
 use dqec_sim::frame::{FrameProgram, FrameSampler, FrameScratch, FrameScratchPool};
 use dqec_sim::noise::NoiseModel;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use support::counting_alloc::count_allocs;
 
 /// 3-qubit repetition code over `rounds` rounds (same fixture as the
@@ -142,6 +145,30 @@ fn warm_decode_batch_allocations_do_not_scale_with_shots() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn warm_union_find_decode_events_allocates_nothing() {
+    let circuit = defective_patch(1e-2);
+    let decoder = UfDecoder::new(&circuit);
+    let ndet = circuit.detectors().len() as u32;
+    let mut rng = StdRng::seed_from_u64(0xf1005);
+    let mut scratch = UfScratch::new();
+    for rate in [0.08, 0.3] {
+        let bank: Vec<Vec<u32>> = (0..5000)
+            .map(|_| (0..ndet).filter(|_| rng.gen_bool(rate)).collect())
+            .collect();
+        let mut decode_bank = || {
+            bank.iter().fold(0, |acc, events| {
+                acc ^ decoder.decode_events_with(events, &mut scratch)
+            })
+        };
+        // Buffers only ever grow, so one pass warms the scratch.
+        let warm = decode_bank();
+        let (allocs, again) = count_allocs(decode_bank);
+        assert_eq!(warm, again);
+        assert_eq!(allocs, 0, "warm decode_events_with at flip rate {rate}");
     }
 }
 

@@ -1,7 +1,7 @@
 //! Decoder validation: graph-distance sanity on structured circuits and
 //! behaviour under extreme syndromes.
 
-use dqec_matching::{Decoder, DecodingGraph, MwpmDecoder};
+use dqec_matching::{Decoder, DecodingGraph, MwpmDecoder, PathTables};
 use dqec_sim::circuit::{CheckBasis, Circuit, Noise1};
 use dqec_sim::dem::DetectorErrorModel;
 
@@ -36,7 +36,7 @@ fn chain_circuit(n: u32, p: f64) -> Circuit {
 fn chain_graph_distances_are_monotone_in_separation() {
     let c = chain_circuit(6, 0.01);
     let dem = DetectorErrorModel::from_circuit(&c);
-    let g = DecodingGraph::build(&c, &dem, CheckBasis::Z);
+    let g = PathTables::build(&DecodingGraph::build(&c, &dem, CheckBasis::Z));
     // All edges share the same probability, so the direct distance
     // grows linearly with separation — until routing through the shared
     // boundary becomes cheaper (0 and 5 are each one edge from an end,
@@ -56,7 +56,7 @@ fn chain_graph_distances_are_monotone_in_separation() {
 fn boundary_distance_reflects_position() {
     let c = chain_circuit(6, 0.01);
     let dem = DetectorErrorModel::from_circuit(&c);
-    let g = DecodingGraph::build(&c, &dem, CheckBasis::Z);
+    let g = PathTables::build(&DecodingGraph::build(&c, &dem, CheckBasis::Z));
     // Check 0 is one error from the left boundary; check 3 is four away
     // from either side (going through the nearer one is cheaper but
     // still costlier than check 0's).

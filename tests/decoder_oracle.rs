@@ -7,11 +7,11 @@
 //! syndrome:
 //!
 //! * its total matching weight must equal that of the one dense
-//!   reference (`decode_basis_dense`: every pair through the cached
-//!   distance table, no split, no fast path);
+//!   reference (`decode_basis_dense`: every pair through a `PathTables`
+//!   built here, no split, no fast path);
 //! * on syndromes of at most ten events it must equal brute-force
 //!   enumeration of every matching — within the weight-rounding bound
-//!   against the graph's `f64` distance tables, and *exactly*, in the
+//!   against those `f64` distance tables, and *exactly*, in the
 //!   kernel's integer units, against distances this test derives itself
 //!   (Floyd–Warshall) from the kernel's own per-edge integer weights;
 //! * its *observable mask* must equal the dense reference's. A weight
@@ -31,7 +31,9 @@ use dqec::chiplet::DefectModel;
 use dqec::core::{memory_z, AdaptedPatch, PatchLayout};
 use dqec::matching::decoder::decode_basis_dense;
 use dqec::matching::sparse::weight_of_result;
-use dqec::matching::{Blossom, BlossomArena, DecodeScratch, Decoder, DecodingGraph, MwpmDecoder};
+use dqec::matching::{
+    Blossom, BlossomArena, DecodeScratch, Decoder, DecodingGraph, MwpmDecoder, PathTables,
+};
 use dqec::sim::circuit::Circuit;
 use dqec::sim::frame::FrameSampler;
 use dqec::sim::noise::NoiseModel;
@@ -56,11 +58,13 @@ const TOL: f64 = 1e-3;
 /// different mask than the dense reference at equal weight.
 const MAX_TIE_FRACTION: f64 = 0.02;
 
-/// One basis under test: the graph, the kernel's view of it and — on
-/// graphs small enough — exact all-pairs distances in the kernel's
-/// integer units.
+/// One basis under test: the graph, its `f64` distance tables (built
+/// here, under the graph's current weights), the kernel's view of it
+/// and — on graphs small enough — exact all-pairs distances in the
+/// kernel's integer units.
 struct Basis<'a> {
     graph: &'a DecodingGraph,
+    tables: PathTables,
     view: &'a Blossom,
     exact: Option<Vec<Vec<i64>>>,
 }
@@ -71,6 +75,7 @@ impl<'a> Basis<'a> {
     fn both(decoder: &'a MwpmDecoder, exact: bool) -> [Basis<'a>; 2] {
         decoder.kernels().map(|(graph, view)| Basis {
             graph,
+            tables: PathTables::build(graph),
             view,
             exact: exact.then(|| integer_distances(graph)),
         })
@@ -131,7 +136,7 @@ fn brute_force_units(d: &[Vec<i64>], nodes: &[u32], used: &mut [bool]) -> i64 {
 /// node goes to the boundary or pairs with any later free node — as
 /// `(total weight, observable mask)` pushed onto `out`.
 fn enumerate(
-    graph: &DecodingGraph,
+    tables: &PathTables,
     nodes: &[u32],
     used: &mut [bool],
     weight: f64,
@@ -145,11 +150,11 @@ fn enumerate(
     let a = Some(nodes[i]);
     used[i] = true;
     enumerate(
-        graph,
+        tables,
         nodes,
         used,
-        weight + graph.distance(a, None),
-        mask ^ graph.path_observables(a, None),
+        weight + tables.distance(a, None),
+        mask ^ tables.path_observables(a, None),
         out,
     );
     for j in (i + 1)..nodes.len() {
@@ -157,11 +162,11 @@ fn enumerate(
             used[j] = true;
             let b = Some(nodes[j]);
             enumerate(
-                graph,
+                tables,
                 nodes,
                 used,
-                weight + graph.distance(a, b),
-                mask ^ graph.path_observables(a, b),
+                weight + tables.distance(a, b),
+                mask ^ tables.path_observables(a, b),
                 out,
             );
             used[j] = false;
@@ -195,7 +200,7 @@ fn check(
     dense: &mut BlossomArena,
     checked: &mut Checked,
 ) {
-    let graph = basis.graph;
+    let (graph, tables) = (basis.graph, &basis.tables);
     let mut nodes: Vec<u32> = events
         .iter()
         .filter_map(|&d| graph.node_of_detector(d))
@@ -203,12 +208,12 @@ fn check(
     nodes.sort_unstable();
     let result = basis.view.decode_weighted(graph, events, sparse);
     let (sm, sc) = weight_of_result(result);
-    let (dm, dc) = decode_basis_dense(graph, events, dense);
+    let (dm, dc) = decode_basis_dense(graph, tables, events, dense);
     // With an unreachable-node sentinel in the dense matrix its integer
     // scaling quantizes real weights away: the reference is no longer
     // exact there, so it judges nothing (the kernel's own unit tests
     // pin what an unreachable event decodes to).
-    if nodes.iter().any(|&n| graph.distance(Some(n), None) > FAR) {
+    if nodes.iter().any(|&n| tables.boundary(n).0 > FAR) {
         checked.far += 1;
         return;
     }
@@ -217,13 +222,13 @@ fn check(
         "kernel weight {sc} != dense weight {dc} on {nodes:?}"
     );
     checked.dense += 1;
-    if nodes.len() >= 3 && sc + TOL < nodes.iter().map(|&n| graph.distance(Some(n), None)).sum() {
+    if nodes.len() >= 3 && sc + TOL < nodes.iter().map(|&n| tables.boundary(n).0).sum() {
         checked.split += 1; // some pair beat the boundary: a real component
     }
     let optima = (brute && nodes.len() <= BRUTE_MAX).then(|| {
         let mut all = Vec::new();
         enumerate(
-            graph,
+            tables,
             &nodes,
             &mut vec![false; nodes.len()],
             0.0,
@@ -327,16 +332,10 @@ fn sparse_weight_equals_dense_and_brute_force_on_defective_patches() {
     // Sampled syndromes only, dense reference only.
     let (_, clean) = defective_patch(9, &mut rng);
     let mut decoder = MwpmDecoder::from_clean(&clean, &NoiseModel::new(2e-3));
-    // Building, reweighting and decoding never touch the all-pairs
-    // tables; the dense reference below is what materialises them (and
-    // the second reweight then has tables to repair).
     assert!(decoder.reweight(&NoiseModel::new(1.5e-3)));
     decoder.decode_batch(
         &FrameSampler::new(&NoiseModel::new(1.5e-3).apply(&clean)).sample(64, &mut rng),
     );
-    for (graph, _) in decoder.kernels() {
-        assert!(!graph.path_tables_built(), "{:?}", graph.basis());
-    }
     let mut events_seen = 0;
     for p in [2e-3, 1.1e-3] {
         let noise = NoiseModel::new(p);
