@@ -142,20 +142,19 @@ impl UfGraph {
     /// Builds the union-find view of `graph` (same nodes, same edges,
     /// quantized weights).
     pub fn from_graph(graph: &DecodingGraph) -> Self {
-        let n = graph.num_nodes();
-        let edges: Vec<UfEdge> = graph
-            .edges()
+        let adjacency = graph.adjacency();
+        let edges: Vec<UfEdge> = adjacency
+            .ends
             .iter()
             .zip(graph.weights())
-            .map(|(e, &w)| UfEdge {
-                a: e.a,
-                b: e.b.unwrap_or(n as u32),
+            .map(|(&(a, b), &w)| UfEdge {
+                a,
+                b,
                 w: quantize(w),
             })
             .collect();
-        let adjacency = graph.adjacency();
         UfGraph {
-            num_nodes: n,
+            num_nodes: graph.num_nodes(),
             starts: adjacency.starts.clone(),
             incident: adjacency
                 .entries

@@ -36,14 +36,14 @@ fn chain_circuit(n: u32, p: f64) -> Circuit {
 fn chain_graph_distances_are_monotone_in_separation() {
     let c = chain_circuit(6, 0.01);
     let dem = DetectorErrorModel::from_circuit(&c);
-    let g = PathTables::build(&DecodingGraph::build(&c, &dem, CheckBasis::Z));
+    let tables = PathTables::build(&DecodingGraph::build(&c, &dem, CheckBasis::Z));
     // All edges share the same probability, so the direct distance
     // grows linearly with separation — until routing through the shared
     // boundary becomes cheaper (0 and 5 are each one edge from an end,
     // so their distance saturates at two edge weights).
-    let d01 = g.distance(Some(0), Some(1));
-    let d02 = g.distance(Some(0), Some(2));
-    let d05 = g.distance(Some(0), Some(5));
+    let d01 = tables.distance(Some(0), Some(1));
+    let d02 = tables.distance(Some(0), Some(2));
+    let d05 = tables.distance(Some(0), Some(5));
     assert!(d01 < d02);
     assert!((d02 - 2.0 * d01).abs() < 1e-9, "uniform chain is additive");
     assert!(
@@ -56,12 +56,12 @@ fn chain_graph_distances_are_monotone_in_separation() {
 fn boundary_distance_reflects_position() {
     let c = chain_circuit(6, 0.01);
     let dem = DetectorErrorModel::from_circuit(&c);
-    let g = PathTables::build(&DecodingGraph::build(&c, &dem, CheckBasis::Z));
+    let tables = PathTables::build(&DecodingGraph::build(&c, &dem, CheckBasis::Z));
     // Check 0 is one error from the left boundary; check 3 is four away
     // from either side (going through the nearer one is cheaper but
     // still costlier than check 0's).
-    let b0 = g.distance(Some(0), None);
-    let b3 = g.distance(Some(3), None);
+    let b0 = tables.distance(Some(0), None);
+    let b3 = tables.distance(Some(3), None);
     assert!(b0 < b3);
 }
 
