@@ -4,7 +4,9 @@
 //!    curves at d = 5, 7 and 9 in one task list, so late tasks are ~10x
 //!    heavier than early ones — executed at 4 workers under (a) the
 //!    pre-PR static contiguous chunking (one chunk per worker, no
-//!    rebalancing) and (b) the work-stealing pool. Both are measured as
+//!    rebalancing) and (b) the rayon pool's shared feed, where a free
+//!    worker takes the next block (the row keeps its `steal`/`stealing`
+//!    key names). Both are measured as
 //!    real wall-clock; because wall-clock on a single-core container
 //!    cannot show a scheduling effect (every schedule is work-
 //!    conserving there), the row also reports *trace-driven makespans*:
@@ -123,7 +125,7 @@ fn makespan_chunked(durations: &[f64], workers: usize) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Virtual-time replay under greedy rebalancing (what stealing
+/// Virtual-time replay under greedy rebalancing (what the shared feed
 /// converges to): each task goes to the earliest-free worker.
 fn makespan_stealing(durations: &[f64], workers: usize) -> f64 {
     let mut free = vec![0.0f64; workers];
@@ -187,7 +189,7 @@ fn main() {
     let total: f64 = durations.iter().sum();
 
     // Real wall-clock, static contiguous chunks: one par item per
-    // worker, so nothing is stealable and each worker runs exactly its
+    // worker, so nothing can move and each worker runs exactly its
     // pre-assigned contiguous share — the pre-PR schedule.
     let chunk_len = tasks.len().div_ceil(args.workers);
     let chunks: Vec<&[(usize, u64)]> = tasks.chunks(chunk_len).collect();
@@ -200,7 +202,7 @@ fn main() {
     });
     let wall_chunked = t0.elapsed().as_secs_f64();
 
-    // Real wall-clock, work-stealing over the flat task list.
+    // Real wall-clock, the shared feed over the flat task list.
     let t0 = Instant::now();
     rayon::with_worker_cap(args.workers, || {
         tasks.par_iter().map(run_task).collect::<Vec<()>>()

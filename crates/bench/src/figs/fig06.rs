@@ -17,7 +17,7 @@ use rand::SeedableRng;
 /// Emits the figure's records.
 ///
 /// Both panels run as [`SweepPlan`]s through the sweep engine: the
-/// mixed-distance curves share the work-stealing pool, `--precision`
+/// mixed-distance curves share the rayon pool, `--precision`
 /// allocates shots adaptively per point, and `--checkpoint`/`--resume`
 /// make the sweep durable.
 pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {

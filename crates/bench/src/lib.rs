@@ -433,7 +433,7 @@ pub struct SlopeRecord {
 /// distance in `d_range` have been collected, then measures every
 /// patch's slope as one [`SweepPlan`] through the sweep engine: the
 /// mixed-distance specs (a d = 5 patch decodes ~10x faster than a
-/// d = 8 one) share the work-stealing pool instead of running
+/// d = 8 one) share the rayon pool instead of running
 /// one-after-another, `--precision` makes the shot allocation adaptive,
 /// and `--checkpoint`/`--resume` persist the sweep under
 /// `<tag>.sweep.json`. Shared by the Fig. 5/7/8/9/10/11 binaries,

@@ -1,6 +1,6 @@
 //! Property test for the engine-backed Fig. 6: the figure's memory-sink
 //! records must be a pure function of the config — identical across 1,
-//! 4 and 16 workers (the work-stealing pool may execute batches in any
+//! 4 and 16 workers (the rayon pool may execute batches in any
 //! order on any thread) and identical between an
 //! interrupted-then-resumed run and an uninterrupted one (checkpointed
 //! batches are independent seeded RNG streams; allocation decisions are

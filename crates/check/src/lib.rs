@@ -1,6 +1,6 @@
 //! `dqec_check` — a shuttle-style deterministic concurrency model
 //! checker for the dqec workspace, plus the sync-primitive facade that
-//! threads the vendored work-stealing `rayon` shim through it.
+//! threads the vendored `rayon` shim through it.
 //!
 //! # The facade
 //!

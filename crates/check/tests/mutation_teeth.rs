@@ -11,10 +11,11 @@ use dqec_check::sync::atomic::{AtomicUsize, Ordering};
 use dqec_check::sync::Mutex;
 use dqec_check::{check, thread, Config};
 
-/// Publication handshake mirroring the rayon shim's `unclaimed`
-/// protocol: a worker writes its result slot, then announces completion
-/// with a `fetch_sub` on the remaining-work counter; the consumer waits
-/// for the counter to hit zero, then reads the slot.
+/// Publication handshake mirroring the rayon resident pool's
+/// `remaining` completion latch: a worker writes its result slot, then
+/// announces completion with a `fetch_sub` on the remaining-work
+/// counter; the consumer waits for the counter to hit zero, then reads
+/// the slot.
 fn handshake(publish: Ordering, observe: Ordering) {
     let slot = Arc::new(AtomicUsize::new(0));
     let remaining = Arc::new(AtomicUsize::new(1));
@@ -65,10 +66,10 @@ fn mutation_weakened_ordering_is_caught() {
     );
 }
 
-/// Owner-side LIFO pop mirroring the shim's deque discipline: the
-/// correct variant pops under the deque mutex; the mutated variant
-/// reads the length and writes it back without holding the lock,
-/// racing the stealer.
+/// Two workers taking tasks off one shared queue, as the rayon shim's
+/// participations take blocks off a fan-out's feed: the correct variant
+/// pops under the queue mutex; the mutated variant reads the length and
+/// writes it back without holding the lock, racing the other worker.
 fn pop_tasks(locked: bool) {
     let deque = Arc::new(Mutex::new(vec![1u32, 2]));
     let len = Arc::new(AtomicUsize::new(2));

@@ -24,7 +24,7 @@ use dqec_sim::dem::{DetectorErrorModel, ParametricDem};
 use dqec_sim::frame::ShotBatch;
 use dqec_sim::noise::NoiseModel;
 use rayon::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// Shots per work unit in batch decoding. Chunk boundaries depend only
@@ -820,7 +820,7 @@ struct ParametricState {
     pdem: ParametricDem,
     /// The per-qubit overrides the template was built with; reweighting
     /// is only valid while they are unchanged.
-    overrides: HashMap<u32, f64>,
+    overrides: BTreeMap<u32, f64>,
     /// The baseline `p` the graphs currently carry; reweighting to the
     /// same value is a no-op.
     current_p: f64,

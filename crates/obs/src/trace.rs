@@ -134,7 +134,7 @@ impl Drop for Span {
     }
 }
 
-/// Records a zero-duration instant event (`ph: "i"`), e.g. a steal.
+/// Records a zero-duration instant event (`ph: "i"`), e.g. a coalesce hit.
 pub fn instant(name: &'static str) {
     if !enabled() {
         return;

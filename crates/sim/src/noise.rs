@@ -8,7 +8,7 @@
 //! study gives one data qubit a two-qubit error rate of 5–15%).
 
 use crate::circuit::{Circuit, Gate1, Gate2, Noise1, Op};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Ratio of one-qubit gate error to two-qubit gate error.
 pub const ONE_QUBIT_RATIO: f64 = 0.8;
@@ -71,7 +71,7 @@ pub struct NoiseModel {
     /// Baseline two-qubit gate error rate `p`.
     p: f64,
     /// Per-qubit absolute two-qubit error rates overriding the baseline.
-    overrides: HashMap<u32, f64>,
+    overrides: BTreeMap<u32, f64>,
 }
 
 impl NoiseModel {
@@ -84,7 +84,7 @@ impl NoiseModel {
         assert!((0.0..=1.0).contains(&p), "p={p} out of range");
         NoiseModel {
             p,
-            overrides: HashMap::new(),
+            overrides: BTreeMap::new(),
         }
     }
 
@@ -106,7 +106,7 @@ impl NoiseModel {
     }
 
     /// The per-qubit absolute rate overrides (empty for the plain model).
-    pub fn overrides(&self) -> &HashMap<u32, f64> {
+    pub fn overrides(&self) -> &BTreeMap<u32, f64> {
         &self.overrides
     }
 

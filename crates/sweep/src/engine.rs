@@ -1,5 +1,5 @@
 //! The sweep engine: executes a [`SweepPlan`] of experiment specs in
-//! allocation rounds over the work-stealing pool, with optional
+//! allocation rounds over the rayon pool, with optional
 //! CI-targeted adaptive shot allocation and durable checkpoint/resume.
 //!
 //! # Execution model
@@ -10,7 +10,7 @@
 //! shot batches to each unfinished point (uniformly up to the spec's
 //! shot target, or adaptively per the Wilson-CI controller), samples
 //! and decodes them in parallel — specs fan out across the
-//! work-stealing pool, batches fan out within each spec, sharing one
+//! rayon pool, batches fan out within each spec, sharing one
 //! thread budget — and merges the tallies. After every round the
 //! engine persists a versioned JSON state file (when configured), so a
 //! killed run resumes bit-exactly: batches are independent seeded RNG
@@ -171,7 +171,7 @@ impl SweepEngine {
     }
 
     /// An engine with default configuration (uniform allocation, batch
-    /// 4096, no checkpointing) — a drop-in, work-stealing replacement
+    /// 4096, no checkpointing) — a drop-in, parallel replacement
     /// for running each spec through `Runner::run` in sequence.
     pub fn uniform() -> Self {
         Self::default()
@@ -205,7 +205,7 @@ impl SweepEngine {
 
         // Compile every spec in parallel (circuit + decoder are the
         // expensive parts; mixed distances make this fan-out skewed,
-        // which the stealing pool absorbs).
+        // which the rayon pool's shared feed absorbs).
         let compiled: Vec<Result<CompiledExperiment, CoreError>> = plan
             .specs()
             .par_iter()
@@ -315,7 +315,7 @@ impl SweepEngine {
             }
             let round_t0 = dqec_obs::clock::now_ns();
 
-            // Execute: specs fan out over the stealing pool; each
+            // Execute: specs fan out over the rayon pool; each
             // point's batches fan out again inside `sample_batches`,
             // drawing from the same worker budget.
             type Work = (CompiledExperiment, Vec<(usize, Range<u64>)>);

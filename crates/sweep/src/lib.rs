@@ -9,8 +9,8 @@
 //! * **Planning** — a [`SweepPlan`] is an ordered list of
 //!   [`ExperimentSpec`](dqec_chiplet::runner::ExperimentSpec)s executed
 //!   as one unit, so mixed-cost specs (d = 5 next to d = 9) share the
-//!   work-stealing pool instead of running one-after-another behind a
-//!   static chunk split.
+//!   rayon pool — whichever worker is free takes the next block — instead
+//!   of running one-after-another behind a static chunk split.
 //! * **Adaptive allocation** — [`Precision`] targets a relative Wilson
 //!   95% CI width per point; the engine allocates shots in rounds to
 //!   the points still short of target (see [`adaptive`]).
