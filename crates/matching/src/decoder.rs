@@ -824,6 +824,9 @@ struct ParametricState {
     /// The baseline `p` the graphs currently carry; reweighting to the
     /// same value is a no-op.
     current_p: f64,
+    /// The mechanism probabilities of the last reweight (buffer reused
+    /// by the next one).
+    probabilities: Vec<f64>,
 }
 
 impl<K: Kernel> GraphDecoder<K> {
@@ -892,6 +895,7 @@ impl<K: Kernel> GraphDecoder<K> {
             pdem,
             overrides: noise.overrides().clone(),
             current_p: noise.p(),
+            probabilities: Vec::new(),
         }));
         decoder
     }
@@ -1032,9 +1036,13 @@ impl<K: Kernel> Decoder for GraphDecoder<K> {
         if state.current_p == noise.p() {
             return true; // weights already match
         }
-        let dem = state.pdem.concretize(noise.p());
-        self.z_graph.reweight_from(&dem);
-        self.x_graph.reweight_from(&dem);
+        state
+            .pdem
+            .probabilities_into(noise.p(), &mut state.probabilities);
+        self.z_graph
+            .reweight_from_probabilities(&state.probabilities);
+        self.x_graph
+            .reweight_from_probabilities(&state.probabilities);
         self.z_kernel.reweighted(&self.z_graph);
         self.x_kernel.reweighted(&self.x_graph);
         state.current_p = noise.p();

@@ -265,17 +265,32 @@ impl DecodingGraph {
     /// Recomputes every edge's probability and matching weight from
     /// `dem` — which must be a reweighting of the DEM this graph was
     /// built from, i.e. have the same mechanisms in the same order (as
-    /// produced by `dqec_sim::dem::ParametricDem::concretize`). The
-    /// graph *structure* (nodes, edges, observable masks, adjacency) is
-    /// reused, which is what makes sweeping a logical-error-rate curve
-    /// much cheaper than rebuilding the decoder at every physical error
-    /// rate.
+    /// produced by `dqec_sim::dem::ParametricDem::concretize`). See
+    /// [`DecodingGraph::reweight_from_probabilities`], which this calls.
     ///
     /// # Panics
     ///
     /// Panics if `dem` has fewer mechanisms than the graph was built
     /// with.
     pub fn reweight_from(&mut self, dem: &DetectorErrorModel) {
+        let probabilities: Vec<f64> = dem.mechanisms.iter().map(|m| m.probability).collect();
+        self.reweight_from_probabilities(&probabilities);
+    }
+
+    /// Recomputes every edge's probability and matching weight from the
+    /// mechanism probabilities of a reweighting of the DEM this graph was
+    /// built from, in that DEM's mechanism order (as written by
+    /// `dqec_sim::dem::ParametricDem::probabilities_into`). The graph
+    /// *structure* (nodes, edges, observable masks, adjacency) is
+    /// reused, which is what makes sweeping a logical-error-rate curve
+    /// much cheaper than rebuilding the decoder at every physical error
+    /// rate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `probabilities` is shorter than the graph's mechanism
+    /// list.
+    pub fn reweight_from_probabilities(&mut self, probabilities: &[f64]) {
         for ((edge, weight), sources) in self
             .edges
             .iter_mut()
@@ -284,7 +299,7 @@ impl DecodingGraph {
         {
             let mut p_acc = 0.0;
             for &m in sources {
-                let p = dem.mechanisms[m as usize].probability;
+                let p = probabilities[m as usize];
                 p_acc = p_acc * (1.0 - p) + p * (1.0 - p_acc);
             }
             edge.probability = p_acc;

@@ -143,7 +143,10 @@ impl Blossom {
     fn refresh_boundary_paths(&mut self) {
         let n = self.num_nodes();
         let mut best = vec![(NEVER, 0u64); n + 1];
-        let mut heap = BinaryHeap::new();
+        // One push per improving relaxation, and each adjacency entry
+        // relaxes at most once (from its settled source): the heap never
+        // regrows, so a reweight allocates the same at any graph size.
+        let mut heap = BinaryHeap::with_capacity(self.adj.len() + 1);
         best[n] = (0, 0);
         heap.push(Reverse((0i64, n as u32)));
         while let Some(Reverse((d, v))) = heap.pop() {

@@ -11,7 +11,11 @@
 //! kernel is also driven directly: a warm `decode_events_with` over
 //! banks of random dense syndromes (growth loop, peeling, the flush of
 //! defects stranded between absorbers) allocates nothing at all — the
-//! standard a warm `FrameProgram::sample` is held to as well.
+//! standard a warm `FrameProgram::sample` is held to as well. The
+//! reweight side is pinned the same way: a warm
+//! `ParametricDem::probabilities_into` allocates nothing, and a warm
+//! `MwpmDecoder::reweight` allocates as often on a defective l = 5
+//! patch as on an l = 7 one (no allocation per mechanism or per edge).
 
 mod support {
     pub mod counting_alloc;
@@ -20,6 +24,7 @@ mod support {
 use dqec_core::{memory_z, AdaptedPatch, Coord, DefectSet, PatchLayout};
 use dqec_matching::{DecodeStats, Decoder, MwpmDecoder, UfDecoder, UfScratch};
 use dqec_sim::circuit::{CheckBasis, Circuit, Noise1};
+use dqec_sim::dem::ParametricDem;
 use dqec_sim::frame::{FrameProgram, FrameSampler, FrameScratch, FrameScratchPool};
 use dqec_sim::noise::NoiseModel;
 use rand::rngs::StdRng;
@@ -72,17 +77,30 @@ fn repetition(rounds: usize, p: f64) -> Circuit {
     c
 }
 
-/// The noisy memory circuit of an l = 7 patch with a broken data qubit
-/// and a broken syndrome qubit (so super-stabilizers and a deformed
-/// boundary are in its graphs).
-fn defective_patch(p: f64) -> Circuit {
+/// The clean memory circuit of an l × l patch with a broken data qubit
+/// at (5, 5) and the broken syndrome qubit `synd` (so super-stabilizers
+/// and a deformed boundary are in its graphs), over `l` rounds.
+fn defective_memory(l: u32, synd: Coord) -> Circuit {
     let mut defects = DefectSet::new();
     defects.add_data(Coord::new(5, 5));
-    defects.add_synd(Coord::new(8, 10));
-    let patch = AdaptedPatch::new(PatchLayout::memory(7), &defects);
+    defects.add_synd(synd);
+    let patch = AdaptedPatch::new(PatchLayout::memory(l), &defects);
     assert!(patch.is_valid(), "the fixture patch must be usable");
-    let exp = memory_z(&patch, 7).expect("the patch hosts a memory experiment");
-    NoiseModel::new(p).apply(&exp.circuit)
+    let exp = memory_z(&patch, l).expect("the patch hosts a memory experiment");
+    exp.circuit
+}
+
+/// The noisy memory circuit of the defective l = 7 patch.
+fn defective_patch(p: f64) -> Circuit {
+    NoiseModel::new(p).apply(&defective_memory(7, Coord::new(8, 10)))
+}
+
+/// The defective patches of the reweight pins, with their sizes.
+fn reweight_fixtures() -> [(u32, Circuit); 2] {
+    [
+        (5, defective_memory(5, Coord::new(6, 8))),
+        (7, defective_memory(7, Coord::new(8, 10))),
+    ]
 }
 
 /// Warm steady-state allocation count of `decode_batch` on `shots`
@@ -194,4 +212,42 @@ fn warm_frame_program_sample_allocates_nothing() {
             count_allocs(|| pool.with(|s| program.sample(shots, &mut rng, s).detectors.shots()));
         assert_eq!(pooled, 0, "pooled FrameProgram::sample at {shots} shots");
     }
+}
+
+#[test]
+fn warm_probabilities_into_allocates_nothing() {
+    for (l, clean) in reweight_fixtures() {
+        let (noisy, params) = NoiseModel::new(2e-3).apply_with_params(&clean);
+        let pdem = ParametricDem::from_noisy(&noisy, &params);
+        let mut probabilities = Vec::new();
+        pdem.probabilities_into(1e-3, &mut probabilities);
+        let (allocs, ()) = count_allocs(|| pdem.probabilities_into(1.5e-3, &mut probabilities));
+        assert_eq!(allocs, 0, "warm probabilities_into at l = {l}");
+        assert_eq!(probabilities.len(), pdem.mechanisms().count());
+    }
+}
+
+#[test]
+fn warm_reweight_allocations_do_not_scale_with_the_mechanism_count() {
+    let mut seen = Vec::new();
+    for (l, clean) in reweight_fixtures() {
+        let template = NoiseModel::new(2e-3);
+        let (noisy, params) = template.apply_with_params(&clean);
+        let mechanisms = ParametricDem::from_noisy(&noisy, &params)
+            .mechanisms()
+            .count();
+        let mut decoder = MwpmDecoder::from_clean(&clean, &template);
+        // The first reweight sizes the decoder's probability buffer.
+        assert!(decoder.reweight(&NoiseModel::new(1e-3)));
+        let (allocs, ok) = count_allocs(|| decoder.reweight(&NoiseModel::new(1.5e-3)));
+        assert!(ok);
+        eprintln!("l = {l}: {mechanisms} mechanisms, warm reweight = {allocs} allocs");
+        seen.push((l, mechanisms, allocs));
+    }
+    assert!(seen[0].1 < seen[1].1, "{seen:?}");
+    assert_eq!(
+        seen[0].2, seen[1].2,
+        "warm MwpmDecoder::reweight allocations scale with the DEM: {seen:?} \
+         as (l, mechanisms, allocs)"
+    );
 }

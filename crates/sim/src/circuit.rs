@@ -206,6 +206,27 @@ impl Circuit {
             .count()
     }
 
+    /// Appends `op` as the checked builders would, without checking it:
+    /// a noise op with `p == 0` is dropped and a measurement takes the
+    /// next record. For replaying the ops of a validated circuit over
+    /// the same qubits.
+    pub(crate) fn push_unchecked(&mut self, op: Op) {
+        match op {
+            Op::Noise1 { p, .. } | Op::Depolarize2 { p, .. } if p <= 0.0 => return,
+            Op::Measure { .. } => self.num_measurements += 1,
+            _ => {}
+        }
+        self.ops.push(op);
+    }
+
+    /// Copies `other`'s detectors and observables, which must refer only
+    /// to records this circuit has.
+    pub(crate) fn copy_annotations_from(&mut self, other: &Circuit) {
+        debug_assert!(self.num_measurements >= other.num_measurements);
+        self.detectors = other.detectors.clone();
+        self.observables = other.observables.clone();
+    }
+
     fn check_qubit(&self, q: u32) -> Result<(), SimError> {
         if q >= self.num_qubits {
             Err(SimError::QubitOutOfRange {

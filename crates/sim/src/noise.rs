@@ -7,7 +7,7 @@
 //! may carry an elevated *absolute* error rate (the §6 cutoff-fidelity
 //! study gives one data qubit a two-qubit error rate of 5–15%).
 
-use crate::circuit::{Circuit, Gate1, Gate2, Noise1, Op};
+use crate::circuit::{Circuit, Noise1, Op};
 use std::collections::BTreeMap;
 
 /// Ratio of one-qubit gate error to two-qubit gate error.
@@ -140,14 +140,10 @@ impl NoiseModel {
     /// rate is zero under this model are skipped in both outputs, so
     /// build the template at `p > 0` when the parametrization matters.
     pub fn apply_with_params(&self, clean: &Circuit) -> (Circuit, Vec<NoiseParam>) {
-        // Every op replayed below was validated when `clean` was built
-        // and the noisy circuit has the same qubit count, so rebuilding
-        // cannot fail; the one expect documents that invariant.
-        self.build(clean)
-            .expect("replaying a validated circuit cannot fail")
-    }
-
-    fn build(&self, clean: &Circuit) -> Result<(Circuit, Vec<NoiseParam>), crate::SimError> {
+        // Every op replayed below was validated when `clean` was built,
+        // the noisy circuit has the same qubits, and every inserted rate
+        // is a ratio ≤ 1 times a rate in [0, 1]: the unchecked pushes
+        // keep the circuit valid.
         let mut noisy = Circuit::new(clean.num_qubits());
         let mut params = Vec::new();
         let scaled = |ratio: f64, qubits: &[u32], params: &mut Vec<NoiseParam>| -> f64 {
@@ -160,68 +156,49 @@ impl NoiseModel {
             }
             r
         };
-        for op in clean.ops() {
-            match *op {
-                Op::Gate1 { kind, q } => {
-                    push_gate1(&mut noisy, kind, q)?;
-                    let r = scaled(ONE_QUBIT_RATIO, &[q], &mut params);
-                    noisy.noise1(Noise1::Depolarize1, q, r)?;
+        for &op in clean.ops() {
+            match op {
+                Op::Gate1 { q, .. } => {
+                    noisy.push_unchecked(op);
+                    let p = scaled(ONE_QUBIT_RATIO, &[q], &mut params);
+                    noisy.push_unchecked(Op::Noise1 {
+                        kind: Noise1::Depolarize1,
+                        q,
+                        p,
+                    });
                 }
-                Op::Gate2 { kind, a, b } => {
-                    push_gate2(&mut noisy, kind, a, b)?;
-                    let r = scaled(1.0, &[a, b], &mut params);
-                    noisy.depolarize2(a, b, r)?;
+                Op::Gate2 { a, b, .. } => {
+                    noisy.push_unchecked(op);
+                    let p = scaled(1.0, &[a, b], &mut params);
+                    noisy.push_unchecked(Op::Depolarize2 { a, b, p });
                 }
                 Op::Reset { q } => {
-                    noisy.reset(q)?;
-                    let r = scaled(READOUT_RATIO, &[q], &mut params);
-                    noisy.noise1(Noise1::XError, q, r)?;
+                    noisy.push_unchecked(op);
+                    let p = scaled(READOUT_RATIO, &[q], &mut params);
+                    noisy.push_unchecked(Op::Noise1 {
+                        kind: Noise1::XError,
+                        q,
+                        p,
+                    });
                 }
                 Op::Measure { q } => {
-                    let r = scaled(READOUT_RATIO, &[q], &mut params);
-                    noisy.noise1(Noise1::XError, q, r)?;
-                    noisy.measure(q)?;
+                    let p = scaled(READOUT_RATIO, &[q], &mut params);
+                    noisy.push_unchecked(Op::Noise1 {
+                        kind: Noise1::XError,
+                        q,
+                        p,
+                    });
+                    noisy.push_unchecked(op);
                 }
-                Op::Noise1 { kind, q, p } => {
+                Op::Noise1 { p, .. } | Op::Depolarize2 { p, .. } => {
                     params.push(NoiseParam::Fixed(p));
-                    noisy.noise1(kind, q, p)?;
+                    noisy.push_unchecked(op);
                 }
-                Op::Depolarize2 { a, b, p } => {
-                    params.push(NoiseParam::Fixed(p));
-                    noisy.depolarize2(a, b, p)?;
-                }
-                Op::Tick => noisy.tick(),
+                Op::Tick => noisy.push_unchecked(op),
             }
         }
-        for det in clean.detectors() {
-            let records: Vec<_> = det
-                .records
-                .iter()
-                .map(|&r| crate::circuit::MeasRecord(r))
-                .collect();
-            noisy.add_detector(&records, det.basis, det.coord)?;
-        }
-        for (o, obs) in clean.observables().iter().enumerate() {
-            let records: Vec<_> = obs.iter().map(|&r| crate::circuit::MeasRecord(r)).collect();
-            noisy.include_observable(o as u32, &records)?;
-        }
-        Ok((noisy, params))
-    }
-}
-
-fn push_gate1(c: &mut Circuit, kind: Gate1, q: u32) -> Result<(), crate::SimError> {
-    match kind {
-        Gate1::H => c.h(q),
-        Gate1::S => c.s(q),
-        Gate1::X => c.x(q),
-        Gate1::Z => c.z(q),
-    }
-}
-
-fn push_gate2(c: &mut Circuit, kind: Gate2, a: u32, b: u32) -> Result<(), crate::SimError> {
-    match kind {
-        Gate2::Cx => c.cx(a, b),
-        Gate2::Cz => c.cz(a, b),
+        noisy.copy_annotations_from(clean);
+        (noisy, params)
     }
 }
 
