@@ -8,8 +8,9 @@
 //!
 //! A [`DecodingGraph`] is its edge list plus one CSR adjacency, built
 //! once, with the per-edge matching weights `ln((1-p)/p)` beside it;
-//! [`DecodingGraph::reweight_from`] refreshes probabilities and weights
-//! in place, in O(E). The exact matcher ([`crate::sparse`]) decodes on
+//! [`DecodingGraph::reweight_from_probabilities`] refreshes probabilities
+//! and weights in place from a reweighted DEM's mechanism probabilities,
+//! in O(E). The exact matcher ([`crate::sparse`]) decodes on
 //! that adjacency directly. All-pairs shortest paths are *not* part of
 //! a graph: whoever needs them builds a [`crate::PathTables`] from one
 //! (the union-find kernel keeps the only production instance).
