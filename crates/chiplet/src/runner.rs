@@ -419,10 +419,9 @@ pub struct CompiledExperiment {
     bad: Option<(u32, f64)>,
     build: DecoderBuilder,
     decoder: Box<dyn Decoder>,
-    /// The selected point's noisy circuit, compiled for sampling.
-    program: Option<FrameProgram>,
+    /// The selected point and its noisy circuit, compiled for sampling.
+    selected: Option<(usize, FrameProgram)>,
     frames: FrameScratchPool,
-    current_point: Option<usize>,
     warned_rebuild: bool,
 }
 
@@ -430,7 +429,10 @@ impl std::fmt::Debug for CompiledExperiment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledExperiment")
             .field("spec", &self.spec)
-            .field("current_point", &self.current_point)
+            .field(
+                "current_point",
+                &self.selected.as_ref().map(|(point, _)| point),
+            )
             .finish_non_exhaustive()
     }
 }
@@ -481,9 +483,8 @@ impl CompiledExperiment {
             bad,
             build,
             decoder,
-            program: None,
+            selected: None,
             frames: FrameScratchPool::default(),
-            current_point: None,
             warned_rebuild: false,
         })
     }
@@ -523,7 +524,7 @@ impl CompiledExperiment {
     /// Panics if `point` is out of range.
     pub fn select_point(&mut self, point: usize) {
         assert!(point < self.spec.ps.len(), "sweep point out of range");
-        if self.current_point == Some(point) {
+        if matches!(self.selected, Some((current, _)) if current == point) {
             return;
         }
         let p = self.spec.ps[point];
@@ -539,8 +540,20 @@ impl CompiledExperiment {
             }
             self.decoder = (self.build)(&self.circuit, &noise);
         }
-        self.program = Some(FrameProgram::new(&noise.apply(&self.circuit)));
-        self.current_point = Some(point);
+        self.selected = Some((point, FrameProgram::new(&noise.apply(&self.circuit))));
+    }
+
+    /// The selected point and its frame program.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no point is selected ([`Self::select_point`]).
+    fn selected(&self) -> (usize, &FrameProgram) {
+        let (point, program) = self
+            .selected
+            .as_ref()
+            .expect("select_point before sampling");
+        (*point, program)
     }
 
     /// Samples and decodes batches `batches` of the currently selected
@@ -562,7 +575,7 @@ impl CompiledExperiment {
         batch: usize,
         shots_bound: usize,
     ) -> DecodeStats {
-        let point = self.current_point.expect("select_point before sampling");
+        let (point, _) = self.selected();
         self.sample_batches_with_seed(batches, batch, shots_bound, self.point_seed(point))
     }
 
@@ -585,8 +598,7 @@ impl CompiledExperiment {
         seed: u64,
     ) -> DecodeStats {
         let _span = dqec_obs::trace::span("chiplet.sample");
-        assert!(self.current_point.is_some(), "select_point before sampling");
-        let program = self.program.as_ref().expect("frame program built");
+        let (_, program) = self.selected();
         let batch = batch.max(1);
         let decoder = self.decoder.as_ref();
         let results: Vec<DecodeStats> = batches

@@ -16,10 +16,10 @@
 //! pair of events through a [`PathTables`] the test builds.
 
 use crate::blossom::BlossomArena;
-use crate::graph::DecodingGraph;
+use crate::graph::{probabilities, symptoms, DecodingGraph};
 use crate::paths::PathTables;
 use crate::sparse::Blossom;
-use dqec_sim::circuit::{CheckBasis, Circuit};
+use dqec_sim::circuit::Circuit;
 use dqec_sim::dem::{DetectorErrorModel, ParametricDem};
 use dqec_sim::frame::ShotBatch;
 use dqec_sim::noise::NoiseModel;
@@ -824,8 +824,8 @@ struct ParametricState {
     /// The baseline `p` the graphs currently carry; reweighting to the
     /// same value is a no-op.
     current_p: f64,
-    /// The mechanism probabilities of the last reweight (buffer reused
-    /// by the next one).
+    /// The mechanism probabilities at `current_p` (buffer reused by the
+    /// next reweight).
     probabilities: Vec<f64>,
 }
 
@@ -839,9 +839,13 @@ impl<K: Kernel> GraphDecoder<K> {
 
     /// Builds a decoder from a precomputed DEM.
     pub fn with_dem(circuit: &Circuit, dem: &DetectorErrorModel) -> Self {
-        let (z_mask, x_mask) = DecodingGraph::split_observables(circuit, dem);
-        let z_graph = DecodingGraph::build_with_observables(circuit, dem, CheckBasis::Z, z_mask);
-        let x_graph = DecodingGraph::build_with_observables(circuit, dem, CheckBasis::X, x_mask);
+        let graphs = DecodingGraph::css_pair(circuit, symptoms(dem), &probabilities(dem));
+        Self::from_graphs(circuit, graphs)
+    }
+
+    /// The decoder over the basis graphs `(z_graph, x_graph)` of
+    /// `circuit`.
+    fn from_graphs(circuit: &Circuit, (z_graph, x_graph): (DecodingGraph, DecodingGraph)) -> Self {
         GraphDecoder {
             z_kernel: K::from_graph(&z_graph),
             x_kernel: K::from_graph(&x_graph),
@@ -857,6 +861,12 @@ impl<K: Kernel> GraphDecoder<K> {
     /// circuit, extracts a parametric detector error model, and keeps it
     /// so later [`Decoder::reweight`] calls can move the edge weights to
     /// a different baseline `p` without re-walking the circuit.
+    ///
+    /// No [`DetectorErrorModel`] is built: both basis graphs come
+    /// straight from [`ParametricDem::mechanisms`] and one buffer of
+    /// [`ParametricDem::probabilities_into`] at `noise.p()` (the buffer
+    /// later reweights reuse), bit-identical to
+    /// [`GraphDecoder::with_dem`] on the concretized DEM.
     ///
     /// Build the template at the sweep's largest `p` (any `p > 0`
     /// works): a template built at `p = 0` has no noise ops at all and
@@ -889,13 +899,16 @@ impl<K: Kernel> GraphDecoder<K> {
     pub fn from_clean(clean: &Circuit, noise: &NoiseModel) -> Self {
         let (noisy, params) = noise.apply_with_params(clean);
         let pdem = ParametricDem::from_noisy(&noisy, &params);
-        let dem = pdem.concretize(noise.p());
-        let mut decoder = Self::with_dem(&noisy, &dem);
+        let mut probabilities = Vec::new();
+        pdem.probabilities_into(noise.p(), &mut probabilities);
+        let mechs = pdem.mechanisms().map(|(dets, obs, _)| (dets, obs));
+        let graphs = DecodingGraph::css_pair(&noisy, mechs, &probabilities);
+        let mut decoder = Self::from_graphs(&noisy, graphs);
         decoder.parametric = Some(Box::new(ParametricState {
             pdem,
             overrides: noise.overrides().clone(),
             current_p: noise.p(),
-            probabilities: Vec::new(),
+            probabilities,
         }));
         decoder
     }

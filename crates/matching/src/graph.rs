@@ -14,11 +14,37 @@
 //! that adjacency directly. All-pairs shortest paths are *not* part of
 //! a graph: whoever needs them builds a [`crate::PathTables`] from one
 //! (the union-find kernel keeps the only production instance).
+//!
+//! A build is one flat pass over the mechanisms' `(dets, obs)`
+//! symptoms and one probability buffer, so it takes a concrete
+//! [`DetectorErrorModel`] or, inside [`crate::GraphDecoder::from_clean`],
+//! a `ParametricDem` with no DEM built in between:
+//!
+//! * **Records.** Each mechanism with one or two same-basis nodes
+//!   leaves one `(first node, second node + 1 or 0 for the boundary,
+//!   mechanism, masked observables)` record, in mechanism order. Each
+//!   with more is decomposed afterwards into edges that pass already
+//!   produced (a binary search over their sorted keys), and its parts
+//!   are appended behind.
+//! * **Edges.** A counting sort by first node, then a stable sort of
+//!   each node's (almost always already sorted) bucket by second node,
+//!   puts the records in edge order and keeps record order within an
+//!   edge. Each run of one key is an edge: its probability folds the
+//!   run in record order, the observable masks vote with summed
+//!   probability, and the heaviest mask wins, ties going to the
+//!   smallest.
+//! * **Sources.** The run's mechanisms, concatenated over all edges,
+//!   are the CSR array a reweight folds again.
+//!
+//! Every field — edges, probability bits, votes, diagnostics, sources,
+//! adjacency — is bit-identical to the map-based build this replaced,
+//! which is kept as the test oracle
+//! (`crates/matching/tests/support/graph_oracle.rs`).
 
 use dqec_sim::circuit::{CheckBasis, Circuit};
 use dqec_sim::dem::DetectorErrorModel;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// Smallest probability an edge is allowed to carry (avoids infinite
 /// weights).
@@ -27,6 +53,13 @@ const P_FLOOR: f64 = 1e-14;
 const P_CEIL: f64 = 0.4999;
 /// Stand-in weight for unreachable node pairs.
 pub(crate) const UNREACHABLE: f64 = 1e12;
+
+/// The second half of a boundary edge's key; an internal edge `(a, b)`
+/// stores `b + 1`, so keys order like `(a, Option<b>)`.
+const BOUNDARY: u32 = 0;
+/// The second half of a pass-1 record whose mechanism is decomposed in
+/// pass 2.
+const DEFERRED: u32 = u32::MAX;
 
 /// One edge of a decoding graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,20 +92,57 @@ pub struct GraphDiagnostics {
 
 /// A single-basis matching graph: nodes, weighted edges and their
 /// adjacency.
+///
+/// Edges are ordered by `(a, b)`, the boundary before every real second
+/// endpoint. Each edge's probability is the XOR-combination of its
+/// source mechanisms' probabilities, folded in mechanism order (those
+/// decomposed from a larger symptom last); the sources are kept as one
+/// CSR array so a reweight refolds them without rebuilding anything.
+/// Two builds from the same mechanisms are bit-identical.
 #[derive(Debug, Clone)]
 pub struct DecodingGraph {
     basis: CheckBasis,
     node_of_det: Vec<Option<u32>>,
     det_of_node: Vec<u32>,
     edges: Vec<GraphEdge>,
+    /// Edge `e`'s sources are `sources[source_starts[e]..source_starts[e + 1]]`.
+    source_starts: Vec<u32>,
     /// Per edge, the indices (into the source DEM's mechanism list, in
-    /// accumulation order) whose XOR-combination gives its probability;
-    /// kept so [`DecodingGraph::reweight_from`] can recompute weights.
-    edge_sources: Vec<Vec<u32>>,
+    /// fold order) whose XOR-combination gives its probability; kept so
+    /// [`DecodingGraph::reweight_from_probabilities`] can recompute
+    /// weights.
+    sources: Vec<u32>,
     /// Per edge, the matching weight of its current probability.
     weights: Vec<f64>,
     adjacency: Adjacency,
     diagnostics: GraphDiagnostics,
+}
+
+/// One mechanism's contribution to one edge: key `(a, b)` (see
+/// [`BOUNDARY`]), the mechanism, and the observables it votes for.
+#[derive(Debug, Clone, Copy, Default)]
+struct Record {
+    a: u32,
+    b: u32,
+    mech: u32,
+    obs: u64,
+}
+
+/// The key of the edge between nodes `x` and `y`.
+fn pair_key(x: u32, y: u32) -> (u32, u32) {
+    (x.min(y), x.max(y) + 1)
+}
+
+/// A DEM's mechanisms as `(detectors, observables)`.
+pub(crate) fn symptoms(dem: &DetectorErrorModel) -> impl Iterator<Item = (&[u32], u64)> + Clone {
+    dem.mechanisms
+        .iter()
+        .map(|m| (&m.detectors[..], m.observables))
+}
+
+/// A DEM's mechanism probabilities, in mechanism order.
+pub(crate) fn probabilities(dem: &DetectorErrorModel) -> Vec<f64> {
+    dem.mechanisms.iter().map(|m| m.probability).collect()
 }
 
 impl DecodingGraph {
@@ -91,32 +161,7 @@ impl DecodingGraph {
     /// Y errors additionally trip X checks, so the X basis fails the
     /// "every mechanism" test.) Returns `(z_mask, x_mask)`.
     pub fn split_observables(circuit: &Circuit, dem: &DetectorErrorModel) -> (u64, u64) {
-        let det_basis: Vec<CheckBasis> = circuit.detectors().iter().map(|d| d.basis).collect();
-        let mut always_z = u64::MAX;
-        let mut always_x = u64::MAX;
-        for mech in &dem.mechanisms {
-            if mech.observables == 0 {
-                continue;
-            }
-            let mut has = [false, false]; // [z, x]
-            for &d in &mech.detectors {
-                match det_basis[d as usize] {
-                    CheckBasis::Z => has[0] = true,
-                    CheckBasis::X => has[1] = true,
-                }
-            }
-            if !has[0] {
-                always_z &= !mech.observables;
-            }
-            if !has[1] {
-                always_x &= !mech.observables;
-            }
-        }
-        // Own what you always see; ties go to Z; orphans (seen by
-        // neither) also go to Z so they are at least counted once.
-        let z_mask = always_z;
-        let x_mask = always_x & !always_z;
-        (z_mask | !(always_z | always_x), x_mask)
+        split(circuit, symptoms(dem))
     }
 
     /// Builds the decoding graph for `basis`, owning only the
@@ -127,124 +172,199 @@ impl DecodingGraph {
         basis: CheckBasis,
         obs_mask: u64,
     ) -> Self {
-        let det_basis: Vec<CheckBasis> = circuit.detectors().iter().map(|d| d.basis).collect();
-        let mut node_of_det: Vec<Option<u32>> = vec![None; det_basis.len()];
-        let mut det_of_node: Vec<u32> = Vec::new();
-        for (d, &b) in det_basis.iter().enumerate() {
-            if b == basis {
+        Self::from_mechanisms(circuit, symptoms(dem), &probabilities(dem), basis, obs_mask)
+    }
+
+    /// Both CSS graphs `(z, x)` of `circuit`, each owning the
+    /// observables [`DecodingGraph::split_observables`] assigns it, from
+    /// mechanisms `mechs` (`(detectors, observables)`, sorted detector
+    /// ids) firing with `probabilities`.
+    pub(crate) fn css_pair<'a>(
+        circuit: &Circuit,
+        mechs: impl Iterator<Item = (&'a [u32], u64)> + Clone,
+        probabilities: &[f64],
+    ) -> (Self, Self) {
+        let (z_mask, x_mask) = split(circuit, mechs.clone());
+        (
+            Self::from_mechanisms(circuit, mechs.clone(), probabilities, CheckBasis::Z, z_mask),
+            Self::from_mechanisms(circuit, mechs, probabilities, CheckBasis::X, x_mask),
+        )
+    }
+
+    /// The build core: the graph for `basis`, owning the observables in
+    /// `obs_mask`, of mechanisms `mechs` (`(detectors, observables)`,
+    /// sorted detector ids) firing with `probabilities`. See the module
+    /// doc for the passes. Every buffer is sized before it is filled, so
+    /// the number of allocations does not grow with the mechanism count.
+    fn from_mechanisms<'a>(
+        circuit: &Circuit,
+        mechs: impl Iterator<Item = (&'a [u32], u64)> + Clone,
+        probabilities: &[f64],
+        basis: CheckBasis,
+        obs_mask: u64,
+    ) -> Self {
+        let detectors = circuit.detectors();
+        let n = detectors.iter().filter(|d| d.basis == basis).count();
+        let mut node_of_det: Vec<Option<u32>> = vec![None; detectors.len()];
+        let mut det_of_node: Vec<u32> = Vec::with_capacity(n);
+        for (d, det) in detectors.iter().enumerate() {
+            if det.basis == basis {
                 node_of_det[d] = Some(det_of_node.len() as u32);
                 det_of_node.push(d as u32);
             }
         }
-        let n = det_of_node.len();
         let mut diagnostics = GraphDiagnostics::default();
 
-        // Key: (a, b) with a < b, or (a, u32::MAX) for boundary.
-        type Key = (u32, u32);
-        #[derive(Default)]
-        struct Accum {
-            p: f64,
-            obs_votes: BTreeMap<u64, f64>,
-            sources: Vec<u32>,
-        }
-        let mut accum: BTreeMap<Key, Accum> = BTreeMap::new();
-        let key_of = |dets: &[u32]| -> Key {
-            match dets {
-                [a] => (*a, u32::MAX),
-                [a, b] => (*a.min(b), *a.max(b)),
-                _ => unreachable!(),
-            }
-        };
-        let add_edge =
-            |nodes: &[u32], p: f64, obs: u64, mech: u32, accum: &mut BTreeMap<Key, Accum>| {
-                let e = accum.entry(key_of(nodes)).or_default();
-                e.p = e.p * (1.0 - p) + p * (1.0 - e.p);
-                *e.obs_votes.entry(obs).or_insert(0.0) += p;
-                e.sources.push(mech);
+        // Pass 1: one record per mechanism with one or two same-basis
+        // nodes, a `DEFERRED` marker per mechanism with more.
+        let mut records: Vec<Record> = Vec::with_capacity(probabilities.len());
+        let (mut deferred, mut deferred_nodes, mut widest) = (0, 0, 0);
+        for (m, (dets, observables)) in mechs.clone().enumerate() {
+            let mut nodes = dets.iter().filter_map(|&d| node_of_det[d as usize]);
+            let (a, b) = match (nodes.next(), nodes.next()) {
+                // An observable flip is charged to the graph that detects
+                // it; if neither basis sees the mechanism at all it is a
+                // genuine undetectable logical error.
+                (None, _) => {
+                    if observables != 0 && dets.is_empty() {
+                        diagnostics.undetectable_logical_mechanisms += 1;
+                    }
+                    continue;
+                }
+                (Some(x), None) => (x, BOUNDARY),
+                (Some(x), Some(y)) => match nodes.count() {
+                    0 => pair_key(x, y),
+                    more => {
+                        deferred += 1;
+                        deferred_nodes += 2 + more;
+                        widest = widest.max(2 + more);
+                        (0, DEFERRED)
+                    }
+                },
             };
+            records.push(Record {
+                a,
+                b,
+                mech: m as u32,
+                obs: observables & obs_mask,
+            });
+        }
 
-        // Pass 1: simple mechanisms (<= 2 same-basis detectors).
-        let mut deferred: Vec<(u32, &Vec<u32>, u64, f64)> = Vec::new();
-        for (m, mech) in dem.mechanisms.iter().enumerate() {
-            let nodes: Vec<u32> = mech
-                .detectors
-                .iter()
-                .filter_map(|&d| node_of_det[d as usize])
-                .collect();
-            // An observable flip is charged to the graph that detects it;
-            // if neither basis sees the mechanism at all it is a genuine
-            // undetectable logical error.
-            if nodes.is_empty() {
-                if mech.observables != 0 && mech.detectors.is_empty() {
-                    diagnostics.undetectable_logical_mechanisms += 1;
+        // Pass 2: decompose the deferred mechanisms, in mechanism order,
+        // into edges pass 1 produced. A mechanism splits into at most one
+        // part per node.
+        let mut parts: Vec<Record> = Vec::with_capacity(deferred_nodes);
+        if deferred > 0 {
+            let mut known: Vec<(u32, u32)> = Vec::with_capacity(records.len());
+            known.extend(
+                records
+                    .iter()
+                    .filter(|r| r.b != DEFERRED)
+                    .map(|r| (r.a, r.b)),
+            );
+            known.sort_unstable();
+            known.dedup();
+            let mut nodes: Vec<u32> = Vec::with_capacity(widest);
+            let mut keys: Vec<(u32, u32)> = Vec::with_capacity(widest);
+            let mut pending = records.iter().filter(|r| r.b == DEFERRED).peekable();
+            for (m, (dets, _)) in mechs.enumerate() {
+                let Some(marker) = pending.next_if(|r| r.mech == m as u32) else {
+                    continue;
+                };
+                nodes.clear();
+                nodes.extend(dets.iter().filter_map(|&d| node_of_det[d as usize]));
+                keys.clear();
+                if decompose(&mut nodes, &known, &mut keys) {
+                    diagnostics.decomposed_mechanisms += 1;
+                } else {
+                    diagnostics.undecomposable_mechanisms += 1;
+                    keys.extend(nodes.chunks(2).map(|c| match c.get(1) {
+                        Some(&y) => pair_key(c[0], y),
+                        None => (c[0], BOUNDARY),
+                    }));
                 }
-                continue;
-            }
-            let obs = mech.observables & obs_mask;
-            match nodes.len() {
-                1 | 2 => add_edge(&nodes, mech.probability, obs, m as u32, &mut accum),
-                _ => deferred.push((m as u32, &mech.detectors, obs, mech.probability)),
+                // The observable rides on the first part; the vote
+                // resolves disagreements.
+                parts.extend(keys.iter().enumerate().map(|(i, &(a, b))| Record {
+                    a,
+                    b,
+                    mech: marker.mech,
+                    obs: if i == 0 { marker.obs } else { 0 },
+                }));
+                if pending.peek().is_none() {
+                    break;
+                }
             }
         }
 
-        // Pass 2: decompose multi-detector mechanisms into known edges.
-        let known: BTreeSet<Key> = accum.keys().copied().collect();
-        for (m, dets, obs, p) in deferred {
-            let nodes: Vec<u32> = dets
-                .iter()
-                .filter_map(|&d| node_of_det[d as usize])
-                .collect();
-            if let Some(parts) = decompose(&nodes, &known) {
-                diagnostics.decomposed_mechanisms += 1;
-                // Assign the observable to the first component (the vote
-                // mechanism resolves disagreements below).
-                for (i, part) in parts.iter().enumerate() {
-                    let part_obs = if i == 0 { obs } else { 0 };
-                    add_edge(part, p, part_obs, m, &mut accum);
-                }
-            } else {
-                diagnostics.undecomposable_mechanisms += 1;
-                let mut i = 0;
-                while i < nodes.len() {
-                    let part: Vec<u32> = nodes[i..(i + 2).min(nodes.len())].to_vec();
-                    let part_obs = if i == 0 { obs } else { 0 };
-                    add_edge(&part, p, part_obs, m, &mut accum);
-                    i += 2;
-                }
+        // Counting sort by first node (stable), then each node's bucket
+        // stably by second node: edge order, record order within an edge.
+        let placed = || records.iter().filter(|r| r.b != DEFERRED).chain(&parts);
+        let mut next = vec![0u32; n + 1];
+        for r in placed() {
+            next[r.a as usize + 1] += 1;
+        }
+        for v in 1..=n {
+            next[v] += next[v - 1];
+        }
+        let mut sorted = vec![Record::default(); records.len() - deferred + parts.len()];
+        for r in placed() {
+            sorted[next[r.a as usize] as usize] = *r;
+            next[r.a as usize] += 1;
+        }
+        // `next[a]` is now the end of bucket `a`.
+        let (mut lo, mut num_edges) = (0, 0);
+        for &hi in &next[..n] {
+            let bucket = &mut sorted[lo..hi as usize];
+            if !bucket.is_sorted_by_key(|r| r.b) {
+                bucket.sort_by_key(|r| r.b);
             }
+            num_edges += bucket.chunk_by(|x, y| x.b == y.b).count();
+            lo = hi as usize;
         }
 
-        // Finalize edges: pick the dominant observable mask per edge.
-        // Votes are summed in mechanism order and compared in mask
-        // order, and of tied masks the numerically smallest wins
-        // (`max_by` keeps the last maximum, so scan downwards) — every
-        // build of one circuit yields the same edges.
-        let mut paired = Vec::with_capacity(accum.len());
-        for ((a, b), acc) in accum {
-            // Every accumulated edge carries at least one vote (it was
-            // created by `add_edge`); an empty map degrades to mask 0.
-            let obs = acc
-                .obs_votes
+        let mut edges = Vec::with_capacity(num_edges);
+        let mut source_starts = Vec::with_capacity(num_edges + 1);
+        source_starts.push(0u32);
+        let mut votes: Vec<(u64, f64)> = Vec::new();
+        for run in sorted.chunk_by(|x, y| (x.a, x.b) == (y.a, y.b)) {
+            let mut p_acc = 0.0;
+            votes.clear();
+            for r in run {
+                let p = probabilities[r.mech as usize];
+                p_acc = p_acc * (1.0 - p) + p * (1.0 - p_acc);
+                let at = match votes.iter().position(|&(mask, _)| mask == r.obs) {
+                    Some(at) => at,
+                    None => {
+                        votes.push((r.obs, 0.0));
+                        votes.len() - 1
+                    }
+                };
+                votes[at].1 += p;
+            }
+            // The heaviest mask wins and of tied masks the numerically
+            // smallest: every build of one circuit yields the same edges.
+            let (obs, _) = votes
                 .iter()
-                .rev()
-                .max_by(|x, y| x.1.total_cmp(y.1))
-                .map(|(&obs, _)| obs)
-                .unwrap_or(0);
-            if acc.obs_votes.len() > 1 {
+                .copied()
+                .reduce(|best, v| match v.1.total_cmp(&best.1) {
+                    Ordering::Greater => v,
+                    Ordering::Equal if v.0 < best.0 => v,
+                    _ => best,
+                })
+                .unwrap_or_default();
+            if votes.len() > 1 {
                 diagnostics.conflicting_observable_edges += 1;
             }
-            paired.push((
-                GraphEdge {
-                    a,
-                    b: (b != u32::MAX).then_some(b),
-                    probability: acc.p,
-                    observables: obs,
-                },
-                acc.sources,
-            ));
+            let (a, b) = (run[0].a, run[0].b);
+            edges.push(GraphEdge {
+                a,
+                b: (b != BOUNDARY).then(|| b - 1),
+                probability: p_acc,
+                observables: obs,
+            });
+            source_starts.push(source_starts[edges.len() - 1] + run.len() as u32);
         }
-        paired.sort_by_key(|(e, _)| (e.a, e.b));
-        let (edges, edge_sources): (Vec<GraphEdge>, Vec<Vec<u32>>) = paired.into_iter().unzip();
 
         DecodingGraph {
             basis,
@@ -258,7 +378,8 @@ impl DecodingGraph {
                     .map(|e| (e.a as usize, e.b.map_or(n, |b| b as usize))),
             ),
             edges,
-            edge_sources,
+            source_starts,
+            sources: sorted.iter().map(|r| r.mech).collect(),
             diagnostics,
         }
     }
@@ -274,8 +395,7 @@ impl DecodingGraph {
     /// Panics if `dem` has fewer mechanisms than the graph was built
     /// with.
     pub fn reweight_from(&mut self, dem: &DetectorErrorModel) {
-        let probabilities: Vec<f64> = dem.mechanisms.iter().map(|m| m.probability).collect();
-        self.reweight_from_probabilities(&probabilities);
+        self.reweight_from_probabilities(&probabilities(dem));
     }
 
     /// Recomputes every edge's probability and matching weight from the
@@ -285,21 +405,22 @@ impl DecodingGraph {
     /// *structure* (nodes, edges, observable masks, adjacency) is
     /// reused, which is what makes sweeping a logical-error-rate curve
     /// much cheaper than rebuilding the decoder at every physical error
-    /// rate.
+    /// rate. Each edge refolds its sources in build order, so the bits
+    /// equal a fresh build's from the same probabilities.
     ///
     /// # Panics
     ///
     /// Panics if `probabilities` is shorter than the graph's mechanism
     /// list.
     pub fn reweight_from_probabilities(&mut self, probabilities: &[f64]) {
-        for ((edge, weight), sources) in self
+        for ((edge, weight), span) in self
             .edges
             .iter_mut()
             .zip(&mut self.weights)
-            .zip(&self.edge_sources)
+            .zip(self.source_starts.windows(2))
         {
             let mut p_acc = 0.0;
-            for &m in sources {
+            for &m in &self.sources[span[0] as usize..span[1] as usize] {
                 let p = probabilities[m as usize];
                 p_acc = p_acc * (1.0 - p) + p * (1.0 - p_acc);
             }
@@ -333,9 +454,32 @@ impl DecodingGraph {
         self.node_of_det.get(det as usize).copied().flatten()
     }
 
+    /// Edge `e`'s source mechanisms, in the order their probabilities
+    /// fold (test oracle hook).
+    #[doc(hidden)]
+    pub fn sources_of(&self, e: usize) -> &[u32] {
+        &self.sources[self.source_starts[e] as usize..self.source_starts[e + 1] as usize]
+    }
+
+    /// The adjacency as `(row starts, (neighbor, edge) entries, edge
+    /// ends)`, the boundary being vertex [`DecodingGraph::num_nodes`]
+    /// (test oracle hook).
+    #[doc(hidden)]
+    #[allow(clippy::type_complexity)]
+    pub fn adjacency_parts(&self) -> (&[u32], &[(u32, u32)], &[(u32, u32)]) {
+        let Adjacency {
+            starts,
+            entries,
+            ends,
+        } = &self.adjacency;
+        (starts, entries, ends)
+    }
+
     /// Per edge (same order as [`DecodingGraph::edges`]), the matching
-    /// weight `ln((1-p)/p)` of its current probability.
-    pub(crate) fn weights(&self) -> &[f64] {
+    /// weight `ln((1-p)/p)` of its current probability (test oracle
+    /// hook outside this crate).
+    #[doc(hidden)]
+    pub fn weights(&self) -> &[f64] {
         &self.weights
     }
 
@@ -392,6 +536,37 @@ impl DecodingGraph {
     }
 }
 
+/// Which basis owns each observable (see
+/// [`DecodingGraph::split_observables`]), over mechanisms `mechs`.
+fn split<'a>(circuit: &Circuit, mechs: impl Iterator<Item = (&'a [u32], u64)>) -> (u64, u64) {
+    let detectors = circuit.detectors();
+    let mut always_z = u64::MAX;
+    let mut always_x = u64::MAX;
+    for (dets, observables) in mechs {
+        if observables == 0 {
+            continue;
+        }
+        let mut has = [false, false]; // [z, x]
+        for &d in dets {
+            match detectors[d as usize].basis {
+                CheckBasis::Z => has[0] = true,
+                CheckBasis::X => has[1] = true,
+            }
+        }
+        if !has[0] {
+            always_z &= !observables;
+        }
+        if !has[1] {
+            always_x &= !observables;
+        }
+    }
+    // Own what you always see; ties go to Z; orphans (seen by
+    // neither) also go to Z so they are at least counted once.
+    let z_mask = always_z;
+    let x_mask = always_x & !always_z;
+    (z_mask | !(always_z | always_x), x_mask)
+}
+
 /// Edge probability -> matching weight (shared with the union-find
 /// decoder's integer quantization).
 pub(crate) fn weight_of(p: f64) -> f64 {
@@ -399,34 +574,40 @@ pub(crate) fn weight_of(p: f64) -> f64 {
     ((1.0 - p) / p).ln()
 }
 
-/// Tries to split `nodes` (sorted, len >= 3) into parts that all exist
-/// as known edges; parts are pairs or boundary singletons.
-fn decompose(nodes: &[u32], known: &BTreeSet<(u32, u32)>) -> Option<Vec<Vec<u32>>> {
-    if nodes.is_empty() {
-        return Some(Vec::new());
-    }
-    let first = nodes[0];
+/// Tries to split `nodes` (distinct, sorted, len >= 3) into parts that
+/// all are `known` edge keys (sorted): the first node on the boundary,
+/// else paired with each later node in turn, the rest recursively,
+/// depth first. On success appends the parts' keys to `parts` in that
+/// order and returns `true`; on failure leaves `nodes` and `parts` as
+/// they were.
+fn decompose(nodes: &mut [u32], known: &[(u32, u32)], parts: &mut Vec<(u32, u32)>) -> bool {
+    let [first, ..] = *nodes else {
+        return true;
+    };
+    let len = parts.len();
     // Option A: first matches the boundary.
-    if known.contains(&(first, u32::MAX)) {
-        let rest: Vec<u32> = nodes[1..].to_vec();
-        if let Some(mut parts) = decompose(&rest, known) {
-            parts.insert(0, vec![first]);
-            return Some(parts);
+    if known.binary_search(&(first, BOUNDARY)).is_ok() {
+        parts.push((first, BOUNDARY));
+        if decompose(&mut nodes[1..], known, parts) {
+            return true;
         }
+        parts.truncate(len);
     }
-    // Option B: pair first with a later node.
+    // Option B: pair first with a later node, rotated to the front of
+    // the rest so the others keep their order.
     for i in 1..nodes.len() {
-        let other = nodes[i];
-        let key = (first.min(other), first.max(other));
-        if known.contains(&key) {
-            let rest: Vec<u32> = nodes[1..].iter().copied().filter(|&x| x != other).collect();
-            if let Some(mut parts) = decompose(&rest, known) {
-                parts.insert(0, vec![first, other]);
-                return Some(parts);
+        let key = pair_key(first, nodes[i]);
+        if known.binary_search(&key).is_ok() {
+            nodes[1..=i].rotate_right(1);
+            parts.push(key);
+            if decompose(&mut nodes[2..], known, parts) {
+                return true;
             }
+            parts.truncate(len);
+            nodes[1..=i].rotate_left(1);
         }
     }
-    None
+    false
 }
 
 /// Flat CSR adjacency over the real nodes plus the boundary (vertex
@@ -482,7 +663,13 @@ impl Adjacency {
 mod tests {
     use super::*;
     use crate::fixtures::repetition;
+    use crate::graph_oracle::assert_pair_matches_oracle;
+    use crate::random_circuit::random_circuit;
     use crate::PathTables;
+    use dqec_sim::dem::ParametricDem;
+    use dqec_sim::noise::NoiseModel;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn repetition_graph_structure() {
@@ -567,6 +754,62 @@ mod tests {
         }
     }
 
+    /// The flat build equals the map-based oracle bit for bit on random
+    /// Clifford+noise circuits with detectors of both bases: through the
+    /// public DEM entry points, and through `css_pair` over a parametric
+    /// DEM of the circuit re-noised by the paper's model (what
+    /// `GraphDecoder::from_clean` runs). The run must reach every branch
+    /// of the build, and a reweight must give a fresh build's bits.
+    #[test]
+    fn build_matches_the_oracle_on_random_circuits() {
+        let mut gen = StdRng::seed_from_u64(0x6a9e);
+        let mut seen = GraphDiagnostics::default();
+        for _ in 0..2000 {
+            let c = random_circuit(&mut gen, true);
+            let dem = DetectorErrorModel::from_circuit(&c);
+            let (z_mask, x_mask) = DecodingGraph::split_observables(&c, &dem);
+            let z = DecodingGraph::build_with_observables(&c, &dem, CheckBasis::Z, z_mask);
+            let x = DecodingGraph::build_with_observables(&c, &dem, CheckBasis::X, x_mask);
+            let mut diagnostics = assert_pair_matches_oracle(&c, &dem, [&z, &x]).to_vec();
+
+            let model = NoiseModel::new(gen.gen_range(1e-4..0.05));
+            let (noisy, params) = model.apply_with_params(&c);
+            let pdem = ParametricDem::from_noisy(&noisy, &params);
+            let mechs = pdem.mechanisms().map(|(dets, obs, _)| (dets, obs));
+            let mut probabilities = Vec::new();
+            pdem.probabilities_into(model.p(), &mut probabilities);
+            let (mut z, mut x) = DecodingGraph::css_pair(&noisy, mechs.clone(), &probabilities);
+            let dem = pdem.concretize(model.p());
+            diagnostics.extend(assert_pair_matches_oracle(&noisy, &dem, [&z, &x]));
+
+            let p = gen.gen_range(1e-4..0.05);
+            pdem.probabilities_into(p, &mut probabilities);
+            let fresh = DecodingGraph::css_pair(&noisy, mechs.clone(), &probabilities);
+            for (graph, fresh) in [(&mut z, &fresh.0), (&mut x, &fresh.1)] {
+                graph.reweight_from_probabilities(&probabilities);
+                let bits = |g: &DecodingGraph| -> Vec<(u64, u64)> {
+                    let probs = g.edges().iter().map(|e| e.probability.to_bits());
+                    probs.zip(g.weights().iter().map(|w| w.to_bits())).collect()
+                };
+                assert_eq!(bits(graph), bits(fresh), "reweighted to p = {p}");
+            }
+
+            for d in diagnostics {
+                seen.decomposed_mechanisms += d.decomposed_mechanisms;
+                seen.undecomposable_mechanisms += d.undecomposable_mechanisms;
+                seen.conflicting_observable_edges += d.conflicting_observable_edges;
+                seen.undetectable_logical_mechanisms += d.undetectable_logical_mechanisms;
+            }
+        }
+        eprintln!("random circuits: {seen:?}");
+        assert!(
+            seen.decomposed_mechanisms > 0
+                && seen.undecomposable_mechanisms > 0
+                && seen.conflicting_observable_edges > 0,
+            "the circuits must reach every branch of the build: {seen:?}"
+        );
+    }
+
     #[test]
     fn lower_probability_means_larger_weight() {
         assert!(weight_of(1e-4) > weight_of(1e-2));
@@ -576,25 +819,25 @@ mod tests {
 
     #[test]
     fn decompose_finds_boundary_plus_pair() {
-        let mut known = BTreeSet::new();
-        known.insert((0u32, u32::MAX));
-        known.insert((1u32, 2u32));
-        let parts = decompose(&[0, 1, 2], &known).unwrap();
-        assert_eq!(parts, vec![vec![0], vec![1, 2]]);
+        let known = [(0, BOUNDARY), pair_key(1, 2)];
+        let mut parts = Vec::new();
+        assert!(decompose(&mut [0, 1, 2], &known, &mut parts));
+        assert_eq!(parts, vec![(0, BOUNDARY), pair_key(1, 2)]);
     }
 
     #[test]
     fn decompose_fails_when_no_edges_known() {
-        let known = BTreeSet::new();
-        assert!(decompose(&[0, 1, 2], &known).is_none());
+        let (mut nodes, mut parts) = ([0, 1, 2], Vec::new());
+        assert!(!decompose(&mut nodes, &[], &mut parts));
+        assert_eq!((nodes, parts.len()), ([0, 1, 2], 0));
     }
 
     #[test]
     fn decompose_two_pairs() {
-        let mut known = BTreeSet::new();
-        known.insert((0u32, 3u32));
-        known.insert((1u32, 2u32));
-        let parts = decompose(&[0, 1, 2, 3], &known).unwrap();
-        assert_eq!(parts.len(), 2);
+        let mut known = [pair_key(0, 3), pair_key(1, 2)];
+        known.sort_unstable();
+        let mut parts = Vec::new();
+        assert!(decompose(&mut [0, 1, 2, 3], &known, &mut parts));
+        assert_eq!(parts, vec![pair_key(0, 3), pair_key(1, 2)]);
     }
 }

@@ -63,6 +63,19 @@ pub use paths::PathTables;
 pub use sparse::{Blossom, DecodeScratch};
 pub use unionfind::{UfDecoder, UfGraph, UfScratch};
 
+/// The graph build [`graph`] replaced: the oracle of its unit tests.
+#[cfg(test)]
+#[path = "../tests/support/graph_oracle.rs"]
+mod graph_oracle;
+
+/// Random Clifford+noise circuits, shared with `dqec_sim`'s unit tests
+/// (written against `crate::circuit`, hence the import below).
+#[cfg(test)]
+#[path = "../../sim/tests/support/random_circuit.rs"]
+mod random_circuit;
+#[cfg(test)]
+use dqec_sim::circuit;
+
 /// Circuits shared by this crate's unit tests.
 #[cfg(test)]
 pub(crate) mod fixtures {

@@ -16,15 +16,17 @@
 //! `ParametricDem::probabilities_into` allocates nothing, and a warm
 //! `MwpmDecoder::reweight` allocates as often on a defective l = 5
 //! patch as on an l = 7 one (no allocation per mechanism or per edge).
+//! So does a cold graph build: `DecodingGraph::build_with_observables`
+//! from an extracted DEM sizes every buffer before filling it.
 
 mod support {
     pub mod counting_alloc;
 }
 
 use dqec_core::{memory_z, AdaptedPatch, Coord, DefectSet, PatchLayout};
-use dqec_matching::{DecodeStats, Decoder, MwpmDecoder, UfDecoder, UfScratch};
+use dqec_matching::{DecodeStats, Decoder, DecodingGraph, MwpmDecoder, UfDecoder, UfScratch};
 use dqec_sim::circuit::{CheckBasis, Circuit, Noise1};
-use dqec_sim::dem::ParametricDem;
+use dqec_sim::dem::{DetectorErrorModel, ParametricDem};
 use dqec_sim::frame::{FrameProgram, FrameSampler, FrameScratch, FrameScratchPool};
 use dqec_sim::noise::NoiseModel;
 use rand::rngs::StdRng;
@@ -248,6 +250,34 @@ fn warm_reweight_allocations_do_not_scale_with_the_mechanism_count() {
     assert_eq!(
         seen[0].2, seen[1].2,
         "warm MwpmDecoder::reweight allocations scale with the DEM: {seen:?} \
+         as (l, mechanisms, allocs)"
+    );
+}
+
+#[test]
+fn graph_build_allocations_do_not_scale_with_the_mechanism_count() {
+    let mut seen = Vec::new();
+    for (l, clean) in reweight_fixtures() {
+        let noisy = NoiseModel::new(2e-3).apply(&clean);
+        let dem = DetectorErrorModel::from_circuit(&noisy);
+        let (z_mask, x_mask) = DecodingGraph::split_observables(&noisy, &dem);
+        let (allocs, edges) = count_allocs(|| {
+            [(CheckBasis::Z, z_mask), (CheckBasis::X, x_mask)].map(|(basis, mask)| {
+                DecodingGraph::build_with_observables(&noisy, &dem, basis, mask)
+                    .edges()
+                    .len()
+            })
+        });
+        let mechanisms = dem.mechanisms.len();
+        eprintln!(
+            "l = {l}: {mechanisms} mechanisms, {edges:?} edges, both builds = {allocs} allocs"
+        );
+        seen.push((l, mechanisms, allocs));
+    }
+    assert!(seen[0].1 < seen[1].1, "{seen:?}");
+    assert_eq!(
+        seen[0].2, seen[1].2,
+        "DecodingGraph::build_with_observables allocations scale with the DEM: {seen:?} \
          as (l, mechanisms, allocs)"
     );
 }

@@ -288,10 +288,16 @@ impl ParametricDem {
         DetectorErrorModel::assemble(self.num_detectors, self.num_observables, mechanisms)
     }
 
-    /// Every mechanism as `(detectors, observables, branches)`, in
-    /// mechanism order (test oracle hook).
-    #[doc(hidden)]
-    pub fn mechanisms(&self) -> impl Iterator<Item = (&[u32], u64, &[(NoiseParam, f64)])> + '_ {
+    /// Every mechanism's symptom and source, as `(detectors,
+    /// observables, branches)` in mechanism order — the order of
+    /// [`ParametricDem::probabilities_into`]'s output, so the `m`-th
+    /// item fires with the `m`-th probability. Detector ids are sorted;
+    /// branches are `(param, fraction)` in walk order. Nothing is
+    /// allocated: a decoding graph is built straight from this and a
+    /// probability buffer, with no [`DetectorErrorModel`] in between.
+    pub fn mechanisms(
+        &self,
+    ) -> impl Iterator<Item = (&[u32], u64, &[(NoiseParam, f64)])> + Clone + '_ {
         let mut lo = 0;
         self.mechs.iter().map(move |m| {
             let (start, hi) = (m.start as usize, m.branch_end as usize);
@@ -687,7 +693,7 @@ mod tests {
     use crate::circuit::{CheckBasis, Circuit};
     use crate::dem_oracle::assert_matches_oracle;
     use crate::noise::NoiseModel;
-    use crate::testing::random_circuit;
+    use crate::random_circuit::random_circuit;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -702,7 +708,7 @@ mod tests {
         #[test]
         fn extraction_matches_the_oracle_on_random_circuits(seed in 0u64..u64::MAX) {
             let mut gen = StdRng::seed_from_u64(seed);
-            let c = random_circuit(&mut gen);
+            let c = random_circuit(&mut gen, false);
             let (same, fixed) = NoiseModel::new(0.0).apply_with_params(&c);
             prop_assert_eq!(same.ops(), c.ops());
             assert_matches_oracle(&c, &fixed);

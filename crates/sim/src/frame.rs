@@ -758,7 +758,7 @@ fn sample_hits<R: Rng>(
 mod tests {
     use super::*;
     use crate::circuit::CheckBasis;
-    use crate::testing::random_circuit;
+    use crate::random_circuit::random_circuit;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -975,7 +975,7 @@ mod tests {
         #[test]
         fn program_matches_reference_interpreter(seed in 0u64..u64::MAX) {
             let mut gen = StdRng::seed_from_u64(seed);
-            let c = random_circuit(&mut gen);
+            let c = random_circuit(&mut gen, false);
             for shots in [1usize, 16, 63, 64, 65, 1000, 4096] {
                 assert_matches_reference(&c, shots, &StdRng::seed_from_u64(seed ^ 1));
                 let chacha = ChaCha8Rng::seed_from_u64(seed ^ 2);
