@@ -107,8 +107,9 @@ pub struct DecodingGraph {
     edges: Vec<GraphEdge>,
     /// Edge `e`'s sources are `sources[source_starts[e]..source_starts[e + 1]]`.
     source_starts: Vec<u32>,
-    /// Per edge, the indices (into the source DEM's mechanism list, in
-    /// fold order) whose XOR-combination gives its probability; kept so
+    /// Edge by edge, the mechanisms (indices into the source DEM's
+    /// mechanism list, in fold order) whose XOR-combination gives the
+    /// edge's probability; kept so
     /// [`DecodingGraph::reweight_from_probabilities`] can recompute
     /// weights.
     sources: Vec<u32>,

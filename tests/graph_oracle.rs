@@ -1,10 +1,13 @@
 //! Decoding-graph builds against the map-based build they replaced, on
 //! the circuits the paper's figures decode: adapted l = 5, 7 and 9
-//! patches with random qubit + link defects (super-stabilizer hook
-//! errors to decompose, deformed boundaries), noised by the paper's
-//! model. Both decoder entry points — `with_dem` on an extracted DEM and
-//! `from_clean`, which builds from the parametric DEM without one —
-//! must equal the oracle field by field, bit for bit.
+//! patches with random qubit + link defects (super-stabilizers,
+//! deformed boundaries), noised by the paper's model, plus one patch
+//! whose parallel edges disagree on their observables. Both decoder
+//! entry points — `with_dem` on an extracted DEM and `from_clean`, which
+//! builds from the parametric DEM without one — must equal the oracle
+//! field by field, bit for bit. (These patches' mechanisms are all
+//! graphlike per basis, so decomposition is exercised by the random
+//! circuits of `dqec_matching`'s `graph` unit tests.)
 
 use dqec::chiplet::runner::default_rounds;
 use dqec::chiplet::DefectModel;
