@@ -424,7 +424,7 @@ impl CheckGraph {
         let mut path = Vec::new();
         let mut cur = dst;
         while cur != src {
-            let (p, q) = pred[cur].expect("predecessor exists on path");
+            let (p, q) = pred[cur]?;
             path.push(q);
             cur = p;
         }

@@ -11,6 +11,13 @@
 //! [`Blossom`](crate::sparse), [`UfDecoder`](crate::UfDecoder) with the
 //! union-find view [`UfGraph`](crate::UfGraph).
 //!
+//! Only a basis that owns an observable is decoded. A kernel predicts
+//! the XOR of the observables of the edges it matches through, so a
+//! graph whose edges all carry none predicts 0 on every shot: such a
+//! graph (the X graph of a memory experiment, the Z graph of a
+//! stability one) is built and reweighted, but gets no kernel, is never
+//! matched, and its detectors are left out of the memo keys.
+//!
 //! This module also keeps the one reference the exact kernel is judged
 //! against in tests: [`decode_basis_dense`], dense blossom over every
 //! pair of events through a [`PathTables`] the test builds.
@@ -40,12 +47,22 @@ const DEFAULT_CACHE_ENTRIES: usize = 1 << 15;
 /// would only burn time and memory on guaranteed misses.
 const CACHE_KEY_MAX_EVENTS: usize = 16;
 
-/// A reusable stash of per-chunk decode state — one `(scratch,
-/// syndrome cache)` pair per worker that has ever decoded a chunk
-/// through this decoder. Chunks borrow a pair for their duration and
-/// return it, so a *warm* `decode_batch` performs zero scratch or
-/// cache allocations regardless of shot count (the allocation
-/// regression test in `tests/alloc_regression.rs` pins this down).
+/// One worker's per-chunk decode state: the kernel scratch, the
+/// syndrome memo, and the buffer each shot's events are filtered into
+/// (the detectors of the bases that hold a kernel), which is both the
+/// memo key and what the kernels see.
+struct ChunkState<S> {
+    scratch: S,
+    cache: SyndromeCache,
+    owned: Vec<u32>,
+}
+
+/// A reusable stash of per-chunk decode state — one [`ChunkState`]
+/// per worker that has ever decoded a chunk through this decoder.
+/// Chunks borrow one for their duration and return it, so a *warm*
+/// `decode_batch` performs zero scratch, cache or filter allocations
+/// regardless of shot count (the allocation regression test in
+/// `tests/alloc_regression.rs` pins this down).
 ///
 /// Reuse is invisible to results: decoding is contractually
 /// deterministic, so a cache entry written by any earlier chunk (even
@@ -54,7 +71,7 @@ const CACHE_KEY_MAX_EVENTS: usize = 16;
 /// reweighting — [`ScratchPool::clear`] must be called whenever the
 /// decoder's weights change.
 struct ScratchPool<S> {
-    stack: Mutex<Vec<(S, SyndromeCache)>>,
+    stack: Mutex<Vec<ChunkState<S>>>,
 }
 
 impl<S> ScratchPool<S> {
@@ -65,9 +82,8 @@ impl<S> ScratchPool<S> {
         }
     }
 
-    /// Borrows a scratch/cache pair, creating a fresh one on a cold
-    /// pool.
-    fn take(&self) -> (S, SyndromeCache)
+    /// Borrows a chunk state, creating a fresh one on a cold pool.
+    fn take(&self) -> ChunkState<S>
     where
         S: Default,
     {
@@ -76,23 +92,22 @@ impl<S> ScratchPool<S> {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .pop();
-        popped.unwrap_or_else(|| {
-            (
-                S::default(),
-                SyndromeCache::with_capacity(DEFAULT_CACHE_ENTRIES),
-            )
+        popped.unwrap_or_else(|| ChunkState {
+            scratch: S::default(),
+            cache: SyndromeCache::with_capacity(DEFAULT_CACHE_ENTRIES),
+            owned: Vec::new(),
         })
     }
 
-    /// Returns a borrowed pair for later chunks to reuse.
-    fn put(&self, scratch: S, cache: SyndromeCache) {
+    /// Returns a borrowed chunk state for later chunks to reuse.
+    fn put(&self, state: ChunkState<S>) {
         self.stack
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push((scratch, cache));
+            .push(state);
     }
 
-    /// Drops every pooled pair. Required whenever the owning decoder's
+    /// Drops every pooled state. Required whenever the owning decoder's
     /// weights change (the memoized predictions are stale).
     fn clear(&self) {
         self.stack
@@ -131,6 +146,9 @@ impl<S> std::fmt::Debug for ScratchPool<S> {
 /// answered in closed form. Kernels accumulate these in their scratch
 /// and the shell drains them once per chunk
 /// ([`Kernel::take_counters`]); a kernel leaves the other's fields 0.
+/// Only the bases that hold a kernel are decoded, so a "per-basis
+/// decode" is one of an observable-owning basis: one per decoded shot
+/// on a memory or stability experiment, not two.
 ///
 /// Diagnostic only, like the syndrome-cache counters: a shot answered
 /// from a pooled cache runs no kernel, and which cache a chunk borrows
@@ -593,12 +611,16 @@ impl DecodeStatsMetrics {
 }
 
 /// Bounded memo of decoded syndromes, keyed by the exact (ascending)
-/// event list. [`Decoder`] implementations are contractually
-/// deterministic, so caching can never change a prediction — it only
-/// skips repeated matching work, which dominates at low physical error
-/// rates where most shots carry one of a few small event sets. Once
-/// `capacity` distinct syndromes are stored, further misses decode
-/// without being inserted (deterministic, no eviction policy to tune).
+/// event list. [`GraphDecoder`] keys it by a shot's *owned* events
+/// only (those of the bases that hold a kernel), so two shots that
+/// differ only in the other basis's events share one entry, and a shot
+/// with no owned event never reaches it. [`Decoder`] implementations
+/// are contractually deterministic, so caching can never change a
+/// prediction — it only skips repeated matching work, which dominates
+/// at low physical error rates where most shots carry one of a few
+/// small event sets. Once `capacity` distinct syndromes are stored,
+/// further misses decode without being inserted (deterministic, no
+/// eviction policy to tune).
 pub struct SyndromeCache {
     /// Open-addressed slots: `(event-arena offset, event count,
     /// prediction)`; `u32::MAX` offset marks an empty slot. Power-of-two
@@ -726,6 +748,14 @@ impl SyndromeCache {
 /// the observable flips. Everything around that — graph construction,
 /// reweighting, scratch pooling, memoization, the shot fan-out — is the
 /// shell's, written once.
+///
+/// A kernel's prediction is the XOR of the [`observables`] of the
+/// graph edges on its matched and boundary paths, and nothing else. So
+/// on a graph whose edges all carry `observables == 0` every kernel
+/// predicts 0 on every shot; the shell relies on this to build no
+/// kernel for such a graph and never decode it.
+///
+/// [`observables`]: crate::GraphEdge::observables
 pub trait Kernel: Clone + std::fmt::Debug + Send + Sync {
     /// Reusable per-worker working memory; carries no results between
     /// shots, so the shell pools and reuses it freely.
@@ -739,9 +769,9 @@ pub trait Kernel: Clone + std::fmt::Debug + Send + Sync {
     fn reweighted(&mut self, graph: &DecodingGraph);
 
     /// Predicts the observable flips `graph`'s basis contributes for
-    /// one shot. `events` holds the flagged detector ids of *both*
-    /// bases in any order; the ones without a node in `graph` are the
-    /// other basis's and must be ignored.
+    /// one shot. `events` holds flagged detector ids in any order; the
+    /// ones without a node in `graph` (the other basis's, when the
+    /// shell did not filter them out) must be ignored.
     fn decode_basis(
         &self,
         graph: &DecodingGraph,
@@ -796,16 +826,20 @@ pub trait Kernel: Clone + std::fmt::Debug + Send + Sync {
 pub type MwpmDecoder = GraphDecoder<Blossom>;
 
 /// A decoder for a fixed noisy circuit: the two CSS decoding graphs, a
-/// [`Kernel`] view of each, and the batch machinery shared by every
-/// kernel. Each shot's events are matched per basis and the predicted
-/// observable flips XORed together. Use it through its instantiations
-/// [`MwpmDecoder`] and [`UfDecoder`](crate::UfDecoder).
+/// [`Kernel`] view of each graph that can change a prediction, and the
+/// batch machinery shared by every kernel. Each shot's events are
+/// matched per kernel-holding basis and the predicted observable flips
+/// XORed together. Use it through its instantiations [`MwpmDecoder`]
+/// and [`UfDecoder`](crate::UfDecoder).
 #[derive(Debug, Clone)]
 pub struct GraphDecoder<K: Kernel> {
     z_graph: DecodingGraph,
     x_graph: DecodingGraph,
-    z_kernel: K,
-    x_kernel: K,
+    /// Present only if some edge of the graph carries an observable
+    /// (see the [`Kernel`] contract); the graph is never decoded
+    /// otherwise.
+    z_kernel: Option<K>,
+    x_kernel: Option<K>,
     num_observables: usize,
     /// Present when built via [`GraphDecoder::from_clean`]: enables
     /// in-place reweighting for a different baseline error rate.
@@ -844,11 +878,19 @@ impl<K: Kernel> GraphDecoder<K> {
     }
 
     /// The decoder over the basis graphs `(z_graph, x_graph)` of
-    /// `circuit`.
+    /// `circuit`, with a kernel for each graph that has an edge
+    /// carrying an observable.
     fn from_graphs(circuit: &Circuit, (z_graph, x_graph): (DecodingGraph, DecodingGraph)) -> Self {
+        let kernel = |graph: &DecodingGraph| {
+            graph
+                .edges()
+                .iter()
+                .any(|e| e.observables != 0)
+                .then(|| K::from_graph(graph))
+        };
         GraphDecoder {
-            z_kernel: K::from_graph(&z_graph),
-            x_kernel: K::from_graph(&x_graph),
+            z_kernel: kernel(&z_graph),
+            x_kernel: kernel(&x_graph),
             z_graph,
             x_graph,
             num_observables: circuit.observables().len(),
@@ -923,34 +965,47 @@ impl<K: Kernel> GraphDecoder<K> {
         &self.x_graph
     }
 
-    /// Each basis graph with its kernel view, Z first (test oracle
-    /// hook).
+    /// Each basis graph with its kernel view, if it holds one, Z first
+    /// (test oracle hook).
     #[doc(hidden)]
-    pub fn kernels(&self) -> [(&DecodingGraph, &K); 2] {
+    pub fn kernels(&self) -> [(&DecodingGraph, Option<&K>); 2] {
         [
-            (&self.z_graph, &self.z_kernel),
-            (&self.x_graph, &self.x_kernel),
+            (&self.z_graph, self.z_kernel.as_ref()),
+            (&self.x_graph, self.x_kernel.as_ref()),
         ]
     }
 
-    /// Decodes both bases with caller-owned scratch. Equivalent to
-    /// [`Decoder::decode_events`], but a tight loop around it performs
-    /// no allocation at all. Each graph has nodes only for its own
-    /// basis's detectors, so the whole event list goes to both kernels.
+    /// Whether detector `det` has a node in a graph that holds a
+    /// kernel.
+    fn owns(&self, det: u32) -> bool {
+        self.kernels()
+            .iter()
+            .any(|(graph, kernel)| kernel.is_some() && graph.node_of_detector(det).is_some())
+    }
+
+    /// Decodes the kernel-holding bases with caller-owned scratch.
+    /// Equivalent to [`Decoder::decode_events`], but a tight loop around
+    /// it performs no allocation at all. Each graph has nodes only for
+    /// its own basis's detectors, so the whole event list goes to every
+    /// kernel; a graph without one would predict 0 and is skipped.
     pub fn decode_events_with(&self, events: &[u32], scratch: &mut K::Scratch) -> u64 {
-        self.z_kernel.decode_basis(&self.z_graph, events, scratch)
-            ^ self.x_kernel.decode_basis(&self.x_graph, events, scratch)
+        self.kernels().into_iter().fold(0, |obs, (graph, kernel)| {
+            obs ^ kernel.map_or(0, |k| k.decode_basis(graph, events, scratch))
+        })
     }
 
     /// The scratch-reusing, syndrome-memoizing batch decode: fans
     /// fixed-size shot chunks out over worker threads, gives each chunk
-    /// a private scratch/cache pair borrowed from the pool, and decodes
-    /// each shot directly into a preallocated output. Chunk boundaries
-    /// depend only on the shot count and decoding is contractually
-    /// deterministic, so predictions are identical for any worker count
-    /// and any pool state. Also returns the batch's aggregate
-    /// syndrome-cache hit/miss deltas and kernel counters for
-    /// observability.
+    /// a private [`ChunkState`] borrowed from the pool, and decodes
+    /// each shot directly into a preallocated output. A shot's events
+    /// are first filtered down to the detectors of kernel-holding
+    /// graphs; that list is the empty-shot check, the memo key and the
+    /// kernels' input, so a shot whose events all belong to the other
+    /// basis predicts 0 without a lookup. Chunk boundaries depend only
+    /// on the shot count and decoding is contractually deterministic,
+    /// so predictions are identical for any worker count and any pool
+    /// state. Also returns the batch's aggregate syndrome-cache hit/miss
+    /// deltas and kernel counters for observability.
     fn decode_chunked(&self, batch: &ShotBatch) -> (Vec<u64>, ChunkCounters) {
         let ev = batch.shot_events();
         let shots = ev.shots();
@@ -964,19 +1019,26 @@ impl<K: Kernel> GraphDecoder<K> {
         let deltas: Vec<ChunkCounters> = chunks
             .into_par_iter()
             .map(|(lo, slot)| {
-                let (mut scratch, mut cache) = self.scratch_pool.take();
+                let mut state = self.scratch_pool.take();
+                let ChunkState {
+                    scratch,
+                    cache,
+                    owned,
+                } = &mut state;
                 let (h0, m0) = (cache.hits(), cache.misses());
                 for (i, pred) in slot.iter_mut().enumerate() {
-                    let events = ev.events_of(lo + i);
+                    owned.clear();
+                    owned.extend(ev.events_of(lo + i).iter().filter(|&&d| self.owns(d)));
+                    let events = &owned[..];
                     *pred = if events.is_empty() {
                         0
                     } else if events.len() > CACHE_KEY_MAX_EVENTS {
-                        self.decode_events_with(events, &mut scratch)
+                        self.decode_events_with(events, scratch)
                     } else {
                         match cache.get_or_slot(events) {
                             Ok(p) => p,
                             Err(open) => {
-                                let p = self.decode_events_with(events, &mut scratch);
+                                let p = self.decode_events_with(events, scratch);
                                 if let Some(open) = open {
                                     cache.fill(open, events, p);
                                 }
@@ -988,9 +1050,9 @@ impl<K: Kernel> GraphDecoder<K> {
                 let delta = ChunkCounters {
                     hits: cache.hits() - h0,
                     misses: cache.misses() - m0,
-                    kernel: K::take_counters(&mut scratch),
+                    kernel: K::take_counters(scratch),
                 };
-                self.scratch_pool.put(scratch, cache);
+                self.scratch_pool.put(state);
                 delta
             })
             .collect();
@@ -1033,8 +1095,9 @@ impl<K: Kernel> Decoder for GraphDecoder<K> {
         stats
     }
 
-    /// Reweights both basis graphs from the cached parametric DEM and
-    /// lets each kernel refresh its view. Requires construction via
+    /// Reweights both basis graphs from the cached parametric DEM (so
+    /// every public weight stays current) and lets each kernel that
+    /// exists refresh its view. Requires construction via
     /// [`GraphDecoder::from_clean`] and a noise model with the *same*
     /// per-qubit overrides as the template (the overrides shape the
     /// mechanism structure; only the baseline `p` may move). Returns
@@ -1056,8 +1119,12 @@ impl<K: Kernel> Decoder for GraphDecoder<K> {
             .reweight_from_probabilities(&state.probabilities);
         self.x_graph
             .reweight_from_probabilities(&state.probabilities);
-        self.z_kernel.reweighted(&self.z_graph);
-        self.x_kernel.reweighted(&self.x_graph);
+        if let Some(kernel) = &mut self.z_kernel {
+            kernel.reweighted(&self.z_graph);
+        }
+        if let Some(kernel) = &mut self.x_kernel {
+            kernel.reweighted(&self.x_graph);
+        }
         state.current_p = noise.p();
         // Pooled syndrome caches memoize predictions under the *old*
         // weights; drop them so no stale prediction survives.
@@ -1182,7 +1249,9 @@ mod tests {
         // where boundaries and super-stabilizers are present.
         let c = repetition(4, 0.02);
         let decoder = MwpmDecoder::new(&c);
-        let [(graph, kernel), _] = decoder.kernels();
+        let [(graph, Some(kernel)), _] = decoder.kernels() else {
+            panic!("the Z graph owns the observable");
+        };
         let tables = PathTables::build(graph);
         let ndet = c.detectors().len() as u32;
         let mut rng = StdRng::seed_from_u64(0x5eed5);

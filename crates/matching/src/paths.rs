@@ -309,7 +309,11 @@ mod tests {
             );
         }
         let k = UfGraph::take_counters(&mut scratch);
-        assert_eq!(k.closed_form, 400 + 400, "Z pairs and empty X: {k:?}");
+        assert_eq!(
+            k.closed_form, 400,
+            "Z pairs only: the X graph has no edges, so it holds no kernel and is never \
+             decoded: {k:?}"
+        );
 
         // Three and four mutually non-adjacent interior events: no
         // first-event shortcut applies, so the race settles them.

@@ -32,13 +32,14 @@ use dqec::core::{memory_z, AdaptedPatch, PatchLayout};
 use dqec::matching::decoder::decode_basis_dense;
 use dqec::matching::sparse::weight_of_result;
 use dqec::matching::{
-    Blossom, BlossomArena, DecodeScratch, Decoder, DecodingGraph, MwpmDecoder, PathTables,
+    Blossom, BlossomArena, DecodeScratch, Decoder, DecodingGraph, Kernel, MwpmDecoder, PathTables,
 };
 use dqec::sim::circuit::Circuit;
 use dqec::sim::frame::FrameSampler;
 use dqec::sim::noise::NoiseModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 
 /// Distances above this are the graph's "no path" sentinel (1e12).
 const FAR: f64 = 1e11;
@@ -65,18 +66,21 @@ const MAX_TIE_FRACTION: f64 = 0.02;
 struct Basis<'a> {
     graph: &'a DecodingGraph,
     tables: PathTables,
-    view: &'a Blossom,
+    view: Cow<'a, Blossom>,
     exact: Option<Vec<Vec<i64>>>,
 }
 
 const NO_PATH: i64 = i64::MAX / 4;
 
 impl<'a> Basis<'a> {
+    /// Both bases, each with the decoder's view of it — or, for the
+    /// graph the decoder never matches (it owns no observable), a view
+    /// built here, so the matcher is still judged on it.
     fn both(decoder: &'a MwpmDecoder, exact: bool) -> [Basis<'a>; 2] {
         decoder.kernels().map(|(graph, view)| Basis {
             graph,
             tables: PathTables::build(graph),
-            view,
+            view: view.map_or_else(|| Cow::Owned(Blossom::from_graph(graph)), Cow::Borrowed),
             exact: exact.then(|| integer_distances(graph)),
         })
     }
