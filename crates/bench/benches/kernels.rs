@@ -1,19 +1,18 @@
 //! Criterion benchmarks of the computational kernels: adaptation,
-//! distance analysis, blossom matching, frame sampling, DEM extraction.
+//! distance analysis, frame sampling, DEM extraction.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use dqec_chiplet::defect_model::DefectModel;
 use dqec_core::adapt::AdaptedPatch;
 use dqec_core::graphs::CheckGraph;
 use dqec_core::indicators::PatchIndicators;
 use dqec_core::layout::PatchLayout;
-use dqec_matching::min_weight_perfect_matching;
 use dqec_sim::circuit::CheckBasis;
 use dqec_sim::dem::DetectorErrorModel;
 use dqec_sim::frame::FrameSampler;
 use dqec_sim::noise::NoiseModel;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 fn bench_adaptation(c: &mut Criterion) {
     let mut group = c.benchmark_group("adaptation");
@@ -49,31 +48,6 @@ fn bench_distance(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_blossom(c: &mut Criterion) {
-    let mut group = c.benchmark_group("blossom");
-    for n in [16usize, 40] {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut w = vec![vec![0.0; n]; n];
-        // Indexing is the clear way to fill a symmetric matrix.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..n {
-            for j in i + 1..n {
-                let v = rng.gen_range(0.1..10.0);
-                w[i][j] = v;
-                w[j][i] = v;
-            }
-        }
-        group.bench_function(format!("mwpm_n{n}"), |b| {
-            b.iter_batched(
-                || w.clone(),
-                |w| min_weight_perfect_matching(&w),
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    group.finish();
-}
-
 fn bench_sampling(c: &mut Criterion) {
     let patch = AdaptedPatch::new(PatchLayout::memory(7), &dqec_core::DefectSet::new());
     let exp = dqec_core::memory_z(&patch, 7).unwrap();
@@ -90,11 +64,5 @@ fn bench_sampling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    kernels,
-    bench_adaptation,
-    bench_distance,
-    bench_blossom,
-    bench_sampling
-);
+criterion_group!(kernels, bench_adaptation, bench_distance, bench_sampling);
 criterion_main!(kernels);

@@ -17,14 +17,8 @@
 //! graph (the X graph of a memory experiment, the Z graph of a
 //! stability one) is built and reweighted, but gets no kernel, is never
 //! matched, and its detectors are left out of the memo keys.
-//!
-//! This module also keeps the one reference the exact kernel is judged
-//! against in tests: [`decode_basis_dense`], dense blossom over every
-//! pair of events through a [`PathTables`] the test builds.
 
-use crate::blossom::BlossomArena;
 use crate::graph::{probabilities, symptoms, DecodingGraph};
-use crate::paths::PathTables;
 use crate::sparse::Blossom;
 use dqec_sim::circuit::Circuit;
 use dqec_sim::dem::{DetectorErrorModel, ParametricDem};
@@ -1133,71 +1127,14 @@ impl<K: Kernel> Decoder for GraphDecoder<K> {
     }
 }
 
-/// Matches one basis's events through the reference dense path — the
-/// classic formulation with one virtual boundary copy per event: a
-/// `2k × 2k` matrix of all-pairs distances from `tables` (built from
-/// `graph`), virtual–virtual edges free, solved by the O(n³)
-/// [`BlossomArena`] — and returns the predicted observable mask plus
-/// the matching weight. The test oracle of the exact kernel; nothing
-/// decodes through it.
-#[doc(hidden)]
-pub fn decode_basis_dense(
-    graph: &DecodingGraph,
-    tables: &PathTables,
-    events: &[u32],
-    arena: &mut BlossomArena,
-) -> (u64, f64) {
-    let mut nodes: Vec<u32> = events
-        .iter()
-        .filter_map(|&d| graph.node_of_detector(d))
-        .collect();
-    nodes.sort_unstable();
-    let c = nodes.len();
-    if c == 0 {
-        return (0, 0.0);
-    }
-    let db: Vec<f64> = nodes
-        .iter()
-        .map(|&nd| tables.distance(Some(nd), None))
-        .collect();
-    let m = 2 * c;
-    let mut w = vec![0.0; m * m];
-    for (i, &ni) in nodes.iter().enumerate() {
-        for (j, &nj) in nodes.iter().enumerate() {
-            if i != j {
-                w[i * m + j] = tables.distance(Some(ni), Some(nj));
-            }
-        }
-        for j in 0..c {
-            w[i * m + (c + j)] = db[i];
-            w[(c + j) * m + i] = db[i];
-        }
-    }
-    let mut mate = Vec::new();
-    arena.solve_min_weight(m, &w, &mut mate);
-    let mut obs = 0u64;
-    let mut cost = 0.0;
-    for (i, &ni) in nodes.iter().enumerate() {
-        let mate_i = mate[i];
-        if mate_i >= c {
-            obs ^= tables.path_observables(Some(ni), None);
-            cost += db[i];
-        } else if i < mate_i {
-            obs ^= tables.path_observables(Some(ni), Some(nodes[mate_i]));
-            cost += w[i * m + mate_i];
-        }
-    }
-    (obs, cost)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixtures::repetition;
-    use crate::sparse::{weight_of_result, DecodeScratch};
+    use crate::paths::PathTables;
     use dqec_sim::frame::FrameSampler;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
     #[test]
     fn noiseless_batch_has_no_failures() {
         let c = repetition(3, 0.0);
@@ -1237,53 +1174,6 @@ mod tests {
         let c = repetition(2, 0.01);
         let decoder = MwpmDecoder::new(&c);
         assert_eq!(decoder.decode_events(&[]), 0);
-    }
-
-    #[test]
-    fn sparse_path_matches_dense_reference_weight() {
-        // The sparse-blossom kernel must find matchings of the same
-        // weight as the dense reference on random syndromes (the chosen
-        // matching may differ on ties; the weight may differ only by
-        // the kernel's weight rounding, < 1e-6 per edge).
-        // `tests/decoder_oracle.rs` repeats this on adapted patches,
-        // where boundaries and super-stabilizers are present.
-        let c = repetition(4, 0.02);
-        let decoder = MwpmDecoder::new(&c);
-        let [(graph, Some(kernel)), _] = decoder.kernels() else {
-            panic!("the Z graph owns the observable");
-        };
-        let tables = PathTables::build(graph);
-        let ndet = c.detectors().len() as u32;
-        let mut rng = StdRng::seed_from_u64(0x5eed5);
-        let mut scratch = DecodeScratch::new();
-        let mut arena = BlossomArena::new();
-        for _ in 0..500 {
-            let events: Vec<u32> = (0..ndet).filter(|_| rng.gen_bool(0.3)).collect();
-            let (_, sc) = weight_of_result(kernel.decode_weighted(graph, &events, &mut scratch));
-            let (_, dc) = decode_basis_dense(graph, &tables, &events, &mut arena);
-            // Both are realizable matchings (cost >= the true optimum);
-            // the kernel must never be the worse one.
-            assert!(
-                sc <= dc + 1e-4,
-                "sparse weight {sc} exceeds dense {dc} for {events:?}"
-            );
-            // When no unreachable-node sentinel (1e12) enters the
-            // matrix, the dense integer scaling is exact to ~1e-9
-            // relative and the weights must agree. (With a sentinel
-            // present, dense quantizes real weights away — ~1e3
-            // absolute slop — and only the one-sided bound holds.)
-            let degenerate = events.iter().any(|&e| {
-                graph
-                    .node_of_detector(e)
-                    .is_some_and(|n| tables.boundary(n).0 > 1e11)
-            });
-            if !degenerate {
-                assert!(
-                    (sc - dc).abs() < 1e-4,
-                    "sparse weight {sc} != dense weight {dc} for {events:?}"
-                );
-            }
-        }
     }
 
     #[test]

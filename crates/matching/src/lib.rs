@@ -15,7 +15,8 @@
 //!   (Higgott & Gidney) grown directly on a graph's adjacency — regions
 //!   around detection events, a time-ordered queue, alternating trees,
 //!   blossoms formed and shattered — with all per-shot state
-//!   epoch-stamped in a reusable [`DecodeScratch`];
+//!   epoch-stamped in a reusable [`DecodeScratch`]; the radii it ends
+//!   with certify each answer optimal (checked in debug builds);
 //! * [`decoder`] — the [`Decoder`] trait every consumer decodes
 //!   through and the one shell that implements it, [`GraphDecoder`]:
 //!   both basis graphs, in-place *reweighting* to a new physical error
@@ -24,12 +25,6 @@
 //!   decode with worker-count-independent tallies
 //!   ([`DecodeStats::merge`]), parameterised by a per-basis [`Kernel`].
 //!   [`MwpmDecoder`] is the shell over [`Blossom`];
-//! * [`blossom`] — exact O(n³) weighted blossom matching on dense
-//!   graphs, property-tested against brute force, all solver state in a
-//!   reusable [`BlossomArena`]. Nothing decodes through it any more: it
-//!   is the reference the sparse matcher is tested against
-//!   ([`decoder::decode_basis_dense`]) and a general-purpose
-//!   [`min_weight_perfect_matching`];
 //! * [`unionfind`] — [`UfDecoder`], the same shell over the
 //!   almost-linear-time [`UfGraph`] kernel: weighted Delfosse–Nickerson
 //!   cluster growth over the same decoding graphs, parity merging
@@ -46,14 +41,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod blossom;
 pub mod decoder;
 pub mod graph;
 pub mod paths;
 pub mod sparse;
 pub mod unionfind;
 
-pub use blossom::{min_weight_perfect_matching, BlossomArena, PerfectMatching};
 pub use decoder::{
     check_decoder_conformance, DecodeStats, DecodeStatsMetrics, Decoder, GraphDecoder, Kernel,
     KernelCounters, MwpmDecoder, SyndromeCache,

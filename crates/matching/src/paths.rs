@@ -5,9 +5,8 @@
 //! along the cached shortest-path trees. Nothing builds one behind a
 //! caller's back: the union-find kernel ([`crate::UfGraph`]) owns the
 //! only production instance — its closed forms and the cluster race
-//! read it on every decode — and the dense test oracle
-//! ([`crate::decoder::decode_basis_dense`]) is handed one by its tests.
-//! The exact matcher never needs one.
+//! read it on every decode — and tests build their own to read an exact
+//! matching's pairs back. The exact matcher never needs one.
 
 use crate::graph::{DecodingGraph, UNREACHABLE};
 use std::cmp::Reverse;

@@ -17,6 +17,14 @@
 //! cost follows the nodes the regions touched, not the size of the
 //! graph or the square of the event count.
 //!
+//! # Certificate
+//!
+//! The radii a run ends with prove its answer optimal: they are a
+//! feasible dual of the matching LP, and they sum to the weight of the
+//! matched paths. By weak duality no matching of the same events is
+//! lighter, whatever their count. Debug builds check both after every
+//! decode that matched two or more events (`DecodeScratch::certify`).
+//!
 //! Each touched node remembers the event it was reached from, its
 //! distance from it and the observable mask crossed on the way, so the
 //! tight path behind a collision between nodes `u` and `v` is known on
@@ -53,7 +61,7 @@
 //! "boundary, mask 0".
 
 use crate::decoder::{Kernel, KernelCounters};
-use crate::graph::{Adjacency, DecodingGraph, UNREACHABLE};
+use crate::graph::{Adjacency, DecodingGraph};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -80,8 +88,9 @@ fn quantize(w: f64) -> u32 {
     (2.0 * (w * WEIGHT_SCALE).round()).clamp(2.0, f64::from(u32::MAX - 1)) as u32
 }
 
-/// Grid units → matching weight.
-fn to_weight(units: i64) -> f64 {
+/// Grid units → matching weight (test oracle hook).
+#[doc(hidden)]
+pub fn to_weight(units: i64) -> f64 {
     units as f64 / (2.0 * WEIGHT_SCALE)
 }
 
@@ -196,6 +205,24 @@ impl Blossom {
         out
     }
 
+    /// Checks the optimality certificate of the last
+    /// [`Blossom::decode_weighted`] through `scratch` and returns its
+    /// dual objective, which a minimum-weight matching's weight equals
+    /// (test oracle hook; see the [module docs](self)). Zero or one
+    /// event is answered in closed form: `y` is the boundary distance.
+    /// Meaningful only when that decode matched every event.
+    #[doc(hidden)]
+    pub fn certify(&self, scratch: &mut DecodeScratch) -> Result<i64, String> {
+        let events = std::mem::take(&mut scratch.events);
+        let verdict = match events[..] {
+            [] => Ok(0),
+            [v] => Ok(self.to_boundary[v as usize].0),
+            _ => scratch.certify(self, &events),
+        };
+        scratch.events = events;
+        verdict
+    }
+
     /// [`Blossom::decode_weighted`] on graph node ids.
     fn decode_nodes(&self, nodes: &mut Vec<u32>, scratch: &mut DecodeScratch) -> (u64, i64, usize) {
         // Batch callers hand events ascending (and node ids follow
@@ -204,6 +231,7 @@ impl Blossom {
             nodes.sort_unstable();
         }
         cancel_pairs(nodes);
+        scratch.pairs.clear();
         match nodes[..] {
             [] => {
                 scratch.counters.closed_form += 1;
@@ -213,10 +241,20 @@ impl Blossom {
                 scratch.counters.closed_form += 1;
                 match self.to_boundary[v as usize] {
                     (NEVER, _) => (0, 0, 1),
-                    (d, obs) => (obs, d, 0),
+                    (d, obs) => {
+                        scratch.pairs.push((v, NONE));
+                        (obs, d, 0)
+                    }
                 }
             }
-            _ => scratch.run(self, nodes),
+            _ => {
+                let out = scratch.run(self, nodes);
+                if cfg!(debug_assertions) && out.2 == 0 {
+                    let verdict = scratch.certify(self, nodes);
+                    assert_eq!(verdict, Ok(out.1), "no certificate for {nodes:?}");
+                }
+                out
+            }
         }
     }
 }
@@ -395,9 +433,9 @@ struct TreeNode {
 /// that last initialised it and is reset on first touch — and the
 /// arenas are cleared, not freed, so a warm shot touching `t` nodes
 /// costs `O(t log t)` whatever the graph size and allocates nothing.
-/// One scratch decodes any number of shots of any decoders; it carries
-/// no results between them (only the telemetry counters the shell
-/// drains per chunk).
+/// One scratch decodes any number of shots of any decoders; no shot's
+/// result feeds the next (the last matching's pairs stay readable, the
+/// telemetry counters accumulate until the shell drains them).
 #[derive(Default)]
 pub struct DecodeScratch {
     epoch: u32,
@@ -411,12 +449,21 @@ pub struct DecodeScratch {
     queue: BinaryHeap<Reverse<(i64, u32, u32)>>,
     /// The shot's events mapped to graph nodes.
     events: Vec<u32>,
+    /// The last matching: `(event, event)` per matched path, the second
+    /// `NONE` for the boundary.
+    pairs: Vec<(u32, u32)>,
     // Temporaries of single operations.
     area: Vec<u32>,
     walk: Vec<u32>,
     path: Vec<u32>,
     thawed: Vec<u32>,
     expand: Vec<(u32, u32)>,
+    // The certificate's: summed radii up each region's chain, and a
+    // cut-off Dijkstra's distances, touched nodes and heap.
+    chain_y: Vec<i64>,
+    reach: Vec<i64>,
+    reached: Vec<u32>,
+    frontier: BinaryHeap<Reverse<(i64, u32)>>,
     counters: KernelCounters,
 }
 
@@ -424,6 +471,16 @@ impl DecodeScratch {
     /// Creates an empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The last decode's matching, one `(event, partner)` per matched
+    /// path in graph node ids, `None` for the boundary (test oracle
+    /// hook).
+    #[doc(hidden)]
+    pub fn matched_pairs(&self) -> impl Iterator<Item = (u32, Option<u32>)> + '_ {
+        self.pairs
+            .iter()
+            .map(|&(a, b)| (a, (b != NONE).then_some(b)))
     }
 
     /// Starts a shot on `g`: a new epoch, empty arenas, time zero.
@@ -1163,8 +1220,9 @@ impl DecodeScratch {
 
     /// XORs up the observable masks and sums the lengths of every
     /// matched path — between top-level regions, and inside each
-    /// blossom around the child its match enters through — and counts
-    /// the events left unmatched.
+    /// blossom around the child its match enters through — records
+    /// each path's two ends in `self.pairs`, and counts the events left
+    /// unmatched.
     fn extract(&mut self) -> (u64, i64, usize) {
         let (mut obs, mut weight, mut unmatched) = (0u64, 0i64, 0usize);
         self.expand.clear();
@@ -1188,6 +1246,7 @@ impl DecodeScratch {
             }
             obs ^= reg.match_link.obs;
             weight += reg.match_link.weight;
+            self.pairs.push((reg.match_link.from, reg.match_link.to));
             self.expand.push((r, reg.match_link.from));
         }
         // (blossom, the event in it that is matched outward — `NONE`
@@ -1209,37 +1268,132 @@ impl DecodeScratch {
                 let b = self.cycles[start + (i + 1) % len].0;
                 obs ^= link.obs;
                 weight += link.weight;
+                self.pairs.push((link.from, link.to));
                 self.expand.push((a, link.from));
                 self.expand.push((b, link.to));
             }
         }
-        // Strong duality: the matched paths are exactly as long as the
-        // radii the regions ended with.
-        debug_assert!(
-            unmatched > 0
-                || weight
-                    == self
-                        .regions
-                        .iter()
-                        .filter(|r| r.parent != SHATTERED)
-                        .map(|r| r.y0 + r.slope * self.now)
-                        .sum::<i64>(),
-            "primal weight {weight} != dual objective"
-        );
         (obs, weight, unmatched)
     }
-}
 
-/// `(mask, weight)` of a [`Blossom::decode_weighted`] result in the
-/// units of [`DecodingGraph::distance`], unmatched events charged the
-/// way the dense reference charges them: at the graph's "unreachable"
-/// distance per two, since there two such events pair at that distance.
-#[doc(hidden)]
-pub fn weight_of_result((obs, units, unmatched): (u64, i64, usize)) -> (u64, f64) {
-    (
-        obs,
-        to_weight(units) + unmatched.div_ceil(2) as f64 * UNREACHABLE,
-    )
+    // ---- Certifying the matching optimal ----
+
+    /// Checks that the radii the last run over `events` ended with are
+    /// a feasible dual of the matching LP over those events, and
+    /// returns the dual objective, `Σ y` (no matching of the events
+    /// weighs less; see the module docs). The LP's sets with a variable
+    /// here are the live regions — an event's own, a blossom — with
+    /// their radii as `y`:
+    ///
+    /// * every live region has `y ≥ 0`, and a blossom is an odd cycle
+    ///   (of regions that are odd sets themselves);
+    /// * the *chain* of each event — its own region and every blossom
+    ///   around it — sums to at most its distance to the boundary;
+    /// * the regions holding exactly one of two events sum to at most
+    ///   the distance between them.
+    ///
+    /// Distances come from one Dijkstra per event over the grid weights,
+    /// cut off at twice the event's chain sum: a violated pair is closer
+    /// than its two chain sums added, so the event with the larger one
+    /// reaches the other.
+    fn certify(&mut self, g: &Blossom, events: &[u32]) -> Result<i64, String> {
+        self.chain_y.clear();
+        self.chain_y.resize(self.regions.len(), 0);
+        let mut dual = 0;
+        // A blossom is created after its children: parents come later.
+        for r in (0..self.regions.len()).rev() {
+            let reg = self.regions[r];
+            if reg.parent == SHATTERED {
+                continue;
+            }
+            let y = reg.y0 + reg.slope * self.now;
+            if y < 0 || (reg.cycle.1 > 0 && reg.cycle.1.is_multiple_of(2)) {
+                return Err(format!("region {r}: y = {y}, cycle of {}", reg.cycle.1));
+            }
+            dual += y;
+            self.chain_y[r] = y + match reg.parent {
+                NONE => 0,
+                p => self.chain_y[p as usize],
+            };
+        }
+        if self.reach.len() < g.num_nodes() {
+            self.reach.resize(g.num_nodes(), NEVER);
+        }
+        for (r, &a) in events.iter().enumerate() {
+            let (chain, boundary) = (self.chain_y[r], g.to_boundary[a as usize].0);
+            if chain > boundary {
+                return Err(format!(
+                    "event {a}: chain y {chain} > boundary distance {boundary}"
+                ));
+            }
+            let verdict = self.check_pairs_from(g, r as u32, a);
+            for &x in &self.reached {
+                self.reach[x as usize] = NEVER;
+            }
+            self.reached.clear();
+            self.frontier.clear();
+            verdict?;
+        }
+        Ok(dual)
+    }
+
+    /// The cut-off Dijkstra from event `a`, whose own region is `ra`:
+    /// checks the pair constraint of every event it settles.
+    fn check_pairs_from(&mut self, g: &Blossom, ra: u32, a: u32) -> Result<(), String> {
+        let limit = 2 * self.chain_y[ra as usize];
+        let boundary = g.num_nodes() as u32;
+        self.reach[a as usize] = 0;
+        self.reached.push(a);
+        self.frontier.push(Reverse((0, a)));
+        while let Some(Reverse((d, v))) = self.frontier.pop() {
+            if d > self.reach[v as usize] {
+                continue;
+            }
+            let n = self.nodes[v as usize];
+            // Of this shot's nodes, only an event is its own source.
+            if v != a && n.stamp == self.epoch && n.source == v {
+                let apart = self.separation(ra, n.region);
+                if apart > d {
+                    return Err(format!(
+                        "events {a} and {v}: separating y {apart} > distance {d}"
+                    ));
+                }
+            }
+            for x in g.neighbors(v) {
+                let nd = d + i64::from(x.weight);
+                if x.other != boundary && nd < limit && nd < self.reach[x.other as usize] {
+                    if self.reach[x.other as usize] == NEVER {
+                        self.reached.push(x.other);
+                    }
+                    self.reach[x.other as usize] = nd;
+                    self.frontier.push(Reverse((nd, x.other)));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The summed radii of the regions holding exactly one of the
+    /// events whose own regions are `ra` and `rb`: both chains, less
+    /// twice the part they share.
+    fn separation(&self, ra: u32, rb: u32) -> i64 {
+        // Parents have larger ids: climbing from the smaller side meets
+        // the lowest shared region, or `NONE` above both tops.
+        let (mut x, mut y) = (ra, rb);
+        while x != y {
+            if x < y {
+                x = self.regions[x as usize].parent;
+            } else {
+                y = self.regions[y as usize].parent;
+            }
+        }
+        let shared = if x == NONE {
+            0
+        } else {
+            self.chain_y[x as usize]
+        };
+        self.chain_y[ra as usize] + self.chain_y[rb as usize] - 2 * shared
+    }
 }
 
 #[cfg(test)]
@@ -1418,7 +1572,6 @@ mod tests {
         assert_eq!(decode(&[0, 2, 3, 4, 5]), (4 ^ 8, 28, 1));
         // An even set matches inside the component.
         assert_eq!(decode(&[0, 2]), (4, 20, 0));
-        assert_eq!(weight_of_result((0, 0, 1)), (0, UNREACHABLE));
     }
 
     #[test]
@@ -1525,5 +1678,183 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The complete graph on `n` nodes without a boundary edge, weights
+    /// `2·(1..=spread)`.
+    fn complete_graph(rng: &mut StdRng, n: usize, spread: u32) -> Vec<Edge> {
+        let mut edges = Vec::new();
+        for a in 0..n {
+            for b in a + 1..n {
+                edges.push((a, b, 2 * rng.gen_range(1..=spread), rng.gen_range(0..8u64)));
+            }
+        }
+        edges
+    }
+
+    /// A decode's `(mask, weight, unmatched)` and its matched pairs.
+    type Decoded = ((u64, i64, usize), Vec<(u32, Option<u32>)>);
+
+    /// Decodes every node of `g` as an event and checks the certificate;
+    /// returns the result and the sorted `(lower, higher)` node pairs.
+    fn decode_every_node(g: &Blossom, scratch: &mut DecodeScratch) -> Decoded {
+        let mut nodes: Vec<u32> = (0..g.num_nodes() as u32).collect();
+        let out = g.decode_nodes(&mut nodes, scratch);
+        if nodes.len() > 1 {
+            assert_eq!(scratch.certify(g, &nodes), Ok(out.1));
+        }
+        let mut pairs: Vec<_> = scratch
+            .matched_pairs()
+            .map(|(a, b)| match b {
+                Some(b) if b < a => (b, Some(a)),
+                _ => (a, b),
+            })
+            .collect();
+        pairs.sort_unstable();
+        (out, pairs)
+    }
+
+    /// Nodes 0, 1, 2: a cheap triangle, each with a dearer spoke out to
+    /// one of 3, 4, 5, which sit far apart. The triangle's regions meet
+    /// first and form a blossom, yet the optimum takes all three spokes.
+    fn triangle_with_spokes() -> Vec<Edge> {
+        let mut edges: Vec<Edge> = Vec::new();
+        for a in 0..6 {
+            for b in a + 1..6 {
+                let w = match (a, b) {
+                    (0..=2, 0..=2) => 2,
+                    (0, 3) | (1, 4) | (2, 5) => 4,
+                    (3..=5, 3..=5) => 100,
+                    _ => 200,
+                };
+                edges.push((a, b, w, 1 << edges.len()));
+            }
+        }
+        edges
+    }
+
+    #[test]
+    fn empty_graph() {
+        let g = view(0, &[]);
+        assert_eq!(
+            decode_every_node(&g, &mut DecodeScratch::new()),
+            ((0, 0, 0), vec![])
+        );
+    }
+
+    #[test]
+    fn two_vertices() {
+        let g = view(2, &[(0, 1, 14, 5)]);
+        assert_eq!(
+            decode_every_node(&g, &mut DecodeScratch::new()),
+            ((5, 14, 0), vec![(0, Some(1))])
+        );
+    }
+
+    #[test]
+    fn four_vertices_prefers_cheap_pairs() {
+        let edges: Vec<Edge> = vec![
+            (0, 1, 2, 1),
+            (2, 3, 4, 2),
+            (0, 2, 8, 4),
+            (0, 3, 8, 8),
+            (1, 2, 8, 16),
+            (1, 3, 8, 32),
+        ];
+        assert_eq!(
+            decode_every_node(&view(4, &edges), &mut DecodeScratch::new()),
+            ((1 ^ 2, 6, 0), vec![(0, Some(1)), (2, Some(3))])
+        );
+    }
+
+    #[test]
+    fn forced_odd_cycle_structure() {
+        let edges = triangle_with_spokes();
+        let mut scratch = DecodeScratch::new();
+        let ((obs, weight, unmatched), pairs) = decode_every_node(&view(6, &edges), &mut scratch);
+        assert_eq!(
+            optima(6, &floyd_warshall(6, &edges))[0b11_1111],
+            (weight, obs, false)
+        );
+        assert_eq!((weight, unmatched), (12, 0));
+        assert_eq!(pairs, [(0, Some(3)), (1, Some(4)), (2, Some(5))]);
+        assert!(
+            scratch.counters.blossoms_formed > 0,
+            "{:?}",
+            scratch.counters
+        );
+    }
+
+    #[test]
+    fn random_graphs_match_brute_force() {
+        // The textbook problem: complete boundary-less graphs of even
+        // order, every node an event. Every other instance draws its
+        // weights from four values, so equal-weight optima abound.
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut scratch = DecodeScratch::new();
+        for trial in 0..500 {
+            let n = 2 * rng.gen_range(1..=5usize);
+            let spread = if trial % 2 == 0 { 4 } else { 1_000_000 };
+            let edges = complete_graph(&mut rng, n, spread);
+            let (want_weight, want_obs, tie) = optima(n, &floyd_warshall(n, &edges))[(1 << n) - 1];
+            let ((obs, weight, unmatched), _) = decode_every_node(&view(n, &edges), &mut scratch);
+            assert_eq!(
+                (weight, unmatched),
+                (want_weight, 0),
+                "trial {trial}: {edges:?}"
+            );
+            assert!(tie || obs == want_obs, "trial {trial}: {edges:?}");
+        }
+    }
+
+    #[test]
+    fn larger_random_instance_is_consistent() {
+        // Forty nodes, past brute force: certified, and no heavier than
+        // greedy pairing.
+        let n = 40;
+        let edges = complete_graph(&mut StdRng::seed_from_u64(7), n, 1_000_000);
+        let ((_, weight, unmatched), _) =
+            decode_every_node(&view(n, &edges), &mut DecodeScratch::new());
+        assert_eq!(unmatched, 0);
+        let d = floyd_warshall(n, &edges);
+        let mut used = vec![false; n];
+        let mut greedy = 0;
+        for a in 0..n {
+            if used[a] {
+                continue;
+            }
+            let b = (a + 1..n)
+                .filter(|&b| !used[b])
+                .min_by_key(|&b| d[a][b].0)
+                .expect("even order");
+            used[a] = true;
+            used[b] = true;
+            greedy += d[a][b].0;
+        }
+        assert!(
+            weight <= greedy,
+            "matched {weight}, greedy pairing {greedy}"
+        );
+    }
+
+    #[test]
+    fn the_certificate_rejects_an_infeasible_dual() {
+        // The radii a decode ends with certify it; the same radii with
+        // one region a grid step too wide, or one below zero, do not.
+        let g = view(6, &triangle_with_spokes());
+        let mut s = DecodeScratch::new();
+        let mut nodes: Vec<u32> = (0..6).collect();
+        let (_, weight, _) = g.decode_nodes(&mut nodes, &mut s);
+        assert_eq!(s.certify(&g, &nodes), Ok(weight));
+        s.regions[0].y0 += 2;
+        let wide = s
+            .certify(&g, &nodes)
+            .expect_err("event 0's region overreaches");
+        assert!(wide.contains("separating"), "{wide}");
+        s.regions[0].y0 -= 2;
+        s.regions[3].y0 = -2;
+        s.regions[3].slope = 0;
+        let negative = s.certify(&g, &nodes).expect_err("a negative radius");
+        assert!(negative.contains("y = -2"), "{negative}");
     }
 }

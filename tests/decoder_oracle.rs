@@ -1,25 +1,31 @@
 //! Decoder-level oracle on real decoding graphs.
 //!
 //! Whatever the exact MWPM kernel does inside (`Blossom`: sparse blossom
-//! on the graph's adjacency), it is judged from outside on adapted patches with random qubit +
-//! link defects — so deformed boundaries and super-stabilizer gauge
-//! schedules are in the graphs — and in both bases, three ways per
-//! syndrome:
+//! on the graph's adjacency), it is judged from outside on adapted
+//! patches with random qubit + link defects — so deformed boundaries
+//! and super-stabilizer gauge schedules are in the graphs — and in both
+//! bases, three ways per syndrome:
 //!
-//! * its total matching weight must equal that of the one dense
-//!   reference (`decode_basis_dense`: every pair through a `PathTables`
-//!   built here, no split, no fast path);
-//! * on syndromes of at most ten events it must equal brute-force
-//!   enumeration of every matching — within the weight-rounding bound
-//!   against those `f64` distance tables, and *exactly*, in the
-//!   kernel's integer units, against distances this test derives itself
-//!   (Floyd–Warshall) from the kernel's own per-edge integer weights;
-//! * its *observable mask* must equal the dense reference's. A weight
-//!   check alone cannot see a wrong mask accumulated along the way, and
-//!   the mask is what the decoder is for. Equal-weight optima may carry
-//!   different masks, so a differing mask is allowed only as such a tie
-//!   — proven by brute force where that is affordable — and ties must
-//!   stay rare.
+//! * its matching must carry an optimality certificate
+//!   (`Blossom::certify`): region radii that are a feasible dual of the
+//!   matching LP and sum to the matching's weight, which by weak duality
+//!   makes it minimum-weight for the kernel's integer weights at any
+//!   event count;
+//! * its matched pairs (`DecodeScratch::matched_pairs`), read back
+//!   through a `PathTables` built here, must cover every event once and
+//!   their distances must sum to its weight; on syndromes of at most ten
+//!   events that weight must equal brute-force enumeration of every
+//!   matching — within the weight-rounding bound against those `f64`
+//!   tables, and *exactly*, in the kernel's integer units, against
+//!   distances this test derives itself (Floyd–Warshall) from the
+//!   kernel's own per-edge integer weights;
+//! * its *observable mask* must equal the XOR of those pairs'
+//!   shortest-path parities. A weight check alone cannot see a wrong
+//!   mask accumulated along the way, and the mask is what the decoder is
+//!   for. Two paths of equal length may cross different observables, so
+//!   a differing mask is allowed only as such a tie — proven by brute
+//!   force to be some minimum-weight matching's mask where that is
+//!   affordable — and ties must stay rare.
 //!
 //! Traffic: defective l = 5 and l = 7 patches at p = 5·10⁻³ with
 //! sampled and random dense syndromes, plus one defective l = 9 patch
@@ -29,10 +35,9 @@
 use dqec::chiplet::runner::default_rounds;
 use dqec::chiplet::DefectModel;
 use dqec::core::{memory_z, AdaptedPatch, PatchLayout};
-use dqec::matching::decoder::decode_basis_dense;
-use dqec::matching::sparse::weight_of_result;
+use dqec::matching::sparse::to_weight;
 use dqec::matching::{
-    Blossom, BlossomArena, DecodeScratch, Decoder, DecodingGraph, Kernel, MwpmDecoder, PathTables,
+    Blossom, DecodeScratch, Decoder, DecodingGraph, Kernel, MwpmDecoder, PathTables,
 };
 use dqec::sim::circuit::Circuit;
 use dqec::sim::frame::FrameSampler;
@@ -47,16 +52,16 @@ const FAR: f64 = 1e11;
 /// Largest syndrome the brute-force enumeration is asked to cover.
 const BRUTE_MAX: usize = 10;
 
-/// Weight agreement bound. An exact kernel may match on edge weights
-/// rounded to a fixed grid (steps below 10⁻⁶) while the dense reference
-/// sums unrounded `f64` weights; a matching's paths hold at most a few
-/// hundred edges here, so the two optima — and the two costs of any one
-/// matching — differ by well under 10⁻³, while distinct optima on these
+/// Weight agreement bound. The kernel matches on edge weights rounded
+/// to a fixed grid (steps below 10⁻⁶) while the `f64` tables sum
+/// unrounded weights; a matching's paths hold at most a few hundred
+/// edges here, so the two costs of any one matching — and the two
+/// optima — differ by well under 10⁻³, while distinct optima on these
 /// graphs differ by far more unless they tie.
 const TOL: f64 = 1e-3;
 
-/// Most syndromes (as a fraction) on which the kernel may return a
-/// different mask than the dense reference at equal weight.
+/// Most syndromes (as a fraction) whose mask may differ from the XOR of
+/// the matched pairs' shortest-path parities.
 const MAX_TIE_FRACTION: f64 = 0.02;
 
 /// One basis under test: the graph, its `f64` distance tables (built
@@ -182,12 +187,16 @@ fn enumerate(
 /// How many syndromes each oracle judged.
 #[derive(Default)]
 struct Checked {
-    dense: usize,
+    /// Syndromes whose matching was certified optimal.
+    certified: usize,
+    /// Of those, syndromes of two or more events (decoded by the
+    /// matcher proper, not in closed form).
+    matched: usize,
     brute: usize,
     /// Brute-force checks that held `==` in integer units.
     exact: usize,
     split: usize,
-    /// Masks differing from the dense reference at equal weight.
+    /// Masks differing from the pairs' shortest-path parities.
     ties: usize,
     /// Of those, proven to be equal-weight optima by brute force.
     ties_proven: usize,
@@ -200,8 +209,7 @@ fn check(
     basis: &Basis,
     events: &[u32],
     brute: bool,
-    sparse: &mut DecodeScratch,
-    dense: &mut BlossomArena,
+    scratch: &mut DecodeScratch,
     checked: &mut Checked,
 ) {
     let (graph, tables) = (basis.graph, &basis.tables);
@@ -210,23 +218,40 @@ fn check(
         .filter_map(|&d| graph.node_of_detector(d))
         .collect();
     nodes.sort_unstable();
-    let result = basis.view.decode_weighted(graph, events, sparse);
-    let (sm, sc) = weight_of_result(result);
-    let (dm, dc) = decode_basis_dense(graph, tables, events, dense);
-    // With an unreachable-node sentinel in the dense matrix its integer
-    // scaling quantizes real weights away: the reference is no longer
-    // exact there, so it judges nothing (the kernel's own unit tests
-    // pin what an unreachable event decodes to).
+    let (mask, units, unmatched) = basis.view.decode_weighted(graph, events, scratch);
+    // An event the boundary cannot reach may stay unmatched, and then
+    // there is no certificate (the kernel's own unit tests pin what it
+    // decodes to).
     if nodes.iter().any(|&n| tables.boundary(n).0 > FAR) {
         checked.far += 1;
         return;
     }
-    assert!(
-        (sc - dc).abs() < TOL,
-        "kernel weight {sc} != dense weight {dc} on {nodes:?}"
+    assert_eq!(unmatched, 0, "unmatched events on {nodes:?}");
+    assert_eq!(
+        basis.view.certify(scratch),
+        Ok(units),
+        "no optimality certificate on {nodes:?}"
     );
-    checked.dense += 1;
-    if nodes.len() >= 3 && sc + TOL < nodes.iter().map(|&n| tables.boundary(n).0).sum() {
+    checked.certified += 1;
+    checked.matched += usize::from(nodes.len() >= 2);
+
+    // The matched pairs through the f64 tables: every event once, their
+    // distances summing to the kernel's weight, their parities to a
+    // mask.
+    let (mut ends, mut length, mut parity) = (Vec::new(), 0.0, 0u64);
+    for (a, b) in scratch.matched_pairs() {
+        ends.extend(std::iter::once(a).chain(b));
+        length += tables.distance(Some(a), b);
+        parity ^= tables.path_observables(Some(a), b);
+    }
+    ends.sort_unstable();
+    assert_eq!(ends, nodes, "matched pairs must cover every event once");
+    let weight = to_weight(units);
+    assert!(
+        (weight - length).abs() < TOL,
+        "kernel weight {weight} != its pairs' distances {length} on {nodes:?}"
+    );
+    if nodes.len() >= 3 && weight + TOL < nodes.iter().map(|&n| tables.boundary(n).0).sum() {
         checked.split += 1; // some pair beat the boundary: a real component
     }
     let optima = (brute && nodes.len() <= BRUTE_MAX).then(|| {
@@ -241,17 +266,14 @@ fn check(
         );
         let best = all.iter().map(|m| m.0).fold(f64::INFINITY, f64::min);
         assert!(
-            (sc - best).abs() < TOL,
-            "kernel weight {sc} != brute-force minimum {best} on {nodes:?}"
+            (weight - best).abs() < TOL,
+            "kernel weight {weight} != brute-force minimum {best} on {nodes:?}"
         );
         checked.brute += 1;
         if let Some(d) = &basis.exact {
             assert_eq!(
-                (result.1, result.2),
-                (
-                    brute_force_units(d, &nodes, &mut vec![false; nodes.len()]),
-                    0
-                ),
+                units,
+                brute_force_units(d, &nodes, &mut vec![false; nodes.len()]),
                 "kernel weight is not the integer optimum on {nodes:?}"
             );
             checked.exact += 1;
@@ -259,14 +281,14 @@ fn check(
         all.retain(|m| m.0 < best + TOL);
         all
     });
-    if sm != dm {
+    if mask != parity {
         // Only an equal-weight optimum may carry another mask.
         checked.ties += 1;
         if let Some(optima) = optima {
             assert!(
-                optima.iter().any(|m| m.1 == sm),
-                "kernel mask {sm:#x} belongs to no minimum-weight matching \
-                 (dense {dm:#x}) on {nodes:?}"
+                optima.iter().any(|m| m.1 == mask),
+                "kernel mask {mask:#x} belongs to no minimum-weight matching \
+                 (its pairs' shortest paths: {parity:#x}) on {nodes:?}"
             );
             checked.ties_proven += 1;
         }
@@ -295,8 +317,7 @@ fn sparse_weight_equals_dense_and_brute_force_on_defective_patches() {
     let mut rng = StdRng::seed_from_u64(0x0dec_0de5);
     let mut checked = Checked::default();
     let mut with_gauges = 0;
-    let mut sparse = DecodeScratch::new();
-    let mut dense = BlossomArena::new();
+    let mut scratch = DecodeScratch::new();
     for l in [5u32, 7] {
         for _ in 0..3 {
             let (patch, clean) = defective_patch(l, &mut rng);
@@ -316,7 +337,7 @@ fn sparse_weight_equals_dense_and_brute_force_on_defective_patches() {
             let bases = Basis::both(&decoder, true);
             for events in &syndromes {
                 for basis in &bases {
-                    check(basis, events, true, &mut sparse, &mut dense, &mut checked);
+                    check(basis, events, true, &mut scratch, &mut checked);
                 }
             }
         }
@@ -325,15 +346,15 @@ fn sparse_weight_equals_dense_and_brute_force_on_defective_patches() {
     // plenty of syndromes on both sides of the brute-force bound whose
     // optimum needs more than boundary matches.
     assert!(with_gauges >= 1, "no sampled patch had a super-stabilizer");
-    assert!(checked.dense >= 2000, "{} dense checks", checked.dense);
+    assert!(checked.certified >= 2000, "{} certified", checked.certified);
     assert!(checked.brute >= 500, "{} brute-force checks", checked.brute);
     assert_eq!(checked.exact, checked.brute, "integer-exact checks");
     assert!(checked.split >= 500, "{} split checks", checked.split);
-    let small = checked.dense;
+    let small = checked.certified;
 
     // The benchmark's traffic: one defective l = 9 patch at the two
     // ends of the paper's window, the second reached by reweighting.
-    // Sampled syndromes only, dense reference only.
+    // Sampled syndromes only, no brute force.
     let (_, clean) = defective_patch(9, &mut rng);
     let mut decoder = MwpmDecoder::from_clean(&clean, &NoiseModel::new(2e-3));
     assert!(decoder.reweight(&NoiseModel::new(1.5e-3)));
@@ -351,23 +372,25 @@ fn sparse_weight_equals_dense_and_brute_force_on_defective_patches() {
         for events in &syndromes {
             events_seen += events.len();
             for basis in &bases {
-                check(basis, events, false, &mut sparse, &mut dense, &mut checked);
+                check(basis, events, false, &mut scratch, &mut checked);
             }
         }
     }
-    let large = checked.dense - small;
-    assert!(large >= 1000, "{large} dense checks at l = 9");
+    let large = checked.certified - small;
+    assert!(large >= 1000, "{large} certified at l = 9");
     assert!(
         events_seen >= 600 * 8,
         "{events_seen} events in 600 shots: not the benchmark's traffic"
     );
 
-    let fraction = checked.ties as f64 / checked.dense as f64;
+    let fraction = checked.ties as f64 / checked.certified as f64;
     eprintln!(
-        "decoder oracle: {} dense checks ({large} at l = 9), {} brute-force (all == in integer \
-         units), {} with a real component, {} skipped on an unreachable event; {} equal-weight mask ties \
-         ({:.3} %, {} proven by brute force)",
-        checked.dense,
+        "decoder oracle: {} syndromes certified optimal ({large} at l = 9, {} of two or more \
+         events), {} brute-force (all == in integer units), {} with a real component, {} skipped \
+         on an unreachable event; {} masks off their pairs' shortest-path parities ({:.3} %, {} \
+         proven equal-weight optima by brute force)",
+        checked.certified,
+        checked.matched,
         checked.brute,
         checked.split,
         checked.far,
@@ -377,8 +400,8 @@ fn sparse_weight_equals_dense_and_brute_force_on_defective_patches() {
     );
     assert!(
         fraction <= MAX_TIE_FRACTION,
-        "{} of {} masks differ from the dense reference",
+        "{} of {} masks differ from their pairs' shortest-path parities",
         checked.ties,
-        checked.dense
+        checked.certified
     );
 }

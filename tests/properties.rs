@@ -137,58 +137,3 @@ proptest! {
         prop_assert!(ind.num_disabled_faces >= patch.defects().synd.len());
     }
 }
-
-#[test]
-fn blossom_matches_brute_force_on_many_random_graphs() {
-    // Heavier cross-check than the in-crate tests: 300 random instances.
-    use dqec::matching::min_weight_perfect_matching;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn brute(w: &[Vec<f64>]) -> f64 {
-        fn rec(used: &mut [bool], w: &[Vec<f64>]) -> f64 {
-            let Some(i) = used.iter().position(|&u| !u) else {
-                return 0.0;
-            };
-            used[i] = true;
-            let mut best = f64::INFINITY;
-            for j in i + 1..used.len() {
-                if !used[j] {
-                    used[j] = true;
-                    best = best.min(w[i][j] + rec(used, w));
-                    used[j] = false;
-                }
-            }
-            used[i] = false;
-            best
-        }
-        rec(&mut vec![false; w.len()], w)
-    }
-
-    let mut rng = StdRng::seed_from_u64(4242);
-    for trial in 0..300 {
-        let n = 2 * rng.gen_range(1..=4usize);
-        let mut w = vec![vec![0.0; n]; n];
-        // Indexing is the clear way to fill a symmetric matrix.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..n {
-            for j in i + 1..n {
-                let c = (rng.gen_range(0.0..8.0f64) * 8.0).round() / 8.0;
-                w[i][j] = c;
-                w[j][i] = c;
-            }
-        }
-        let m = min_weight_perfect_matching(&w);
-        let mut cost = 0.0;
-        for v in 0..n {
-            if v < m.mate[v] {
-                cost += w[v][m.mate[v]];
-            }
-        }
-        let want = brute(&w);
-        assert!(
-            (cost - want).abs() < 1e-9,
-            "trial {trial}: {cost} vs {want}"
-        );
-    }
-}

@@ -30,8 +30,8 @@ fn quickstart_fig1b_distance_is_five() {
 fn facade_reexports_resolve() {
     // One load-bearing type per re-exported crate.
     let _: fn(usize) -> dqec::sim::tableau::Tableau = dqec::sim::tableau::Tableau::new;
-    let _: fn(&[Vec<f64>]) -> dqec::matching::PerfectMatching =
-        dqec::matching::min_weight_perfect_matching;
+    let _: fn(&dqec::sim::Circuit) -> dqec::matching::MwpmDecoder =
+        dqec::matching::MwpmDecoder::new;
     let _: fn(u32) -> dqec::core::PatchLayout = dqec::core::PatchLayout::memory;
     let _ = dqec::chiplet::defect_model::DefectModel::LinkAndQubit;
     let _ = dqec::estimator::ApplicationSpec::shor_2048();
