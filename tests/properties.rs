@@ -137,3 +137,65 @@ proptest! {
         prop_assert!(ind.num_disabled_faces >= patch.defects().synd.len());
     }
 }
+
+#[test]
+// Indexing is the clear way to fill and close a symmetric matrix.
+#[allow(clippy::needless_range_loop)]
+fn blossom_matches_brute_force_on_many_random_graphs() {
+    // Heavier cross-check than the in-crate tests: 300 random complete
+    // boundary-less graphs, every node an event, against brute force over
+    // shortest-path distances (paths may run through other events).
+    use dqec::matching::{Blossom, DecodeScratch};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn brute(d: &[Vec<i64>]) -> i64 {
+        fn rec(used: &mut [bool], d: &[Vec<i64>]) -> i64 {
+            let Some(i) = used.iter().position(|&u| !u) else {
+                return 0;
+            };
+            used[i] = true;
+            let mut best = i64::MAX;
+            for j in i + 1..used.len() {
+                if !used[j] {
+                    used[j] = true;
+                    best = best.min(d[i][j] + rec(used, d));
+                    used[j] = false;
+                }
+            }
+            used[i] = false;
+            best
+        }
+        rec(&mut vec![false; d.len()], d)
+    }
+
+    let mut rng = StdRng::seed_from_u64(4242);
+    let mut scratch = DecodeScratch::new();
+    for trial in 0..300 {
+        let n = 2 * rng.gen_range(1..=4usize);
+        let mut edges = Vec::new();
+        let mut d = vec![vec![0i64; n]; n];
+        for a in 0..n {
+            for b in a + 1..n {
+                // Eighths of a unit in (0, 8], doubled onto the even grid.
+                let w = 2 * rng.gen_range(1..=64u32);
+                edges.push((a as u32, b as u32, w, 0));
+                d[a][b] = i64::from(w);
+                d[b][a] = i64::from(w);
+            }
+        }
+        for k in 0..n {
+            for a in 0..n {
+                for b in 0..n {
+                    d[a][b] = d[a][b].min(d[a][k] + d[k][b]);
+                }
+            }
+        }
+        let g = Blossom::from_edges(n, &edges);
+        let nodes: Vec<u32> = (0..n as u32).collect();
+        let (_, weight, unmatched) = g.decode_node_ids(&nodes, &mut scratch);
+        let want = brute(&d);
+        assert_eq!((weight, unmatched), (want, 0), "trial {trial}: {edges:?}");
+        assert_eq!(g.certify(&mut scratch), Ok(want), "trial {trial}");
+    }
+}
