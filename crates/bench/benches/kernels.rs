@@ -8,7 +8,7 @@ use dqec_core::graphs::CheckGraph;
 use dqec_core::indicators::PatchIndicators;
 use dqec_core::layout::PatchLayout;
 use dqec_sim::circuit::CheckBasis;
-use dqec_sim::dem::DetectorErrorModel;
+use dqec_sim::dem::ParametricDem;
 use dqec_sim::frame::FrameSampler;
 use dqec_sim::noise::NoiseModel;
 use rand::rngs::StdRng;
@@ -51,7 +51,7 @@ fn bench_distance(c: &mut Criterion) {
 fn bench_sampling(c: &mut Criterion) {
     let patch = AdaptedPatch::new(PatchLayout::memory(7), &dqec_core::DefectSet::new());
     let exp = dqec_core::memory_z(&patch, 7).unwrap();
-    let noisy = NoiseModel::new(1e-3).apply(&exp.circuit);
+    let (noisy, params) = NoiseModel::new(1e-3).apply_with_params(&exp.circuit);
     let mut group = c.benchmark_group("sampling");
     group.bench_function("frame_4096_shots_d7", |b| {
         let sampler = FrameSampler::new(&noisy);
@@ -59,7 +59,7 @@ fn bench_sampling(c: &mut Criterion) {
         b.iter(|| sampler.sample(4096, &mut rng))
     });
     group.bench_function("dem_extraction_d7", |b| {
-        b.iter(|| DetectorErrorModel::from_circuit(&noisy))
+        b.iter(|| ParametricDem::from_noisy(&noisy, &params))
     });
     group.finish();
 }

@@ -18,10 +18,10 @@
 //! stability one) is built and reweighted, but gets no kernel, is never
 //! matched, and its detectors are left out of the memo keys.
 
-use crate::graph::{probabilities, symptoms, DecodingGraph};
+use crate::graph::DecodingGraph;
 use crate::sparse::Blossom;
 use dqec_sim::circuit::Circuit;
-use dqec_sim::dem::{DetectorErrorModel, ParametricDem};
+use dqec_sim::dem::ParametricDem;
 use dqec_sim::frame::ShotBatch;
 use dqec_sim::noise::NoiseModel;
 use rayon::prelude::*;
@@ -835,9 +835,9 @@ pub struct GraphDecoder<K: Kernel> {
     z_kernel: Option<K>,
     x_kernel: Option<K>,
     num_observables: usize,
-    /// Present when built via [`GraphDecoder::from_clean`]: enables
-    /// in-place reweighting for a different baseline error rate.
-    parametric: Option<Box<ParametricState>>,
+    /// What in-place reweighting to a different baseline error rate
+    /// needs.
+    parametric: ParametricState,
     /// Pooled per-chunk scratch/cache pairs reused across batch
     /// decodes; cleared on reweight (memoized predictions go stale).
     scratch_pool: ScratchPool<K::Scratch>,
@@ -849,6 +849,10 @@ struct ParametricState {
     /// The per-qubit overrides the template was built with; reweighting
     /// is only valid while they are unchanged.
     overrides: BTreeMap<u32, f64>,
+    /// Whether the template's baseline `p` was above 0. A `p = 0`
+    /// template inserted no channel, so its graphs cannot move to
+    /// another `p`.
+    scales: bool,
     /// The baseline `p` the graphs currently carry; reweighting to the
     /// same value is a no-op.
     current_p: f64,
@@ -858,39 +862,13 @@ struct ParametricState {
 }
 
 impl<K: Kernel> GraphDecoder<K> {
-    /// Builds a decoder for `circuit` by extracting its detector error
-    /// model and constructing both basis graphs.
+    /// Builds a decoder for `circuit` as it stands: a circuit that
+    /// already carries its noise. This is [`GraphDecoder::from_clean`]
+    /// with a `p = 0` model, which inserts no channel and keeps every
+    /// noise op of `circuit` at its own rate, so the decoder declines
+    /// every [`Decoder::reweight`] to another `p`.
     pub fn new(circuit: &Circuit) -> Self {
-        let dem = DetectorErrorModel::from_circuit(circuit);
-        Self::with_dem(circuit, &dem)
-    }
-
-    /// Builds a decoder from a precomputed DEM.
-    pub fn with_dem(circuit: &Circuit, dem: &DetectorErrorModel) -> Self {
-        let graphs = DecodingGraph::css_pair(circuit, symptoms(dem), &probabilities(dem));
-        Self::from_graphs(circuit, graphs)
-    }
-
-    /// The decoder over the basis graphs `(z_graph, x_graph)` of
-    /// `circuit`, with a kernel for each graph that has an edge
-    /// carrying an observable.
-    fn from_graphs(circuit: &Circuit, (z_graph, x_graph): (DecodingGraph, DecodingGraph)) -> Self {
-        let kernel = |graph: &DecodingGraph| {
-            graph
-                .edges()
-                .iter()
-                .any(|e| e.observables != 0)
-                .then(|| K::from_graph(graph))
-        };
-        GraphDecoder {
-            z_kernel: kernel(&z_graph),
-            x_kernel: kernel(&x_graph),
-            z_graph,
-            x_graph,
-            num_observables: circuit.observables().len(),
-            parametric: None,
-            scratch_pool: ScratchPool::new(),
-        }
+        Self::from_clean(circuit, &NoiseModel::new(0.0))
     }
 
     /// Builds a *reweightable* decoder: applies `noise` to the clean
@@ -898,15 +876,16 @@ impl<K: Kernel> GraphDecoder<K> {
     /// so later [`Decoder::reweight`] calls can move the edge weights to
     /// a different baseline `p` without re-walking the circuit.
     ///
-    /// No [`DetectorErrorModel`] is built: both basis graphs come
-    /// straight from [`ParametricDem::mechanisms`] and one buffer of
+    /// Both basis graphs come straight from
+    /// [`ParametricDem::mechanisms`] and one buffer of
     /// [`ParametricDem::probabilities_into`] at `noise.p()` (the buffer
-    /// later reweights reuse), bit-identical to
-    /// [`GraphDecoder::with_dem`] on the concretized DEM.
+    /// later reweights reuse). Each graph that has an edge carrying an
+    /// observable gets a kernel.
     ///
     /// Build the template at the sweep's largest `p` (any `p > 0`
-    /// works): a template built at `p = 0` has no noise ops at all and
-    /// cannot represent the mechanisms that appear at `p > 0`.
+    /// works): a template built at `p = 0` inserts no channel, cannot
+    /// represent the mechanisms that appear at `p > 0`, and declines
+    /// every reweight to another `p`.
     ///
     /// # Examples
     ///
@@ -937,16 +916,29 @@ impl<K: Kernel> GraphDecoder<K> {
         let pdem = ParametricDem::from_noisy(&noisy, &params);
         let mut probabilities = Vec::new();
         pdem.probabilities_into(noise.p(), &mut probabilities);
-        let mechs = pdem.mechanisms().map(|(dets, obs, _)| (dets, obs));
-        let graphs = DecodingGraph::css_pair(&noisy, mechs, &probabilities);
-        let mut decoder = Self::from_graphs(&noisy, graphs);
-        decoder.parametric = Some(Box::new(ParametricState {
-            pdem,
-            overrides: noise.overrides().clone(),
-            current_p: noise.p(),
-            probabilities,
-        }));
-        decoder
+        let (z_graph, x_graph) = DecodingGraph::css_pair(&noisy, &pdem, &probabilities);
+        let kernel = |graph: &DecodingGraph| {
+            graph
+                .edges()
+                .iter()
+                .any(|e| e.observables != 0)
+                .then(|| K::from_graph(graph))
+        };
+        GraphDecoder {
+            z_kernel: kernel(&z_graph),
+            x_kernel: kernel(&x_graph),
+            z_graph,
+            x_graph,
+            num_observables: noisy.observables().len(),
+            parametric: ParametricState {
+                pdem,
+                overrides: noise.overrides().clone(),
+                scales: noise.p() > 0.0,
+                current_p: noise.p(),
+                probabilities,
+            },
+            scratch_pool: ScratchPool::new(),
+        }
     }
 
     /// The Z-basis decoding graph.
@@ -1091,20 +1083,21 @@ impl<K: Kernel> Decoder for GraphDecoder<K> {
 
     /// Reweights both basis graphs from the cached parametric DEM (so
     /// every public weight stays current) and lets each kernel that
-    /// exists refresh its view. Requires construction via
-    /// [`GraphDecoder::from_clean`] and a noise model with the *same*
+    /// exists refresh its view. Requires a noise model with the *same*
     /// per-qubit overrides as the template (the overrides shape the
-    /// mechanism structure; only the baseline `p` may move). Returns
-    /// `false` otherwise.
+    /// mechanism structure; only the baseline `p` may move), and a
+    /// template built at `p > 0` unless `p` stays where it is (see
+    /// [`GraphDecoder::from_clean`]). Returns `false` otherwise.
     fn reweight(&mut self, noise: &NoiseModel) -> bool {
-        let Some(state) = &mut self.parametric else {
-            return false;
-        };
+        let state = &mut self.parametric;
         if state.overrides != *noise.overrides() {
             return false;
         }
         if state.current_p == noise.p() {
             return true; // weights already match
+        }
+        if !state.scales {
+            return false;
         }
         state
             .pdem
@@ -1415,6 +1408,16 @@ mod tests {
     fn plain_decoder_declines_reweighting() {
         let c = repetition(2, 0.01);
         let mut decoder = MwpmDecoder::new(&c);
+        assert!(!decoder.reweight(&NoiseModel::new(1e-3)));
+    }
+
+    #[test]
+    fn p_zero_template_declines_reweighting() {
+        // A p = 0 template inserted no channel: its graphs cannot carry
+        // the mechanisms of any p > 0.
+        let clean = repetition(2, 0.0);
+        let mut decoder = MwpmDecoder::from_clean(&clean, &NoiseModel::new(0.0));
+        assert!(decoder.reweight(&NoiseModel::new(0.0)));
         assert!(!decoder.reweight(&NoiseModel::new(1e-3)));
     }
 

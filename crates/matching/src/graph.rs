@@ -5,20 +5,22 @@
 //! detectors is an internal edge, one flipping a single detector is a
 //! boundary edge, and rarer multi-detector mechanisms (hook errors) are
 //! decomposed into known edges, mirroring Stim's `decompose_errors`.
+//! Each observable is owned by exactly one of the two graphs: the basis
+//! whose detectors see every mechanism that flips it.
 //!
 //! A [`DecodingGraph`] is its edge list plus one CSR adjacency, built
-//! once, with the per-edge matching weights `ln((1-p)/p)` beside it;
-//! [`DecodingGraph::reweight_from_probabilities`] refreshes probabilities
-//! and weights in place from a reweighted DEM's mechanism probabilities,
-//! in O(E). The exact matcher ([`crate::sparse`]) decodes on
-//! that adjacency directly. All-pairs shortest paths are *not* part of
-//! a graph: whoever needs them builds a [`crate::PathTables`] from one
-//! (the union-find kernel keeps the only production instance).
+//! once, with the per-edge matching weights `ln((1-p)/p)` beside it; a
+//! reweight refreshes probabilities and weights in place from the
+//! DEM's mechanism probabilities at a new rate, in O(E). The exact
+//! matcher ([`crate::sparse`]) decodes on that adjacency directly.
+//! All-pairs shortest paths are *not* part of a graph: whoever needs
+//! them builds a [`crate::PathTables`] from one (the union-find kernel
+//! keeps the only production instance).
 //!
-//! A build is one flat pass over the mechanisms' `(dets, obs)`
-//! symptoms and one probability buffer, so it takes a concrete
-//! [`DetectorErrorModel`] or, inside [`crate::GraphDecoder::from_clean`],
-//! a `ParametricDem` with no DEM built in between:
+//! Both graphs of a decoder come from one build,
+//! [`crate::GraphDecoder::from_clean`]'s: one flat pass per basis over
+//! a `ParametricDem`'s `(dets, obs)` symptoms and one probability
+//! buffer:
 //!
 //! * **Records.** Each mechanism with one or two same-basis nodes
 //!   leaves one `(first node, second node + 1 or 0 for the boundary,
@@ -42,7 +44,7 @@
 //! (`crates/matching/tests/support/graph_oracle.rs`).
 
 use dqec_sim::circuit::{CheckBasis, Circuit};
-use dqec_sim::dem::DetectorErrorModel;
+use dqec_sim::dem::ParametricDem;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
@@ -109,9 +111,7 @@ pub struct DecodingGraph {
     source_starts: Vec<u32>,
     /// Edge by edge, the mechanisms (indices into the source DEM's
     /// mechanism list, in fold order) whose XOR-combination gives the
-    /// edge's probability; kept so
-    /// [`DecodingGraph::reweight_from_probabilities`] can recompute
-    /// weights.
+    /// edge's probability; kept so a reweight can recompute weights.
     sources: Vec<u32>,
     /// Per edge, the matching weight of its current probability.
     weights: Vec<f64>,
@@ -134,72 +134,28 @@ fn pair_key(x: u32, y: u32) -> (u32, u32) {
     (x.min(y), x.max(y) + 1)
 }
 
-/// A DEM's mechanisms as `(detectors, observables)`.
-pub(crate) fn symptoms(dem: &DetectorErrorModel) -> impl Iterator<Item = (&[u32], u64)> + Clone {
-    dem.mechanisms
-        .iter()
-        .map(|m| (&m.detectors[..], m.observables))
-}
-
-/// A DEM's mechanism probabilities, in mechanism order.
-pub(crate) fn probabilities(dem: &DetectorErrorModel) -> Vec<f64> {
-    dem.mechanisms.iter().map(|m| m.probability).collect()
-}
-
 impl DecodingGraph {
-    /// Builds the decoding graph for `basis` from a circuit's DEM,
-    /// responsible for every observable.
-    ///
-    /// Prefer [`DecodingGraph::build_with_observables`]: in CSS decoding
-    /// each observable must be owned by exactly one basis graph.
-    pub fn build(circuit: &Circuit, dem: &DetectorErrorModel, basis: CheckBasis) -> Self {
-        Self::build_with_observables(circuit, dem, basis, u64::MAX)
-    }
-
-    /// Determines which basis should own each observable: the basis
-    /// whose detectors see *every* mechanism that flips it. (A logical-Z
-    /// readout is flipped by X-type errors, which always trip Z checks;
-    /// Y errors additionally trip X checks, so the X basis fails the
-    /// "every mechanism" test.) Returns `(z_mask, x_mask)`.
-    pub fn split_observables(circuit: &Circuit, dem: &DetectorErrorModel) -> (u64, u64) {
-        split(circuit, symptoms(dem))
-    }
-
-    /// Builds the decoding graph for `basis`, owning only the
-    /// observables in `obs_mask`.
-    pub fn build_with_observables(
-        circuit: &Circuit,
-        dem: &DetectorErrorModel,
-        basis: CheckBasis,
-        obs_mask: u64,
-    ) -> Self {
-        Self::from_mechanisms(circuit, symptoms(dem), &probabilities(dem), basis, obs_mask)
-    }
-
     /// Both CSS graphs `(z, x)` of `circuit`, each owning the
-    /// observables [`DecodingGraph::split_observables`] assigns it, from
-    /// mechanisms `mechs` (`(detectors, observables)`, sorted detector
-    /// ids) firing with `probabilities`.
-    pub(crate) fn css_pair<'a>(
-        circuit: &Circuit,
-        mechs: impl Iterator<Item = (&'a [u32], u64)> + Clone,
-        probabilities: &[f64],
-    ) -> (Self, Self) {
-        let (z_mask, x_mask) = split(circuit, mechs.clone());
+    /// observables its basis always sees, from `dem`'s mechanisms
+    /// firing with `probabilities` (in mechanism order, as
+    /// [`ParametricDem::probabilities_into`] writes them).
+    #[doc(hidden)]
+    pub fn css_pair(circuit: &Circuit, dem: &ParametricDem, probabilities: &[f64]) -> (Self, Self) {
+        let (z_mask, x_mask) = split(circuit, dem);
         (
-            Self::from_mechanisms(circuit, mechs.clone(), probabilities, CheckBasis::Z, z_mask),
-            Self::from_mechanisms(circuit, mechs, probabilities, CheckBasis::X, x_mask),
+            Self::from_mechanisms(circuit, dem, probabilities, CheckBasis::Z, z_mask),
+            Self::from_mechanisms(circuit, dem, probabilities, CheckBasis::X, x_mask),
         )
     }
 
     /// The build core: the graph for `basis`, owning the observables in
-    /// `obs_mask`, of mechanisms `mechs` (`(detectors, observables)`,
-    /// sorted detector ids) firing with `probabilities`. See the module
-    /// doc for the passes. Every buffer is sized before it is filled, so
-    /// the number of allocations does not grow with the mechanism count.
-    fn from_mechanisms<'a>(
+    /// `obs_mask`, of `dem`'s mechanisms firing with `probabilities`.
+    /// See the module doc for the passes. Every buffer is sized before
+    /// it is filled, so the number of allocations does not grow with the
+    /// mechanism count.
+    fn from_mechanisms(
         circuit: &Circuit,
-        mechs: impl Iterator<Item = (&'a [u32], u64)> + Clone,
+        dem: &ParametricDem,
         probabilities: &[f64],
         basis: CheckBasis,
         obs_mask: u64,
@@ -220,7 +176,7 @@ impl DecodingGraph {
         // nodes, a `DEFERRED` marker per mechanism with more.
         let mut records: Vec<Record> = Vec::with_capacity(probabilities.len());
         let (mut deferred, mut deferred_nodes, mut widest) = (0, 0, 0);
-        for (m, (dets, observables)) in mechs.clone().enumerate() {
+        for (m, (dets, observables, _)) in dem.mechanisms().enumerate() {
             let mut nodes = dets.iter().filter_map(|&d| node_of_det[d as usize]);
             let (a, b) = match (nodes.next(), nodes.next()) {
                 // An observable flip is charged to the graph that detects
@@ -268,7 +224,7 @@ impl DecodingGraph {
             let mut nodes: Vec<u32> = Vec::with_capacity(widest);
             let mut keys: Vec<(u32, u32)> = Vec::with_capacity(widest);
             let mut pending = records.iter().filter(|r| r.b == DEFERRED).peekable();
-            for (m, (dets, _)) in mechs.enumerate() {
+            for (m, (dets, _, _)) in dem.mechanisms().enumerate() {
                 let Some(marker) = pending.next_if(|r| r.mech == m as u32) else {
                     continue;
                 };
@@ -385,24 +341,10 @@ impl DecodingGraph {
         }
     }
 
-    /// Recomputes every edge's probability and matching weight from
-    /// `dem` — which must be a reweighting of the DEM this graph was
-    /// built from, i.e. have the same mechanisms in the same order (as
-    /// produced by `dqec_sim::dem::ParametricDem::concretize`). See
-    /// [`DecodingGraph::reweight_from_probabilities`], which this calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dem` has fewer mechanisms than the graph was built
-    /// with.
-    pub fn reweight_from(&mut self, dem: &DetectorErrorModel) {
-        self.reweight_from_probabilities(&probabilities(dem));
-    }
-
     /// Recomputes every edge's probability and matching weight from the
-    /// mechanism probabilities of a reweighting of the DEM this graph was
-    /// built from, in that DEM's mechanism order (as written by
-    /// `dqec_sim::dem::ParametricDem::probabilities_into`). The graph
+    /// mechanism probabilities of the DEM this graph was built from at a
+    /// new rate, in that DEM's mechanism order (as written by
+    /// [`ParametricDem::probabilities_into`]). The graph
     /// *structure* (nodes, edges, observable masks, adjacency) is
     /// reused, which is what makes sweeping a logical-error-rate curve
     /// much cheaper than rebuilding the decoder at every physical error
@@ -413,7 +355,7 @@ impl DecodingGraph {
     ///
     /// Panics if `probabilities` is shorter than the graph's mechanism
     /// list.
-    pub fn reweight_from_probabilities(&mut self, probabilities: &[f64]) {
+    pub(crate) fn reweight_from_probabilities(&mut self, probabilities: &[f64]) {
         for ((edge, weight), span) in self
             .edges
             .iter_mut()
@@ -537,13 +479,16 @@ impl DecodingGraph {
     }
 }
 
-/// Which basis owns each observable (see
-/// [`DecodingGraph::split_observables`]), over mechanisms `mechs`.
-fn split<'a>(circuit: &Circuit, mechs: impl Iterator<Item = (&'a [u32], u64)>) -> (u64, u64) {
+/// Which basis owns each observable of `dem`'s mechanisms, as
+/// `(z_mask, x_mask)`: the basis whose detectors see *every* mechanism
+/// that flips it. (A logical-Z readout is flipped by X-type errors,
+/// which always trip Z checks; Y errors additionally trip X checks, so
+/// the X basis fails the "every mechanism" test.)
+fn split(circuit: &Circuit, dem: &ParametricDem) -> (u64, u64) {
     let detectors = circuit.detectors();
     let mut always_z = u64::MAX;
     let mut always_x = u64::MAX;
-    for (dets, observables) in mechs {
+    for (dets, observables, _) in dem.mechanisms() {
         if observables == 0 {
             continue;
         }
@@ -666,17 +611,26 @@ mod tests {
     use crate::fixtures::repetition;
     use crate::graph_oracle::assert_pair_matches_oracle;
     use crate::random_circuit::random_circuit;
-    use crate::PathTables;
-    use dqec_sim::dem::ParametricDem;
+    use crate::{MwpmDecoder, PathTables};
     use dqec_sim::noise::NoiseModel;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// The DEM of `c` with its noise ops as they stand, and its
+    /// mechanism probabilities.
+    fn fixed_dem(c: &Circuit) -> (ParametricDem, Vec<f64>) {
+        let (_, fixed) = NoiseModel::new(0.0).apply_with_params(c);
+        let dem = ParametricDem::from_noisy(c, &fixed);
+        let mut probabilities = Vec::new();
+        dem.probabilities_into(0.0, &mut probabilities);
+        (dem, probabilities)
+    }
+
     #[test]
     fn repetition_graph_structure() {
         let c = repetition(2, 0.01);
-        let dem = DetectorErrorModel::from_circuit(&c);
-        let g = DecodingGraph::build(&c, &dem, CheckBasis::Z);
+        let decoder = MwpmDecoder::new(&c);
+        let g = decoder.z_graph();
         assert_eq!(g.num_nodes(), 6); // 2 checks x 3 detector layers
         assert!(g.diagnostics().undecomposable_mechanisms == 0);
         // Boundary edges must exist (X on data 0 or data 2 flips one check).
@@ -688,9 +642,9 @@ mod tests {
     #[test]
     fn distances_are_symmetric_and_triangle() {
         let c = repetition(3, 0.01);
-        let dem = DetectorErrorModel::from_circuit(&c);
-        let g = DecodingGraph::build(&c, &dem, CheckBasis::Z);
-        let t = PathTables::build(&g);
+        let decoder = MwpmDecoder::new(&c);
+        let g = decoder.z_graph();
+        let t = PathTables::build(g);
         let n = g.num_nodes() as u32;
         for a in 0..n {
             assert_eq!(t.distance(Some(a), Some(a)), 0.0);
@@ -709,25 +663,21 @@ mod tests {
 
     #[test]
     fn reweighted_graph_matches_fresh_build() {
-        use dqec_sim::dem::ParametricDem;
-        use dqec_sim::noise::NoiseModel;
-
         // Strip the hand-placed noise and let the model decorate the
         // clean circuit, so rates follow the parametric form.
         let clean = repetition(3, 0.0);
         let template = NoiseModel::new(1e-3);
         let (noisy, params) = template.apply_with_params(&clean);
         let pdem = ParametricDem::from_noisy(&noisy, &params);
-        let mut graph = DecodingGraph::build(&noisy, &pdem.concretize(template.p()), CheckBasis::Z);
+        let mut probabilities = Vec::new();
+        pdem.probabilities_into(template.p(), &mut probabilities);
+        let (mut graph, _) = DecodingGraph::css_pair(&noisy, &pdem, &probabilities);
 
         for p in [5e-4, 2e-3, 1e-2] {
-            graph.reweight_from(&pdem.concretize(p));
-            let fresh_noisy = NoiseModel::new(p).apply(&clean);
-            let fresh = DecodingGraph::build(
-                &fresh_noisy,
-                &DetectorErrorModel::from_circuit(&fresh_noisy),
-                CheckBasis::Z,
-            );
+            pdem.probabilities_into(p, &mut probabilities);
+            graph.reweight_from_probabilities(&probabilities);
+            let fresh_decoder = MwpmDecoder::new(&NoiseModel::new(p).apply(&clean));
+            let fresh = fresh_decoder.z_graph();
             assert_eq!(graph.edges().len(), fresh.edges().len());
             for (a, b) in graph.edges().iter().zip(fresh.edges()) {
                 assert_eq!((a.a, a.b), (b.a, b.b));
@@ -740,7 +690,7 @@ mod tests {
                     b.probability
                 );
             }
-            let (reweighted, rebuilt) = (PathTables::build(&graph), PathTables::build(&fresh));
+            let (reweighted, rebuilt) = (PathTables::build(&graph), PathTables::build(fresh));
             let n = graph.num_nodes() as u32;
             for x in 0..n {
                 for y in 0..n {
@@ -756,36 +706,40 @@ mod tests {
     }
 
     /// The flat build equals the map-based oracle bit for bit on random
-    /// Clifford+noise circuits with detectors of both bases: through the
-    /// public DEM entry points, and through `css_pair` over a parametric
-    /// DEM of the circuit re-noised by the paper's model (what
-    /// `GraphDecoder::from_clean` runs). The run must reach every branch
-    /// of the build, and a reweight must give a fresh build's bits.
+    /// Clifford+noise circuits with detectors of both bases: on the
+    /// circuit's DEM with its noise ops as they stand (what
+    /// `GraphDecoder::new` builds), and on the parametric DEM of the
+    /// circuit re-noised by the paper's model (what
+    /// `GraphDecoder::from_clean` builds). The run must reach every
+    /// branch of the build, and a reweight must give a fresh build's
+    /// bits.
     #[test]
     fn build_matches_the_oracle_on_random_circuits() {
         let mut gen = StdRng::seed_from_u64(0x6a9e);
         let mut seen = GraphDiagnostics::default();
         for _ in 0..2000 {
             let c = random_circuit(&mut gen, true);
-            let dem = DetectorErrorModel::from_circuit(&c);
-            let (z_mask, x_mask) = DecodingGraph::split_observables(&c, &dem);
-            let z = DecodingGraph::build_with_observables(&c, &dem, CheckBasis::Z, z_mask);
-            let x = DecodingGraph::build_with_observables(&c, &dem, CheckBasis::X, x_mask);
-            let mut diagnostics = assert_pair_matches_oracle(&c, &dem, [&z, &x]).to_vec();
+            let (dem, probabilities) = fixed_dem(&c);
+            let (z, x) = DecodingGraph::css_pair(&c, &dem, &probabilities);
+            let mut diagnostics =
+                assert_pair_matches_oracle(&c, &dem, &probabilities, [&z, &x]).to_vec();
 
             let model = NoiseModel::new(gen.gen_range(1e-4..0.05));
             let (noisy, params) = model.apply_with_params(&c);
             let pdem = ParametricDem::from_noisy(&noisy, &params);
-            let mechs = pdem.mechanisms().map(|(dets, obs, _)| (dets, obs));
             let mut probabilities = Vec::new();
             pdem.probabilities_into(model.p(), &mut probabilities);
-            let (mut z, mut x) = DecodingGraph::css_pair(&noisy, mechs.clone(), &probabilities);
-            let dem = pdem.concretize(model.p());
-            diagnostics.extend(assert_pair_matches_oracle(&noisy, &dem, [&z, &x]));
+            let (mut z, mut x) = DecodingGraph::css_pair(&noisy, &pdem, &probabilities);
+            diagnostics.extend(assert_pair_matches_oracle(
+                &noisy,
+                &pdem,
+                &probabilities,
+                [&z, &x],
+            ));
 
             let p = gen.gen_range(1e-4..0.05);
             pdem.probabilities_into(p, &mut probabilities);
-            let fresh = DecodingGraph::css_pair(&noisy, mechs.clone(), &probabilities);
+            let fresh = DecodingGraph::css_pair(&noisy, &pdem, &probabilities);
             for (graph, fresh) in [(&mut z, &fresh.0), (&mut x, &fresh.1)] {
                 graph.reweight_from_probabilities(&probabilities);
                 let bits = |g: &DecodingGraph| -> Vec<(u64, u64)> {

@@ -136,8 +136,8 @@ impl PathTables {
     }
 
     /// Brings the tables up to date after `graph` — the graph they were
-    /// built from — was reweighted in place
-    /// ([`DecodingGraph::reweight_from`]), reusing the cached
+    /// built from — was reweighted in place (by its decoder's
+    /// [`Decoder::reweight`](crate::Decoder::reweight)), reusing the cached
     /// shortest-path trees: each row's distances are first re-derived
     /// along its old tree in O(V + E) and accepted when the
     /// shortest-path certificate (no edge can relax any distance
@@ -250,7 +250,6 @@ mod tests {
     use super::*;
     use crate::fixtures::{chain_circuit, repetition};
     use crate::{Decoder, Kernel, MwpmDecoder, UfDecoder, UfGraph, UfScratch};
-    use dqec_sim::circuit::CheckBasis;
     use dqec_sim::dem::ParametricDem;
     use dqec_sim::noise::NoiseModel;
     use rand::rngs::StdRng;
@@ -262,13 +261,16 @@ mod tests {
         let template = NoiseModel::new(1e-3);
         let (noisy, params) = template.apply_with_params(&clean);
         let pdem = ParametricDem::from_noisy(&noisy, &params);
-        let mut graph = DecodingGraph::build(&noisy, &pdem.concretize(template.p()), CheckBasis::Z);
+        let mut probabilities = Vec::new();
+        pdem.probabilities_into(template.p(), &mut probabilities);
+        let (mut graph, _) = DecodingGraph::css_pair(&noisy, &pdem, &probabilities);
         let mut repaired = PathTables::build(&graph);
         let n = graph.num_nodes() as u32;
         let all = || (0..n).map(Some).chain([None]);
 
         for p in [5e-4, 2e-3, 1e-2] {
-            graph.reweight_from(&pdem.concretize(p));
+            pdem.probabilities_into(p, &mut probabilities);
+            graph.reweight_from_probabilities(&probabilities);
             repaired.repair(&graph);
             let fresh = PathTables::build(&graph);
             for x in all() {

@@ -171,7 +171,7 @@ impl UfGraph {
     /// Re-derives the quantized weights from `graph`'s (reweighted)
     /// edge weights and repairs the shortest-path tables along their
     /// cached trees. The structure must be unchanged — this is the
-    /// companion to [`DecodingGraph::reweight_from`].
+    /// companion to a graph's in-place reweight.
     ///
     /// # Panics
     ///
@@ -1190,8 +1190,6 @@ mod tests {
     use crate::fixtures::{chain_circuit, repetition};
     use crate::graph::weight_of;
     use crate::Decoder;
-    use dqec_sim::circuit::CheckBasis;
-    use dqec_sim::dem::DetectorErrorModel;
     use dqec_sim::frame::FrameSampler;
     use dqec_sim::noise::NoiseModel;
     use rand::rngs::StdRng;
@@ -1216,9 +1214,9 @@ mod tests {
     #[test]
     fn uf_graph_mirrors_decoding_graph() {
         let c = repetition(3, 0.01);
-        let dem = DetectorErrorModel::from_circuit(&c);
-        let g = DecodingGraph::build(&c, &dem, CheckBasis::Z);
-        let ufg = UfGraph::from_graph(&g);
+        let decoder = crate::MwpmDecoder::new(&c);
+        let g = decoder.z_graph();
+        let ufg = UfGraph::from_graph(g);
         assert_eq!(ufg.num_nodes(), g.num_nodes());
         assert_eq!(ufg.num_edges(), g.edges().len());
         // CSR covers each edge exactly twice (once per endpoint).

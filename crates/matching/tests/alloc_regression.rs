@@ -16,8 +16,8 @@
 //! `ParametricDem::probabilities_into` allocates nothing, and a warm
 //! `MwpmDecoder::reweight` allocates as often on a defective l = 5
 //! patch as on an l = 7 one (no allocation per mechanism or per edge).
-//! So does a cold graph build: `DecodingGraph::build_with_observables`
-//! from an extracted DEM sizes every buffer before filling it.
+//! So does a cold graph build: `DecodingGraph::css_pair` from a
+//! parametric DEM sizes every buffer before filling it.
 
 mod support {
     pub mod counting_alloc;
@@ -26,7 +26,7 @@ mod support {
 use dqec_core::{memory_z, AdaptedPatch, Coord, DefectSet, PatchLayout};
 use dqec_matching::{DecodeStats, Decoder, DecodingGraph, MwpmDecoder, UfDecoder, UfScratch};
 use dqec_sim::circuit::{CheckBasis, Circuit, Noise1};
-use dqec_sim::dem::{DetectorErrorModel, ParametricDem};
+use dqec_sim::dem::ParametricDem;
 use dqec_sim::frame::{FrameProgram, FrameSampler, FrameScratch, FrameScratchPool};
 use dqec_sim::noise::NoiseModel;
 use rand::rngs::StdRng;
@@ -258,17 +258,15 @@ fn warm_reweight_allocations_do_not_scale_with_the_mechanism_count() {
 fn graph_build_allocations_do_not_scale_with_the_mechanism_count() {
     let mut seen = Vec::new();
     for (l, clean) in reweight_fixtures() {
-        let noisy = NoiseModel::new(2e-3).apply(&clean);
-        let dem = DetectorErrorModel::from_circuit(&noisy);
-        let (z_mask, x_mask) = DecodingGraph::split_observables(&noisy, &dem);
+        let (noisy, params) = NoiseModel::new(2e-3).apply_with_params(&clean);
+        let dem = ParametricDem::from_noisy(&noisy, &params);
+        let mut probabilities = Vec::new();
+        dem.probabilities_into(2e-3, &mut probabilities);
         let (allocs, edges) = count_allocs(|| {
-            [(CheckBasis::Z, z_mask), (CheckBasis::X, x_mask)].map(|(basis, mask)| {
-                DecodingGraph::build_with_observables(&noisy, &dem, basis, mask)
-                    .edges()
-                    .len()
-            })
+            let (z, x) = DecodingGraph::css_pair(&noisy, &dem, &probabilities);
+            [z.edges().len(), x.edges().len()]
         });
-        let mechanisms = dem.mechanisms.len();
+        let mechanisms = dem.mechanisms().count();
         eprintln!(
             "l = {l}: {mechanisms} mechanisms, {edges:?} edges, both builds = {allocs} allocs"
         );
@@ -277,7 +275,7 @@ fn graph_build_allocations_do_not_scale_with_the_mechanism_count() {
     assert!(seen[0].1 < seen[1].1, "{seen:?}");
     assert_eq!(
         seen[0].2, seen[1].2,
-        "DecodingGraph::build_with_observables allocations scale with the DEM: {seen:?} \
+        "DecodingGraph::css_pair allocations scale with the DEM: {seen:?} \
          as (l, mechanisms, allocs)"
     );
 }

@@ -1,9 +1,8 @@
 //! Decoder validation: graph-distance sanity on structured circuits and
 //! behaviour under extreme syndromes.
 
-use dqec_matching::{Decoder, DecodingGraph, MwpmDecoder, PathTables};
+use dqec_matching::{Decoder, MwpmDecoder, PathTables};
 use dqec_sim::circuit::{CheckBasis, Circuit, Noise1};
-use dqec_sim::dem::DetectorErrorModel;
 
 /// A 1D matching chain: n checks in a row, data errors between them.
 fn chain_circuit(n: u32, p: f64) -> Circuit {
@@ -35,8 +34,7 @@ fn chain_circuit(n: u32, p: f64) -> Circuit {
 #[test]
 fn chain_graph_distances_are_monotone_in_separation() {
     let c = chain_circuit(6, 0.01);
-    let dem = DetectorErrorModel::from_circuit(&c);
-    let tables = PathTables::build(&DecodingGraph::build(&c, &dem, CheckBasis::Z));
+    let tables = PathTables::build(MwpmDecoder::new(&c).z_graph());
     // All edges share the same probability, so the direct distance
     // grows linearly with separation — until routing through the shared
     // boundary becomes cheaper (0 and 5 are each one edge from an end,
@@ -55,8 +53,7 @@ fn chain_graph_distances_are_monotone_in_separation() {
 #[test]
 fn boundary_distance_reflects_position() {
     let c = chain_circuit(6, 0.01);
-    let dem = DetectorErrorModel::from_circuit(&c);
-    let tables = PathTables::build(&DecodingGraph::build(&c, &dem, CheckBasis::Z));
+    let tables = PathTables::build(MwpmDecoder::new(&c).z_graph());
     // Check 0 is one error from the left boundary; check 3 is four away
     // from either side (going through the nearer one is cheaper but
     // still costlier than check 0's).
@@ -103,10 +100,10 @@ fn observable_ownership_splits_by_basis() {
     // A circuit whose observable is only flippable by X errors must
     // assign the observable to the Z graph.
     let c = chain_circuit(3, 0.02);
-    let dem = DetectorErrorModel::from_circuit(&c);
-    let (z_mask, x_mask) = DecodingGraph::split_observables(&c, &dem);
-    assert_eq!(z_mask & 1, 1);
-    assert_eq!(x_mask & 1, 0);
+    let decoder = MwpmDecoder::new(&c);
+    let carries = |edges: &[dqec_matching::GraphEdge]| edges.iter().any(|e| e.observables & 1 != 0);
+    assert!(carries(decoder.z_graph().edges()));
+    assert!(!carries(decoder.x_graph().edges()));
 }
 
 #[test]
@@ -115,7 +112,6 @@ fn graphlike_distance_of_chain_matches_code_distance() {
     // chain is flipping all five qubits (a boundary-to-boundary string
     // crossing the observable once), so the circuit distance is 5.
     let c = chain_circuit(4, 0.01);
-    let dem = DetectorErrorModel::from_circuit(&c);
-    let g = DecodingGraph::build(&c, &dem, CheckBasis::Z);
-    assert_eq!(g.graphlike_distance(0), Some(5));
+    let decoder = MwpmDecoder::new(&c);
+    assert_eq!(decoder.z_graph().graphlike_distance(0), Some(5));
 }

@@ -10,30 +10,43 @@
 
 use crate::graph::{DecodingGraph, GraphDiagnostics, GraphEdge};
 use dqec_sim::circuit::{CheckBasis, Circuit};
-use dqec_sim::dem::DetectorErrorModel;
+use dqec_sim::dem::ParametricDem;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Asserts that `[z, x]`, a decoder's two graphs of `circuit`, equal
-/// the oracle's pair built from `dem` with the oracle's observable
+/// the oracle's pair built from `dem`'s mechanisms firing with
+/// `probabilities` (in mechanism order) with the oracle's observable
 /// split, field by field: node maps, edges with their probability bits,
 /// sources in fold order, weight bits, adjacency and diagnostics.
 /// Returns the oracle's diagnostics, Z first.
 pub fn assert_pair_matches_oracle(
     circuit: &Circuit,
-    dem: &DetectorErrorModel,
+    dem: &ParametricDem,
+    probabilities: &[f64],
     [z, x]: [&DecodingGraph; 2],
 ) -> [GraphDiagnostics; 2] {
-    let (z_mask, x_mask) = split_observables(circuit, dem);
-    assert_eq!(
-        DecodingGraph::split_observables(circuit, dem),
-        (z_mask, x_mask),
-        "observable split"
-    );
+    let mechanisms: Vec<Mechanism> = dem
+        .mechanisms()
+        .zip(probabilities)
+        .map(|((detectors, observables, _), &probability)| Mechanism {
+            detectors,
+            observables,
+            probability,
+        })
+        .collect();
+    let (z_mask, x_mask) = split_observables(circuit, &mechanisms);
     [(z, CheckBasis::Z, z_mask), (x, CheckBasis::X, x_mask)].map(|(got, basis, mask)| {
-        let want = build_with_observables(circuit, dem, basis, mask);
+        let want = build_with_observables(circuit, &mechanisms, basis, mask);
         assert_same_graph(got, &want, basis);
         want.diagnostics
     })
+}
+
+/// One mechanism of the DEM a graph is built from.
+struct Mechanism<'a> {
+    detectors: &'a [u32],
+    observables: u64,
+    probability: f64,
 }
 
 /// Every field of a decoding graph, as the oracle builds it.
@@ -110,16 +123,16 @@ fn assert_same_graph(got: &DecodingGraph, want: &OracleGraph, basis: CheckBasis)
 const P_FLOOR: f64 = 1e-14;
 const P_CEIL: f64 = 0.4999;
 
-fn split_observables(circuit: &Circuit, dem: &DetectorErrorModel) -> (u64, u64) {
+fn split_observables(circuit: &Circuit, mechanisms: &[Mechanism]) -> (u64, u64) {
     let det_basis: Vec<CheckBasis> = circuit.detectors().iter().map(|d| d.basis).collect();
     let mut always_z = u64::MAX;
     let mut always_x = u64::MAX;
-    for mech in &dem.mechanisms {
+    for mech in mechanisms {
         if mech.observables == 0 {
             continue;
         }
         let mut has = [false, false]; // [z, x]
-        for &d in &mech.detectors {
+        for &d in mech.detectors {
             match det_basis[d as usize] {
                 CheckBasis::Z => has[0] = true,
                 CheckBasis::X => has[1] = true,
@@ -141,7 +154,7 @@ fn split_observables(circuit: &Circuit, dem: &DetectorErrorModel) -> (u64, u64) 
 
 fn build_with_observables(
     circuit: &Circuit,
-    dem: &DetectorErrorModel,
+    mechanisms: &[Mechanism],
     basis: CheckBasis,
     obs_mask: u64,
 ) -> OracleGraph {
@@ -182,8 +195,8 @@ fn build_with_observables(
         };
 
     // Pass 1: simple mechanisms (<= 2 same-basis detectors).
-    let mut deferred: Vec<(u32, &Vec<u32>, u64, f64)> = Vec::new();
-    for (m, mech) in dem.mechanisms.iter().enumerate() {
+    let mut deferred: Vec<(u32, &[u32], u64, f64)> = Vec::new();
+    for (m, mech) in mechanisms.iter().enumerate() {
         let nodes: Vec<u32> = mech
             .detectors
             .iter()
@@ -201,7 +214,7 @@ fn build_with_observables(
         let obs = mech.observables & obs_mask;
         match nodes.len() {
             1 | 2 => add_edge(&nodes, mech.probability, obs, m as u32, &mut accum),
-            _ => deferred.push((m as u32, &mech.detectors, obs, mech.probability)),
+            _ => deferred.push((m as u32, mech.detectors, obs, mech.probability)),
         }
     }
 

@@ -3,13 +3,13 @@
 //! Walks the circuit backward maintaining, for every qubit, the set of
 //! detectors and observables that an X (resp. Z) error at that point in
 //! time would flip. Reading those sets off at each noise channel yields
-//! every error *mechanism*: a probability together with its symptom
-//! (flipped detectors) and its logical effect (flipped observables).
-//! This is the same construction Stim uses, and it is what both the
-//! matching decoder and the decoding-graph weights are built from.
+//! every error *mechanism*: its symptom (flipped detectors), its logical
+//! effect (flipped observables), and the noise branches it fires from.
+//! This is the same construction Stim uses. [`ParametricDem`] is the
+//! library's one detector error model, and every decoding graph is built
+//! from it.
 //!
-//! [`DetectorErrorModel::from_circuit`] and [`ParametricDem::from_noisy`]
-//! share one walk and one dedupe, and neither allocates per gate or per
+//! [`ParametricDem::from_noisy`] allocates nothing per gate or per
 //! branch:
 //!
 //! * **Walk.** Each qubit's X and Z sets are sorted detector lists plus
@@ -25,130 +25,24 @@
 //!   on their first four detector ids packed into one integer.
 //!
 //! Mechanisms therefore come out sorted by `(dets, obs)`, and each one
-//! combines its branches in walk order: backward through the circuit,
-//! and within a channel in Pauli-component order. That order fixes every
+//! keeps its branches in walk order: backward through the circuit, and
+//! within a channel in Pauli-component order. That order fixes every
 //! probability to the bit, so an extraction is a pure function of the
 //! circuit.
 
 use crate::circuit::{Circuit, Gate1, Gate2, Noise1, Op};
 use crate::noise::NoiseParam;
 
-/// One error mechanism of a detector error model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ErrorMechanism {
-    /// Sorted ids of the detectors this mechanism flips.
-    pub detectors: Vec<u32>,
-    /// Bitmask of observables this mechanism flips.
-    pub observables: u64,
-    /// Probability that the mechanism fires in one shot.
-    pub probability: f64,
-}
-
-/// A circuit's detector error model: every distinct symptom with its
-/// aggregate probability.
-///
-/// # Examples
-///
-/// ```
-/// use dqec_sim::circuit::{CheckBasis, Circuit, Noise1};
-/// use dqec_sim::dem::DetectorErrorModel;
-///
-/// let mut c = Circuit::new(1);
-/// c.reset(0)?;
-/// c.noise1(Noise1::XError, 0, 0.1)?;
-/// let m = c.measure(0)?;
-/// c.add_detector(&[m], CheckBasis::Z, (0, 0, 0))?;
-/// c.include_observable(0, &[m])?;
-///
-/// let dem = DetectorErrorModel::from_circuit(&c);
-/// assert_eq!(dem.mechanisms.len(), 1);
-/// assert_eq!(dem.mechanisms[0].detectors, vec![0]);
-/// assert_eq!(dem.mechanisms[0].observables, 1);
-/// # Ok::<(), dqec_sim::SimError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct DetectorErrorModel {
-    /// Total number of detectors in the source circuit.
-    pub num_detectors: usize,
-    /// Total number of observables in the source circuit.
-    pub num_observables: usize,
-    /// Deduplicated mechanisms with combined probabilities.
-    pub mechanisms: Vec<ErrorMechanism>,
-    /// Number of mechanisms that flip an observable but no detector.
-    /// Nonzero means the circuit has undetectable logical errors.
-    pub undetectable_logical_mechanisms: usize,
-}
-
-impl DetectorErrorModel {
-    /// Extracts the detector error model of `circuit`. Branches that
-    /// fire with probability 0 are left out, and each mechanism folds
-    /// its branches in walk order with the XOR rule
-    /// `q ← q·(1 − b) + b·(1 − q)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit uses more than 64 observables.
-    pub fn from_circuit(circuit: &Circuit) -> Self {
-        let rates: Vec<f64> = circuit
-            .ops()
-            .iter()
-            .filter_map(|op| match *op {
-                Op::Noise1 { p, .. } | Op::Depolarize2 { p, .. } => Some(p),
-                _ => None,
-            })
-            .collect();
-        let arena = Arena::walk(circuit, |s| s.fraction() * rates[s.noise as usize] > 0.0);
-        let groups = Groups::of(&arena);
-        let mechanisms = groups
-            .iter()
-            .map(|(first, members)| {
-                let (dets, obs) = arena.symptom(first);
-                let mut q = 0.0;
-                for s in members {
-                    let branch_p = s.fraction() * rates[s.noise as usize];
-                    q = q * (1.0 - branch_p) + branch_p * (1.0 - q);
-                }
-                ErrorMechanism {
-                    detectors: dets.to_vec(),
-                    observables: obs,
-                    probability: q,
-                }
-            })
-            .collect();
-        Self::assemble(
-            circuit.detectors().len(),
-            circuit.observables().len(),
-            mechanisms,
-        )
-    }
-
-    fn assemble(
-        num_detectors: usize,
-        num_observables: usize,
-        mechanisms: Vec<ErrorMechanism>,
-    ) -> Self {
-        let undetectable = mechanisms
-            .iter()
-            .filter(|m| m.detectors.is_empty() && m.observables != 0)
-            .count();
-        DetectorErrorModel {
-            num_detectors,
-            num_observables,
-            mechanisms,
-            undetectable_logical_mechanisms: undetectable,
-        }
-    }
-}
-
 /// A detector error model whose mechanism probabilities can be
-/// re-evaluated for any baseline rate `p` without re-walking the
-/// circuit — the expensive part of [`DetectorErrorModel::from_circuit`].
+/// evaluated for any baseline rate `p` without re-walking the circuit.
 ///
 /// Built from the noisy circuit and the per-op [`NoiseParam`]s returned
-/// by `NoiseModel::apply_with_params`; [`ParametricDem::concretize`]
-/// then yields the same mechanisms (same symptoms, same order) as a
-/// fresh extraction of the circuit re-noised at `p`, up to floating
-/// point roundoff in the probabilities.
+/// by `NoiseModel::apply_with_params`. Evaluated at `p`, it has the
+/// same mechanisms (same symptoms, same order) as an extraction of the
+/// circuit re-noised at `p`, and the same probabilities up to floating
+/// point roundoff. A circuit that already carries its noise is
+/// extracted as it stands through `NoiseModel::new(0.0)`, which inserts
+/// no channel and makes every noise op a [`NoiseParam::Fixed`].
 ///
 /// The mechanisms are stored flat, as the extraction's arena left them:
 /// one detector-id array, one `(start, len, obs, branch_end)` record per
@@ -162,7 +56,7 @@ impl DetectorErrorModel {
 ///
 /// ```
 /// use dqec_sim::circuit::{CheckBasis, Circuit};
-/// use dqec_sim::dem::{DetectorErrorModel, ParametricDem};
+/// use dqec_sim::dem::ParametricDem;
 /// use dqec_sim::noise::NoiseModel;
 ///
 /// let mut clean = Circuit::new(1);
@@ -174,22 +68,21 @@ impl DetectorErrorModel {
 /// let (noisy, params) = template.apply_with_params(&clean);
 /// let pdem = ParametricDem::from_noisy(&noisy, &params);
 ///
-/// // Reweight to p = 5e-3 without touching the circuit again.
-/// let at_5e3 = pdem.concretize(5e-3);
-/// let fresh = DetectorErrorModel::from_circuit(&NoiseModel::new(5e-3).apply(&clean));
-/// assert_eq!(at_5e3.mechanisms.len(), fresh.mechanisms.len());
+/// // Reweight to p = 5e-3 without touching the circuit again. The one
+/// // mechanism is a readout flip after the reset or before the
+/// // measurement, each at 8/15 · p.
+/// let mut probabilities = Vec::new();
+/// pdem.probabilities_into(5e-3, &mut probabilities);
+/// assert_eq!(pdem.mechanisms().count(), 1);
+/// let q = 8.0 / 15.0 * 5e-3;
+/// assert!((probabilities[0] - 2.0 * q * (1.0 - q)).abs() < 1e-15);
 /// # Ok::<(), dqec_sim::SimError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct ParametricDem {
-    /// Total number of detectors in the source circuit.
-    pub num_detectors: usize,
-    /// Total number of observables in the source circuit.
-    pub num_observables: usize,
     /// Every mechanism's detector ids, concatenated in mechanism order.
     dets: Vec<u32>,
-    /// One record per mechanism, sorted like
-    /// [`DetectorErrorModel::from_circuit`] sorts its mechanisms.
+    /// One record per mechanism, sorted by `(dets, obs)`.
     mechs: Vec<Mechanism>,
     /// Every branch as `(param, fraction)`: it fires with probability
     /// `fraction · param.rate(p)`. Grouped by mechanism, walk order
@@ -222,7 +115,7 @@ impl ParametricDem {
             circuit.num_noise_ops(),
             "one NoiseParam per noise op required"
         );
-        let arena = Arena::walk(circuit, |_| true);
+        let arena = Arena::walk(circuit);
         let groups = Groups::of(&arena);
         let mut dets = Vec::with_capacity(arena.dets.len());
         let mut mechs = Vec::with_capacity(groups.first.len());
@@ -243,8 +136,6 @@ impl ParametricDem {
             );
         }
         ParametricDem {
-            num_detectors: circuit.detectors().len(),
-            num_observables: circuit.observables().len(),
             dets,
             mechs,
             branches,
@@ -252,9 +143,9 @@ impl ParametricDem {
     }
 
     /// Writes every mechanism's probability at baseline rate `p` into
-    /// `out` (cleared first), in mechanism order — the order of
-    /// [`ParametricDem::concretize`]'s mechanisms. Allocates nothing once
-    /// `out` has the capacity.
+    /// `out` (cleared first), in the order of
+    /// [`ParametricDem::mechanisms`]. Allocates nothing once `out` has
+    /// the capacity.
     pub fn probabilities_into(&self, p: f64, out: &mut Vec<f64>) {
         out.clear();
         let mut lo = 0;
@@ -270,31 +161,13 @@ impl ParametricDem {
         }
     }
 
-    /// Evaluates every mechanism's probability at baseline rate `p`,
-    /// producing a concrete [`DetectorErrorModel`] with the same
-    /// mechanisms in the same order for every `p`.
-    pub fn concretize(&self, p: f64) -> DetectorErrorModel {
-        let mut probabilities = Vec::with_capacity(self.mechs.len());
-        self.probabilities_into(p, &mut probabilities);
-        let mechanisms = self
-            .mechanisms()
-            .zip(probabilities)
-            .map(|((dets, observables, _), probability)| ErrorMechanism {
-                detectors: dets.to_vec(),
-                observables,
-                probability,
-            })
-            .collect();
-        DetectorErrorModel::assemble(self.num_detectors, self.num_observables, mechanisms)
-    }
-
     /// Every mechanism's symptom and source, as `(detectors,
     /// observables, branches)` in mechanism order — the order of
     /// [`ParametricDem::probabilities_into`]'s output, so the `m`-th
     /// item fires with the `m`-th probability. Detector ids are sorted;
     /// branches are `(param, fraction)` in walk order. Nothing is
     /// allocated: a decoding graph is built straight from this and a
-    /// probability buffer, with no [`DetectorErrorModel`] in between.
+    /// probability buffer.
     pub fn mechanisms(
         &self,
     ) -> impl Iterator<Item = (&[u32], u64, &[(NoiseParam, f64)])> + Clone + '_ {
@@ -334,7 +207,7 @@ struct Branch {
     source: Source,
 }
 
-/// Every kept, non-empty noise branch of a circuit in walk order, with
+/// Every non-empty noise branch of a circuit in walk order, with
 /// all symptoms in one detector-id array.
 struct Arena {
     dets: Vec<u32>,
@@ -366,9 +239,9 @@ impl Arena {
     }
 
     /// Walks `circuit` backward and records every non-empty branch of
-    /// every noise op whose [`Source`] `keep` accepts. A branch fires
-    /// with probability `source.fraction() · op_p`.
-    fn walk(circuit: &Circuit, keep: impl Fn(Source) -> bool) -> Arena {
+    /// every noise op. A branch fires with probability
+    /// `source.fraction() · op_p`.
+    fn walk(circuit: &Circuit) -> Arena {
         assert!(
             circuit.observables().len() <= 64,
             "at most 64 observables supported"
@@ -500,10 +373,8 @@ impl Arena {
                         noise: next_noise as u32,
                         parts: components.len() as u8,
                     };
-                    if keep(source) {
-                        for &(s, t) in components {
-                            arena.push(s, t, source);
-                        }
+                    for &(s, t) in components {
+                        arena.push(s, t, source);
                     }
                 }
                 Op::Depolarize2 { a, b, .. } => {
@@ -512,9 +383,6 @@ impl Arena {
                         noise: next_noise as u32,
                         parts: 15,
                     };
-                    if !keep(source) {
-                        continue;
-                    }
                     let (a, b) = (a as usize, b as usize);
                     y_a.clear();
                     xor_into(&x_dets[a], &z_dets[a], &mut y_a);
@@ -698,10 +566,23 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// The mechanisms of `c` with its noise ops as they stand, as
+    /// `(detectors, observables, probability)`.
+    fn mechanisms(c: &Circuit) -> Vec<(Vec<u32>, u64, f64)> {
+        let (_, fixed) = NoiseModel::new(0.0).apply_with_params(c);
+        let pdem = ParametricDem::from_noisy(c, &fixed);
+        let mut probabilities = Vec::new();
+        pdem.probabilities_into(0.0, &mut probabilities);
+        pdem.mechanisms()
+            .zip(probabilities)
+            .map(|((dets, obs, _), p)| (dets.to_vec(), obs, p))
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
-        /// Both extractions equal the oracle's bit for bit on random
+        /// The extraction equals the oracle's bit for bit on random
         /// Clifford+noise circuits: as drawn, with every noise op a
         /// `Fixed` parameter, and with the paper's noise model inserted
         /// around every op (a bad qubit in half of the cases).
@@ -729,12 +610,12 @@ mod tests {
         let m = c.measure(0).unwrap();
         c.add_detector(&[m], CheckBasis::Z, (0, 0, 0)).unwrap();
         c.include_observable(0, &[m]).unwrap();
-        let dem = DetectorErrorModel::from_circuit(&c);
-        assert_eq!(dem.mechanisms.len(), 1);
-        let mech = &dem.mechanisms[0];
-        assert_eq!(mech.detectors, vec![0]);
-        assert_eq!(mech.observables, 1);
-        assert!((mech.probability - 0.2).abs() < 1e-12);
+        let dem = mechanisms(&c);
+        assert_eq!(dem.len(), 1);
+        let (dets, obs, p) = &dem[0];
+        assert_eq!(dets, &vec![0]);
+        assert_eq!(*obs, 1);
+        assert!((p - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -744,8 +625,7 @@ mod tests {
         c.noise1(Noise1::ZError, 0, 0.2).unwrap();
         let m = c.measure(0).unwrap();
         c.add_detector(&[m], CheckBasis::Z, (0, 0, 0)).unwrap();
-        let dem = DetectorErrorModel::from_circuit(&c);
-        assert!(dem.mechanisms.is_empty());
+        assert!(mechanisms(&c).is_empty());
     }
 
     #[test]
@@ -764,9 +644,9 @@ mod tests {
         let m1 = c.measure(1).unwrap();
         c.add_detector(&[m0], CheckBasis::Z, (0, 0, 0)).unwrap();
         c.add_detector(&[m0, m1], CheckBasis::Z, (0, 0, 1)).unwrap();
-        let dem = DetectorErrorModel::from_circuit(&c);
-        assert_eq!(dem.mechanisms.len(), 1);
-        assert_eq!(dem.mechanisms[0].detectors, vec![1]);
+        let dem = mechanisms(&c);
+        assert_eq!(dem.len(), 1);
+        assert_eq!(dem[0].0, vec![1]);
     }
 
     #[test]
@@ -777,10 +657,10 @@ mod tests {
         c.noise1(Noise1::XError, 0, 0.1).unwrap();
         let m = c.measure(0).unwrap();
         c.add_detector(&[m], CheckBasis::Z, (0, 0, 0)).unwrap();
-        let dem = DetectorErrorModel::from_circuit(&c);
-        assert_eq!(dem.mechanisms.len(), 1);
+        let dem = mechanisms(&c);
+        assert_eq!(dem.len(), 1);
         // 0.1*(1-0.1) + 0.9*0.1 = 0.18
-        assert!((dem.mechanisms[0].probability - 0.18).abs() < 1e-12);
+        assert!((dem[0].2 - 0.18).abs() < 1e-12);
     }
 
     #[test]
@@ -796,15 +676,15 @@ mod tests {
         let m1 = c.measure(1).unwrap();
         c.add_detector(&[m0], CheckBasis::Z, (0, 0, 0)).unwrap();
         c.add_detector(&[m1], CheckBasis::Z, (1, 0, 0)).unwrap();
-        let dem = DetectorErrorModel::from_circuit(&c);
+        let dem = mechanisms(&c);
         // Symptoms: {0}, {1}, {0,1} from the X/Y components.
-        let symptoms: Vec<Vec<u32>> = dem.mechanisms.iter().map(|m| m.detectors.clone()).collect();
-        assert_eq!(symptoms, vec![vec![0], vec![0, 1], vec![1]]);
+        let symptoms: Vec<&[u32]> = dem.iter().map(|m| &m.0[..]).collect();
+        assert_eq!(symptoms, [&[0][..], &[0, 1], &[1]]);
         // {0} comes from XI, YI, XZ, YZ: four disjoint p/15 = 0.01
         // components, combined with the XOR-probability rule
         // (1 - (1-2p)^4) / 2.
         let expected = (1.0 - (1.0f64 - 0.02).powi(4)) / 2.0;
-        let p_each = dem.mechanisms[0].probability;
+        let p_each = dem[0].2;
         assert!((p_each - expected).abs() < 1e-12, "got {p_each}");
     }
 
@@ -816,13 +696,15 @@ mod tests {
         let m = c.measure(0).unwrap();
         // Observable but no detector.
         c.include_observable(0, &[m]).unwrap();
-        let dem = DetectorErrorModel::from_circuit(&c);
-        assert_eq!(dem.undetectable_logical_mechanisms, 1);
+        let undetectable = mechanisms(&c)
+            .iter()
+            .filter(|(dets, obs, _)| dets.is_empty() && *obs != 0)
+            .count();
+        assert_eq!(undetectable, 1);
     }
 
     #[test]
-    fn parametric_concretize_matches_fresh_extraction() {
-        use crate::noise::NoiseModel;
+    fn parametric_reweight_matches_fresh_extraction() {
         // A small two-qubit syndrome round with gates of every kind the
         // noise model decorates, plus a per-qubit override.
         let mut clean = Circuit::new(2);
@@ -834,32 +716,24 @@ mod tests {
         let m = clean.measure(1).unwrap();
         clean.add_detector(&[m], CheckBasis::X, (0, 0, 0)).unwrap();
         let d = clean.measure(0).unwrap();
-        c_add_obs(&mut clean, d);
+        clean.include_observable(0, &[d]).unwrap();
 
         let template = NoiseModel::new(1e-3).with_bad_qubit(0, 0.08);
         let (noisy, params) = template.apply_with_params(&clean);
         let pdem = ParametricDem::from_noisy(&noisy, &params);
 
+        let mut reweighted = Vec::new();
         for p in [1e-3, 3e-3, 8e-3, 2e-2] {
-            let reweighted = pdem.concretize(p);
+            pdem.probabilities_into(p, &mut reweighted);
             let model = NoiseModel::new(p).with_bad_qubit(0, 0.08);
-            let fresh = DetectorErrorModel::from_circuit(&model.apply(&clean));
-            assert_eq!(reweighted.mechanisms.len(), fresh.mechanisms.len());
-            for (a, b) in reweighted.mechanisms.iter().zip(&fresh.mechanisms) {
-                assert_eq!(a.detectors, b.detectors, "symptom order differs");
-                assert_eq!(a.observables, b.observables);
-                assert!(
-                    (a.probability - b.probability).abs() < 1e-12,
-                    "p={p}: {} vs {}",
-                    a.probability,
-                    b.probability
-                );
+            let fresh = mechanisms(&model.apply(&clean));
+            assert_eq!(reweighted.len(), fresh.len());
+            for ((dets, obs, _), (a, b)) in pdem.mechanisms().zip(reweighted.iter().zip(&fresh)) {
+                assert_eq!(dets, &b.0[..], "symptom order differs");
+                assert_eq!(obs, b.1);
+                assert!((a - b.2).abs() < 1e-12, "p={p}: {a} vs {}", b.2);
             }
         }
-    }
-
-    fn c_add_obs(c: &mut Circuit, d: crate::MeasRecord) {
-        c.include_observable(0, &[d]).unwrap();
     }
 
     #[test]
@@ -871,8 +745,8 @@ mod tests {
         c.h(0).unwrap();
         let m = c.measure(0).unwrap();
         c.add_detector(&[m], CheckBasis::Z, (0, 0, 0)).unwrap();
-        let dem = DetectorErrorModel::from_circuit(&c);
-        assert_eq!(dem.mechanisms.len(), 1);
-        assert_eq!(dem.mechanisms[0].detectors, vec![0]);
+        let dem = mechanisms(&c);
+        assert_eq!(dem.len(), 1);
+        assert_eq!(dem[0].0, vec![0]);
     }
 }

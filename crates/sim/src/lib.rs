@@ -13,7 +13,8 @@
 //! * [`frame`] — a vectorized (64 shots/word) Pauli-frame sampler that
 //!   produces detector/observable flip tables;
 //! * [`dem`] — detector-error-model extraction: every noise mechanism's
-//!   probability, flipped detectors, and flipped observables;
+//!   flipped detectors and observables, with its probability at any
+//!   baseline rate `p`;
 //! * [`noise`] — the paper's circuit-level noise model (2-qubit gate
 //!   error `p`, 1-qubit `0.8p`, readout `8/15·p`), with per-qubit
 //!   overrides for the cutoff-fidelity study;
@@ -57,7 +58,7 @@ pub mod pauli;
 pub mod tableau;
 
 pub use circuit::{CheckBasis, Circuit, MeasRecord};
-pub use dem::{DetectorErrorModel, ParametricDem};
+pub use dem::ParametricDem;
 pub use error::SimError;
 pub use frame::{BitTable, FrameProgram, FrameSampler, FrameScratch, FrameScratchPool, ShotBatch};
 pub use noise::{NoiseModel, NoiseParam};

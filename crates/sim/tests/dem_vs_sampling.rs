@@ -4,27 +4,36 @@
 //! vectorized forward sampling) against each other.
 
 use dqec_sim::circuit::{CheckBasis, Circuit, Noise1};
-use dqec_sim::dem::DetectorErrorModel;
+use dqec_sim::dem::ParametricDem;
 use dqec_sim::frame::FrameSampler;
 use dqec_sim::noise::NoiseModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Marginal flip probability of each detector according to the DEM:
+/// Marginal flip probability of each of `num_detectors` detectors
+/// according to `dem` at baseline rate `p`:
 /// P(flip) = 1/2 (1 - prod_m (1 - 2 p_m)) over mechanisms touching it.
-fn dem_marginals(dem: &DetectorErrorModel) -> Vec<f64> {
-    let mut keep = vec![1.0f64; dem.num_detectors];
-    for mech in &dem.mechanisms {
-        for &d in &mech.detectors {
-            keep[d as usize] *= 1.0 - 2.0 * mech.probability;
+fn dem_marginals(dem: &ParametricDem, p: f64, num_detectors: usize) -> Vec<f64> {
+    let mut probabilities = Vec::new();
+    dem.probabilities_into(p, &mut probabilities);
+    let mut keep = vec![1.0f64; num_detectors];
+    for ((dets, _, _), q) in dem.mechanisms().zip(probabilities) {
+        for &d in dets {
+            keep[d as usize] *= 1.0 - 2.0 * q;
         }
     }
     keep.into_iter().map(|k| 0.5 * (1.0 - k)).collect()
 }
 
-fn assert_marginals_match(circuit: &Circuit, shots: usize, tolerance: f64) {
-    let dem = DetectorErrorModel::from_circuit(circuit);
-    let predicted = dem_marginals(&dem);
+/// The DEM of `circuit` with its noise ops as they stand.
+fn fixed_dem(circuit: &Circuit) -> ParametricDem {
+    let (_, fixed) = NoiseModel::new(0.0).apply_with_params(circuit);
+    ParametricDem::from_noisy(circuit, &fixed)
+}
+
+/// Asserts that `predicted` matches every detector's sampled flip rate
+/// in `circuit` within `tolerance` plus five standard errors.
+fn assert_marginals_match(circuit: &Circuit, predicted: &[f64], shots: usize, tolerance: f64) {
     let batch = FrameSampler::new(circuit).sample(shots, &mut StdRng::seed_from_u64(7));
     assert_eq!(
         predicted.len(),
@@ -39,6 +48,12 @@ fn assert_marginals_match(circuit: &Circuit, shots: usize, tolerance: f64) {
             "detector {d}: predicted {expected} observed {observed}"
         );
     }
+}
+
+/// [`assert_marginals_match`] with the marginals of `circuit`'s own DEM.
+fn assert_dem_matches_sampling(circuit: &Circuit, shots: usize, tolerance: f64) {
+    let predicted = dem_marginals(&fixed_dem(circuit), 0.0, circuit.detectors().len());
+    assert_marginals_match(circuit, &predicted, shots, tolerance);
 }
 
 fn repetition_round(p: f64) -> Circuit {
@@ -76,7 +91,7 @@ fn repetition_round(p: f64) -> Circuit {
 
 #[test]
 fn dem_marginals_match_sampling_repetition_code() {
-    assert_marginals_match(&repetition_round(0.02), 200_000, 0.004);
+    assert_dem_matches_sampling(&repetition_round(0.02), 200_000, 0.004);
 }
 
 #[test]
@@ -97,7 +112,7 @@ fn dem_marginals_match_sampling_with_two_qubit_noise() {
     c.add_detector(&[m0], CheckBasis::Z, (0, 0, 0)).unwrap();
     c.add_detector(&[m1], CheckBasis::Z, (1, 0, 0)).unwrap();
     c.add_detector(&[m0, m2], CheckBasis::Z, (2, 0, 0)).unwrap();
-    assert_marginals_match(&c, 200_000, 0.004);
+    assert_dem_matches_sampling(&c, 200_000, 0.004);
 }
 
 #[test]
@@ -105,7 +120,26 @@ fn dem_marginals_match_on_surface_code_circuit() {
     // The real deal: a d=3 memory circuit under the paper's noise model.
     use dqec_core_like::build_d3;
     let noisy = NoiseModel::new(5e-3).apply(&build_d3());
-    assert_marginals_match(&noisy, 100_000, 0.006);
+    assert_dem_matches_sampling(&noisy, 100_000, 0.006);
+}
+
+#[test]
+fn reweighted_dem_marginals_match_sampling() {
+    // The shipped reweight path: a DEM extracted once from a template at
+    // p = 4e-3 and evaluated at 1e-3 must predict what a circuit noised
+    // at 1e-3 samples. The template's own marginals are about four
+    // times larger, far outside this bound.
+    use dqec_core_like::build_d3;
+    let clean = build_d3();
+    let (template, params) = NoiseModel::new(4e-3).apply_with_params(&clean);
+    let dem = ParametricDem::from_noisy(&template, &params);
+    let predicted = dem_marginals(&dem, 1e-3, clean.detectors().len());
+    assert_marginals_match(
+        &NoiseModel::new(1e-3).apply(&clean),
+        &predicted,
+        100_000,
+        0.0,
+    );
 }
 
 /// Minimal hand-rolled d=3 rotated surface code memory circuit (one
@@ -163,8 +197,7 @@ mod dqec_core_like {
 #[test]
 fn zero_noise_dem_is_empty_and_sampling_silent() {
     let clean = repetition_round(0.0);
-    let dem = DetectorErrorModel::from_circuit(&clean);
-    assert!(dem.mechanisms.is_empty());
+    assert_eq!(fixed_dem(&clean).mechanisms().count(), 0);
     let batch = FrameSampler::new(&clean).sample(10_000, &mut StdRng::seed_from_u64(1));
     for d in 0..clean.detectors().len() {
         assert_eq!(batch.detectors.count_row(d), 0);

@@ -8,20 +8,16 @@
 //! imports those three modules at its root.
 
 use crate::circuit::{Circuit, Gate1, Gate2, Noise1, Op};
-use crate::dem::{DetectorErrorModel, ErrorMechanism, ParametricDem};
+use crate::dem::ParametricDem;
 use crate::noise::NoiseParam;
 use std::collections::HashMap;
 
-/// Asserts that both extractions of `noisy` equal the oracle's: the
-/// same mechanisms in the same order, the same branches in the same
-/// order, and probabilities with the same bits — `from_circuit`'s, and
-/// `from_noisy`'s concretized at a few baseline rates. `params` holds
-/// one [`NoiseParam`] per noise op of `noisy`.
+/// Asserts that [`ParametricDem::from_noisy`] of `noisy` equals the
+/// oracle's extraction: the same mechanisms in the same order, the same
+/// branches in the same order, and probabilities with the same bits at
+/// a few baseline rates. `params` holds one [`NoiseParam`] per noise op
+/// of `noisy`.
 pub fn assert_matches_oracle(noisy: &Circuit, params: &[NoiseParam]) {
-    let got = DetectorErrorModel::from_circuit(noisy);
-    let want = from_circuit(noisy);
-    assert_same_dem(&got, &want, "from_circuit");
-
     let pdem = ParametricDem::from_noisy(noisy, params);
     let want = from_noisy(noisy, params);
     let got: Vec<_> = pdem.mechanisms().collect();
@@ -45,44 +41,6 @@ pub fn assert_matches_oracle(noisy: &Circuit, params: &[NoiseParam]) {
             .map(|(_, _, b)| probability(b, p).to_bits())
             .collect();
         assert_eq!(bits, w_bits, "probabilities_into at p = {p}");
-        let concrete = pdem.concretize(p);
-        let w_concrete = DetectorErrorModel {
-            num_detectors: noisy.detectors().len(),
-            num_observables: noisy.observables().len(),
-            mechanisms: want
-                .iter()
-                .map(|(detectors, observables, b)| ErrorMechanism {
-                    detectors: detectors.clone(),
-                    observables: *observables,
-                    probability: probability(b, p),
-                })
-                .collect(),
-            undetectable_logical_mechanisms: got
-                .iter()
-                .filter(|(d, o, _)| d.is_empty() && *o != 0)
-                .count(),
-        };
-        assert_same_dem(&concrete, &w_concrete, "concretize");
-    }
-}
-
-fn assert_same_dem(got: &DetectorErrorModel, want: &DetectorErrorModel, what: &str) {
-    assert_eq!(got.num_detectors, want.num_detectors, "{what}: detectors");
-    assert_eq!(
-        got.num_observables, want.num_observables,
-        "{what}: observables"
-    );
-    assert_eq!(
-        got.undetectable_logical_mechanisms, want.undetectable_logical_mechanisms,
-        "{what}: undetectable"
-    );
-    assert_eq!(got.mechanisms.len(), want.mechanisms.len(), "{what}: count");
-    for (m, (a, b)) in got.mechanisms.iter().zip(&want.mechanisms).enumerate() {
-        assert_eq!(
-            (&a.detectors, a.observables, a.probability.to_bits()),
-            (&b.detectors, b.observables, b.probability.to_bits()),
-            "{what}: mechanism {m}"
-        );
     }
 }
 
@@ -131,51 +89,14 @@ impl Sens {
     }
 }
 
-fn from_circuit(circuit: &Circuit) -> DetectorErrorModel {
-    let mut raw: HashMap<(Vec<u32>, u64), f64> = HashMap::new();
-    walk_mechanisms(circuit, |sens, _idx, fraction, op_p| {
-        let branch_p = fraction * op_p;
-        if sens.is_empty() || branch_p <= 0.0 {
-            return;
-        }
-        let key = (sens.dets.clone(), sens.obs);
-        let q = raw.entry(key).or_insert(0.0);
-        *q = *q * (1.0 - branch_p) + branch_p * (1.0 - *q);
-    });
-
-    let mut mechanisms: Vec<ErrorMechanism> = raw
-        .into_iter()
-        .map(|((detectors, observables), probability)| ErrorMechanism {
-            detectors,
-            observables,
-            probability,
-        })
-        .collect();
-    mechanisms.sort_by(|a, b| {
-        a.detectors
-            .cmp(&b.detectors)
-            .then(a.observables.cmp(&b.observables))
-    });
-    let undetectable = mechanisms
-        .iter()
-        .filter(|m| m.detectors.is_empty() && m.observables != 0)
-        .count();
-    DetectorErrorModel {
-        num_detectors: circuit.detectors().len(),
-        num_observables: circuit.observables().len(),
-        mechanisms,
-        undetectable_logical_mechanisms: undetectable,
-    }
-}
-
 type Branches = Vec<(NoiseParam, f64)>;
 
-/// `(detectors, observables, branches)` per mechanism, sorted like
-/// [`from_circuit`]'s mechanisms.
+/// `(detectors, observables, branches)` per mechanism, sorted by
+/// `(detectors, observables)`.
 fn from_noisy(circuit: &Circuit, params: &[NoiseParam]) -> Vec<(Vec<u32>, u64, Branches)> {
     let mut raw: HashMap<(Vec<u32>, u64), Branches> = HashMap::new();
     assert_eq!(params.len(), circuit.num_noise_ops());
-    walk_mechanisms(circuit, |sens, idx, fraction, _op_p| {
+    walk_mechanisms(circuit, |sens, idx, fraction| {
         if sens.is_empty() || fraction <= 0.0 {
             return;
         }
@@ -201,9 +122,9 @@ fn probability(branches: &[(NoiseParam, f64)], p: f64) -> f64 {
     (1.0 - q) / 2.0
 }
 
-/// Walks `circuit` backward, calling `visit(sens, noise_index, fraction,
-/// op_p)` for every branch of every noise op.
-fn walk_mechanisms<F: FnMut(&Sens, usize, f64, f64)>(circuit: &Circuit, mut visit: F) {
+/// Walks `circuit` backward, calling `visit(sens, noise_index, fraction)`
+/// for every branch of every noise op.
+fn walk_mechanisms<F: FnMut(&Sens, usize, f64)>(circuit: &Circuit, mut visit: F) {
     assert!(
         circuit.observables().len() <= 64,
         "at most 64 observables supported"
@@ -277,21 +198,21 @@ fn walk_mechanisms<F: FnMut(&Sens, usize, f64, f64)>(circuit: &Circuit, mut visi
                 };
                 xmap[q].xor_in_place(&m);
             }
-            Op::Noise1 { kind, q, p } => {
+            Op::Noise1 { kind, q, .. } => {
                 next_noise -= 1;
                 let q = q as usize;
                 match kind {
-                    Noise1::XError => visit(&xmap[q], next_noise, 1.0, p),
-                    Noise1::ZError => visit(&zmap[q], next_noise, 1.0, p),
+                    Noise1::XError => visit(&xmap[q], next_noise, 1.0),
+                    Noise1::ZError => visit(&zmap[q], next_noise, 1.0),
                     Noise1::Depolarize1 => {
                         let y = xmap[q].xor(&zmap[q]);
-                        visit(&xmap[q], next_noise, 1.0 / 3.0, p);
-                        visit(&zmap[q], next_noise, 1.0 / 3.0, p);
-                        visit(&y, next_noise, 1.0 / 3.0, p);
+                        visit(&xmap[q], next_noise, 1.0 / 3.0);
+                        visit(&zmap[q], next_noise, 1.0 / 3.0);
+                        visit(&y, next_noise, 1.0 / 3.0);
                     }
                 }
             }
-            Op::Depolarize2 { a, b, p } => {
+            Op::Depolarize2 { a, b, .. } => {
                 next_noise -= 1;
                 let (a, b) = (a as usize, b as usize);
                 let comp = |x: &Sens, z: &Sens| -> [Sens; 4] {
@@ -304,7 +225,7 @@ fn walk_mechanisms<F: FnMut(&Sens, usize, f64, f64)>(circuit: &Circuit, mut visi
                         if i == 0 && j == 0 {
                             continue;
                         }
-                        visit(&sa.xor(sb), next_noise, 1.0 / 15.0, p);
+                        visit(&sa.xor(sb), next_noise, 1.0 / 15.0);
                     }
                 }
             }

@@ -5,18 +5,31 @@
 //! the measurement schedule must not create anything cheaper).
 
 use dqec::core::{memory_z, AdaptedPatch, Coord, DefectSet, PatchIndicators, PatchLayout};
-use dqec::matching::DecodingGraph;
-use dqec::sim::circuit::CheckBasis;
-use dqec::sim::dem::DetectorErrorModel;
+use dqec::matching::MwpmDecoder;
 use dqec::sim::noise::NoiseModel;
 
+/// The graphlike distance of `patch`'s memory circuit over `rounds`
+/// rounds, read off the Z graph that owns its observable. Both graphs
+/// must be fully graphlike (nothing decomposed, nothing undecomposable),
+/// so that distance is the circuit-level distance of the basis.
 fn circuit_distance(patch: &AdaptedPatch, rounds: u32) -> u32 {
     let exp = memory_z(patch, rounds).expect("circuit builds");
     let noisy = NoiseModel::new(1e-3).apply(&exp.circuit);
-    let dem = DetectorErrorModel::from_circuit(&noisy);
-    let (z_mask, _) = DecodingGraph::split_observables(&noisy, &dem);
-    assert_eq!(z_mask & 1, 1, "memory-Z observable belongs to the Z graph");
-    let g = DecodingGraph::build_with_observables(&noisy, &dem, CheckBasis::Z, 1);
+    let decoder = MwpmDecoder::new(&noisy);
+    for g in [decoder.z_graph(), decoder.x_graph()] {
+        let d = g.diagnostics();
+        assert_eq!(
+            (d.decomposed_mechanisms, d.undecomposable_mechanisms),
+            (0, 0),
+            "{:?} graph: every mechanism must be an edge",
+            g.basis()
+        );
+    }
+    let g = decoder.z_graph();
+    assert!(
+        g.edges().iter().any(|e| e.observables & 1 == 1),
+        "memory-Z observable belongs to the Z graph"
+    );
     g.graphlike_distance(0).expect("a logical error exists")
 }
 
@@ -55,8 +68,8 @@ fn super_stabilizer_schedule_preserves_distance() {
     let patch = AdaptedPatch::new(PatchLayout::memory(7), &d);
     let expected = PatchIndicators::of(&patch).dist_x;
     let got = circuit_distance(&patch, 8);
-    assert!(
-        got >= expected.min(5),
+    assert_eq!(
+        got, expected,
         "schedule must preserve the distance: got {got}, adapted {expected}"
     );
 }

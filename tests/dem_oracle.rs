@@ -2,9 +2,9 @@
 //! circuits the paper's figures are built from: adapted l = 5, 7 and 9
 //! patches with random qubit + link defects (so super-stabilizer gauge
 //! schedules and deformed boundaries are in the circuit), noised by the
-//! paper's model. Both `DetectorErrorModel::from_circuit` and
-//! `ParametricDem::from_noisy` must equal the oracle bit for bit:
-//! mechanism ids, observable masks, branches in order, probabilities.
+//! paper's model. `ParametricDem::from_noisy` must equal the oracle bit
+//! for bit: mechanism ids, observable masks, branches in order,
+//! probabilities.
 
 use dqec::chiplet::runner::default_rounds;
 use dqec::chiplet::DefectModel;

@@ -1,4 +1,4 @@
-//! `DecodingGraph::build` must be a pure function of the circuit: when
+//! A decoding-graph build must be a pure function of the circuit: when
 //! parallel edges disagree on their observable mask, the vote between
 //! them — ties included — may not depend on hash-map iteration order,
 //! or two builds of one patch decode the same syndrome differently and

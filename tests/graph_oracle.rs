@@ -3,9 +3,10 @@
 //! patches with random qubit + link defects (super-stabilizers,
 //! deformed boundaries), noised by the paper's model, plus one patch
 //! whose parallel edges disagree on their observables. Both decoder
-//! entry points — `with_dem` on an extracted DEM and `from_clean`, which
-//! builds from the parametric DEM without one — must equal the oracle
-//! field by field, bit for bit. (These patches' mechanisms are all
+//! constructors — `new` on the noisy circuit as it stands and
+//! `from_clean`, which re-noises the clean circuit — must equal the
+//! oracle built from the same parametric DEM field by field, bit for
+//! bit. (These patches' mechanisms are all
 //! graphlike per basis, so decomposition is exercised by the random
 //! circuits of `dqec_matching`'s `graph` unit tests.)
 
@@ -14,8 +15,8 @@ use dqec::chiplet::DefectModel;
 use dqec::core::{memory_z, AdaptedPatch, Coord, DefectSet, PatchLayout};
 use dqec::matching::MwpmDecoder;
 use dqec::sim::circuit::Circuit;
-use dqec::sim::dem::{DetectorErrorModel, ParametricDem};
-use dqec::sim::noise::NoiseModel;
+use dqec::sim::dem::ParametricDem;
+use dqec::sim::noise::{NoiseModel, NoiseParam};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -25,6 +26,26 @@ use dqec::matching::graph;
 
 #[path = "../crates/matching/tests/support/graph_oracle.rs"]
 mod oracle;
+
+/// Asserts that `decoder`'s graphs equal the oracle's from `noisy`'s
+/// DEM under `params` at baseline rate `p`; returns the oracle's
+/// diagnostics.
+fn assert_decoder_matches_oracle(
+    decoder: &MwpmDecoder,
+    noisy: &Circuit,
+    params: &[NoiseParam],
+    p: f64,
+) -> [graph::GraphDiagnostics; 2] {
+    let dem = ParametricDem::from_noisy(noisy, params);
+    let mut probabilities = Vec::new();
+    dem.probabilities_into(p, &mut probabilities);
+    oracle::assert_pair_matches_oracle(
+        noisy,
+        &dem,
+        &probabilities,
+        [decoder.z_graph(), decoder.x_graph()],
+    )
+}
 
 /// Draws defective `LinkAndQubit` patches of size `l` until one is
 /// valid, hosts a memory experiment and has a defect; returns its clean
@@ -57,13 +78,11 @@ proptest! {
             }
             let (noisy, params) = model.apply_with_params(&clean);
 
-            let dem = DetectorErrorModel::from_circuit(&noisy);
-            let decoder = MwpmDecoder::with_dem(&noisy, &dem);
-            oracle::assert_pair_matches_oracle(&noisy, &dem, [decoder.z_graph(), decoder.x_graph()]);
+            let (_, fixed) = NoiseModel::new(0.0).apply_with_params(&noisy);
+            assert_decoder_matches_oracle(&MwpmDecoder::new(&noisy), &noisy, &fixed, 0.0);
 
             let decoder = MwpmDecoder::from_clean(&clean, &model);
-            let dem = ParametricDem::from_noisy(&noisy, &params).concretize(model.p());
-            oracle::assert_pair_matches_oracle(&noisy, &dem, [decoder.z_graph(), decoder.x_graph()]);
+            assert_decoder_matches_oracle(&decoder, &noisy, &params, model.p());
         }
     }
 }
@@ -84,12 +103,7 @@ fn conflicted_patch_matches_the_oracle() {
         let model = NoiseModel::new(p);
         let (noisy, params) = model.apply_with_params(&clean);
         let decoder = MwpmDecoder::from_clean(&clean, &model);
-        let dem = ParametricDem::from_noisy(&noisy, &params).concretize(p);
-        let diagnostics = oracle::assert_pair_matches_oracle(
-            &noisy,
-            &dem,
-            [decoder.z_graph(), decoder.x_graph()],
-        );
+        let diagnostics = assert_decoder_matches_oracle(&decoder, &noisy, &params, p);
         let conflicts: usize = diagnostics
             .iter()
             .map(|d| d.conflicting_observable_edges)
