@@ -34,9 +34,9 @@ pub fn assert_pair_matches_oracle(
             probability,
         })
         .collect();
-    let (z_mask, x_mask) = split_observables(circuit, &mechanisms);
+    let (z_mask, x_mask) = split(circuit, &mechanisms);
     [(z, CheckBasis::Z, z_mask), (x, CheckBasis::X, x_mask)].map(|(got, basis, mask)| {
-        let want = build_with_observables(circuit, &mechanisms, basis, mask);
+        let want = build(circuit, &mechanisms, basis, mask);
         assert_same_graph(got, &want, basis);
         want.diagnostics
     })
@@ -123,7 +123,7 @@ fn assert_same_graph(got: &DecodingGraph, want: &OracleGraph, basis: CheckBasis)
 const P_FLOOR: f64 = 1e-14;
 const P_CEIL: f64 = 0.4999;
 
-fn split_observables(circuit: &Circuit, mechanisms: &[Mechanism]) -> (u64, u64) {
+fn split(circuit: &Circuit, mechanisms: &[Mechanism]) -> (u64, u64) {
     let det_basis: Vec<CheckBasis> = circuit.detectors().iter().map(|d| d.basis).collect();
     let mut always_z = u64::MAX;
     let mut always_x = u64::MAX;
@@ -152,7 +152,7 @@ fn split_observables(circuit: &Circuit, mechanisms: &[Mechanism]) -> (u64, u64) 
     (z_mask | !(always_z | always_x), x_mask)
 }
 
-fn build_with_observables(
+fn build(
     circuit: &Circuit,
     mechanisms: &[Mechanism],
     basis: CheckBasis,
