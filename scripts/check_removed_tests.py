@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Checks the committed list of removed tests against the test suite.
 
-Usage: python3 scripts/check_removed_tests.py [TESTS_REMOVED.json]
+Usage: python3 scripts/check_removed_tests.py [removed_tests.json]
 
 The list is a JSON array of {"id", "reason", "renamed_to"} entries.
 Test names follow `cargo test -- --list`, prefixed with the source of
@@ -52,7 +52,7 @@ def listed_tests():
 
 
 def main():
-    path = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT / "TESTS_REMOVED.json"
+    path = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT / "removed_tests.json"
     try:
         entries = json.loads(path.read_text())
     except (OSError, ValueError) as e:
