@@ -3,7 +3,7 @@
 //! throughput and latency percentiles to `BENCH_serve.json` so
 //! successive PRs can track the trajectory.
 //!
-//! Four phases over the identical request stream:
+//! Three phases over the identical request stream:
 //!
 //! * `cold` — the server runs with `--cache 0`, so every request pays
 //!   experiment compilation (circuit synthesis + decoder construction)
@@ -14,11 +14,7 @@
 //! * `warm_metrics_off` — the warm burst again with the `dqec_obs`
 //!   metrics registry disabled, isolating the cost of the always-on
 //!   instrumentation. `overhead_ratio` is metrics-on warm throughput
-//!   over metrics-off; CI asserts it stays >= 0.98 (<= 2% overhead);
-//! * `open_loop` — the warm burst paced at a fixed arrival rate
-//!   (`--rate`) from a sender thread, so latency includes the queueing
-//!   a real client population would see instead of the closed loop's
-//!   one-in-flight flattering view.
+//!   over metrics-off; CI asserts it stays >= 0.98 (<= 2% overhead).
 //!
 //! `speedup` is warm throughput over cold throughput; the CI smoke job
 //! asserts it stays >= 5 at d = 5.
@@ -27,17 +23,16 @@ use dqec_serve::protocol::{parse_response, DecodeRequest, Request, Response};
 use dqec_serve::{start, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const USAGE: &str = "\
-usage: bench_serve [--requests N] [--shots N] [--threads N] [--rate REQ_S]
-                   [--out FILE] [--help]
+usage: bench_serve [--requests N] [--shots N] [--threads N] [--out FILE]
+                   [--help]
 
   --requests N  burst size per phase (default 32)
   --shots N     shots per decode request (default 256; small on purpose
                 so compilation dominates the cold phase)
   --threads N   worker cap for decode fan-outs (N >= 1)
-  --rate REQ_S  open-loop arrival rate in requests/s (default 200)
   --out FILE    where to write the JSON report (default BENCH_serve.json)
   --help        show this message";
 
@@ -45,7 +40,6 @@ struct Args {
     requests: usize,
     shots: usize,
     threads: Option<usize>,
-    rate: f64,
     out: std::path::PathBuf,
 }
 
@@ -53,7 +47,6 @@ fn parse_args() -> Args {
     let mut requests = 32usize;
     let mut shots = 256usize;
     let mut threads: Option<usize> = None;
-    let mut rate = 200.0f64;
     let mut out = std::path::PathBuf::from("BENCH_serve.json");
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut it = argv.iter();
@@ -72,20 +65,6 @@ fn parse_args() -> Args {
                     std::process::exit(2);
                 }
                 threads = Some(n);
-            }
-            "--rate" => {
-                let v = it.next().unwrap_or_else(|| {
-                    eprintln!("error: --rate requires a value\n{USAGE}");
-                    std::process::exit(2);
-                });
-                rate = v.parse().unwrap_or_else(|_| {
-                    eprintln!("error: bad --rate value {v:?}\n{USAGE}");
-                    std::process::exit(2);
-                });
-                if !rate.is_finite() || rate <= 0.0 {
-                    eprintln!("error: --rate must be > 0\n{USAGE}");
-                    std::process::exit(2);
-                }
             }
             "--out" => {
                 out = it
@@ -110,7 +89,6 @@ fn parse_args() -> Args {
         requests,
         shots,
         threads,
-        rate,
         out,
     }
 }
@@ -274,66 +252,6 @@ fn run_onoff(config: ServerConfig, requests: usize, shots: usize) -> (Phase, Pha
     )
 }
 
-/// Open-loop client: a sender thread paces requests at a fixed arrival
-/// rate regardless of responses, so measured latency includes the
-/// queueing a steady client population would experience.
-fn run_open_loop(config: ServerConfig, requests: usize, shots: usize, rate: f64) -> Phase {
-    let server = start(config).unwrap_or_else(|e| {
-        eprintln!("error: cannot start server: {e}");
-        std::process::exit(1);
-    });
-    let (mut write, mut read) = connect(server.addr());
-
-    // Prewarm the compiled-experiment cache through the same socket.
-    for i in 0..PS.len() * DECODERS.len() {
-        writeln!(write, "{}", burst_request(i, shots).render_line()).expect("send prewarm");
-        write.flush().expect("flush prewarm");
-        let mut line = String::new();
-        assert!(read.read_line(&mut line).expect("read prewarm") > 0);
-    }
-
-    let t0 = Instant::now();
-    let sender = dqec_check::thread::spawn(move || -> Vec<Duration> {
-        let mut sent = Vec::with_capacity(requests);
-        for i in 0..requests {
-            let target = Duration::from_secs_f64(i as f64 / rate);
-            if let Some(wait) = target.checked_sub(t0.elapsed()) {
-                std::thread::sleep(wait);
-            }
-            sent.push(t0.elapsed());
-            writeln!(write, "{}", burst_request(i, shots).render_line()).expect("send request");
-            write.flush().expect("flush request");
-        }
-        sent
-    });
-
-    // Responses may arrive out of order across ids; correlate by id.
-    let mut recv_at: Vec<Option<Duration>> = vec![None; requests];
-    for _ in 0..requests {
-        let mut line = String::new();
-        let n = read.read_line(&mut line).expect("read response");
-        assert!(n > 0, "server closed the connection mid-phase");
-        let at = t0.elapsed();
-        match parse_response(line.trim_end()).expect("parseable response") {
-            Response::Ler(r) => {
-                assert_eq!(r.shots, shots, "short-counted response");
-                recv_at[r.id as usize] = Some(at);
-            }
-            other => panic!("expected ler response, got {other:?}"),
-        }
-    }
-    let total_s = t0.elapsed().as_secs_f64();
-    let sent = sender.join().expect("sender thread");
-    server.stop();
-
-    let lat: Vec<f64> = sent
-        .iter()
-        .zip(&recv_at)
-        .map(|(s, r)| (r.expect("every id answered") - *s).as_secs_f64())
-        .collect();
-    percentiles(lat, requests, total_s)
-}
-
 fn main() {
     let args = parse_args();
     match args.threads {
@@ -373,15 +291,12 @@ fn bench(args: &Args) {
     let speedup = warm.rps / cold.rps;
     eprintln!("speedup (warm/cold): {speedup:.1}x");
 
-    let (warm_on, warm_off) = run_onoff(warm_config.clone(), args.requests, args.shots);
+    let (warm_on, warm_off) = run_onoff(warm_config, args.requests, args.shots);
     report("warm_metrics_off", &warm_off, args.requests);
     // Median service rate ratio: 1/p50 on over 1/p50 off. CI asserts
     // >= 0.98 (instrumentation costs at most 2% of a median request).
     let overhead_ratio = warm_off.p50_ms / warm_on.p50_ms;
     eprintln!("overhead_ratio (metrics-on/metrics-off median rate): {overhead_ratio:.3}");
-
-    let open = run_open_loop(warm_config, args.requests, args.shots, args.rate);
-    report("open_loop", &open, args.requests);
 
     let common = |ph: &Phase| {
         format!(
@@ -400,11 +315,6 @@ fn bench(args: &Args) {
         format!(
             "{{\"phase\": \"warm_metrics_off\", {}, \"overhead_ratio\": {overhead_ratio:.4}}}",
             common(&warm_off)
-        ),
-        format!(
-            "{{\"phase\": \"open_loop\", {}, \"rate\": {:.1}}}",
-            common(&open),
-            args.rate
         ),
     ];
     let mut json = String::from("[\n");

@@ -16,11 +16,13 @@
 //!   is ratcheted: existing sites are counted in
 //!   `lint-allowlist.tsv`, new ones are rejected, and shrinking a
 //!   file's count below its allowance produces a ratchet warning.
+//! * **`panic`** — `panic!` / `unreachable!` in non-test library code
+//!   is ratcheted the same way.
 //! * **`det-clock`** — `Instant::now` / `SystemTime::now` are
 //!   forbidden in all library code: timestamps must flow through the
 //!   `dqec_obs` clock facade (monotonic in production, virtual under
 //!   `--cfg dqec_check`). Bench binaries, tests, and examples are
-//!   exempt, as are `crates/obs` itself and `vendor/criterion`.
+//!   exempt, as is `crates/obs` itself.
 //! * **`det-hasher`** — default-hasher `HashMap`/`HashSet` in the
 //!   deterministic crates is ratcheted like `unwrap` (iteration order
 //!   must never leak into results; existing sites are allowlisted,
@@ -50,8 +52,8 @@ const DET_CRATES: [&str; 6] = [
 const RAW_SYNC_EXEMPT: [&str; 3] = ["vendor/rayon", "crates/check", "crates/obs"];
 
 /// Directory prefixes exempt from the `det-clock` rule: the clock
-/// facade itself and the vendored benchmark harness.
-const CLOCK_EXEMPT: [&str; 2] = ["crates/obs", "vendor/criterion"];
+/// facade itself.
+const CLOCK_EXEMPT: [&str; 1] = ["crates/obs"];
 
 /// Name of the ratchet file at the workspace root.
 pub const ALLOWLIST_FILE: &str = "lint-allowlist.tsv";
@@ -430,6 +432,7 @@ pub fn scan_source(rel: &str, src: &str, class: FileClass) -> (Vec<Finding>, Rat
     let in_test = test_regions(toks);
     let mut findings = Vec::new();
     let mut unwraps = 0usize;
+    let mut panics = 0usize;
     let mut hashers = 0usize;
 
     let mut i = 0;
@@ -483,6 +486,14 @@ pub fn scan_source(rel: &str, src: &str, class: FileClass) -> (Vec<Finding>, Rat
             {
                 unwraps += 1;
             }
+            "panic" | "unreachable"
+                if class.library
+                    && !in_test[i]
+                    && i + 1 < toks.len()
+                    && toks[i + 1].text == "!" =>
+            {
+                panics += 1;
+            }
             "Instant" | "SystemTime"
                 if class.library
                     && !class.clock_exempt
@@ -511,6 +522,9 @@ pub fn scan_source(rel: &str, src: &str, class: FileClass) -> (Vec<Finding>, Rat
     let mut counts = Vec::new();
     if unwraps > 0 {
         counts.push(("unwrap", unwraps));
+    }
+    if panics > 0 {
+        counts.push(("panic", panics));
     }
     if hashers > 0 {
         counts.push(("det-hasher", hashers));
@@ -654,7 +668,7 @@ pub fn run_workspace(root: &Path) -> Report {
                 .unwrap_or(0);
             if count > allowed {
                 report.errors.push(Finding {
-                    rule: if rule == "unwrap" { "unwrap" } else { "det-hasher" },
+                    rule,
                     path: rel.clone(),
                     line: 0,
                     message: format!(
@@ -789,6 +803,27 @@ mod tests {
     }
 
     #[test]
+    fn panic_rule_counts_only_nontest_library_macros() {
+        let src = r#"
+fn f(x: u32) -> u32 { if x > 1 { panic!("too big: {x}") } else { x } }
+fn g(x: u32) -> u32 { match x { 0 => 1, _ => unreachable!() } }
+fn h() { let _ = std::panic::catch_unwind(|| ()); }
+#[cfg(test)]
+mod tests {
+    #[test]
+    #[should_panic]
+    fn t() { panic!("in a test"); }
+}
+"#;
+        let (findings, counts) = scan_source("crates/sim/src/lib.rs", src, lib_class());
+        assert!(findings.is_empty());
+        assert_eq!(counts, vec![("panic", 2)]);
+        let bin = "crates/bench/src/bin/bench_serve.rs";
+        let (_, counts) = scan_source(bin, src, classify(bin));
+        assert!(counts.is_empty());
+    }
+
+    #[test]
     fn raw_sync_rule_flags_spawn_and_atomics_outside_exempt_dirs() {
         let src = "fn f() { std::thread::spawn(|| {}); }\nuse std::sync::atomic::AtomicUsize;\n";
         let (findings, _) = scan_source(
@@ -849,7 +884,6 @@ mod tests {
         for exempt in [
             "crates/bench/src/bin/bench_serve.rs",
             "crates/obs/src/clock.rs",
-            "vendor/criterion/src/lib.rs",
         ] {
             let (findings, _) = scan_source(exempt, src, classify(exempt));
             assert!(
