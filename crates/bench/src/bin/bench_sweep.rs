@@ -14,6 +14,7 @@ use dqec_core::layout::PatchLayout;
 use dqec_core::DefectSet;
 use dqec_dist::merge_states;
 use dqec_sweep::checkpoint::SweepState;
+use dqec_sweep::shard::state_file_name;
 use dqec_sweep::{EngineConfig, Shard, SweepEngine, SweepPlan};
 use std::io::Write;
 use std::time::Instant;
@@ -118,7 +119,7 @@ fn main() {
         let mut states = Vec::new();
         for index in 0..count {
             let shard = Shard::new(index, count).expect("valid shard");
-            let file = dir.join(format!("plan.shard{}.sweep.json", shard.file_tag()));
+            let file = dir.join(state_file_name("plan", Some(shard)));
             let t0 = Instant::now();
             rayon::with_worker_cap(1, || {
                 SweepEngine::new(EngineConfig {

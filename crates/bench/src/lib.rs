@@ -40,6 +40,7 @@ use dqec_core::adapt::AdaptedPatch;
 use dqec_core::indicators::PatchIndicators;
 use dqec_core::layout::PatchLayout;
 use dqec_core::{CoreError, DefectSet};
+use dqec_sweep::shard::state_file_name;
 use dqec_sweep::{EngineConfig, Precision, Shard, SweepEngine, SweepPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -331,15 +332,10 @@ impl RunConfig {
             batch: self.sweep_batch.unwrap_or(defaults.batch),
             round_batches: self.sweep_round_batches.unwrap_or(defaults.round_batches),
             precision: self.precision.map(Precision::new),
-            checkpoint: self.checkpoint.as_ref().map(|dir| {
-                // Shard workers each own a distinct state file; the
-                // merged whole-plan state takes the unsuffixed name, so
-                // a `--resume` run after `dqec_dist merge` finds it.
-                dir.join(match &self.shard {
-                    None => format!("{tag}.sweep.json"),
-                    Some(shard) => format!("{tag}.shard{}.sweep.json", shard.file_tag()),
-                })
-            }),
+            checkpoint: self
+                .checkpoint
+                .as_ref()
+                .map(|dir| dir.join(state_file_name(tag, self.shard))),
             resume: self.resume,
             halt_after_rounds: self.halt_after_rounds,
             salt,
@@ -566,15 +562,6 @@ pub fn defect_free_slopes(
         .into_iter()
         .map(|o| o.fit.map(|f| f.slope))
         .collect())
-}
-
-/// The slope of the defect-free distance-`d` patch under the same
-/// protocol (a one-spec [`defect_free_slopes`] plan).
-pub fn defect_free_slope(d: u32, cfg: &RunConfig) -> Option<f64> {
-    defect_free_slopes(&[d], cfg, "defect_free_slope")
-        .ok()
-        .and_then(|mut v| v.pop())
-        .flatten()
 }
 
 /// Syndrome rounds used for a patch's memory experiment (re-exported

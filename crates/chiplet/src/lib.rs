@@ -36,7 +36,6 @@
 
 pub mod criteria;
 pub mod defect_model;
-pub mod device;
 pub mod experiment;
 pub mod json;
 pub mod record;
@@ -45,7 +44,6 @@ pub mod yields;
 
 pub use criteria::{QualityTarget, Ranking};
 pub use defect_model::DefectModel;
-pub use device::{assemble_device, AssemblyReport, DeviceSpec};
 pub use experiment::{fit_loglog, LerPoint, SlopeFit};
 pub use record::{
     fmt_compact, JsonSink, LerRecord, MemorySink, NullSink, Record, Sink, SlopeFitRecord, TsvSink,

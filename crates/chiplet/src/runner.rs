@@ -212,9 +212,9 @@ impl ExperimentSpec {
     }
 
     /// Base RNG seed (default 0). Each sweep point perturbs it by its
-    /// index; each 4096-shot batch gets its own ChaCha8 stream, so
-    /// results are a pure function of the spec — independent of thread
-    /// count and machine.
+    /// index; each [`BATCH_SHOTS`]-shot batch gets its own ChaCha8
+    /// stream, so results are a pure function of the spec — independent
+    /// of thread count and machine.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -264,16 +264,6 @@ impl ExperimentSpec {
     /// The Monte-Carlo shot target per sweep point.
     pub fn target_shots(&self) -> usize {
         self.shots
-    }
-
-    /// The base RNG seed.
-    pub fn base_seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Whether a log-log slope fit over the sweep was requested.
-    pub fn wants_fit(&self) -> bool {
-        self.fit
     }
 
     /// The adapted patch the experiment runs on.
@@ -395,6 +385,13 @@ pub struct RunOutcome {
     pub fit: Option<SlopeFit>,
 }
 
+/// Shots per batch: the unit of [`batch_seed`]'s streams for
+/// [`Runner`], the sweep engine's default and the decode service. A
+/// tally is a function of the batch layout, so the byte-identity of
+/// engine and `Runner` runs, and of served and one-shot runs, rests on
+/// all of them reading this one constant.
+pub const BATCH_SHOTS: usize = 4096;
+
 /// The per-batch ChaCha8 stream seed for a sweep point: `point_seed` is
 /// the point's base seed (spec seed + point index) and `batch` its
 /// fixed-size batch index. One batch = one independent seeded stream,
@@ -492,11 +489,6 @@ impl CompiledExperiment {
     /// The spec this experiment was compiled from.
     pub fn spec(&self) -> &ExperimentSpec {
         &self.spec
-    }
-
-    /// The number of sweep points.
-    pub fn num_points(&self) -> usize {
-        self.spec.ps.len()
     }
 
     /// The base RNG seed of sweep point `point` (each point perturbs
@@ -622,34 +614,53 @@ impl CompiledExperiment {
     }
 }
 
+/// Emits a finished series: one [`Record::Ler`] per sweep point of
+/// `spec`, from its `(shots, failures)` tally in sweep order, then a
+/// [`Record::Slope`] when the spec requests a fit and the points allow
+/// one. [`Runner::run`] and the sweep engine both end here, which keeps
+/// their records byte-identical.
+pub fn emit_series(
+    spec: &ExperimentSpec,
+    tallies: impl IntoIterator<Item = (usize, usize)>,
+    sink: &mut dyn Sink,
+) -> RunOutcome {
+    let points: Vec<LerPoint> = spec
+        .ps
+        .iter()
+        .zip(tallies)
+        .map(|(&p, (shots, failures))| LerPoint { p, shots, failures })
+        .collect();
+    for &point in &points {
+        sink.emit(&Record::Ler(LerRecord {
+            series: spec.label.clone(),
+            point,
+        }));
+    }
+    let fit = spec.fit.then(|| fit_loglog(&points)).flatten();
+    if let Some(fit) = fit {
+        sink.emit(&Record::Slope(SlopeFitRecord {
+            series: spec.label.clone(),
+            fit,
+        }));
+    }
+    RunOutcome { points, fit }
+}
+
 /// Executes [`ExperimentSpec`]s with circuit and decoding-graph reuse.
 ///
 /// The runner compiles the spec's circuit once, builds the decoder once
 /// at the sweep's largest `p`, and per sweep point only reweights the
 /// decoder's edges (falling back to a rebuild if the decoder declines),
-/// samples shots in parallel 4096-shot ChaCha8-seeded batches, and
-/// emits a typed [`Record`] per point through the given [`Sink`].
-#[derive(Debug, Clone)]
-pub struct Runner {
-    batch: usize,
-}
-
-impl Default for Runner {
-    fn default() -> Self {
-        Runner { batch: 4096 }
-    }
-}
+/// samples shots in parallel [`BATCH_SHOTS`]-shot ChaCha8-seeded
+/// batches, and emits the series through [`emit_series`].
+#[derive(Debug, Clone, Default)]
+pub struct Runner;
 
 impl Runner {
-    /// A runner with the default 4096-shot batch size.
+    /// A runner. It holds no settings: a run is a function of its spec
+    /// alone.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overrides the per-thread batch size (mainly for tests).
-    pub fn batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
-        self
+        Runner
     }
 
     /// Runs `spec`, emitting one [`Record::Ler`] per sweep point (plus
@@ -663,36 +674,15 @@ impl Runner {
     /// coordinate that is not an active circuit qubit.
     pub fn run(&self, spec: &ExperimentSpec, sink: &mut dyn Sink) -> Result<RunOutcome, CoreError> {
         let mut compiled = CompiledExperiment::new(spec)?;
-        let mut points = Vec::with_capacity(spec.ps.len());
-        for (i, &p) in spec.ps.iter().enumerate() {
-            compiled.select_point(i);
-            let num_batches = spec.shots.div_ceil(self.batch.max(1)) as u64;
-            let stats = compiled.sample_batches(0..num_batches, self.batch, spec.shots);
-            let point = LerPoint {
-                p,
-                shots: stats.shots,
-                failures: stats.failures.first().copied().unwrap_or(0),
-            };
-            sink.emit(&Record::Ler(LerRecord {
-                series: spec.label.clone(),
-                point,
-            }));
-            points.push(point);
-        }
-
-        let fit = if spec.fit {
-            let fit = fit_loglog(&points);
-            if let Some(fit) = fit {
-                sink.emit(&Record::Slope(SlopeFitRecord {
-                    series: spec.label.clone(),
-                    fit,
-                }));
-            }
-            fit
-        } else {
-            None
-        };
-        Ok(RunOutcome { points, fit })
+        let num_batches = spec.shots.div_ceil(BATCH_SHOTS) as u64;
+        let tallies: Vec<(usize, usize)> = (0..spec.ps.len())
+            .map(|i| {
+                compiled.select_point(i);
+                let stats = compiled.sample_batches(0..num_batches, BATCH_SHOTS, spec.shots);
+                (stats.shots, stats.failures.first().copied().unwrap_or(0))
+            })
+            .collect();
+        Ok(emit_series(spec, tallies, sink))
     }
 
     /// Runs `spec` without emitting records (for callers that aggregate

@@ -154,44 +154,6 @@ pub fn overhead_factor(l: u32, yield_fraction: f64, d_target: u32) -> f64 {
     cost_per_logical(l, yield_fraction) / (2 * d_target * d_target - 1) as f64
 }
 
-/// Sweeps chiplet sizes and returns `(best_l, best_overhead_factor)`
-/// for a target distance, including the defect-intolerant `l = d`
-/// baseline in the candidates.
-pub fn optimal_chiplet_size(
-    model: DefectModel,
-    rate: f64,
-    d_target: u32,
-    candidate_ls: &[u32],
-    samples: usize,
-    seed: u64,
-    orientation_freedom: bool,
-) -> (u32, f64) {
-    let target = QualityTarget::defect_free(d_target);
-    let mut best = (d_target, f64::INFINITY);
-    for &l in candidate_ls {
-        let y = if l == d_target {
-            // Only the defect-free chiplets qualify at l = d.
-            model.defect_free_probability(&PatchLayout::memory(l), rate)
-        } else {
-            let config = SampleConfig {
-                l,
-                model,
-                rate,
-                samples,
-                seed,
-                orientation_freedom,
-            };
-            let inds = sample_indicators(&config);
-            yield_from_indicators(&inds, &target).fraction()
-        };
-        let f = overhead_factor(l, y, d_target);
-        if f < best.1 {
-            best = (l, f);
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

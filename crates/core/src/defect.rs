@@ -61,11 +61,6 @@ impl DefectSet {
         self.data.len() + self.synd.len()
     }
 
-    /// Total number of faulty components including links.
-    pub fn num_faulty_components(&self) -> usize {
-        self.num_faulty() + self.links.len()
-    }
-
     /// The faulty data qubits that exist in `layout`, ascending.
     pub fn data_in<'a>(&'a self, layout: &'a PatchLayout) -> impl Iterator<Item = Coord> + 'a {
         self.data

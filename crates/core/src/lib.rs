@@ -52,7 +52,6 @@ pub mod graphs;
 pub mod indicators;
 pub mod layout;
 pub mod merge;
-pub mod render;
 
 pub use adapt::{AdaptStatus, AdaptedPatch, Cluster, DeadReason};
 pub use circuit_gen::{memory_z, stability, ExperimentCircuit};

@@ -18,7 +18,7 @@
 //! from the tallies — byte-identical to the single-process run.
 
 use dqec_core::CoreError;
-use dqec_sweep::shard::Shard;
+use dqec_sweep::shard::{parse_state_file_name, state_file_name, Shard};
 use dqec_sweep::SweepState;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -173,20 +173,6 @@ pub struct MergeReport {
     pub out: PathBuf,
 }
 
-/// Splits a shard state-file name into its plan tag, e.g.
-/// `fig06.defective.shard1of2.sweep.json` → `fig06.defective`.
-fn shard_file_tag(name: &str) -> Option<&str> {
-    let stem = name.strip_suffix(".sweep.json")?;
-    let (tag, shard) = stem.rsplit_once(".shard")?;
-    // `<i>of<n>`, both numeric — anything else is not a shard file.
-    let (i, n) = shard.split_once("of")?;
-    if i.parse::<u32>().is_ok() && n.parse::<u32>().is_ok() {
-        Some(tag)
-    } else {
-        None
-    }
-}
-
 /// Merges every complete shard set found in `dir`: groups
 /// `<tag>.shard<i>of<N>.sweep.json` files by tag, runs
 /// [`merge_states`] per group, and writes each merged whole-plan state
@@ -207,7 +193,7 @@ pub fn merge_dir(dir: &Path) -> Result<Vec<MergeReport>, CoreError> {
         let entry = entry.map_err(|e| bad(format!("read checkpoint dir: {e}")))?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        if let Some(tag) = shard_file_tag(name) {
+        if let Some((tag, _)) = parse_state_file_name(name) {
             groups
                 .entry(tag.to_string())
                 .or_default()
@@ -228,7 +214,7 @@ pub fn merge_dir(dir: &Path) -> Result<Vec<MergeReport>, CoreError> {
             states.push(SweepState::load(path)?);
         }
         let merged = merge_states(&states).map_err(|e| bad(format!("plan {tag:?}: {e}")))?;
-        let out = dir.join(format!("{tag}.sweep.json"));
+        let out = dir.join(state_file_name(&tag, None));
         merged.save(&out)?;
         reports.push(MergeReport {
             tag,
@@ -324,27 +310,6 @@ mod tests {
 
         // Empty input.
         assert!(merge_states(&[]).is_err());
-    }
-
-    #[test]
-    fn shard_file_names_parse() {
-        assert_eq!(
-            shard_file_tag("fig06_ler_curves.defective.shard1of2.sweep.json"),
-            Some("fig06_ler_curves.defective")
-        );
-        assert_eq!(
-            shard_file_tag("fig05.slopes.shard0of4.sweep.json"),
-            Some("fig05.slopes")
-        );
-        // Whole-plan states, temp files, and junk are not shard files.
-        for name in [
-            "fig06.sweep.json",
-            "fig06.shard1of2.sweep.json.tmp",
-            "fig06.shardXofY.sweep.json",
-            "notes.txt",
-        ] {
-            assert_eq!(shard_file_tag(name), None, "{name}");
-        }
     }
 
     #[test]

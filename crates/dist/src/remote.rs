@@ -37,6 +37,7 @@ use dqec_serve::chan::Bounded;
 use dqec_serve::protocol::{
     self, Frame, Request, Response, ShardDoneResponse, ShardRequest, ShardStateFile,
 };
+use dqec_sweep::shard::{parse_state_file_name, Shard};
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -228,7 +229,7 @@ fn execute_shard(
 
 /// Reads the shard state files the child wrote into its scratch dir.
 fn collect_states(scratch: &Path, req: &ShardRequest) -> Result<Vec<ShardStateFile>, String> {
-    let suffix = format!(".shard{}of{}.sweep.json", req.index, req.count);
+    let shard = Shard::new(req.index, req.count).map_err(|e| e.to_string())?;
     let mut states = Vec::new();
     let entries =
         std::fs::read_dir(scratch).map_err(|e| format!("read {}: {e}", scratch.display()))?;
@@ -236,7 +237,7 @@ fn collect_states(scratch: &Path, req: &ShardRequest) -> Result<Vec<ShardStateFi
         let entry = entry.map_err(|e| format!("read scratch: {e}"))?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        if !name.ends_with(&suffix) {
+        if parse_state_file_name(name).map(|(_, s)| s) != Some(shard) {
             continue;
         }
         let doc = std::fs::read_to_string(entry.path())
@@ -248,7 +249,7 @@ fn collect_states(scratch: &Path, req: &ShardRequest) -> Result<Vec<ShardStateFi
     }
     if states.is_empty() {
         return Err(format!(
-            "shard run produced no {suffix} state file in scratch (wrong binary?)"
+            "shard run produced no shard {shard} state file in scratch (wrong binary?)"
         ));
     }
     states.sort_by(|a, b| a.file.cmp(&b.file));

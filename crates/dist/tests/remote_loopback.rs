@@ -18,6 +18,7 @@ use dqec_core::layout::PatchLayout;
 use dqec_core::DefectSet;
 use dqec_dist::{run_remote, start_agent, AgentConfig, RemoteJob, RemoteOptions, Shard};
 use dqec_sweep::checkpoint::SweepState;
+use dqec_sweep::shard::state_file_name;
 use dqec_sweep::{EngineConfig, SweepEngine, SweepPlan};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -100,9 +101,7 @@ fn fixture() -> &'static Fixture {
             let shard = Shard::new(index, count).expect("valid shard");
             SweepEngine::new(EngineConfig {
                 shard: Some(shard),
-                checkpoint: Some(
-                    premade.join(format!("stub.plan.shard{}.sweep.json", shard.file_tag())),
-                ),
+                checkpoint: Some(premade.join(state_file_name("stub.plan", Some(shard)))),
                 ..base()
             })
             .run(&plan, &mut MemorySink::default())

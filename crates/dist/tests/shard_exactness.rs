@@ -16,6 +16,7 @@ use dqec_core::{Coord, DefectSet};
 use dqec_dist::merge::merge_states;
 use dqec_dist::Shard;
 use dqec_sweep::checkpoint::SweepState;
+use dqec_sweep::shard::state_file_name;
 use dqec_sweep::{EngineConfig, SweepEngine, SweepPlan};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -103,7 +104,7 @@ fn run_partitioned(seed: u64, shots: usize, count: u32, tag: &str) -> SweepState
     let mut states = Vec::new();
     for index in 0..count {
         let shard = Shard::new(index, count).expect("valid shard");
-        let file = dir.join(format!("plan.shard{}.sweep.json", shard.file_tag()));
+        let file = dir.join(state_file_name("plan", Some(shard)));
         SweepEngine::new(EngineConfig {
             shard: Some(shard),
             checkpoint: Some(file.clone()),
@@ -180,7 +181,7 @@ fn killed_then_resumed_shard_merges_identically() {
     let mut states = Vec::new();
     for index in 0..count {
         let shard = Shard::new(index, count).expect("valid shard");
-        let file = dir.join(format!("plan.shard{}.sweep.json", shard.file_tag()));
+        let file = dir.join(state_file_name("plan", Some(shard)));
         let cfg = EngineConfig {
             shard: Some(shard),
             checkpoint: Some(file.clone()),
@@ -225,7 +226,7 @@ fn merge_rejects_shards_of_a_different_plan() {
     // different fingerprint): the merge must refuse the mix.
     for (index, seed) in [(0u32, 1u64), (1, 2)] {
         let shard = Shard::new(index, count).expect("valid shard");
-        let file = dir.join(format!("s{index}.shard{}.sweep.json", shard.file_tag()));
+        let file = dir.join(state_file_name(&format!("s{index}"), Some(shard)));
         SweepEngine::new(EngineConfig {
             shard: Some(shard),
             checkpoint: Some(file.clone()),

@@ -42,11 +42,6 @@ pub fn fidelity_from_distances(spec: &ApplicationSpec, distribution: &[(u32, f64
     (-(spec.patches as f64) * spec.cycles * eps).exp()
 }
 
-/// Fidelity when every patch has exactly distance `d`.
-pub fn fidelity_uniform(spec: &ApplicationSpec, d: u32) -> f64 {
-    fidelity_from_distances(spec, &[(d, 1.0)])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,14 +49,15 @@ mod tests {
     #[test]
     fn uniform_d27_matches_paper_73_percent() {
         let spec = ApplicationSpec::shor_2048();
-        let f = fidelity_uniform(&spec, 27);
+        let f = fidelity_from_distances(&spec, &[(27, 1.0)]);
         assert!((f - 0.73).abs() < 0.05, "fidelity {f}");
     }
 
     #[test]
     fn larger_distances_help() {
         let spec = ApplicationSpec::shor_2048();
-        assert!(fidelity_uniform(&spec, 29) > fidelity_uniform(&spec, 27));
+        let uniform = |d| fidelity_from_distances(&spec, &[(d, 1.0)]);
+        assert!(uniform(29) > uniform(27));
     }
 
     #[test]

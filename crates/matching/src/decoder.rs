@@ -499,23 +499,6 @@ impl DecodeStats {
         self.failures[obs] as f64 / self.shots as f64
     }
 
-    /// 95% Wilson confidence interval for observable `obs`'s LER.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no shots were decoded or `obs` is out of range.
-    pub fn wilson_interval(&self, obs: usize) -> (f64, f64) {
-        assert!(self.shots > 0, "no shots decoded");
-        let n = self.shots as f64;
-        let p = self.failures[obs] as f64 / n;
-        let z = 1.96f64;
-        let z2 = z * z;
-        let denom = 1.0 + z2 / n;
-        let center = (p + z2 / (2.0 * n)) / denom;
-        let half = (z / denom) * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt();
-        ((center - half).max(0.0), (center + half).min(1.0))
-    }
-
     /// Publishes this tally into the process-global `dqec_obs` metrics
     /// registry through `metrics`: shots/failures and the kernel
     /// counters as counters (summed across calls) and the
@@ -1429,18 +1412,5 @@ mod tests {
         assert!(decoder.reweight(&NoiseModel::new(5e-3).with_bad_qubit(0, 0.2)));
         assert!(!decoder.reweight(&NoiseModel::new(5e-3)));
         assert!(!decoder.reweight(&NoiseModel::new(5e-3).with_bad_qubit(1, 0.2)));
-    }
-
-    #[test]
-    fn wilson_interval_brackets_point_estimate() {
-        let stats = DecodeStats {
-            shots: 1000,
-            failures: vec![37],
-            ..Default::default()
-        };
-        let (lo, hi) = stats.wilson_interval(0);
-        let p = stats.logical_error_rate(0);
-        assert!(lo < p && p < hi);
-        assert!(lo > 0.02 && hi < 0.06);
     }
 }

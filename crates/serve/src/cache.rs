@@ -17,25 +17,23 @@
 //!
 //! Each request is sampled under its *own* seed through
 //! [`CompiledExperiment::sample_batches_with_seed`] with the standard
-//! 4096-shot batch layout, which makes a served tally bit-identical to
-//! a one-shot [`Runner`](dqec_chiplet::runner::Runner) run of the same
-//! request — the conformance property the CI smoke job diffs.
+//! [`BATCH_SHOTS`]-shot batch layout, which makes a served tally
+//! bit-identical to a one-shot [`Runner`](dqec_chiplet::runner::Runner)
+//! run of the same request — the conformance property the CI smoke job
+//! diffs.
 //!
 //! Eviction is LRU over a monotonic use tick; capacity 0 disables
 //! caching entirely (every request compiles, counted as a miss), which
 //! is the `bench_serve` cold mode.
 
 use crate::protocol::{DecodeRequest, ErrorKind, ErrorResponse, LerResponse};
-use dqec_chiplet::runner::{coord_word, CompiledExperiment, ExperimentSpec, Fnv};
+use dqec_chiplet::runner::{coord_word, CompiledExperiment, ExperimentSpec, Fnv, BATCH_SHOTS};
 use dqec_core::adapt::AdaptedPatch;
 use dqec_core::layout::PatchLayout;
 use dqec_matching::{DecodeStats, DecodeStatsMetrics};
 use dqec_obs::{Clock, Gauge, Histogram, LazyGauge};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
-
-/// The standard batch granularity shared with the `Runner`.
-pub const BATCH_SHOTS: usize = 4096;
 
 #[cfg(test)]
 thread_local! {

@@ -215,16 +215,6 @@ impl SymplecticSpace {
         self.to_bit_matrix().rank_in_place()
     }
 
-    /// The dimension of the radical: the subspace of the span that
-    /// commutes with the whole span (the "stabilizer part" of a gauge
-    /// group).
-    ///
-    /// For a span `V` of dimension `r`, `dim rad(V) = r - rank(G)` where
-    /// `G` is the Gram matrix of the symplectic form on the generators.
-    pub fn radical_dim(&self) -> usize {
-        self.rank_and_radical().1
-    }
-
     /// The number of logical qubits of a (subsystem) code whose measured
     /// checks generate this operator set.
     ///
@@ -236,7 +226,11 @@ impl SymplecticSpace {
         self.num_qubits - (r + c) / 2
     }
 
-    /// Returns `(rank, radical dimension)` of the generator span.
+    /// Returns `(rank, radical dimension)` of the generator span. The
+    /// radical is the part of the span that commutes with the whole
+    /// span (the "stabilizer part" of a gauge group); for rank `r` its
+    /// dimension is `r - rank(G)`, with `G` the Gram matrix of the
+    /// symplectic form on the generators.
     pub fn rank_and_radical(&self) -> (usize, usize) {
         let r = self.rank();
         let m = self.rows.len();

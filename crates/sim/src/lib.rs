@@ -18,8 +18,10 @@
 //! * [`noise`] — the paper's circuit-level noise model (2-qubit gate
 //!   error `p`, 1-qubit `0.8p`, readout `8/15·p`), with per-qubit
 //!   overrides for the cutoff-fidelity study;
-//! * [`pauli`], [`f2`] — Pauli strings and F2/symplectic linear algebra
-//!   used for code validation.
+//! * [`pauli`] — single-qubit Paulis: the depolarizing supports the
+//!   frame sampler draws from;
+//! * [`f2`] — F2/symplectic linear algebra, with which `dqec_core`
+//!   counts an adapted patch's logical qubits.
 //!
 //! # Examples
 //!

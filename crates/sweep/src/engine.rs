@@ -17,17 +17,18 @@
 //! streams, tallies are sums over the set of completed batches, and
 //! allocation decisions are pure functions of the tallies.
 //!
-//! Records are emitted only on completion, in plan order, which makes
-//! an engine run with uniform allocation emit *byte-identical* records
-//! to the equivalent sequence of [`dqec_chiplet::runner::Runner::run`]
-//! calls.
+//! Records are emitted only on completion, in plan order, through the
+//! same [`emit_series`] as [`dqec_chiplet::runner::Runner::run`], which
+//! makes an engine run with uniform allocation emit *byte-identical*
+//! records to the equivalent sequence of `Runner::run` calls.
 
 use crate::adaptive::Precision;
 use crate::checkpoint::{PointEntry, PointTally, SweepState};
 use crate::shard::Shard;
-use dqec_chiplet::experiment::{fit_loglog, LerPoint};
-use dqec_chiplet::record::{LerRecord, Record, Sink, SlopeFitRecord};
-use dqec_chiplet::runner::{CompiledExperiment, ExperimentSpec, RunOutcome};
+use dqec_chiplet::record::Sink;
+use dqec_chiplet::runner::{
+    emit_series, CompiledExperiment, ExperimentSpec, RunOutcome, BATCH_SHOTS,
+};
 use dqec_core::CoreError;
 use rayon::prelude::*;
 use std::ops::Range;
@@ -43,11 +44,6 @@ impl SweepPlan {
     /// An empty plan.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A plan over the given specs.
-    pub fn with_specs(specs: Vec<ExperimentSpec>) -> Self {
-        SweepPlan { specs }
     }
 
     /// A plan holding one spec.
@@ -132,7 +128,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            batch: 4096,
+            batch: BATCH_SHOTS,
             precision: None,
             round_batches: 16,
             checkpoint: None,
@@ -170,9 +166,10 @@ impl SweepEngine {
         SweepEngine { cfg }
     }
 
-    /// An engine with default configuration (uniform allocation, batch
-    /// 4096, no checkpointing) — a drop-in, parallel replacement
-    /// for running each spec through `Runner::run` in sequence.
+    /// An engine with default configuration (uniform allocation,
+    /// [`BATCH_SHOTS`]-shot batches, no checkpointing) — a drop-in,
+    /// parallel replacement for running each spec through
+    /// `Runner::run` in sequence.
     pub fn uniform() -> Self {
         Self::default()
     }
@@ -182,9 +179,9 @@ impl SweepEngine {
         &self.cfg
     }
 
-    /// Runs `plan`, emitting (on completion, in plan order) one
-    /// [`Record::Ler`] per sweep point and a [`Record::Slope`] per
-    /// fit-requesting spec, and returning one [`RunOutcome`] per spec.
+    /// Runs `plan`, emitting each spec's series on completion, in plan
+    /// order, through [`emit_series`], and returning one [`RunOutcome`]
+    /// per spec.
     ///
     /// # Errors
     ///
@@ -405,40 +402,17 @@ impl SweepEngine {
         }
 
         // Emit and collect, in plan order.
-        let mut outcomes = Vec::with_capacity(exps.len());
-        for (s, exp) in exps.iter().enumerate() {
-            let spec = exp.spec();
-            let mut ler_points = Vec::with_capacity(spec.sweep_ps().len());
-            for pt in points.iter().filter(|pt| pt.spec == s) {
-                let point = LerPoint {
-                    p: pt.p,
-                    shots: pt.tally.shots,
-                    failures: pt.tally.failures,
-                };
-                sink.emit(&Record::Ler(LerRecord {
-                    series: spec.series().to_string(),
-                    point,
-                }));
-                ler_points.push(point);
-            }
-            let fit = if spec.wants_fit() {
-                let fit = fit_loglog(&ler_points);
-                if let Some(fit) = fit {
-                    sink.emit(&Record::Slope(SlopeFitRecord {
-                        series: spec.series().to_string(),
-                        fit,
-                    }));
-                }
-                fit
-            } else {
-                None
-            };
-            outcomes.push(RunOutcome {
-                points: ler_points,
-                fit,
-            });
-        }
-        Ok(outcomes)
+        Ok(exps
+            .iter()
+            .enumerate()
+            .map(|(s, exp)| {
+                let tallies = points
+                    .iter()
+                    .filter(|pt| pt.spec == s)
+                    .map(|pt| (pt.tally.shots, pt.tally.failures));
+                emit_series(exp.spec(), tallies, sink)
+            })
+            .collect())
     }
 
     /// The digest guarding checkpoints: plan, salt, batch size, the

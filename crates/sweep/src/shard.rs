@@ -70,11 +70,31 @@ impl Shard {
         let hi = (total as u128 * (i + 1) as u128 / n as u128) as u64;
         lo..hi
     }
+}
 
-    /// A filesystem-safe tag (`"0of4"`) for shard-suffixed file names.
-    pub fn file_tag(&self) -> String {
-        format!("{}of{}", self.index, self.count)
+/// The name of plan `tag`'s sweep state file: `<tag>.sweep.json` for a
+/// whole-plan run, `<tag>.shard<i>of<N>.sweep.json` for shard `i/N`.
+/// Shard workers thus each own a distinct file, and the merged
+/// whole-plan state takes the unsuffixed name a `--resume` run looks
+/// for.
+pub fn state_file_name(tag: &str, shard: Option<Shard>) -> String {
+    match shard {
+        None => format!("{tag}.sweep.json"),
+        Some(s) => format!("{tag}.shard{}of{}.sweep.json", s.index, s.count),
     }
+}
+
+/// Splits a shard state-file name into its plan tag and shard, e.g.
+/// `fig06.defective.shard1of2.sweep.json` → `("fig06.defective", 1/2)`;
+/// the inverse of [`state_file_name`] for shard files. Whole-plan
+/// states, temp files and anything else give `None`.
+pub fn parse_state_file_name(name: &str) -> Option<(&str, Shard)> {
+    let stem = name.strip_suffix(".sweep.json")?;
+    let (tag, shard) = stem.rsplit_once(".shard")?;
+    let (i, n) = shard.split_once("of")?;
+    let shard = Shard::new(i.parse().ok()?, n.parse().ok()?).ok()?;
+    // Only the canonical spelling (no `+1`, no leading zeros).
+    (state_file_name(tag, Some(shard)) == name).then_some((tag, shard))
 }
 
 impl fmt::Display for Shard {
@@ -140,9 +160,34 @@ mod tests {
         let s: Shard = "2/4".parse().unwrap();
         assert_eq!((s.index(), s.count()), (2, 4));
         assert_eq!(s.to_string(), "2/4");
-        assert_eq!(s.file_tag(), "2of4");
+        assert_eq!(state_file_name("t", Some(s)), "t.shard2of4.sweep.json");
+        assert_eq!(state_file_name("t", None), "t.sweep.json");
         for bad in ["", "3", "4/4", "5/4", "a/b", "1/0", "-1/2", "1/2/3"] {
             assert!(bad.parse::<Shard>().is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn shard_file_names_parse() {
+        let shard = |i, n| Shard::new(i, n).unwrap();
+        assert_eq!(
+            parse_state_file_name("fig06_ler_curves.defective.shard1of2.sweep.json"),
+            Some(("fig06_ler_curves.defective", shard(1, 2)))
+        );
+        assert_eq!(
+            parse_state_file_name("fig05.slopes.shard0of4.sweep.json"),
+            Some(("fig05.slopes", shard(0, 4)))
+        );
+        // Whole-plan states, temp files, and junk are not shard files.
+        for name in [
+            "fig06.sweep.json",
+            "fig06.shard1of2.sweep.json.tmp",
+            "fig06.shardXofY.sweep.json",
+            "fig06.shard2of2.sweep.json",
+            "fig06.shard+1of2.sweep.json",
+            "notes.txt",
+        ] {
+            assert_eq!(parse_state_file_name(name), None, "{name}");
         }
     }
 
