@@ -370,16 +370,13 @@ impl RunConfig {
 ///
 /// # Errors
 ///
-/// Propagates experiment failures and output I/O errors.
-///
-/// # Panics
-///
-/// Panics if `name` is not in [`figs::ALL`].
+/// Returns an error naming `name` if it is not in [`figs::ALL`], and
+/// propagates experiment failures and output I/O errors.
 pub fn run_reproduction(name: &str, cfg: &RunConfig) -> Result<(), String> {
     let rep = figs::ALL
         .iter()
         .find(|r| r.name == name)
-        .unwrap_or_else(|| panic!("unknown reproduction {name:?}"));
+        .ok_or_else(|| format!("unknown reproduction {name:?}"))?;
     let writer: Box<dyn std::io::Write> = match &cfg.out {
         None => Box::new(std::io::stdout().lock()),
         Some(dir) => {
@@ -585,6 +582,12 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn unknown_reproduction_is_an_error_naming_it() {
+        let err = run_reproduction("fig99_nope", &RunConfig::default()).unwrap_err();
+        assert!(err.contains("\"fig99_nope\""), "{err}");
     }
 
     #[test]

@@ -40,7 +40,7 @@ use dqec_core::circuit_gen::{memory_z, stability};
 use dqec_core::{Coord, CoreError};
 use dqec_matching::{DecodeStats, Decoder, MwpmDecoder, UfDecoder};
 use dqec_sim::circuit::Circuit;
-use dqec_sim::frame::{FrameProgram, FrameScratchPool};
+use dqec_sim::frame::{FrameProgram, FrameScratch, ScratchPool};
 use dqec_sim::noise::NoiseModel;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -418,7 +418,7 @@ pub struct CompiledExperiment {
     decoder: Box<dyn Decoder>,
     /// The selected point and its noisy circuit, compiled for sampling.
     selected: Option<(usize, FrameProgram)>,
-    frames: FrameScratchPool,
+    frames: ScratchPool<FrameScratch>,
     warned_rebuild: bool,
 }
 
@@ -481,7 +481,7 @@ impl CompiledExperiment {
             build,
             decoder,
             selected: None,
-            frames: FrameScratchPool::default(),
+            frames: ScratchPool::default(),
             warned_rebuild: false,
         })
     }

@@ -226,12 +226,10 @@ impl CheckGraph {
     /// flip no check (should be prevented by adaptation rule R5), or
     /// the void structure does not match the layout's expectation.
     pub fn build(patch: &AdaptedPatch, check_basis: CheckBasis) -> Result<Self, CoreError> {
-        if !patch.is_valid() {
-            let reason = match patch.status() {
-                crate::adapt::AdaptStatus::Degenerate(r) => r.clone(),
-                crate::adapt::AdaptStatus::Valid => unreachable!(),
-            };
-            return Err(CoreError::DegeneratePatch { reason });
+        if let crate::adapt::AdaptStatus::Degenerate(reason) = patch.status() {
+            return Err(CoreError::DegeneratePatch {
+                reason: reason.clone(),
+            });
         }
         let layout = patch.layout();
         let comps = void_components(layout, check_basis, &|c| patch.is_live_data(c), &|c| {

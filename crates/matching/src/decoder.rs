@@ -2,10 +2,12 @@
 //!
 //! [`GraphDecoder`] owns everything a graph-based decoder needs apart
 //! from the matching itself: the two CSS decoding graphs, the
-//! parametric detector error model behind in-place reweighting, pooled
-//! per-worker scratch, the per-chunk syndrome memo ([`SyndromeCache`])
-//! and the fixed-chunk shot fan-out whose tallies merge through
-//! [`DecodeStats::merge`], so results never depend on the worker count.
+//! parametric detector error model behind in-place reweighting, and one
+//! fan-out of fixed 1024-shot chunks over worker threads. Each chunk
+//! borrows its kernel scratch and syndrome memo ([`SyndromeCache`])
+//! from one [`ScratchPool`], which the one-shot
+//! [`Decoder::decode_events`] borrows from too; chunk boundaries depend
+//! only on the shot count, so results never depend on the worker count.
 //! What happens per basis is a [`Kernel`]: [`MwpmDecoder`] instantiates
 //! the shell with the exact sparse-blossom matcher
 //! [`Blossom`](crate::sparse), [`UfDecoder`](crate::UfDecoder) with the
@@ -22,15 +24,14 @@ use crate::graph::DecodingGraph;
 use crate::sparse::Blossom;
 use dqec_sim::circuit::Circuit;
 use dqec_sim::dem::ParametricDem;
-use dqec_sim::frame::ShotBatch;
+use dqec_sim::frame::{ScratchPool, ShotBatch};
 use dqec_sim::noise::NoiseModel;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// Shots per work unit in batch decoding. Chunk boundaries depend only
 /// on the shot count — never on the worker count — so per-chunk caches
-/// and tallies cannot make results thread-count-dependent.
+/// cannot make results thread-count-dependent.
 const DECODE_CHUNK: usize = 1024;
 
 /// Default bound on memoized syndromes per decode chunk worker.
@@ -44,90 +45,28 @@ const CACHE_KEY_MAX_EVENTS: usize = 16;
 /// One worker's per-chunk decode state: the kernel scratch, the
 /// syndrome memo, and the buffer each shot's events are filtered into
 /// (the detectors of the bases that hold a kernel), which is both the
-/// memo key and what the kernels see.
+/// memo key and what the kernels see. The decoder pools these, so a
+/// *warm* `decode_batch` performs zero scratch, cache or filter
+/// allocations regardless of shot count (`tests/alloc_regression.rs`).
+///
+/// Reuse is invisible to results: decoding is contractually
+/// deterministic, so a cache entry written by any earlier chunk (even
+/// of an earlier batch) holds exactly the prediction the current chunk
+/// would compute. The one event that *does* invalidate entries is
+/// reweighting, which clears the pool.
 struct ChunkState<S> {
     scratch: S,
     cache: SyndromeCache,
     owned: Vec<u32>,
 }
 
-/// A reusable stash of per-chunk decode state — one [`ChunkState`]
-/// per worker that has ever decoded a chunk through this decoder.
-/// Chunks borrow one for their duration and return it, so a *warm*
-/// `decode_batch` performs zero scratch, cache or filter allocations
-/// regardless of shot count (the allocation regression test in
-/// `tests/alloc_regression.rs` pins this down).
-///
-/// Reuse is invisible to results: decoding is contractually
-/// deterministic, so a cache entry written by any earlier chunk (even
-/// of an earlier batch) holds exactly the prediction the current chunk
-/// would compute. The one event that *does* invalidate entries is
-/// reweighting — [`ScratchPool::clear`] must be called whenever the
-/// decoder's weights change.
-struct ScratchPool<S> {
-    stack: Mutex<Vec<ChunkState<S>>>,
-}
-
-impl<S> ScratchPool<S> {
-    /// An empty pool.
-    fn new() -> Self {
-        ScratchPool {
-            stack: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Borrows a chunk state, creating a fresh one on a cold pool.
-    fn take(&self) -> ChunkState<S>
-    where
-        S: Default,
-    {
-        let popped = self
-            .stack
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop();
-        popped.unwrap_or_else(|| ChunkState {
+impl<S: Default> Default for ChunkState<S> {
+    fn default() -> Self {
+        ChunkState {
             scratch: S::default(),
             cache: SyndromeCache::with_capacity(DEFAULT_CACHE_ENTRIES),
             owned: Vec::new(),
-        })
-    }
-
-    /// Returns a borrowed chunk state for later chunks to reuse.
-    fn put(&self, state: ChunkState<S>) {
-        self.stack
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(state);
-    }
-
-    /// Drops every pooled state. Required whenever the owning decoder's
-    /// weights change (the memoized predictions are stale).
-    fn clear(&self) {
-        self.stack
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
-    }
-}
-
-/// A cloned decoder starts with a cold pool: scratches and caches are
-/// derived state, and sharing them across clones would couple their
-/// locking.
-impl<S> Clone for ScratchPool<S> {
-    fn clone(&self) -> Self {
-        Self::new()
-    }
-}
-
-impl<S> std::fmt::Debug for ScratchPool<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let len = self
-            .stack
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len();
-        f.debug_struct("ScratchPool").field("pooled", &len).finish()
+        }
     }
 }
 
@@ -139,7 +78,8 @@ impl<S> std::fmt::Debug for ScratchPool<S> {
 /// rounds the slow one ran. For both: how many per-basis decodes were
 /// answered in closed form. Kernels accumulate these in their scratch
 /// and the shell drains them once per chunk
-/// ([`Kernel::take_counters`]); a kernel leaves the other's fields 0.
+/// ([`Kernel::take_counters`]) and drops them after each one-shot
+/// decode; a kernel leaves the other's fields 0.
 /// Only the bases that hold a kernel are decoded, so a "per-basis
 /// decode" is one of an observable-owning basis: one per decoded shot
 /// on a memory or stability experiment, not two.
@@ -232,82 +172,38 @@ pub trait Decoder: Send + Sync {
     }
 
     /// Predicts the observable flips of every shot in a batch, in shot
-    /// order. The default fans fixed-size shot chunks out over worker
-    /// threads and decodes each with [`Decoder::decode_events`];
-    /// implementations may override to reuse per-chunk scratch state
-    /// (see [`MwpmDecoder`]), but must stay deterministic and
+    /// order. The default is a sequential loop over
+    /// [`Decoder::decode_events`]; [`GraphDecoder`] overrides it with its
+    /// chunk fan-out, and any override must stay deterministic and
     /// independent of worker count.
     fn decode_all(&self, batch: &ShotBatch) -> Vec<u64> {
         let ev = batch.shot_events();
-        let shots = ev.shots();
-        let ev = &ev;
-        let mut out = vec![0u64; shots];
-        let chunks: Vec<(usize, &mut [u64])> = out
-            .chunks_mut(DECODE_CHUNK)
-            .enumerate()
-            .map(|(c, slot)| (c * DECODE_CHUNK, slot))
-            .collect();
-        chunks
-            .into_par_iter()
-            .map(|(lo, slot)| {
-                for (i, pred) in slot.iter_mut().enumerate() {
-                    *pred = self.decode_events(ev.events_of(lo + i));
-                }
-            })
-            .run();
-        out
+        (0..ev.shots())
+            .map(|shot| self.decode_events(ev.events_of(shot)))
+            .collect()
     }
 
-    /// Decodes every shot of a batch and tallies logical failures.
-    ///
-    /// Decoding runs shot-parallel through [`Decoder::decode_all`];
-    /// tallies land in per-chunk rows of one preallocated table (no
-    /// per-chunk allocation, see `tests/alloc_regression.rs`) that are
-    /// summed in chunk order, so the result does not depend on how many
-    /// threads participated.
+    /// Decodes every shot of a batch through [`Decoder::decode_all`] and
+    /// tallies logical failures in one sequential pass over the
+    /// predictions, so the result does not depend on how many threads
+    /// decoded.
     fn decode_batch(&self, batch: &ShotBatch) -> DecodeStats {
         tally_failures(self.num_observables(), &self.decode_all(batch), batch)
     }
 }
 
 /// Tallies logical failures of precomputed per-shot predictions into a
-/// [`DecodeStats`]: per-chunk rows of one preallocated table (no
-/// per-chunk allocation, see `tests/alloc_regression.rs`) summed in
-/// chunk order, so the result does not depend on how many threads
-/// participated. Shared by the default [`Decoder::decode_batch`] and
+/// [`DecodeStats`]. Shared by the default [`Decoder::decode_batch`] and
 /// the cache-counting override of [`GraphDecoder`].
 fn tally_failures(nobs: usize, preds: &[u64], batch: &ShotBatch) -> DecodeStats {
-    let shots = batch.detectors.shots();
-    debug_assert_eq!(preds.len(), shots);
+    debug_assert_eq!(preds.len(), batch.detectors.shots());
     let mut stats = DecodeStats::new(nobs);
-    stats.shots = shots;
-    if nobs == 0 || shots == 0 {
-        return stats;
-    }
-    let nchunks = shots.div_ceil(DECODE_CHUNK);
-    let mut tallies: Vec<usize> = vec![0; nchunks * nobs];
-    let rows: Vec<(usize, &mut [usize])> = tallies
-        .chunks_mut(nobs)
-        .enumerate()
-        .map(|(c, row)| (c * DECODE_CHUNK, row))
-        .collect();
-    rows.into_par_iter()
-        .map(|(lo, row)| {
-            let hi = (lo + DECODE_CHUNK).min(shots);
-            for (shot, &predicted) in preds[lo..hi].iter().enumerate().map(|(i, p)| (lo + i, p)) {
-                for (o, f) in row.iter_mut().enumerate() {
-                    let actual = batch.observables.get(o, shot);
-                    let pred = (predicted >> o) & 1 == 1;
-                    if actual != pred {
-                        *f += 1;
-                    }
-                }
+    stats.shots = preds.len();
+    for (shot, &predicted) in preds.iter().enumerate() {
+        for (o, f) in stats.failures.iter_mut().enumerate() {
+            if batch.observables.get(o, shot) != ((predicted >> o) & 1 == 1) {
+                *f += 1;
             }
-        })
-        .run();
-    for row in tallies.chunks(nobs) {
-        for (o, f) in row.iter().enumerate() {
-            stats.failures[o] += f;
         }
     }
     stats
@@ -320,7 +216,8 @@ fn tally_failures(nobs: usize, preds: &[u64], batch: &ShotBatch) -> DecodeStats 
 /// noiseless batch decodes without logical failures, and — on a bank of
 /// random syndromes — batch predictions agree with one-shot decoding,
 /// are identical with a cold or warm memo cache, and do not change with
-/// the worker count (1, 4, or 16 threads).
+/// the worker count (1, 4, or 16 threads), nor do one-shot predictions
+/// made concurrently by 4 workers.
 ///
 /// Shared by implementors as a conformance test; see
 /// `tests/decoder_trait.rs` for its use on [`MwpmDecoder`].
@@ -373,10 +270,12 @@ pub fn check_decoder_conformance<D: Decoder>(decoder: &D, circuit: &Circuit) {
     // Noisy agreement: a bank of random syndromes, each present twice
     // in *adjacent* shots (even shot cold, odd shot through the warm
     // memo cache of the same chunk — adjacency keeps every pair inside
-    // one fixed-size chunk), decoded under worker caps of 1, 4, and 16
-    // — every path must produce identical predictions, and the batch
-    // path must agree with one-shot decoding. This is what keeps
-    // memoization and shot-parallelism honest.
+    // one fixed-size chunk, whichever pooled state the chunk borrows),
+    // decoded under worker caps of 1, 4, and 16, and one shot at a time
+    // by 4 concurrent workers (a pooling decoder lends them the states
+    // its chunks use) — every path must produce identical predictions,
+    // and the batch path must agree with one-shot decoding. This is
+    // what keeps memoization, pooling and shot-parallelism honest.
     let ndet = circuit.detectors().len();
     if ndet > 0 {
         let shots = 1000;
@@ -396,11 +295,20 @@ pub fn check_decoder_conformance<D: Decoder>(decoder: &D, circuit: &Circuit) {
         };
         let base = rayon::with_worker_cap(1, || decoder.decode_all(&noisy));
         assert_eq!(base.len(), 2 * shots, "decode_all must cover every shot");
-        for workers in [4usize, 16] {
-            let preds = rayon::with_worker_cap(workers, || decoder.decode_all(&noisy));
+        for (workers, one_shot) in [(4usize, false), (16, false), (4, true)] {
+            let preds = rayon::with_worker_cap(workers, || {
+                if one_shot {
+                    (0..2 * shots)
+                        .into_par_iter()
+                        .map(|s| decoder.decode_events(&noisy.detection_events(s)))
+                        .collect()
+                } else {
+                    decoder.decode_all(&noisy)
+                }
+            });
             assert_eq!(
                 base, preds,
-                "{workers} workers must not change batch predictions"
+                "{workers} workers must not change predictions (one-shot: {one_shot})"
             );
         }
         for s in 0..shots {
@@ -424,10 +332,12 @@ pub fn check_decoder_conformance<D: Decoder>(decoder: &D, circuit: &Circuit) {
 /// Outcome statistics of decoding a batch of shots.
 ///
 /// Equality compares only the *results* — `shots` and `failures`. The
-/// syndrome-cache and kernel counters are diagnostics: which pooled
-/// cache a chunk borrows depends on scheduling, so the hit/miss split —
-/// and with it how many shots reach the kernel — varies across worker
-/// counts while predictions (and therefore tallies) do not.
+/// syndrome-cache and kernel counters are diagnostics of the batch's
+/// chunk fan-out: which pooled cache a chunk borrows depends on
+/// scheduling, so the hit/miss split — and with it how many shots reach
+/// the kernel — varies across worker counts while predictions (and
+/// therefore tallies) do not. Only [`GraphDecoder`] fills them; the
+/// default [`Decoder::decode_batch`] leaves them 0.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeStats {
     /// Number of shots decoded.
@@ -723,8 +633,9 @@ impl SyndromeCache {
 /// The per-basis matching kernel a [`GraphDecoder`] is instantiated
 /// with: given one basis graph and a shot's detection events, predict
 /// the observable flips. Everything around that — graph construction,
-/// reweighting, scratch pooling, memoization, the shot fan-out — is the
-/// shell's, written once.
+/// reweighting, the scratch pool, memoization, the chunk fan-out — is
+/// the shell's, written once, and a kernel keeps no state of its own
+/// outside its view and the scratch the shell lends it.
 ///
 /// A kernel's prediction is the XOR of the [`observables`] of the
 /// graph edges on its matched and boundary paths, and nothing else. So
@@ -734,8 +645,8 @@ impl SyndromeCache {
 ///
 /// [`observables`]: crate::GraphEdge::observables
 pub trait Kernel: Clone + std::fmt::Debug + Send + Sync {
-    /// Reusable per-worker working memory; carries no results between
-    /// shots, so the shell pools and reuses it freely.
+    /// Reusable working memory; carries no results between shots, so
+    /// the shell pools it and lends it to any chunk or one-shot decode.
     type Scratch: Default + Send;
 
     /// Builds the kernel's view of one basis graph.
@@ -756,13 +667,10 @@ pub trait Kernel: Clone + std::fmt::Debug + Send + Sync {
         scratch: &mut Self::Scratch,
     ) -> u64;
 
-    /// Runs `f` on the calling thread's resident scratch (what
-    /// [`Decoder::decode_events`] decodes with).
-    fn with_thread_scratch<R>(f: impl FnOnce(&mut Self::Scratch) -> R) -> R;
-
     /// Hands over (and zeroes) the telemetry `scratch` accumulated
-    /// since the last call; the shell asks once per decoded chunk. The
-    /// default is for kernels that count nothing.
+    /// since the last call; the shell asks once per decoded chunk and
+    /// after each one-shot decode. The default is for kernels that
+    /// count nothing.
     fn take_counters(scratch: &mut Self::Scratch) -> KernelCounters {
         let _ = scratch;
         KernelCounters::default()
@@ -821,9 +729,9 @@ pub struct GraphDecoder<K: Kernel> {
     /// What in-place reweighting to a different baseline error rate
     /// needs.
     parametric: ParametricState,
-    /// Pooled per-chunk scratch/cache pairs reused across batch
+    /// Pooled per-chunk decode states reused across batch and one-shot
     /// decodes; cleared on reweight (memoized predictions go stale).
-    scratch_pool: ScratchPool<K::Scratch>,
+    scratch_pool: ScratchPool<ChunkState<K::Scratch>>,
 }
 
 #[derive(Debug, Clone)]
@@ -920,7 +828,7 @@ impl<K: Kernel> GraphDecoder<K> {
                 current_p: noise.p(),
                 probabilities,
             },
-            scratch_pool: ScratchPool::new(),
+            scratch_pool: ScratchPool::default(),
         }
     }
 
@@ -988,41 +896,40 @@ impl<K: Kernel> GraphDecoder<K> {
         let deltas: Vec<ChunkCounters> = chunks
             .into_par_iter()
             .map(|(lo, slot)| {
-                let mut state = self.scratch_pool.take();
-                let ChunkState {
-                    scratch,
-                    cache,
-                    owned,
-                } = &mut state;
-                let (h0, m0) = (cache.hits(), cache.misses());
-                for (i, pred) in slot.iter_mut().enumerate() {
-                    owned.clear();
-                    owned.extend(ev.events_of(lo + i).iter().filter(|&&d| self.owns(d)));
-                    let events = &owned[..];
-                    *pred = if events.is_empty() {
-                        0
-                    } else if events.len() > CACHE_KEY_MAX_EVENTS {
-                        self.decode_events_with(events, scratch)
-                    } else {
-                        match cache.get_or_slot(events) {
-                            Ok(p) => p,
-                            Err(open) => {
-                                let p = self.decode_events_with(events, scratch);
-                                if let Some(open) = open {
-                                    cache.fill(open, events, p);
+                self.scratch_pool.with(|state| {
+                    let ChunkState {
+                        scratch,
+                        cache,
+                        owned,
+                    } = state;
+                    let (h0, m0) = (cache.hits(), cache.misses());
+                    for (i, pred) in slot.iter_mut().enumerate() {
+                        owned.clear();
+                        owned.extend(ev.events_of(lo + i).iter().filter(|&&d| self.owns(d)));
+                        let events = &owned[..];
+                        *pred = if events.is_empty() {
+                            0
+                        } else if events.len() > CACHE_KEY_MAX_EVENTS {
+                            self.decode_events_with(events, scratch)
+                        } else {
+                            match cache.get_or_slot(events) {
+                                Ok(p) => p,
+                                Err(open) => {
+                                    let p = self.decode_events_with(events, scratch);
+                                    if let Some(open) = open {
+                                        cache.fill(open, events, p);
+                                    }
+                                    p
                                 }
-                                p
                             }
-                        }
-                    };
-                }
-                let delta = ChunkCounters {
-                    hits: cache.hits() - h0,
-                    misses: cache.misses() - m0,
-                    kernel: K::take_counters(scratch),
-                };
-                self.scratch_pool.put(state);
-                delta
+                        };
+                    }
+                    ChunkCounters {
+                        hits: cache.hits() - h0,
+                        misses: cache.misses() - m0,
+                        kernel: K::take_counters(scratch),
+                    }
+                })
             })
             .collect();
         let mut counters = ChunkCounters::default();
@@ -1040,15 +947,22 @@ impl<K: Kernel> Decoder for GraphDecoder<K> {
         self.num_observables
     }
 
+    /// Decodes with the scratch of a pooled chunk state, bypassing its
+    /// memo; the kernel counters it leaves are dropped, so they never
+    /// reach a later batch's stats.
     fn decode_events(&self, events: &[u32]) -> u64 {
-        K::with_thread_scratch(|scratch| self.decode_events_with(events, scratch))
+        self.scratch_pool.with(|state| {
+            let prediction = self.decode_events_with(events, &mut state.scratch);
+            K::take_counters(&mut state.scratch);
+            prediction
+        })
     }
 
-    /// Shot-parallel batch decode with per-chunk scratch reuse and
-    /// syndrome memoization. Chunks are fixed-size, each worker owns a
-    /// private scratch and [`SyndromeCache`], and decoding is
-    /// deterministic, so predictions are identical for any worker
-    /// count.
+    /// Shot-parallel batch decode through the chunk fan-out, with pooled
+    /// scratch and syndrome memoization. Chunks are fixed-size, each
+    /// borrows a private scratch and [`SyndromeCache`] for its duration,
+    /// and decoding is deterministic, so predictions are identical for
+    /// any worker count.
     fn decode_all(&self, batch: &ShotBatch) -> Vec<u64> {
         self.decode_chunked(batch).0
     }
@@ -1402,6 +1316,42 @@ mod tests {
         let mut decoder = MwpmDecoder::from_clean(&clean, &NoiseModel::new(0.0));
         assert!(decoder.reweight(&NoiseModel::new(0.0)));
         assert!(!decoder.reweight(&NoiseModel::new(1e-3)));
+    }
+
+    /// Reweights a decoder of `K` from `p_hi` down to `p_lo` and back
+    /// around one batch. The bad qubit keeps its rate while every other
+    /// channel scales with `p`, so some matchings change with `p`. A
+    /// comes from a twin decoder, which leaves this decoder's memo
+    /// empty; the decode at `p_hi` then fills it, and only the pool
+    /// clear in `reweight` keeps those predictions from answering at
+    /// `p_lo`.
+    fn reweight_drops_memoized_predictions_of<K: Kernel>() {
+        let clean = repetition(4, 0.0);
+        let noise = |p: f64| NoiseModel::new(p).with_bad_qubit(1, 0.2);
+        let (p_lo, p_hi) = (2e-3, 8e-2);
+        let at_p_lo = || {
+            let mut decoder = GraphDecoder::<K>::from_clean(&clean, &noise(p_hi));
+            assert!(decoder.reweight(&noise(p_lo)));
+            decoder
+        };
+        let noisy = noise(p_hi).apply(&clean);
+        let batch = FrameSampler::new(&noisy).sample(1000, &mut StdRng::seed_from_u64(4));
+        let a = at_p_lo().decode_all(&batch);
+        let mut decoder = at_p_lo();
+        assert!(decoder.reweight(&noise(p_hi)));
+        assert_ne!(
+            decoder.decode_all(&batch),
+            a,
+            "some matching must move with p"
+        );
+        assert!(decoder.reweight(&noise(p_lo)));
+        assert_eq!(decoder.decode_all(&batch), a);
+    }
+
+    #[test]
+    fn reweight_drops_memoized_predictions() {
+        reweight_drops_memoized_predictions_of::<Blossom>();
+        reweight_drops_memoized_predictions_of::<crate::UfGraph>();
     }
 
     #[test]

@@ -62,7 +62,6 @@
 
 use crate::decoder::{Kernel, KernelCounters};
 use crate::graph::{Adjacency, DecodingGraph};
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -338,13 +337,6 @@ impl Kernel for Blossom {
         scratch: &mut DecodeScratch,
     ) -> u64 {
         self.decode_weighted(graph, events, scratch).0
-    }
-
-    fn with_thread_scratch<R>(f: impl FnOnce(&mut DecodeScratch) -> R) -> R {
-        thread_local! {
-            static SCRATCH: RefCell<DecodeScratch> = RefCell::default();
-        }
-        SCRATCH.with(|s| f(&mut s.borrow_mut()))
     }
 
     fn take_counters(scratch: &mut DecodeScratch) -> KernelCounters {

@@ -55,7 +55,6 @@
 use crate::decoder::{GraphDecoder, Kernel, KernelCounters};
 use crate::graph::DecodingGraph;
 use crate::paths::PathTables;
-use std::cell::RefCell;
 
 /// Quantization grid for edge weights: matching weights (≈ 0.004…32
 /// after the probability clamp) are scaled by this factor and rounded,
@@ -1170,13 +1169,6 @@ impl Kernel for UfGraph {
 
     fn decode_basis(&self, graph: &DecodingGraph, events: &[u32], scratch: &mut UfScratch) -> u64 {
         decode_basis_uf(graph, self, events, scratch)
-    }
-
-    fn with_thread_scratch<R>(f: impl FnOnce(&mut UfScratch) -> R) -> R {
-        thread_local! {
-            static SCRATCH: RefCell<UfScratch> = RefCell::new(UfScratch::new());
-        }
-        SCRATCH.with(|s| f(&mut s.borrow_mut()))
     }
 
     fn take_counters(scratch: &mut UfScratch) -> KernelCounters {

@@ -27,7 +27,7 @@ use dqec_core::{memory_z, AdaptedPatch, Coord, DefectSet, PatchLayout};
 use dqec_matching::{DecodeStats, Decoder, DecodingGraph, MwpmDecoder, UfDecoder, UfScratch};
 use dqec_sim::circuit::{CheckBasis, Circuit, Noise1};
 use dqec_sim::dem::ParametricDem;
-use dqec_sim::frame::{FrameProgram, FrameSampler, FrameScratch, FrameScratchPool};
+use dqec_sim::frame::{FrameProgram, FrameSampler, FrameScratch, ScratchPool};
 use dqec_sim::noise::NoiseModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -200,7 +200,7 @@ fn warm_frame_program_sample_allocates_nothing() {
     // Warm at the largest size: buffers only ever grow.
     let mut scratch = FrameScratch::default();
     program.sample(4096, &mut rng, &mut scratch);
-    let pool = FrameScratchPool::default();
+    let pool: ScratchPool<FrameScratch> = ScratchPool::default();
     pool.with(|s| program.sample(4096, &mut rng, s).detectors.shots());
     for shots in [16usize, 4096, 16] {
         let (direct, _) = count_allocs(|| {

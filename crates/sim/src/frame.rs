@@ -9,7 +9,7 @@
 use crate::circuit::{Circuit, Gate1, Gate2, Noise1, Op};
 use crate::pauli::Pauli;
 use rand::Rng;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A dense bit table: `rows` bit-rows of `shots` columns each.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -427,32 +427,52 @@ pub struct FrameScratch {
     batch: ShotBatch,
 }
 
-/// A stash of [`FrameScratch`]es shared by the workers sampling one
-/// circuit: each batch borrows a scratch for its duration and returns
-/// it, so once every worker has sampled a batch of the largest size no
-/// batch allocates. Reuse is invisible to results — a scratch carries
-/// no state from one sample to the next.
-#[derive(Debug, Default)]
-pub struct FrameScratchPool {
-    stack: Mutex<Vec<FrameScratch>>,
+/// A stash of reusable working memory shared by the workers of one
+/// parallel loop: each unit of work borrows a value for its duration
+/// and returns it, so once every worker holds a warm value no unit
+/// allocates. The frame sampler pools [`FrameScratch`]es in it and the
+/// decoder its per-chunk decode state. Reuse must be invisible to
+/// results; a value that caches results derived from state that
+/// changes needs [`ScratchPool::clear`] when it does.
+#[derive(Default)]
+pub struct ScratchPool<T: Default> {
+    stack: Mutex<Vec<T>>,
 }
 
-impl FrameScratchPool {
-    /// Runs `f` with a scratch borrowed from the pool (a fresh one when
+impl<T: Default> ScratchPool<T> {
+    /// Runs `f` with a value borrowed from the pool (a fresh one when
     /// the pool is empty).
-    pub fn with<T>(&self, f: impl FnOnce(&mut FrameScratch) -> T) -> T {
-        let popped = self
-            .stack
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop();
-        let mut scratch = popped.unwrap_or_default();
-        let out = f(&mut scratch);
-        self.stack
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(scratch);
+    pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        let popped = self.lock().pop();
+        let mut value = popped.unwrap_or_default();
+        let out = f(&mut value);
+        self.lock().push(value);
         out
+    }
+
+    /// Drops every pooled value.
+    pub fn clear(&self) {
+        self.lock().clear();
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Vec<T>> {
+        self.stack.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A clone starts cold: pooled values are derived state, and sharing
+/// them across clones would couple their locking.
+impl<T: Default> Clone for ScratchPool<T> {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl<T: Default> std::fmt::Debug for ScratchPool<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ScratchPool")
+            .field("pooled", &self.lock().len())
+            .finish()
     }
 }
 

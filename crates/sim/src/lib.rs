@@ -11,7 +11,9 @@
 //! * [`tableau`] — an Aaronson–Gottesman simulator computing the
 //!   noiseless *reference sample* a frame simulation deviates from;
 //! * [`frame`] — a vectorized (64 shots/word) Pauli-frame sampler that
-//!   produces detector/observable flip tables;
+//!   produces detector/observable flip tables, and [`ScratchPool`], the
+//!   one pool of reusable working memory that sampling and decoding
+//!   workers borrow from;
 //! * [`dem`] — detector-error-model extraction: every noise mechanism's
 //!   flipped detectors and observables, with its probability at any
 //!   baseline rate `p`;
@@ -62,7 +64,7 @@ pub mod tableau;
 pub use circuit::{CheckBasis, Circuit, MeasRecord};
 pub use dem::ParametricDem;
 pub use error::SimError;
-pub use frame::{BitTable, FrameProgram, FrameSampler, FrameScratch, FrameScratchPool, ShotBatch};
+pub use frame::{BitTable, FrameProgram, FrameSampler, FrameScratch, ScratchPool, ShotBatch};
 pub use noise::{NoiseModel, NoiseParam};
 pub use tableau::ReferenceSample;
 
