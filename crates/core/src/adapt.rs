@@ -26,13 +26,34 @@
 //! deformed: the anticommuting face whose color differs from the nearest
 //! boundary is disabled (with shadow excision as an escalation), and the
 //! cascade reruns.
+//!
+//! # State layout
+//!
+//! The adapter keeps one per-site array over the doubled-coordinate
+//! grid of the layout plus a two-site margin on every side (the reach
+//! of the void lattices), indexed x-major from `(x, y)` so that index
+//! order is `Coord` order. Each entry says whether the site is outside
+//! the layout, live, or dead and why; data and face sites share the
+//! array and are told apart by parity. Every rule reads and writes that
+//! array, clustering scans each dead cell's Chebyshev-2 neighbourhood
+//! on the grid, and each analysis leaves a parallel array of gauge
+//! cluster ids. [`AdaptedPatch`] keeps both arrays for its lookups; its
+//! [`dead_data`](AdaptedPatch::dead_data) and
+//! [`dead_faces`](AdaptedPatch::dead_faces) maps are read off the
+//! array once, at the end.
+//!
+//! Post-validation builds both check graphs from the void components
+//! that the final, consistent void-feedback pass computed on the same
+//! state, and keeps each basis's distance and shortest-logical count on
+//! the patch for [`PatchIndicators`](crate::indicators::PatchIndicators).
 
 use crate::coords::{Coord, Side};
 use crate::defect::DefectSet;
+use crate::graphs::{expected_void_components, void_components_with, CheckGraph, VoidComponent};
 use crate::layout::PatchLayout;
 use dqec_sim::circuit::CheckBasis;
 use dqec_sim::f2::SymplecticSpace;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Why a qubit or face was disabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,15 +87,16 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Cluster diameter in qubit units (1 = single cell).
+    /// Cluster diameter in qubit units (1 = single cell): half the
+    /// largest Chebyshev distance between two cells, plus one. That
+    /// distance is the larger of the cells' x- and y-spans.
     pub fn diameter(&self) -> u32 {
-        let mut max = 0;
-        for (i, a) in self.cells.iter().enumerate() {
-            for b in &self.cells[i + 1..] {
-                max = max.max(a.chebyshev(*b));
-            }
-        }
-        (max / 2 + 1) as u32
+        let span = |coord: fn(&Coord) -> i32| {
+            let lo = self.cells.iter().map(coord).min().unwrap_or(0);
+            let hi = self.cells.iter().map(coord).max().unwrap_or(0);
+            hi - lo
+        };
+        (span(|c| c.x).max(span(|c| c.y)) / 2 + 1) as u32
     }
 
     /// Whether this cluster measures any gauge operators.
@@ -91,6 +113,144 @@ pub enum AdaptStatus {
     /// The defects destroyed the patch (no valid code remains). Such
     /// patches count as failed chiplets with distance 0.
     Degenerate(String),
+}
+
+/// The doubled-coordinate grid of a layout plus a margin of
+/// [`Grid::MARGIN`] on every side, indexed x-major so that index order
+/// is `Coord` order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Grid {
+    nx: i32,
+    ny: i32,
+}
+
+impl Grid {
+    /// How far the grid reaches beyond the layout's boundary rows: the
+    /// void lattices extend two units past them.
+    const MARGIN: i32 = 2;
+
+    /// The grid of `layout`.
+    pub(crate) fn of(layout: &PatchLayout) -> Grid {
+        Grid {
+            nx: 2 * layout.width() as i32 + 1 + 2 * Self::MARGIN,
+            ny: 2 * layout.height() as i32 + 1 + 2 * Self::MARGIN,
+        }
+    }
+
+    /// Number of grid positions.
+    pub(crate) fn len(self) -> usize {
+        (self.nx * self.ny) as usize
+    }
+
+    /// The position of `c`, if the grid covers it.
+    #[inline]
+    pub(crate) fn index(self, c: Coord) -> Option<usize> {
+        let (x, y) = (c.x + Self::MARGIN, c.y + Self::MARGIN);
+        ((x as u32) < self.nx as u32 && (y as u32) < self.ny as u32)
+            .then_some((x * self.ny + y) as usize)
+    }
+
+    /// The coordinate at position `i`.
+    pub(crate) fn coord(self, i: usize) -> Coord {
+        let i = i as i32;
+        Coord::new(i / self.ny - Self::MARGIN, i % self.ny - Self::MARGIN)
+    }
+}
+
+/// The state of one grid site.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Site {
+    /// No qubit of the layout sits here.
+    Absent,
+    /// An active qubit.
+    Live,
+    /// A disabled qubit.
+    Dead(DeadReason),
+}
+
+/// Marks a grid site that belongs to no cluster.
+const NO_CLUSTER: u32 = u32::MAX;
+
+fn is_data_site(c: Coord) -> bool {
+    c.x & c.y & 1 == 1
+}
+
+fn is_face_site(c: Coord) -> bool {
+    (c.x | c.y) & 1 == 0
+}
+
+/// Per-site liveness and reason over a layout's [`Grid`].
+#[derive(Debug, Clone)]
+struct Sites {
+    grid: Grid,
+    state: Vec<Site>,
+}
+
+impl Sites {
+    /// Every data and face site of `layout` live.
+    fn new(layout: &PatchLayout) -> Self {
+        let grid = Grid::of(layout);
+        let mut state = vec![Site::Absent; grid.len()];
+        for c in layout.data_sites().chain(layout.face_sites()) {
+            if let Some(i) = grid.index(c) {
+                state[i] = Site::Live;
+            }
+        }
+        Sites { grid, state }
+    }
+
+    #[inline]
+    fn is_live(&self, c: Coord) -> bool {
+        self.grid
+            .index(c)
+            .is_some_and(|i| self.state[i] == Site::Live)
+    }
+
+    #[inline]
+    fn is_live_data(&self, c: Coord) -> bool {
+        is_data_site(c) && self.is_live(c)
+    }
+
+    #[inline]
+    fn is_live_face(&self, c: Coord) -> bool {
+        is_face_site(c) && self.is_live(c)
+    }
+
+    fn kill(&mut self, c: Coord, reason: DeadReason) -> bool {
+        match self.grid.index(c) {
+            Some(i) if self.state[i] == Site::Live => {
+                self.state[i] = Site::Dead(reason);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn kill_data(&mut self, c: Coord, reason: DeadReason) -> bool {
+        is_data_site(c) && self.kill(c, reason)
+    }
+
+    fn kill_face(&mut self, c: Coord, reason: DeadReason) -> bool {
+        is_face_site(c) && self.kill(c, reason)
+    }
+
+    /// The live data qubits of a face, in `diagonal_neighbors` order.
+    fn live_support(&self, f: Coord) -> impl Iterator<Item = Coord> + '_ {
+        f.diagonal_neighbors()
+            .into_iter()
+            .filter(move |&d| self.is_live_data(d))
+    }
+
+    /// The dead sites among `sites`, with their reasons.
+    fn dead_among(&self, sites: &[Coord]) -> BTreeMap<Coord, DeadReason> {
+        sites
+            .iter()
+            .filter_map(|&c| match self.grid.index(c).map(|i| self.state[i]) {
+                Some(Site::Dead(reason)) => Some((c, reason)),
+                _ => None,
+            })
+            .collect()
+    }
 }
 
 /// A rotated surface code adapted to a set of fabrication defects.
@@ -117,12 +277,18 @@ pub enum AdaptStatus {
 pub struct AdaptedPatch {
     layout: PatchLayout,
     defects: DefectSet,
+    sites: Sites,
+    /// Gauge cluster id per grid site ([`NO_CLUSTER`] when not a gauge).
+    gauge_cluster: Vec<u32>,
     dead_data: BTreeMap<Coord, DeadReason>,
     dead_faces: BTreeMap<Coord, DeadReason>,
     full_faces: Vec<Coord>,
     clusters: Vec<Cluster>,
-    gauge_cluster: BTreeMap<Coord, u32>,
     status: AdaptStatus,
+    /// Post-validation's `distance_and_count` of the Z- and the X-check
+    /// graph (`None` when degenerate or when the lattice has no pair of
+    /// voids).
+    logicals: [Option<(u32, f64)>; 2],
 }
 
 impl AdaptedPatch {
@@ -164,12 +330,12 @@ impl AdaptedPatch {
 
     /// Whether a data qubit is active.
     pub fn is_live_data(&self, c: Coord) -> bool {
-        self.layout.contains_data(c) && !self.dead_data.contains_key(&c)
+        self.sites.is_live_data(c)
     }
 
     /// Whether a face is active (full stabilizer or gauge).
     pub fn is_live_face(&self, c: Coord) -> bool {
-        self.layout.contains_face(c) && !self.dead_faces.contains_key(&c)
+        self.sites.is_live_face(c)
     }
 
     /// Active data qubits, ascending.
@@ -192,21 +358,28 @@ impl AdaptedPatch {
 
     /// The cluster id a gauge face belongs to, if it is a gauge.
     pub fn gauge_cluster_of(&self, face: Coord) -> Option<u32> {
-        self.gauge_cluster.get(&face).copied()
+        let id = self.gauge_cluster[self.sites.grid.index(face)?];
+        (id != NO_CLUSTER).then_some(id)
     }
 
     /// The active data qubits a live face acts on.
     pub fn face_live_support(&self, face: Coord) -> Vec<Coord> {
-        self.layout
-            .face_support(face)
-            .into_iter()
-            .filter(|&d| self.is_live_data(d))
-            .collect()
+        self.sites.live_support(face).collect()
     }
 
     /// Number of active data qubits.
     pub fn num_live_data(&self) -> usize {
         self.layout.data_sites().count() - self.dead_data.len()
+    }
+
+    /// The shortest logical chain's weight and the number of such
+    /// chains on the `check_basis` graph, as post-validation found them
+    /// (`None` for a degenerate patch or a lattice without two voids).
+    pub(crate) fn distance_and_count(&self, check_basis: CheckBasis) -> Option<(u32, f64)> {
+        match check_basis {
+            CheckBasis::Z => self.logicals[0],
+            CheckBasis::X => self.logicals[1],
+        }
     }
 
     /// Verifies the adapted code with exact F2 symplectic arithmetic:
@@ -246,9 +419,8 @@ impl AdaptedPatch {
         }
         // Full faces must commute with everything measured: verified
         // implicitly by gauge classification; double-check pairwise.
-        for (i, &f) in self.full_faces.iter().enumerate() {
-            let _ = i;
-            if self.gauge_cluster.contains_key(&f) {
+        for &f in &self.full_faces {
+            if self.gauge_cluster_of(f).is_some() {
                 return Err(format!("face {f} is both full and gauge"));
             }
         }
@@ -269,141 +441,122 @@ fn shared_sites(f: Coord, g: Coord) -> [Coord; 2] {
     }
 }
 
-/// The four orthogonal face-lattice neighbours of a face.
-fn orthogonal_faces(f: Coord) -> [Coord; 4] {
-    [
-        Coord::new(f.x - 2, f.y),
-        Coord::new(f.x + 2, f.y),
-        Coord::new(f.x, f.y - 2),
-        Coord::new(f.x, f.y + 2),
-    ]
-}
-
 struct Adapter {
     layout: PatchLayout,
     defects: DefectSet,
-    dead_data: BTreeMap<Coord, DeadReason>,
-    dead_faces: BTreeMap<Coord, DeadReason>,
-    r4_done: BTreeSet<Coord>,
+    sites: Sites,
+    /// The layout's data sites, ascending.
+    data: Vec<Coord>,
+    /// The layout's face sites, ascending.
+    faces: Vec<Coord>,
+    /// Faulty faces whose R4 has not fired yet, ascending.
+    faulty_faces: Vec<Coord>,
 }
 
 struct Analysis {
     clusters: Vec<Cluster>,
-    gauge_cluster: BTreeMap<Coord, u32>,
+    /// Gauge cluster id per grid site ([`NO_CLUSTER`] when not a gauge).
+    gauge_cluster: Vec<u32>,
     /// (x_face, z_face) anticommuting pairs per cluster.
     pairs: Vec<Vec<(Coord, Coord)>>,
     invalid: Vec<u32>,
 }
 
 enum VoidOutcome {
-    Consistent,
+    /// Both lattices have their expected components: the Z lattice's,
+    /// then the X lattice's.
+    Consistent([Vec<VoidComponent>; 2]),
     Excised,
     Broken(String),
+}
+
+/// A minimal union-find over `0..n` with path compression.
+fn find(parent: &mut [u32], i: usize) -> usize {
+    let mut root = i;
+    while parent[root] as usize != root {
+        root = parent[root] as usize;
+    }
+    let mut cur = i;
+    while parent[cur] as usize != root {
+        let next = parent[cur] as usize;
+        parent[cur] = root as u32;
+        cur = next;
+    }
+    root
 }
 
 impl Adapter {
     fn new(layout: PatchLayout, defects: DefectSet) -> Self {
         Adapter {
+            sites: Sites::new(&layout),
+            data: layout.data_sites().collect(),
+            faces: layout.face_sites().collect(),
             layout,
             defects,
-            dead_data: BTreeMap::new(),
-            dead_faces: BTreeMap::new(),
-            r4_done: BTreeSet::new(),
-        }
-    }
-
-    fn is_live_data(&self, c: Coord) -> bool {
-        self.layout.contains_data(c) && !self.dead_data.contains_key(&c)
-    }
-
-    fn is_live_face(&self, c: Coord) -> bool {
-        self.layout.contains_face(c) && !self.dead_faces.contains_key(&c)
-    }
-
-    fn live_support(&self, f: Coord) -> Vec<Coord> {
-        self.layout
-            .face_support(f)
-            .into_iter()
-            .filter(|&d| self.is_live_data(d))
-            .collect()
-    }
-
-    fn kill_data(&mut self, c: Coord, reason: DeadReason) -> bool {
-        if self.is_live_data(c) {
-            self.dead_data.insert(c, reason);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn kill_face(&mut self, c: Coord, reason: DeadReason) -> bool {
-        if self.is_live_face(c) {
-            self.dead_faces.insert(c, reason);
-            true
-        } else {
-            false
+            faulty_faces: Vec::new(),
         }
     }
 
     /// Seeds the dead sets from the defect list.
     fn seed(&mut self) {
-        for &s in self.defects.synd.clone().iter() {
-            self.kill_face(s, DeadReason::Faulty);
+        for &s in &self.defects.synd {
+            if self.sites.kill_face(s, DeadReason::Faulty) {
+                self.faulty_faces.push(s);
+            }
         }
-        for &d in self.defects.data.clone().iter() {
-            self.kill_data(d, DeadReason::Faulty);
+        for &d in &self.defects.data {
+            self.sites.kill_data(d, DeadReason::Faulty);
         }
         // A faulty link disables the attached data qubit, unless the
         // syndrome qubit at the other end is already disabled (paper §4).
-        for &(d, s) in self.defects.links.clone().iter() {
-            if self.is_live_face(s) {
-                self.kill_data(d, DeadReason::Faulty);
+        for &(d, s) in &self.defects.links {
+            if self.sites.is_live_face(s) {
+                self.sites.kill_data(d, DeadReason::Faulty);
             }
         }
     }
 
-    /// R1–R3 to fixed point. Returns whether anything changed.
-    fn cascade(&mut self) -> bool {
-        let faces: Vec<Coord> = self.layout.face_sites().collect();
-        let data: Vec<Coord> = self.layout.data_sites().collect();
-        let mut changed_any = false;
+    /// R1–R3 to fixed point.
+    fn cascade(&mut self) {
+        let sites = &mut self.sites;
         loop {
             let mut changed = false;
-            for &f in &faces {
-                if !self.is_live_face(f) {
+            for &f in &self.faces {
+                if !sites.is_live_face(f) {
                     continue;
                 }
-                let sup = self.live_support(f);
-                if sup.len() <= 1 {
-                    changed |= self.kill_face(f, DeadReason::WeightRule);
-                } else if sup.len() == 2
+                let mut sup = [f; 4];
+                let mut n = 0;
+                for d in sites.live_support(f) {
+                    sup[n] = d;
+                    n += 1;
+                }
+                if n <= 1 {
+                    changed |= sites.kill_face(f, DeadReason::WeightRule);
+                } else if n == 2
                     && (sup[0].x - sup[1].x).abs() == 2
                     && (sup[0].y - sup[1].y).abs() == 2
                 {
-                    changed |= self.kill_face(f, DeadReason::DiagonalRule);
-                    changed |= self.kill_data(sup[0], DeadReason::DiagonalRule);
-                    changed |= self.kill_data(sup[1], DeadReason::DiagonalRule);
+                    changed |= sites.kill_face(f, DeadReason::DiagonalRule);
+                    changed |= sites.kill_data(sup[0], DeadReason::DiagonalRule);
+                    changed |= sites.kill_data(sup[1], DeadReason::DiagonalRule);
                 }
             }
-            for &d in &data {
-                if !self.is_live_data(d) {
+            for &d in &self.data {
+                if !sites.is_live_data(d) {
                     continue;
                 }
-                for basis in [CheckBasis::X, CheckBasis::Z] {
-                    let covered = d
-                        .face_sites_of_basis(basis)
+                let uncovered = [CheckBasis::X, CheckBasis::Z].into_iter().any(|basis| {
+                    !d.face_sites_of_basis(basis)
                         .into_iter()
-                        .any(|f| self.is_live_face(f));
-                    if !covered {
-                        changed |= self.kill_data(d, DeadReason::Coverage);
-                        break;
-                    }
+                        .any(|f| sites.is_live_face(f))
+                });
+                if uncovered {
+                    changed |= sites.kill_data(d, DeadReason::Coverage);
                 }
             }
-            changed_any |= changed;
             if !changed {
-                return changed_any;
+                return;
             }
         }
     }
@@ -412,33 +565,27 @@ impl Adapter {
     /// the interior, boundary-side ones near a boundary. Fires once per
     /// faulty face. Returns whether anything changed.
     fn handle_faulty_faces(&mut self) -> bool {
-        let faulty: Vec<Coord> = self
-            .dead_faces
-            .iter()
-            .filter(|(c, r)| **r == DeadReason::Faulty && !self.r4_done.contains(*c))
-            .map(|(&c, _)| c)
-            .collect();
         let mut changed = false;
-        for f in faulty {
-            self.r4_done.insert(f);
+        for f in std::mem::take(&mut self.faulty_faces) {
             let (side, dist) = self.layout.nearest_side(f);
-            let neighbors: Vec<Coord> = self
-                .layout
-                .face_support(f)
-                .into_iter()
-                .filter(|&d| self.is_live_data(d))
-                .collect();
+            let mut neighbors = [f; 4];
+            let mut n = 0;
+            for d in self.sites.live_support(f) {
+                neighbors[n] = d;
+                n += 1;
+            }
+            let neighbors = &neighbors[..n];
             if dist == 0 {
-                for d in neighbors {
-                    changed |= self.kill_data(d, DeadReason::Deformation);
+                for &d in neighbors {
+                    changed |= self.sites.kill_data(d, DeadReason::Deformation);
                 }
             } else if dist <= 2 && f.face_basis() != self.layout.boundary().of(side) {
                 // Fig 1d: a face of different color than the nearby
                 // boundary only loses its boundary-side neighbours.
                 let fd = self.layout.distance_to_side(f, side);
-                for d in neighbors {
+                for &d in neighbors {
                     if self.layout.distance_to_side(d, side) < fd {
-                        changed |= self.kill_data(d, DeadReason::Deformation);
+                        changed |= self.sites.kill_data(d, DeadReason::Deformation);
                     }
                 }
             } else if dist <= 2 {
@@ -446,12 +593,12 @@ impl Adapter {
                 // be excluded. Disable all neighbours; the deformation
                 // escalation then trims the opposite-type faces so the
                 // notch merges into the boundary.
-                for d in neighbors {
-                    changed |= self.kill_data(d, DeadReason::Deformation);
+                for &d in neighbors {
+                    changed |= self.sites.kill_data(d, DeadReason::Deformation);
                 }
             } else {
-                for d in neighbors {
-                    changed |= self.kill_data(d, DeadReason::Propagated);
+                for &d in neighbors {
+                    changed |= self.sites.kill_data(d, DeadReason::Propagated);
                 }
             }
         }
@@ -460,57 +607,60 @@ impl Adapter {
 
     /// R5: data whose X (Z) errors flip no Z-type (X-type) check. Needs
     /// cluster info for super-stabilizer parity. Returns changes.
+    ///
+    /// A face that is dead (a void termination) or a full check is an
+    /// attachment; gauges count through their cluster's parity. With
+    /// two faces per basis, a qubit is unattached exactly when both are
+    /// gauges of one cluster.
     fn unprotected_rule(&mut self, analysis: &Analysis) -> bool {
+        let grid = self.sites.grid;
+        let cluster_of = |s: Coord| {
+            grid.index(s)
+                .map_or(NO_CLUSTER, |i| analysis.gauge_cluster[i])
+        };
         let mut to_kill = Vec::new();
-        for d in self.layout.data_sites() {
-            if !self.is_live_data(d) {
+        for &d in &self.data {
+            if !self.sites.is_live_data(d) {
                 continue;
             }
-            for check_basis in [CheckBasis::Z, CheckBasis::X] {
-                let mut attachments = 0usize;
-                let mut cluster_parity: BTreeMap<u32, usize> = BTreeMap::new();
-                for s in d.face_sites_of_basis(check_basis) {
-                    if self.is_live_face(s) {
-                        match analysis.gauge_cluster.get(&s) {
-                            None => attachments += 1,
-                            Some(&c) => *cluster_parity.entry(c).or_insert(0) += 1,
-                        }
-                    } else {
-                        // void termination counts as an attachment
-                        attachments += 1;
-                    }
-                }
-                attachments += cluster_parity.values().filter(|&&n| n % 2 == 1).count();
-                if attachments == 0 {
-                    to_kill.push(d);
-                    break;
-                }
+            let unattached = [CheckBasis::Z, CheckBasis::X]
+                .into_iter()
+                .any(|check_basis| {
+                    let [a, b] = d.face_sites_of_basis(check_basis);
+                    let c = cluster_of(a);
+                    c != NO_CLUSTER && c == cluster_of(b)
+                });
+            if unattached {
+                to_kill.push(d);
             }
         }
         let mut changed = false;
         for d in to_kill {
-            changed |= self.kill_data(d, DeadReason::Coverage);
+            changed |= self.sites.kill_data(d, DeadReason::Coverage);
         }
         changed
     }
 
     /// Identifies gauge faces, clusters, and per-cluster validity.
     fn analyze(&self) -> Analysis {
+        let sites = &self.sites;
+        let grid = sites.grid;
         // Anticommuting (X, Z) face pairs: orthogonal neighbours sharing
-        // exactly one live data qubit.
-        let mut gauge_faces: BTreeSet<Coord> = BTreeSet::new();
+        // exactly one live data qubit, each pair found from its lower
+        // face.
+        let mut gauge_faces: Vec<Coord> = Vec::new();
         let mut raw_pairs: Vec<(Coord, Coord)> = Vec::new();
-        for f in self.layout.face_sites() {
-            if !self.is_live_face(f) {
+        for &f in &self.faces {
+            if !sites.is_live_face(f) {
                 continue;
             }
-            for g in orthogonal_faces(f) {
-                if g <= f || !self.is_live_face(g) {
+            for g in [Coord::new(f.x + 2, f.y), Coord::new(f.x, f.y + 2)] {
+                if !sites.is_live_face(g) {
                     continue;
                 }
                 let live = shared_sites(f, g)
                     .into_iter()
-                    .filter(|&d| self.is_live_data(d))
+                    .filter(|&d| sites.is_live_data(d))
                     .count();
                 if live == 1 {
                     let (xf, zf) = if f.face_basis() == CheckBasis::X {
@@ -518,68 +668,82 @@ impl Adapter {
                     } else {
                         (g, f)
                     };
-                    gauge_faces.insert(f);
-                    gauge_faces.insert(g);
+                    gauge_faces.push(f);
+                    gauge_faces.push(g);
                     raw_pairs.push((xf, zf));
                 }
             }
         }
+        gauge_faces.sort_unstable();
+        gauge_faces.dedup();
 
-        // Clusters: connected components of dead cells (Chebyshev <= 2).
+        // Clusters: connected components of dead cells (Chebyshev <= 2),
+        // numbered by their first cell in (dead data, then dead faces)
+        // order, found by scanning each cell's 5x5 grid neighbourhood.
         let cells: Vec<Coord> = self
-            .dead_data
-            .keys()
-            .chain(self.dead_faces.keys())
+            .data
+            .iter()
+            .chain(&self.faces)
             .copied()
+            .filter(|&c| {
+                grid.index(c)
+                    .is_some_and(|i| matches!(sites.state[i], Site::Dead(_)))
+            })
             .collect();
-        let mut comp: Vec<usize> = (0..cells.len()).collect();
-        fn find(comp: &mut Vec<usize>, i: usize) -> usize {
-            if comp[i] != i {
-                let r = find(comp, comp[i]);
-                comp[i] = r;
+        let mut cell_at = vec![NO_CLUSTER; grid.len()];
+        for (i, &c) in cells.iter().enumerate() {
+            if let Some(k) = grid.index(c) {
+                cell_at[k] = i as u32;
             }
-            comp[i]
         }
-        for i in 0..cells.len() {
-            for j in i + 1..cells.len() {
-                if cells[i].chebyshev(cells[j]) <= 2 {
-                    let (a, b) = (find(&mut comp, i), find(&mut comp, j));
-                    if a != b {
-                        comp[a] = b;
+        let mut comp: Vec<u32> = (0..cells.len() as u32).collect();
+        for (i, &c) in cells.iter().enumerate() {
+            for dx in -2..=2 {
+                for dy in -2..=2 {
+                    let Some(k) = grid.index(Coord::new(c.x + dx, c.y + dy)) else {
+                        continue;
+                    };
+                    let j = cell_at[k] as usize;
+                    if cell_at[k] != NO_CLUSTER && j > i {
+                        let (a, b) = (find(&mut comp, i), find(&mut comp, j));
+                        if a != b {
+                            comp[a] = b as u32;
+                        }
                     }
                 }
             }
         }
-        let mut cluster_of_root: BTreeMap<usize, u32> = BTreeMap::new();
+        // From here on `cell_at` holds each dead cell's cluster id.
+        let mut cluster_of_root = vec![NO_CLUSTER; cells.len()];
         let mut clusters: Vec<Cluster> = Vec::new();
         for (i, &cell) in cells.iter().enumerate() {
             let root = find(&mut comp, i);
-            let id = *cluster_of_root.entry(root).or_insert_with(|| {
+            if cluster_of_root[root] == NO_CLUSTER {
+                cluster_of_root[root] = clusters.len() as u32;
                 clusters.push(Cluster {
                     cells: Vec::new(),
                     x_gauges: Vec::new(),
                     z_gauges: Vec::new(),
                     repetitions: 1,
                 });
-                clusters.len() as u32 - 1
-            });
+            }
+            let id = cluster_of_root[root];
             clusters[id as usize].cells.push(cell);
+            if let Some(k) = grid.index(cell) {
+                cell_at[k] = id;
+            }
         }
+        let cluster_at = cell_at;
 
         // Assign gauge faces to the cluster of an adjacent dead cell.
-        let cell_cluster: BTreeMap<Coord, u32> = clusters
-            .iter()
-            .enumerate()
-            .flat_map(|(id, c)| c.cells.iter().map(move |&cell| (cell, id as u32)))
-            .collect();
-        let mut gauge_cluster: BTreeMap<Coord, u32> = BTreeMap::new();
+        let mut gauge_cluster = vec![NO_CLUSTER; grid.len()];
         for &g in &gauge_faces {
-            let id = g
-                .diagonal_neighbors()
-                .into_iter()
-                .find_map(|d| cell_cluster.get(&d).copied());
-            if let Some(id) = id {
-                gauge_cluster.insert(g, id);
+            let id = g.diagonal_neighbors().into_iter().find_map(|d| {
+                let id = cluster_at[grid.index(d)?];
+                (id != NO_CLUSTER).then_some(id)
+            });
+            if let (Some(id), Some(k)) = (id, grid.index(g)) {
+                gauge_cluster[k] = id;
                 match g.face_basis() {
                     CheckBasis::X => clusters[id as usize].x_gauges.push(g),
                     CheckBasis::Z => clusters[id as usize].z_gauges.push(g),
@@ -594,20 +758,22 @@ impl Adapter {
         }
 
         // Pairs per cluster.
+        let cluster_of = |f: Coord| grid.index(f).map_or(NO_CLUSTER, |k| gauge_cluster[k]);
         let mut pairs: Vec<Vec<(Coord, Coord)>> = vec![Vec::new(); clusters.len()];
         let mut orphan_pair = false;
         for (xf, zf) in raw_pairs {
-            match (gauge_cluster.get(&xf), gauge_cluster.get(&zf)) {
-                (Some(&a), Some(&b)) if a == b => pairs[a as usize].push((xf, zf)),
+            match (cluster_of(xf), cluster_of(zf)) {
+                (a, b) if a == b && a != NO_CLUSTER => pairs[a as usize].push((xf, zf)),
                 _ => orphan_pair = true,
             }
         }
 
         // Validity: super-stabilizer products must commute with every
         // opposite gauge.
+        let mut in_product = vec![false; grid.len()];
         let mut invalid = Vec::new();
         for (id, cluster) in clusters.iter().enumerate() {
-            if !self.cluster_is_gaugeable(cluster) {
+            if !self.cluster_is_gaugeable(cluster, &mut in_product) {
                 invalid.push(id as u32);
             }
         }
@@ -628,41 +794,35 @@ impl Adapter {
         }
     }
 
-    fn cluster_is_gaugeable(&self, cluster: &Cluster) -> bool {
-        let product_support = |faces: &[Coord]| -> BTreeSet<Coord> {
-            let mut s: BTreeSet<Coord> = BTreeSet::new();
+    /// Whether each gauge of one basis overlaps the product of the other
+    /// basis's gauges evenly. `in_product` is all-false scratch over the
+    /// grid and is left all-false.
+    fn cluster_is_gaugeable(&self, cluster: &Cluster, in_product: &mut [bool]) -> bool {
+        let sites = &self.sites;
+        let toggle = |faces: &[Coord], in_product: &mut [bool]| {
             for &f in faces {
-                for d in self.live_support(f) {
-                    if !s.remove(&d) {
-                        s.insert(d);
+                for d in sites.live_support(f) {
+                    if let Some(k) = sites.grid.index(d) {
+                        in_product[k] ^= true;
                     }
                 }
             }
-            s
         };
-        let xs = product_support(&cluster.x_gauges);
-        for &z in &cluster.z_gauges {
-            let overlap = self
-                .live_support(z)
-                .iter()
-                .filter(|d| xs.contains(d))
-                .count();
-            if overlap % 2 == 1 {
-                return false;
-            }
-        }
-        let zs = product_support(&cluster.z_gauges);
-        for &x in &cluster.x_gauges {
-            let overlap = self
-                .live_support(x)
-                .iter()
-                .filter(|d| zs.contains(d))
-                .count();
-            if overlap % 2 == 1 {
-                return false;
-            }
-        }
-        true
+        let commutes = |product: &[Coord], others: &[Coord], in_product: &mut [bool]| {
+            toggle(product, in_product);
+            let even = others.iter().all(|&f| {
+                sites
+                    .live_support(f)
+                    .filter(|&d| sites.grid.index(d).is_some_and(|k| in_product[k]))
+                    .count()
+                    % 2
+                    == 0
+            });
+            toggle(product, in_product);
+            even
+        };
+        commutes(&cluster.x_gauges, &cluster.z_gauges, in_product)
+            && commutes(&cluster.z_gauges, &cluster.x_gauges, in_product)
     }
 
     /// Checks reachable void component counts per basis; excises data
@@ -670,14 +830,16 @@ impl Adapter {
     /// that needed excision so the cascade reruns before the other
     /// basis is inspected.
     fn void_feedback(&mut self) -> VoidOutcome {
-        for basis in [CheckBasis::Z, CheckBasis::X] {
-            let comps = crate::graphs::void_components(
+        let mut consistent: [Vec<VoidComponent>; 2] = Default::default();
+        for (slot, basis) in [CheckBasis::Z, CheckBasis::X].into_iter().enumerate() {
+            let sites = &self.sites;
+            let comps = void_components_with(
                 &self.layout,
                 basis,
-                &|c| self.is_live_data(c),
-                &|c| self.is_live_face(c),
+                |c| sites.is_live_data(c),
+                |c| sites.is_live_face(c),
             );
-            let expected = crate::graphs::expected_void_components(&self.layout, basis);
+            let expected = expected_void_components(&self.layout, basis);
             if comps.len() < expected {
                 return VoidOutcome::Broken(format!(
                     "{} reachable {basis:?} void components, expected {expected}",
@@ -686,19 +848,18 @@ impl Adapter {
             }
             // `void_components` sorts largest-first; treat the smallest
             // surplus components as spurious.
-            let to_kill: Vec<Coord> = comps[expected..]
-                .iter()
-                .flat_map(|c| c.adjacent_live_data.iter().copied())
-                .collect();
             let mut excised = false;
-            for d in to_kill {
-                excised |= self.kill_data(d, DeadReason::Deformation);
+            for c in &comps[expected..] {
+                for &d in &c.adjacent_live_data {
+                    excised |= self.sites.kill_data(d, DeadReason::Deformation);
+                }
             }
             if excised {
                 return VoidOutcome::Excised;
             }
+            consistent[slot] = comps;
         }
-        VoidOutcome::Consistent
+        VoidOutcome::Consistent(consistent)
     }
 
     /// One deformation step on an invalid cluster. Returns whether
@@ -720,16 +881,16 @@ impl Adapter {
                 .cells
                 .iter()
                 .copied()
-                .filter(|c| c.is_data_site())
+                .filter(|&c| is_data_site(c))
                 .collect();
             let mut changed = false;
-            for q in self.layout.data_sites().collect::<Vec<_>>() {
-                if !self.is_live_data(q) {
+            for &q in &self.data {
+                if !self.sites.is_live_data(q) {
                     continue;
                 }
                 let dead_neighbors = cluster_data.iter().filter(|c| c.chebyshev(q) <= 2).count();
                 if dead_neighbors >= 3 {
-                    changed |= self.kill_data(q, DeadReason::Deformation);
+                    changed |= self.sites.kill_data(q, DeadReason::Deformation);
                 }
             }
             if changed {
@@ -738,24 +899,27 @@ impl Adapter {
             // Fallback: grow the hole by one ring.
             for &cell in &cluster.cells {
                 for d in cell.diagonal_neighbors() {
-                    changed |= self.kill_data(d, DeadReason::Deformation);
+                    changed |= self.sites.kill_data(d, DeadReason::Deformation);
                 }
             }
             return changed;
         }
         let boundary_color = self.layout.boundary().of(side);
+        let wrong = |&(xf, zf): &(Coord, Coord)| {
+            if boundary_color == CheckBasis::X {
+                zf
+            } else {
+                xf
+            }
+        };
         let mut changed = false;
 
         // Strategy 1: disable anticommuting faces of the wrong color
         // near the boundary.
-        for &(xf, zf) in pairs {
-            let wrong = if boundary_color == CheckBasis::X {
-                zf
-            } else {
-                xf
-            };
-            if self.layout.distance_to_side(wrong, side) <= 2 {
-                changed |= self.kill_face(wrong, DeadReason::Deformation);
+        for pair in pairs {
+            let f = wrong(pair);
+            if self.layout.distance_to_side(f, side) <= 2 {
+                changed |= self.sites.kill_face(f, DeadReason::Deformation);
             }
         }
         if changed {
@@ -763,13 +927,8 @@ impl Adapter {
         }
         // Strategy 2: disable all wrong-color anticommuting faces of the
         // cluster regardless of position.
-        for &(xf, zf) in pairs {
-            let wrong = if boundary_color == CheckBasis::X {
-                zf
-            } else {
-                xf
-            };
-            changed |= self.kill_face(wrong, DeadReason::Deformation);
+        for pair in pairs {
+            changed |= self.sites.kill_face(wrong(pair), DeadReason::Deformation);
         }
         if changed {
             return true;
@@ -777,53 +936,47 @@ impl Adapter {
         // Strategy 3: excise the shadow between the cluster and the
         // boundary.
         for &cell in &cluster.cells {
-            let toward: Vec<Coord> = self
-                .layout
-                .data_sites()
-                .filter(|&d| {
-                    self.is_live_data(d)
-                        && match side {
-                            Side::Top => (d.x - cell.x).abs() <= 1 && d.y < cell.y,
-                            Side::Bottom => (d.x - cell.x).abs() <= 1 && d.y > cell.y,
-                            Side::Left => (d.y - cell.y).abs() <= 1 && d.x < cell.x,
-                            Side::Right => (d.y - cell.y).abs() <= 1 && d.x > cell.x,
-                        }
-                })
-                .collect();
-            for d in toward {
-                changed |= self.kill_data(d, DeadReason::Deformation);
+            for &d in &self.data {
+                let in_shadow = match side {
+                    Side::Top => (d.x - cell.x).abs() <= 1 && d.y < cell.y,
+                    Side::Bottom => (d.x - cell.x).abs() <= 1 && d.y > cell.y,
+                    Side::Left => (d.y - cell.y).abs() <= 1 && d.x < cell.x,
+                    Side::Right => (d.y - cell.y).abs() <= 1 && d.x > cell.x,
+                };
+                if in_shadow {
+                    changed |= self.sites.kill_data(d, DeadReason::Deformation);
+                }
             }
         }
         if changed {
             return true;
         }
         // Strategy 4: grow the hole by one ring.
-        for &cell in &cluster.cells.clone() {
+        for &cell in &cluster.cells {
             for d in cell.diagonal_neighbors() {
-                changed |= self.kill_data(d, DeadReason::Deformation);
+                changed |= self.sites.kill_data(d, DeadReason::Deformation);
             }
         }
         changed
     }
 
-    fn run(mut self) -> AdaptedPatch {
+    /// The adaptation loop. Returns the last analysis and, when the
+    /// patch converged to a consistent code, both lattices' void
+    /// components; otherwise why the patch is degenerate.
+    fn converge(&mut self) -> (Analysis, Result<[Vec<VoidComponent>; 2], String>) {
         self.seed();
         let max_iters = (4 * (self.layout.width() + self.layout.height()) + 32) as usize;
-        let mut status = AdaptStatus::Valid;
-        let mut analysis;
         let mut iters = 0;
         loop {
             iters += 1;
             if iters > max_iters {
-                status = AdaptStatus::Degenerate("deformation did not converge".into());
-                analysis = self.analyze();
-                break;
+                return (self.analyze(), Err("deformation did not converge".into()));
             }
             self.cascade();
             if self.handle_faulty_faces() {
                 continue;
             }
-            analysis = self.analyze();
+            let analysis = self.analyze();
             if self.unprotected_rule(&analysis) {
                 continue;
             }
@@ -835,70 +988,96 @@ impl Adapter {
                 // deformations; excise the data around it so it merges
                 // with a boundary or seals off.
                 match self.void_feedback() {
-                    VoidOutcome::Consistent => break,
+                    VoidOutcome::Consistent(voids) => return (analysis, Ok(voids)),
                     VoidOutcome::Excised => continue,
-                    VoidOutcome::Broken(detail) => {
-                        status = AdaptStatus::Degenerate(detail);
-                        break;
-                    }
+                    VoidOutcome::Broken(detail) => return (analysis, Err(detail)),
                 }
             }
             let mut killed = false;
             for &id in &analysis.invalid {
-                let cluster = analysis.clusters[id as usize].clone();
-                let pairs = analysis.pairs[id as usize].clone();
-                killed |= self.deform(&cluster, &pairs);
+                let id = id as usize;
+                killed |= self.deform(&analysis.clusters[id], &analysis.pairs[id]);
             }
             if !killed {
-                status = AdaptStatus::Degenerate("invalid cluster could not be deformed".into());
-                break;
+                return (
+                    analysis,
+                    Err("invalid cluster could not be deformed".into()),
+                );
             }
         }
+    }
+
+    fn run(mut self) -> AdaptedPatch {
+        let (analysis, mut voids) = self.converge();
+        let dead_data = self.sites.dead_among(&self.data);
+        let dead_faces = self.sites.dead_among(&self.faces);
 
         // A patch with no live data is unusable.
-        let live_count = self.layout.data_sites().count() - self.dead_data.len();
-        if live_count == 0 && status == AdaptStatus::Valid {
-            status = AdaptStatus::Degenerate("no active data qubits remain".into());
+        if voids.is_ok() && dead_data.len() == self.data.len() {
+            voids = Err("no active data qubits remain".into());
         }
 
+        let grid = self.sites.grid;
         let full_faces: Vec<Coord> = self
-            .layout
-            .face_sites()
-            .filter(|&f| self.is_live_face(f) && !analysis.gauge_cluster.contains_key(&f))
+            .faces
+            .iter()
+            .copied()
+            .filter(|&f| {
+                self.sites.is_live_face(f)
+                    && grid
+                        .index(f)
+                        .is_some_and(|k| analysis.gauge_cluster[k] == NO_CLUSTER)
+            })
             .collect();
         let mut patch = AdaptedPatch {
             layout: self.layout,
             defects: self.defects,
-            dead_data: self.dead_data,
-            dead_faces: self.dead_faces,
+            sites: self.sites,
+            gauge_cluster: analysis.gauge_cluster,
+            dead_data,
+            dead_faces,
             full_faces,
             clusters: analysis.clusters,
-            gauge_cluster: analysis.gauge_cluster,
-            status,
+            status: AdaptStatus::Valid,
+            logicals: [None; 2],
         };
         // Post-validation: both check graphs must build, and for
         // layouts encoding a logical qubit the two boundary components
         // must be connected by live qubits (defects can split the patch
-        // into islands that encode nothing).
-        if patch.is_valid() {
-            for basis in [CheckBasis::Z, CheckBasis::X] {
-                match crate::graphs::CheckGraph::build(&patch, basis) {
-                    Err(e) => {
-                        patch.status = AdaptStatus::Degenerate(e.to_string());
+        // into islands that encode nothing). The graphs are built from
+        // the final void-feedback pass's components, and their
+        // distances kept for the indicators.
+        let voids = match voids {
+            Ok(voids) => voids,
+            Err(detail) => {
+                patch.status = AdaptStatus::Degenerate(detail);
+                return patch;
+            }
+        };
+        for (slot, (basis, comps)) in [CheckBasis::Z, CheckBasis::X]
+            .into_iter()
+            .zip(voids)
+            .enumerate()
+        {
+            match CheckGraph::from_components(&patch, basis, &comps) {
+                Err(e) => {
+                    patch.status = AdaptStatus::Degenerate(e.to_string());
+                    break;
+                }
+                Ok(g) => {
+                    let found = g.distance_and_count();
+                    patch.logicals[slot] = found;
+                    let needs_logical = expected_void_components(&patch.layout, basis) == 2;
+                    if needs_logical && found.is_none() {
+                        patch.status =
+                            AdaptStatus::Degenerate(format!("no {basis:?} logical path remains"));
                         break;
-                    }
-                    Ok(g) => {
-                        let needs_logical =
-                            crate::graphs::expected_void_components(&patch.layout, basis) == 2;
-                        if needs_logical && g.distance_and_count().is_none() {
-                            patch.status = AdaptStatus::Degenerate(format!(
-                                "no {basis:?} logical path remains"
-                            ));
-                            break;
-                        }
                     }
                 }
             }
+        }
+        if !patch.is_valid() {
+            patch.logicals = [None; 2];
         }
         patch
     }

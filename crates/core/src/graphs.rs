@@ -14,12 +14,11 @@
 //! shortest chain connecting them, and the paper's secondary indicator
 //! is the number of such shortest chains (counted by multigraph BFS).
 
-use crate::adapt::AdaptedPatch;
+use crate::adapt::{AdaptedPatch, Grid};
 use crate::coords::Coord;
 use crate::error::CoreError;
 use crate::layout::PatchLayout;
 use dqec_sim::circuit::CheckBasis;
-use std::collections::BTreeMap;
 
 /// One reachable void component of a syndrome lattice.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,41 +45,63 @@ pub fn void_components(
     is_live_data: &dyn Fn(Coord) -> bool,
     is_live_face: &dyn Fn(Coord) -> bool,
 ) -> Vec<VoidComponent> {
+    void_components_with(layout, check_basis, is_live_data, is_live_face)
+}
+
+/// [`void_components`] over statically dispatched state lookups.
+pub(crate) fn void_components_with(
+    layout: &PatchLayout,
+    check_basis: CheckBasis,
+    is_live_data: impl Fn(Coord) -> bool,
+    is_live_face: impl Fn(Coord) -> bool,
+) -> Vec<VoidComponent> {
     let (w, h) = (2 * layout.width() as i32, 2 * layout.height() as i32);
+    let grid = Grid::of(layout);
+    let at = |c: Coord| grid.index(c).unwrap_or(usize::MAX);
     // Domain: all check-basis-colored sites in the extended range that
     // are not live *full* checks. Live gauge faces of the check basis
     // participate as connector nodes (mediator paths may end on them;
     // composing two such mediators hops across), but they are not void.
-    let mut site_index: BTreeMap<Coord, usize> = BTreeMap::new();
-    let mut sites: Vec<Coord> = Vec::new();
-    let mut is_void: Vec<bool> = Vec::new();
+    // The grid spans exactly that range, so the union-find is indexed
+    // by grid position; sites of the other color are never united.
+    let mut is_void = vec![false; grid.len()];
     let mut x = -2;
     while x <= w + 2 {
         let mut y = -2;
         while y <= h + 2 {
             let c = Coord::new(x, y);
             if c.face_basis() == check_basis {
-                site_index.insert(c, sites.len());
-                sites.push(c);
-                is_void.push(!is_live_face(c));
+                is_void[at(c)] = !is_live_face(c);
             }
             y += 2;
         }
         x += 2;
     }
-    let mut parent: Vec<usize> = (0..sites.len()).collect();
-    fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-        if parent[i] != i {
-            let r = find(parent, parent[i]);
-            parent[i] = r;
+    let mut parent: Vec<u32> = (0..grid.len() as u32).collect();
+    fn find(parent: &mut [u32], i: usize) -> usize {
+        let mut root = i;
+        while parent[root] as usize != root {
+            root = parent[root] as usize;
         }
-        parent[i]
+        let mut cur = i;
+        while parent[cur] as usize != root {
+            let next = parent[cur] as usize;
+            parent[cur] = root as u32;
+            cur = next;
+        }
+        root
     }
     // Mediation: multiplying a chain by a live opposite-basis face
     // moves its endpoint between the *ends* of the face's qubit path:
     // the check-basis sites where the face's live qubits have odd
     // degree. Full faces form closed loops (no ends); reduced faces
     // contribute one end pair.
+    //
+    // Those sites are the face's four orthogonal neighbours, and each
+    // live qubit of the face touches the two on its side, so a
+    // neighbour's degree is the number of live qubits flanking it. The
+    // ends are united in `Coord` order (west, north, south, east),
+    // which fixes the roots and with them the component order below.
     let mut fx = 0;
     while fx <= w {
         let mut fy = 0;
@@ -90,33 +111,30 @@ pub fn void_components(
             if f.face_basis() == check_basis || !is_live_face(f) {
                 continue;
             }
-            let mut degree: BTreeMap<Coord, usize> = BTreeMap::new();
-            for q in layout.face_support(f) {
-                if is_live_data(q) {
-                    for s in q.face_sites_of_basis(check_basis) {
-                        *degree.entry(s).or_insert(0) += 1;
-                    }
+            let live = |dx: i32, dy: i32| {
+                let q = Coord::new(f.x + dx, f.y + dy);
+                u8::from(layout.contains_data(q) && is_live_data(q))
+            };
+            let (nw, ne, sw, se) = (live(-1, -1), live(1, -1), live(-1, 1), live(1, 1));
+            let neighbours = [
+                (Coord::new(f.x - 2, f.y), nw + sw),
+                (Coord::new(f.x, f.y - 2), nw + ne),
+                (Coord::new(f.x, f.y + 2), sw + se),
+                (Coord::new(f.x + 2, f.y), ne + se),
+            ];
+            let mut ends = [0usize; 4];
+            let mut n = 0;
+            for (s, degree) in neighbours {
+                if degree % 2 == 1 {
+                    ends[n] = at(s);
+                    n += 1;
                 }
             }
-            let ends: Vec<usize> = degree
-                .iter()
-                .filter(|&(_, &deg)| deg % 2 == 1)
-                .filter_map(|(s, _)| site_index.get(s).copied())
-                .collect();
-            debug_assert!(
-                ends.len() <= 2,
-                "face {f} has {} path ends; live support {:?}",
-                ends.len(),
-                layout
-                    .face_support(f)
-                    .into_iter()
-                    .filter(|&q| is_live_data(q))
-                    .collect::<Vec<_>>()
-            );
-            for pair in ends.windows(2) {
+            debug_assert!(n <= 2, "face {f} has {n} path ends");
+            for pair in ends[..n].windows(2) {
                 let (a, b) = (find(&mut parent, pair[0]), find(&mut parent, pair[1]));
                 if a != b {
-                    parent[a] = b;
+                    parent[a] = b as u32;
                 }
             }
             // A live check-basis face never appears as an end of a
@@ -125,41 +143,48 @@ pub fn void_components(
         }
         fx += 2;
     }
-    // Reachability: live data adjacent to a *void* site of a component.
-    let mut adjacency: BTreeMap<usize, Vec<Coord>> = BTreeMap::new();
+    // Reachability: live data adjacent to a *void* site of a component,
+    // as (root, qubit) pairs; sorted, they group by root in ascending
+    // order with each group's qubits ascending.
+    let mut adjacency: Vec<(u32, Coord)> = Vec::new();
     for d in layout.data_sites() {
         if !is_live_data(d) {
             continue;
         }
         for s in d.face_sites_of_basis(check_basis) {
-            if let Some(&i) = site_index.get(&s) {
-                if is_void[i] {
-                    let root = find(&mut parent, i);
-                    adjacency.entry(root).or_default().push(d);
-                }
+            let i = at(s);
+            if is_void[i] {
+                adjacency.push((find(&mut parent, i) as u32, d));
             }
         }
     }
-    let mut comp_sites: BTreeMap<usize, Vec<Coord>> = BTreeMap::new();
-    for i in 0..sites.len() {
-        if is_void[i] {
-            let root = find(&mut parent, i);
-            comp_sites.entry(root).or_default().push(sites[i]);
-        }
-    }
+    adjacency.sort_unstable();
+    adjacency.dedup();
+    // One component per reachable root, in root order.
+    let mut comp_of_root = vec![u32::MAX; grid.len()];
     let mut comps: Vec<VoidComponent> = Vec::new();
-    for (root, mut data) in adjacency {
-        data.sort_unstable();
-        data.dedup();
-        let sites = comp_sites.remove(&root).unwrap_or_default();
-        let touches_boundary = sites
-            .iter()
-            .any(|s| s.x <= 0 || s.y <= 0 || s.x >= w || s.y >= h);
-        comps.push(VoidComponent {
-            sites,
-            adjacent_live_data: data,
-            touches_boundary,
-        });
+    for &(root, d) in &adjacency {
+        let slot = &mut comp_of_root[root as usize];
+        if *slot == u32::MAX {
+            *slot = comps.len() as u32;
+            comps.push(VoidComponent {
+                sites: Vec::new(),
+                adjacent_live_data: Vec::new(),
+                touches_boundary: false,
+            });
+        }
+        comps[*slot as usize].adjacent_live_data.push(d);
+    }
+    for i in 0..grid.len() {
+        if is_void[i] {
+            let comp = comp_of_root[find(&mut parent, i)];
+            if comp != u32::MAX {
+                let s = grid.coord(i);
+                let comp = &mut comps[comp as usize];
+                comp.sites.push(s);
+                comp.touches_boundary |= s.x <= 0 || s.y <= 0 || s.x >= w || s.y >= h;
+            }
+        }
     }
     // Genuine boundary components first (then largest first) so callers
     // can keep the expected ones and excise the rest.
@@ -196,17 +221,20 @@ pub fn expected_void_components(layout: &PatchLayout, check_basis: CheckBasis) -
 
 /// An endpoint of a chain edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Endpoint {
+pub(crate) enum Endpoint {
     /// A check node (full face or cluster super-stabilizer).
     Check(u32),
     /// A reachable void component.
     Void(u32),
 }
 
+/// Marks a grid site that is no check, void or cluster.
+const NONE: u32 = u32::MAX;
+
 /// The matching-style graph of one check basis of an adapted patch:
 /// nodes are checks (full faces, super-stabilizers) and void
 /// components; edges are live data qubits.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckGraph {
     check_basis: CheckBasis,
     num_checks: usize,
@@ -231,10 +259,25 @@ impl CheckGraph {
                 reason: reason.clone(),
             });
         }
+        let comps = void_components_with(
+            patch.layout(),
+            check_basis,
+            |c| patch.is_live_data(c),
+            |c| patch.is_live_face(c),
+        );
+        Self::from_components(patch, check_basis, &comps)
+    }
+
+    /// Builds the graph over void components already computed on the
+    /// patch's final state (adaptation's last void-feedback pass).
+    ///
+    /// Sites, voids and checks are looked up by grid position.
+    pub(crate) fn from_components(
+        patch: &AdaptedPatch,
+        check_basis: CheckBasis,
+        comps: &[VoidComponent],
+    ) -> Result<Self, CoreError> {
         let layout = patch.layout();
-        let comps = void_components(layout, check_basis, &|c| patch.is_live_data(c), &|c| {
-            patch.is_live_face(c)
-        });
         let expected = expected_void_components(layout, check_basis);
         if comps.len() != expected {
             return Err(CoreError::MalformedSyndromeGraph {
@@ -244,62 +287,93 @@ impl CheckGraph {
                 ),
             });
         }
+        let grid = Grid::of(layout);
         // Site -> void component id.
-        let mut void_of_site: BTreeMap<Coord, u32> = BTreeMap::new();
+        let mut void_at = vec![NONE; grid.len()];
         for (i, comp) in comps.iter().enumerate() {
             for &s in &comp.sites {
-                void_of_site.insert(s, i as u32);
+                if let Some(k) = grid.index(s) {
+                    void_at[k] = i as u32;
+                }
             }
         }
         // Check nodes: full faces of this basis, then cluster supers.
-        let mut check_of_face: BTreeMap<Coord, u32> = BTreeMap::new();
+        let mut check_at = vec![NONE; grid.len()];
         let mut num_checks = 0u32;
         for &f in patch.full_faces() {
             if f.face_basis() == check_basis {
-                check_of_face.insert(f, num_checks);
+                if let Some(k) = grid.index(f) {
+                    check_at[k] = num_checks;
+                }
                 num_checks += 1;
             }
         }
         let num_full = num_checks as usize;
-        let mut super_of_cluster: BTreeMap<u32, u32> = BTreeMap::new();
+        let mut super_of_cluster = vec![NONE; patch.clusters().len()];
         for (id, cluster) in patch.clusters().iter().enumerate() {
             let gauges = match check_basis {
                 CheckBasis::X => &cluster.x_gauges,
                 CheckBasis::Z => &cluster.z_gauges,
             };
             if !gauges.is_empty() {
-                super_of_cluster.insert(id as u32, num_checks);
+                super_of_cluster[id] = num_checks;
                 num_checks += 1;
             }
         }
+        let lookup = |table: &[u32], s: Coord| grid.index(s).map_or(NONE, |k| table[k]);
 
         let mut edges = Vec::new();
         for q in layout.data_sites() {
             if !patch.is_live_data(q) {
                 continue;
             }
-            let mut ends: Vec<Endpoint> = Vec::with_capacity(2);
-            let mut cluster_parity: BTreeMap<u32, usize> = BTreeMap::new();
+            let mut ends = [Endpoint::Void(0); 2];
+            let mut n = 0;
+            let mut gauges = [0u32; 2];
+            let mut num_gauges = 0;
             for s in q.face_sites_of_basis(check_basis) {
-                if patch.is_live_face(s) {
-                    match patch.gauge_cluster_of(s) {
-                        None => ends.push(Endpoint::Check(check_of_face[&s])),
-                        Some(c) => *cluster_parity.entry(c).or_insert(0) += 1,
+                let end = if patch.is_live_face(s) {
+                    if let Some(c) = patch.gauge_cluster_of(s) {
+                        gauges[num_gauges] = c;
+                        num_gauges += 1;
+                        continue;
                     }
-                } else if let Some(&v) = void_of_site.get(&s) {
-                    ends.push(Endpoint::Void(v));
+                    match lookup(&check_at, s) {
+                        NONE => {
+                            return Err(CoreError::MalformedSyndromeGraph {
+                                detail: format!(
+                                    "live face {s} is neither a full check nor a gauge"
+                                ),
+                            })
+                        }
+                        k => Endpoint::Check(k),
+                    }
                 } else {
-                    return Err(CoreError::MalformedSyndromeGraph {
-                        detail: format!("site {s} adjacent to live {q} is neither live nor void"),
-                    });
+                    match lookup(&void_at, s) {
+                        NONE => {
+                            return Err(CoreError::MalformedSyndromeGraph {
+                                detail: format!(
+                                    "site {s} adjacent to live {q} is neither live nor void"
+                                ),
+                            })
+                        }
+                        v => Endpoint::Void(v),
+                    }
+                };
+                ends[n] = end;
+                n += 1;
+            }
+            // Two gauges of one cluster cancel in its super-stabilizer;
+            // otherwise each cluster is an end, in cluster order.
+            let gauges = &mut gauges[..num_gauges];
+            gauges.sort_unstable();
+            if !(num_gauges == 2 && gauges[0] == gauges[1]) {
+                for &c in gauges.iter() {
+                    ends[n] = Endpoint::Check(super_of_cluster[c as usize]);
+                    n += 1;
                 }
             }
-            for (c, n) in cluster_parity {
-                if n % 2 == 1 {
-                    ends.push(Endpoint::Check(super_of_cluster[&c]));
-                }
-            }
-            match ends.len() {
+            match n {
                 2 => edges.push((q, ends[0], ends[1])),
                 0 => {
                     return Err(CoreError::MalformedSyndromeGraph {
@@ -308,7 +382,7 @@ impl CheckGraph {
                 }
                 _ => {
                     return Err(CoreError::MalformedSyndromeGraph {
-                        detail: format!("qubit {q} has {} attachments", ends.len()),
+                        detail: format!("qubit {q} has {n} attachments"),
                     })
                 }
             }
@@ -320,6 +394,24 @@ impl CheckGraph {
             num_voids: comps.len(),
             edges,
         })
+    }
+
+    /// A graph from its parts, for the adaptation oracle.
+    #[cfg(test)]
+    pub(crate) fn from_parts(
+        check_basis: CheckBasis,
+        num_checks: usize,
+        num_full: usize,
+        num_voids: usize,
+        edges: Vec<(Coord, Endpoint, Endpoint)>,
+    ) -> Self {
+        CheckGraph {
+            check_basis,
+            num_checks,
+            num_full,
+            num_voids,
+            edges,
+        }
     }
 
     /// The basis of the checks in this graph.

@@ -8,7 +8,6 @@
 //! also computes (Figs. 5–11).
 
 use crate::adapt::AdaptedPatch;
-use crate::graphs::CheckGraph;
 use dqec_sim::circuit::CheckBasis;
 
 /// All per-patch indicators used in the paper's evaluation.
@@ -41,6 +40,12 @@ pub struct PatchIndicators {
 
 impl PatchIndicators {
     /// Computes the indicators of an adapted patch.
+    ///
+    /// Builds no check graph: the distances and shortest-logical counts
+    /// are the ones adaptation's post-validation found on both check
+    /// graphs of the patch ([`CheckGraph::distance_and_count`]).
+    ///
+    /// [`CheckGraph::distance_and_count`]: crate::graphs::CheckGraph::distance_and_count
     pub fn of(patch: &AdaptedPatch) -> PatchIndicators {
         let num_data = patch.layout().data_sites().count();
         let mut out = PatchIndicators {
@@ -62,17 +67,13 @@ impl PatchIndicators {
         if !patch.is_valid() {
             return out;
         }
-        if let Ok(g) = CheckGraph::build(patch, CheckBasis::Z) {
-            if let Some((d, n)) = g.distance_and_count() {
-                out.dist_x = d;
-                out.count_x = n;
-            }
+        if let Some((d, n)) = patch.distance_and_count(CheckBasis::Z) {
+            out.dist_x = d;
+            out.count_x = n;
         }
-        if let Ok(g) = CheckGraph::build(patch, CheckBasis::X) {
-            if let Some((d, n)) = g.distance_and_count() {
-                out.dist_z = d;
-                out.count_z = n;
-            }
+        if let Some((d, n)) = patch.distance_and_count(CheckBasis::X) {
+            out.dist_z = d;
+            out.count_z = n;
         }
         if out.dist_x == 0 || out.dist_z == 0 {
             out.valid = false;

@@ -44,6 +44,8 @@
 #![warn(missing_docs)]
 
 pub mod adapt;
+#[cfg(test)]
+mod adapt_oracle;
 pub mod circuit_gen;
 pub mod coords;
 pub mod defect;
