@@ -7,6 +7,7 @@
 use crate::{fmt, FigResult, RunConfig};
 use dqec_chiplet::defect_model::DefectModel;
 use dqec_chiplet::record::{Record, Sink, Value};
+use dqec_core::CoreError;
 use dqec_estimator::{defect_intolerant_row, no_defect_row, super_stabilizer_row, ApplicationSpec};
 
 /// Emits the tables' records.
@@ -66,7 +67,10 @@ pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
             &candidates,
             cfg.samples,
             cfg.seed,
-        );
+        )
+        .ok_or_else(|| CoreError::Sweep {
+            detail: "no candidate chiplet sizes".into(),
+        })?;
         emit_row(
             &ss.label,
             ss.l,

@@ -9,6 +9,7 @@ use dqec_chiplet::defect_model::DefectModel;
 use dqec_chiplet::record::{Record, Sink, Value};
 use dqec_chiplet::yields::{sample_indicators, SampleConfig};
 use dqec_core::layout::PatchLayout;
+use dqec_core::CoreError;
 use dqec_estimator::fidelity::{distance_distribution, fidelity_from_distances};
 use dqec_estimator::{super_stabilizer_row, ApplicationSpec};
 
@@ -42,7 +43,10 @@ pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
             &candidates,
             cfg.samples,
             cfg.seed,
-        );
+        )
+        .ok_or_else(|| CoreError::Sweep {
+            detail: "no candidate chiplet sizes".into(),
+        })?;
         let kept: Vec<_> = inds.iter().filter(|i| target.accepts(i)).cloned().collect();
         let modular_fid = fidelity_from_distances(&spec, &distance_distribution(&kept));
 

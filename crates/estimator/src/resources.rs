@@ -57,7 +57,7 @@ pub fn defect_intolerant_row(spec: &ApplicationSpec, model: DefectModel, rate: f
 /// the paper's criterion, and report the size minimizing the overhead.
 ///
 /// Also returns the sampled indicators of the chosen size (for fidelity
-/// estimation downstream).
+/// estimation downstream). `None` when `candidate_ls` is empty.
 pub fn super_stabilizer_row(
     spec: &ApplicationSpec,
     model: DefectModel,
@@ -65,7 +65,7 @@ pub fn super_stabilizer_row(
     candidate_ls: &[u32],
     samples: usize,
     seed: u64,
-) -> (ResourceRow, Vec<PatchIndicators>) {
+) -> Option<(ResourceRow, Vec<PatchIndicators>)> {
     let target = QualityTarget::defect_free(spec.target_distance);
     // Candidate sizes are independent sweeps: evaluate them in parallel,
     // each with its own ChaCha8-derived seed so the populations are
@@ -109,7 +109,6 @@ pub fn super_stabilizer_row(
                 best
             }
         })
-        .expect("at least one candidate size")
 }
 
 #[cfg(test)]
@@ -174,7 +173,7 @@ mod tests {
         };
         let intolerant = defect_intolerant_row(&spec, DefectModel::LinkAndQubit, 0.01);
         let (ss, inds) =
-            super_stabilizer_row(&spec, DefectModel::LinkAndQubit, 0.01, &[7, 9], 400, 9);
+            super_stabilizer_row(&spec, DefectModel::LinkAndQubit, 0.01, &[7, 9], 400, 9).unwrap();
         assert!(
             ss.overhead < intolerant.overhead,
             "{} !< {}",
@@ -182,5 +181,13 @@ mod tests {
             intolerant.overhead
         );
         assert_eq!(inds.len(), 400);
+    }
+
+    #[test]
+    fn no_candidate_sizes_is_none() {
+        let spec = ApplicationSpec::shor_2048();
+        assert!(
+            super_stabilizer_row(&spec, DefectModel::LinkAndQubit, 0.001, &[], 10, 1).is_none()
+        );
     }
 }

@@ -28,14 +28,17 @@ fn main() {
     let ideal = no_defect_row(&spec);
     let intolerant = defect_intolerant_row(&spec, DefectModel::LinkAndQubit, rate);
     let candidates: Vec<u32> = (0..5).map(|i| spec.target_distance + 2 + 2 * i).collect();
-    let (ss, inds) = super_stabilizer_row(
+    let Some((ss, inds)) = super_stabilizer_row(
         &spec,
         DefectModel::LinkAndQubit,
         rate,
         &candidates,
         samples,
         777,
-    );
+    ) else {
+        eprintln!("device_planner: no candidate chiplet sizes");
+        std::process::exit(1);
+    };
 
     println!(
         "{:>20} {:>5} {:>10} {:>11} {:>12}",
