@@ -49,7 +49,7 @@
 
 use crate::coords::{Coord, Side};
 use crate::defect::DefectSet;
-use crate::graphs::{expected_void_components, void_components_with, CheckGraph, VoidComponent};
+use crate::graphs::{expected_void_components, void_components, CheckGraph, VoidComponent};
 use crate::layout::PatchLayout;
 use dqec_sim::circuit::CheckBasis;
 use dqec_sim::f2::SymplecticSpace;
@@ -171,14 +171,6 @@ enum Site {
 /// Marks a grid site that belongs to no cluster.
 const NO_CLUSTER: u32 = u32::MAX;
 
-fn is_data_site(c: Coord) -> bool {
-    c.x & c.y & 1 == 1
-}
-
-fn is_face_site(c: Coord) -> bool {
-    (c.x | c.y) & 1 == 0
-}
-
 /// Per-site liveness and reason over a layout's [`Grid`].
 #[derive(Debug, Clone)]
 struct Sites {
@@ -208,12 +200,12 @@ impl Sites {
 
     #[inline]
     fn is_live_data(&self, c: Coord) -> bool {
-        is_data_site(c) && self.is_live(c)
+        c.is_data_site() && self.is_live(c)
     }
 
     #[inline]
     fn is_live_face(&self, c: Coord) -> bool {
-        is_face_site(c) && self.is_live(c)
+        c.is_face_site() && self.is_live(c)
     }
 
     fn kill(&mut self, c: Coord, reason: DeadReason) -> bool {
@@ -227,11 +219,11 @@ impl Sites {
     }
 
     fn kill_data(&mut self, c: Coord, reason: DeadReason) -> bool {
-        is_data_site(c) && self.kill(c, reason)
+        c.is_data_site() && self.kill(c, reason)
     }
 
     fn kill_face(&mut self, c: Coord, reason: DeadReason) -> bool {
-        is_face_site(c) && self.kill(c, reason)
+        c.is_face_site() && self.kill(c, reason)
     }
 
     /// The live data qubits of a face, in `diagonal_neighbors` order.
@@ -470,8 +462,9 @@ enum VoidOutcome {
     Broken(String),
 }
 
-/// A minimal union-find over `0..n` with path compression.
-fn find(parent: &mut [u32], i: usize) -> usize {
+/// The root of `i` in a union-find forest stored as parent links, with
+/// path compression.
+pub(crate) fn find(parent: &mut [u32], i: usize) -> usize {
     let mut root = i;
     while parent[root] as usize != root {
         root = parent[root] as usize;
@@ -685,10 +678,7 @@ impl Adapter {
             .iter()
             .chain(&self.faces)
             .copied()
-            .filter(|&c| {
-                grid.index(c)
-                    .is_some_and(|i| matches!(sites.state[i], Site::Dead(_)))
-            })
+            .filter(|&c| !sites.is_live(c))
             .collect();
         let mut cell_at = vec![NO_CLUSTER; grid.len()];
         for (i, &c) in cells.iter().enumerate() {
@@ -833,12 +823,9 @@ impl Adapter {
         let mut consistent: [Vec<VoidComponent>; 2] = Default::default();
         for (slot, basis) in [CheckBasis::Z, CheckBasis::X].into_iter().enumerate() {
             let sites = &self.sites;
-            let comps = void_components_with(
-                &self.layout,
-                basis,
-                |c| sites.is_live_data(c),
-                |c| sites.is_live_face(c),
-            );
+            let comps = void_components(&self.layout, basis, &|c| sites.is_live_data(c), &|c| {
+                sites.is_live_face(c)
+            });
             let expected = expected_void_components(&self.layout, basis);
             if comps.len() < expected {
                 return VoidOutcome::Broken(format!(
@@ -881,7 +868,7 @@ impl Adapter {
                 .cells
                 .iter()
                 .copied()
-                .filter(|&c| is_data_site(c))
+                .filter(|c| c.is_data_site())
                 .collect();
             let mut changed = false;
             for &q in &self.data {

@@ -13,8 +13,16 @@
 //! basis (the deformed rough boundary pair); the code distance is the
 //! shortest chain connecting them, and the paper's secondary indicator
 //! is the number of such shortest chains (counted by multigraph BFS).
+//!
+//! Both passes index the layout's doubled-coordinate grid (the layout
+//! plus a two-site margin, x-major): the void union-find, the site →
+//! void and face → check tables are flat arrays by grid position.
+//! Adaptation builds each patch's two graphs once, in post-validation,
+//! from the void components its last pass computed, and keeps their
+//! distances on the patch; [`CheckGraph::build`] recomputes the
+//! components for callers that need the graph itself.
 
-use crate::adapt::{AdaptedPatch, Grid};
+use crate::adapt::{find, AdaptedPatch, Grid};
 use crate::coords::Coord;
 use crate::error::CoreError;
 use crate::layout::PatchLayout;
@@ -45,16 +53,6 @@ pub fn void_components(
     is_live_data: &dyn Fn(Coord) -> bool,
     is_live_face: &dyn Fn(Coord) -> bool,
 ) -> Vec<VoidComponent> {
-    void_components_with(layout, check_basis, is_live_data, is_live_face)
-}
-
-/// [`void_components`] over statically dispatched state lookups.
-pub(crate) fn void_components_with(
-    layout: &PatchLayout,
-    check_basis: CheckBasis,
-    is_live_data: impl Fn(Coord) -> bool,
-    is_live_face: impl Fn(Coord) -> bool,
-) -> Vec<VoidComponent> {
     let (w, h) = (2 * layout.width() as i32, 2 * layout.height() as i32);
     let grid = Grid::of(layout);
     let at = |c: Coord| grid.index(c).unwrap_or(usize::MAX);
@@ -78,19 +76,6 @@ pub(crate) fn void_components_with(
         x += 2;
     }
     let mut parent: Vec<u32> = (0..grid.len() as u32).collect();
-    fn find(parent: &mut [u32], i: usize) -> usize {
-        let mut root = i;
-        while parent[root] as usize != root {
-            root = parent[root] as usize;
-        }
-        let mut cur = i;
-        while parent[cur] as usize != root {
-            let next = parent[cur] as usize;
-            parent[cur] = root as u32;
-            cur = next;
-        }
-        root
-    }
     // Mediation: multiplying a chain by a live opposite-basis face
     // moves its endpoint between the *ends* of the face's qubit path:
     // the check-basis sites where the face's live qubits have odd
@@ -259,11 +244,11 @@ impl CheckGraph {
                 reason: reason.clone(),
             });
         }
-        let comps = void_components_with(
+        let comps = void_components(
             patch.layout(),
             check_basis,
-            |c| patch.is_live_data(c),
-            |c| patch.is_live_face(c),
+            &|c| patch.is_live_data(c),
+            &|c| patch.is_live_face(c),
         );
         Self::from_components(patch, check_basis, &comps)
     }
