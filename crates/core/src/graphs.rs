@@ -146,11 +146,11 @@ pub fn void_components(
     adjacency.sort_unstable();
     adjacency.dedup();
     // One component per reachable root, in root order.
-    let mut comp_of_root = vec![u32::MAX; grid.len()];
+    let mut comp_of_root = vec![NONE; grid.len()];
     let mut comps: Vec<VoidComponent> = Vec::new();
     for &(root, d) in &adjacency {
         let slot = &mut comp_of_root[root as usize];
-        if *slot == u32::MAX {
+        if *slot == NONE {
             *slot = comps.len() as u32;
             comps.push(VoidComponent {
                 sites: Vec::new(),
@@ -163,7 +163,7 @@ pub fn void_components(
     for i in 0..grid.len() {
         if is_void[i] {
             let comp = comp_of_root[find(&mut parent, i)];
-            if comp != u32::MAX {
+            if comp != NONE {
                 let s = grid.coord(i);
                 let comp = &mut comps[comp as usize];
                 comp.sites.push(s);
@@ -213,7 +213,8 @@ pub(crate) enum Endpoint {
     Void(u32),
 }
 
-/// Marks a grid site that is no check, void or cluster.
+/// An empty slot of a grid- or id-indexed table (no component, void,
+/// check or super node).
 const NONE: u32 = u32::MAX;
 
 /// The matching-style graph of one check basis of an adapted patch:
