@@ -330,15 +330,17 @@ impl<'a> FrameSampler<'a> {
 /// One instruction of a [`FrameProgram`]. Qubits index frame rows;
 /// `prob` indexes the program's table of distinct noise probabilities;
 /// the `k`-th `Measure` of the program owns the `k`-th span of the
-/// detector and observable feed lists.
+/// detector and observable feed lists. `live` marks a reset or
+/// measurement whose random Z frame can reach a detector or observable
+/// (see [`FrameProgram::mark_live_gauges`]).
 #[derive(Debug, Clone, Copy)]
 enum Instr {
     H { q: u32 },
     S { q: u32 },
     Cx { c: u32, t: u32 },
     Cz { a: u32, b: u32 },
-    Reset { q: u32 },
-    Measure { q: u32 },
+    Reset { q: u32, live: bool },
+    Measure { q: u32, live: bool },
     Noise1 { kind: Noise1, q: u32, prob: u32 },
     Depolarize2 { a: u32, b: u32, prob: u32 },
 }
@@ -393,12 +395,23 @@ impl NoiseProb {
 /// record flips are XORed straight into the output tables and no
 /// record table exists), and the table of distinct noise probabilities.
 ///
-/// [`FrameProgram::sample`] draws from the RNG in exactly the order
-/// the circuit's operations prescribe — one word per 64 shots for each
+/// [`FrameProgram::sample`] advances the RNG in exactly the order the
+/// circuit's operations prescribe — by one `u64` per 64 shots for each
 /// reset and each measurement, one geometric draw sequence per noise
 /// channel — so tables and the RNG's final position are a pure function
 /// of `(circuit, shots, rng)`; the checkpoint, shard and serve
 /// byte-identity contracts rest on that.
+///
+/// Each reset and measurement randomizes its qubit's Z frame (Stim's
+/// model of collapse). [`FrameProgram::new`] marks such a *gauge* live
+/// when that random Z frame can flip some detector or observable, which
+/// one backward pass over the instructions decides: a gate maps the
+/// detectors and observables each frame bit reaches as it maps frames,
+/// and a gauge is live iff its qubit's Z bit reaches any just after
+/// it. An inert gauge's words
+/// cannot change any table, so the sampler skips them with
+/// [`rand::RngCore::discard_u64s`] instead of generating them: the
+/// tables and the RNG's position are those of drawing every word.
 #[derive(Debug, Clone)]
 pub struct FrameProgram {
     num_qubits: usize,
@@ -561,8 +574,8 @@ impl FrameProgram {
                     a,
                     b,
                 } => Instr::Cz { a, b },
-                Op::Reset { q } => Instr::Reset { q },
-                Op::Measure { q } => Instr::Measure { q },
+                Op::Reset { q } => Instr::Reset { q, live: true },
+                Op::Measure { q } => Instr::Measure { q, live: true },
                 Op::Noise1 { kind, q, p } => Instr::Noise1 {
                     kind,
                     q,
@@ -579,7 +592,7 @@ impl FrameProgram {
         let (det_offsets, det_rows) =
             feeds(m, circuit.detectors().iter().map(|d| d.records.as_slice()));
         let (obs_offsets, obs_rows) = feeds(m, circuit.observables().iter().map(Vec::as_slice));
-        FrameProgram {
+        let mut program = FrameProgram {
             num_qubits: circuit.num_qubits() as usize,
             instrs,
             probs,
@@ -589,6 +602,74 @@ impl FrameProgram {
             obs_rows,
             num_detectors: circuit.detectors().len(),
             num_observables: circuit.observables().len(),
+        };
+        program.mark_live_gauges();
+        program
+    }
+
+    /// Sets `live` on every reset and measurement whose random Z frame
+    /// can flip a detector or observable, in one backward pass.
+    ///
+    /// Each qubit carries an X and a Z *sensitivity row*: the set of
+    /// detectors and observables (one bit each, observables after the
+    /// detectors) that an X or Z frame bit on the qubit at that point
+    /// would flip. Walking the program backwards from empty rows, each
+    /// gate conjugates the rows as it conjugates frames (H swaps them,
+    /// S does `x ^= z`, CX(c, t) does `x[c] ^= x[t]` and
+    /// `z[t] ^= z[c]`, CZ(a, b) does `x[a] ^= z[b]` and
+    /// `x[b] ^= z[a]`). A measurement is live iff `z[q]` is non-empty
+    /// just after it, and then adds the rows it feeds to `x[q]`, since
+    /// an X bit flips its record and survives it. A reset is live iff
+    /// `z[q]` is non-empty just after it, and then clears both rows,
+    /// since no earlier frame bit on `q` survives it. Noise never
+    /// changes which bits reach the outputs, only whether they are set.
+    ///
+    /// Tables are XOR-linear in the injected frame bits, so a gauge
+    /// whose rows are empty contributes nothing for any value of its
+    /// random words.
+    fn mark_live_gauges(&mut self) {
+        let w = (self.num_detectors + self.num_observables).div_ceil(64);
+        let (mut sx, mut sz) = (
+            vec![0u64; self.num_qubits * w],
+            vec![0u64; self.num_qubits * w],
+        );
+        let row = |q: u32| q as usize * w..(q as usize + 1) * w;
+        let mut k = self.det_offsets.len() - 1;
+        for instr in self.instrs.iter_mut().rev() {
+            match instr {
+                Instr::H { q } => sx[row(*q)].swap_with_slice(&mut sz[row(*q)]),
+                Instr::S { q } => xor_into(&mut sx[row(*q)], &sz[row(*q)]),
+                Instr::Cx { c, t } => {
+                    let (xc, xt) = two_rows(&mut sx, w, *c as usize, *t as usize);
+                    xor_into(xc, xt);
+                    let (zc, zt) = two_rows(&mut sz, w, *c as usize, *t as usize);
+                    xor_into(zt, zc);
+                }
+                Instr::Cz { a, b } => {
+                    xor_into(&mut sx[row(*a)], &sz[row(*b)]);
+                    xor_into(&mut sx[row(*b)], &sz[row(*a)]);
+                }
+                Instr::Measure { q, live } => {
+                    k -= 1;
+                    *live = sz[row(*q)].iter().any(|&word| word != 0);
+                    let x = &mut sx[row(*q)];
+                    let dets = &self.det_rows
+                        [self.det_offsets[k] as usize..self.det_offsets[k + 1] as usize];
+                    let obs = self.obs_rows
+                        [self.obs_offsets[k] as usize..self.obs_offsets[k + 1] as usize]
+                        .iter()
+                        .map(|&o| o as usize + self.num_detectors);
+                    for bit in dets.iter().map(|&d| d as usize).chain(obs) {
+                        x[bit / 64] ^= 1 << (bit % 64);
+                    }
+                }
+                Instr::Reset { q, live } => {
+                    *live = sz[row(*q)].iter().any(|&word| word != 0);
+                    sx[row(*q)].fill(0);
+                    sz[row(*q)].fill(0);
+                }
+                Instr::Noise1 { .. } | Instr::Depolarize2 { .. } => {}
+            }
         }
     }
 
@@ -656,14 +737,20 @@ impl FrameProgram {
                     xor_into(za, &fx[b * w..(b + 1) * w]);
                     xor_into(zb, &fx[a * w..(a + 1) * w]);
                 }
-                Instr::Reset { q } => {
+                Instr::Reset { q, live } => {
                     let q = q as usize;
                     fx[q * w..(q + 1) * w].fill(0);
-                    for (i, word) in fz[q * w..(q + 1) * w].iter_mut().enumerate() {
-                        *word = random_word(i, rng);
+                    let z = &mut fz[q * w..(q + 1) * w];
+                    if live {
+                        for (i, word) in z.iter_mut().enumerate() {
+                            *word = random_word(i, rng);
+                        }
+                    } else {
+                        z.fill(0);
+                        rng.discard_u64s(w);
                     }
                 }
-                Instr::Measure { q } => {
+                Instr::Measure { q, live } => {
                     let q = q as usize;
                     let flips = &fx[q * w..(q + 1) * w];
                     let k = measurement;
@@ -680,8 +767,12 @@ impl FrameProgram {
                     }
                     // Randomize the anticommuting part of the frame to
                     // model measurement collapse (Stim's convention).
-                    for (i, word) in fz[q * w..(q + 1) * w].iter_mut().enumerate() {
-                        *word ^= random_word(i, rng);
+                    if live {
+                        for (i, word) in fz[q * w..(q + 1) * w].iter_mut().enumerate() {
+                            *word ^= random_word(i, rng);
+                        }
+                    } else {
+                        rng.discard_u64s(w);
                     }
                 }
                 Instr::Noise1 { kind, q, prob } => {
@@ -778,8 +869,8 @@ fn sample_hits<R: Rng>(
 mod tests {
     use super::*;
     use crate::circuit::CheckBasis;
+    use crate::frame_oracle::assert_program_matches;
     use crate::random_circuit::random_circuit;
-    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -788,225 +879,143 @@ mod tests {
         StdRng::seed_from_u64(0x5eed)
     }
 
-    /// The `Op`-walking interpreter [`FrameProgram`] replaced, kept as
-    /// the oracle the program must reproduce bit for bit, RNG position
-    /// included.
-    fn reference_sample<R: Rng>(c: &Circuit, shots: usize, rng: &mut R) -> ShotBatch {
-        let nq = c.num_qubits() as usize;
-        let w = shots.div_ceil(64).max(1);
-        let mut fx = vec![0u64; nq * w];
-        let mut fz = vec![0u64; nq * w];
-        let mut records = BitTable::zeros(c.num_measurements() as usize, shots);
-        let mut next_record = 0usize;
-
-        // Mask to keep random bits within the shot count in the last word.
-        let tail_bits = shots % 64;
-        let tail_mask = if tail_bits == 0 {
-            u64::MAX
-        } else {
-            (1u64 << tail_bits) - 1
-        };
-        let fill_random = |dst: &mut [u64], rng: &mut R| {
-            for (i, word) in dst.iter_mut().enumerate() {
-                let mut r: u64 = rng.gen();
-                if i == w - 1 {
-                    r &= tail_mask;
-                }
-                *word = r;
-            }
-        };
-
-        for op in c.ops() {
-            match *op {
-                Op::Gate1 { kind: Gate1::H, q } => {
-                    let q = q as usize;
-                    for i in 0..w {
-                        std::mem::swap(&mut fx[q * w + i], &mut fz[q * w + i]);
-                    }
-                }
-                Op::Gate1 { kind: Gate1::S, q } => {
-                    let q = q as usize;
-                    for i in 0..w {
-                        fz[q * w + i] ^= fx[q * w + i];
-                    }
-                }
-                Op::Gate1 { .. } => {}
-                Op::Gate2 {
-                    kind: Gate2::Cx,
-                    a,
-                    b,
-                } => {
-                    let (c_, t) = (a as usize, b as usize);
-                    for i in 0..w {
-                        fx[t * w + i] ^= fx[c_ * w + i];
-                        fz[c_ * w + i] ^= fz[t * w + i];
-                    }
-                }
-                Op::Gate2 {
-                    kind: Gate2::Cz,
-                    a,
-                    b,
-                } => {
-                    let (a, b) = (a as usize, b as usize);
-                    for i in 0..w {
-                        let xa = fx[a * w + i];
-                        let xb = fx[b * w + i];
-                        fz[a * w + i] ^= xb;
-                        fz[b * w + i] ^= xa;
-                    }
-                }
-                Op::Reset { q } => {
-                    let q = q as usize;
-                    fx[q * w..(q + 1) * w].fill(0);
-                    fill_random(&mut fz[q * w..(q + 1) * w], rng);
-                }
-                Op::Measure { q } => {
-                    let q = q as usize;
-                    records
-                        .row_mut(next_record)
-                        .copy_from_slice(&fx[q * w..(q + 1) * w]);
-                    next_record += 1;
-                    // Randomize the anticommuting part of the frame to
-                    // model measurement collapse (Stim's convention).
-                    let mut scratch = vec![0u64; w];
-                    fill_random(&mut scratch, rng);
-                    for i in 0..w {
-                        fz[q * w + i] ^= scratch[i];
-                    }
-                }
-                Op::Noise1 { kind, q, p } => {
-                    let q = q as usize;
-                    reference_sample_hits(p, shots, rng, |shot, rng| {
-                        let (ex, ez) = match kind {
-                            Noise1::XError => (true, false),
-                            Noise1::ZError => (false, true),
-                            Noise1::Depolarize1 => {
-                                Pauli::ONE_QUBIT_ERRORS[rng.gen_range(0..3usize)].xz()
-                            }
-                        };
-                        let (wi, b) = (shot / 64, shot % 64);
-                        if ex {
-                            fx[q * w + wi] ^= 1 << b;
-                        }
-                        if ez {
-                            fz[q * w + wi] ^= 1 << b;
-                        }
-                    });
-                }
-                Op::Depolarize2 { a, b, p } => {
-                    let (a, b) = (a as usize, b as usize);
-                    reference_sample_hits(p, shots, rng, |shot, rng| {
-                        let (pa, pb) = Pauli::TWO_QUBIT_ERRORS[rng.gen_range(0..15usize)];
-                        let (wi, bit) = (shot / 64, shot % 64);
-                        let (ax, az) = pa.xz();
-                        let (bx, bz) = pb.xz();
-                        if ax {
-                            fx[a * w + wi] ^= 1 << bit;
-                        }
-                        if az {
-                            fz[a * w + wi] ^= 1 << bit;
-                        }
-                        if bx {
-                            fx[b * w + wi] ^= 1 << bit;
-                        }
-                        if bz {
-                            fz[b * w + wi] ^= 1 << bit;
-                        }
-                    });
-                }
-                Op::Tick => {}
-            }
-        }
-
-        // Assemble detectors and observables from record flips.
-        let mut detectors = BitTable::zeros(c.detectors().len(), shots);
-        for (d, det) in c.detectors().iter().enumerate() {
-            for &r in &det.records {
-                detectors.xor_row_from(d, &records, r as usize);
-            }
-        }
-        let mut observables = BitTable::zeros(c.observables().len(), shots);
-        for (o, obs) in c.observables().iter().enumerate() {
-            for &r in obs {
-                observables.xor_row_from(o, &records, r as usize);
-            }
-        }
-        ShotBatch {
-            detectors,
-            observables,
-        }
+    /// The `live` flag of every reset and measurement of `program`, in
+    /// program order.
+    fn live_flags(program: &FrameProgram) -> Vec<bool> {
+        program
+            .instrs
+            .iter()
+            .filter_map(|instr| match *instr {
+                Instr::Reset { live, .. } | Instr::Measure { live, .. } => Some(live),
+                _ => None,
+            })
+            .collect()
     }
 
-    fn reference_sample_hits<R: Rng>(
-        p: f64,
-        shots: usize,
-        rng: &mut R,
-        mut hit: impl FnMut(usize, &mut R),
-    ) {
-        if p <= 0.0 {
-            return;
-        }
-        if p >= 1.0 {
-            for s in 0..shots {
-                hit(s, rng);
-            }
-            return;
-        }
-        let log1m = (1.0 - p).ln();
-        let mut s: usize = 0;
-        loop {
-            // Geometric gap: floor(ln(U) / ln(1-p)).
-            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-            let gap = (u.ln() / log1m).floor();
-            if !gap.is_finite() || gap >= (shots - s) as f64 {
-                break;
-            }
-            s += gap as usize;
-            hit(s, rng);
-            s += 1;
-            if s >= shots {
-                break;
+    #[test]
+    fn program_matches_reference_interpreter() {
+        let mut seeds = StdRng::seed_from_u64(0xf4a3e);
+        let (mut live, mut inert) = (0, 0);
+        for _ in 0..150 {
+            let seed = seeds.gen_range(0..u64::MAX);
+            let mut gen = StdRng::seed_from_u64(seed);
+            let c = random_circuit(&mut gen, false);
+            let program = FrameProgram::new(&c);
+            let flags = live_flags(&program);
+            live += flags.iter().filter(|&&l| l).count();
+            inert += flags.iter().filter(|&&l| !l).count();
+            for shots in [1usize, 16, 63, 64, 65, 1000, 4096] {
+                let std = StdRng::seed_from_u64(seed ^ 1);
+                assert_program_matches(&program, &c, shots, &std);
+                // The cursor the sweep checkpoints would persist.
+                let chacha = ChaCha8Rng::seed_from_u64(seed ^ 2);
+                let (ours, theirs) = assert_program_matches(&program, &c, shots, &chacha);
+                assert_eq!(ours.word_pos(), theirs.word_pos(), "seed {seed}");
             }
         }
-    }
-
-    /// Samples `c` through the program (twice over one scratch, so
-    /// buffer reuse is covered) and through the reference; tables and
-    /// the RNG state afterwards must be equal.
-    fn assert_matches_reference<R: Rng + Clone>(c: &Circuit, shots: usize, rng: &R) {
-        let program = FrameProgram::new(c);
-        let mut scratch = FrameScratch::default();
-        let mut warm = rng.clone();
-        program.sample(shots.max(7) - 3, &mut warm, &mut scratch);
-        let (mut ours, mut theirs) = (rng.clone(), rng.clone());
-        let want = reference_sample(c, shots, &mut theirs);
-        let got = program.sample(shots, &mut ours, &mut scratch);
-        assert_eq!(*got, want, "tables differ at {shots} shots of {c:?}");
-        assert_eq!(
-            ours.next_u64(),
-            theirs.next_u64(),
-            "RNG position differs at {shots} shots of {c:?}"
+        // Both branches of the sampler's gauge step were exercised.
+        assert!(
+            live > 0 && inert > 0,
+            "{live} live and {inert} inert gauges"
         );
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(150))]
+    /// One step of a hand-built circuit for [`gauge_verdicts`].
+    #[derive(Clone, Copy)]
+    enum Step {
+        R(u32),
+        H(u32),
+        S(u32),
+        Cx(u32, u32),
+        Cz(u32, u32),
+        /// A measurement; the last one of a circuit feeds its detector.
+        M(u32),
+    }
 
-        #[test]
-        fn program_matches_reference_interpreter(seed in 0u64..u64::MAX) {
-            let mut gen = StdRng::seed_from_u64(seed);
-            let c = random_circuit(&mut gen, false);
-            for shots in [1usize, 16, 63, 64, 65, 1000, 4096] {
-                assert_matches_reference(&c, shots, &StdRng::seed_from_u64(seed ^ 1));
-                let chacha = ChaCha8Rng::seed_from_u64(seed ^ 2);
-                assert_matches_reference(&c, shots, &chacha);
-                // The cursor the sweep checkpoints would persist.
-                let (mut ours, mut theirs) = (chacha.clone(), chacha);
-                FrameSampler::new(&c).sample(shots, &mut ours);
-                reference_sample(&c, shots, &mut theirs);
-                prop_assert_eq!(ours.word_pos(), theirs.word_pos());
+    /// The live flags of a two-qubit circuit of `steps` with one
+    /// detector on its last measurement, after checking the program
+    /// against the interpreter.
+    fn gauge_verdicts(steps: &[Step]) -> Vec<bool> {
+        let mut c = Circuit::new(2);
+        let mut last = None;
+        for &step in steps {
+            match step {
+                Step::R(q) => c.reset(q).unwrap(),
+                Step::H(q) => c.h(q).unwrap(),
+                Step::S(q) => c.s(q).unwrap(),
+                Step::Cx(a, b) => c.cx(a, b).unwrap(),
+                Step::Cz(a, b) => c.cz(a, b).unwrap(),
+                Step::M(q) => last = Some(c.measure(q).unwrap()),
             }
         }
+        c.add_detector(&[last.unwrap()], CheckBasis::Z, (0, 0, 0))
+            .unwrap();
+        let program = FrameProgram::new(&c);
+        for shots in [1, 64, 100] {
+            assert_program_matches(&program, &c, shots, &rng());
+        }
+        live_flags(&program)
+    }
+
+    #[test]
+    fn gauge_verdicts_follow_every_backward_rule() {
+        use Step::*;
+        let (t, f) = (true, false);
+        // H turns the reset's Z into the measured X; twice, it does not.
+        assert_eq!(gauge_verdicts(&[R(0), H(0), M(0)]), [t, f]);
+        assert_eq!(gauge_verdicts(&[R(0), H(0), H(0), M(0)]), [f, f]);
+        // S adds Z to an X frame: H S H leaves Z's image in X.
+        assert_eq!(gauge_verdicts(&[R(0), H(0), S(0), H(0), M(0)]), [t, f]);
+        // CX copies the control's X to the target...
+        assert_eq!(
+            gauge_verdicts(&[R(0), R(1), H(0), Cx(0, 1), M(1)]),
+            [t, f, f]
+        );
+        // ...and the target's Z to the control.
+        assert_eq!(
+            gauge_verdicts(&[R(0), R(1), Cx(0, 1), H(0), M(0)]),
+            [t, t, f]
+        );
+        // CZ adds each qubit's X to the other's Z.
+        assert_eq!(
+            gauge_verdicts(&[R(0), R(1), H(0), Cz(0, 1), H(1), M(1)]),
+            [t, t, f]
+        );
+        // A measurement's own random Z is a gauge too.
+        assert_eq!(gauge_verdicts(&[R(0), M(0), H(0), M(0)]), [t, t, f]);
+        // A reset erases whatever an earlier gauge put on the qubit.
+        assert_eq!(gauge_verdicts(&[R(0), H(0), R(0), M(0)]), [f, f, f]);
+    }
+
+    #[test]
+    fn live_gauge_stays_random() {
+        // Reset, H, measure: the reset's random Z frame becomes the
+        // measured X frame, so the detector is a fair coin.
+        let mut c = Circuit::new(1);
+        c.reset(0).unwrap();
+        c.h(0).unwrap();
+        let m = c.measure(0).unwrap();
+        c.add_detector(&[m], CheckBasis::Z, (0, 0, 0)).unwrap();
+        let program = FrameProgram::new(&c);
+        assert!(matches!(
+            program.instrs[..],
+            [
+                Instr::Reset { live: true, .. },
+                Instr::H { .. },
+                Instr::Measure { live: false, .. }
+            ]
+        ));
+        let shots = 4096;
+        assert_program_matches(&program, &c, shots, &rng());
+        let chacha = ChaCha8Rng::seed_from_u64(3);
+        let (ours, theirs) = assert_program_matches(&program, &c, shots, &chacha);
+        assert_eq!(ours.word_pos(), theirs.word_pos());
+        let fires = program
+            .sample(shots, &mut rng(), &mut FrameScratch::default())
+            .detectors
+            .count_row(0);
+        // Binomial(4096, 1/2): mean 2048, sigma 32; 5 sigma each way.
+        assert!((1888..=2208).contains(&fires), "{fires} of {shots} fired");
     }
 
     /// The exact first-draw test of [`sample_hits`]: does the gap of

@@ -77,3 +77,9 @@ mod random_circuit;
 #[cfg(test)]
 #[path = "../tests/support/dem_oracle.rs"]
 mod dem_oracle;
+
+/// The frame interpreter [`FrameProgram`] replaced: the oracle of its
+/// unit tests.
+#[cfg(test)]
+#[path = "../tests/support/frame_oracle.rs"]
+mod frame_oracle;
