@@ -407,11 +407,11 @@ impl NoiseProb {
 /// when that random Z frame can flip some detector or observable, which
 /// one backward pass over the instructions decides: a gate maps the
 /// detectors and observables each frame bit reaches as it maps frames,
-/// and a gauge is live iff its qubit's Z bit reaches any just after
-/// it. An inert gauge's words
-/// cannot change any table, so the sampler skips them with
-/// [`rand::RngCore::discard_u64s`] instead of generating them: the
-/// tables and the RNG's position are those of drawing every word.
+/// and a gauge is live iff its qubit's Z bit reaches any just after it.
+/// An inert gauge's words cannot change any table, so the sampler skips
+/// them with [`rand::RngCore::discard_u64s`] instead of generating
+/// them: the tables and the RNG's position are those of drawing every
+/// word.
 #[derive(Debug, Clone)]
 pub struct FrameProgram {
     num_qubits: usize,
