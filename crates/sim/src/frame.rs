@@ -920,7 +920,7 @@ mod tests {
         );
     }
 
-    /// One step of a hand-built circuit for [`gauge_verdicts`].
+    /// One step of a circuit for [`hand_built`].
     #[derive(Clone, Copy)]
     enum Step {
         R(u32),
@@ -932,10 +932,10 @@ mod tests {
         M(u32),
     }
 
-    /// The live flags of a two-qubit circuit of `steps` with one
-    /// detector on its last measurement, after checking the program
-    /// against the interpreter.
-    fn gauge_verdicts(steps: &[Step]) -> Vec<bool> {
+    /// The two-qubit circuit of `steps` with one detector on its last
+    /// measurement, and its program, checked against the interpreter
+    /// under `StdRng` and ChaCha8 (`word_pos` included).
+    fn hand_built(steps: &[Step]) -> (Circuit, FrameProgram) {
         let mut c = Circuit::new(2);
         let mut last = None;
         for &step in steps {
@@ -951,18 +951,26 @@ mod tests {
         c.add_detector(&[last.unwrap()], CheckBasis::Z, (0, 0, 0))
             .unwrap();
         let program = FrameProgram::new(&c);
-        for shots in [1, 64, 100] {
+        for shots in [1, 64, 100, 4096] {
             assert_program_matches(&program, &c, shots, &rng());
+            let chacha = ChaCha8Rng::seed_from_u64(3);
+            let (ours, theirs) = assert_program_matches(&program, &c, shots, &chacha);
+            assert_eq!(ours.word_pos(), theirs.word_pos());
         }
-        live_flags(&program)
+        (c, program)
+    }
+
+    /// The live flags of [`hand_built`]`(steps)`.
+    fn gauge_verdicts(steps: &[Step]) -> Vec<bool> {
+        live_flags(&hand_built(steps).1)
     }
 
     #[test]
     fn gauge_verdicts_follow_every_backward_rule() {
         use Step::*;
         let (t, f) = (true, false);
-        // H turns the reset's Z into the measured X; twice, it does not.
-        assert_eq!(gauge_verdicts(&[R(0), H(0), M(0)]), [t, f]);
+        // H turns the reset's Z into the measured X (see
+        // `live_gauge_stays_random`); twice, it does not.
         assert_eq!(gauge_verdicts(&[R(0), H(0), H(0), M(0)]), [f, f]);
         // S adds Z to an X frame: H S H leaves Z's image in X.
         assert_eq!(gauge_verdicts(&[R(0), H(0), S(0), H(0), M(0)]), [t, f]);
@@ -991,25 +999,9 @@ mod tests {
     fn live_gauge_stays_random() {
         // Reset, H, measure: the reset's random Z frame becomes the
         // measured X frame, so the detector is a fair coin.
-        let mut c = Circuit::new(1);
-        c.reset(0).unwrap();
-        c.h(0).unwrap();
-        let m = c.measure(0).unwrap();
-        c.add_detector(&[m], CheckBasis::Z, (0, 0, 0)).unwrap();
-        let program = FrameProgram::new(&c);
-        assert!(matches!(
-            program.instrs[..],
-            [
-                Instr::Reset { live: true, .. },
-                Instr::H { .. },
-                Instr::Measure { live: false, .. }
-            ]
-        ));
+        let (_, program) = hand_built(&[Step::R(0), Step::H(0), Step::M(0)]);
+        assert_eq!(live_flags(&program), [true, false]);
         let shots = 4096;
-        assert_program_matches(&program, &c, shots, &rng());
-        let chacha = ChaCha8Rng::seed_from_u64(3);
-        let (ours, theirs) = assert_program_matches(&program, &c, shots, &chacha);
-        assert_eq!(ours.word_pos(), theirs.word_pos());
         let fires = program
             .sample(shots, &mut rng(), &mut FrameScratch::default())
             .detectors
