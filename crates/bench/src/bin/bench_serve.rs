@@ -19,6 +19,7 @@
 //! `speedup` is warm throughput over cold throughput; the CI smoke job
 //! asserts it stays >= 5 at d = 5.
 
+use dqec_chiplet::cli;
 use dqec_serve::protocol::{parse_response, DecodeRequest, Request, Response};
 use dqec_serve::{start, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
@@ -43,64 +44,13 @@ struct Args {
     out: std::path::PathBuf,
 }
 
-fn parse_args() -> Args {
-    let mut requests = 32usize;
-    let mut shots = 256usize;
-    let mut threads: Option<usize> = None;
-    let mut out = std::path::PathBuf::from("BENCH_serve.json");
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            "--requests" => requests = flag_value(&mut it, "--requests"),
-            "--shots" => shots = flag_value(&mut it, "--shots"),
-            "--threads" => {
-                let n: usize = flag_value(&mut it, "--threads");
-                if n == 0 {
-                    eprintln!("error: --threads must be >= 1\n{USAGE}");
-                    std::process::exit(2);
-                }
-                threads = Some(n);
-            }
-            "--out" => {
-                out = it
-                    .next()
-                    .unwrap_or_else(|| {
-                        eprintln!("error: --out requires a value\n{USAGE}");
-                        std::process::exit(2);
-                    })
-                    .into();
-            }
-            other => {
-                eprintln!("error: unknown flag {other:?}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if requests == 0 || shots == 0 {
-        eprintln!("error: --requests and --shots must be >= 1\n{USAGE}");
-        std::process::exit(2);
-    }
-    Args {
-        requests,
-        shots,
-        threads,
-        out,
-    }
-}
-
-fn flag_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> usize {
-    let v = it.next().unwrap_or_else(|| {
-        eprintln!("error: {flag} requires a value\n{USAGE}");
-        std::process::exit(2);
-    });
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("error: bad {flag} value {v:?}\n{USAGE}");
-        std::process::exit(2);
+fn parse_args(argv: &[String]) -> Result<Args, cli::Error> {
+    let f = cli::read(argv, &[], &["--requests", "--shots", "--threads", "--out"])?;
+    Ok(Args {
+        requests: f.positive("--requests")?.unwrap_or(32),
+        shots: f.positive("--shots")?.unwrap_or(256),
+        threads: f.positive("--threads")?,
+        out: f.value("--out").unwrap_or("BENCH_serve.json").into(),
     })
 }
 
@@ -253,7 +203,7 @@ fn run_onoff(config: ServerConfig, requests: usize, shots: usize) -> (Phase, Pha
 }
 
 fn main() {
-    let args = parse_args();
+    let args = cli::or_exit(USAGE, parse_args(&cli::args()));
     match args.threads {
         Some(n) => rayon::with_worker_cap(n, || bench(&args)),
         None => bench(&args),

@@ -7,6 +7,7 @@
 //! whether the merged tallies are bit-identical to it. CI gates the
 //! 2-shard speedup.
 
+use dqec_chiplet::cli;
 use dqec_chiplet::record::MemorySink;
 use dqec_chiplet::runner::ExperimentSpec;
 use dqec_core::adapt::AdaptedPatch;
@@ -27,53 +28,15 @@ usage: bench_sweep [--shards N] [--out FILE] [--help]
   --out FILE    where to write the JSON report (default BENCH_sweep.json)
   --help        show this message";
 
-struct Args {
-    shards: u32,
-    out: std::path::PathBuf,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        shards: 4,
-        out: "BENCH_sweep.json".into(),
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("error: {flag} requires a value\n{USAGE}");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            "--shards" => {
-                args.shards = value("--shards").parse().unwrap_or(0);
-                if args.shards < 1 {
-                    eprintln!("error: --shards must be >= 1\n{USAGE}");
-                    std::process::exit(2);
-                }
-            }
-            "--out" => args.out = value("--out").into(),
-            other => {
-                eprintln!("error: unknown flag {other:?}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
-
 fn patch(d: u32) -> AdaptedPatch {
     AdaptedPatch::new(PatchLayout::memory(d), &DefectSet::new())
 }
 
 fn main() {
-    let args = parse_args();
+    let argv = cli::args();
+    let f = cli::or_exit(USAGE, cli::read(&argv, &[], &["--shards", "--out"]));
+    let max_shards: u32 = cli::or_exit(USAGE, f.positive("--shards")).unwrap_or(4);
+    let out = f.value("--out").unwrap_or("BENCH_sweep.json");
     let mut rows: Vec<String> = Vec::new();
 
     // Each shard runs sequentially at one worker thread, standing in
@@ -114,7 +77,7 @@ fn main() {
     let wall_single = t0.elapsed().as_secs_f64();
     let single = SweepState::load(&single_state).expect("single state");
 
-    for count in (0..).map(|e| 1u32 << e).take_while(|&c| c <= args.shards) {
+    for count in (0..).map(|e| 1u32 << e).take_while(|&c| c <= max_shards) {
         let mut shard_walls = Vec::new();
         let mut states = Vec::new();
         for index in 0..count {
@@ -172,9 +135,8 @@ fn main() {
         json.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
     }
     json.push_str("]\n");
-    let mut file = std::fs::File::create(&args.out)
-        .unwrap_or_else(|e| panic!("create {}: {e}", args.out.display()));
+    let mut file = std::fs::File::create(out).unwrap_or_else(|e| panic!("create {out}: {e}"));
     file.write_all(json.as_bytes())
-        .unwrap_or_else(|e| panic!("write {}: {e}", args.out.display()));
-    eprintln!("wrote {}", args.out.display());
+        .unwrap_or_else(|e| panic!("write {out}: {e}"));
+    eprintln!("wrote {out}");
 }

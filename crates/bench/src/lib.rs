@@ -7,32 +7,17 @@
 //! figure's `run` function, which declares
 //! [`ExperimentSpec`]s and emits typed [`Record`]s.
 //!
-//! All binaries accept:
-//!
-//! * `--full` — paper-scale parameters (slow; hours for the
-//!   Monte-Carlo figures);
-//! * `--samples N` — chiplet samples per sweep point;
-//! * `--shots N` — Monte-Carlo shots per LER point (the per-point
-//!   budget cap under `--precision`);
-//! * `--seed N` — RNG seed;
-//! * `--decoder NAME` — decoder backend (`mwpm` or `uf`);
-//! * `--threads N` — worker cap for every parallel fan-out;
-//! * `--precision W` — adaptive sweeps to a target relative CI width;
-//! * `--checkpoint DIR` / `--resume` — durable, bit-exact-resumable
-//!   sweep state (one file per sweep plan);
-//! * `--json` — emit a JSON array of records instead of TSV;
-//! * `--out DIR` — write to `DIR/<name>.tsv` (or `.json`) instead of
-//!   stdout;
-//! * `--help` — usage.
-//!
-//! Unknown flags are rejected with exit code 2. Default (quick)
-//! parameters reproduce the *shapes* of the paper's results in minutes.
+//! All binaries accept the flags of [`USAGE`] and read them through
+//! [`dqec_chiplet::cli`]: unknown flags and malformed values exit with
+//! code 2. Default (quick) parameters reproduce the *shapes* of the
+//! paper's results in minutes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod figs;
 
+use dqec_chiplet::cli;
 use dqec_chiplet::defect_model::DefectModel;
 use dqec_chiplet::record::{JsonSink, Record, Sink, TsvSink};
 use dqec_chiplet::runner::{DecoderChoice, ExperimentSpec};
@@ -40,7 +25,7 @@ use dqec_core::adapt::AdaptedPatch;
 use dqec_core::indicators::PatchIndicators;
 use dqec_core::layout::PatchLayout;
 use dqec_core::{CoreError, DefectSet};
-use dqec_sweep::shard::state_file_name;
+use dqec_sweep::shard::{state_file_name, CHECKPOINT_FLAG, RESUME_FLAG, SHARD_FLAG};
 use dqec_sweep::{EngineConfig, Precision, Shard, SweepEngine, SweepPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -158,73 +143,46 @@ impl RunConfig {
     /// Returns a message for unknown flags, missing values, and
     /// unparseable numbers — a typo like `--shot 500` must fail loudly
     /// rather than silently run the default shot count for hours.
+    /// `--help` is an error here too; [`RunConfig::from_args`] prints
+    /// the usage for it.
     pub fn parse(args: &[String]) -> Result<RunConfig, String> {
-        let mut full = false;
-        let mut samples: Option<usize> = None;
-        let mut shots: Option<usize> = None;
-        let mut seed: Option<u64> = None;
-        let mut json = false;
-        let mut out: Option<PathBuf> = None;
-        let mut decoder = DecoderChoice::default();
-        let mut threads: Option<usize> = None;
-        let mut precision: Option<f64> = None;
-        let mut checkpoint: Option<PathBuf> = None;
-        let mut resume = false;
-        let mut shard: Option<Shard> = None;
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let mut value = |flag: &str| -> Result<&String, String> {
-                it.next().ok_or(format!("{flag} requires a value"))
-            };
-            match arg.as_str() {
-                "--full" => full = true,
-                "--json" => json = true,
-                "--samples" => {
-                    let v = value("--samples")?;
-                    samples = Some(
-                        v.parse()
-                            .map_err(|_| format!("bad --samples value {v:?}"))?,
-                    );
-                }
-                "--shots" => {
-                    let v = value("--shots")?;
-                    shots = Some(v.parse().map_err(|_| format!("bad --shots value {v:?}"))?);
-                }
-                "--seed" => {
-                    let v = value("--seed")?;
-                    seed = Some(v.parse().map_err(|_| format!("bad --seed value {v:?}"))?);
-                }
-                "--out" => out = Some(PathBuf::from(value("--out")?)),
-                "--decoder" => decoder = DecoderChoice::parse(value("--decoder")?)?,
-                "--threads" => {
-                    let v = value("--threads")?;
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| format!("bad --threads value {v:?}"))?;
-                    if n == 0 {
-                        return Err("--threads must be >= 1".into());
-                    }
-                    threads = Some(n);
-                }
-                "--precision" => {
-                    let v = value("--precision")?;
-                    let w: f64 = v
-                        .parse()
-                        .map_err(|_| format!("bad --precision value {v:?}"))?;
-                    if !(w.is_finite() && w > 0.0) {
-                        return Err(format!("--precision must be a positive width, got {v:?}"));
-                    }
-                    precision = Some(w);
-                }
-                "--checkpoint" => checkpoint = Some(PathBuf::from(value("--checkpoint")?)),
-                "--resume" => resume = true,
-                "--shard" => {
-                    let v = value("--shard")?;
-                    shard = Some(v.parse().map_err(|e| format!("bad --shard value: {e}"))?);
-                }
-                other => return Err(format!("unknown flag {other:?}")),
-            }
-        }
+        Self::read(args).map_err(|e| e.to_string())
+    }
+
+    /// Parses `std::env::args` through [`cli::or_exit`]: usage on
+    /// stdout and exit code 0 on `--help`/`-h`, the error and usage on
+    /// stderr and exit code 2 on invalid arguments.
+    pub fn from_args() -> RunConfig {
+        cli::or_exit(USAGE, Self::read(&cli::args()))
+    }
+
+    fn read(args: &[String]) -> Result<RunConfig, cli::Error> {
+        let f = cli::read(
+            args,
+            &["--full", "--json", RESUME_FLAG],
+            &[
+                "--samples",
+                "--shots",
+                "--seed",
+                "--out",
+                "--decoder",
+                "--threads",
+                "--precision",
+                CHECKPOINT_FLAG,
+                SHARD_FLAG,
+            ],
+        )?;
+        let full = f.has("--full");
+        let precision = f.parse_with("--precision", |v| match v.parse::<f64>() {
+            Err(_) => Err(format!("bad --precision value {v:?}")),
+            Ok(w) if w.is_finite() && w > 0.0 => Ok(w),
+            Ok(_) => Err(format!("--precision must be a positive width, got {v:?}")),
+        })?;
+        let checkpoint = f.value(CHECKPOINT_FLAG).map(PathBuf::from);
+        let resume = f.has(RESUME_FLAG);
+        let shard: Option<Shard> = f.parse_with(SHARD_FLAG, |v| {
+            v.parse().map_err(|e| format!("bad --shard value: {e}"))
+        })?;
         if resume && checkpoint.is_none() {
             return Err("--resume requires --checkpoint DIR".into());
         }
@@ -241,38 +199,25 @@ impl RunConfig {
         let defaults = RunConfig::default();
         Ok(RunConfig {
             full,
-            samples: samples.unwrap_or(if full { 10_000 } else { defaults.samples }),
-            shots: shots.unwrap_or(if full { 2_000_000 } else { defaults.shots }),
-            seed: seed.unwrap_or(defaults.seed),
-            json,
-            out,
-            decoder,
-            threads,
+            samples: f
+                .get("--samples")?
+                .unwrap_or(if full { 10_000 } else { defaults.samples }),
+            shots: f
+                .get("--shots")?
+                .unwrap_or(if full { 2_000_000 } else { defaults.shots }),
+            seed: f.get("--seed")?.unwrap_or(defaults.seed),
+            json: f.has("--json"),
+            out: f.value("--out").map(PathBuf::from),
+            decoder: f
+                .parse_with("--decoder", DecoderChoice::parse)?
+                .unwrap_or_default(),
+            threads: f.positive("--threads")?,
             precision,
             checkpoint,
             resume,
             shard,
-            halt_after_rounds: None,
-            sweep_batch: None,
-            sweep_round_batches: None,
+            ..defaults
         })
-    }
-
-    /// Parses `std::env::args`, printing usage and exiting with code 0
-    /// on `--help`/`-h` and code 2 on invalid arguments.
-    pub fn from_args() -> RunConfig {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        if args.iter().any(|a| a == "--help" || a == "-h") {
-            println!("{USAGE}");
-            std::process::exit(0);
-        }
-        match Self::parse(&args) {
-            Ok(cfg) => cfg,
-            Err(e) => {
-                eprintln!("error: {e}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
     }
 
     /// The physical-error window used for slope fits: the paper's
@@ -758,6 +703,12 @@ mod tests {
         assert!(RunConfig::parse(&args(&["--shots"])).is_err());
         assert!(RunConfig::parse(&args(&["--shots", "many"])).is_err());
         assert!(RunConfig::parse(&args(&["--seed", "-1"])).is_err());
+    }
+
+    #[test]
+    fn help_flags_are_values_in_value_position() {
+        let cfg = RunConfig::parse(&args(&["--out", "-h"])).unwrap();
+        assert_eq!(cfg.out, Some(PathBuf::from("-h")));
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! as typed [`Record`]s into a [`Sink`] (TSV, JSON, memory, or null).
 //! [`json`] is the workspace's one JSON codec — this is the lowest crate
 //! that writes JSON, so the sweep state files and the serve/dist wire
-//! frames above it share the module the `--json` sink uses.
+//! frames above it share the module the `--json` sink uses. [`cli`] is
+//! the workspace's one command-line flag reader, here for the same
+//! reason: every binary's package reaches this crate.
 //!
 //! # Examples
 //!
@@ -34,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod criteria;
 pub mod defect_model;
 pub mod experiment;

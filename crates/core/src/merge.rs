@@ -11,7 +11,6 @@
 use crate::adapt::AdaptedPatch;
 use crate::coords::{Coord, Side};
 use crate::defect::DefectSet;
-use crate::graphs::CheckGraph;
 use crate::layout::PatchLayout;
 use dqec_sim::circuit::CheckBasis;
 
@@ -94,8 +93,7 @@ pub fn merged_distance(defects: &DefectSet, l: u32, side: Side) -> Option<u32> {
         Side::Left | Side::Right => CheckBasis::Z,
         Side::Top | Side::Bottom => CheckBasis::X,
     };
-    let graph = CheckGraph::build(&merged, basis).ok()?;
-    graph.distance_and_count().map(|(d, _)| d)
+    merged.distance_and_count(basis).map(|(d, _)| d)
 }
 
 /// The paper's four boundary-quality standards (Fig. 15).

@@ -17,6 +17,8 @@ use dqec_dist::{
     merge_dir, run_local, run_remote, AgentConfig, DistReport, LocalOptions, RemoteJob,
     RemoteOptions, ShardJob,
 };
+use dqec_sweep::cli;
+use dqec_sweep::shard::COORDINATOR_FLAGS;
 use std::path::PathBuf;
 
 const USAGE: &str = "\
@@ -56,150 +58,118 @@ agent  run the worker daemon: executes `shard` requests from a
   --scratch DIR     per-job checkpoint scratch (default dist-scratch)
   --heartbeat-ms MS progress-frame period (default 500)";
 
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}\n{USAGE}");
-    std::process::exit(2);
-}
-
-fn value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> String {
-    it.next()
-        .unwrap_or_else(|| fail(&format!("{flag} requires a value")))
-        .clone()
-}
-
-fn numeric<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>, flag: &str) -> T {
-    let v = value(it, flag);
-    v.parse()
-        .unwrap_or_else(|_| fail(&format!("bad {flag} value {v:?}")))
-}
-
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        return;
-    }
+    let argv = cli::args();
     match argv.first().map(String::as_str) {
         Some("run") => cmd_run(&argv[1..]),
         Some("merge") => cmd_merge(&argv[1..]),
         Some("agent") => cmd_agent(&argv[1..]),
-        Some(other) => fail(&format!("unknown subcommand {other:?}")),
-        None => fail("a subcommand is required"),
+        _ => cli::or_exit(USAGE, no_subcommand(&argv)),
     }
 }
 
-fn cmd_run(args: &[String]) {
-    let mut bin: Option<String> = None;
-    let mut shards: Option<u32> = None;
-    let mut checkpoint: Option<PathBuf> = None;
-    let mut workers = 2usize;
-    let mut retries = 2u32;
-    let mut worker_threads: Option<usize> = None;
-    let mut agents: Vec<String> = Vec::new();
-    let mut timeout_ms = 5_000u64;
-    let mut resume = false;
-    let mut emit = false;
-    let mut passthrough: Vec<String> = Vec::new();
+/// A command line without a subcommand: `--help` and unknown flags go
+/// through the reader, anything else is an error.
+fn no_subcommand(argv: &[String]) -> Result<(), cli::Error> {
+    match argv.first() {
+        Some(name) if !name.starts_with('-') => Err(format!("unknown subcommand {name:?}").into()),
+        _ => cli::read(argv, &[], &[]).and(Err("a subcommand is required".into())),
+    }
+}
 
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--bin" => bin = Some(value(&mut it, "--bin")),
-            "--shards" => shards = Some(numeric(&mut it, "--shards")),
-            "--checkpoint" => checkpoint = Some(PathBuf::from(value(&mut it, "--checkpoint"))),
-            "--workers" => workers = numeric(&mut it, "--workers"),
-            "--retries" => retries = numeric(&mut it, "--retries"),
-            "--worker-threads" => worker_threads = Some(numeric(&mut it, "--worker-threads")),
-            "--agents" => {
-                agents = value(&mut it, "--agents")
-                    .split(',')
+/// A parsed `run` command line: local options are used when no agents
+/// are named.
+struct Run {
+    job: ShardJob,
+    local: LocalOptions,
+    remote: RemoteOptions,
+    emit: bool,
+}
+
+fn parse_run(args: &[String]) -> Result<Run, cli::Error> {
+    let f = cli::read(
+        args,
+        &["--resume", "--emit", "--"],
+        &[
+            "--bin",
+            "--shards",
+            "--checkpoint",
+            "--workers",
+            "--retries",
+            "--worker-threads",
+            "--agents",
+            "--timeout-ms",
+        ],
+    )?;
+    let bin = f.value("--bin").ok_or("run requires --bin")?;
+    let count = f.positive("--shards")?.ok_or("run requires --shards N")?;
+    let checkpoint = f
+        .value("--checkpoint")
+        .ok_or("run requires --checkpoint DIR")?;
+    for owned in COORDINATOR_FLAGS {
+        if f.rest().iter().any(|a| a == owned) {
+            return Err(format!("{owned} is coordinator-owned; do not pass it after --").into());
+        }
+    }
+    let (local, remote) = (LocalOptions::default(), RemoteOptions::default());
+    let max_retries = f.get("--retries")?.unwrap_or(local.max_retries);
+    Ok(Run {
+        job: ShardJob {
+            bin: PathBuf::from(bin),
+            args: f.rest().to_vec(),
+            count,
+            checkpoint: PathBuf::from(checkpoint),
+            resume: f.has("--resume"),
+        },
+        local: LocalOptions {
+            workers: f.get("--workers")?.unwrap_or(local.workers),
+            max_retries,
+            threads_per_worker: f.positive("--worker-threads")?,
+        },
+        remote: RemoteOptions {
+            agents: f.value("--agents").map_or_else(Vec::new, |list| {
+                list.split(',')
                     .map(str::trim)
                     .filter(|s| !s.is_empty())
                     .map(str::to_string)
-                    .collect();
-            }
-            "--timeout-ms" => timeout_ms = numeric(&mut it, "--timeout-ms"),
-            "--resume" => resume = true,
-            "--emit" => emit = true,
-            "--" => {
-                passthrough = it.cloned().collect();
-                break;
-            }
-            other => fail(&format!("unknown flag {other:?}")),
-        }
-    }
-    let bin = bin.unwrap_or_else(|| fail("run requires --bin"));
-    let shards = shards.unwrap_or_else(|| fail("run requires --shards N"));
-    if shards == 0 {
-        fail("--shards must be >= 1");
-    }
-    let checkpoint = checkpoint.unwrap_or_else(|| fail("run requires --checkpoint DIR"));
-    for owned in ["--shard", "--checkpoint", "--resume", "--out"] {
-        if passthrough.iter().any(|a| a == owned) {
-            fail(&format!(
-                "{owned} is coordinator-owned; do not pass it after --"
-            ));
-        }
-    }
+                    .collect()
+            }),
+            max_retries,
+            heartbeat_timeout_ms: f
+                .get("--timeout-ms")?
+                .unwrap_or(remote.heartbeat_timeout_ms),
+        },
+        emit: f.has("--emit"),
+    })
+}
 
-    let report = if agents.is_empty() {
-        let job = ShardJob {
-            bin: PathBuf::from(&bin),
-            args: passthrough.clone(),
-            count: shards,
-            checkpoint: checkpoint.clone(),
-            resume,
-        };
-        let opts = LocalOptions {
-            workers,
-            max_retries: retries,
-            threads_per_worker: worker_threads,
-        };
-        let report = run_local(&job, &opts).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
-        if emit {
-            dqec_dist::coordinator::emit_merged(&job).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            });
-        }
-        report
+fn cmd_run(args: &[String]) {
+    let run = cli::or_exit(USAGE, parse_run(args));
+    let job = &run.job;
+    let report = if run.remote.agents.is_empty() {
+        run_local(job, &run.local)
     } else {
-        let job = RemoteJob {
-            bin: bin.clone(),
-            args: passthrough.clone(),
-            count: shards,
-            checkpoint: checkpoint.clone(),
+        let remote = RemoteJob {
+            bin: job.bin.display().to_string(),
+            args: job.args.clone(),
+            count: job.count,
+            checkpoint: job.checkpoint.clone(),
         };
-        let opts = RemoteOptions {
-            agents,
-            max_retries: retries,
-            heartbeat_timeout_ms: timeout_ms,
-        };
-        let report = run_remote(&job, &opts).unwrap_or_else(|e| {
+        run_remote(&remote, &run.remote)
+    };
+    let report = report.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
+    // A remote --bin is a bare name; the emission run happens locally,
+    // so the binary must also exist here (the same layout as an
+    // agent's --bins is the caller's responsibility).
+    if run.emit {
+        dqec_dist::coordinator::emit_merged(job).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(1);
         });
-        if emit {
-            // Remote --bin is a bare name; the emission run happens
-            // locally, so the binary must also exist here (same layout
-            // as an agent's --bins is the caller's responsibility).
-            dqec_dist::coordinator::emit_merged(&ShardJob {
-                bin: PathBuf::from(&bin),
-                args: passthrough,
-                count: shards,
-                checkpoint,
-                resume,
-            })
-            .unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            });
-        }
-        report
-    };
+    }
     print_report(&report);
 }
 
@@ -231,15 +201,9 @@ fn print_report(report: &DistReport) {
 }
 
 fn cmd_merge(args: &[String]) {
-    let mut checkpoint: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--checkpoint" => checkpoint = Some(PathBuf::from(value(&mut it, "--checkpoint"))),
-            other => fail(&format!("unknown flag {other:?}")),
-        }
-    }
-    let checkpoint = checkpoint.unwrap_or_else(|| fail("merge requires --checkpoint DIR"));
+    let f = cli::or_exit(USAGE, cli::read(args, &[], &["--checkpoint"]));
+    let checkpoint = f.value("--checkpoint").map(PathBuf::from);
+    let checkpoint = cli::or_exit(USAGE, checkpoint.ok_or("merge requires --checkpoint DIR"));
     match merge_dir(&checkpoint) {
         Ok(reports) => {
             for merged in &reports {
@@ -261,17 +225,15 @@ fn cmd_merge(args: &[String]) {
 }
 
 fn cmd_agent(args: &[String]) {
-    let mut config = AgentConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => config.addr = value(&mut it, "--addr"),
-            "--bins" => config.bin_dir = PathBuf::from(value(&mut it, "--bins")),
-            "--scratch" => config.scratch = PathBuf::from(value(&mut it, "--scratch")),
-            "--heartbeat-ms" => config.heartbeat_ms = numeric(&mut it, "--heartbeat-ms"),
-            other => fail(&format!("unknown flag {other:?}")),
-        }
-    }
+    let values = ["--addr", "--bins", "--scratch", "--heartbeat-ms"];
+    let f = cli::or_exit(USAGE, cli::read(args, &[], &values));
+    let defaults = AgentConfig::default();
+    let config = AgentConfig {
+        addr: f.value("--addr").map_or(defaults.addr, str::to_string),
+        bin_dir: f.value("--bins").map_or(defaults.bin_dir, PathBuf::from),
+        scratch: f.value("--scratch").map_or(defaults.scratch, PathBuf::from),
+        heartbeat_ms: cli::or_exit(USAGE, f.get("--heartbeat-ms")).unwrap_or(defaults.heartbeat_ms),
+    };
     let handle = dqec_dist::start_agent(config).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(1);

@@ -25,7 +25,7 @@
 use crate::merge::{merge_dir, MergeReport};
 use dqec_core::CoreError;
 use dqec_serve::chan::Bounded;
-use dqec_sweep::shard::Shard;
+use dqec_sweep::shard::{worker_args, Shard};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::Arc;
@@ -191,7 +191,7 @@ pub struct ShardJob {
     /// The figure binary (e.g. `target/release/fig06_ler_curves`).
     pub bin: PathBuf,
     /// Pass-through arguments (figure flags like `--shots`). Must not
-    /// contain the coordinator-owned `--shard`/`--checkpoint`/`--resume`.
+    /// contain the [`COORDINATOR_FLAGS`](dqec_sweep::shard::COORDINATOR_FLAGS).
     pub args: Vec<String>,
     /// Number of shards `N`.
     pub count: u32,
@@ -211,13 +211,11 @@ impl ShardJob {
     pub fn attempt_args(&self, index: u32, attempt: u32) -> Result<Vec<String>, CoreError> {
         let shard = Shard::new(index, self.count)?;
         let mut args = self.args.clone();
-        args.push("--shard".into());
-        args.push(shard.to_string());
-        args.push("--checkpoint".into());
-        args.push(self.checkpoint.display().to_string());
-        if self.resume || attempt > 0 {
-            args.push("--resume".into());
-        }
+        args.extend(worker_args(
+            Some(shard),
+            &self.checkpoint,
+            self.resume || attempt > 0,
+        ));
         Ok(args)
     }
 }
@@ -351,12 +349,9 @@ pub(crate) fn stderr_tail(stderr: &str) -> String {
 ///
 /// Fails when the binary cannot be spawned or exits non-zero.
 pub fn emit_merged(job: &ShardJob) -> Result<(), CoreError> {
-    let mut args = job.args.clone();
-    args.push("--checkpoint".into());
-    args.push(job.checkpoint.display().to_string());
-    args.push("--resume".into());
     let status = Command::new(&job.bin)
-        .args(&args)
+        .args(&job.args)
+        .args(worker_args(None, &job.checkpoint, true))
         .status()
         .map_err(|e| bad(format!("spawn {}: {e}", job.bin.display())))?;
     if !status.success() {

@@ -37,7 +37,7 @@ use dqec_serve::chan::Bounded;
 use dqec_serve::protocol::{
     self, Frame, Request, Response, ShardDoneResponse, ShardRequest, ShardStateFile,
 };
-use dqec_sweep::shard::{parse_state_file_name, Shard};
+use dqec_sweep::shard::{parse_state_file_name, worker_args, Shard};
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -169,6 +169,7 @@ fn execute_shard(
     writer: &mut TcpStream,
 ) -> Result<Vec<ShardStateFile>, String> {
     req.validate()?;
+    let shard = Shard::new(req.index, req.count).map_err(|e| e.to_string())?;
     let bin = config.bin_dir.join(&req.bin);
     let scratch = config
         .scratch
@@ -179,13 +180,9 @@ fn execute_shard(
         .map_err(|e| format!("create {}: {e}", stderr_log.display()))?;
     let mut child = std::process::Command::new(&bin)
         .args(&req.args)
-        .arg("--shard")
-        .arg(format!("{}/{}", req.index, req.count))
-        .arg("--checkpoint")
-        .arg(&scratch)
         // Resume-if-exists: a shard re-dispatched to this agent picks
         // up its own earlier checkpoint instead of recomputing.
-        .arg("--resume")
+        .args(worker_args(Some(shard), &scratch, true))
         .stdin(std::process::Stdio::null())
         .stdout(std::process::Stdio::null())
         .stderr(stderr)
@@ -224,12 +221,11 @@ fn execute_shard(
             status.code()
         ));
     }
-    collect_states(&scratch, req)
+    collect_states(&scratch, shard)
 }
 
-/// Reads the shard state files the child wrote into its scratch dir.
-fn collect_states(scratch: &Path, req: &ShardRequest) -> Result<Vec<ShardStateFile>, String> {
-    let shard = Shard::new(req.index, req.count).map_err(|e| e.to_string())?;
+/// Reads the state files of `shard` the child wrote into its scratch dir.
+fn collect_states(scratch: &Path, shard: Shard) -> Result<Vec<ShardStateFile>, String> {
     let mut states = Vec::new();
     let entries =
         std::fs::read_dir(scratch).map_err(|e| format!("read {}: {e}", scratch.display()))?;

@@ -6,11 +6,13 @@
 //! byte-identical to `--oneshot` output for the same request file —
 //! the conformance property CI enforces.
 
+use dqec_chiplet::cli;
 use dqec_serve::protocol::{self, Frame, Response};
 use dqec_serve::server::Metrics;
 use dqec_serve::{ExperimentCache, ServerConfig};
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
+use std::path::PathBuf;
 
 const USAGE: &str = "\
 usage: dqec_serve [--addr A] [--threads N] [--cache N] [--queue N] [--batch N]
@@ -39,90 +41,48 @@ Options
 struct Args {
     config: ServerConfig,
     threads: Option<usize>,
-    oneshot: Option<std::path::PathBuf>,
-    client: Option<std::path::PathBuf>,
+    oneshot: Option<PathBuf>,
+    client: Option<PathBuf>,
 }
 
-fn usize_flag(it: &mut std::slice::Iter<'_, String>, flag: &str) -> usize {
-    let v = it.next().unwrap_or_else(|| {
-        eprintln!("error: {flag} requires a value\n{USAGE}");
-        std::process::exit(2);
-    });
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("error: bad {flag} value {v:?}\n{USAGE}");
-        std::process::exit(2);
+fn parse_args(argv: &[String]) -> Result<Args, cli::Error> {
+    let f = cli::read(
+        argv,
+        &[],
+        &[
+            "--addr",
+            "--threads",
+            "--cache",
+            "--queue",
+            "--batch",
+            "--max-clients",
+            "--trace-out",
+            "--oneshot",
+            "--client",
+        ],
+    )?;
+    if f.has("--oneshot") && f.has("--client") {
+        return Err("--oneshot and --client are mutually exclusive".into());
+    }
+    let defaults = ServerConfig::default();
+    Ok(Args {
+        config: ServerConfig {
+            addr: f.value("--addr").map_or(defaults.addr, str::to_string),
+            cache_capacity: f.get("--cache")?.unwrap_or(defaults.cache_capacity),
+            queue_capacity: f.get("--queue")?.unwrap_or(defaults.queue_capacity),
+            batch_max: f.get("--batch")?.unwrap_or(defaults.batch_max),
+            max_clients: f.get("--max-clients")?.unwrap_or(defaults.max_clients),
+            trace_out: f.value("--trace-out").map(PathBuf::from),
+            ..defaults
+        },
+        threads: f.positive("--threads")?,
+        oneshot: f.value("--oneshot").map(PathBuf::from),
+        client: f.value("--client").map(PathBuf::from),
     })
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        config: ServerConfig::default(),
-        threads: None,
-        oneshot: None,
-        client: None,
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            "--addr" => {
-                args.config.addr = it
-                    .next()
-                    .unwrap_or_else(|| {
-                        eprintln!("error: --addr requires a value\n{USAGE}");
-                        std::process::exit(2);
-                    })
-                    .clone();
-            }
-            "--threads" => {
-                let n = usize_flag(&mut it, "--threads");
-                if n == 0 {
-                    eprintln!("error: --threads must be >= 1\n{USAGE}");
-                    std::process::exit(2);
-                }
-                args.threads = Some(n);
-            }
-            "--cache" => args.config.cache_capacity = usize_flag(&mut it, "--cache"),
-            "--queue" => args.config.queue_capacity = usize_flag(&mut it, "--queue"),
-            "--batch" => args.config.batch_max = usize_flag(&mut it, "--batch"),
-            "--max-clients" => args.config.max_clients = usize_flag(&mut it, "--max-clients"),
-            "--trace-out" => {
-                let path = it.next().unwrap_or_else(|| {
-                    eprintln!("error: --trace-out requires a file\n{USAGE}");
-                    std::process::exit(2);
-                });
-                args.config.trace_out = Some(path.into());
-            }
-            "--oneshot" | "--client" => {
-                let path = it.next().unwrap_or_else(|| {
-                    eprintln!("error: {arg} requires a file\n{USAGE}");
-                    std::process::exit(2);
-                });
-                if arg == "--oneshot" {
-                    args.oneshot = Some(path.into());
-                } else {
-                    args.client = Some(path.into());
-                }
-            }
-            other => {
-                eprintln!("error: unknown flag {other:?}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if args.oneshot.is_some() && args.client.is_some() {
-        eprintln!("error: --oneshot and --client are mutually exclusive\n{USAGE}");
-        std::process::exit(2);
-    }
-    args
-}
-
 fn main() {
-    let args = parse_args();
+    let args = cli::or_exit(USAGE, parse_args(&cli::args()));
     match args.threads {
         Some(n) => rayon::with_worker_cap(n, || run(&args)),
         None => run(&args),

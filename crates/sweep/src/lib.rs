@@ -57,6 +57,10 @@ pub mod shard;
 
 pub use adaptive::Precision;
 pub use checkpoint::{PointTally, SweepState};
+/// The workspace command-line flag reader; it lives in `dqec_chiplet`
+/// next to the JSON codec, and is re-exported for crates that reach
+/// `dqec_chiplet` only through this one.
+pub use dqec_chiplet::cli;
 /// The workspace JSON codec the state files are written with; it lives
 /// in `dqec_chiplet` (the lowest crate that writes JSON) and keeps its
 /// historical path here.

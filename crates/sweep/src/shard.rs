@@ -18,6 +18,7 @@
 use dqec_core::CoreError;
 use std::fmt;
 use std::ops::Range;
+use std::path::Path;
 use std::str::FromStr;
 
 /// One slice of an `N`-way sweep partition: shard `index` of `count`.
@@ -95,6 +96,37 @@ pub fn parse_state_file_name(name: &str) -> Option<(&str, Shard)> {
     let shard = Shard::new(i.parse().ok()?, n.parse().ok()?).ok()?;
     // Only the canonical spelling (no `+1`, no leading zeros).
     (state_file_name(tag, Some(shard)) == name).then_some((tag, shard))
+}
+
+/// The flag naming a worker's shard, `--shard i/N`.
+pub const SHARD_FLAG: &str = "--shard";
+/// The flag naming the directory a worker keeps its state files in.
+pub const CHECKPOINT_FLAG: &str = "--checkpoint";
+/// The flag making a worker resume from its state files.
+pub const RESUME_FLAG: &str = "--resume";
+
+/// The flags a coordinator owns on a worker's command line: the three
+/// [`worker_args`] writes, and `--out`, because a shard's output is its
+/// state file. Pass-through arguments must not contain them.
+pub const COORDINATOR_FLAGS: [&str; 4] = [SHARD_FLAG, CHECKPOINT_FLAG, RESUME_FLAG, "--out"];
+
+/// The coordinator's part of a worker's command line, and the one place
+/// it is written: `--shard i/N` for a shard worker (none for the run
+/// that emits a merged state), `--checkpoint DIR`, and `--resume` when
+/// `resume` is set.
+pub fn worker_args(shard: Option<Shard>, checkpoint: &Path, resume: bool) -> Vec<String> {
+    let mut args = Vec::with_capacity(5);
+    if let Some(shard) = shard {
+        args.extend([SHARD_FLAG.to_string(), shard.to_string()]);
+    }
+    args.extend([
+        CHECKPOINT_FLAG.to_string(),
+        checkpoint.display().to_string(),
+    ]);
+    if resume {
+        args.push(RESUME_FLAG.to_string());
+    }
+    args
 }
 
 impl fmt::Display for Shard {
@@ -189,6 +221,20 @@ mod tests {
         ] {
             assert_eq!(parse_state_file_name(name), None, "{name}");
         }
+    }
+
+    #[test]
+    fn worker_args_write_the_coordinator_flags_in_order() {
+        let dir = Path::new("ckpts");
+        let shard = Shard::new(1, 2).unwrap();
+        assert_eq!(
+            worker_args(Some(shard), dir, false),
+            ["--shard", "1/2", "--checkpoint", "ckpts"]
+        );
+        assert_eq!(
+            worker_args(None, dir, true),
+            ["--checkpoint", "ckpts", "--resume"]
+        );
     }
 
     #[test]
