@@ -18,7 +18,7 @@ use std::fmt;
 use std::str::FromStr;
 
 /// Why a command line was not read.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum Error {
     /// `--help` or `-h` stood in flag position.
     Help,
@@ -49,7 +49,7 @@ impl fmt::Display for Error {
 
 /// A command line read against its flag set: the flags given, in
 /// order, and what followed `--`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Flags<'a> {
     given: Vec<(&'a str, Option<&'a str>)>,
     rest: &'a [String],
