@@ -8,9 +8,8 @@ use dqec_chiplet::record::{Record, Sink, Value};
 
 /// Emits the figure's records.
 pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
-    eprintln!("sampling defective patches and measuring slopes (slow)...");
     let (l, d_range) = cfg.slope_patch();
-    let records = slope_dataset(l, d_range.clone(), cfg, "fig05_slopes")?;
+    let records = slope_dataset(cfg)?;
 
     sink.emit(&Record::Section(format!("defective patches (l={l})")));
     sink.emit(&Record::Columns(
@@ -53,10 +52,7 @@ pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
     } else {
         vec![5, 7]
     };
-    for (d, slope) in refs
-        .iter()
-        .zip(defect_free_slopes(&refs, cfg, "fig05_slopes")?)
-    {
+    for (d, slope) in refs.iter().zip(defect_free_slopes(&refs, cfg)?) {
         match slope {
             Some(s) => sink.emit(&Record::row([Value::from(*d), s.into()])),
             None => sink.emit(&Record::row([

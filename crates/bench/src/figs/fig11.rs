@@ -19,10 +19,10 @@ fn stats(kept: &[&SlopeRecord]) -> (f64, f64) {
 
 /// Emits the figure's records.
 pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
-    eprintln!("sampling defective patches and measuring slopes (slow)...");
-    let (l, d_range) = cfg.slope_patch();
-    let records = slope_dataset(l, d_range, cfg, "fig11_selection")?;
+    let records = slope_dataset(cfg)?;
     let indicators: Vec<_> = records.iter().map(|r| r.indicators.clone()).collect();
+    let baseline_order = Ranking::FaultyCount.order(&indicators);
+    let chosen_order = Ranking::ChosenIndicators.order(&indicators);
 
     sink.emit(&Record::Columns(
         [
@@ -38,8 +38,6 @@ pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
     for i in 1..=9 {
         let fraction = i as f64 / 10.0;
         let keep = ((records.len() as f64) * fraction).round().max(1.0) as usize;
-        let baseline_order = Ranking::FaultyCount.order(&indicators);
-        let chosen_order = Ranking::ChosenIndicators.order(&indicators);
         let baseline_kept: Vec<&SlopeRecord> = baseline_order[..keep]
             .iter()
             .map(|&i| &records[i])

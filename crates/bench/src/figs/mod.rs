@@ -1,16 +1,13 @@
 //! Figure/table reproduction logic.
 //!
-//! Each submodule reproduces one figure or table of the paper by
-//! declaring experiment specs and emitting typed records; the thin
-//! `src/bin/` wrappers, the in-process `reproduce_all` harness, and the
-//! golden-output tests all call the same functions through [`ALL`].
+//! Each submodule reproduces one figure or table of the paper
+//! ([`scatter`] covers Figs. 7–10) by declaring experiment specs and
+//! emitting typed records; the thin `src/bin/` wrappers, the in-process
+//! `reproduce_all` harness, and the golden-output tests all call the
+//! same functions through [`ALL`].
 
 pub mod fig05;
 pub mod fig06;
-pub mod fig07;
-pub mod fig08;
-pub mod fig09;
-pub mod fig10;
 pub mod fig11;
 pub mod fig12;
 pub mod fig13;
@@ -21,6 +18,7 @@ pub mod fig17;
 pub mod fig18;
 pub mod fig19;
 pub mod fig20;
+pub mod scatter;
 pub mod table01_02;
 pub mod table03_04;
 
@@ -62,22 +60,22 @@ pub const ALL: &[Reproduction] = &[
     Reproduction {
         name: "fig07_shortest_logicals",
         what: "slope vs log(#shortest logicals), grouped by d",
-        run: fig07::run,
+        run: |cfg, sink| scatter::SHORTEST_LOGICALS.run(cfg, sink),
     },
     Reproduction {
         name: "fig08_disabled_fraction",
         what: "slope vs proportion of disabled data qubits",
-        run: fig08::run,
+        run: |cfg, sink| scatter::DISABLED_FRACTION.run(cfg, sink),
     },
     Reproduction {
         name: "fig09_cluster_diameter",
         what: "slope vs largest disabled-cluster diameter",
-        run: fig09::run,
+        run: |cfg, sink| scatter::CLUSTER_DIAMETER.run(cfg, sink),
     },
     Reproduction {
         name: "fig10_faulty_count",
         what: "slope vs number of faulty qubits (baseline indicator)",
-        run: fig10::run,
+        run: |cfg, sink| scatter::FAULTY_COUNT.run(cfg, sink),
     },
     Reproduction {
         name: "fig11_selection",

@@ -31,6 +31,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
 
 /// Command-line configuration shared by every reproduction binary.
 #[derive(Debug, Clone, PartialEq)]
@@ -265,8 +266,9 @@ impl RunConfig {
     /// persists state to `DIR/<tag>.sweep.json`, `--resume` restarts
     /// from it. The fingerprint salt covers `tag` and the decoder
     /// backend, so state files are never resumed across figures or
-    /// backends. Every Monte-Carlo figure sweep (fig05/06/11, the slope
-    /// datasets) runs through engines built here.
+    /// backends. Every Monte-Carlo figure sweep (fig06's curves, the
+    /// slope dataset and its defect-free references) runs through
+    /// engines built here.
     pub fn engine(&self, tag: &str) -> SweepEngine {
         let mut salt = dqec_chiplet::runner::Fnv::new();
         salt.bytes(tag.as_bytes());
@@ -366,36 +368,57 @@ pub struct SlopeRecord {
     pub slope: Option<f64>,
 }
 
-/// Samples defective `l x l` chiplets (links and qubits faulty at the
-/// same rate, as in Fig. 5) until `per_group` patches of every adapted
-/// distance in `d_range` have been collected, then measures every
-/// patch's slope as one [`SweepPlan`] through the sweep engine: the
+/// The last slope dataset measured in this process, with the config it
+/// was measured under. The lock is held while measuring, so concurrent
+/// callers with one config wait for one measurement.
+static SLOPES: Mutex<Option<(RunConfig, Vec<SlopeRecord>)>> = Mutex::new(None);
+
+/// The slope dataset of Figs. 5 and 7–11: defective chiplets of the
+/// [`RunConfig::slope_patch`] size, each with its measured log-log
+/// slope. All six figures read this one measurement, so it is computed
+/// at most once per process for a given `cfg` (`reproduce_all` runs it
+/// once, not six times) and checkpoints under the one plan tag
+/// `slopes`. A failed measurement is not remembered.
+///
+/// Chiplets (links and qubits faulty at the same rate, as in Fig. 5)
+/// are sampled until [`RunConfig::patches_per_group`] patches of every
+/// adapted distance have been collected; then every patch's slope is
+/// measured as one [`SweepPlan`] through the sweep engine: the
 /// mixed-distance specs (a d = 5 patch decodes ~10x faster than a
 /// d = 8 one) share the rayon pool instead of running
 /// one-after-another, `--precision` makes the shot allocation adaptive,
 /// and `--checkpoint`/`--resume` persist the sweep under
-/// `<tag>.sweep.json`. Shared by the Fig. 5/7/8/9/10/11 binaries,
-/// which pass their figure name as `tag`.
+/// `slopes.sweep.json`.
 ///
 /// Patches whose sweep cannot run (degenerate circuit) or fit (no
-/// failures observed) report `slope: None`, as before.
+/// failures observed) report `slope: None`.
 ///
 /// # Errors
 ///
 /// Propagates sweep orchestration failures (checkpoint I/O, resume
 /// mismatches); per-patch circuit-generation failures only mark that
 /// patch's slope as unmeasured.
-pub fn slope_dataset(
-    l: u32,
-    d_range: std::ops::RangeInclusive<u32>,
-    cfg: &RunConfig,
-    tag: &str,
-) -> Result<Vec<SlopeRecord>, CoreError> {
+pub fn slope_dataset(cfg: &RunConfig) -> Result<Vec<SlopeRecord>, CoreError> {
+    // The memo is only ever replaced whole, so a measurement that
+    // panicked left the previous entry valid behind the poisoned lock.
+    let mut memo = SLOPES.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((key, records)) = memo.as_ref() {
+        if key == cfg {
+            return Ok(records.clone());
+        }
+    }
+    let records = measure_slopes(cfg)?;
+    *memo = Some((cfg.clone(), records.clone()));
+    Ok(records)
+}
+
+fn measure_slopes(cfg: &RunConfig) -> Result<Vec<SlopeRecord>, CoreError> {
+    let (l, d_range) = cfg.slope_patch();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let layout = PatchLayout::memory(l);
     let per_group = cfg.patches_per_group();
     let mut groups: std::collections::BTreeMap<u32, Vec<AdaptedPatch>> =
-        d_range.clone().map(|d| (d, Vec::new())).collect();
+        d_range.map(|d| (d, Vec::new())).collect();
     // Mix of rates to populate all distance groups.
     let rates = [0.004, 0.008, 0.015, 0.025];
     let mut attempts = 0;
@@ -463,7 +486,7 @@ pub fn slope_dataset(
         plan.len()
     );
     let outcomes = cfg
-        .engine(&format!("{tag}.slopes"))
+        .engine("slopes")
         .run(&plan, &mut dqec_chiplet::record::NullSink)?;
     for (slot, outcome) in measured.into_iter().zip(outcomes) {
         records[slot].slope = outcome.fit.map(|f| f.slope);
@@ -472,16 +495,12 @@ pub fn slope_dataset(
 }
 
 /// The slopes of defect-free distance-`d` patches under the same
-/// protocol, measured as one engine plan (tagged `<tag>.refs`).
+/// protocol, measured as one engine plan (tagged `slopes.refs`).
 ///
 /// # Errors
 ///
 /// Propagates sweep orchestration and circuit-generation failures.
-pub fn defect_free_slopes(
-    ds: &[u32],
-    cfg: &RunConfig,
-    tag: &str,
-) -> Result<Vec<Option<f64>>, CoreError> {
+pub fn defect_free_slopes(ds: &[u32], cfg: &RunConfig) -> Result<Vec<Option<f64>>, CoreError> {
     let plan: SweepPlan = ds
         .iter()
         .map(|&d| {
@@ -498,7 +517,7 @@ pub fn defect_free_slopes(
         })
         .collect();
     let outcomes = cfg
-        .engine(&format!("{tag}.refs"))
+        .engine("slopes.refs")
         .run(&plan, &mut dqec_chiplet::record::NullSink)?;
     Ok(outcomes
         .into_iter()
@@ -614,16 +633,16 @@ mod tests {
     #[test]
     fn engine_tags_and_decoders_get_distinct_fingerprint_salts() {
         let cfg = RunConfig::default();
-        let a = cfg.engine("fig05_slopes");
-        let b = cfg.engine("fig11_selection");
+        let a = cfg.engine("slopes");
+        let b = cfg.engine("slopes.refs");
         assert_ne!(a.config().salt, b.config().salt);
         let uf = RunConfig {
             decoder: dqec_chiplet::runner::DecoderChoice::Uf,
             ..RunConfig::default()
         };
         assert_ne!(
-            cfg.engine("fig05_slopes").config().salt,
-            uf.engine("fig05_slopes").config().salt,
+            cfg.engine("slopes").config().salt,
+            uf.engine("slopes").config().salt,
             "decoder backend must be part of the checkpoint identity"
         );
         // Checkpoint files land under the configured directory, one
@@ -633,8 +652,8 @@ mod tests {
             ..RunConfig::default()
         };
         assert_eq!(
-            ck.engine("fig05_slopes.slopes").config().checkpoint,
-            Some(PathBuf::from("ckpts/fig05_slopes.slopes.sweep.json"))
+            ck.engine("slopes").config().checkpoint,
+            Some(PathBuf::from("ckpts/slopes.sweep.json"))
         );
     }
 

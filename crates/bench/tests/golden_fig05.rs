@@ -11,6 +11,7 @@
 
 use dqec_bench::{figs, RunConfig};
 use dqec_chiplet::record::{Sink, TsvSink};
+use std::path::Path;
 
 const EXPECTED: &str = "\
 # fig05_slopes: LER slope vs adapted code distance (link+qubit defects)
@@ -49,4 +50,191 @@ fn fig05_tsv_output_is_pinned() {
     sink.finish().expect("in-memory sink");
     let text = String::from_utf8(sink.into_inner()).expect("utf-8 output");
     assert_eq!(text, EXPECTED);
+}
+
+// Figs. 7–11 read the slope dataset Fig. 5 measures. They are pinned
+// at Fig. 5's config, so the in-process dataset memo lets them share
+// its measurement.
+
+fn slope_config() -> RunConfig {
+    RunConfig {
+        samples: 2,
+        shots: 400,
+        seed: 7,
+        ..RunConfig::default()
+    }
+}
+
+fn tsv(name: &str, cfg: &RunConfig) -> String {
+    let rep = figs::ALL
+        .iter()
+        .find(|r| r.name == name)
+        .expect("figure registered");
+    let mut sink = TsvSink::new(Vec::new());
+    sink.emit(&cfg.meta(rep.name, rep.what));
+    (rep.run)(cfg, &mut sink).expect("figure runs");
+    sink.finish().expect("in-memory sink");
+    String::from_utf8(sink.into_inner()).expect("utf-8 output")
+}
+
+const FIG07: &str = "\
+# fig07_shortest_logicals: slope vs log(#shortest logicals), grouped by d
+# mode=quick (shape-reproduction) samples=2 shots=400 seed=7
+d\tln_num_shortest\tslope
+5\t3.3322\t4.4190
+5\t4.2627\t4.9694
+5\t3.3322\t1.8548
+6\t2.4849\t0
+6\t4.8978\t4.7992
+6\t4.5643\t1.9847
+7\t4.1271\t1.3548
+7\t3.1781\t2.7095
+7\t4.7005\t0
+# paper: within a distance group, fewer shortest logicals means a
+# higher slope (better low-p behaviour); defect-free patches sit at
+# large counts because of their symmetry.
+";
+
+const FIG08: &str = "\
+# fig08_disabled_fraction: slope vs proportion of disabled data qubits
+# mode=quick (shape-reproduction) samples=2 shots=400 seed=7
+d\tproportion_disabled\tslope
+5\t0.0864\t4.4190
+5\t0.1852\t4.9694
+5\t0.1481\t1.8548
+6\t0.0494\t0
+6\t0.1111\t4.7992
+6\t0.0617\t1.9847
+7\t0.0494\t1.3548
+7\t0.0617\t2.7095
+7\t0.0370\t0
+# paper: inversely correlated with the slope, but explained by d.
+";
+
+const FIG09: &str = "\
+# fig09_cluster_diameter: slope vs largest disabled-cluster diameter
+# mode=quick (shape-reproduction) samples=2 shots=400 seed=7
+d\tlargest_cluster_diameter\tslope
+5\t2.0000\t4.4190
+5\t4.0000\t4.9694
+5\t3.0000\t1.8548
+6\t2.0000\t0
+6\t2.0000\t4.7992
+6\t2.0000\t1.9847
+7\t2.0000\t1.3548
+7\t2.0000\t2.7095
+7\t1.0000\t0
+# paper: the cluster diameter does not help predict the slope.
+";
+
+const FIG10: &str = "\
+# fig10_faulty_count: slope vs number of faulty qubits (baseline indicator)
+# mode=quick (shape-reproduction) samples=2 shots=400 seed=7
+num_faulty\tslope\td
+2\t4.4190\t5
+1\t4.9694\t5
+3\t1.8548\t5
+0\t0\t6
+3\t4.7992\t6
+1\t1.9847\t6
+1\t1.3548\t7
+1\t2.7095\t7
+2\t0\t7
+# paper: correlated, but equal-faulty-count patches span a wide
+# range of slopes — the adapted distance separates them.
+";
+
+const FIG11: &str = "\
+# fig11_selection: selection quality: chosen indicators vs faulty-count baseline
+# mode=quick (shape-reproduction) samples=2 shots=400 seed=7
+fraction\tbaseline_mean\tbaseline_worst\tchosen_mean\tchosen_worst
+0.1000\t0\t0\tNaN\tNaN
+0.2000\t0\t0\tNaN\tNaN
+0.3000\t2.4847\t0\t2.7095\t2.7095
+0.4000\t2.3180\t0\t2.0321\t1.3548
+0.5000\t2.0772\t0\t1.3548\t0
+0.6000\t2.2037\t0\t1.0161\t0
+0.7000\t2.2037\t0\t1.2098\t0
+0.8000\t2.2053\t0\t2.1810\t0
+0.9000\t2.1615\t0\t2.1402\t0
+# paper: the chosen indicators keep both the mean and the worst-case
+# slope higher than the faulty-count baseline at every kept fraction.
+";
+
+#[test]
+fn fig07_tsv_output_is_pinned() {
+    assert_eq!(tsv("fig07_shortest_logicals", &slope_config()), FIG07);
+}
+
+#[test]
+fn fig08_tsv_output_is_pinned() {
+    assert_eq!(tsv("fig08_disabled_fraction", &slope_config()), FIG08);
+}
+
+#[test]
+fn fig09_tsv_output_is_pinned() {
+    assert_eq!(tsv("fig09_cluster_diameter", &slope_config()), FIG09);
+}
+
+#[test]
+fn fig10_tsv_output_is_pinned() {
+    assert_eq!(tsv("fig10_faulty_count", &slope_config()), FIG10);
+}
+
+#[test]
+fn fig11_tsv_output_is_pinned() {
+    assert_eq!(tsv("fig11_selection", &slope_config()), FIG11);
+}
+
+fn state_files(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("checkpoint dir exists")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+/// The slope figures share one checkpoint plan: Fig. 7 writes
+/// `slopes.sweep.json`, and Fig. 11 resumes from it, decoding nothing,
+/// to the output of an uncheckpointed run (compared as TSV, since NaN
+/// cells make records unequal to themselves). The config is used by no
+/// other test here, so the dataset memo cannot stand in for the engine.
+#[test]
+fn slope_figures_share_one_checkpoint_plan() {
+    let cfg = RunConfig {
+        samples: 2,
+        shots: 300,
+        seed: 11,
+        ..RunConfig::default()
+    };
+    let dir = std::env::temp_dir().join(format!("dqec_slopes_ckpt_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ck = RunConfig {
+        checkpoint: Some(dir.clone()),
+        ..cfg.clone()
+    };
+    tsv("fig07_shortest_logicals", &ck);
+    assert_eq!(state_files(&dir), ["slopes.sweep.json"]);
+    let state = std::fs::read(dir.join("slopes.sweep.json")).expect("state file");
+    let resumed = tsv(
+        "fig11_selection",
+        &RunConfig {
+            resume: true,
+            ..ck.clone()
+        },
+    );
+    assert_eq!(resumed, tsv("fig11_selection", &cfg));
+    assert_eq!(state_files(&dir), ["slopes.sweep.json"]);
+    assert_eq!(
+        std::fs::read(dir.join("slopes.sweep.json")).expect("state file"),
+        state,
+        "the resumed run added shots"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
