@@ -757,6 +757,24 @@ mod tests {
         assert!(fmt(1e-7).contains('e'));
     }
 
+    /// A second call with the same config reads the memo: with the
+    /// first call's state file deleted, it writes none.
+    #[test]
+    fn slope_dataset_is_measured_once_per_config() {
+        let dir = std::env::temp_dir().join(format!("dqec_slope_memo_{}", std::process::id()));
+        let cfg = RunConfig {
+            shots: 200,
+            seed: 3,
+            checkpoint: Some(dir.clone()),
+            ..RunConfig::default()
+        };
+        let first = slope_dataset(&cfg).expect("dataset measures");
+        std::fs::remove_dir_all(&dir).expect("the first call wrote state");
+        let second = slope_dataset(&cfg).expect("dataset memoised");
+        assert!(!dir.exists(), "the second call measured again");
+        assert_eq!(format!("{first:?}"), format!("{second:?}"));
+    }
+
     #[test]
     fn every_reproduction_has_a_unique_name() {
         let mut names: Vec<&str> = figs::ALL.iter().map(|r| r.name).collect();
