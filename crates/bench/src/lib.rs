@@ -265,7 +265,7 @@ impl RunConfig {
     /// `--precision` selects adaptive allocation, `--checkpoint DIR`
     /// persists state to `DIR/<tag>.sweep.json`, `--resume` restarts
     /// from it. The fingerprint salt covers `tag` and the decoder
-    /// backend, so state files are never resumed across figures or
+    /// backend, so state files are never resumed across plans or
     /// backends. Every Monte-Carlo figure sweep (fig06's curves, the
     /// slope dataset and its defect-free references) runs through
     /// engines built here.
