@@ -1,12 +1,17 @@
 //! Fig. 16 — yield improvement from the freedom to rotate chiplets
 //! (swapping the data/syndrome assignment), links and qubits faulty at
 //! the same rate, l = 11, 13, 15 against a d = 9 target.
+//!
+//! Rotation is a view of one draw: each (l, rate) population is sampled
+//! once in both orientations, `l=…` reads the fabricated orientation
+//! and `l=…(rot)` the better one per chiplet.
 
+use super::orientation_views;
 use crate::{FigResult, RunConfig};
 use dqec_chiplet::criteria::QualityTarget;
 use dqec_chiplet::defect_model::DefectModel;
 use dqec_chiplet::record::{Record, Sink, YieldRecord};
-use dqec_chiplet::yields::{sample_indicators, yield_from_indicators, SampleConfig};
+use dqec_chiplet::yields::yield_from_indicators;
 
 /// Emits the figure's records.
 pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
@@ -16,20 +21,12 @@ pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
 
     for &rate in &rates {
         for &l in &sizes {
-            for rot in [false, true] {
-                let config = SampleConfig {
-                    samples: cfg.samples,
-                    seed: cfg.seed,
-                    orientation_freedom: rot,
-                    ..SampleConfig::new(l, DefectModel::LinkAndQubit, rate)
-                };
-                let inds = sample_indicators(&config);
+            let config = cfg.population(l, DefectModel::LinkAndQubit, rate);
+            for (series, inds) in [format!("l={l}"), format!("l={l}(rot)")]
+                .into_iter()
+                .zip(orientation_views(&config))
+            {
                 let estimate = yield_from_indicators(&inds, &target);
-                let series = if rot {
-                    format!("l={l}(rot)")
-                } else {
-                    format!("l={l}")
-                };
                 sink.emit(&Record::Yield(YieldRecord::sampled(
                     series,
                     rate,

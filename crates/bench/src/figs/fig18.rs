@@ -4,73 +4,73 @@
 //! (b) link+qubit defects, (c) link+qubit with the freedom to swap the
 //! data/syndrome assignment (chiplet rotation).
 //!
-//! Samples are shared across targets: each (l, rate) population is
-//! sampled once and post-selected against every target.
+//! Each (l, rate) population is sampled once and post-selected against
+//! every target; panels (b) and (c) are two views of one draw (each
+//! chiplet as fabricated, and in its better orientation). Sizes run
+//! l = 11…31: at l = d the closed-form defect-free yield is used, so no
+//! l = 9 population is drawn.
 
+use super::orientation_views;
 use crate::{FigResult, RunConfig};
 use dqec_chiplet::criteria::QualityTarget;
-use dqec_chiplet::defect_model::DefectModel;
+use dqec_chiplet::defect_model::DefectModel::{self, LinkAndQubit, LinkOnly};
 use dqec_chiplet::record::{Record, Sink, Value};
-use dqec_chiplet::yields::{
-    overhead_factor, sample_indicators, yield_from_indicators, SampleConfig,
-};
+use dqec_chiplet::yields::{overhead_factor, sample_indicators, yield_from_indicators};
 use dqec_core::indicators::PatchIndicators;
 use dqec_core::layout::PatchLayout;
-use std::collections::BTreeMap;
 
 /// Emits the figure's records.
 pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
-    let targets = [9u32, 11, 13, 15, 17];
-    let rates: Vec<f64> = (1..=5).map(|i| i as f64 * 0.002).collect();
-    let panels: [(&str, DefectModel, bool); 3] = [
-        ("(a) link defects only", DefectModel::LinkOnly, false),
-        ("(b) link+qubit defects", DefectModel::LinkAndQubit, false),
-        (
-            "(c) link+qubit defects, with data/syndrome swap",
-            DefectModel::LinkAndQubit,
-            true,
-        ),
-    ];
-    let sizes: Vec<u32> = (9..=31).step_by(2).map(|l| l as u32).collect();
-    let quality: BTreeMap<u32, QualityTarget> = targets
-        .iter()
-        .map(|&d| (d, QualityTarget::defect_free(d)))
-        .collect();
+    let sizes: Vec<u32> = (11..=31).step_by(2).collect();
+    let targets = [9, 11, 13, 15, 17].map(QualityTarget::defect_free);
+    // One panel row: per target, the least overhead over the l = d
+    // defect-intolerant chiplet and the sampled sizes with l > d.
+    let row = |model: DefectModel, rate: f64, populations: &[Vec<PatchIndicators>]| {
+        let mut cells = vec![Value::from(rate)];
+        for target in &targets {
+            let d = target.distance;
+            let intolerant = model.defect_free_probability(&PatchLayout::memory(d), rate);
+            let mut best = overhead_factor(d, intolerant, d);
+            for (&l, inds) in sizes.iter().zip(populations).filter(|(&l, _)| l > d) {
+                let y = yield_from_indicators(inds, target).fraction();
+                best = best.min(overhead_factor(l, y, d));
+            }
+            cells.push(best.into());
+        }
+        Record::Row(cells)
+    };
 
-    for (name, model, swap) in panels {
+    let mut panels: [Vec<Record>; 3] = Default::default();
+    for rate in (1..=5).map(|i| i as f64 * 0.002) {
+        let link_only: Vec<_> = sizes
+            .iter()
+            .map(|&l| sample_indicators(&cfg.population(l, LinkOnly, rate)))
+            .collect();
+        panels[0].push(row(LinkOnly, rate, &link_only));
+        let (primary, rotated): (Vec<_>, Vec<_>) = sizes
+            .iter()
+            .map(|&l| {
+                let [primary, rotated] = orientation_views(&cfg.population(l, LinkAndQubit, rate));
+                (primary, rotated)
+            })
+            .unzip();
+        panels[1].push(row(LinkAndQubit, rate, &primary));
+        panels[2].push(row(LinkAndQubit, rate, &rotated));
+    }
+    let mut columns = vec!["rate".to_string()];
+    columns.extend(targets.iter().map(|t| format!("d={}", t.distance)));
+    for (name, rows) in [
+        "(a) link defects only",
+        "(b) link+qubit defects",
+        "(c) link+qubit defects, with data/syndrome swap",
+    ]
+    .into_iter()
+    .zip(panels)
+    {
         sink.emit(&Record::Section(name.to_string()));
-        let mut columns = vec!["rate".to_string()];
-        columns.extend(targets.iter().map(|d| format!("d={d}")));
-        sink.emit(&Record::Columns(columns));
-        for &rate in &rates {
-            // Sample every size once at this rate.
-            let mut populations: BTreeMap<u32, Vec<PatchIndicators>> = BTreeMap::new();
-            for &l in &sizes {
-                let config = SampleConfig {
-                    samples: cfg.samples,
-                    seed: cfg.seed,
-                    orientation_freedom: swap,
-                    ..SampleConfig::new(l, model, rate)
-                };
-                populations.insert(l, sample_indicators(&config));
-            }
-            let mut cells = vec![Value::from(rate)];
-            for &d in &targets {
-                let mut best = f64::INFINITY;
-                for &l in &sizes {
-                    if l < d {
-                        continue;
-                    }
-                    let y = if l == d {
-                        model.defect_free_probability(&PatchLayout::memory(l), rate)
-                    } else {
-                        yield_from_indicators(&populations[&l], &quality[&d]).fraction()
-                    };
-                    best = best.min(overhead_factor(l, y, d));
-                }
-                cells.push(best.into());
-            }
-            sink.emit(&Record::Row(cells));
+        sink.emit(&Record::Columns(columns.clone()));
+        for row in &rows {
+            sink.emit(row);
         }
     }
     sink.emit(&Record::Note(

@@ -6,18 +6,13 @@
 use crate::{fmt, FigResult, RunConfig};
 use dqec_chiplet::defect_model::DefectModel;
 use dqec_chiplet::record::{Record, Sink, Value};
-use dqec_chiplet::yields::{sample_indicators, SampleConfig};
+use dqec_chiplet::yields::sample_indicators;
 use dqec_estimator::fidelity::distance_distribution;
 
 /// Emits the figure's records.
 pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
     for (panel, l, rate, paper_yield) in [("(a)", 33u32, 0.001, 0.945), ("(b)", 39, 0.003, 0.946)] {
-        let config = SampleConfig {
-            samples: cfg.samples,
-            seed: cfg.seed,
-            ..SampleConfig::new(l, DefectModel::LinkAndQubit, rate)
-        };
-        let inds = sample_indicators(&config);
+        let inds = sample_indicators(&cfg.population(l, DefectModel::LinkAndQubit, rate));
         let dist = distance_distribution(&inds);
         sink.emit(&Record::Section(format!("{panel} l={l} rate={rate}")));
         sink.emit(&Record::Columns(

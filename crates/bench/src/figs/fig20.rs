@@ -5,14 +5,17 @@
 //! qubit should be kept or disabled.
 //!
 //! Each series is one `ExperimentSpec` sweep, so the decoding graph is
-//! built once per series and reweighted across the p-window.
+//! built once per series and reweighted across the p-window. The five
+//! series run as one [`SweepPlan`] through the sweep engine, so
+//! `--precision`, `--checkpoint`/`--resume` and `--shard` apply.
 
 use crate::{FigResult, RunConfig};
-use dqec_chiplet::record::Sink;
-use dqec_chiplet::runner::{ExperimentSpec, Runner};
+use dqec_chiplet::record::{Record, Sink};
+use dqec_chiplet::runner::ExperimentSpec;
 use dqec_core::adapt::AdaptedPatch;
 use dqec_core::layout::PatchLayout;
 use dqec_core::{Coord, DefectSet};
+use dqec_sweep::SweepPlan;
 
 /// Emits the figure's records.
 pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
@@ -26,44 +29,36 @@ pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
         vec![2e-3, 4e-3, 6e-3, 8e-3]
     };
     let bad_ps = [0.05, 0.08, 0.10, 0.15];
-    let runner = Runner::new();
 
     // Disable the bad qubit: super-stabilizers around the hole.
     let mut disable_defects = DefectSet::new();
     disable_defects.add_data(bad);
     let disable_patch = AdaptedPatch::new(PatchLayout::stability(6, 6), &disable_defects);
     assert!(disable_patch.is_valid());
-    let spec = cfg.spec_with_decoder(
-        ExperimentSpec::stability(disable_patch)
-            .ps(&ps)
-            .rounds(rounds)
-            .shots(cfg.shots)
-            .seed(cfg.seed)
-            .label("super-stabilizer"),
-    );
-    runner.run(&spec, sink)?;
+    let disable = ExperimentSpec::stability(disable_patch)
+        .seed(cfg.seed)
+        .label("super-stabilizer");
 
     // Keep the bad qubit at each elevated error rate.
     let keep_patch = AdaptedPatch::new(PatchLayout::stability(6, 6), &DefectSet::new());
-    for bp in bad_ps {
-        let spec = cfg.spec_with_decoder(
-            ExperimentSpec::stability(keep_patch.clone())
-                .ps(&ps)
-                .rounds(rounds)
-                .shots(cfg.shots)
-                .seed(cfg.seed ^ (1000.0 * bp) as u64)
-                .bad_qubit(bad, bp)
-                .label(format!("faulty p={bp}")),
-        );
-        runner.run(&spec, sink)?;
-    }
-    sink.emit(&dqec_chiplet::record::Record::Note(
+    let keep = bad_ps.iter().map(|&bp| {
+        ExperimentSpec::stability(keep_patch.clone())
+            .seed(cfg.seed ^ (1000.0 * bp) as u64)
+            .bad_qubit(bad, bp)
+            .label(format!("faulty p={bp}"))
+    });
+    let plan: SweepPlan = std::iter::once(disable)
+        .chain(keep)
+        .map(|spec| cfg.spec_with_decoder(spec.ps(&ps).rounds(rounds).shots(cfg.shots)))
+        .collect();
+    cfg.engine("fig20_stability_cutoff").run(&plan, sink)?;
+    sink.emit(&Record::Note(
         "paper: above ~10% the bad qubit should always be disabled; below".into(),
     ));
-    sink.emit(&dqec_chiplet::record::Record::Note(
+    sink.emit(&Record::Note(
         "~5% it should be kept unless the good qubits are extremely clean;".into(),
     ));
-    sink.emit(&dqec_chiplet::record::Record::Note(
+    sink.emit(&Record::Note(
         "at ~8% the cutoff sits near a good-qubit error rate of ~0.45%.".into(),
     ));
     Ok(())

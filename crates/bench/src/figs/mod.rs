@@ -22,17 +22,21 @@ pub mod scatter;
 pub mod table01_02;
 pub mod table03_04;
 
-use crate::{FigResult, RunConfig};
+use crate::{memoised, FigResult, Memo, RunConfig};
 use dqec_chiplet::criteria::QualityTarget;
 use dqec_chiplet::defect_model::DefectModel;
 use dqec_chiplet::record::{Record, Sink, YieldRecord};
 use dqec_chiplet::yields::{
-    overhead_factor, sample_indicators, sample_indicators_range, yield_from_indicators,
-    SampleConfig, YieldEstimate,
+    better, overhead_factor, sample_indicators, sample_indicators_range, sample_orientations_range,
+    yield_from_indicators, SampleConfig, YieldEstimate,
 };
+use dqec_core::indicators::PatchIndicators;
 use dqec_core::layout::PatchLayout;
+use dqec_core::CoreError;
+use dqec_estimator::{super_stabilizer_row, ApplicationSpec, ResourceRow};
 use dqec_sweep::checkpoint::PointTally;
 use dqec_sweep::Precision;
+use std::sync::{Arc, Mutex};
 
 /// One figure/table reproduction: its binary name, a one-line
 /// description, and the record-emitting run function.
@@ -167,17 +171,10 @@ pub(crate) fn yield_overhead_figure(
                 .with_overhead(overhead_factor(baseline_l, y, target_d)),
         ));
         for &l in sizes {
-            let config = SampleConfig {
-                samples: cfg.samples,
-                seed: cfg.seed,
-                ..SampleConfig::new(l, model, rate)
-            };
+            let config = cfg.population(l, model, rate);
             let estimate = match cfg.precision {
                 Some(w) => adaptive_yield(&config, &target, &Precision::new(w), cfg.samples),
-                None => {
-                    let inds = sample_indicators(&config);
-                    yield_from_indicators(&inds, &target)
-                }
+                None => yield_from_indicators(&sample_indicators(&config), &target),
             };
             sink.emit(&Record::Yield(
                 YieldRecord::sampled(format!("l={l}"), rate, estimate.kept, estimate.total)
@@ -186,6 +183,54 @@ pub(crate) fn yield_overhead_figure(
         }
     }
     Ok(())
+}
+
+/// The two views of one population that chiplet rotation gives (Figs.
+/// 16 and 18): `[0]` each chiplet as fabricated, `[1]` in its
+/// [`better`] orientation.
+pub(crate) fn orientation_views(config: &SampleConfig) -> [Vec<PatchIndicators>; 2] {
+    let pairs = sample_orientations_range(config, 0..config.samples);
+    let rotated = pairs.iter().map(|[a, b]| better(a, b).clone()).collect();
+    [pairs.into_iter().map(|[a, _]| a).collect(), rotated]
+}
+
+/// The defect rates on qubits and links of Tables 1 and 2 (and 3 and 4).
+pub const TABLE_RATES: [f64; 2] = [0.001, 0.003];
+
+/// Per [`TABLE_RATES`] entry, the super-stabilizer row and the chosen
+/// size's sampled population.
+pub type TableSweep = Arc<[(ResourceRow, Vec<PatchIndicators>); 2]>;
+
+/// The last table sweep of this process, keyed by `(samples, seed)`.
+static TABLE_SWEEP: Memo<(usize, u64), TableSweep> = Mutex::new(None);
+
+/// The size sweep Tables 1–4 share: Shor-2048's [`super_stabilizer_row`]
+/// over l = 29…43 at each of [`TABLE_RATES`]. It runs at most once per
+/// process for given `--samples` and `--seed`, the only flags it reads;
+/// a failed sweep is not remembered.
+///
+/// # Errors
+///
+/// Fails if the candidate size list is empty.
+pub fn table_sweep(cfg: &RunConfig) -> Result<TableSweep, CoreError> {
+    memoised(&TABLE_SWEEP, &(cfg.samples, cfg.seed), || {
+        let spec = ApplicationSpec::shor_2048();
+        let candidates: Vec<u32> = (29..=43).step_by(2).collect();
+        let row = |rate| {
+            super_stabilizer_row(
+                &spec,
+                DefectModel::LinkAndQubit,
+                rate,
+                &candidates,
+                cfg.samples,
+                cfg.seed,
+            )
+            .ok_or_else(|| CoreError::Sweep {
+                detail: "no candidate chiplet sizes".into(),
+            })
+        };
+        Ok(Arc::new([row(TABLE_RATES[0])?, row(TABLE_RATES[1])?]))
+    })
 }
 
 /// Adaptive chiplet sampling for one `(l, rate)` yield point: fabricate
@@ -254,6 +299,28 @@ mod tests {
             "adaptive run spent the whole budget: {}",
             est.total
         );
+    }
+
+    /// Tables 1–4 share one size sweep: a second call with the same
+    /// `--samples` and `--seed` returns the first call's result.
+    #[test]
+    fn table_sweep_is_run_once_per_config() {
+        let cfg = RunConfig {
+            samples: 2,
+            seed: 5,
+            ..RunConfig::default()
+        };
+        let first = table_sweep(&cfg).expect("sweep runs");
+        let second = table_sweep(&RunConfig {
+            shots: 1,
+            ..cfg.clone()
+        })
+        .expect("sweep memoised");
+        assert!(Arc::ptr_eq(&first, &second), "the second call swept again");
+        for (row, inds) in first.iter() {
+            assert_eq!(inds.len(), cfg.samples);
+            assert!((29..=43).contains(&row.l));
+        }
     }
 
     /// `--precision` flows through the shared figure shape: the run is

@@ -4,29 +4,31 @@
 //! super-stabilizer approach with the optimal chiplet size, at defect
 //! rates 0.1% and 0.3% on both qubits and links.
 
+use super::{table_sweep, TABLE_RATES};
 use crate::{fmt, FigResult, RunConfig};
 use dqec_chiplet::defect_model::DefectModel;
 use dqec_chiplet::record::{Record, Sink, Value};
-use dqec_core::CoreError;
-use dqec_estimator::{defect_intolerant_row, no_defect_row, super_stabilizer_row, ApplicationSpec};
+use dqec_estimator::{defect_intolerant_row, no_defect_row, ApplicationSpec, ResourceRow};
 
 /// Emits the tables' records.
 pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
     let spec = ApplicationSpec::shor_2048();
-    let candidates: Vec<u32> = (29..=43).step_by(2).collect();
+    let sweep = table_sweep(cfg)?;
 
-    for (table, rate, paper) in [
+    for (((table, paper), rate), (ss, _)) in [
         (
             "Table 1",
-            0.001,
             "(paper: l=33, yield 94.5%, overhead 1.58, 3.3e7 qubits)",
         ),
         (
             "Table 2",
-            0.003,
             "(paper: l=39, yield 94.6%, overhead 2.21, 4.6e7 qubits)",
         ),
-    ] {
+    ]
+    .into_iter()
+    .zip(TABLE_RATES)
+    .zip(sweep.iter())
+    {
         sink.emit(&Record::Section(format!(
             "{table}: defect rate {rate} on qubits and links {paper}"
         )));
@@ -35,49 +37,19 @@ pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
                 .map(String::from)
                 .to_vec(),
         ));
-        let mut emit_row = |label: &str, l: u32, y: f64, overhead: f64, qubits: f64| {
+        let mut emit_row = |row: &ResourceRow| {
             sink.emit(&Record::row([
-                Value::from(label),
-                l.into(),
-                y.into(),
-                overhead.into(),
-                qubits.into(),
+                Value::from(row.label.as_str()),
+                row.l.into(),
+                row.yield_fraction.into(),
+                row.overhead.into(),
+                row.total_qubits.into(),
             ]));
         };
-        let ideal = no_defect_row(&spec);
-        emit_row(
-            &ideal.label,
-            ideal.l,
-            ideal.yield_fraction,
-            ideal.overhead,
-            ideal.total_qubits,
-        );
+        emit_row(&no_defect_row(&spec));
         let intol = defect_intolerant_row(&spec, DefectModel::LinkAndQubit, rate);
-        emit_row(
-            &intol.label,
-            intol.l,
-            intol.yield_fraction,
-            intol.overhead,
-            intol.total_qubits,
-        );
-        let (ss, _) = super_stabilizer_row(
-            &spec,
-            DefectModel::LinkAndQubit,
-            rate,
-            &candidates,
-            cfg.samples,
-            cfg.seed,
-        )
-        .ok_or_else(|| CoreError::Sweep {
-            detail: "no candidate chiplet sizes".into(),
-        })?;
-        emit_row(
-            &ss.label,
-            ss.l,
-            ss.yield_fraction,
-            ss.overhead,
-            ss.total_qubits,
-        );
+        emit_row(&intol);
+        emit_row(ss);
         sink.emit(&Record::Note(format!(
             "super-stabilizer vs defect-intolerant advantage: {}X",
             fmt(intol.overhead / ss.overhead)

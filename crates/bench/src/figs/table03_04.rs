@@ -3,50 +3,41 @@
 //! patches), baseline 2 (monolithic with super-stabilizers, no
 //! post-selection), and the modular super-stabilizer approach.
 
+use super::{table_sweep, TABLE_RATES};
 use crate::{FigResult, RunConfig};
 use dqec_chiplet::criteria::QualityTarget;
 use dqec_chiplet::defect_model::DefectModel;
 use dqec_chiplet::record::{Record, Sink, Value};
 use dqec_chiplet::yields::{sample_indicators, SampleConfig};
 use dqec_core::layout::PatchLayout;
-use dqec_core::CoreError;
 use dqec_estimator::fidelity::{distance_distribution, fidelity_from_distances};
-use dqec_estimator::{super_stabilizer_row, ApplicationSpec};
+use dqec_estimator::ApplicationSpec;
 
 /// Emits the tables' records.
 pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
     let spec = ApplicationSpec::shor_2048();
     let target = QualityTarget::defect_free(spec.target_distance);
-    let candidates: Vec<u32> = (29..=43).step_by(2).collect();
     let ideal_cost = spec.qubits_per_patch() as f64;
+    let sweep = table_sweep(cfg)?;
 
-    for (table, rate, paper) in [
+    for (((table, paper), rate), (ss, inds)) in [
         (
             "Table 3",
-            0.001,
             "(paper: baseline1 ~0, baseline2 79.9%, modular+SS 88.5%)",
         ),
         (
             "Table 4",
-            0.003,
             "(paper: baseline1 ~0, baseline2 76.1%, modular+SS 91.7%)",
         ),
-    ] {
+    ]
+    .into_iter()
+    .zip(TABLE_RATES)
+    .zip(sweep.iter())
+    {
         sink.emit(&Record::Section(format!(
             "{table}: defect rate {rate} {paper}"
         )));
         // Modular + super-stabilizer: optimal size, selected patches.
-        let (ss, inds) = super_stabilizer_row(
-            &spec,
-            DefectModel::LinkAndQubit,
-            rate,
-            &candidates,
-            cfg.samples,
-            cfg.seed,
-        )
-        .ok_or_else(|| CoreError::Sweep {
-            detail: "no candidate chiplet sizes".into(),
-        })?;
         let kept: Vec<_> = inds.iter().filter(|i| target.accepts(i)).cloned().collect();
         let modular_fid = fidelity_from_distances(&spec, &distance_distribution(&kept));
 
@@ -73,21 +64,18 @@ pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
         let l = ss.l;
         let (m_lo, m_hi) = (mono_overhead(l), mono_overhead(l + 2));
         let share_lo = ((m_hi - ss.overhead) / (m_hi - m_lo)).clamp(0.0, 1.0);
-        let config_hi = SampleConfig {
-            samples: cfg.samples,
+        let inds_hi = sample_indicators(&SampleConfig {
             seed: cfg.seed ^ 0xb2,
-            ..SampleConfig::new(l + 2, DefectModel::LinkAndQubit, rate)
+            ..cfg.population(l + 2, DefectModel::LinkAndQubit, rate)
+        });
+        let weighted = |inds, share: f64| {
+            distance_distribution(inds)
+                .into_iter()
+                .map(move |(d, w)| (d, w * share))
         };
-        let inds_hi = sample_indicators(&config_hi);
-        let dist_lo = distance_distribution(&inds);
-        let dist_hi = distance_distribution(&inds_hi);
-        let mut mixed: Vec<(u32, f64)> = Vec::new();
-        for (d, w) in dist_lo {
-            mixed.push((d, w * share_lo));
-        }
-        for (d, w) in dist_hi {
-            mixed.push((d, w * (1.0 - share_lo)));
-        }
+        let mixed: Vec<(u32, f64)> = weighted(inds, share_lo)
+            .chain(weighted(&inds_hi, 1.0 - share_lo))
+            .collect();
         let b2_fid = fidelity_from_distances(&spec, &mixed);
 
         sink.emit(&Record::Columns(
@@ -95,24 +83,26 @@ pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
                 .map(String::from)
                 .to_vec(),
         ));
-        sink.emit(&Record::row([
-            Value::from("baseline1 (defect-intolerant)"),
-            format!("{d_lo}~{d_hi}").into(),
-            ss.overhead.into(),
-            b1_fid.into(),
-        ]));
-        sink.emit(&Record::row([
-            Value::from("baseline2 (monolithic+SS)"),
-            format!("{l}~{}", l + 2).into(),
-            ss.overhead.into(),
-            b2_fid.into(),
-        ]));
-        sink.emit(&Record::row([
-            Value::from("modular + super-stabilizer"),
-            Value::from(l),
-            ss.overhead.into(),
-            modular_fid.into(),
-        ]));
+        for (approach, size, fidelity) in [
+            (
+                "baseline1 (defect-intolerant)",
+                Value::from(format!("{d_lo}~{d_hi}")),
+                b1_fid,
+            ),
+            (
+                "baseline2 (monolithic+SS)",
+                format!("{l}~{}", l + 2).into(),
+                b2_fid,
+            ),
+            ("modular + super-stabilizer", l.into(), modular_fid),
+        ] {
+            sink.emit(&Record::row([
+                Value::from(approach),
+                size,
+                ss.overhead.into(),
+                fidelity.into(),
+            ]));
+        }
     }
     sink.emit(&Record::Note(
         "paper: post-selection lets the modular device discard the d<27".into(),

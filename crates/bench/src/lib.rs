@@ -20,7 +20,8 @@ pub mod figs;
 use dqec_chiplet::cli;
 use dqec_chiplet::defect_model::DefectModel;
 use dqec_chiplet::record::{JsonSink, Record, Sink, TsvSink};
-use dqec_chiplet::runner::{DecoderChoice, ExperimentSpec};
+use dqec_chiplet::runner::{default_rounds, DecoderChoice, ExperimentSpec};
+use dqec_chiplet::yields::SampleConfig;
 use dqec_core::adapt::AdaptedPatch;
 use dqec_core::indicators::PatchIndicators;
 use dqec_core::layout::PatchLayout;
@@ -254,6 +255,16 @@ impl RunConfig {
         }
     }
 
+    /// The population of `l × l` chiplets under `model` at defect
+    /// `rate`, drawn `--samples` at a time from `--seed`.
+    pub fn population(&self, l: u32, model: DefectModel, rate: f64) -> SampleConfig {
+        SampleConfig {
+            samples: self.samples,
+            seed: self.seed,
+            ..SampleConfig::new(l, model, rate)
+        }
+    }
+
     /// Attaches this config's decoder backend to an experiment spec;
     /// every LER experiment in the figure modules goes through this, so
     /// `--decoder` selects the backend end-to-end.
@@ -266,9 +277,9 @@ impl RunConfig {
     /// persists state to `DIR/<tag>.sweep.json`, `--resume` restarts
     /// from it. The fingerprint salt covers `tag` and the decoder
     /// backend, so state files are never resumed across plans or
-    /// backends. Every Monte-Carlo figure sweep (fig06's curves, the
-    /// slope dataset and its defect-free references) runs through
-    /// engines built here.
+    /// backends. Every Monte-Carlo figure sweep (fig06's curves, fig20's
+    /// five series, the slope dataset and its defect-free references)
+    /// runs through engines built here.
     pub fn engine(&self, tag: &str) -> SweepEngine {
         let mut salt = dqec_chiplet::runner::Fnv::new();
         salt.bytes(tag.as_bytes());
@@ -368,10 +379,33 @@ pub struct SlopeRecord {
     pub slope: Option<f64>,
 }
 
-/// The last slope dataset measured in this process, with the config it
-/// was measured under. The lock is held while measuring, so concurrent
-/// callers with one config wait for one measurement.
-static SLOPES: Mutex<Option<(RunConfig, Vec<SlopeRecord>)>> = Mutex::new(None);
+/// A single-entry, per-process memo: the last value computed and the
+/// key it was computed for.
+pub(crate) type Memo<K, V> = Mutex<Option<(K, V)>>;
+
+/// Returns `memo`'s value if it was computed for `key`; otherwise
+/// computes it, stores it in place of the previous entry and returns
+/// it. The lock is held while computing, so concurrent callers with one
+/// key wait for one computation. An `Err` is returned, never stored.
+pub(crate) fn memoised<K: PartialEq + Clone, V: Clone>(
+    memo: &Memo<K, V>,
+    key: &K,
+    compute: impl FnOnce() -> Result<V, CoreError>,
+) -> Result<V, CoreError> {
+    // The memo is only ever replaced whole, so a computation that
+    // panicked left the previous entry valid behind the poisoned lock.
+    let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((_, value)) = memo.as_ref().filter(|(stored, _)| stored == key) {
+        return Ok(value.clone());
+    }
+    let value = compute()?;
+    *memo = Some((key.clone(), value.clone()));
+    Ok(value)
+}
+
+/// The last slope dataset measured in this process, keyed by the
+/// config it was measured under.
+static SLOPES: Memo<RunConfig, Vec<SlopeRecord>> = Mutex::new(None);
 
 /// The slope dataset of Figs. 5 and 7–11: defective chiplets of the
 /// [`RunConfig::slope_patch`] size, each with its measured log-log
@@ -399,17 +433,7 @@ static SLOPES: Mutex<Option<(RunConfig, Vec<SlopeRecord>)>> = Mutex::new(None);
 /// mismatches); per-patch circuit-generation failures only mark that
 /// patch's slope as unmeasured.
 pub fn slope_dataset(cfg: &RunConfig) -> Result<Vec<SlopeRecord>, CoreError> {
-    // The memo is only ever replaced whole, so a measurement that
-    // panicked left the previous entry valid behind the poisoned lock.
-    let mut memo = SLOPES.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some((key, records)) = memo.as_ref() {
-        if key == cfg {
-            return Ok(records.clone());
-        }
-    }
-    let records = measure_slopes(cfg)?;
-    *memo = Some((cfg.clone(), records.clone()));
-    Ok(records)
+    memoised(&SLOPES, cfg, || measure_slopes(cfg))
 }
 
 fn measure_slopes(cfg: &RunConfig) -> Result<Vec<SlopeRecord>, CoreError> {
@@ -456,7 +480,7 @@ fn measure_slopes(cfg: &RunConfig) -> Result<Vec<SlopeRecord>, CoreError> {
     // fan-out runs in parallel.
     let compilable: Vec<bool> = dataset
         .par_iter()
-        .map(|(_, _, patch)| dqec_core::circuit_gen::memory_z(patch, rounds_for(patch)).is_ok())
+        .map(|(_, _, patch)| dqec_core::circuit_gen::memory_z(patch, default_rounds(patch)).is_ok())
         .collect();
     let mut plan = SweepPlan::new();
     let mut measured = Vec::new(); // index into `records` per plan spec
@@ -523,12 +547,6 @@ pub fn defect_free_slopes(ds: &[u32], cfg: &RunConfig) -> Result<Vec<Option<f64>
         .into_iter()
         .map(|o| o.fit.map(|f| f.slope))
         .collect())
-}
-
-/// Syndrome rounds used for a patch's memory experiment (re-exported
-/// from the runner's default policy).
-pub fn rounds_for(patch: &AdaptedPatch) -> u32 {
-    dqec_chiplet::runner::default_rounds(patch)
 }
 
 /// Formats an `f64` compactly for the TSV outputs.
@@ -747,7 +765,7 @@ mod tests {
         let mut d = DefectSet::new();
         d.add_synd(Coord::new(6, 6));
         let patch = AdaptedPatch::new(PatchLayout::memory(7), &d);
-        assert!(rounds_for(&patch) >= 4);
+        assert!(default_rounds(&patch) >= 4);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 use crate::criteria::QualityTarget;
 use crate::defect_model::DefectModel;
 use dqec_core::adapt::AdaptedPatch;
+use dqec_core::defect::DefectSet;
 use dqec_core::indicators::PatchIndicators;
 use dqec_core::layout::PatchLayout;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
@@ -28,10 +29,6 @@ pub struct SampleConfig {
     pub samples: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Whether the architecture may swap data/syndrome roles by
-    /// rotating the chiplet (paper §4.1, Fig. 16): each chiplet is
-    /// evaluated in both orientations and the better one is used.
-    pub orientation_freedom: bool,
 }
 
 impl SampleConfig {
@@ -43,13 +40,11 @@ impl SampleConfig {
             rate,
             samples: 2000,
             seed: 0x5eed,
-            orientation_freedom: false,
         }
     }
 }
 
-/// Samples `config.samples` chiplets and returns each one's indicators
-/// (of the better orientation when `orientation_freedom` is set).
+/// Samples `config.samples` chiplets and returns each one's indicators.
 ///
 /// Work is spread over available CPU cores. Each chiplet gets its own
 /// ChaCha8 stream keyed by `(seed, sample index)`, so the sampled
@@ -69,6 +64,30 @@ pub fn sample_indicators_range(
     config: &SampleConfig,
     range: std::ops::Range<usize>,
 ) -> Vec<PatchIndicators> {
+    sample_range(config, range, adapt)
+}
+
+/// [`sample_indicators_range`]'s chiplets in both orientations: `[0]`
+/// as fabricated (exactly what that function returns) and `[1]` rotated
+/// so data and syndrome roles swap (paper §4.1, Fig. 16), for
+/// architectures that use the [`better`] of the two.
+pub fn sample_orientations_range(
+    config: &SampleConfig,
+    range: std::ops::Range<usize>,
+) -> Vec<[PatchIndicators; 2]> {
+    sample_range(config, range, |layout, defects| {
+        [
+            adapt(layout, defects),
+            adapt(layout, &defects.swapped_orientation(config.l)),
+        ]
+    })
+}
+
+fn sample_range<T: Send>(
+    config: &SampleConfig,
+    range: std::ops::Range<usize>,
+    evaluate: impl Fn(&PatchLayout, &DefectSet) -> T + Sync,
+) -> Vec<T> {
     let layout = PatchLayout::memory(config.l);
     range
         .into_par_iter()
@@ -76,29 +95,21 @@ pub fn sample_indicators_range(
             let mut rng = ChaCha8Rng::seed_from_u64(
                 config.seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
             );
-            evaluate_chiplet(&layout, config, &mut rng)
+            let defects = config.model.sample(&layout, config.rate, &mut rng);
+            evaluate(&layout, &defects)
         })
         .collect()
 }
 
-fn evaluate_chiplet(
-    layout: &PatchLayout,
-    config: &SampleConfig,
-    rng: &mut impl Rng,
-) -> PatchIndicators {
-    let defects = config.model.sample(layout, config.rate, rng);
-    let primary = PatchIndicators::of(&AdaptedPatch::new(layout.clone(), &defects));
-    if !config.orientation_freedom {
-        return primary;
-    }
-    let swapped = defects.swapped_orientation(config.l);
-    let secondary = PatchIndicators::of(&AdaptedPatch::new(layout.clone(), &swapped));
-    better(primary, secondary)
+fn adapt(layout: &PatchLayout, defects: &DefectSet) -> PatchIndicators {
+    PatchIndicators::of(&AdaptedPatch::new(layout.clone(), defects))
 }
 
-fn better(a: PatchIndicators, b: PatchIndicators) -> PatchIndicators {
+/// The orientation a rotatable chiplet is used in: the one with the
+/// larger distance, then the fewer shortest logicals; `a` on a tie.
+pub fn better<'a>(a: &'a PatchIndicators, b: &'a PatchIndicators) -> &'a PatchIndicators {
     let key = |p: &PatchIndicators| (p.distance(), -p.shortest_logical_count());
-    if key(&b).partial_cmp(&key(&a)) == Some(std::cmp::Ordering::Greater) {
+    if key(b).partial_cmp(&key(a)) == Some(std::cmp::Ordering::Greater) {
         b
     } else {
         a
@@ -202,16 +213,16 @@ mod tests {
     #[test]
     fn orientation_freedom_never_hurts() {
         let target = QualityTarget::defect_free(5);
-        let base = SampleConfig {
+        let config = SampleConfig {
             samples: 300,
             ..SampleConfig::new(7, DefectModel::LinkAndQubit, 0.01)
         };
-        let with = SampleConfig {
-            orientation_freedom: true,
-            ..base
-        };
-        let y0 = yield_from_indicators(&sample_indicators(&base), &target).fraction();
-        let y1 = yield_from_indicators(&sample_indicators(&with), &target).fraction();
+        let pairs = sample_orientations_range(&config, 0..config.samples);
+        let primary: Vec<PatchIndicators> = pairs.iter().map(|[a, _]| a.clone()).collect();
+        let rotated: Vec<PatchIndicators> =
+            pairs.iter().map(|[a, b]| better(a, b).clone()).collect();
+        let y0 = yield_from_indicators(&primary, &target).fraction();
+        let y1 = yield_from_indicators(&rotated, &target).fraction();
         assert!(
             y1 + 0.03 >= y0,
             "orientation freedom reduced yield: {y0} -> {y1}"
@@ -240,6 +251,13 @@ mod tests {
             let mut stitched = sample_indicators_range(&config, 0..cut);
             stitched.extend(sample_indicators_range(&config, cut..48));
             assert_eq!(stitched, whole, "cut at {cut} changed the population");
+            let mut pairs = sample_orientations_range(&config, 0..cut);
+            pairs.extend(sample_orientations_range(&config, cut..48));
+            let primaries: Vec<PatchIndicators> = pairs.into_iter().map(|[a, _]| a).collect();
+            assert_eq!(
+                primaries, whole,
+                "cut at {cut}: the primaries are another draw"
+            );
         }
     }
 

@@ -14,13 +14,14 @@
 //! transport: the *local* backend ([`run_local`]) spawns one
 //! figure-binary process per attempt on this machine; the *remote*
 //! backend ([`crate::remote`]) ships the attempt to a `dqec_dist agent`
-//! over TCP. Shards are enqueued in index order: the partition is
-//! balanced by construction (every shard owns the same share of every
-//! point's batches), so no cost-aware ordering is needed. Both backends
-//! end in one shared dispatch → merge → timing tail. A shard's only
-//! output is its checkpoint state file, so a crashed attempt re-run
-//! with `--resume` loses at most one allocation round and the finished
-//! partition merges bit-exactly ([`crate::merge`]).
+//! over TCP. Shards are enqueued in index order. Each point's batch
+//! ranges differ by at most one batch, but every point's remainder goes
+//! to the highest shards, so across a plan shard loads can differ by one
+//! batch per point (at one batch per point, shard 0 of 2 gets none).
+//! Both backends end in one shared dispatch → merge → timing tail. A
+//! shard's only output is its checkpoint state file, so a crashed
+//! attempt re-run with `--resume` loses at most one allocation round
+//! and the finished partition merges bit-exactly ([`crate::merge`]).
 
 use crate::merge::{merge_dir, MergeReport};
 use dqec_core::CoreError;

@@ -24,8 +24,8 @@
 //! * [`coordinator`] — the retry-driving work queue (model-checkable
 //!   under `--cfg dqec_check`), the local process backend, and the
 //!   dispatch → merge tail both backends share. Shards dispatch in
-//!   index order: the partition is balanced by construction, so there
-//!   is no scheduler;
+//!   index order with no scheduler; the partition is balanced within
+//!   each point, not across a plan (see [`coordinator`]);
 //! * [`remote`] — the `dqec_dist agent` daemon and the TCP dispatcher
 //!   with heartbeat-based straggler re-dispatch, on the decode
 //!   service's JSON-lines protocol, codec and length-capped line

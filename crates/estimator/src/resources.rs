@@ -84,7 +84,6 @@ pub fn super_stabilizer_row(
                 rate,
                 samples,
                 seed,
-                orientation_freedom: false,
             };
             let inds = sample_indicators(&config);
             let y = yield_from_indicators(&inds, &target).fraction();
@@ -99,16 +98,10 @@ pub fn super_stabilizer_row(
             (row, inds)
         })
         .collect();
+    // `min_by` keeps the first (smallest) candidate on ties — including
+    // the all-infinite-overhead zero-yield regime.
     rows.into_iter()
-        // Strict `<` keeps the first (smallest) candidate on ties —
-        // including the all-infinite-overhead zero-yield regime.
-        .reduce(|best, row| {
-            if row.0.overhead < best.0.overhead {
-                row
-            } else {
-                best
-            }
-        })
+        .min_by(|a, b| a.0.overhead.total_cmp(&b.0.overhead))
 }
 
 #[cfg(test)]
