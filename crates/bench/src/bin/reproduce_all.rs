@@ -11,6 +11,7 @@ fn main() {
     // Default the output directory so stdout stays a progress log.
     cfg.out.get_or_insert_with(|| "results".into());
     let mut failures = Vec::new();
+    let total = std::time::Instant::now();
     for rep in figs::ALL {
         eprintln!("=== running {} ===", rep.name);
         let started = std::time::Instant::now();
@@ -30,6 +31,7 @@ fn main() {
             }
         }
     }
+    eprintln!("total wall time {:.1?}", total.elapsed());
     if failures.is_empty() {
         eprintln!(
             "all {} reproductions complete; outputs in {}/",

@@ -1,20 +1,23 @@
 //! Fig. 11 — post-selection effectiveness: mean and worst slope of the
 //! kept chiplets as the kept proportion varies, comparing the paper's
 //! chosen indicators (distance + number of shortest logicals) against
-//! the faulty-qubit-count baseline.
+//! the faulty-qubit-count baseline. Kept chiplets without a slope (too
+//! few failures to fit, mostly the best ones, or no circuit) are left
+//! out of the mean and worst and counted in the `*_unfit` columns.
 
 use crate::{slope_dataset, FigResult, RunConfig, SlopeRecord};
 use dqec_chiplet::criteria::Ranking;
 use dqec_chiplet::record::{Record, Sink, Value};
 
-fn stats(kept: &[&SlopeRecord]) -> (f64, f64) {
+fn stats(kept: &[&SlopeRecord]) -> [Value; 3] {
     let slopes: Vec<f64> = kept.iter().filter_map(|r| r.slope).collect();
+    let unfit = Value::from(kept.len() - slopes.len());
     if slopes.is_empty() {
-        return (f64::NAN, f64::NAN);
+        return [f64::NAN.into(), f64::NAN.into(), unfit];
     }
     let mean = slopes.iter().sum::<f64>() / slopes.len() as f64;
     let worst = slopes.iter().cloned().fold(f64::INFINITY, f64::min);
-    (mean, worst)
+    [mean.into(), worst.into(), unfit]
 }
 
 /// Emits the figure's records.
@@ -31,6 +34,8 @@ pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
             "baseline_worst",
             "chosen_mean",
             "chosen_worst",
+            "baseline_unfit",
+            "chosen_unfit",
         ]
         .map(String::from)
         .to_vec(),
@@ -44,15 +49,9 @@ pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
             .collect();
         let chosen_kept: Vec<&SlopeRecord> =
             chosen_order[..keep].iter().map(|&i| &records[i]).collect();
-        let (bm, bw) = stats(&baseline_kept);
-        let (cm, cw) = stats(&chosen_kept);
-        sink.emit(&Record::row([
-            Value::from(fraction),
-            bm.into(),
-            bw.into(),
-            cm.into(),
-            cw.into(),
-        ]));
+        let [bm, bw, bu] = stats(&baseline_kept);
+        let [cm, cw, cu] = stats(&chosen_kept);
+        sink.emit(&Record::row([fraction.into(), bm, bw, cm, cw, bu, cu]));
     }
     sink.emit(&Record::Note(
         "paper: the chosen indicators keep both the mean and the worst-case".into(),

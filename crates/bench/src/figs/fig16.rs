@@ -2,11 +2,11 @@
 //! (swapping the data/syndrome assignment), links and qubits faulty at
 //! the same rate, l = 11, 13, 15 against a d = 9 target.
 //!
-//! Rotation is a view of one draw: each (l, rate) population is sampled
-//! once in both orientations, `l=…` reads the fabricated orientation
-//! and `l=…(rot)` the better one per chiplet.
+//! Rotation is a view of one draw: `l=…` reads each (l, rate)
+//! population as fabricated and `l=…(rot)` the better orientation per
+//! chiplet; in one process the fabricated chiplets are Fig. 13's.
 
-use super::orientation_views;
+use super::{fabricated, rotatable};
 use crate::{FigResult, RunConfig};
 use dqec_chiplet::criteria::QualityTarget;
 use dqec_chiplet::defect_model::DefectModel;
@@ -22,10 +22,10 @@ pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
     for &rate in &rates {
         for &l in &sizes {
             let config = cfg.population(l, DefectModel::LinkAndQubit, rate);
-            for (series, inds) in [format!("l={l}"), format!("l={l}(rot)")]
-                .into_iter()
-                .zip(orientation_views(&config))
-            {
+            for (series, inds) in [
+                (format!("l={l}"), fabricated(&config, cfg.samples)),
+                (format!("l={l}(rot)"), rotatable(&config, cfg.samples)),
+            ] {
                 let estimate = yield_from_indicators(&inds, &target);
                 sink.emit(&Record::Yield(YieldRecord::sampled(
                     series,

@@ -3,16 +3,16 @@
 //! and qubits faulty; the d >= 27 mass is the yield of the distance-27
 //! target.
 
+use super::fabricated;
 use crate::{fmt, FigResult, RunConfig};
-use dqec_chiplet::defect_model::DefectModel;
+use dqec_chiplet::defect_model::DefectModel::LinkAndQubit;
 use dqec_chiplet::record::{Record, Sink, Value};
-use dqec_chiplet::yields::sample_indicators;
 use dqec_estimator::fidelity::distance_distribution;
 
 /// Emits the figure's records.
 pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
     for (panel, l, rate, paper_yield) in [("(a)", 33u32, 0.001, 0.945), ("(b)", 39, 0.003, 0.946)] {
-        let inds = sample_indicators(&cfg.population(l, DefectModel::LinkAndQubit, rate));
+        let inds = fabricated(&cfg.population(l, LinkAndQubit, rate), cfg.samples);
         let dist = distance_distribution(&inds);
         sink.emit(&Record::Section(format!("{panel} l={l} rate={rate}")));
         sink.emit(&Record::Columns(

@@ -27,8 +27,8 @@ use dqec_chiplet::criteria::QualityTarget;
 use dqec_chiplet::defect_model::DefectModel;
 use dqec_chiplet::record::{Record, Sink, YieldRecord};
 use dqec_chiplet::yields::{
-    better, overhead_factor, sample_indicators, sample_indicators_range, sample_orientations_range,
-    yield_from_indicators, SampleConfig, YieldEstimate,
+    better, overhead_factor, sample_indicators_range, sample_rotated_range, yield_from_indicators,
+    SampleConfig,
 };
 use dqec_core::indicators::PatchIndicators;
 use dqec_core::layout::PatchLayout;
@@ -36,7 +36,8 @@ use dqec_core::CoreError;
 use dqec_estimator::{super_stabilizer_row, ApplicationSpec, ResourceRow};
 use dqec_sweep::checkpoint::PointTally;
 use dqec_sweep::Precision;
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One figure/table reproduction: its binary name, a one-line
 /// description, and the record-emitting run function.
@@ -149,9 +150,8 @@ pub const ALL: &[Reproduction] = &[
 /// `target_d` quality target. Each sweep point becomes one
 /// [`Record::Yield`] carrying both the yield and the overhead factor.
 ///
-/// Under `--precision` the chiplet population per point grows
-/// adaptively instead of always fabricating `--samples` chiplets; see
-/// [`adaptive_yield`].
+/// Each point reads the first `--samples` chiplets of its population,
+/// or under `--precision` as many as [`adaptive_samples`] grows it to.
 pub(crate) fn yield_overhead_figure(
     cfg: &RunConfig,
     sink: &mut dyn Sink,
@@ -172,10 +172,10 @@ pub(crate) fn yield_overhead_figure(
         ));
         for &l in sizes {
             let config = cfg.population(l, model, rate);
-            let estimate = match cfg.precision {
-                Some(w) => adaptive_yield(&config, &target, &Precision::new(w), cfg.samples),
-                None => yield_from_indicators(&sample_indicators(&config), &target),
-            };
+            let n = cfg.precision.map_or(cfg.samples, |w| {
+                adaptive_samples(&config, &target, &Precision::new(w), cfg.samples)
+            });
+            let estimate = yield_from_indicators(&fabricated(&config, n), &target);
             sink.emit(&Record::Yield(
                 YieldRecord::sampled(format!("l={l}"), rate, estimate.kept, estimate.total)
                     .with_overhead(overhead_factor(l, estimate.fraction(), target_d)),
@@ -183,15 +183,6 @@ pub(crate) fn yield_overhead_figure(
         }
     }
     Ok(())
-}
-
-/// The two views of one population that chiplet rotation gives (Figs.
-/// 16 and 18): `[0]` each chiplet as fabricated, `[1]` in its
-/// [`better`] orientation.
-pub(crate) fn orientation_views(config: &SampleConfig) -> [Vec<PatchIndicators>; 2] {
-    let pairs = sample_orientations_range(config, 0..config.samples);
-    let rotated = pairs.iter().map(|[a, b]| better(a, b).clone()).collect();
-    [pairs.into_iter().map(|[a, _]| a).collect(), rotated]
 }
 
 /// The defect rates on qubits and links of Tables 1 and 2 (and 3 and 4).
@@ -233,27 +224,77 @@ pub fn table_sweep(cfg: &RunConfig) -> Result<TableSweep, CoreError> {
     })
 }
 
-/// Adaptive chiplet sampling for one `(l, rate)` yield point: fabricate
-/// in rounds, stopping once the yield estimate's 95% Wilson interval is
-/// narrower than the controller's relative-width target or the `cap`
-/// (`--samples`) budget is spent.
-///
-/// Reuses the sweep engine's [`Precision`] controller with "kept
-/// chiplets" standing in for the tally's event count. Because every
-/// chiplet index owns an independent RNG stream, each round's draw via
-/// [`sample_indicators_range`] extends the previous rounds bit-exactly:
-/// the adaptive population is always a prefix of the uniform
-/// `--samples` population, so `--precision` changes the cost of a
-/// point, never which chiplets it would have fabricated.
-fn adaptive_yield(
+/// Per population `(l, model, rate bits, seed)`, the longest prefix
+/// adapted so far as fabricated (`[0]`) and rotated (`[1]`).
+type Prefixes = BTreeMap<(u32, DefectModel, u64, u64), [Vec<PatchIndicators>; 2]>;
+
+/// The process's yield populations: every sampled yield read of the
+/// figure modules goes through [`fabricated`] or [`rotatable`].
+static STORE: Mutex<Prefixes> = Mutex::new(BTreeMap::new());
+
+/// Chiplets adapted, in either orientation, per population seed.
+#[cfg(test)]
+static ADAPTED: Mutex<BTreeMap<u64, usize>> = Mutex::new(BTreeMap::new());
+
+type Draw = fn(&SampleConfig, std::ops::Range<usize>) -> Vec<PatchIndicators>;
+
+/// The first `n` chiplets of `config`'s population in orientation
+/// `side` (`draw` adapts them), adapting only those past the stored
+/// prefix. The lock is not held while they are adapted (the draw fans
+/// out on the pool), so a prefix another reader extended meanwhile is
+/// extended only past its new length; the chiplets are the same.
+fn prefix(config: &SampleConfig, n: usize, side: usize, draw: Draw) -> Vec<PatchIndicators> {
+    let key = (config.l, config.model, config.rate.to_bits(), config.seed);
+    // A prefix only grows by one `extend`, so a panic elsewhere leaves
+    // every entry valid behind a poisoned lock.
+    let store = || STORE.lock().unwrap_or_else(PoisonError::into_inner);
+    let from = match &store().entry(key).or_default()[side] {
+        stored if stored.len() >= n => return stored[..n].to_vec(),
+        stored => stored.len(),
+    };
+    let fresh = draw(config, from..n);
+    #[cfg(test)]
+    {
+        let mut adapted = ADAPTED.lock().unwrap_or_else(PoisonError::into_inner);
+        *adapted.entry(config.seed).or_default() += fresh.len();
+    }
+    let mut store = store();
+    let stored = &mut store.entry(key).or_default()[side];
+    if stored.len() < n {
+        stored.extend_from_slice(&fresh[stored.len() - from..]);
+    }
+    stored[..n].to_vec()
+}
+
+/// The first `n` chiplets of `config`'s population as fabricated:
+/// exactly `sample_indicators_range(config, 0..n)`.
+pub(crate) fn fabricated(config: &SampleConfig, n: usize) -> Vec<PatchIndicators> {
+    prefix(config, n, 0, sample_indicators_range)
+}
+
+/// The same `n` chiplets, each in its [`better`] orientation: the
+/// population of rotatable chiplets (Figs. 16 and 18 (c)).
+pub(crate) fn rotatable(config: &SampleConfig, n: usize) -> Vec<PatchIndicators> {
+    let rotated = prefix(config, n, 1, sample_rotated_range);
+    let pairs = fabricated(config, n).into_iter().zip(rotated);
+    pairs.map(|(a, b)| better(&a, &b).clone()).collect()
+}
+
+/// Adaptive chiplet sampling for one `(l, rate)` yield point: how many
+/// chiplets to read, grown in rounds until the yield estimate's 95%
+/// Wilson interval is narrower than the [`Precision`] target ("kept
+/// chiplets" stand in for the tally's events) or the `cap`
+/// (`--samples`) is spent. Each round reads a longer prefix of the one
+/// population, so `--precision` changes the cost of a point, never
+/// which chiplets it would have fabricated.
+fn adaptive_samples(
     config: &SampleConfig,
     target: &QualityTarget,
     ctl: &Precision,
     cap: usize,
-) -> YieldEstimate {
+) -> usize {
     let batch = 200.min(cap).max(1);
-    let mut drawn = 0usize;
-    let mut kept = 0usize;
+    let (mut drawn, mut kept) = (0, 0);
     loop {
         let tally = PointTally {
             shots: drawn,
@@ -262,43 +303,38 @@ fn adaptive_yield(
         };
         let add = ctl.allocate(&tally, cap, batch);
         if add == 0 {
-            return YieldEstimate { kept, total: drawn };
+            return drawn;
         }
-        let inds = sample_indicators_range(config, drawn..drawn + add);
-        kept += yield_from_indicators(&inds, target).kept;
         drawn += add;
+        kept = yield_from_indicators(&fabricated(config, drawn), target).kept;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqec_chiplet::record::MemorySink;
+    use dqec_chiplet::record::{MemorySink, NullSink};
 
     /// The adaptive population is a bit-exact prefix of the uniform
-    /// one: at a zero-defect rate every chiplet is kept, the estimate
-    /// matches the same-length uniform draw, and far fewer than `cap`
-    /// chiplets are fabricated.
+    /// one, read through the store: the chiplets it stops at are the
+    /// first `n` of a fresh draw, and at a benign rate far fewer than
+    /// `cap` chiplets are fabricated.
     #[test]
     fn adaptive_yield_is_a_prefix_of_the_uniform_draw() {
         let config = SampleConfig {
-            samples: 2_000,
             seed: 7,
             ..SampleConfig::new(7, DefectModel::LinkAndQubit, 0.005)
         };
         let target = QualityTarget::defect_free(5);
-        let est = adaptive_yield(&config, &target, &Precision::new(0.2), config.samples);
-        assert!(est.total <= config.samples);
-        assert!(est.total > 0);
-        let prefix = sample_indicators_range(&config, 0..est.total);
-        let uniform = yield_from_indicators(&prefix, &target);
-        assert_eq!((est.kept, est.total), (uniform.kept, uniform.total));
-        // A loose target at a benign rate converges well under budget.
-        assert!(
-            est.total < config.samples,
-            "adaptive run spent the whole budget: {}",
-            est.total
+        let cap = 2_000;
+        let n = adaptive_samples(&config, &target, &Precision::new(0.2), cap);
+        assert!(n > 0);
+        assert_eq!(
+            fabricated(&config, n),
+            sample_indicators_range(&config, 0..n)
         );
+        // A loose target at a benign rate converges well under budget.
+        assert!(n < cap, "adaptive run spent the whole budget: {n}");
     }
 
     /// Tables 1–4 share one size sweep: a second call with the same
@@ -361,5 +397,95 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Chiplets adapted so far for populations drawn from `seed`. Each
+    /// test uses seeds no other test in this process draws from.
+    fn adapted(seed: u64) -> usize {
+        let adapted = ADAPTED.lock().unwrap_or_else(PoisonError::into_inner);
+        adapted.get(&seed).copied().unwrap_or(0)
+    }
+
+    fn population(seed: u64) -> SampleConfig {
+        SampleConfig {
+            seed,
+            ..SampleConfig::new(7, DefectModel::LinkAndQubit, 0.02)
+        }
+    }
+
+    #[test]
+    fn prefix_reads_are_the_fresh_draw_in_any_order() {
+        for (seed, order) in [(0xa1, [5, 12]), (0xa2, [12, 5])] {
+            let config = population(seed);
+            for n in order {
+                assert_eq!(
+                    fabricated(&config, n),
+                    sample_indicators_range(&config, 0..n),
+                    "read of {n} in {order:?}"
+                );
+            }
+            assert_eq!(adapted(seed), 12, "{order:?} adapted a chiplet twice");
+        }
+    }
+
+    #[test]
+    fn rotatable_view_is_the_better_orientation_of_fresh_draws() {
+        let config = population(0xa3);
+        let fresh: Vec<PatchIndicators> = sample_indicators_range(&config, 0..24)
+            .iter()
+            .zip(&sample_rotated_range(&config, 0..24))
+            .map(|(a, b)| better(a, b).clone())
+            .collect();
+        assert_eq!(rotatable(&config, 9), fresh[..9]);
+        assert_eq!(rotatable(&config, 24), fresh);
+        assert_eq!(
+            fabricated(&config, 24),
+            sample_indicators_range(&config, 0..24)
+        );
+    }
+
+    #[test]
+    fn a_repeated_read_adapts_nothing() {
+        let config = population(0xa4);
+        let first = rotatable(&config, 10);
+        assert_eq!(adapted(0xa4), 20, "each chiplet once per orientation");
+        assert_eq!(rotatable(&config, 10), first);
+        assert_eq!(
+            fabricated(&config, 7),
+            sample_indicators_range(&config, 0..7)
+        );
+        assert_eq!(adapted(0xa4), 20, "a stored prefix was adapted again");
+    }
+
+    /// In one process, Fig. 16 after Figs. 12 and 13 adapts only its
+    /// rotated chiplets (18 populations), and Fig. 18 after Figs. 12,
+    /// 13, 16 and 17 adapts 80 populations of its 165: 10 link-only ones
+    /// (l = 29, 31), 30 link+qubit primaries (l = 21…31) and 40 rotated
+    /// ones (l = 17…31); the rest are the other figures' draws.
+    #[test]
+    fn figures_share_their_populations() {
+        const N: usize = 3;
+        let cfg = RunConfig {
+            samples: N,
+            seed: 0xa5,
+            ..RunConfig::default()
+        };
+        let mut spent = 0;
+        let mut run = |name: &str| {
+            let rep = crate::figs::ALL
+                .iter()
+                .find(|r| r.name == name)
+                .expect("figure registered");
+            (rep.run)(&cfg, &mut NullSink).expect("figure runs");
+            let before = spent;
+            spent = adapted(cfg.seed);
+            spent - before
+        };
+        assert_eq!(run("fig12_linkonly"), 44 * N);
+        assert_eq!(run("fig13_linkqubit"), 55 * N);
+        assert_eq!(run("fig16_rotation"), 18 * N);
+        assert_eq!(run("fig17_target17"), 55 * N);
+        assert_eq!(run("fig18_min_overhead"), 80 * N);
+        assert_eq!(run("fig18_min_overhead"), 0);
     }
 }

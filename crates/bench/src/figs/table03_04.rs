@@ -3,12 +3,11 @@
 //! patches), baseline 2 (monolithic with super-stabilizers, no
 //! post-selection), and the modular super-stabilizer approach.
 
-use super::{table_sweep, TABLE_RATES};
+use super::{fabricated, table_sweep, TABLE_RATES};
 use crate::{FigResult, RunConfig};
 use dqec_chiplet::criteria::QualityTarget;
 use dqec_chiplet::defect_model::DefectModel;
 use dqec_chiplet::record::{Record, Sink, Value};
-use dqec_chiplet::yields::{sample_indicators, SampleConfig};
 use dqec_core::layout::PatchLayout;
 use dqec_estimator::fidelity::{distance_distribution, fidelity_from_distances};
 use dqec_estimator::ApplicationSpec;
@@ -64,10 +63,9 @@ pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
         let l = ss.l;
         let (m_lo, m_hi) = (mono_overhead(l), mono_overhead(l + 2));
         let share_lo = ((m_hi - ss.overhead) / (m_hi - m_lo)).clamp(0.0, 1.0);
-        let inds_hi = sample_indicators(&SampleConfig {
-            seed: cfg.seed ^ 0xb2,
-            ..cfg.population(l + 2, DefectModel::LinkAndQubit, rate)
-        });
+        let mut hi = cfg.population(l + 2, DefectModel::LinkAndQubit, rate);
+        hi.seed ^= 0xb2;
+        let inds_hi = fabricated(&hi, cfg.samples);
         let weighted = |inds, share: f64| {
             distance_distribution(inds)
                 .into_iter()

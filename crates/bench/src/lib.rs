@@ -256,10 +256,10 @@ impl RunConfig {
     }
 
     /// The population of `l × l` chiplets under `model` at defect
-    /// `rate`, drawn `--samples` at a time from `--seed`.
+    /// `rate` drawn from `--seed`; figures read its first `--samples`
+    /// chiplets.
     pub fn population(&self, l: u32, model: DefectModel, rate: f64) -> SampleConfig {
         SampleConfig {
-            samples: self.samples,
             seed: self.seed,
             ..SampleConfig::new(l, model, rate)
         }

@@ -147,16 +147,16 @@ num_faulty\tslope\td
 const FIG11: &str = "\
 # fig11_selection: selection quality: chosen indicators vs faulty-count baseline
 # mode=quick (shape-reproduction) samples=2 shots=400 seed=7
-fraction\tbaseline_mean\tbaseline_worst\tchosen_mean\tchosen_worst
-0.1000\t0\t0\tNaN\tNaN
-0.2000\t0\t0\tNaN\tNaN
-0.3000\t2.4847\t0\t2.7095\t2.7095
-0.4000\t2.3180\t0\t2.0321\t1.3548
-0.5000\t2.0772\t0\t1.3548\t0
-0.6000\t2.2037\t0\t1.0161\t0
-0.7000\t2.2037\t0\t1.2098\t0
-0.8000\t2.2053\t0\t2.1810\t0
-0.9000\t2.1615\t0\t2.1402\t0
+fraction\tbaseline_mean\tbaseline_worst\tchosen_mean\tchosen_worst\tbaseline_unfit\tchosen_unfit
+0.1000\t0\t0\tNaN\tNaN\t0\t1
+0.2000\t0\t0\tNaN\tNaN\t1\t2
+0.3000\t2.4847\t0\t2.7095\t2.7095\t2\t3
+0.4000\t2.3180\t0\t2.0321\t1.3548\t2\t3
+0.5000\t2.0772\t0\t1.3548\t0\t2\t3
+0.6000\t2.2037\t0\t1.0161\t0\t2\t3
+0.7000\t2.2037\t0\t1.2098\t0\t3\t3
+0.8000\t2.2053\t0\t2.1810\t0\t3\t3
+0.9000\t2.1615\t0\t2.1402\t0\t3\t3
 # paper: the chosen indicators keep both the mean and the worst-case
 # slope higher than the faulty-count baseline at every kept fraction.
 ";

@@ -1,10 +1,12 @@
 //! Golden-output tests for the overhead figures and tables that
 //! post-select one chiplet population several ways: Fig. 16 (with and
-//! without rotation), Fig. 18 (three panels, five targets) and Tables
-//! 1–4 (one size sweep, two rates). They pin the exact TSVs in quick
-//! mode at `--samples 8 --seed 7`; every value comes from the yield
-//! path, so a change to which chiplets are drawn, how they are
-//! adapted, or which view of a draw a series reads shows here.
+//! without rotation), Fig. 18 (three panels, five targets), Fig. 19
+//! (distance histograms) and Tables 1–4 (one size sweep, two rates).
+//! They pin the exact TSVs in quick mode at `--samples 8 --seed 7`;
+//! every value comes from the yield path, so a change to which chiplets
+//! are drawn, how they are adapted, or which view of a draw a series
+//! reads shows here. The tests share one process, and with it the
+//! figures' population store, as `reproduce_all` does.
 
 use dqec_bench::{figs, RunConfig};
 use dqec_chiplet::record::{Sink, TsvSink};
@@ -159,4 +161,45 @@ modular + super-stabilizer\t39\t2.0872\t0.8954
 #[test]
 fn table03_04_tsv_output_is_pinned() {
     assert_eq!(tsv("table03_04_fidelity"), TABLES_3_4);
+}
+
+const FIG19: &str = "\
+# fig19_distance_hist: code-distance distributions for l=33 @0.1% and l=39 @0.3%
+# mode=quick (shape-reproduction) samples=8 shots=200 seed=7
+
+## (a) l=33 rate=0.001
+distance\tproportion
+27\t0.2500
+28\t0.2500
+29\t0.2500
+30\t0.2500
+# proportion with d >= 27: 1.0000 (paper: 0.945)
+
+## (b) l=39 rate=0.003
+distance\tproportion
+26\t0.1250
+27\t0.1250
+28\t0.1250
+29\t0.3750
+31\t0.1250
+32\t0.1250
+# proportion with d >= 27: 0.8750 (paper: 0.946)
+";
+
+#[test]
+fn fig19_tsv_output_is_pinned() {
+    assert_eq!(tsv("fig19_distance_hist"), FIG19);
+}
+
+/// Figs. 16 and 18 read populations that Figs. 12, 13 and 17 drew
+/// first (as in `reproduce_all`'s order); the bytes are those of a
+/// fresh draw.
+#[test]
+fn fig16_and_fig18_after_the_other_yield_figures_are_unchanged() {
+    for name in ["fig12_linkonly", "fig13_linkqubit"] {
+        tsv(name);
+    }
+    assert_eq!(tsv("fig16_rotation"), FIG16);
+    tsv("fig17_target17");
+    assert_eq!(tsv("fig18_min_overhead"), FIG18);
 }

@@ -10,7 +10,7 @@ use dqec_core::layout::PatchLayout;
 use rand::Rng;
 
 /// Which components can be fabrication-faulty.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DefectModel {
     /// Only links (couplers) fail.
     LinkOnly,

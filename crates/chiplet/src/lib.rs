@@ -17,18 +17,18 @@
 //!
 //! # Examples
 //!
-//! Estimating the yield of l = 7 chiplets against a d = 5 target:
+//! Estimating the yield of l = 7 chiplets against a d = 5 target from
+//! the first 200 chiplets of one population (a [`SampleConfig`] names
+//! the population; the index range picks which of its chiplets to
+//! draw):
 //!
 //! ```
 //! use dqec_chiplet::criteria::QualityTarget;
 //! use dqec_chiplet::defect_model::DefectModel;
-//! use dqec_chiplet::yields::{sample_indicators, yield_from_indicators, SampleConfig};
+//! use dqec_chiplet::yields::{sample_indicators_range, yield_from_indicators, SampleConfig};
 //!
-//! let config = SampleConfig {
-//!     samples: 200,
-//!     ..SampleConfig::new(7, DefectModel::LinkAndQubit, 0.005)
-//! };
-//! let indicators = sample_indicators(&config);
+//! let config = SampleConfig::new(7, DefectModel::LinkAndQubit, 0.005);
+//! let indicators = sample_indicators_range(&config, 0..200);
 //! let y = yield_from_indicators(&indicators, &QualityTarget::defect_free(5));
 //! assert!(y.fraction() > 0.5);
 //! ```
@@ -54,6 +54,6 @@ pub use record::{
 };
 pub use runner::{default_rounds, DecoderChoice, ExperimentSpec, Protocol, RunOutcome, Runner};
 pub use yields::{
-    cost_per_logical, overhead_factor, sample_indicators, yield_from_indicators, SampleConfig,
-    YieldEstimate,
+    cost_per_logical, overhead_factor, sample_indicators_range, yield_from_indicators,
+    SampleConfig, YieldEstimate,
 };

@@ -9,14 +9,16 @@
 use crate::criteria::QualityTarget;
 use crate::defect_model::DefectModel;
 use dqec_core::adapt::AdaptedPatch;
-use dqec_core::defect::DefectSet;
 use dqec_core::indicators::PatchIndicators;
 use dqec_core::layout::PatchLayout;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
-/// Parameters of one chiplet sampling run.
+/// One population of fabricated chiplets: its size, defect model,
+/// rate and seed. How many chiplets are drawn is up to the reader (the
+/// index range of [`sample_indicators_range`]), so a config names the
+/// whole unbounded population, and every draw is a slice of it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleConfig {
     /// Chiplet width (patch is `l x l`).
@@ -25,8 +27,6 @@ pub struct SampleConfig {
     pub model: DefectModel,
     /// Per-component fabrication error rate.
     pub rate: f64,
-    /// Number of chiplets to fabricate.
-    pub samples: usize,
     /// RNG seed.
     pub seed: u64,
 }
@@ -38,56 +38,38 @@ impl SampleConfig {
             l,
             model,
             rate,
-            samples: 2000,
             seed: 0x5eed,
         }
     }
 }
 
-/// Samples `config.samples` chiplets and returns each one's indicators.
-///
-/// Work is spread over available CPU cores. Each chiplet gets its own
-/// ChaCha8 stream keyed by `(seed, sample index)`, so the sampled
-/// population is a pure function of the config — independent of thread
-/// count and machine.
-pub fn sample_indicators(config: &SampleConfig) -> Vec<PatchIndicators> {
-    sample_indicators_range(config, 0..config.samples)
-}
-
-/// Samples only the chiplets with indices in `range` — a bit-exact
-/// slice of the population [`sample_indicators`] draws, because every
-/// index owns an independent ChaCha8 stream keyed by `(seed, index)`.
-/// Adaptive callers grow their sample count incrementally
-/// (`0..n`, then `n..m`, ...) and the concatenation equals a single
-/// `0..m` draw; `config.samples` is ignored here.
+/// Samples the chiplets with indices in `range` and returns each one's
+/// indicators, spread over the CPU cores. Each chiplet has its own
+/// ChaCha8 stream keyed by `(seed, index)`, so it is a pure function of
+/// the config and its index: `0..n` then `n..m` is exactly `0..m`.
 pub fn sample_indicators_range(
     config: &SampleConfig,
     range: std::ops::Range<usize>,
 ) -> Vec<PatchIndicators> {
-    sample_range(config, range, adapt)
+    sample_range(config, range, false)
 }
 
-/// [`sample_indicators_range`]'s chiplets in both orientations: `[0]`
-/// as fabricated (exactly what that function returns) and `[1]` rotated
-/// so data and syndrome roles swap (paper §4.1, Fig. 16), for
-/// architectures that use the [`better`] of the two.
-pub fn sample_orientations_range(
+/// [`sample_indicators_range`]'s chiplets rotated so data and syndrome
+/// roles swap (paper §4.1, Fig. 16): the same per-index defect draws,
+/// adapted in the other orientation, for architectures that use the
+/// [`better`] of the two.
+pub fn sample_rotated_range(
     config: &SampleConfig,
     range: std::ops::Range<usize>,
-) -> Vec<[PatchIndicators; 2]> {
-    sample_range(config, range, |layout, defects| {
-        [
-            adapt(layout, defects),
-            adapt(layout, &defects.swapped_orientation(config.l)),
-        ]
-    })
+) -> Vec<PatchIndicators> {
+    sample_range(config, range, true)
 }
 
-fn sample_range<T: Send>(
+fn sample_range(
     config: &SampleConfig,
     range: std::ops::Range<usize>,
-    evaluate: impl Fn(&PatchLayout, &DefectSet) -> T + Sync,
-) -> Vec<T> {
+    rotated: bool,
+) -> Vec<PatchIndicators> {
     let layout = PatchLayout::memory(config.l);
     range
         .into_par_iter()
@@ -95,14 +77,13 @@ fn sample_range<T: Send>(
             let mut rng = ChaCha8Rng::seed_from_u64(
                 config.seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
             );
-            let defects = config.model.sample(&layout, config.rate, &mut rng);
-            evaluate(&layout, &defects)
+            let mut defects = config.model.sample(&layout, config.rate, &mut rng);
+            if rotated {
+                defects = defects.swapped_orientation(config.l);
+            }
+            PatchIndicators::of(&AdaptedPatch::new(layout.clone(), &defects))
         })
         .collect()
-}
-
-fn adapt(layout: &PatchLayout, defects: &DefectSet) -> PatchIndicators {
-    PatchIndicators::of(&AdaptedPatch::new(layout.clone(), defects))
 }
 
 /// The orientation a rotatable chiplet is used in: the one with the
@@ -171,11 +152,8 @@ mod tests {
 
     #[test]
     fn zero_rate_gives_full_yield() {
-        let config = SampleConfig {
-            samples: 50,
-            ..SampleConfig::new(5, DefectModel::LinkAndQubit, 0.0)
-        };
-        let inds = sample_indicators(&config);
+        let config = SampleConfig::new(5, DefectModel::LinkAndQubit, 0.0);
+        let inds = sample_indicators_range(&config, 0..50);
         let y = yield_from_indicators(&inds, &QualityTarget::defect_free(5));
         assert_eq!(y.fraction(), 1.0);
     }
@@ -185,11 +163,8 @@ mod tests {
         let target = QualityTarget::defect_free(5);
         let mut fractions = Vec::new();
         for rate in [0.002, 0.02] {
-            let config = SampleConfig {
-                samples: 400,
-                ..SampleConfig::new(7, DefectModel::LinkAndQubit, rate)
-            };
-            let inds = sample_indicators(&config);
+            let config = SampleConfig::new(7, DefectModel::LinkAndQubit, rate);
+            let inds = sample_indicators_range(&config, 0..400);
             fractions.push(yield_from_indicators(&inds, &target).fraction());
         }
         assert!(fractions[0] > fractions[1], "{fractions:?}");
@@ -201,11 +176,9 @@ mod tests {
         // a d=5 target than the intolerant l=5 chiplet.
         let target = QualityTarget::defect_free(5);
         let rate = 0.01;
-        let config = SampleConfig {
-            samples: 400,
-            ..SampleConfig::new(7, DefectModel::LinkAndQubit, rate)
-        };
-        let y7 = yield_from_indicators(&sample_indicators(&config), &target).fraction();
+        let config = SampleConfig::new(7, DefectModel::LinkAndQubit, rate);
+        let y7 =
+            yield_from_indicators(&sample_indicators_range(&config, 0..400), &target).fraction();
         let y5 = DefectModel::LinkAndQubit.defect_free_probability(&PatchLayout::memory(5), rate);
         assert!(y7 > y5, "y7={y7} y5={y5}");
     }
@@ -213,14 +186,13 @@ mod tests {
     #[test]
     fn orientation_freedom_never_hurts() {
         let target = QualityTarget::defect_free(5);
-        let config = SampleConfig {
-            samples: 300,
-            ..SampleConfig::new(7, DefectModel::LinkAndQubit, 0.01)
-        };
-        let pairs = sample_orientations_range(&config, 0..config.samples);
-        let primary: Vec<PatchIndicators> = pairs.iter().map(|[a, _]| a.clone()).collect();
-        let rotated: Vec<PatchIndicators> =
-            pairs.iter().map(|[a, b]| better(a, b).clone()).collect();
+        let config = SampleConfig::new(7, DefectModel::LinkAndQubit, 0.01);
+        let primary = sample_indicators_range(&config, 0..300);
+        let rotated: Vec<PatchIndicators> = primary
+            .iter()
+            .zip(&sample_rotated_range(&config, 0..300))
+            .map(|(a, b)| better(a, b).clone())
+            .collect();
         let y0 = yield_from_indicators(&primary, &target).fraction();
         let y1 = yield_from_indicators(&rotated, &target).fraction();
         assert!(
@@ -241,40 +213,35 @@ mod tests {
     fn range_sampling_concatenates_to_the_full_draw() {
         // The property adaptive callers rely on: stitching together
         // disjoint index ranges reproduces the one-shot population
-        // bit-exactly, regardless of where the cuts fall.
-        let config = SampleConfig {
-            samples: 48,
-            ..SampleConfig::new(5, DefectModel::LinkAndQubit, 0.02)
-        };
-        let whole = sample_indicators(&config);
-        for cut in [0usize, 1, 17, 47, 48] {
-            let mut stitched = sample_indicators_range(&config, 0..cut);
-            stitched.extend(sample_indicators_range(&config, cut..48));
-            assert_eq!(stitched, whole, "cut at {cut} changed the population");
-            let mut pairs = sample_orientations_range(&config, 0..cut);
-            pairs.extend(sample_orientations_range(&config, cut..48));
-            let primaries: Vec<PatchIndicators> = pairs.into_iter().map(|[a, _]| a).collect();
-            assert_eq!(
-                primaries, whole,
-                "cut at {cut}: the primaries are another draw"
-            );
+        // bit-exactly, regardless of where the cuts fall, in either
+        // orientation.
+        let config = SampleConfig::new(5, DefectModel::LinkAndQubit, 0.02);
+        let sample = [sample_indicators_range, sample_rotated_range];
+        for draw in sample {
+            let whole = draw(&config, 0..48);
+            for cut in [0usize, 1, 17, 47, 48] {
+                let mut stitched = draw(&config, 0..cut);
+                stitched.extend(draw(&config, cut..48));
+                assert_eq!(stitched, whole, "cut at {cut} changed the population");
+            }
         }
+        // The rotation is applied: at l = 5, 2 % some chiplet adapts
+        // differently in the other orientation.
+        assert_ne!(
+            sample_indicators_range(&config, 0..48),
+            sample_rotated_range(&config, 0..48)
+        );
     }
 
     #[test]
     fn sampling_is_deterministic_per_seed() {
-        let config = SampleConfig {
-            samples: 64,
-            ..SampleConfig::new(5, DefectModel::LinkAndQubit, 0.02)
+        let config = SampleConfig::new(5, DefectModel::LinkAndQubit, 0.02);
+        let distances = || -> Vec<u32> {
+            sample_indicators_range(&config, 0..64)
+                .iter()
+                .map(|i| i.distance())
+                .collect()
         };
-        let a: Vec<u32> = sample_indicators(&config)
-            .iter()
-            .map(|i| i.distance())
-            .collect();
-        let b: Vec<u32> = sample_indicators(&config)
-            .iter()
-            .map(|i| i.distance())
-            .collect();
-        assert_eq!(a, b);
+        assert_eq!(distances(), distances());
     }
 }

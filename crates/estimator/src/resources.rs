@@ -4,7 +4,7 @@ use crate::application::ApplicationSpec;
 use dqec_chiplet::criteria::QualityTarget;
 use dqec_chiplet::defect_model::DefectModel;
 use dqec_chiplet::yields::{
-    overhead_factor, sample_indicators, yield_from_indicators, SampleConfig,
+    overhead_factor, sample_indicators_range, yield_from_indicators, SampleConfig,
 };
 use dqec_core::indicators::PatchIndicators;
 use dqec_core::layout::PatchLayout;
@@ -79,13 +79,10 @@ pub fn super_stabilizer_row(
         .into_par_iter()
         .map(|(l, seed)| {
             let config = SampleConfig {
-                l,
-                model,
-                rate,
-                samples,
                 seed,
+                ..SampleConfig::new(l, model, rate)
             };
-            let inds = sample_indicators(&config);
+            let inds = sample_indicators_range(&config, 0..samples);
             let y = yield_from_indicators(&inds, &target).fraction();
             let overhead = overhead_factor(l, y, spec.target_distance);
             let row = ResourceRow {

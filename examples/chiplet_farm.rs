@@ -7,7 +7,7 @@
 use dqec::chiplet::criteria::QualityTarget;
 use dqec::chiplet::defect_model::DefectModel;
 use dqec::chiplet::yields::{
-    overhead_factor, sample_indicators, yield_from_indicators, SampleConfig,
+    overhead_factor, sample_indicators_range, yield_from_indicators, SampleConfig,
 };
 use dqec::core::PatchLayout;
 
@@ -36,11 +36,10 @@ fn main() {
         );
         for &l in &sizes {
             let config = SampleConfig {
-                samples,
                 seed: 123,
                 ..SampleConfig::new(l, DefectModel::LinkAndQubit, rate)
             };
-            let inds = sample_indicators(&config);
+            let inds = sample_indicators_range(&config, 0..samples);
             let y = yield_from_indicators(&inds, &target).fraction();
             println!(
                 "{rate:>6.3} {l:>6} {y:>8.3} {:>10.2} {:>10}",

@@ -81,8 +81,8 @@ pub mod prelude {
         default_rounds, DecoderBuilder, DecoderChoice, ExperimentSpec, Protocol, RunOutcome, Runner,
     };
     pub use crate::chiplet::{
-        fit_loglog, sample_indicators, yield_from_indicators, DefectModel, LerPoint, QualityTarget,
-        SampleConfig, SlopeFit,
+        fit_loglog, sample_indicators_range, yield_from_indicators, DefectModel, LerPoint,
+        QualityTarget, SampleConfig, SlopeFit,
     };
     pub use crate::core::{AdaptedPatch, Coord, DefectSet, PatchIndicators, PatchLayout, Side};
     pub use crate::matching::{Decoder, MwpmDecoder};

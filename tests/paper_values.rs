@@ -4,7 +4,7 @@
 
 use dqec::chiplet::criteria::QualityTarget;
 use dqec::chiplet::defect_model::DefectModel;
-use dqec::chiplet::yields::{sample_indicators, yield_from_indicators, SampleConfig};
+use dqec::chiplet::yields::{sample_indicators_range, yield_from_indicators, SampleConfig};
 use dqec::core::{AdaptedPatch, Coord, DefectSet, PatchIndicators, PatchLayout};
 use dqec::estimator::{defect_intolerant_row, no_defect_row, ApplicationSpec};
 
@@ -73,11 +73,10 @@ fn l33_yield_near_paper_value() {
     // target. Sampled with a small population here; allow a few points.
     let target = QualityTarget::defect_free(27);
     let config = SampleConfig {
-        samples: 300,
         seed: 99,
         ..SampleConfig::new(33, DefectModel::LinkAndQubit, 0.001)
     };
-    let y = yield_from_indicators(&sample_indicators(&config), &target).fraction();
+    let y = yield_from_indicators(&sample_indicators_range(&config, 0..300), &target).fraction();
     assert!((y - 0.945).abs() < 0.06, "yield {y}");
 }
 
