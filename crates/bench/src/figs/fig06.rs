@@ -2,21 +2,17 @@
 //! defect-free patches (d = 3..9) and example defective l = 11 patches,
 //! in the low-p regime where LER ∝ p^(αd).
 
+use super::{by_distance, sequential_draw};
 use crate::{FigResult, RunConfig};
-use dqec_chiplet::defect_model::DefectModel;
 use dqec_chiplet::record::{Record, Sink};
 use dqec_chiplet::runner::ExperimentSpec;
 use dqec_core::adapt::AdaptedPatch;
-use dqec_core::indicators::PatchIndicators;
 use dqec_core::layout::PatchLayout;
 use dqec_core::DefectSet;
-use dqec_sweep::SweepPlan;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Emits the figure's records.
 ///
-/// Both panels run as [`SweepPlan`]s through the sweep engine: the
+/// Both panels run as plans through [`RunConfig::sweep`]: the
 /// mixed-distance curves share the rayon pool, `--precision`
 /// allocates shots adaptively per point, and `--checkpoint`/`--resume`
 /// make the sweep durable.
@@ -29,57 +25,38 @@ pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
     } else {
         vec![3, 5, 7]
     };
-    let plan: SweepPlan = ds
-        .iter()
-        .map(|&d| {
-            let patch = AdaptedPatch::new(PatchLayout::memory(d), &DefectSet::new());
-            cfg.spec_with_decoder(
-                ExperimentSpec::memory(patch)
-                    .ps(&ps)
-                    .rounds(d)
-                    .shots(cfg.shots)
-                    .seed(cfg.seed)
-                    .label(format!("d={d}")),
-            )
-        })
-        .collect();
-    cfg.engine("fig06_ler_curves.defect-free")
-        .run(&plan, sink)?;
+    let specs = ds.iter().map(|&d| {
+        let patch = AdaptedPatch::new(PatchLayout::memory(d), &DefectSet::new());
+        ExperimentSpec::memory(patch)
+            .ps(&ps)
+            .rounds(d)
+            .shots(cfg.shots)
+            .seed(cfg.seed)
+            .label(format!("d={d}"))
+    });
+    cfg.sweep("fig06_ler_curves.defect-free", specs, sink)?;
 
     sink.emit(&Record::Section(
         "defective l=11 examples (one per adapted distance)".into(),
     ));
-    let layout = PatchLayout::memory(11);
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xf16);
-    let mut examples: std::collections::BTreeMap<u32, AdaptedPatch> = Default::default();
     let wanted: Vec<u32> = if cfg.full {
         vec![6, 7, 8, 9, 10]
     } else {
         vec![7, 9]
     };
-    let mut tries = 0;
-    while examples.len() < wanted.len() && tries < 20_000 {
-        tries += 1;
-        let defects = DefectModel::LinkAndQubit.sample(&layout, 0.01, &mut rng);
-        let patch = AdaptedPatch::new(layout.clone(), &defects);
-        let d = PatchIndicators::of(&patch).distance();
-        if wanted.contains(&d) {
-            examples.entry(d).or_insert(patch);
-        }
-    }
-    let plan: SweepPlan = examples
+    let draws = sequential_draw(11, cfg.seed ^ 0xf16, &[0.01]);
+    let examples = by_distance(draws, wanted, 1, 20_000);
+    let specs = examples
         .into_iter()
+        .flat_map(|(d, patches)| patches.into_iter().map(move |patch| (d, patch)))
         .map(|(d, patch)| {
-            cfg.spec_with_decoder(
-                ExperimentSpec::memory(patch)
-                    .ps(&ps)
-                    .shots(cfg.shots)
-                    .seed(cfg.seed ^ 0xde)
-                    .label(format!("defective d={d}")),
-            )
-        })
-        .collect();
-    cfg.engine("fig06_ler_curves.defective").run(&plan, sink)?;
+            ExperimentSpec::memory(patch)
+                .ps(&ps)
+                .shots(cfg.shots)
+                .seed(cfg.seed ^ 0xde)
+                .label(format!("defective d={d}"))
+        });
+    cfg.sweep("fig06_ler_curves.defective", specs, sink)?;
     sink.emit(&Record::Note(
         "paper: straight lines on log-log axes, ordered by d; defective".into(),
     ));

@@ -3,16 +3,12 @@
 //! two opposite-type edges), links and qubits faulty at the same rate,
 //! l = 13 chiplets against a d = 9 target.
 
+use super::sequential_draw;
 use crate::{FigResult, RunConfig};
 use dqec_chiplet::criteria::QualityTarget;
-use dqec_chiplet::defect_model::DefectModel;
 use dqec_chiplet::record::{Record, Sink, YieldRecord};
-use dqec_core::adapt::AdaptedPatch;
 use dqec_core::indicators::PatchIndicators;
-use dqec_core::layout::PatchLayout;
 use dqec_core::merge::BoundaryStandard;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Emits the figure's records.
 pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
@@ -32,12 +28,8 @@ pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
     };
 
     for &rate in &rates {
-        let layout = PatchLayout::memory(l);
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut kept = [0usize; 5];
-        for _ in 0..samples {
-            let defects = DefectModel::LinkAndQubit.sample(&layout, rate, &mut rng);
-            let patch = AdaptedPatch::new(layout.clone(), &defects);
+        for (defects, patch) in sequential_draw(l, cfg.seed, &[rate]).take(samples) {
             let ind = PatchIndicators::of(&patch);
             if !target.accepts(&ind) {
                 continue;

@@ -6,7 +6,7 @@
 //!
 //! Each series is one `ExperimentSpec` sweep, so the decoding graph is
 //! built once per series and reweighted across the p-window. The five
-//! series run as one [`SweepPlan`] through the sweep engine, so
+//! series run as one plan through [`RunConfig::sweep`], so
 //! `--precision`, `--checkpoint`/`--resume` and `--shard` apply.
 
 use crate::{FigResult, RunConfig};
@@ -15,7 +15,6 @@ use dqec_chiplet::runner::ExperimentSpec;
 use dqec_core::adapt::AdaptedPatch;
 use dqec_core::layout::PatchLayout;
 use dqec_core::{Coord, DefectSet};
-use dqec_sweep::SweepPlan;
 
 /// Emits the figure's records.
 pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
@@ -47,11 +46,10 @@ pub fn run(cfg: &RunConfig, sink: &mut dyn Sink) -> FigResult {
             .bad_qubit(bad, bp)
             .label(format!("faulty p={bp}"))
     });
-    let plan: SweepPlan = std::iter::once(disable)
+    let specs = std::iter::once(disable)
         .chain(keep)
-        .map(|spec| cfg.spec_with_decoder(spec.ps(&ps).rounds(rounds).shots(cfg.shots)))
-        .collect();
-    cfg.engine("fig20_stability_cutoff").run(&plan, sink)?;
+        .map(|spec| spec.ps(&ps).rounds(rounds).shots(cfg.shots));
+    cfg.sweep("fig20_stability_cutoff", specs, sink)?;
     sink.emit(&Record::Note(
         "paper: above ~10% the bad qubit should always be disabled; below".into(),
     ));

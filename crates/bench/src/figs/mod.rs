@@ -22,7 +22,7 @@ pub mod scatter;
 pub mod table01_02;
 pub mod table03_04;
 
-use crate::{memoised, FigResult, Memo, RunConfig};
+use crate::{FigResult, RunConfig};
 use dqec_chiplet::criteria::QualityTarget;
 use dqec_chiplet::defect_model::DefectModel;
 use dqec_chiplet::record::{Record, Sink, YieldRecord};
@@ -30,14 +30,17 @@ use dqec_chiplet::yields::{
     better, overhead_factor, sample_indicators_range, sample_rotated_range, yield_from_indicators,
     SampleConfig,
 };
+use dqec_core::adapt::AdaptedPatch;
 use dqec_core::indicators::PatchIndicators;
 use dqec_core::layout::PatchLayout;
-use dqec_core::CoreError;
-use dqec_estimator::{super_stabilizer_row, ApplicationSpec, ResourceRow};
+use dqec_core::{CoreError, DefectSet};
+use dqec_estimator::{candidate_populations, super_stabilizer_row, ApplicationSpec, ResourceRow};
 use dqec_sweep::checkpoint::PointTally;
 use dqec_sweep::Precision;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 /// One figure/table reproduction: its binary name, a one-line
 /// description, and the record-emitting run function.
@@ -188,40 +191,29 @@ pub(crate) fn yield_overhead_figure(
 /// The defect rates on qubits and links of Tables 1 and 2 (and 3 and 4).
 pub const TABLE_RATES: [f64; 2] = [0.001, 0.003];
 
-/// Per [`TABLE_RATES`] entry, the super-stabilizer row and the chosen
-/// size's sampled population.
-pub type TableSweep = Arc<[(ResourceRow, Vec<PatchIndicators>); 2]>;
-
-/// The last table sweep of this process, keyed by `(samples, seed)`.
-static TABLE_SWEEP: Memo<(usize, u64), TableSweep> = Mutex::new(None);
-
-/// The size sweep Tables 1–4 share: Shor-2048's [`super_stabilizer_row`]
-/// over l = 29…43 at each of [`TABLE_RATES`]. It runs at most once per
-/// process for given `--samples` and `--seed`, the only flags it reads;
-/// a failed sweep is not remembered.
+/// The size sweep Tables 1–4 share: per [`TABLE_RATES`] entry,
+/// Shor-2048's [`super_stabilizer_row`] over l = 29…43 and the chosen
+/// size's first `--samples` chiplets. It reads its
+/// [`candidate_populations`] through the population store, so in one
+/// process each candidate chiplet is adapted once, however many tables
+/// read the sweep.
 ///
 /// # Errors
 ///
 /// Fails if the candidate size list is empty.
-pub fn table_sweep(cfg: &RunConfig) -> Result<TableSweep, CoreError> {
-    memoised(&TABLE_SWEEP, &(cfg.samples, cfg.seed), || {
-        let spec = ApplicationSpec::shor_2048();
-        let candidates: Vec<u32> = (29..=43).step_by(2).collect();
-        let row = |rate| {
-            super_stabilizer_row(
-                &spec,
-                DefectModel::LinkAndQubit,
-                rate,
-                &candidates,
-                cfg.samples,
-                cfg.seed,
-            )
-            .ok_or_else(|| CoreError::Sweep {
-                detail: "no candidate chiplet sizes".into(),
-            })
-        };
-        Ok(Arc::new([row(TABLE_RATES[0])?, row(TABLE_RATES[1])?]))
-    })
+pub fn table_sweep(cfg: &RunConfig) -> Result<[(ResourceRow, Vec<PatchIndicators>); 2], CoreError> {
+    let spec = ApplicationSpec::shor_2048();
+    let sizes: Vec<u32> = (29..=43).step_by(2).collect();
+    let row = |rate| {
+        let populations = candidate_populations(DefectModel::LinkAndQubit, rate, &sizes, cfg.seed);
+        let drawn = populations
+            .iter()
+            .map(|config| (config.l, fabricated(config, cfg.samples)));
+        super_stabilizer_row(&spec, drawn).ok_or_else(|| CoreError::Sweep {
+            detail: "no candidate chiplet sizes".into(),
+        })
+    };
+    Ok([row(TABLE_RATES[0])?, row(TABLE_RATES[1])?])
 }
 
 /// Per population `(l, model, rate bits, seed)`, the longest prefix
@@ -229,7 +221,8 @@ pub fn table_sweep(cfg: &RunConfig) -> Result<TableSweep, CoreError> {
 type Prefixes = BTreeMap<(u32, DefectModel, u64, u64), [Vec<PatchIndicators>; 2]>;
 
 /// The process's yield populations: every sampled yield read of the
-/// figure modules goes through [`fabricated`] or [`rotatable`].
+/// figure modules goes through [`fabricated`] or [`rotatable`]. The
+/// only other chiplets the crate draws come from [`sequential_draw`].
 static STORE: Mutex<Prefixes> = Mutex::new(BTreeMap::new());
 
 /// Chiplets adapted, in either orientation, per population seed.
@@ -280,20 +273,69 @@ pub(crate) fn rotatable(config: &SampleConfig, n: usize) -> Vec<PatchIndicators>
     pairs.map(|(a, b)| better(&a, &b).clone()).collect()
 }
 
+/// The one sequential draw: `l × l` chiplets with links and qubits
+/// faulty at the same rate, drawn one after another from a single
+/// `StdRng` stream seeded with `seed`, each with its defects and its
+/// adapted patch. The `i`-th draw, counting from 1, is at rate
+/// `rates[i % rates.len()]`. Fig. 15 reads it directly, and Fig. 6 and
+/// the slope dataset through [`by_distance`]; a draw depends on every
+/// draw before it, so unlike a [`fabricated`] population it cannot be
+/// read from the middle.
+pub(crate) fn sequential_draw(
+    l: u32,
+    seed: u64,
+    rates: &[f64],
+) -> impl Iterator<Item = (DefectSet, AdaptedPatch)> {
+    let layout = PatchLayout::memory(l);
+    let rates = rates.to_vec();
+    let mut rng = StdRng::seed_from_u64(seed);
+    (1..).map(move |i| {
+        let defects = DefectModel::LinkAndQubit.sample(&layout, rates[i % rates.len()], &mut rng);
+        let patch = AdaptedPatch::new(layout.clone(), &defects);
+        (defects, patch)
+    })
+}
+
+/// The first `per_group` patches of `draws` at each adapted distance
+/// in `wanted`, in draw order, read until every group is full or `cap`
+/// chiplets are drawn.
+pub(crate) fn by_distance(
+    draws: impl Iterator<Item = (DefectSet, AdaptedPatch)>,
+    wanted: impl IntoIterator<Item = u32>,
+    per_group: usize,
+    cap: usize,
+) -> BTreeMap<u32, Vec<AdaptedPatch>> {
+    let mut groups: BTreeMap<u32, Vec<AdaptedPatch>> =
+        wanted.into_iter().map(|d| (d, Vec::new())).collect();
+    let mut draws = draws.take(cap);
+    while groups.values().any(|group| group.len() < per_group) {
+        let Some((_, patch)) = draws.next() else {
+            break;
+        };
+        let d = PatchIndicators::of(&patch).distance();
+        if let Some(group) = groups.get_mut(&d).filter(|group| group.len() < per_group) {
+            group.push(patch);
+        }
+    }
+    groups
+}
+
 /// Adaptive chiplet sampling for one `(l, rate)` yield point: how many
 /// chiplets to read, grown in rounds until the yield estimate's 95%
 /// Wilson interval is narrower than the [`Precision`] target ("kept
 /// chiplets" stand in for the tally's events) or the `cap`
-/// (`--samples`) is spent. Each round reads a longer prefix of the one
-/// population, so `--precision` changes the cost of a point, never
-/// which chiplets it would have fabricated.
+/// (`--samples`) is spent. The first round reads `min(200, ⌈cap/5⌉)`
+/// chiplets, so a small cap still leaves room to stop early. Each round
+/// reads a longer prefix of the one population, so `--precision`
+/// changes the cost of a point, never which chiplets it would have
+/// fabricated.
 fn adaptive_samples(
     config: &SampleConfig,
     target: &QualityTarget,
     ctl: &Precision,
     cap: usize,
 ) -> usize {
-    let batch = 200.min(cap).max(1);
+    let batch = 200.min(cap.div_ceil(5)).max(1);
     let (mut drawn, mut kept) = (0, 0);
     loop {
         let tally = PointTally {
@@ -337,8 +379,20 @@ mod tests {
         assert!(n < cap, "adaptive run spent the whole budget: {n}");
     }
 
+    /// Chiplets adapted so far for the table sweep's candidate
+    /// populations under `seed`. The derived seeds do not depend on the
+    /// rate, so each counts the populations of both [`TABLE_RATES`].
+    fn adapted_candidates(seed: u64) -> usize {
+        let sizes: Vec<u32> = (29..=43).step_by(2).collect();
+        candidate_populations(DefectModel::LinkAndQubit, TABLE_RATES[0], &sizes, seed)
+            .iter()
+            .map(|config| adapted(config.seed))
+            .sum()
+    }
+
     /// Tables 1–4 share one size sweep: a second call with the same
-    /// `--samples` and `--seed` returns the first call's result.
+    /// `--samples` and `--seed` returns the first call's result and
+    /// adapts no chiplet.
     #[test]
     fn table_sweep_is_run_once_per_config() {
         let cfg = RunConfig {
@@ -347,16 +401,56 @@ mod tests {
             ..RunConfig::default()
         };
         let first = table_sweep(&cfg).expect("sweep runs");
+        let spent = adapted_candidates(cfg.seed);
+        assert_eq!(spent, 16 * cfg.samples, "8 sizes at 2 rates");
         let second = table_sweep(&RunConfig {
             shots: 1,
             ..cfg.clone()
         })
-        .expect("sweep memoised");
-        assert!(Arc::ptr_eq(&first, &second), "the second call swept again");
-        for (row, inds) in first.iter() {
+        .expect("sweep reruns");
+        assert_eq!(first, second);
+        assert_eq!(
+            adapted_candidates(cfg.seed),
+            spent,
+            "the second call adapted"
+        );
+        for (row, inds) in &first {
             assert_eq!(inds.len(), cfg.samples);
             assert!((29..=43).contains(&row.l));
         }
+    }
+
+    /// In one process, Tables 1–2 adapt each candidate chiplet once and
+    /// Tables 3–4 after them adapt none of them again.
+    #[test]
+    fn tables_adapt_each_candidate_once() {
+        const N: usize = 3;
+        let cfg = RunConfig {
+            samples: N,
+            seed: 0xa6,
+            ..RunConfig::default()
+        };
+        for name in ["table01_02_resources", "table03_04_fidelity"] {
+            let rep = crate::figs::ALL
+                .iter()
+                .find(|r| r.name == name)
+                .expect("table registered");
+            (rep.run)(&cfg, &mut NullSink).expect("table runs");
+            assert_eq!(adapted_candidates(cfg.seed), 16 * N, "after {name}");
+        }
+    }
+
+    /// The adaptive read starts small enough to stop early at a small
+    /// cap: at a benign rate it stops below 200 chiplets of 200.
+    #[test]
+    fn adaptive_yield_stops_below_a_small_cap() {
+        let config = SampleConfig {
+            rate: 0.001,
+            ..population(0xa7)
+        };
+        let target = QualityTarget::defect_free(5);
+        let n = adaptive_samples(&config, &target, &Precision::new(0.3), 200);
+        assert!(n > 0 && n < 200, "adaptive read spent {n} of 200");
     }
 
     /// `--precision` flows through the shared figure shape: the run is

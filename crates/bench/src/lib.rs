@@ -20,7 +20,7 @@ pub mod figs;
 use dqec_chiplet::cli;
 use dqec_chiplet::defect_model::DefectModel;
 use dqec_chiplet::record::{JsonSink, Record, Sink, TsvSink};
-use dqec_chiplet::runner::{default_rounds, DecoderChoice, ExperimentSpec};
+use dqec_chiplet::runner::{default_rounds, DecoderChoice, ExperimentSpec, RunOutcome};
 use dqec_chiplet::yields::SampleConfig;
 use dqec_core::adapt::AdaptedPatch;
 use dqec_core::indicators::PatchIndicators;
@@ -28,8 +28,6 @@ use dqec_core::layout::PatchLayout;
 use dqec_core::{CoreError, DefectSet};
 use dqec_sweep::shard::{state_file_name, CHECKPOINT_FLAG, RESUME_FLAG, SHARD_FLAG};
 use dqec_sweep::{EngineConfig, Precision, Shard, SweepEngine, SweepPlan};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rayon::prelude::*;
 use std::path::PathBuf;
 use std::sync::{Mutex, PoisonError};
@@ -125,7 +123,8 @@ usage: <bin> [--full] [--samples N] [--shots N] [--seed N] [--decoder NAME]
                   of W (e.g. 0.2): LER sweeps allocate shots per point
                   up to the --shots cap, and the yield figures
                   (fig12/13/17) fabricate chiplets per point up to the
-                  --samples cap, instead of spending the budgets uniformly
+                  --samples cap N, first min(200, N/5) of them, instead
+                  of spending the budgets uniformly
   --checkpoint DIR  persist sweep state to DIR/<plan>.sweep.json after
                   every allocation round
   --resume        resume engine sweeps from their state files
@@ -265,11 +264,31 @@ impl RunConfig {
         }
     }
 
-    /// Attaches this config's decoder backend to an experiment spec;
-    /// every LER experiment in the figure modules goes through this, so
-    /// `--decoder` selects the backend end-to-end.
-    pub fn spec_with_decoder(&self, spec: ExperimentSpec) -> ExperimentSpec {
-        spec.decoder(self.decoder.builder())
+    /// Runs `specs` as one sweep plan named `tag`, every spec on this
+    /// config's `--decoder` backend, emitting each series to `sink` and
+    /// returning one outcome per spec. Every Monte-Carlo plan of the
+    /// figure modules (fig06's two panels, fig20's five series, the
+    /// slope dataset and its defect-free references) runs through here,
+    /// so no plan can miss the decoder, and `--precision`,
+    /// `--checkpoint`/`--resume` and `--shard` apply to all of them. A
+    /// checkpointed plan's state lands in `DIR/<tag>.sweep.json`, and
+    /// is never resumed under another tag or decoder.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the engine's failures: circuit generation, checkpoint
+    /// I/O, resume mismatches.
+    pub fn sweep(
+        &self,
+        tag: &str,
+        specs: impl IntoIterator<Item = ExperimentSpec>,
+        sink: &mut dyn Sink,
+    ) -> Result<Vec<RunOutcome>, CoreError> {
+        let plan: SweepPlan = specs
+            .into_iter()
+            .map(|spec| spec.decoder(self.decoder.builder()))
+            .collect();
+        self.engine(tag).run(&plan, sink)
     }
 
     /// The sweep engine for one named plan under this config:
@@ -277,10 +296,8 @@ impl RunConfig {
     /// persists state to `DIR/<tag>.sweep.json`, `--resume` restarts
     /// from it. The fingerprint salt covers `tag` and the decoder
     /// backend, so state files are never resumed across plans or
-    /// backends. Every Monte-Carlo figure sweep (fig06's curves, fig20's
-    /// five series, the slope dataset and its defect-free references)
-    /// runs through engines built here.
-    pub fn engine(&self, tag: &str) -> SweepEngine {
+    /// backends.
+    fn engine(&self, tag: &str) -> SweepEngine {
         let mut salt = dqec_chiplet::runner::Fnv::new();
         salt.bytes(tag.as_bytes());
         salt.bytes(self.decoder.name().as_bytes());
@@ -379,33 +396,9 @@ pub struct SlopeRecord {
     pub slope: Option<f64>,
 }
 
-/// A single-entry, per-process memo: the last value computed and the
-/// key it was computed for.
-pub(crate) type Memo<K, V> = Mutex<Option<(K, V)>>;
-
-/// Returns `memo`'s value if it was computed for `key`; otherwise
-/// computes it, stores it in place of the previous entry and returns
-/// it. The lock is held while computing, so concurrent callers with one
-/// key wait for one computation. An `Err` is returned, never stored.
-pub(crate) fn memoised<K: PartialEq + Clone, V: Clone>(
-    memo: &Memo<K, V>,
-    key: &K,
-    compute: impl FnOnce() -> Result<V, CoreError>,
-) -> Result<V, CoreError> {
-    // The memo is only ever replaced whole, so a computation that
-    // panicked left the previous entry valid behind the poisoned lock.
-    let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some((_, value)) = memo.as_ref().filter(|(stored, _)| stored == key) {
-        return Ok(value.clone());
-    }
-    let value = compute()?;
-    *memo = Some((key.clone(), value.clone()));
-    Ok(value)
-}
-
-/// The last slope dataset measured in this process, keyed by the
-/// config it was measured under.
-static SLOPES: Memo<RunConfig, Vec<SlopeRecord>> = Mutex::new(None);
+/// The last slope dataset measured in this process and the config it
+/// was measured under.
+static SLOPES: Mutex<Option<(RunConfig, Vec<SlopeRecord>)>> = Mutex::new(None);
 
 /// The slope dataset of Figs. 5 and 7–11: defective chiplets of the
 /// [`RunConfig::slope_patch`] size, each with its measured log-log
@@ -415,9 +408,10 @@ static SLOPES: Memo<RunConfig, Vec<SlopeRecord>> = Mutex::new(None);
 /// `slopes`. A failed measurement is not remembered.
 ///
 /// Chiplets (links and qubits faulty at the same rate, as in Fig. 5)
-/// are sampled until [`RunConfig::patches_per_group`] patches of every
-/// adapted distance have been collected; then every patch's slope is
-/// measured as one [`SweepPlan`] through the sweep engine: the
+/// are drawn in one sequential stream until
+/// [`RunConfig::patches_per_group`] patches of every adapted distance
+/// have been collected; then every patch's slope is measured as one
+/// plan through [`RunConfig::sweep`]: the
 /// mixed-distance specs (a d = 5 patch decodes ~10x faster than a
 /// d = 8 one) share the rayon pool instead of running
 /// one-after-another, `--precision` makes the shot allocation adaptive,
@@ -433,34 +427,24 @@ static SLOPES: Memo<RunConfig, Vec<SlopeRecord>> = Mutex::new(None);
 /// mismatches); per-patch circuit-generation failures only mark that
 /// patch's slope as unmeasured.
 pub fn slope_dataset(cfg: &RunConfig) -> Result<Vec<SlopeRecord>, CoreError> {
-    memoised(&SLOPES, cfg, || measure_slopes(cfg))
+    // The entry is only ever replaced whole, so a measurement that
+    // panicked left the previous one valid behind the poisoned lock.
+    let mut last = SLOPES.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((_, records)) = last.as_ref().filter(|(measured, _)| measured == cfg) {
+        return Ok(records.clone());
+    }
+    // Measured under the lock, so concurrent callers with one config
+    // wait for one measurement; an `Err` is returned, never stored.
+    let records = measure_slopes(cfg)?;
+    *last = Some((cfg.clone(), records.clone()));
+    Ok(records)
 }
 
 fn measure_slopes(cfg: &RunConfig) -> Result<Vec<SlopeRecord>, CoreError> {
     let (l, d_range) = cfg.slope_patch();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let layout = PatchLayout::memory(l);
-    let per_group = cfg.patches_per_group();
-    let mut groups: std::collections::BTreeMap<u32, Vec<AdaptedPatch>> =
-        d_range.map(|d| (d, Vec::new())).collect();
-    // Mix of rates to populate all distance groups.
-    let rates = [0.004, 0.008, 0.015, 0.025];
-    let mut attempts = 0;
-    while groups.values().any(|v| v.len() < per_group) && attempts < 30_000 {
-        attempts += 1;
-        let rate = rates[attempts % rates.len()];
-        let defects = DefectModel::LinkAndQubit.sample(&layout, rate, &mut rng);
-        if defects.is_empty() {
-            continue;
-        }
-        let patch = AdaptedPatch::new(layout.clone(), &defects);
-        let ind = PatchIndicators::of(&patch);
-        if let Some(group) = groups.get_mut(&ind.distance()) {
-            if group.len() < per_group {
-                group.push(patch);
-            }
-        }
-    }
+    // A mix of rates populates every distance group.
+    let draws = figs::sequential_draw(l, cfg.seed, &[0.004, 0.008, 0.015, 0.025]);
+    let groups = figs::by_distance(draws, d_range, cfg.patches_per_group(), 30_000);
     let ps = cfg.slope_window();
     let dataset: Vec<(u32, usize, AdaptedPatch)> = groups
         .into_iter()
@@ -482,7 +466,7 @@ fn measure_slopes(cfg: &RunConfig) -> Result<Vec<SlopeRecord>, CoreError> {
         .par_iter()
         .map(|(_, _, patch)| dqec_core::circuit_gen::memory_z(patch, default_rounds(patch)).is_ok())
         .collect();
-    let mut plan = SweepPlan::new();
+    let mut specs = Vec::new();
     let mut measured = Vec::new(); // index into `records` per plan spec
     let mut records = Vec::new();
     for ((d, i, patch), compiles) in dataset.into_iter().zip(compilable) {
@@ -494,24 +478,20 @@ fn measure_slopes(cfg: &RunConfig) -> Result<Vec<SlopeRecord>, CoreError> {
             continue;
         }
         measured.push(records.len() - 1);
-        plan.push(
-            cfg.spec_with_decoder(
-                ExperimentSpec::memory(patch)
-                    .ps(&ps)
-                    .shots(cfg.shots)
-                    .seed(cfg.seed + i as u64)
-                    .label(format!("l={l} d={d} #{i}"))
-                    .fit(true),
-            ),
+        specs.push(
+            ExperimentSpec::memory(patch)
+                .ps(&ps)
+                .shots(cfg.shots)
+                .seed(cfg.seed + i as u64)
+                .label(format!("l={l} d={d} #{i}"))
+                .fit(true),
         );
     }
     eprintln!(
         "  [slope dataset] measuring {} patches through the sweep engine",
-        plan.len()
+        specs.len()
     );
-    let outcomes = cfg
-        .engine("slopes")
-        .run(&plan, &mut dqec_chiplet::record::NullSink)?;
+    let outcomes = cfg.sweep("slopes", specs, &mut dqec_chiplet::record::NullSink)?;
     for (slot, outcome) in measured.into_iter().zip(outcomes) {
         records[slot].slope = outcome.fit.map(|f| f.slope);
     }
@@ -525,24 +505,17 @@ fn measure_slopes(cfg: &RunConfig) -> Result<Vec<SlopeRecord>, CoreError> {
 ///
 /// Propagates sweep orchestration and circuit-generation failures.
 pub fn defect_free_slopes(ds: &[u32], cfg: &RunConfig) -> Result<Vec<Option<f64>>, CoreError> {
-    let plan: SweepPlan = ds
-        .iter()
-        .map(|&d| {
-            let patch = AdaptedPatch::new(PatchLayout::memory(d), &DefectSet::new());
-            cfg.spec_with_decoder(
-                ExperimentSpec::memory(patch)
-                    .ps(&cfg.slope_window())
-                    .rounds(d)
-                    .shots(cfg.shots)
-                    .seed(cfg.seed ^ 0xdefec7)
-                    .label(format!("defect-free d={d}"))
-                    .fit(true),
-            )
-        })
-        .collect();
-    let outcomes = cfg
-        .engine("slopes.refs")
-        .run(&plan, &mut dqec_chiplet::record::NullSink)?;
+    let specs = ds.iter().map(|&d| {
+        let patch = AdaptedPatch::new(PatchLayout::memory(d), &DefectSet::new());
+        ExperimentSpec::memory(patch)
+            .ps(&cfg.slope_window())
+            .rounds(d)
+            .shots(cfg.shots)
+            .seed(cfg.seed ^ 0xdefec7)
+            .label(format!("defect-free d={d}"))
+            .fit(true)
+    });
+    let outcomes = cfg.sweep("slopes.refs", specs, &mut dqec_chiplet::record::NullSink)?;
     Ok(outcomes
         .into_iter()
         .map(|o| o.fit.map(|f| f.slope))
@@ -788,7 +761,7 @@ mod tests {
         };
         let first = slope_dataset(&cfg).expect("dataset measures");
         std::fs::remove_dir_all(&dir).expect("the first call wrote state");
-        let second = slope_dataset(&cfg).expect("dataset memoised");
+        let second = slope_dataset(&cfg).expect("dataset remembered");
         assert!(!dir.exists(), "the second call measured again");
         assert_eq!(format!("{first:?}"), format!("{second:?}"));
     }

@@ -6,8 +6,9 @@
 //! (defect sampling, `AdaptedPatch::new`, `PatchIndicators::of`), so a
 //! change to adaptation or to the distance computation that moves any
 //! chiplet's verdict shows here. Fig. 12 is pinned a second time under
-//! `--precision 0.3` at a 40-chiplet cap, which the adaptive path
-//! spends in one round: its output is the uniform draw's.
+//! `--precision 0.3` at a 40-chiplet cap: the adaptive path reads 8
+//! chiplets in its first round, so most benign points stop at 10 and
+//! the harsh ones spend the cap.
 
 use dqec_bench::{figs, RunConfig};
 use dqec_chiplet::record::{Sink, TsvSink};
@@ -185,55 +186,55 @@ const FIG12_PRECISION: &str = "\
 # mode=quick (shape-reproduction) samples=40 shots=20000 seed=7
 series\trate\tkept\tsamples\tyield\toverhead
 baseline(l=9)\t0\t-\t-\t1.0000\t1.0000
-l=11\t0\t40\t40\t1.0000\t1.4969
-l=13\t0\t40\t40\t1.0000\t2.0932
-l=15\t0\t40\t40\t1.0000\t2.7888
-l=17\t0\t40\t40\t1.0000\t3.5839
+l=11\t0\t10\t10\t1.0000\t1.4969
+l=13\t0\t10\t10\t1.0000\t2.0932
+l=15\t0\t10\t10\t1.0000\t2.7888
+l=17\t0\t10\t10\t1.0000\t3.5839
 baseline(l=9)\t2.000e-3\t-\t-\t0.5618\t1.7799
-l=11\t2.000e-3\t39\t40\t0.9750\t1.5353
-l=13\t2.000e-3\t39\t40\t0.9750\t2.1468
-l=15\t2.000e-3\t40\t40\t1.0000\t2.7888
-l=17\t2.000e-3\t40\t40\t1.0000\t3.5839
+l=11\t2.000e-3\t10\t10\t1.0000\t1.4969
+l=13\t2.000e-3\t10\t10\t1.0000\t2.0932
+l=15\t2.000e-3\t10\t10\t1.0000\t2.7888
+l=17\t2.000e-3\t10\t10\t1.0000\t3.5839
 baseline(l=9)\t4.000e-3\t-\t-\t0.3153\t3.1718
-l=11\t4.000e-3\t37\t40\t0.9250\t1.6183
-l=13\t4.000e-3\t39\t40\t0.9750\t2.1468
-l=15\t4.000e-3\t40\t40\t1.0000\t2.7888
-l=17\t4.000e-3\t40\t40\t1.0000\t3.5839
+l=11\t4.000e-3\t10\t10\t1.0000\t1.4969
+l=13\t4.000e-3\t10\t10\t1.0000\t2.0932
+l=15\t4.000e-3\t10\t10\t1.0000\t2.7888
+l=17\t4.000e-3\t10\t10\t1.0000\t3.5839
 baseline(l=9)\t6.000e-3\t-\t-\t0.1767\t5.6588
 l=11\t6.000e-3\t31\t40\t0.7750\t1.9315
-l=13\t6.000e-3\t38\t40\t0.9500\t2.2033
-l=15\t6.000e-3\t40\t40\t1.0000\t2.7888
-l=17\t6.000e-3\t40\t40\t1.0000\t3.5839
+l=13\t6.000e-3\t10\t10\t1.0000\t2.0932
+l=15\t6.000e-3\t10\t10\t1.0000\t2.7888
+l=17\t6.000e-3\t10\t10\t1.0000\t3.5839
 baseline(l=9)\t8.000e-3\t-\t-\t0.0989\t10.1074
 l=11\t8.000e-3\t21\t40\t0.5250\t2.8512
-l=13\t8.000e-3\t37\t40\t0.9250\t2.2629
-l=15\t8.000e-3\t40\t40\t1.0000\t2.7888
-l=17\t8.000e-3\t40\t40\t1.0000\t3.5839
+l=13\t8.000e-3\t10\t10\t1.0000\t2.0932
+l=15\t8.000e-3\t10\t10\t1.0000\t2.7888
+l=17\t8.000e-3\t10\t10\t1.0000\t3.5839
 baseline(l=9)\t0.0100\t-\t-\t0.0553\t18.0744
 l=11\t0.0100\t17\t40\t0.4250\t3.5221
-l=13\t0.0100\t34\t40\t0.8500\t2.4626
-l=15\t0.0100\t39\t40\t0.9750\t2.8603
-l=17\t0.0100\t39\t40\t0.9750\t3.6757
+l=13\t0.0100\t10\t10\t1.0000\t2.0932
+l=15\t0.0100\t10\t10\t1.0000\t2.7888
+l=17\t0.0100\t10\t10\t1.0000\t3.5839
 baseline(l=9)\t0.0120\t-\t-\t0.0309\t32.3594
 l=11\t0.0120\t11\t40\t0.2750\t5.4433
 l=13\t0.0120\t27\t40\t0.6750\t3.1010
-l=15\t0.0120\t38\t40\t0.9500\t2.9356
-l=17\t0.0120\t39\t40\t0.9750\t3.6757
+l=15\t0.0120\t10\t10\t1.0000\t2.7888
+l=17\t0.0120\t10\t10\t1.0000\t3.5839
 baseline(l=9)\t0.0140\t-\t-\t0.0172\t58.0027
 l=11\t0.0140\t7\t40\t0.1750\t8.5537
 l=13\t0.0140\t22\t40\t0.5500\t3.8058
-l=15\t0.0140\t35\t40\t0.8750\t3.1872
-l=17\t0.0140\t38\t40\t0.9500\t3.7725
+l=15\t0.0140\t10\t10\t1.0000\t2.7888
+l=17\t0.0140\t10\t10\t1.0000\t3.5839
 baseline(l=9)\t0.0160\t-\t-\t9.607e-3\t104.0906
 l=11\t0.0160\t4\t40\t0.1000\t14.9689
 l=13\t0.0160\t15\t40\t0.3750\t5.5818
 l=15\t0.0160\t30\t40\t0.7500\t3.7184
-l=17\t0.0160\t36\t40\t0.9000\t3.9821
+l=17\t0.0160\t28\t32\t0.8750\t4.0958
 baseline(l=9)\t0.0180\t-\t-\t5.347e-3\t187.0215
 l=11\t0.0180\t1\t40\t0.0250\t59.8758
 l=13\t0.0180\t11\t40\t0.2750\t7.6115
 l=15\t0.0180\t26\t40\t0.6500\t4.2905
-l=17\t0.0180\t34\t40\t0.8500\t4.2163
+l=17\t0.0180\t31\t37\t0.8378\t4.2775
 baseline(l=9)\t0.0200\t-\t-\t2.972e-3\t336.4265
 l=11\t0.0200\t1\t40\t0.0250\t59.8758
 l=13\t0.0200\t7\t40\t0.1750\t11.9610

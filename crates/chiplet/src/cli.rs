@@ -159,6 +159,20 @@ impl<'a> Flags<'a> {
     }
 }
 
+/// The flag naming a worker's shard, `--shard i/N`.
+pub const SHARD_FLAG: &str = "--shard";
+/// The flag naming the directory a worker keeps its state files in.
+pub const CHECKPOINT_FLAG: &str = "--checkpoint";
+/// The flag making a worker resume from its state files.
+pub const RESUME_FLAG: &str = "--resume";
+
+/// The flags a coordinator owns on a worker's command line: the three
+/// `dqec_sweep::shard::worker_args` writes, and `--out`, because a
+/// shard's output is its state file. Pass-through arguments must not
+/// contain them; `dqec_dist run` and the serve agent's shard requests
+/// both refuse them.
+pub const COORDINATOR_FLAGS: [&str; 4] = [SHARD_FLAG, CHECKPOINT_FLAG, RESUME_FLAG, "--out"];
+
 /// This process's arguments without the program name.
 pub fn args() -> Vec<String> {
     std::env::args().skip(1).collect()

@@ -359,11 +359,6 @@ impl AdaptedPatch {
         self.sites.live_support(face).collect()
     }
 
-    /// Number of active data qubits.
-    pub fn num_live_data(&self) -> usize {
-        self.layout.data_sites().count() - self.dead_data.len()
-    }
-
     /// The shortest logical chain's weight and the number of such
     /// chains on the `check_basis` graph, as post-validation found them
     /// (`None` for a degenerate patch or a lattice without two voids).

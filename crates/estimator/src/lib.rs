@@ -20,5 +20,7 @@ pub mod topological;
 
 pub use application::ApplicationSpec;
 pub use fidelity::{distance_distribution, expected_logical_error, fidelity_from_distances};
-pub use resources::{defect_intolerant_row, no_defect_row, super_stabilizer_row, ResourceRow};
+pub use resources::{
+    candidate_populations, defect_intolerant_row, no_defect_row, super_stabilizer_row, ResourceRow,
+};
 pub use topological::logical_error_per_patch_cycle;

@@ -3,14 +3,11 @@
 use crate::application::ApplicationSpec;
 use dqec_chiplet::criteria::QualityTarget;
 use dqec_chiplet::defect_model::DefectModel;
-use dqec_chiplet::yields::{
-    overhead_factor, sample_indicators_range, yield_from_indicators, SampleConfig,
-};
+use dqec_chiplet::yields::{overhead_factor, yield_from_indicators, SampleConfig};
 use dqec_core::indicators::PatchIndicators;
 use dqec_core::layout::PatchLayout;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// One row of the paper's resource tables.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,57 +50,59 @@ pub fn defect_intolerant_row(spec: &ApplicationSpec, model: DefectModel, rate: f
     }
 }
 
-/// The super-stabilizer approach: sweep chiplet sizes, post-select with
-/// the paper's criterion, and report the size minimizing the overhead.
-///
-/// Also returns the sampled indicators of the chosen size (for fidelity
-/// estimation downstream). `None` when `candidate_ls` is empty.
-pub fn super_stabilizer_row(
-    spec: &ApplicationSpec,
+/// The chiplet populations a super-stabilizer size sweep draws: one per
+/// size in `candidate_ls`, in order, each with its own ChaCha8-derived
+/// seed so the populations are decorrelated rather than replaying one
+/// stream per size.
+pub fn candidate_populations(
     model: DefectModel,
     rate: f64,
     candidate_ls: &[u32],
-    samples: usize,
     seed: u64,
+) -> Vec<SampleConfig> {
+    let mut seed_stream = ChaCha8Rng::seed_from_u64(seed);
+    candidate_ls
+        .iter()
+        .map(|&l| SampleConfig {
+            seed: seed_stream.gen::<u64>(),
+            ..SampleConfig::new(l, model, rate)
+        })
+        .collect()
+}
+
+/// The super-stabilizer approach: post-select each candidate
+/// population `(l, chiplets)` — typically drawn from
+/// [`candidate_populations`] — with the paper's criterion, and report
+/// the size minimizing the overhead; the first such size on a tie.
+///
+/// Also returns the chosen size's chiplets (for fidelity estimation
+/// downstream). `None` when there is no candidate.
+pub fn super_stabilizer_row(
+    spec: &ApplicationSpec,
+    candidates: impl IntoIterator<Item = (u32, Vec<PatchIndicators>)>,
 ) -> Option<(ResourceRow, Vec<PatchIndicators>)> {
     let target = QualityTarget::defect_free(spec.target_distance);
-    // Candidate sizes are independent sweeps: evaluate them in parallel,
-    // each with its own ChaCha8-derived seed so the populations are
-    // decorrelated rather than replaying one stream per size.
-    let mut seed_stream = ChaCha8Rng::seed_from_u64(seed);
-    let seeded: Vec<(u32, u64)> = candidate_ls
-        .iter()
-        .map(|&l| (l, seed_stream.gen::<u64>()))
-        .collect();
-    let rows: Vec<(ResourceRow, Vec<PatchIndicators>)> = seeded
-        .into_par_iter()
-        .map(|(l, seed)| {
-            let config = SampleConfig {
-                seed,
-                ..SampleConfig::new(l, model, rate)
-            };
-            let inds = sample_indicators_range(&config, 0..samples);
-            let y = yield_from_indicators(&inds, &target).fraction();
-            let overhead = overhead_factor(l, y, spec.target_distance);
-            let row = ResourceRow {
-                label: "super-stabilizer".into(),
-                l,
-                yield_fraction: y,
-                overhead,
-                total_qubits: spec.ideal_qubits() as f64 * overhead,
-            };
-            (row, inds)
-        })
-        .collect();
+    let rows = candidates.into_iter().map(|(l, inds)| {
+        let y = yield_from_indicators(&inds, &target).fraction();
+        let overhead = overhead_factor(l, y, spec.target_distance);
+        let row = ResourceRow {
+            label: "super-stabilizer".into(),
+            l,
+            yield_fraction: y,
+            overhead,
+            total_qubits: spec.ideal_qubits() as f64 * overhead,
+        };
+        (row, inds)
+    });
     // `min_by` keeps the first (smallest) candidate on ties — including
     // the all-infinite-overhead zero-yield regime.
-    rows.into_iter()
-        .min_by(|a, b| a.0.overhead.total_cmp(&b.0.overhead))
+    rows.min_by(|a, b| a.0.overhead.total_cmp(&b.0.overhead))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dqec_core::adapt::AdaptedPatch;
 
     #[test]
     fn no_defect_is_the_reference() {
@@ -152,6 +151,19 @@ mod tests {
         );
     }
 
+    /// `n` chiplets of `config`'s size, model and rate, the `i`-th
+    /// drawn from a ChaCha8 stream seeded with `config.seed + i`.
+    fn chiplets(config: &SampleConfig, n: u64) -> Vec<PatchIndicators> {
+        let layout = PatchLayout::memory(config.l);
+        (0..n)
+            .map(|i| {
+                let mut rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(i));
+                let defects = config.model.sample(&layout, config.rate, &mut rng);
+                PatchIndicators::of(&AdaptedPatch::new(layout.clone(), &defects))
+            })
+            .collect()
+    }
+
     #[test]
     fn super_stabilizer_beats_defect_intolerant() {
         // Scaled-down variant: target d=5 at 1% defects.
@@ -162,8 +174,9 @@ mod tests {
             p_phys: 1e-3,
         };
         let intolerant = defect_intolerant_row(&spec, DefectModel::LinkAndQubit, 0.01);
-        let (ss, inds) =
-            super_stabilizer_row(&spec, DefectModel::LinkAndQubit, 0.01, &[7, 9], 400, 9).unwrap();
+        let populations = candidate_populations(DefectModel::LinkAndQubit, 0.01, &[7, 9], 9);
+        let drawn = populations.iter().map(|c| (c.l, chiplets(c, 400)));
+        let (ss, inds) = super_stabilizer_row(&spec, drawn).unwrap();
         assert!(
             ss.overhead < intolerant.overhead,
             "{} !< {}",
@@ -176,8 +189,17 @@ mod tests {
     #[test]
     fn no_candidate_sizes_is_none() {
         let spec = ApplicationSpec::shor_2048();
-        assert!(
-            super_stabilizer_row(&spec, DefectModel::LinkAndQubit, 0.001, &[], 10, 1).is_none()
-        );
+        assert!(candidate_populations(DefectModel::LinkAndQubit, 0.001, &[], 1).is_empty());
+        assert!(super_stabilizer_row(&spec, []).is_none());
+    }
+
+    /// Candidates of equal overhead (here all at zero yield) go to the
+    /// first one given.
+    #[test]
+    fn ties_go_to_the_first_candidate() {
+        let spec = ApplicationSpec::shor_2048();
+        let (row, _) = super_stabilizer_row(&spec, [(31, Vec::new()), (29, Vec::new())]).unwrap();
+        assert_eq!(row.l, 31);
+        assert_eq!(row.overhead, f64::INFINITY);
     }
 }

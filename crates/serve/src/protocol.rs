@@ -43,6 +43,7 @@
 //! scheduling — which is what the conformance gate diffs between a
 //! served session and a one-shot CLI run.
 
+use dqec_chiplet::cli::COORDINATOR_FLAGS;
 use dqec_chiplet::json::{self, Json};
 use dqec_chiplet::runner::DecoderChoice;
 use dqec_core::{Coord, DefectSet};
@@ -197,7 +198,7 @@ impl ShardRequest {
                 self.index, self.count
             ));
         }
-        for owned in ["--shard", "--checkpoint", "--resume", "--out"] {
+        for owned in COORDINATOR_FLAGS {
             if self.args.iter().any(|a| a == owned) {
                 return Err(format!("{owned} is agent-owned and cannot appear in args"));
             }
@@ -947,6 +948,23 @@ mod tests {
         let parsed = parse_response(&err.render_line()).unwrap();
         assert_eq!(parsed, err);
         assert!(!err.normalized_line().contains("detail"));
+    }
+
+    /// Every flag the coordinator writes itself is refused in a shard
+    /// request's pass-through arguments.
+    #[test]
+    fn shard_requests_refuse_every_coordinator_flag() {
+        for owned in COORDINATOR_FLAGS {
+            let req = ShardRequest {
+                id: 1,
+                bin: "fig06_ler_curves".to_string(),
+                index: 0,
+                count: 2,
+                args: vec!["--shots".to_string(), owned.to_string()],
+            };
+            let err = req.validate().unwrap_err();
+            assert!(err.contains(owned) && err.contains("agent-owned"), "{err}");
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! shard can be re-run independently (straggler re-dispatch, crash
 //! resume) without consulting the others.
 
+pub use dqec_chiplet::cli::{CHECKPOINT_FLAG, COORDINATOR_FLAGS, RESUME_FLAG, SHARD_FLAG};
 use dqec_core::CoreError;
 use std::fmt;
 use std::ops::Range;
@@ -97,18 +98,6 @@ pub fn parse_state_file_name(name: &str) -> Option<(&str, Shard)> {
     // Only the canonical spelling (no `+1`, no leading zeros).
     (state_file_name(tag, Some(shard)) == name).then_some((tag, shard))
 }
-
-/// The flag naming a worker's shard, `--shard i/N`.
-pub const SHARD_FLAG: &str = "--shard";
-/// The flag naming the directory a worker keeps its state files in.
-pub const CHECKPOINT_FLAG: &str = "--checkpoint";
-/// The flag making a worker resume from its state files.
-pub const RESUME_FLAG: &str = "--resume";
-
-/// The flags a coordinator owns on a worker's command line: the three
-/// [`worker_args`] writes, and `--out`, because a shard's output is its
-/// state file. Pass-through arguments must not contain them.
-pub const COORDINATOR_FLAGS: [&str; 4] = [SHARD_FLAG, CHECKPOINT_FLAG, RESUME_FLAG, "--out"];
 
 /// The coordinator's part of a worker's command line, and the one place
 /// it is written: `--shard i/N` for a shard worker (none for the run

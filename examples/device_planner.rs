@@ -7,9 +7,11 @@
 
 use dqec::chiplet::criteria::QualityTarget;
 use dqec::chiplet::defect_model::DefectModel;
+use dqec::chiplet::yields::sample_indicators_range;
 use dqec::estimator::fidelity::{distance_distribution, fidelity_from_distances};
 use dqec::estimator::{
-    defect_intolerant_row, no_defect_row, super_stabilizer_row, ApplicationSpec,
+    candidate_populations, defect_intolerant_row, no_defect_row, super_stabilizer_row,
+    ApplicationSpec,
 };
 
 fn main() {
@@ -28,14 +30,11 @@ fn main() {
     let ideal = no_defect_row(&spec);
     let intolerant = defect_intolerant_row(&spec, DefectModel::LinkAndQubit, rate);
     let candidates: Vec<u32> = (0..5).map(|i| spec.target_distance + 2 + 2 * i).collect();
-    let Some((ss, inds)) = super_stabilizer_row(
-        &spec,
-        DefectModel::LinkAndQubit,
-        rate,
-        &candidates,
-        samples,
-        777,
-    ) else {
+    let populations = candidate_populations(DefectModel::LinkAndQubit, rate, &candidates, 777);
+    let drawn = populations
+        .iter()
+        .map(|config| (config.l, sample_indicators_range(config, 0..samples)));
+    let Some((ss, inds)) = super_stabilizer_row(&spec, drawn) else {
         eprintln!("device_planner: no candidate chiplet sizes");
         std::process::exit(1);
     };
