@@ -403,7 +403,8 @@ impl NoiseProb {
 /// byte-identity contracts rest on that.
 ///
 /// Each reset and measurement randomizes its qubit's Z frame (Stim's
-/// model of collapse). [`FrameProgram::new`] marks such a *gauge* live
+/// model of collapse), and so does the circuit's start, since every
+/// qubit begins in |0>. [`FrameProgram::new`] marks such a *gauge* live
 /// when that random Z frame can flip some detector or observable, which
 /// one backward pass over the instructions decides: a gate maps the
 /// detectors and observables each frame bit reaches as it maps frames,
@@ -411,7 +412,9 @@ impl NoiseProb {
 /// An inert gauge's words cannot change any table, so the sampler skips
 /// them with [`rand::RngCore::discard_u64s`] instead of generating
 /// them: the tables and the RNG's position are those of drawing every
-/// word.
+/// word. An initial gauge draws only when live, before the first
+/// instruction, so a circuit that resets every qubit before using it
+/// draws exactly what it drew before initial gauges were modelled.
 #[derive(Debug, Clone)]
 pub struct FrameProgram {
     num_qubits: usize,
@@ -426,6 +429,8 @@ pub struct FrameProgram {
     obs_rows: Vec<u32>,
     num_detectors: usize,
     num_observables: usize,
+    /// One flag per gauge, see [`FrameProgram::live_gauges`].
+    live: Vec<bool>,
 }
 
 /// Reusable working memory of [`FrameProgram::sample`]: the X and Z
@@ -602,6 +607,7 @@ impl FrameProgram {
             obs_rows,
             num_detectors: circuit.detectors().len(),
             num_observables: circuit.observables().len(),
+            live: Vec::new(),
         };
         program.mark_live_gauges();
         program
@@ -671,6 +677,23 @@ impl FrameProgram {
                 Instr::Noise1 { .. } | Instr::Depolarize2 { .. } => {}
             }
         }
+        // The circuit starts every qubit in |0>, whose Z frame is as
+        // random as a reset's.
+        let initial = (0..self.num_qubits as u32).map(|q| sz[row(q)].iter().any(|&word| word != 0));
+        self.live = initial
+            .chain(self.instrs.iter().filter_map(|instr| match *instr {
+                Instr::Reset { live, .. } | Instr::Measure { live, .. } => Some(live),
+                _ => None,
+            }))
+            .collect();
+    }
+
+    /// One flag per *gauge* (a random Z frame) of the circuit: first
+    /// the initial |0> of each qubit, in qubit order, then every reset
+    /// and measurement, in circuit order. A flag is set when the
+    /// gauge's Z frame can flip some detector or observable.
+    pub fn live_gauges(&self) -> &[bool] {
+        &self.live
     }
 
     /// Samples `shots` noisy executions into `scratch` and returns the
@@ -714,6 +737,15 @@ impl FrameProgram {
             }
         };
 
+        for (q, _) in self.live[..self.num_qubits]
+            .iter()
+            .enumerate()
+            .filter(|(_, &live)| live)
+        {
+            for (i, word) in fz[q * w..(q + 1) * w].iter_mut().enumerate() {
+                *word = random_word(i, rng);
+            }
+        }
         let mut measurement = 0usize;
         for instr in &self.instrs {
             match *instr {

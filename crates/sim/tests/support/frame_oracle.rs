@@ -12,7 +12,7 @@
 use crate::circuit::{Circuit, Gate1, Gate2, Noise1, Op};
 use crate::frame::{BitTable, FrameProgram, FrameScratch, ShotBatch};
 use crate::pauli::Pauli;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
 /// Samples `shots` shots of `c` through `program` (twice over one
 /// scratch, so buffer reuse is covered) and through the interpreter,
@@ -30,7 +30,7 @@ pub fn assert_program_matches<R: Rng + Clone>(
     let mut warm = rng.clone();
     program.sample(shots.max(7) - 3, &mut warm, &mut scratch);
     let (mut ours, mut theirs) = (rng.clone(), rng.clone());
-    let want = reference_sample(c, shots, &mut theirs);
+    let want = reference_sample(c, shots, &mut theirs, program.live_gauges());
     let got = program.sample(shots, &mut ours, &mut scratch);
     assert!(*got == want, "tables differ at {shots} shots");
     assert_eq!(
@@ -42,7 +42,16 @@ pub fn assert_program_matches<R: Rng + Clone>(
 }
 
 /// Samples `shots` noisy executions of `c` by walking its operations.
-pub fn reference_sample<R: Rng>(c: &Circuit, shots: usize, rng: &mut R) -> ShotBatch {
+///
+/// `live` is the program's [`FrameProgram::live_gauges`]: a qubit whose
+/// initial Z frame is live draws it from `rng`; any other qubit takes
+/// one from a generator of its own, which must not show in the tables.
+pub fn reference_sample<R: Rng>(
+    c: &Circuit,
+    shots: usize,
+    rng: &mut R,
+    live: &[bool],
+) -> ShotBatch {
     let nq = c.num_qubits() as usize;
     let w = shots.div_ceil(64).max(1);
     let mut fx = vec![0u64; nq * w];
@@ -57,7 +66,8 @@ pub fn reference_sample<R: Rng>(c: &Circuit, shots: usize, rng: &mut R) -> ShotB
     } else {
         (1u64 << tail_bits) - 1
     };
-    let fill_random = |dst: &mut [u64], rng: &mut R| {
+    fn fill_random<G: Rng>(dst: &mut [u64], rng: &mut G, tail_mask: u64) {
+        let w = dst.len();
         for (i, word) in dst.iter_mut().enumerate() {
             let mut r: u64 = rng.gen();
             if i == w - 1 {
@@ -65,8 +75,16 @@ pub fn reference_sample<R: Rng>(c: &Circuit, shots: usize, rng: &mut R) -> ShotB
             }
             *word = r;
         }
-    };
+    }
 
+    let mut elsewhere = rand::rngs::StdRng::seed_from_u64(0x1a7e);
+    for (q, &live) in live[..nq].iter().enumerate() {
+        if live {
+            fill_random(&mut fz[q * w..(q + 1) * w], rng, tail_mask);
+        } else {
+            fill_random(&mut fz[q * w..(q + 1) * w], &mut elsewhere, tail_mask);
+        }
+    }
     for op in c.ops() {
         match *op {
             Op::Gate1 { kind: Gate1::H, q } => {
@@ -109,7 +127,7 @@ pub fn reference_sample<R: Rng>(c: &Circuit, shots: usize, rng: &mut R) -> ShotB
             Op::Reset { q } => {
                 let q = q as usize;
                 fx[q * w..(q + 1) * w].fill(0);
-                fill_random(&mut fz[q * w..(q + 1) * w], rng);
+                fill_random(&mut fz[q * w..(q + 1) * w], rng, tail_mask);
             }
             Op::Measure { q } => {
                 let q = q as usize;
@@ -120,7 +138,7 @@ pub fn reference_sample<R: Rng>(c: &Circuit, shots: usize, rng: &mut R) -> ShotB
                 // Randomize the anticommuting part of the frame to
                 // model measurement collapse (Stim's convention).
                 let mut scratch = vec![0u64; w];
-                fill_random(&mut scratch, rng);
+                fill_random(&mut scratch, rng, tail_mask);
                 for i in 0..w {
                     fz[q * w + i] ^= scratch[i];
                 }
