@@ -327,22 +327,63 @@ impl<'a> FrameSampler<'a> {
     }
 }
 
-/// One instruction of a [`FrameProgram`]. Qubits index frame rows;
-/// `prob` indexes the program's table of distinct noise probabilities;
-/// the `k`-th `Measure` of the program owns the `k`-th span of the
-/// detector and observable feed lists. `live` marks a reset or
-/// measurement whose random Z frame can reach a detector or observable
-/// (see [`FrameProgram::mark_live_gauges`]).
+/// What a noise channel can place on its qubits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ChannelKind {
+    /// `X` on its qubit.
+    X,
+    /// `Z` on its qubit.
+    Z,
+    /// One of `X`, `Y`, `Z` on its qubit, uniformly.
+    Depolarize1,
+    /// One of the fifteen non-identity Pauli pairs on its two qubits,
+    /// uniformly.
+    Depolarize2,
+}
+
+impl ChannelKind {
+    /// Draws the Pauli a firing channel places, as the `(x, z)` bits of
+    /// its first qubit followed by those of its second.
+    #[inline]
+    fn draw<R: Rng>(self, rng: &mut R) -> [bool; 4] {
+        match self {
+            ChannelKind::X => [true, false, false, false],
+            ChannelKind::Z => [false, true, false, false],
+            ChannelKind::Depolarize1 => {
+                let (x, z) = Pauli::ONE_QUBIT_ERRORS[rng.gen_range(0..3usize)].xz();
+                [x, z, false, false]
+            }
+            ChannelKind::Depolarize2 => {
+                let (pa, pb) = Pauli::TWO_QUBIT_ERRORS[rng.gen_range(0..15usize)];
+                let ((ax, az), (bx, bz)) = (pa.xz(), pb.xz());
+                [ax, az, bx, bz]
+            }
+        }
+    }
+}
+
+/// One noise channel of a [`FrameProgram`], compiled to its symptom:
+/// segment `i` of the program's output list, `outputs[at[i]..at[i +
+/// 1]]`, holds the outputs that the `i`-th bit of
+/// [`ChannelKind::draw`] flips (an X on the first qubit, a Z on it, an
+/// X on the second, a Z on it); a segment the kind cannot reach is
+/// empty.
 #[derive(Debug, Clone, Copy)]
-enum Instr {
-    H { q: u32 },
-    S { q: u32 },
-    Cx { c: u32, t: u32 },
-    Cz { a: u32, b: u32 },
-    Reset { q: u32, live: bool },
-    Measure { q: u32, live: bool },
-    Noise1 { kind: Noise1, q: u32, prob: u32 },
-    Depolarize2 { a: u32, b: u32, prob: u32 },
+struct Channel {
+    kind: ChannelKind,
+    /// Index into the program's `probs`.
+    prob: u32,
+    at: [u32; 5],
+}
+
+/// One random draw of a [`FrameProgram`], in circuit order.
+#[derive(Debug, Clone, Copy)]
+enum Draw {
+    /// A reset or measurement: one word per 64 shots, XORed into the
+    /// outputs `outputs[at[0]..at[1]]` (none for an inert gauge).
+    Gauge { at: [u32; 2] },
+    /// A noise channel of non-zero probability.
+    Channel(Channel),
 }
 
 /// Relative slack of the first-draw no-hit threshold, see
@@ -389,58 +430,55 @@ impl NoiseProb {
     }
 }
 
-/// A [`Circuit`] compiled for repeated frame sampling: a flat
-/// instruction list (identity gates and ticks dropped), per-measurement
-/// lists of the detector and observable rows the measurement feeds (so
-/// record flips are XORed straight into the output tables and no
-/// record table exists), and the table of distinct noise probabilities.
+/// A [`Circuit`] compiled for repeated frame sampling: the *symptom* of
+/// every random step — the detectors and observables (its outputs) it
+/// flips — so that sampling never interprets a gate.
+///
+/// A shot's state is a Pauli frame, and every table is XOR-linear in
+/// the frame bits injected into it: each reset and measurement
+/// randomizes its qubit's Z frame (Stim's model of collapse), and so
+/// does the circuit's start, since every qubit begins in |0>; each
+/// noise channel that fires places a Pauli. One backward pass of
+/// [`FrameProgram::new`] gives each qubit an X and a Z *sensitivity
+/// row*, the outputs an X or Z frame bit on it at that point would
+/// flip, and records the rows each random step meets. Sampling then
+/// XORs each injected bit's rows into its shot's column.
+///
+/// A *gauge* (a random Z frame) whose Z row is empty is inert: no value
+/// of its words can change a table. [`FrameProgram::live_gauges`]
+/// lists the verdicts.
 ///
 /// [`FrameProgram::sample`] advances the RNG in exactly the order the
 /// circuit's operations prescribe — by one `u64` per 64 shots for each
 /// reset and each measurement, one geometric draw sequence per noise
 /// channel — so tables and the RNG's final position are a pure function
 /// of `(circuit, shots, rng)`; the checkpoint, shard and serve
-/// byte-identity contracts rest on that.
-///
-/// Each reset and measurement randomizes its qubit's Z frame (Stim's
-/// model of collapse), and so does the circuit's start, since every
-/// qubit begins in |0>. [`FrameProgram::new`] marks such a *gauge* live
-/// when that random Z frame can flip some detector or observable, which
-/// one backward pass over the instructions decides: a gate maps the
-/// detectors and observables each frame bit reaches as it maps frames,
-/// and a gauge is live iff its qubit's Z bit reaches any just after it.
-/// An inert gauge's words cannot change any table, so the sampler skips
-/// them with [`rand::RngCore::discard_u64s`] instead of generating
-/// them: the tables and the RNG's position are those of drawing every
-/// word. An initial gauge draws only when live, before the first
-/// instruction, so a circuit that resets every qubit before using it
-/// draws exactly what it drew before initial gauges were modelled.
+/// byte-identity contracts rest on that. An inert gauge's words are
+/// skipped with [`rand::RngCore::discard_u64s`] instead of generated,
+/// which leaves the RNG where drawing them would. An initial gauge
+/// draws only when live, before the first operation, so a circuit that
+/// resets every qubit before using it draws nothing for its start.
 #[derive(Debug, Clone)]
 pub struct FrameProgram {
-    num_qubits: usize,
-    instrs: Vec<Instr>,
-    probs: Vec<NoiseProb>,
-    /// CSR over measurements: measurement `k` feeds detector rows
-    /// `det_rows[det_offsets[k]..det_offsets[k + 1]]`.
-    det_offsets: Vec<u32>,
-    det_rows: Vec<u32>,
-    /// The same for observable rows.
-    obs_offsets: Vec<u32>,
-    obs_rows: Vec<u32>,
     num_detectors: usize,
     num_observables: usize,
+    probs: Vec<NoiseProb>,
+    /// The live initial gauges, in qubit order.
+    initial: Vec<[u32; 2]>,
+    draws: Vec<Draw>,
+    /// Every symptom segment's outputs: detector `d` is `d`, observable
+    /// `o` is `num_detectors + o`.
+    outputs: Vec<u32>,
     /// One flag per gauge, see [`FrameProgram::live_gauges`].
     live: Vec<bool>,
 }
 
-/// Reusable working memory of [`FrameProgram::sample`]: the X and Z
-/// frame tables, the per-probability no-hit thresholds, and the output
-/// batch. Buffers grow to the largest `(circuit, shots)` sampled and
-/// are then reused, so a warm sample allocates nothing.
+/// Reusable working memory of [`FrameProgram::sample`]: the
+/// per-probability no-hit thresholds and the output batch. Buffers grow
+/// to the largest `(circuit, shots)` sampled and are then reused, so a
+/// warm sample allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct FrameScratch {
-    fx: Vec<u64>,
-    fz: Vec<u64>,
     thresholds: Vec<f64>,
     batch: ShotBatch,
 }
@@ -521,171 +559,278 @@ fn feeds<'a>(
     (offsets, rows)
 }
 
-/// Rows `a != b` of a `w`-words-per-row table, both mutable.
-#[inline]
-fn two_rows(table: &mut [u64], w: usize, a: usize, b: usize) -> (&mut [u64], &mut [u64]) {
-    if a < b {
-        let (lo, hi) = table.split_at_mut(b * w);
-        (&mut lo[a * w..(a + 1) * w], &mut hi[..w])
-    } else {
-        let (lo, hi) = table.split_at_mut(a * w);
-        (&mut hi[..w], &mut lo[b * w..(b + 1) * w])
-    }
+/// The sensitivity rows of [`FrameProgram::new`]'s backward pass: for
+/// each qubit `q`, row `2q` (X) and row `2q + 1` (Z) hold the outputs
+/// an X or Z frame bit on `q` would flip, as `wd` detector words and
+/// then `w - wd` observable words. A row's detector words are zero
+/// outside its span, so its cost follows the few rounds of detectors
+/// it reaches rather than the whole circuit's.
+struct Sensitivity {
+    num_detectors: usize,
+    /// Words per row.
+    w: usize,
+    /// Detector words per row.
+    wd: usize,
+    words: Vec<u64>,
+    /// Per row, the detector words `lo..hi` that may be non-zero;
+    /// [`EMPTY`] when none may, so that spans unite by `min` and `max`.
+    span: Vec<(u32, u32)>,
 }
 
-#[inline]
-fn xor_into(dst: &mut [u64], src: &[u64]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d ^= *s;
+/// The span of no words.
+const EMPTY: (u32, u32) = (u32::MAX, 0);
+
+impl Sensitivity {
+    fn new(num_qubits: usize, num_detectors: usize, num_observables: usize) -> Self {
+        let wd = num_detectors.div_ceil(64);
+        let w = wd + num_observables.div_ceil(64);
+        Sensitivity {
+            num_detectors,
+            w,
+            wd,
+            words: vec![0; 2 * num_qubits * w],
+            span: vec![EMPTY; 2 * num_qubits],
+        }
+    }
+
+    /// `row[dst] ^= row[src]`, for `dst != src`.
+    fn xor(&mut self, dst: usize, src: usize) {
+        let (lo, hi) = self.span[src];
+        let into = &mut self.span[dst];
+        *into = (into.0.min(lo), into.1.max(hi));
+        let (d, s) = (dst * self.w, src * self.w);
+        for i in (lo as usize..hi as usize).chain(self.wd..self.w) {
+            let word = self.words[s + i];
+            self.words[d + i] ^= word;
+        }
+    }
+
+    /// Exchanges rows `a` and `b`.
+    fn swap(&mut self, a: usize, b: usize) {
+        let (sa, sb) = (self.span[a], self.span[b]);
+        let (lo, hi) = (sa.0.min(sb.0) as usize, sa.1.max(sb.1) as usize);
+        for i in (lo..hi).chain(self.wd..self.w) {
+            self.words.swap(a * self.w + i, b * self.w + i);
+        }
+        self.span.swap(a, b);
+    }
+
+    /// Empties row `r`.
+    fn clear(&mut self, r: usize) {
+        let (lo, hi) = std::mem::replace(&mut self.span[r], EMPTY);
+        for i in (lo as usize..hi as usize).chain(self.wd..self.w) {
+            self.words[r * self.w + i] = 0;
+        }
+    }
+
+    /// Flips output `out` (detectors first, then observables) in row
+    /// `r`.
+    fn flip(&mut self, r: usize, out: usize) {
+        let (i, bit) = if out < self.num_detectors {
+            let i = out / 64;
+            let span = &mut self.span[r];
+            *span = (span.0.min(i as u32), span.1.max(i as u32 + 1));
+            (i, out % 64)
+        } else {
+            let o = out - self.num_detectors;
+            (self.wd + o / 64, o % 64)
+        };
+        self.words[r * self.w + i] ^= 1 << bit;
+    }
+
+    /// Appends the outputs of row `r` to `outputs`, ascending, and
+    /// returns the new length: the end of the segment they form. Trims
+    /// the row's span to its non-zero words on the way.
+    fn push(&mut self, r: usize, outputs: &mut Vec<u32>) -> u32 {
+        let (lo, hi) = self.span[r];
+        let row = &self.words[r * self.w..(r + 1) * self.w];
+        let mut trimmed = EMPTY;
+        for i in lo..hi {
+            let word = row[i as usize];
+            if word != 0 {
+                trimmed = (trimmed.0.min(i), i + 1);
+                let mut bits = word;
+                while bits != 0 {
+                    outputs.push(i * 64 + bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+            }
+        }
+        self.span[r] = trimmed;
+        for (i, &word) in row[self.wd..].iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                outputs.push((self.num_detectors + i * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        outputs.len() as u32
     }
 }
 
 impl FrameProgram {
-    /// Compiles `circuit`.
+    /// Compiles `circuit` in one backward pass.
+    ///
+    /// Walking the circuit backwards from empty sensitivity rows (one
+    /// bit per detector, then one per observable), each gate conjugates
+    /// the rows as it conjugates frames: H swaps them, S does
+    /// `x ^= z`, CX(c, t) does `x[c] ^= x[t]` and `z[t] ^= z[c]`,
+    /// CZ(a, b) does `x[a] ^= z[b]` and `x[b] ^= z[a]`. A measurement
+    /// records `z[q]` as its gauge's rows and then adds the outputs it
+    /// feeds to `x[q]`, since an X bit flips its record and survives
+    /// it. A reset records `z[q]` as its gauge's rows and then clears
+    /// both rows, since no earlier frame bit on `q` survives it. A
+    /// noise channel records the rows of its qubits. What is left at
+    /// the start are the initial gauges' rows.
     ///
     /// # Panics
     ///
     /// Panics on a two-qubit operation whose qubits coincide, which
     /// [`Circuit`]'s builder methods reject.
     pub fn new(circuit: &Circuit) -> Self {
-        let mut instrs = Vec::with_capacity(circuit.ops().len());
         let mut probs: Vec<NoiseProb> = Vec::new();
-        let mut prob_index = |p: f64| -> u32 {
-            let at = probs
+        let mut num_draws = 0;
+        for op in circuit.ops() {
+            num_draws += usize::from(matches!(
+                op,
+                Op::Reset { .. } | Op::Measure { .. } | Op::Noise1 { .. } | Op::Depolarize2 { .. }
+            ));
+            if let Op::Noise1 { p, .. } | Op::Depolarize2 { p, .. } = *op {
+                if !probs.iter().any(|known| known.p.to_bits() == p.to_bits()) {
+                    probs.push(NoiseProb::new(p));
+                }
+            }
+        }
+        let prob_index = |p: f64| -> u32 {
+            probs
                 .iter()
                 .position(|known| known.p.to_bits() == p.to_bits())
-                .unwrap_or_else(|| {
-                    probs.push(NoiseProb::new(p));
-                    probs.len() - 1
-                });
-            at as u32
+                .map_or(0, |at| at as u32)
         };
-        for op in circuit.ops() {
+
+        let m = circuit.num_measurements() as usize;
+        let num_detectors = circuit.detectors().len();
+        let (det_offsets, det_rows) =
+            feeds(m, circuit.detectors().iter().map(|d| d.records.as_slice()));
+        let (obs_offsets, obs_rows) = feeds(m, circuit.observables().iter().map(Vec::as_slice));
+        let num_qubits = circuit.num_qubits() as usize;
+        let mut rows = Sensitivity::new(num_qubits, num_detectors, circuit.observables().len());
+        let (x, z) = (|q: u32| 2 * q as usize, |q: u32| 2 * q as usize + 1);
+
+        let mut outputs: Vec<u32> = Vec::with_capacity(4 * num_draws);
+        let mut draws: Vec<Draw> = Vec::with_capacity(num_draws);
+        let mut k = m;
+        for op in circuit.ops().iter().rev() {
             if let Op::Gate2 { a, b, .. } | Op::Depolarize2 { a, b, .. } = *op {
                 assert_ne!(a, b, "two-qubit operation on one qubit");
             }
-            instrs.push(match *op {
-                Op::Gate1 { kind: Gate1::H, q } => Instr::H { q },
-                Op::Gate1 { kind: Gate1::S, q } => Instr::S { q },
+            match *op {
+                Op::Gate1 { kind: Gate1::H, q } => rows.swap(x(q), z(q)),
+                Op::Gate1 { kind: Gate1::S, q } => rows.xor(x(q), z(q)),
                 // Paulis commute with a Pauli frame up to sign.
-                Op::Gate1 { .. } | Op::Tick => continue,
+                Op::Gate1 { .. } | Op::Tick => {}
                 Op::Gate2 {
                     kind: Gate2::Cx,
-                    a,
-                    b,
-                } => Instr::Cx { c: a, t: b },
+                    a: c,
+                    b: t,
+                } => {
+                    rows.xor(x(c), x(t));
+                    rows.xor(z(t), z(c));
+                }
                 Op::Gate2 {
                     kind: Gate2::Cz,
                     a,
                     b,
-                } => Instr::Cz { a, b },
-                Op::Reset { q } => Instr::Reset { q, live: true },
-                Op::Measure { q } => Instr::Measure { q, live: true },
-                Op::Noise1 { kind, q, p } => Instr::Noise1 {
-                    kind,
-                    q,
-                    prob: prob_index(p),
-                },
-                Op::Depolarize2 { a, b, p } => Instr::Depolarize2 {
-                    a,
-                    b,
-                    prob: prob_index(p),
-                },
-            });
-        }
-        let m = circuit.num_measurements() as usize;
-        let (det_offsets, det_rows) =
-            feeds(m, circuit.detectors().iter().map(|d| d.records.as_slice()));
-        let (obs_offsets, obs_rows) = feeds(m, circuit.observables().iter().map(Vec::as_slice));
-        let mut program = FrameProgram {
-            num_qubits: circuit.num_qubits() as usize,
-            instrs,
-            probs,
-            det_offsets,
-            det_rows,
-            obs_offsets,
-            obs_rows,
-            num_detectors: circuit.detectors().len(),
-            num_observables: circuit.observables().len(),
-            live: Vec::new(),
-        };
-        program.mark_live_gauges();
-        program
-    }
-
-    /// Sets `live` on every reset and measurement whose random Z frame
-    /// can flip a detector or observable, in one backward pass.
-    ///
-    /// Each qubit carries an X and a Z *sensitivity row*: the set of
-    /// detectors and observables (one bit each, observables after the
-    /// detectors) that an X or Z frame bit on the qubit at that point
-    /// would flip. Walking the program backwards from empty rows, each
-    /// gate conjugates the rows as it conjugates frames (H swaps them,
-    /// S does `x ^= z`, CX(c, t) does `x[c] ^= x[t]` and
-    /// `z[t] ^= z[c]`, CZ(a, b) does `x[a] ^= z[b]` and
-    /// `x[b] ^= z[a]`). A measurement is live iff `z[q]` is non-empty
-    /// just after it, and then adds the rows it feeds to `x[q]`, since
-    /// an X bit flips its record and survives it. A reset is live iff
-    /// `z[q]` is non-empty just after it, and then clears both rows,
-    /// since no earlier frame bit on `q` survives it. Noise never
-    /// changes which bits reach the outputs, only whether they are set.
-    ///
-    /// Tables are XOR-linear in the injected frame bits, so a gauge
-    /// whose rows are empty contributes nothing for any value of its
-    /// random words.
-    fn mark_live_gauges(&mut self) {
-        let w = (self.num_detectors + self.num_observables).div_ceil(64);
-        let (mut sx, mut sz) = (
-            vec![0u64; self.num_qubits * w],
-            vec![0u64; self.num_qubits * w],
-        );
-        let row = |q: u32| q as usize * w..(q as usize + 1) * w;
-        let mut k = self.det_offsets.len() - 1;
-        for instr in self.instrs.iter_mut().rev() {
-            match instr {
-                Instr::H { q } => sx[row(*q)].swap_with_slice(&mut sz[row(*q)]),
-                Instr::S { q } => xor_into(&mut sx[row(*q)], &sz[row(*q)]),
-                Instr::Cx { c, t } => {
-                    let (xc, xt) = two_rows(&mut sx, w, *c as usize, *t as usize);
-                    xor_into(xc, xt);
-                    let (zc, zt) = two_rows(&mut sz, w, *c as usize, *t as usize);
-                    xor_into(zt, zc);
+                } => {
+                    rows.xor(x(a), z(b));
+                    rows.xor(x(b), z(a));
                 }
-                Instr::Cz { a, b } => {
-                    xor_into(&mut sx[row(*a)], &sz[row(*b)]);
-                    xor_into(&mut sx[row(*b)], &sz[row(*a)]);
-                }
-                Instr::Measure { q, live } => {
+                Op::Measure { q } => {
                     k -= 1;
-                    *live = sz[row(*q)].iter().any(|&word| word != 0);
-                    let x = &mut sx[row(*q)];
-                    let dets = &self.det_rows
-                        [self.det_offsets[k] as usize..self.det_offsets[k + 1] as usize];
-                    let obs = self.obs_rows
-                        [self.obs_offsets[k] as usize..self.obs_offsets[k + 1] as usize]
+                    let start = outputs.len() as u32;
+                    let end = rows.push(z(q), &mut outputs);
+                    draws.push(Draw::Gauge { at: [start, end] });
+                    let dets = &det_rows[det_offsets[k] as usize..det_offsets[k + 1] as usize];
+                    let obs = obs_rows[obs_offsets[k] as usize..obs_offsets[k + 1] as usize]
                         .iter()
-                        .map(|&o| o as usize + self.num_detectors);
-                    for bit in dets.iter().map(|&d| d as usize).chain(obs) {
-                        x[bit / 64] ^= 1 << (bit % 64);
+                        .map(|&o| o as usize + num_detectors);
+                    for out in dets.iter().map(|&d| d as usize).chain(obs) {
+                        rows.flip(x(q), out);
                     }
                 }
-                Instr::Reset { q, live } => {
-                    *live = sz[row(*q)].iter().any(|&word| word != 0);
-                    sx[row(*q)].fill(0);
-                    sz[row(*q)].fill(0);
+                Op::Reset { q } => {
+                    let start = outputs.len() as u32;
+                    let end = rows.push(z(q), &mut outputs);
+                    draws.push(Draw::Gauge { at: [start, end] });
+                    rows.clear(x(q));
+                    rows.clear(z(q));
                 }
-                Instr::Noise1 { .. } | Instr::Depolarize2 { .. } => {}
+                // A channel that never fires is no draw at all.
+                Op::Noise1 { p, .. } | Op::Depolarize2 { p, .. } if p <= 0.0 => {}
+                Op::Noise1 { kind, q, p } => {
+                    let (kind, has_x, has_z) = match kind {
+                        Noise1::XError => (ChannelKind::X, true, false),
+                        Noise1::ZError => (ChannelKind::Z, false, true),
+                        Noise1::Depolarize1 => (ChannelKind::Depolarize1, true, true),
+                    };
+                    let start = outputs.len() as u32;
+                    let mid = if has_x {
+                        rows.push(x(q), &mut outputs)
+                    } else {
+                        start
+                    };
+                    let end = if has_z {
+                        rows.push(z(q), &mut outputs)
+                    } else {
+                        mid
+                    };
+                    draws.push(Draw::Channel(Channel {
+                        kind,
+                        prob: prob_index(p),
+                        at: [start, mid, end, end, end],
+                    }));
+                }
+                Op::Depolarize2 { a, b, p } => {
+                    let start = outputs.len() as u32;
+                    let at = [
+                        start,
+                        rows.push(x(a), &mut outputs),
+                        rows.push(z(a), &mut outputs),
+                        rows.push(x(b), &mut outputs),
+                        rows.push(z(b), &mut outputs),
+                    ];
+                    draws.push(Draw::Channel(Channel {
+                        kind: ChannelKind::Depolarize2,
+                        prob: prob_index(p),
+                        at,
+                    }));
+                }
             }
         }
-        // The circuit starts every qubit in |0>, whose Z frame is as
-        // random as a reset's.
-        let initial = (0..self.num_qubits as u32).map(|q| sz[row(q)].iter().any(|&word| word != 0));
-        self.live = initial
-            .chain(self.instrs.iter().filter_map(|instr| match *instr {
-                Instr::Reset { live, .. } | Instr::Measure { live, .. } => Some(live),
-                _ => None,
-            }))
-            .collect();
+        draws.reverse();
+        let mut live: Vec<bool> = Vec::new();
+        let mut initial = Vec::new();
+        for q in 0..num_qubits as u32 {
+            let start = outputs.len() as u32;
+            let end = rows.push(z(q), &mut outputs);
+            live.push(start < end);
+            if start < end {
+                initial.push([start, end]);
+            }
+        }
+        live.extend(draws.iter().filter_map(|draw| match *draw {
+            Draw::Gauge { at } => Some(at[0] < at[1]),
+            Draw::Channel(_) => None,
+        }));
+        FrameProgram {
+            num_detectors,
+            num_observables: circuit.observables().len(),
+            probs,
+            initial,
+            draws,
+            outputs,
+            live,
+        }
     }
 
     /// One flag per *gauge* (a random Z frame) of the circuit: first
@@ -694,6 +839,33 @@ impl FrameProgram {
     /// gauge's Z frame can flip some detector or observable.
     pub fn live_gauges(&self) -> &[bool] {
         &self.live
+    }
+
+    /// XORs `word` into word `i` of every output of
+    /// `outputs[at.start..at.end]`.
+    #[inline]
+    fn flip(&self, batch: &mut ShotBatch, at: std::ops::Range<u32>, i: usize, word: u64) {
+        for &out in &self.outputs[at.start as usize..at.end as usize] {
+            let out = out as usize;
+            let (table, row) = if out < self.num_detectors {
+                (&mut batch.detectors, out)
+            } else {
+                (&mut batch.observables, out - self.num_detectors)
+            };
+            table.data[row * table.words_per_row + i] ^= word;
+        }
+    }
+
+    /// Injects the Paulis `xz` (see [`ChannelKind::draw`]) of `channel`
+    /// into shot `shot`.
+    #[inline]
+    fn hit(&self, batch: &mut ShotBatch, channel: &Channel, xz: [bool; 4], shot: usize) {
+        let (i, bit) = (shot / 64, 1u64 << (shot % 64));
+        for (seg, on) in xz.into_iter().enumerate() {
+            if on {
+                self.flip(batch, channel.at[seg]..channel.at[seg + 1], i, bit);
+            }
+        }
     }
 
     /// Samples `shots` noisy executions into `scratch` and returns the
@@ -706,16 +878,7 @@ impl FrameProgram {
         scratch: &'s mut FrameScratch,
     ) -> &'s ShotBatch {
         let w = shots.div_ceil(64).max(1);
-        let FrameScratch {
-            fx,
-            fz,
-            thresholds,
-            batch,
-        } = scratch;
-        for frame in [&mut *fx, &mut *fz] {
-            frame.clear();
-            frame.resize(self.num_qubits * w, 0);
-        }
+        let FrameScratch { thresholds, batch } = scratch;
         thresholds.clear();
         thresholds.extend(self.probs.iter().map(|pr| pr.no_hit_threshold(shots)));
         batch.detectors.reset(self.num_detectors, shots);
@@ -728,126 +891,33 @@ impl FrameProgram {
         } else {
             (1u64 << tail_bits) - 1
         };
-        let random_word = |i: usize, rng: &mut R| -> u64 {
-            let r: u64 = rng.gen();
-            if i == w - 1 {
-                r & tail_mask
-            } else {
-                r
+        let gauge = |at: [u32; 2], rng: &mut R, batch: &mut ShotBatch| {
+            for i in 0..w {
+                let r: u64 = rng.gen();
+                let word = if i == w - 1 { r & tail_mask } else { r };
+                self.flip(batch, at[0]..at[1], i, word);
             }
         };
 
-        for (q, _) in self.live[..self.num_qubits]
-            .iter()
-            .enumerate()
-            .filter(|(_, &live)| live)
-        {
-            for (i, word) in fz[q * w..(q + 1) * w].iter_mut().enumerate() {
-                *word = random_word(i, rng);
-            }
+        for &at in &self.initial {
+            gauge(at, rng, batch);
         }
-        let mut measurement = 0usize;
-        for instr in &self.instrs {
-            match *instr {
-                Instr::H { q } => {
-                    let q = q as usize;
-                    fx[q * w..(q + 1) * w].swap_with_slice(&mut fz[q * w..(q + 1) * w]);
-                }
-                Instr::S { q } => {
-                    let q = q as usize;
-                    xor_into(&mut fz[q * w..(q + 1) * w], &fx[q * w..(q + 1) * w]);
-                }
-                Instr::Cx { c, t } => {
-                    let (xc, xt) = two_rows(fx, w, c as usize, t as usize);
-                    xor_into(xt, xc);
-                    let (zc, zt) = two_rows(fz, w, c as usize, t as usize);
-                    xor_into(zc, zt);
-                }
-                Instr::Cz { a, b } => {
-                    let (a, b) = (a as usize, b as usize);
-                    let (za, zb) = two_rows(fz, w, a, b);
-                    xor_into(za, &fx[b * w..(b + 1) * w]);
-                    xor_into(zb, &fx[a * w..(a + 1) * w]);
-                }
-                Instr::Reset { q, live } => {
-                    let q = q as usize;
-                    fx[q * w..(q + 1) * w].fill(0);
-                    let z = &mut fz[q * w..(q + 1) * w];
-                    if live {
-                        for (i, word) in z.iter_mut().enumerate() {
-                            *word = random_word(i, rng);
-                        }
-                    } else {
-                        z.fill(0);
-                        rng.discard_u64s(w);
-                    }
-                }
-                Instr::Measure { q, live } => {
-                    let q = q as usize;
-                    let flips = &fx[q * w..(q + 1) * w];
-                    let k = measurement;
-                    measurement += 1;
-                    for &d in &self.det_rows
-                        [self.det_offsets[k] as usize..self.det_offsets[k + 1] as usize]
-                    {
-                        xor_into(batch.detectors.row_mut(d as usize), flips);
-                    }
-                    for &o in &self.obs_rows
-                        [self.obs_offsets[k] as usize..self.obs_offsets[k + 1] as usize]
-                    {
-                        xor_into(batch.observables.row_mut(o as usize), flips);
-                    }
-                    // Randomize the anticommuting part of the frame to
-                    // model measurement collapse (Stim's convention).
-                    if live {
-                        for (i, word) in fz[q * w..(q + 1) * w].iter_mut().enumerate() {
-                            *word ^= random_word(i, rng);
-                        }
-                    } else {
-                        rng.discard_u64s(w);
-                    }
-                }
-                Instr::Noise1 { kind, q, prob } => {
-                    let q = q as usize;
-                    let (pr, thr) = (&self.probs[prob as usize], thresholds[prob as usize]);
-                    sample_hits(pr, thr, shots, rng, |shot, rng| {
-                        let (ex, ez) = match kind {
-                            Noise1::XError => (true, false),
-                            Noise1::ZError => (false, true),
-                            Noise1::Depolarize1 => {
-                                Pauli::ONE_QUBIT_ERRORS[rng.gen_range(0..3usize)].xz()
-                            }
-                        };
-                        let (at, bit) = (q * w + shot / 64, 1u64 << (shot % 64));
-                        if ex {
-                            fx[at] ^= bit;
-                        }
-                        if ez {
-                            fz[at] ^= bit;
-                        }
-                    });
-                }
-                Instr::Depolarize2 { a, b, prob } => {
-                    let (a, b) = (a as usize, b as usize);
-                    let (pr, thr) = (&self.probs[prob as usize], thresholds[prob as usize]);
-                    sample_hits(pr, thr, shots, rng, |shot, rng| {
-                        let (pa, pb) = Pauli::TWO_QUBIT_ERRORS[rng.gen_range(0..15usize)];
-                        let (wi, bit) = (shot / 64, 1u64 << (shot % 64));
-                        let (ax, az) = pa.xz();
-                        let (bx, bz) = pb.xz();
-                        if ax {
-                            fx[a * w + wi] ^= bit;
-                        }
-                        if az {
-                            fz[a * w + wi] ^= bit;
-                        }
-                        if bx {
-                            fx[b * w + wi] ^= bit;
-                        }
-                        if bz {
-                            fz[b * w + wi] ^= bit;
-                        }
-                    });
+        for draw in &self.draws {
+            match draw {
+                Draw::Gauge { at } if at[0] == at[1] => rng.discard_u64s(w),
+                Draw::Gauge { at } => gauge(*at, rng, batch),
+                Draw::Channel(channel) => {
+                    let prob = channel.prob as usize;
+                    sample_hits(
+                        &self.probs[prob],
+                        thresholds[prob],
+                        shots,
+                        rng,
+                        |shot, rng| {
+                            let xz = channel.kind.draw(rng);
+                            self.hit(batch, channel, xz, shot);
+                        },
+                    );
                 }
             }
         }
@@ -911,17 +981,10 @@ mod tests {
         StdRng::seed_from_u64(0x5eed)
     }
 
-    /// The `live` flag of every reset and measurement of `program`, in
-    /// program order.
-    fn live_flags(program: &FrameProgram) -> Vec<bool> {
-        program
-            .instrs
-            .iter()
-            .filter_map(|instr| match *instr {
-                Instr::Reset { live, .. } | Instr::Measure { live, .. } => Some(live),
-                _ => None,
-            })
-            .collect()
+    /// The liveness of every reset and measurement of `c`, compiled to
+    /// `program`, in circuit order.
+    fn live_flags(program: &FrameProgram, c: &Circuit) -> Vec<bool> {
+        program.live_gauges()[c.num_qubits() as usize..].to_vec()
     }
 
     #[test]
@@ -933,7 +996,7 @@ mod tests {
             let mut gen = StdRng::seed_from_u64(seed);
             let c = random_circuit(&mut gen, false);
             let program = FrameProgram::new(&c);
-            let flags = live_flags(&program);
+            let flags = program.live_gauges();
             live += flags.iter().filter(|&&l| l).count();
             inert += flags.iter().filter(|&&l| !l).count();
             for shots in [1usize, 16, 63, 64, 65, 1000, 4096] {
@@ -994,7 +1057,8 @@ mod tests {
 
     /// The live flags of [`hand_built`]`(steps)`.
     fn gauge_verdicts(steps: &[Step]) -> Vec<bool> {
-        live_flags(&hand_built(steps).1)
+        let (c, program) = hand_built(steps);
+        live_flags(&program, &c)
     }
 
     #[test]
@@ -1031,8 +1095,8 @@ mod tests {
     fn live_gauge_stays_random() {
         // Reset, H, measure: the reset's random Z frame becomes the
         // measured X frame, so the detector is a fair coin.
-        let (_, program) = hand_built(&[Step::R(0), Step::H(0), Step::M(0)]);
-        assert_eq!(live_flags(&program), [true, false]);
+        let (c, program) = hand_built(&[Step::R(0), Step::H(0), Step::M(0)]);
+        assert_eq!(live_flags(&program, &c), [true, false]);
         let shots = 4096;
         let fires = program
             .sample(shots, &mut rng(), &mut FrameScratch::default())
