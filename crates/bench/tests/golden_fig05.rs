@@ -19,15 +19,15 @@ const EXPECTED: &str = "\
 
 ## defective patches (l=9)
 d\tmean_slope\tmin_slope\tmax_slope\tn
-5\t3.7477\t1.8548\t4.9694\t3
-6\t2.2613\t0\t4.7992\t3
-7\t1.3548\t0\t2.7095\t3
-8\t-\t-\t-\t0
+5\t2.5504\t1.8548\t2.9570\t3
+6\t3.9694\t3.9694\t3.9694\t1
+7\t1.8471\t1.7095\t1.9847\t2
+8\t4.4190\t4.4190\t4.4190\t1
 
 ## defect-free references
 d\tslope
 5\t1.7095
-7\t- (no failures observed at these shots)
+7\t1.1299
 # paper: slopes grow with d (roughly alpha*d with alpha <= 1/2), and
 # defective patches sit above the defect-free patch of the same d.
 ";
@@ -81,15 +81,13 @@ const FIG07: &str = "\
 # fig07_shortest_logicals: slope vs log(#shortest logicals), grouped by d
 # mode=quick (shape-reproduction) samples=2 shots=400 seed=7
 d\tln_num_shortest\tslope
-5\t3.3322\t4.4190
-5\t4.2627\t4.9694
 5\t3.3322\t1.8548
-6\t2.4849\t0
-6\t4.8978\t4.7992
-6\t4.5643\t1.9847
-7\t4.1271\t1.3548
-7\t3.1781\t2.7095
-7\t4.7005\t0
+5\t4.2627\t2.9570
+5\t3.3322\t2.8394
+6\t4.8978\t3.9694
+7\t4.1271\t1.7095
+7\t4.7005\t1.9847
+8\t5.8916\t4.4190
 # paper: within a distance group, fewer shortest logicals means a
 # higher slope (better low-p behaviour); defect-free patches sit at
 # large counts because of their symmetry.
@@ -99,15 +97,13 @@ const FIG08: &str = "\
 # fig08_disabled_fraction: slope vs proportion of disabled data qubits
 # mode=quick (shape-reproduction) samples=2 shots=400 seed=7
 d\tproportion_disabled\tslope
-5\t0.0864\t4.4190
-5\t0.1852\t4.9694
-5\t0.1481\t1.8548
-6\t0.0494\t0
-6\t0.1111\t4.7992
-6\t0.0617\t1.9847
-7\t0.0494\t1.3548
-7\t0.0617\t2.7095
-7\t0.0370\t0
+5\t0.0864\t1.8548
+5\t0.1852\t2.9570
+5\t0.1481\t2.8394
+6\t0.1111\t3.9694
+7\t0.0494\t1.7095
+7\t0.0370\t1.9847
+8\t0.0123\t4.4190
 # paper: inversely correlated with the slope, but explained by d.
 ";
 
@@ -115,15 +111,13 @@ const FIG09: &str = "\
 # fig09_cluster_diameter: slope vs largest disabled-cluster diameter
 # mode=quick (shape-reproduction) samples=2 shots=400 seed=7
 d\tlargest_cluster_diameter\tslope
-5\t2.0000\t4.4190
-5\t4.0000\t4.9694
-5\t3.0000\t1.8548
-6\t2.0000\t0
-6\t2.0000\t4.7992
-6\t2.0000\t1.9847
-7\t2.0000\t1.3548
-7\t2.0000\t2.7095
-7\t1.0000\t0
+5\t2.0000\t1.8548
+5\t4.0000\t2.9570
+5\t3.0000\t2.8394
+6\t2.0000\t3.9694
+7\t2.0000\t1.7095
+7\t1.0000\t1.9847
+8\t1.0000\t4.4190
 # paper: the cluster diameter does not help predict the slope.
 ";
 
@@ -131,15 +125,13 @@ const FIG10: &str = "\
 # fig10_faulty_count: slope vs number of faulty qubits (baseline indicator)
 # mode=quick (shape-reproduction) samples=2 shots=400 seed=7
 num_faulty\tslope\td
-2\t4.4190\t5
-1\t4.9694\t5
-3\t1.8548\t5
-0\t0\t6
-3\t4.7992\t6
-1\t1.9847\t6
-1\t1.3548\t7
-1\t2.7095\t7
-2\t0\t7
+2\t1.8548\t5
+1\t2.9570\t5
+3\t2.8394\t5
+3\t3.9694\t6
+1\t1.7095\t7
+2\t1.9847\t7
+0\t4.4190\t8
 # paper: correlated, but equal-faulty-count patches span a wide
 # range of slopes — the adapted distance separates them.
 ";
@@ -148,15 +140,15 @@ const FIG11: &str = "\
 # fig11_selection: selection quality: chosen indicators vs faulty-count baseline
 # mode=quick (shape-reproduction) samples=2 shots=400 seed=7
 fraction\tbaseline_mean\tbaseline_worst\tchosen_mean\tchosen_worst\tbaseline_unfit\tchosen_unfit
-0.1000\t0\t0\tNaN\tNaN\t0\t1
-0.2000\t0\t0\tNaN\tNaN\t1\t2
-0.3000\t2.4847\t0\t2.7095\t2.7095\t2\t3
-0.4000\t2.3180\t0\t2.0321\t1.3548\t2\t3
-0.5000\t2.0772\t0\t1.3548\t0\t2\t3
-0.6000\t2.2037\t0\t1.0161\t0\t2\t3
-0.7000\t2.2037\t0\t1.2098\t0\t3\t3
-0.8000\t2.2053\t0\t2.1810\t0\t3\t3
-0.9000\t2.1615\t0\t2.1402\t0\t3\t3
+0.1000\tNaN\tNaN\tNaN\tNaN\t1\t1
+0.2000\tNaN\tNaN\t4.4190\t4.4190\t2\t1
+0.3000\t3.6880\t2.9570\t4.4190\t4.4190\t2\t3
+0.4000\t3.6880\t2.9570\t3.0643\t1.7095\t3\t3
+0.5000\t3.0285\t1.7095\t2.7044\t1.7095\t3\t3
+0.6000\t3.0285\t1.7095\t2.7044\t1.7095\t4\t4
+0.7000\t3.0285\t1.7095\t2.7044\t1.7095\t5\t5
+0.8000\t2.5850\t1.7095\t2.7875\t1.7095\t5\t5
+0.9000\t2.6274\t1.7095\t2.7961\t1.7095\t5\t5
 # paper: the chosen indicators keep both the mean and the worst-case
 # slope higher than the faulty-count baseline at every kept fraction.
 ";

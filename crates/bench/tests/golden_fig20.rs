@@ -30,25 +30,25 @@ const EXPECTED: &str = "\
 # mode=quick (shape-reproduction) samples=8 shots=200 seed=7
 series\tp\tshots\tfailures\tler\tci_lo\tci_hi
 super-stabilizer\t2.000e-3\t200\t0\t0\t0\t0.0188
-super-stabilizer\t4.000e-3\t200\t0\t0\t0\t0.0188
-super-stabilizer\t6.000e-3\t200\t2\t0.0100\t2.747e-3\t0.0357
-super-stabilizer\t8.000e-3\t200\t8\t0.0400\t0.0204\t0.0769
+super-stabilizer\t4.000e-3\t200\t1\t5.000e-3\t8.831e-4\t0.0278
+super-stabilizer\t6.000e-3\t200\t1\t5.000e-3\t8.831e-4\t0.0278
+super-stabilizer\t8.000e-3\t200\t6\t0.0300\t0.0138\t0.0639
 faulty p=0.05\t2.000e-3\t200\t0\t0\t0\t0.0188
-faulty p=0.05\t4.000e-3\t200\t0\t0\t0\t0.0188
-faulty p=0.05\t6.000e-3\t200\t3\t0.0150\t5.114e-3\t0.0432
-faulty p=0.05\t8.000e-3\t200\t4\t0.0200\t7.804e-3\t0.0503
+faulty p=0.05\t4.000e-3\t200\t1\t5.000e-3\t8.831e-4\t0.0278
+faulty p=0.05\t6.000e-3\t200\t1\t5.000e-3\t8.831e-4\t0.0278
+faulty p=0.05\t8.000e-3\t200\t6\t0.0300\t0.0138\t0.0639
 faulty p=0.08\t2.000e-3\t200\t0\t0\t0\t0.0188
-faulty p=0.08\t4.000e-3\t200\t3\t0.0150\t5.114e-3\t0.0432
-faulty p=0.08\t6.000e-3\t200\t3\t0.0150\t5.114e-3\t0.0432
-faulty p=0.08\t8.000e-3\t200\t4\t0.0200\t7.804e-3\t0.0503
-faulty p=0.1\t2.000e-3\t200\t0\t0\t0\t0.0188
-faulty p=0.1\t4.000e-3\t200\t3\t0.0150\t5.114e-3\t0.0432
-faulty p=0.1\t6.000e-3\t200\t0\t0\t0\t0.0188
-faulty p=0.1\t8.000e-3\t200\t7\t0.0350\t0.0171\t0.0705
-faulty p=0.15\t2.000e-3\t200\t0\t0\t0\t0.0188
-faulty p=0.15\t4.000e-3\t200\t4\t0.0200\t7.804e-3\t0.0503
-faulty p=0.15\t6.000e-3\t200\t7\t0.0350\t0.0171\t0.0705
-faulty p=0.15\t8.000e-3\t200\t11\t0.0550\t0.0310\t0.0958
+faulty p=0.08\t4.000e-3\t200\t2\t0.0100\t2.747e-3\t0.0357
+faulty p=0.08\t6.000e-3\t200\t5\t0.0250\t0.0107\t0.0572
+faulty p=0.08\t8.000e-3\t200\t3\t0.0150\t5.114e-3\t0.0432
+faulty p=0.1\t2.000e-3\t200\t2\t0.0100\t2.747e-3\t0.0357
+faulty p=0.1\t4.000e-3\t200\t4\t0.0200\t7.804e-3\t0.0503
+faulty p=0.1\t6.000e-3\t200\t6\t0.0300\t0.0138\t0.0639
+faulty p=0.1\t8.000e-3\t200\t11\t0.0550\t0.0310\t0.0958
+faulty p=0.15\t2.000e-3\t200\t1\t5.000e-3\t8.831e-4\t0.0278
+faulty p=0.15\t4.000e-3\t200\t2\t0.0100\t2.747e-3\t0.0357
+faulty p=0.15\t6.000e-3\t200\t9\t0.0450\t0.0239\t0.0833
+faulty p=0.15\t8.000e-3\t200\t13\t0.0650\t0.0384\t0.1080
 # paper: above ~10% the bad qubit should always be disabled; below
 # ~5% it should be kept unless the good qubits are extremely clean;
 # at ~8% the cutoff sits near a good-qubit error rate of ~0.45%.

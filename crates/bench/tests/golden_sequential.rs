@@ -26,12 +26,12 @@ const FIG06: &str = "\
 
 ## defect-free
 series\tp\tshots\tfailures\tler\tci_lo\tci_hi
-d=3\t3.000e-3\t200\t1\t5.000e-3\t8.831e-4\t0.0278
+d=3\t3.000e-3\t200\t0\t0\t0\t0.0188
 d=3\t4.500e-3\t200\t0\t0\t0\t0.0188
 d=3\t6.750e-3\t200\t2\t0.0100\t2.747e-3\t0.0357
 d=5\t3.000e-3\t200\t1\t5.000e-3\t8.831e-4\t0.0278
 d=5\t4.500e-3\t200\t1\t5.000e-3\t8.831e-4\t0.0278
-d=5\t6.750e-3\t200\t4\t0.0200\t7.804e-3\t0.0503
+d=5\t6.750e-3\t200\t2\t0.0100\t2.747e-3\t0.0357
 d=7\t3.000e-3\t200\t0\t0\t0\t0.0188
 d=7\t4.500e-3\t200\t1\t5.000e-3\t8.831e-4\t0.0278
 d=7\t6.750e-3\t200\t1\t5.000e-3\t8.831e-4\t0.0278
@@ -39,11 +39,11 @@ d=7\t6.750e-3\t200\t1\t5.000e-3\t8.831e-4\t0.0278
 ## defective l=11 examples (one per adapted distance)
 series\tp\tshots\tfailures\tler\tci_lo\tci_hi
 defective d=7\t3.000e-3\t200\t0\t0\t0\t0.0188
-defective d=7\t4.500e-3\t200\t0\t0\t0\t0.0188
-defective d=7\t6.750e-3\t200\t6\t0.0300\t0.0138\t0.0639
+defective d=7\t4.500e-3\t200\t1\t5.000e-3\t8.831e-4\t0.0278
+defective d=7\t6.750e-3\t200\t4\t0.0200\t7.804e-3\t0.0503
 defective d=9\t3.000e-3\t200\t0\t0\t0\t0.0188
-defective d=9\t4.500e-3\t200\t0\t0\t0\t0.0188
-defective d=9\t6.750e-3\t200\t3\t0.0150\t5.114e-3\t0.0432
+defective d=9\t4.500e-3\t200\t1\t5.000e-3\t8.831e-4\t0.0278
+defective d=9\t6.750e-3\t200\t2\t0.0100\t2.747e-3\t0.0357
 # paper: straight lines on log-log axes, ordered by d; defective
 # patches interleave with defect-free ones according to their d.
 ";

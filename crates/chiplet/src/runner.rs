@@ -40,7 +40,7 @@ use dqec_core::circuit_gen::{memory_z, stability};
 use dqec_core::{Coord, CoreError};
 use dqec_matching::{DecodeStats, Decoder, MwpmDecoder, UfDecoder};
 use dqec_sim::circuit::Circuit;
-use dqec_sim::frame::{FrameProgram, FrameScratch, ScratchPool};
+use dqec_sim::frame::{FrameProgram, FrameScratch, ScratchPool, SAMPLER_STREAM};
 use dqec_sim::noise::NoiseModel;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -272,14 +272,17 @@ impl ExperimentSpec {
     }
 
     /// A stable 64-bit digest of everything that determines this spec's
-    /// Monte-Carlo tallies: protocol, patch geometry and defects, sweep
+    /// Monte-Carlo tallies: the sampler's draw order
+    /// ([`SAMPLER_STREAM`]), protocol, patch geometry and defects, sweep
     /// points, rounds, shots, seed, label, and the bad-qubit override.
     /// Sweep checkpoints persist it so a state file is never resumed
-    /// against a different plan. (The decoder backend is *not* covered
-    /// — builders are opaque closures — so callers mix a backend tag
-    /// into their own fingerprints.)
+    /// against a different plan, nor shard states of different streams
+    /// merged. (The decoder backend is *not* covered — builders are
+    /// opaque closures — so callers mix a backend tag into their own
+    /// fingerprints.)
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
+        h.word(SAMPLER_STREAM);
         h.word(match self.protocol {
             Protocol::Memory => 1,
             Protocol::Stability => 2,

@@ -60,3 +60,51 @@ fn repeated_runs_are_bit_identical() {
     let b = Runner::new().collect(&spec()).expect("circuit builds");
     assert_eq!(a, b);
 }
+
+/// The hand path the benchmark's replay check takes: per batch, a fresh
+/// `FrameSampler` over the noisy circuit and the decoder's
+/// `decode_batch`, under the batch's own seed. `CompiledExperiment`
+/// pools one compiled program per point, and must tally exactly what
+/// this path tallies, at every point of a multi-p defective spec,
+/// `p = 0` included.
+#[test]
+fn compiled_batches_equal_the_hand_path_bit_for_bit() {
+    use dqec_chiplet::runner::{batch_seed, default_rounds, CompiledExperiment, DecoderChoice};
+    use dqec_core::circuit_gen::memory_z;
+    use dqec_matching::DecodeStats;
+    use dqec_sim::frame::FrameSampler;
+    use dqec_sim::noise::NoiseModel;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    let ps = [0.0, 2e-3, 6e-3, 9e-3];
+    let (batch, shots) = (512, 1_500);
+    let spec = spec().ps(&ps).shots(shots);
+    let mut compiled = CompiledExperiment::new(&spec).expect("circuit builds");
+
+    let clean = memory_z(spec.patch(), default_rounds(spec.patch()))
+        .expect("circuit builds")
+        .circuit;
+    let build = DecoderChoice::Mwpm.builder();
+    let mut decoder = build(&clean, &NoiseModel::new(9e-3));
+    let batches = shots.div_ceil(batch) as u64;
+    for (point, &p) in ps.iter().enumerate() {
+        compiled.select_point(point);
+        let got = compiled.sample_batches(0..batches, batch, shots);
+
+        let noise = NoiseModel::new(p);
+        if !decoder.reweight(&noise) {
+            decoder = build(&clean, &noise);
+        }
+        let noisy = noise.apply(&clean);
+        let mut want = DecodeStats::new(decoder.num_observables());
+        for b in 0..batches {
+            let n = batch.min(shots - b as usize * batch);
+            let mut rng = ChaCha8Rng::seed_from_u64(batch_seed(compiled.point_seed(point), b));
+            let sampled = FrameSampler::new(&noisy).sample(n, &mut rng);
+            want.merge(&decoder.decode_batch(&sampled));
+        }
+        assert_eq!(got, want, "point {point} (p = {p})");
+        assert_eq!(got.shots, shots);
+    }
+}

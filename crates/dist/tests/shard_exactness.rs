@@ -254,3 +254,66 @@ fn merge_rejects_shards_of_a_different_plan() {
     assert!(err.to_string().contains("shard"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The engine fingerprint a shard of `plan(3, 1024)` under
+/// [`base_config`] carried before the sampler's draw order became
+/// stream 2 (`dqec_sim::frame::SAMPLER_STREAM`).
+const STREAM_1_FINGERPRINT: u64 = 0x9ec3_3447_23e1_34de;
+
+#[test]
+fn state_of_an_older_sampler_stream_is_refused() {
+    let dir = scratch("stream1");
+    let plan = plan(3, 1024);
+    let mut states = Vec::new();
+    for index in 0..2 {
+        let shard = Shard::new(index, 2).expect("valid shard");
+        let file = dir.join(state_file_name("plan", Some(shard)));
+        SweepEngine::new(EngineConfig {
+            shard: Some(shard),
+            checkpoint: Some(file.clone()),
+            ..base_config()
+        })
+        .run(&plan, &mut MemorySink::default())
+        .expect("shard run");
+        states.push(SweepState::load(&file).expect("shard state"));
+    }
+    assert_ne!(states[0].fingerprint, STREAM_1_FINGERPRINT);
+
+    // A stream-1 shard among stream-2 ones: the merge refuses the mix.
+    let mut mixed = states.clone();
+    mixed[1].fingerprint = STREAM_1_FINGERPRINT;
+    let err = merge_states(&mixed).expect_err("mixed streams must not merge");
+    assert!(err.to_string().contains("fingerprint"), "{err}");
+
+    // An all-stream-1 set merges among itself, but neither the merged
+    // state nor a shard's own state resumes under stream 2.
+    let mut old = states.clone();
+    for state in &mut old {
+        state.fingerprint = STREAM_1_FINGERPRINT;
+    }
+    let merged_file = dir.join("merged.sweep.json");
+    merge_states(&old)
+        .expect("one stream merges")
+        .save(&merged_file)
+        .expect("save merged");
+    let err = SweepEngine::new(EngineConfig {
+        checkpoint: Some(merged_file),
+        resume: true,
+        ..base_config()
+    })
+    .run(&plan, &mut MemorySink::default())
+    .expect_err("a stream-1 merged state must not resume");
+    assert!(err.to_string().contains("fingerprint"), "{err}");
+    let shard_file = dir.join("old_shard.sweep.json");
+    old[0].save(&shard_file).expect("save shard");
+    let err = SweepEngine::new(EngineConfig {
+        shard: Some(Shard::new(0, 2).expect("valid shard")),
+        checkpoint: Some(shard_file),
+        resume: true,
+        ..base_config()
+    })
+    .run(&plan, &mut MemorySink::default())
+    .expect_err("a stream-1 shard state must not resume");
+    assert!(err.to_string().contains("fingerprint"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

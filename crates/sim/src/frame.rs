@@ -362,110 +362,88 @@ impl ChannelKind {
     }
 }
 
+/// A run `outputs[start..end]` of a program's output list.
+type Segment = [u32; 2];
+
 /// One noise channel of a [`FrameProgram`], compiled to its symptom:
-/// segment `i` of the program's output list, `outputs[at[i]..at[i +
-/// 1]]`, holds the outputs that the `i`-th bit of
+/// segment `i` holds the outputs that the `i`-th bit of
 /// [`ChannelKind::draw`] flips (an X on the first qubit, a Z on it, an
 /// X on the second, a Z on it); a segment the kind cannot reach is
 /// empty.
 #[derive(Debug, Clone, Copy)]
 struct Channel {
     kind: ChannelKind,
-    /// Index into the program's `probs`.
-    prob: u32,
-    at: [u32; 5],
+    segments: [Segment; 4],
 }
 
-/// One random draw of a [`FrameProgram`], in circuit order.
+/// One distinct firing probability of a program's noise channels: the
+/// class one geometric walk covers.
 #[derive(Debug, Clone, Copy)]
-enum Draw {
-    /// A reset or measurement: one word per 64 shots, XORed into the
-    /// outputs `outputs[at[0]..at[1]]` (none for an inert gauge).
-    Gauge { at: [u32; 2] },
-    /// A noise channel of non-zero probability.
-    Channel(Channel),
-}
-
-/// Relative slack of the first-draw no-hit threshold, see
-/// [`NoiseProb::no_hit_threshold`].
-const NO_HIT_SLACK: f64 = 1e-9;
-
-/// One distinct firing probability of a program's noise channels, with
-/// the logarithm the geometric skip divides by computed once.
-#[derive(Debug, Clone, Copy)]
-struct NoiseProb {
+struct Class {
     p: f64,
-    /// `ln(1 - p)`.
+    /// `ln(1 - p)`, which every gap of the walk divides by.
     log1m: f64,
+    /// The class's channels are `channels[previous end..end]`.
+    end: u32,
 }
 
-impl NoiseProb {
-    fn new(p: f64) -> Self {
-        NoiseProb {
-            p,
-            log1m: (1.0 - p).ln(),
-        }
-    }
-
-    /// A bound `thr` such that a first geometric draw `u < thr` is
-    /// certain to skip past all `shots` shots, so the channel fires on
-    /// no shot of the batch and [`sample_hits`] may return without
-    /// evaluating `ln(u)`.
-    ///
-    /// The exact test is `floor(ln(u) / log1m) >= shots`, which in real
-    /// arithmetic is `u <= (1-p)^shots = exp(shots·log1m)`. Error
-    /// budget of the shortcut: `u < thr = exp(x)·(1-ε)` with
-    /// `x = shots·log1m` puts `ln(u)/log1m` at least `ε/|log1m|` above
-    /// `shots`, a *relative* margin of `ε/|x|`. `thr` is only above
-    /// `f64::MIN_POSITIVE` (and `u` never is below it) for `|x| < 709`,
-    /// so the margin is at least `1e-9/709 ≈ 1.4e-12`; against it stand
-    /// the rounding of the product `x` (2⁻⁵³ relative, amplified by
-    /// `|x|` through `exp`: < 8e-14), of `exp` and `ln` (≤ 1 ulp each)
-    /// and of the division (½ ulp) — under 1e-13 in total. A draw at or
-    /// above `thr` falls through to the exact expression, so the
-    /// shortcut never changes a result; ε only sets how rarely
-    /// (probability ε·(1-p)^shots) a no-hit draw still pays for `ln`.
-    fn no_hit_threshold(&self, shots: usize) -> f64 {
-        (shots as f64 * self.log1m).exp() * (1.0 - NO_HIT_SLACK)
-    }
-}
+/// The version of the draw order of [`FrameProgram::sample`], the
+/// *sampler stream*. Tallies drawn under different streams must never
+/// be combined, so the fingerprints that guard checkpoints and shard
+/// merges mix it in.
+///
+/// Version 1 walked the circuit, drawing every gauge and running one
+/// geometric walk per noise channel in circuit order. Version 2 draws
+/// the live gauges first and then runs one walk per probability class.
+pub const SAMPLER_STREAM: u64 = 2;
 
 /// A [`Circuit`] compiled for repeated frame sampling: the *symptom* of
-/// every random step — the detectors and observables (its outputs) it
-/// flips — so that sampling never interprets a gate.
+/// every random event — the detectors and observables (its outputs) it
+/// flips — so that a batch costs its hits, not its circuit.
 ///
 /// A shot's state is a Pauli frame, and every table is XOR-linear in
-/// the frame bits injected into it: each reset and measurement
+/// the frame bits injected into it. Each reset and measurement
 /// randomizes its qubit's Z frame (Stim's model of collapse), and so
 /// does the circuit's start, since every qubit begins in |0>; each
 /// noise channel that fires places a Pauli. One backward pass of
 /// [`FrameProgram::new`] gives each qubit an X and a Z *sensitivity
 /// row*, the outputs an X or Z frame bit on it at that point would
-/// flip, and records the rows each random step meets. Sampling then
-/// XORs each injected bit's rows into its shot's column.
+/// flip, and records the rows each random event meets. Sampling XORs
+/// each injected bit's rows into its shot's column and never touches a
+/// gate.
 ///
 /// A *gauge* (a random Z frame) whose Z row is empty is inert: no value
-/// of its words can change a table. [`FrameProgram::live_gauges`]
-/// lists the verdicts.
+/// of its words can change a table, so it draws nothing.
+/// [`FrameProgram::live_gauges`] lists the verdicts.
 ///
-/// [`FrameProgram::sample`] advances the RNG in exactly the order the
-/// circuit's operations prescribe — by one `u64` per 64 shots for each
-/// reset and each measurement, one geometric draw sequence per noise
-/// channel — so tables and the RNG's final position are a pure function
-/// of `(circuit, shots, rng)`; the checkpoint, shard and serve
-/// byte-identity contracts rest on that. An inert gauge's words are
-/// skipped with [`rand::RngCore::discard_u64s`] instead of generated,
-/// which leaves the RNG where drawing them would. An initial gauge
-/// draws only when live, before the first operation, so a circuit that
-/// resets every qubit before using it draws nothing for its start.
+/// [`FrameProgram::sample`] draws in the order of stream version
+/// [`SAMPLER_STREAM`]:
+///
+/// 1. Each live gauge, initial ones first in qubit order and then in
+///    circuit order, draws one `u64` per 64 shots (the last masked to
+///    the shot count) and XORs them into its rows.
+/// 2. Each class of channels with one probability `p > 0`, in order of
+///    first appearance, runs one geometric walk over the positions
+///    `channel × shots + shot`, its channels counted in circuit order.
+///    Each gap is `floor(ln u / ln(1 − p))`, with `u` drawn by
+///    `gen_range(f64::MIN_POSITIVE..1.0)`; `p ≥ 1` hits every position.
+///    A hit on a depolarizing channel then draws its Pauli with
+///    `gen_range(0..3)` or `gen_range(0..15)`.
+///
+/// So tables and the RNG's final position are a pure function of
+/// `(circuit, shots, rng)`; the checkpoint, shard and serve
+/// byte-identity contracts rest on that.
 #[derive(Debug, Clone)]
 pub struct FrameProgram {
     num_detectors: usize,
     num_observables: usize,
-    probs: Vec<NoiseProb>,
-    /// The live initial gauges, in qubit order.
-    initial: Vec<[u32; 2]>,
-    draws: Vec<Draw>,
+    /// The live gauges' segments of `outputs`, in draw order.
+    gauges: Vec<Segment>,
+    /// The classes in draw order.
+    classes: Vec<Class>,
+    /// The channels of every class with `p > 0`, grouped by class, in
+    /// circuit order within one.
+    channels: Vec<Channel>,
     /// Every symptom segment's outputs: detector `d` is `d`, observable
     /// `o` is `num_detectors + o`.
     outputs: Vec<u32>,
@@ -473,13 +451,11 @@ pub struct FrameProgram {
     live: Vec<bool>,
 }
 
-/// Reusable working memory of [`FrameProgram::sample`]: the
-/// per-probability no-hit thresholds and the output batch. Buffers grow
-/// to the largest `(circuit, shots)` sampled and are then reused, so a
-/// warm sample allocates nothing.
+/// Reusable working memory of [`FrameProgram::sample`]: the output
+/// batch, whose tables grow to the largest `(circuit, shots)` sampled
+/// and are then reused, so a warm sample allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct FrameScratch {
-    thresholds: Vec<f64>,
     batch: ShotBatch,
 }
 
@@ -575,7 +551,14 @@ struct Sensitivity {
     /// Per row, the detector words `lo..hi` that may be non-zero;
     /// [`EMPTY`] when none may, so that spans unite by `min` and `max`.
     span: Vec<(u32, u32)>,
+    /// Per row, the segment its last [`Sensitivity::push`] wrote, or
+    /// [`STALE`] once the row has changed since: a row pushed again
+    /// unchanged shares its segment.
+    pushed: Vec<Segment>,
 }
+
+/// No segment: the row must be pushed afresh.
+const STALE: Segment = [u32::MAX, 0];
 
 /// The span of no words.
 const EMPTY: (u32, u32) = (u32::MAX, 0);
@@ -590,6 +573,7 @@ impl Sensitivity {
             wd,
             words: vec![0; 2 * num_qubits * w],
             span: vec![EMPTY; 2 * num_qubits],
+            pushed: vec![[0, 0]; 2 * num_qubits],
         }
     }
 
@@ -598,8 +582,13 @@ impl Sensitivity {
         let (lo, hi) = self.span[src];
         let into = &mut self.span[dst];
         *into = (into.0.min(lo), into.1.max(hi));
+        self.pushed[dst] = STALE;
         let (d, s) = (dst * self.w, src * self.w);
-        for i in (lo as usize..hi as usize).chain(self.wd..self.w) {
+        for i in lo as usize..hi as usize {
+            let word = self.words[s + i];
+            self.words[d + i] ^= word;
+        }
+        for i in self.wd..self.w {
             let word = self.words[s + i];
             self.words[d + i] ^= word;
         }
@@ -613,11 +602,13 @@ impl Sensitivity {
             self.words.swap(a * self.w + i, b * self.w + i);
         }
         self.span.swap(a, b);
+        self.pushed.swap(a, b);
     }
 
     /// Empties row `r`.
     fn clear(&mut self, r: usize) {
         let (lo, hi) = std::mem::replace(&mut self.span[r], EMPTY);
+        self.pushed[r] = [0, 0];
         for i in (lo as usize..hi as usize).chain(self.wd..self.w) {
             self.words[r * self.w + i] = 0;
         }
@@ -636,12 +627,18 @@ impl Sensitivity {
             (self.wd + o / 64, o % 64)
         };
         self.words[r * self.w + i] ^= 1 << bit;
+        self.pushed[r] = STALE;
     }
 
-    /// Appends the outputs of row `r` to `outputs`, ascending, and
-    /// returns the new length: the end of the segment they form. Trims
-    /// the row's span to its non-zero words on the way.
-    fn push(&mut self, r: usize, outputs: &mut Vec<u32>) -> u32 {
+    /// The segment of `outputs` holding the outputs of row `r`,
+    /// ascending: the one its last push wrote if the row has not
+    /// changed since, or else a new one appended. Trims the row's span
+    /// to its non-zero words on the way.
+    fn push(&mut self, r: usize, outputs: &mut Vec<u32>) -> Segment {
+        if self.pushed[r] != STALE {
+            return self.pushed[r];
+        }
+        let start = outputs.len() as u32;
         let (lo, hi) = self.span[r];
         let row = &self.words[r * self.w..(r + 1) * self.w];
         let mut trimmed = EMPTY;
@@ -664,7 +661,8 @@ impl Sensitivity {
                 bits &= bits - 1;
             }
         }
-        outputs.len() as u32
+        self.pushed[r] = [start, outputs.len() as u32];
+        self.pushed[r]
     }
 }
 
@@ -688,26 +686,6 @@ impl FrameProgram {
     /// Panics on a two-qubit operation whose qubits coincide, which
     /// [`Circuit`]'s builder methods reject.
     pub fn new(circuit: &Circuit) -> Self {
-        let mut probs: Vec<NoiseProb> = Vec::new();
-        let mut num_draws = 0;
-        for op in circuit.ops() {
-            num_draws += usize::from(matches!(
-                op,
-                Op::Reset { .. } | Op::Measure { .. } | Op::Noise1 { .. } | Op::Depolarize2 { .. }
-            ));
-            if let Op::Noise1 { p, .. } | Op::Depolarize2 { p, .. } = *op {
-                if !probs.iter().any(|known| known.p.to_bits() == p.to_bits()) {
-                    probs.push(NoiseProb::new(p));
-                }
-            }
-        }
-        let prob_index = |p: f64| -> u32 {
-            probs
-                .iter()
-                .position(|known| known.p.to_bits() == p.to_bits())
-                .map_or(0, |at| at as u32)
-        };
-
         let m = circuit.num_measurements() as usize;
         let num_detectors = circuit.detectors().len();
         let (det_offsets, det_rows) =
@@ -717,9 +695,26 @@ impl FrameProgram {
         let mut rows = Sensitivity::new(num_qubits, num_detectors, circuit.observables().len());
         let (x, z) = (|q: u32| 2 * q as usize, |q: u32| 2 * q as usize + 1);
 
-        let mut outputs: Vec<u32> = Vec::with_capacity(4 * num_draws);
-        let mut draws: Vec<Draw> = Vec::with_capacity(num_draws);
+        let mut outputs: Vec<u32> = Vec::with_capacity(circuit.ops().len());
+        // Gauges and channels in backward order; a channel carries the
+        // index of its class in `seen`, which lists each probability
+        // with the last backward index it was met at, its first
+        // appearance in circuit order.
+        let mut gauges: Vec<Segment> = Vec::new();
+        let mut channels: Vec<(u32, Channel)> = Vec::new();
+        let mut seen: Vec<(f64, usize)> = Vec::new();
         let mut k = m;
+        let mut add = |p: f64, channel: Channel| {
+            let class = match seen.iter().position(|&(q, _)| q.to_bits() == p.to_bits()) {
+                Some(class) => class,
+                None => {
+                    seen.push((p, 0));
+                    seen.len() - 1
+                }
+            };
+            seen[class].1 = channels.len();
+            channels.push((class as u32, channel));
+        };
         for op in circuit.ops().iter().rev() {
             if let Op::Gate2 { a, b, .. } | Op::Depolarize2 { a, b, .. } = *op {
                 assert_ne!(a, b, "two-qubit operation on one qubit");
@@ -747,9 +742,7 @@ impl FrameProgram {
                 }
                 Op::Measure { q } => {
                     k -= 1;
-                    let start = outputs.len() as u32;
-                    let end = rows.push(z(q), &mut outputs);
-                    draws.push(Draw::Gauge { at: [start, end] });
+                    gauges.push(rows.push(z(q), &mut outputs));
                     let dets = &det_rows[det_offsets[k] as usize..det_offsets[k + 1] as usize];
                     let obs = obs_rows[obs_offsets[k] as usize..obs_offsets[k + 1] as usize]
                         .iter()
@@ -759,13 +752,11 @@ impl FrameProgram {
                     }
                 }
                 Op::Reset { q } => {
-                    let start = outputs.len() as u32;
-                    let end = rows.push(z(q), &mut outputs);
-                    draws.push(Draw::Gauge { at: [start, end] });
+                    gauges.push(rows.push(z(q), &mut outputs));
                     rows.clear(x(q));
                     rows.clear(z(q));
                 }
-                // A channel that never fires is no draw at all.
+                // A channel that never fires draws nothing.
                 Op::Noise1 { p, .. } | Op::Depolarize2 { p, .. } if p <= 0.0 => {}
                 Op::Noise1 { kind, q, p } => {
                     let (kind, has_x, has_z) = match kind {
@@ -773,61 +764,88 @@ impl FrameProgram {
                         Noise1::ZError => (ChannelKind::Z, false, true),
                         Noise1::Depolarize1 => (ChannelKind::Depolarize1, true, true),
                     };
-                    let start = outputs.len() as u32;
-                    let mid = if has_x {
-                        rows.push(x(q), &mut outputs)
-                    } else {
-                        start
-                    };
-                    let end = if has_z {
-                        rows.push(z(q), &mut outputs)
-                    } else {
-                        mid
-                    };
-                    draws.push(Draw::Channel(Channel {
-                        kind,
-                        prob: prob_index(p),
-                        at: [start, mid, end, end, end],
-                    }));
+                    let mut segments = [[0, 0]; 4];
+                    if has_x {
+                        segments[0] = rows.push(x(q), &mut outputs);
+                    }
+                    if has_z {
+                        segments[1] = rows.push(z(q), &mut outputs);
+                    }
+                    add(p, Channel { kind, segments });
                 }
                 Op::Depolarize2 { a, b, p } => {
-                    let start = outputs.len() as u32;
-                    let at = [
-                        start,
+                    let segments = [
                         rows.push(x(a), &mut outputs),
                         rows.push(z(a), &mut outputs),
                         rows.push(x(b), &mut outputs),
                         rows.push(z(b), &mut outputs),
                     ];
-                    draws.push(Draw::Channel(Channel {
-                        kind: ChannelKind::Depolarize2,
-                        prob: prob_index(p),
-                        at,
-                    }));
+                    let kind = ChannelKind::Depolarize2;
+                    add(p, Channel { kind, segments });
                 }
             }
         }
-        draws.reverse();
-        let mut live: Vec<bool> = Vec::new();
-        let mut initial = Vec::new();
+
+        let mut live = Vec::with_capacity(num_qubits + gauges.len());
+        let mut live_gauges = Vec::new();
         for q in 0..num_qubits as u32 {
-            let start = outputs.len() as u32;
-            let end = rows.push(z(q), &mut outputs);
-            live.push(start < end);
-            if start < end {
-                initial.push([start, end]);
+            let at = rows.push(z(q), &mut outputs);
+            live.push(at[0] < at[1]);
+            if at[0] < at[1] {
+                live_gauges.push(at);
             }
         }
-        live.extend(draws.iter().filter_map(|draw| match *draw {
-            Draw::Gauge { at } => Some(at[0] < at[1]),
-            Draw::Channel(_) => None,
-        }));
+        for &at in gauges.iter().rev() {
+            live.push(at[0] < at[1]);
+            if at[0] < at[1] {
+                live_gauges.push(at);
+            }
+        }
+
+        // Classes in order of first appearance, then their channels in
+        // circuit order by a counting sort.
+        let mut order: Vec<usize> = (0..seen.len()).collect();
+        order.sort_by_key(|&class| std::cmp::Reverse(seen[class].1));
+        let mut rank = vec![0usize; seen.len()];
+        for (r, &class) in order.iter().enumerate() {
+            rank[class] = r;
+        }
+        let mut count = vec![0u32; seen.len()];
+        for &(class, _) in &channels {
+            count[rank[class as usize]] += 1;
+        }
+        let mut classes = Vec::with_capacity(seen.len());
+        let mut cursor = Vec::with_capacity(seen.len());
+        let mut end = 0;
+        for (&class, &n) in order.iter().zip(&count) {
+            cursor.push(end as usize);
+            end += n;
+            let p = seen[class].0;
+            classes.push(Class {
+                p,
+                log1m: (1.0 - p).ln(),
+                end,
+            });
+        }
+        let mut sorted = vec![
+            Channel {
+                kind: ChannelKind::X,
+                segments: [[0, 0]; 4],
+            };
+            channels.len()
+        ];
+        for &(class, channel) in channels.iter().rev() {
+            let slot = &mut cursor[rank[class as usize]];
+            sorted[*slot] = channel;
+            *slot += 1;
+        }
+
         FrameProgram {
             num_detectors,
             num_observables: circuit.observables().len(),
-            probs,
-            initial,
-            draws,
+            gauges: live_gauges,
+            classes,
+            channels: sorted,
             outputs,
             live,
         }
@@ -841,11 +859,10 @@ impl FrameProgram {
         &self.live
     }
 
-    /// XORs `word` into word `i` of every output of
-    /// `outputs[at.start..at.end]`.
+    /// XORs `word` into word `i` of every output of `segment`.
     #[inline]
-    fn flip(&self, batch: &mut ShotBatch, at: std::ops::Range<u32>, i: usize, word: u64) {
-        for &out in &self.outputs[at.start as usize..at.end as usize] {
+    fn flip(&self, batch: &mut ShotBatch, [start, end]: Segment, i: usize, word: u64) {
+        for &out in &self.outputs[start as usize..end as usize] {
             let out = out as usize;
             let (table, row) = if out < self.num_detectors {
                 (&mut batch.detectors, out)
@@ -861,9 +878,9 @@ impl FrameProgram {
     #[inline]
     fn hit(&self, batch: &mut ShotBatch, channel: &Channel, xz: [bool; 4], shot: usize) {
         let (i, bit) = (shot / 64, 1u64 << (shot % 64));
-        for (seg, on) in xz.into_iter().enumerate() {
+        for (on, &segment) in xz.into_iter().zip(&channel.segments) {
             if on {
-                self.flip(batch, channel.at[seg]..channel.at[seg + 1], i, bit);
+                self.flip(batch, segment, i, bit);
             }
         }
     }
@@ -878,9 +895,7 @@ impl FrameProgram {
         scratch: &'s mut FrameScratch,
     ) -> &'s ShotBatch {
         let w = shots.div_ceil(64).max(1);
-        let FrameScratch { thresholds, batch } = scratch;
-        thresholds.clear();
-        thresholds.extend(self.probs.iter().map(|pr| pr.no_hit_threshold(shots)));
+        let batch = &mut scratch.batch;
         batch.detectors.reset(self.num_detectors, shots);
         batch.observables.reset(self.num_observables, shots);
 
@@ -891,79 +906,60 @@ impl FrameProgram {
         } else {
             (1u64 << tail_bits) - 1
         };
-        let gauge = |at: [u32; 2], rng: &mut R, batch: &mut ShotBatch| {
+        for &segment in &self.gauges {
             for i in 0..w {
                 let r: u64 = rng.gen();
                 let word = if i == w - 1 { r & tail_mask } else { r };
-                self.flip(batch, at[0]..at[1], i, word);
+                self.flip(batch, segment, i, word);
             }
-        };
-
-        for &at in &self.initial {
-            gauge(at, rng, batch);
         }
-        for draw in &self.draws {
-            match draw {
-                Draw::Gauge { at } if at[0] == at[1] => rng.discard_u64s(w),
-                Draw::Gauge { at } => gauge(*at, rng, batch),
-                Draw::Channel(channel) => {
-                    let prob = channel.prob as usize;
-                    sample_hits(
-                        &self.probs[prob],
-                        thresholds[prob],
-                        shots,
-                        rng,
-                        |shot, rng| {
-                            let xz = channel.kind.draw(rng);
-                            self.hit(batch, channel, xz, shot);
-                        },
-                    );
-                }
-            }
+        let mut start = 0;
+        for class in &self.classes {
+            let channels = &self.channels[start..class.end as usize];
+            start = class.end as usize;
+            sample_hits(class, channels.len() * shots, rng, |at, rng| {
+                let channel = &channels[at / shots];
+                let xz = channel.kind.draw(rng);
+                self.hit(batch, channel, xz, at % shots);
+            });
         }
         batch
     }
 }
 
-/// Calls `hit(shot, rng)` for each shot independently selected with
-/// probability `pr.p`, using geometric skipping (cost proportional to
-/// the number of hits rather than the number of shots). `no_hit` is
-/// [`NoiseProb::no_hit_threshold`] of `shots`: a first draw below it
-/// ends the channel without a logarithm.
+/// Calls `hit(position, rng)`, ascending, for each of `positions`
+/// positions independently selected with probability `class.p`, by
+/// geometric skipping: the cost follows the number of hits, not of
+/// positions. Draws nothing when there are no positions.
 fn sample_hits<R: Rng>(
-    pr: &NoiseProb,
-    no_hit: f64,
-    shots: usize,
+    class: &Class,
+    positions: usize,
     rng: &mut R,
     mut hit: impl FnMut(usize, &mut R),
 ) {
-    if pr.p <= 0.0 {
+    if positions == 0 {
         return;
     }
-    if pr.p >= 1.0 {
-        for s in 0..shots {
-            hit(s, rng);
+    if class.p >= 1.0 {
+        for at in 0..positions {
+            hit(at, rng);
         }
         return;
     }
-    let mut u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    if u < no_hit {
-        return;
-    }
-    let mut s: usize = 0;
+    let mut at: usize = 0;
     loop {
         // Geometric gap: floor(ln(U) / ln(1-p)).
-        let gap = (u.ln() / pr.log1m).floor();
-        if !gap.is_finite() || gap >= (shots - s) as f64 {
+        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+        let gap = (u.ln() / class.log1m).floor();
+        if !gap.is_finite() || gap >= (positions - at) as f64 {
             break;
         }
-        s += gap as usize;
-        hit(s, rng);
-        s += 1;
-        if s >= shots {
+        at += gap as usize;
+        hit(at, rng);
+        at += 1;
+        if at >= positions {
             break;
         }
-        u = rng.gen_range(f64::MIN_POSITIVE..1.0);
     }
 }
 
@@ -1106,56 +1102,6 @@ mod tests {
         assert!((1888..=2208).contains(&fires), "{fires} of {shots} fired");
     }
 
-    /// The exact first-draw test of [`sample_hits`]: does the gap of
-    /// draw `u` skip all `shots` shots?
-    fn first_draw_skips_all(u: f64, pr: &NoiseProb, shots: usize) -> bool {
-        let gap = (u.ln() / pr.log1m).floor();
-        !gap.is_finite() || gap >= shots as f64
-    }
-
-    #[test]
-    fn no_hit_shortcut_agrees_with_the_exact_test_around_the_threshold() {
-        let mut rng = rng();
-        let mut shortcuts = 0usize;
-        for shots in (1..=4096usize).step_by(7).chain([4095, 4096]) {
-            for p in [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.5] {
-                let pr = NoiseProb::new(p);
-                let thr = pr.no_hit_threshold(shots);
-                let edge = (shots as f64 * pr.log1m).exp();
-                let mut check = |u: f64| {
-                    if (f64::MIN_POSITIVE..1.0).contains(&u) && u < thr {
-                        shortcuts += 1;
-                        assert!(
-                            first_draw_skips_all(u, &pr, shots),
-                            "shortcut taken but the exact test hits: u={u:e} p={p} shots={shots}"
-                        );
-                    }
-                };
-                for rel in [
-                    -1e-6, -1e-8, -2e-9, -1e-9, -1e-10, -1e-13, 0.0, 1e-13, 1e-9, 1e-6,
-                ] {
-                    check(edge * (1.0 + rel));
-                }
-                // Neighbouring floats of the threshold itself, and
-                // random draws in the +-1e-6 band.
-                check(f64::from_bits(thr.to_bits().saturating_sub(1)));
-                check(thr);
-                for _ in 0..8 {
-                    check(edge * (1.0 + rng.gen_range(-1e-6..1e-6)));
-                }
-            }
-        }
-        assert!(shortcuts > 1000, "the band must exercise the shortcut");
-    }
-
-    #[test]
-    fn no_hit_shortcut_is_off_where_the_threshold_underflows() {
-        // (1-p)^shots below the smallest draw: no draw can take the
-        // shortcut, the exact expression decides alone.
-        let pr = NoiseProb::new(0.5);
-        assert!(pr.no_hit_threshold(4096) < f64::MIN_POSITIVE);
-    }
-
     #[test]
     fn bit_table_roundtrip() {
         let mut t = BitTable::zeros(2, 130);
@@ -1166,16 +1112,14 @@ mod tests {
         assert_eq!(t.count_row(1), 1);
     }
 
-    fn count_hits(p: f64, shots: usize) -> usize {
-        let pr = NoiseProb::new(p);
+    fn count_hits(p: f64, positions: usize) -> usize {
+        let class = Class {
+            p,
+            log1m: (1.0 - p).ln(),
+            end: 0,
+        };
         let mut n = 0usize;
-        sample_hits(
-            &pr,
-            pr.no_hit_threshold(shots),
-            shots,
-            &mut rng(),
-            |_, _| n += 1,
-        );
+        sample_hits(&class, positions, &mut rng(), |_, _| n += 1);
         n
     }
 

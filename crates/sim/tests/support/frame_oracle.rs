@@ -1,9 +1,14 @@
-//! The `Op`-walking frame interpreter `dqec_sim::frame::FrameProgram`
-//! replaced, kept as the oracle the program must reproduce bit for bit,
-//! RNG position included: it draws the random Z frame of every reset
-//! and measurement, whether or not a detector can see it, collects
-//! record flips in a record table, and takes every geometric gap's
-//! logarithm.
+//! The forward frame interpreter `dqec_sim::frame::FrameProgram`'s
+//! symptom compile replaced, kept as the oracle the program must
+//! reproduce bit for bit, RNG position included. It draws everything
+//! first, by the rule of sampler stream 2 written out afresh, then
+//! walks the operations forward over X and Z frame tables, injecting
+//! the drawn Paulis and gauge words where they occur, and collects
+//! record flips in a record table.
+//!
+//! Gauge liveness comes from the program (the backward rules have
+//! their own unit test); an inert gauge still gets random words, from a
+//! generator of its own, and they must not show in the tables.
 //!
 //! Written against `crate::{circuit, frame, pauli}`, so it compiles as
 //! a unit-test module of `dqec_sim` and inside an integration test that
@@ -41,11 +46,19 @@ pub fn assert_program_matches<R: Rng + Clone>(
     (ours, theirs)
 }
 
+/// `w` random words, the last masked to the shot count's tail.
+fn random_words<G: Rng>(rng: &mut G, w: usize, tail_mask: u64) -> Vec<u64> {
+    let mut words: Vec<u64> = (0..w).map(|_| rng.gen()).collect();
+    words[w - 1] &= tail_mask;
+    words
+}
+
 /// Samples `shots` noisy executions of `c` by walking its operations.
 ///
-/// `live` is the program's [`FrameProgram::live_gauges`]: a qubit whose
-/// initial Z frame is live draws it from `rng`; any other qubit takes
-/// one from a generator of its own, which must not show in the tables.
+/// `live` is the program's [`FrameProgram::live_gauges`]: the initial
+/// |0> of each qubit, then every reset and measurement. A live gauge
+/// draws its words from `rng`; an inert one takes them from a generator
+/// of its own.
 pub fn reference_sample<R: Rng>(
     c: &Circuit,
     shots: usize,
@@ -54,38 +67,86 @@ pub fn reference_sample<R: Rng>(
 ) -> ShotBatch {
     let nq = c.num_qubits() as usize;
     let w = shots.div_ceil(64).max(1);
+    let tail_mask = if shots.is_multiple_of(64) {
+        u64::MAX
+    } else {
+        (1u64 << (shots % 64)) - 1
+    };
+
+    // 1. Every gauge's words, live ones from the stream in order.
+    let mut elsewhere = rand::rngs::StdRng::seed_from_u64(0x1a7e);
+    let gauge_words: Vec<Vec<u64>> = live
+        .iter()
+        .map(|&is_live| {
+            if is_live {
+                random_words(rng, w, tail_mask)
+            } else {
+                random_words(&mut elsewhere, w, tail_mask)
+            }
+        })
+        .collect();
+
+    // 2. One walk per probability class, in order of first appearance,
+    // over `channel × shots + shot`; a hit draws its Pauli pair.
+    let noise: Vec<(usize, f64)> = c
+        .ops()
+        .iter()
+        .enumerate()
+        .filter_map(|(i, op)| match *op {
+            Op::Noise1 { p, .. } | Op::Depolarize2 { p, .. } => Some((i, p)),
+            _ => None,
+        })
+        .collect();
+    let mut class_ps: Vec<f64> = Vec::new();
+    for &(_, p) in &noise {
+        if p > 0.0 && !class_ps.iter().any(|q| q.to_bits() == p.to_bits()) {
+            class_ps.push(p);
+        }
+    }
+    let mut hits: Vec<Vec<(usize, Pauli, Pauli)>> = vec![Vec::new(); c.ops().len()];
+    for p in class_ps {
+        let members: Vec<usize> = noise
+            .iter()
+            .filter(|&&(_, q)| q.to_bits() == p.to_bits())
+            .map(|&(i, _)| i)
+            .collect();
+        reference_walk(p, members.len() * shots, rng, |at, rng| {
+            let op = members[at / shots];
+            let paulis = match c.ops()[op] {
+                Op::Noise1 { kind, .. } => {
+                    let pauli = match kind {
+                        Noise1::XError => Pauli::X,
+                        Noise1::ZError => Pauli::Z,
+                        Noise1::Depolarize1 => Pauli::ONE_QUBIT_ERRORS[rng.gen_range(0..3usize)],
+                    };
+                    (pauli, Pauli::I)
+                }
+                _ => Pauli::TWO_QUBIT_ERRORS[rng.gen_range(0..15usize)],
+            };
+            hits[op].push((at % shots, paulis.0, paulis.1));
+        });
+    }
+
+    // 3. The forward walk.
     let mut fx = vec![0u64; nq * w];
     let mut fz = vec![0u64; nq * w];
     let mut records = BitTable::zeros(c.num_measurements() as usize, shots);
     let mut next_record = 0usize;
-
-    // Mask to keep random bits within the shot count in the last word.
-    let tail_bits = shots % 64;
-    let tail_mask = if tail_bits == 0 {
-        u64::MAX
-    } else {
-        (1u64 << tail_bits) - 1
+    let mut gauges = gauge_words.iter();
+    for q in 0..nq {
+        fz[q * w..(q + 1) * w].copy_from_slice(gauges.next().expect("initial gauge"));
+    }
+    let inject = |fx: &mut [u64], fz: &mut [u64], q: usize, shot: usize, pauli: Pauli| {
+        let (x, z) = pauli.xz();
+        let (at, bit) = (q * w + shot / 64, 1u64 << (shot % 64));
+        if x {
+            fx[at] ^= bit;
+        }
+        if z {
+            fz[at] ^= bit;
+        }
     };
-    fn fill_random<G: Rng>(dst: &mut [u64], rng: &mut G, tail_mask: u64) {
-        let w = dst.len();
-        for (i, word) in dst.iter_mut().enumerate() {
-            let mut r: u64 = rng.gen();
-            if i == w - 1 {
-                r &= tail_mask;
-            }
-            *word = r;
-        }
-    }
-
-    let mut elsewhere = rand::rngs::StdRng::seed_from_u64(0x1a7e);
-    for (q, &live) in live[..nq].iter().enumerate() {
-        if live {
-            fill_random(&mut fz[q * w..(q + 1) * w], rng, tail_mask);
-        } else {
-            fill_random(&mut fz[q * w..(q + 1) * w], &mut elsewhere, tail_mask);
-        }
-    }
-    for op in c.ops() {
+    for (i, op) in c.ops().iter().enumerate() {
         match *op {
             Op::Gate1 { kind: Gate1::H, q } => {
                 let q = q as usize;
@@ -127,7 +188,7 @@ pub fn reference_sample<R: Rng>(
             Op::Reset { q } => {
                 let q = q as usize;
                 fx[q * w..(q + 1) * w].fill(0);
-                fill_random(&mut fz[q * w..(q + 1) * w], rng, tail_mask);
+                fz[q * w..(q + 1) * w].copy_from_slice(gauges.next().expect("reset gauge"));
             }
             Op::Measure { q } => {
                 let q = q as usize;
@@ -137,51 +198,21 @@ pub fn reference_sample<R: Rng>(
                 next_record += 1;
                 // Randomize the anticommuting part of the frame to
                 // model measurement collapse (Stim's convention).
-                let mut scratch = vec![0u64; w];
-                fill_random(&mut scratch, rng, tail_mask);
+                let words = gauges.next().expect("measurement gauge");
                 for i in 0..w {
-                    fz[q * w + i] ^= scratch[i];
+                    fz[q * w + i] ^= words[i];
                 }
             }
-            Op::Noise1 { kind, q, p } => {
-                let q = q as usize;
-                reference_sample_hits(p, shots, rng, |shot, rng| {
-                    let (ex, ez) = match kind {
-                        Noise1::XError => (true, false),
-                        Noise1::ZError => (false, true),
-                        Noise1::Depolarize1 => {
-                            Pauli::ONE_QUBIT_ERRORS[rng.gen_range(0..3usize)].xz()
-                        }
-                    };
-                    let (wi, b) = (shot / 64, shot % 64);
-                    if ex {
-                        fx[q * w + wi] ^= 1 << b;
-                    }
-                    if ez {
-                        fz[q * w + wi] ^= 1 << b;
-                    }
-                });
+            Op::Noise1 { q, .. } => {
+                for &(shot, pauli, _) in &hits[i] {
+                    inject(&mut fx, &mut fz, q as usize, shot, pauli);
+                }
             }
-            Op::Depolarize2 { a, b, p } => {
-                let (a, b) = (a as usize, b as usize);
-                reference_sample_hits(p, shots, rng, |shot, rng| {
-                    let (pa, pb) = Pauli::TWO_QUBIT_ERRORS[rng.gen_range(0..15usize)];
-                    let (wi, bit) = (shot / 64, shot % 64);
-                    let (ax, az) = pa.xz();
-                    let (bx, bz) = pb.xz();
-                    if ax {
-                        fx[a * w + wi] ^= 1 << bit;
-                    }
-                    if az {
-                        fz[a * w + wi] ^= 1 << bit;
-                    }
-                    if bx {
-                        fx[b * w + wi] ^= 1 << bit;
-                    }
-                    if bz {
-                        fz[b * w + wi] ^= 1 << bit;
-                    }
-                });
+            Op::Depolarize2 { a, b, .. } => {
+                for &(shot, pa, pb) in &hits[i] {
+                    inject(&mut fx, &mut fz, a as usize, shot, pa);
+                    inject(&mut fx, &mut fz, b as usize, shot, pb);
+                }
             }
             Op::Tick => {}
         }
@@ -206,36 +237,37 @@ pub fn reference_sample<R: Rng>(
     }
 }
 
-/// The geometric skip of the noise channels, with no first-draw
-/// shortcut and the logarithm taken per channel.
-fn reference_sample_hits<R: Rng>(
+/// The geometric walk of one probability class over `positions`
+/// positions: `hit` at every position when `p ≥ 1`, and nothing drawn
+/// when there are no positions.
+fn reference_walk<R: Rng>(
     p: f64,
-    shots: usize,
+    positions: usize,
     rng: &mut R,
     mut hit: impl FnMut(usize, &mut R),
 ) {
-    if p <= 0.0 {
+    if positions == 0 {
         return;
     }
     if p >= 1.0 {
-        for s in 0..shots {
-            hit(s, rng);
+        for at in 0..positions {
+            hit(at, rng);
         }
         return;
     }
     let log1m = (1.0 - p).ln();
-    let mut s: usize = 0;
+    let mut at: usize = 0;
     loop {
         // Geometric gap: floor(ln(U) / ln(1-p)).
         let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
         let gap = (u.ln() / log1m).floor();
-        if !gap.is_finite() || gap >= (shots - s) as f64 {
+        if !gap.is_finite() || gap >= (positions - at) as f64 {
             break;
         }
-        s += gap as usize;
-        hit(s, rng);
-        s += 1;
-        if s >= shots {
+        at += gap as usize;
+        hit(at, rng);
+        at += 1;
+        if at >= positions {
             break;
         }
     }
