@@ -5,6 +5,15 @@
 //! noiseless reference execution computed by the tableau simulator. All
 //! extracted quantities (detectors, observables) are deterministic
 //! parities, for which frame sampling is exact (Gidney, Stim 2021).
+//!
+//! Every output table is XOR-linear in the frame bits the random events
+//! inject, so [`FrameProgram`] compiles each event of a circuit (a
+//! noise channel, a reset, a measurement, a qubit's initial |0>) to its
+//! *symptom*, the detectors and observables it flips, in one backward
+//! pass. Sampling XORs the symptoms of the events that fire and never
+//! interprets a gate, so a batch costs its hits, not its circuit. The
+//! order in which it draws from the RNG is the versioned sampler stream
+//! [`SAMPLER_STREAM`].
 
 use crate::circuit::{Circuit, Gate1, Gate2, Noise1, Op};
 use crate::pauli::Pauli;
@@ -695,25 +704,47 @@ impl FrameProgram {
         let mut rows = Sensitivity::new(num_qubits, num_detectors, circuit.observables().len());
         let (x, z) = (|q: u32| 2 * q as usize, |q: u32| 2 * q as usize + 1);
 
-        let mut outputs: Vec<u32> = Vec::with_capacity(circuit.ops().len());
-        // Gauges and channels in backward order; a channel carries the
-        // index of its class in `seen`, which lists each probability
-        // with the last backward index it was met at, its first
-        // appearance in circuit order.
-        let mut gauges: Vec<Segment> = Vec::new();
-        let mut channels: Vec<(u32, Channel)> = Vec::new();
-        let mut seen: Vec<(f64, usize)> = Vec::new();
-        let mut k = m;
-        let mut add = |p: f64, channel: Channel| {
-            let class = match seen.iter().position(|&(q, _)| q.to_bits() == p.to_bits()) {
-                Some(class) => class,
-                None => {
-                    seen.push((p, 0));
-                    seen.len() - 1
+        // A forward count sizes every list, so the backward pass fills
+        // them from their ends: the gauges, and each class's channels.
+        let mut classes: Vec<Class> = Vec::new();
+        let mut num_gauges = 0;
+        for op in circuit.ops() {
+            match *op {
+                Op::Reset { .. } | Op::Measure { .. } => num_gauges += 1,
+                Op::Noise1 { p, .. } | Op::Depolarize2 { p, .. } if p > 0.0 => {
+                    match classes.iter_mut().find(|c| c.p.to_bits() == p.to_bits()) {
+                        Some(class) => class.end += 1,
+                        None => classes.push(Class {
+                            p,
+                            log1m: (1.0 - p).ln(),
+                            end: 1,
+                        }),
+                    }
                 }
-            };
-            seen[class].1 = channels.len();
-            channels.push((class as u32, channel));
+                _ => {}
+            }
+        }
+        let mut cursor = Vec::with_capacity(classes.len());
+        let mut end = 0;
+        for class in &mut classes {
+            end += class.end;
+            class.end = end;
+            cursor.push(end as usize);
+        }
+        let unset = Channel {
+            kind: ChannelKind::X,
+            segments: [[0, 0]; 4],
+        };
+        let mut channels = vec![unset; end as usize];
+        let mut gauges: Vec<Segment> = vec![[0, 0]; num_gauges];
+        let mut outputs: Vec<u32> = Vec::with_capacity(2 * circuit.ops().len());
+        let mut k = m;
+        // Every class was counted forward, so the search always finds.
+        let mut add = |p: f64, channel: Channel| {
+            if let Some(class) = classes.iter().position(|c| c.p.to_bits() == p.to_bits()) {
+                cursor[class] -= 1;
+                channels[cursor[class]] = channel;
+            }
         };
         for op in circuit.ops().iter().rev() {
             if let Op::Gate2 { a, b, .. } | Op::Depolarize2 { a, b, .. } = *op {
@@ -742,7 +773,8 @@ impl FrameProgram {
                 }
                 Op::Measure { q } => {
                     k -= 1;
-                    gauges.push(rows.push(z(q), &mut outputs));
+                    num_gauges -= 1;
+                    gauges[num_gauges] = rows.push(z(q), &mut outputs);
                     let dets = &det_rows[det_offsets[k] as usize..det_offsets[k + 1] as usize];
                     let obs = obs_rows[obs_offsets[k] as usize..obs_offsets[k + 1] as usize]
                         .iter()
@@ -752,7 +784,8 @@ impl FrameProgram {
                     }
                 }
                 Op::Reset { q } => {
-                    gauges.push(rows.push(z(q), &mut outputs));
+                    num_gauges -= 1;
+                    gauges[num_gauges] = rows.push(z(q), &mut outputs);
                     rows.clear(x(q));
                     rows.clear(z(q));
                 }
@@ -795,49 +828,11 @@ impl FrameProgram {
                 live_gauges.push(at);
             }
         }
-        for &at in gauges.iter().rev() {
+        for &at in &gauges {
             live.push(at[0] < at[1]);
             if at[0] < at[1] {
                 live_gauges.push(at);
             }
-        }
-
-        // Classes in order of first appearance, then their channels in
-        // circuit order by a counting sort.
-        let mut order: Vec<usize> = (0..seen.len()).collect();
-        order.sort_by_key(|&class| std::cmp::Reverse(seen[class].1));
-        let mut rank = vec![0usize; seen.len()];
-        for (r, &class) in order.iter().enumerate() {
-            rank[class] = r;
-        }
-        let mut count = vec![0u32; seen.len()];
-        for &(class, _) in &channels {
-            count[rank[class as usize]] += 1;
-        }
-        let mut classes = Vec::with_capacity(seen.len());
-        let mut cursor = Vec::with_capacity(seen.len());
-        let mut end = 0;
-        for (&class, &n) in order.iter().zip(&count) {
-            cursor.push(end as usize);
-            end += n;
-            let p = seen[class].0;
-            classes.push(Class {
-                p,
-                log1m: (1.0 - p).ln(),
-                end,
-            });
-        }
-        let mut sorted = vec![
-            Channel {
-                kind: ChannelKind::X,
-                segments: [[0, 0]; 4],
-            };
-            channels.len()
-        ];
-        for &(class, channel) in channels.iter().rev() {
-            let slot = &mut cursor[rank[class as usize]];
-            sorted[*slot] = channel;
-            *slot += 1;
         }
 
         FrameProgram {
@@ -845,7 +840,7 @@ impl FrameProgram {
             num_observables: circuit.observables().len(),
             gauges: live_gauges,
             classes,
-            channels: sorted,
+            channels,
             outputs,
             live,
         }

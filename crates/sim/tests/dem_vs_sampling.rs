@@ -1,7 +1,11 @@
 //! Cross-validation: the detector error model's predictions must match
-//! empirical frame-sampling statistics. These tests pin the two
-//! independent noise pipelines (symbolic backward propagation vs
-//! vectorized forward sampling) against each other.
+//! empirical frame-sampling statistics. Both pipelines now propagate
+//! noise backward through the circuit (the DEM symbolically, the frame
+//! program to compile each channel's symptom), so agreement here does
+//! not rule out an error they share. The independent paths are the
+//! forward frame interpreter of `support/frame_oracle.rs`, which the
+//! frame program matches bit for bit, and the noisy tableau sampler of
+//! `frame_statistics.rs`.
 
 use dqec_sim::circuit::{CheckBasis, Circuit, Noise1};
 use dqec_sim::dem::ParametricDem;
