@@ -1,4 +1,4 @@
-//! Frame sampling against the interpreter it replaced, on the circuits
+//! Frame sampling against the forward interpreter, on the circuits
 //! the paper's figures are built from: adapted l = 5, 7 and 9 memory
 //! patches under both defect models (so super-stabilizer gauge
 //! schedules and deformed boundaries are in the circuit), with and
@@ -6,9 +6,10 @@
 //! patches, noised by the paper's model. At 16, 512, 1024 and 4096
 //! shots, under ChaCha8 and `StdRng`, `FrameProgram::sample` must equal
 //! the interpreter bit for bit and leave the generator where the
-//! interpreter leaves it, although the program skips the keystream of
-//! every gauge no detector or observable can see. l = 11 and 13 are
-//! `#[ignore]`d; run them with `cargo test --release -- --ignored`.
+//! interpreter leaves it: both draw by sampler stream 2, the program
+//! from its compiled symptoms, the interpreter by walking the gates.
+//! l = 11 and 13 are `#[ignore]`d; run them with
+//! `cargo test --release -- --ignored`.
 
 use dqec::chiplet::runner::default_rounds;
 use dqec::chiplet::DefectModel;
