@@ -337,7 +337,7 @@ impl<'a> FrameSampler<'a> {
 }
 
 /// What a noise channel can place on its qubits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 enum ChannelKind {
     /// `X` on its qubit.
     X,
