@@ -4,10 +4,14 @@
 //! from the matching itself: the two CSS decoding graphs, the
 //! parametric detector error model behind in-place reweighting, and one
 //! fan-out of fixed 1024-shot chunks over worker threads. Each chunk
-//! borrows its kernel scratch and syndrome memo ([`SyndromeCache`])
-//! from one [`ScratchPool`], which the one-shot
+//! borrows its kernel scratch, syndrome memo ([`SyndromeCache`]) and
+//! event index from one [`ScratchPool`], which the one-shot
 //! [`Decoder::decode_events`] borrows from too; chunk boundaries depend
 //! only on the shot count, so results never depend on the worker count.
+//! A chunk reads its shots' events straight from the batch's detector
+//! table, and only from the rows of detectors a kernel owns (listed
+//! once when the decoder is built): no batch-wide transpose of every
+//! detector row comes first.
 //! What happens per basis is a [`Kernel`]: [`MwpmDecoder`] instantiates
 //! the shell with the exact sparse-blossom matcher
 //! [`Blossom`](crate::sparse), [`UfDecoder`](crate::UfDecoder) with the
@@ -24,15 +28,17 @@ use crate::graph::DecodingGraph;
 use crate::sparse::Blossom;
 use dqec_sim::circuit::Circuit;
 use dqec_sim::dem::ParametricDem;
-use dqec_sim::frame::{ScratchPool, ShotBatch};
+use dqec_sim::frame::{BitTable, ScratchPool, ShotBatch};
 use dqec_sim::noise::NoiseModel;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 
 /// Shots per work unit in batch decoding. Chunk boundaries depend only
 /// on the shot count — never on the worker count — so per-chunk caches
-/// cannot make results thread-count-dependent.
+/// cannot make results thread-count-dependent. A whole number of
+/// 64-shot words, so a chunk starts on a word of the detector table.
 const DECODE_CHUNK: usize = 1024;
+const _: () = assert!(DECODE_CHUNK.is_multiple_of(64));
 
 /// Default bound on memoized syndromes per decode chunk worker.
 const DEFAULT_CACHE_ENTRIES: usize = 1 << 15;
@@ -43,11 +49,12 @@ const DEFAULT_CACHE_ENTRIES: usize = 1 << 15;
 const CACHE_KEY_MAX_EVENTS: usize = 16;
 
 /// One worker's per-chunk decode state: the kernel scratch, the
-/// syndrome memo, and the buffer each shot's events are filtered into
-/// (the detectors of the bases that hold a kernel), which is both the
-/// memo key and what the kernels see. The decoder pools these, so a
-/// *warm* `decode_batch` performs zero scratch, cache or filter
-/// allocations regardless of shot count (`tests/alloc_regression.rs`).
+/// syndrome memo, and the chunk's index of owned events (those of the
+/// detectors of the bases that hold a kernel), whose per-shot lists are
+/// both the memo keys and what the kernels see. The decoder pools
+/// these, so a *warm* `decode_batch` performs zero scratch, cache or
+/// index allocations regardless of shot count
+/// (`tests/alloc_regression.rs`).
 ///
 /// Reuse is invisible to results: decoding is contractually
 /// deterministic, so a cache entry written by any earlier chunk (even
@@ -57,7 +64,7 @@ const CACHE_KEY_MAX_EVENTS: usize = 16;
 struct ChunkState<S> {
     scratch: S,
     cache: SyndromeCache,
-    owned: Vec<u32>,
+    index: ChunkEvents,
 }
 
 impl<S: Default> Default for ChunkState<S> {
@@ -65,7 +72,89 @@ impl<S: Default> Default for ChunkState<S> {
         ChunkState {
             scratch: S::default(),
             cache: SyndromeCache::with_capacity(DEFAULT_CACHE_ENTRIES),
-            owned: Vec::new(),
+            index: ChunkEvents::default(),
+        }
+    }
+}
+
+/// One chunk's detection events on a chosen set of detector rows, as a
+/// per-shot CSR index: after [`ChunkEvents::build`], the chunk's shot
+/// `i` has `events[starts[i]..starts[i + 1]]`, ascending.
+#[derive(Default)]
+struct ChunkEvents {
+    starts: Vec<u32>,
+    events: Vec<u32>,
+}
+
+impl ChunkEvents {
+    /// Indexes the set bits of shots `lo..lo + n` (`lo` a multiple of
+    /// 64) on `rows` (ascending detector ids) of `detectors`, reading
+    /// only those rows' words `lo/64 .. ⌈(lo + n)/64⌉`. Bits past
+    /// `lo + n` in the last word are ignored, so stray bits past the
+    /// table's shot count never count (as in
+    /// [`BitTable::ones_in_row_iter`]).
+    ///
+    /// A counting sort: one pass counts each shot's events, one
+    /// scatters them. Rows are visited in ascending order, so each
+    /// shot's list comes out ascending.
+    fn build(&mut self, detectors: &BitTable, rows: &[u32], lo: usize, n: usize) {
+        debug_assert_eq!(lo % 64, 0);
+        // Counts land two slots up, so after the prefix sum
+        // `starts[i + 1]` is shot `i`'s start, and the scatter, which
+        // advances it as a cursor, leaves it at shot `i + 1`'s start.
+        let starts = &mut self.starts;
+        starts.clear();
+        starts.resize(n + 2, 0);
+        for_each_bit(detectors, rows, lo, n, |i, _| starts[i + 2] += 1);
+        for i in 2..n + 2 {
+            starts[i] += starts[i - 1];
+        }
+        let events = &mut self.events;
+        events.clear();
+        events.resize(starts[n + 1] as usize, 0);
+        for_each_bit(detectors, rows, lo, n, |i, d| {
+            events[starts[i + 1] as usize] = d;
+            starts[i + 1] += 1;
+        });
+        starts.truncate(n + 1);
+    }
+
+    /// The events of the chunk's shot `i`, ascending.
+    #[inline]
+    fn of(&self, i: usize) -> &[u32] {
+        &self.events[self.starts[i] as usize..self.starts[i + 1] as usize]
+    }
+}
+
+/// Calls `visit(i, d)` for every set bit `lo + i` of row `d`, over
+/// `rows` in the order given and shots `lo..lo + n` ascending within a
+/// row (see [`ChunkEvents::build`]).
+#[inline]
+fn for_each_bit(
+    detectors: &BitTable,
+    rows: &[u32],
+    lo: usize,
+    n: usize,
+    mut visit: impl FnMut(usize, u32),
+) {
+    let hi = lo + n;
+    let words = lo / 64..hi.div_ceil(64);
+    let last = match hi % 64 {
+        0 => u64::MAX,
+        tail => (1u64 << tail) - 1,
+    };
+    for &d in rows {
+        let row = &detectors.row(d as usize)[words.clone()];
+        for (k, &word) in row.iter().enumerate() {
+            let mut bits = if k + 1 == row.len() {
+                word & last
+            } else {
+                word
+            };
+            while bits != 0 {
+                visit(k * 64 + bits.trailing_zeros() as usize, d);
+                bits &= bits - 1;
+            }
         }
     }
 }
@@ -194,17 +283,38 @@ pub trait Decoder: Send + Sync {
 
 /// Tallies logical failures of precomputed per-shot predictions into a
 /// [`DecodeStats`]. Shared by the default [`Decoder::decode_batch`] and
-/// the cache-counting override of [`GraphDecoder`].
+/// the cache-counting override of [`GraphDecoder`]. Per observable, 64
+/// shots at a time: the predicted bits are packed into one word, XORed
+/// with the observable row's word and counted, ignoring bits past the
+/// last shot.
+///
+/// # Panics
+///
+/// Panics if the observable table covers a different shot count.
 fn tally_failures(nobs: usize, preds: &[u64], batch: &ShotBatch) -> DecodeStats {
     debug_assert_eq!(preds.len(), batch.detectors.shots());
     let mut stats = DecodeStats::new(nobs);
     stats.shots = preds.len();
-    for (shot, &predicted) in preds.iter().enumerate() {
-        for (o, f) in stats.failures.iter_mut().enumerate() {
-            if batch.observables.get(o, shot) != ((predicted >> o) & 1 == 1) {
-                *f += 1;
-            }
-        }
+    if nobs > 0 {
+        assert_eq!(
+            batch.observables.shots(),
+            preds.len(),
+            "one prediction per shot"
+        );
+    }
+    for (o, f) in stats.failures.iter_mut().enumerate() {
+        *f = preds
+            .chunks(64)
+            .zip(batch.observables.row(o))
+            .map(|(block, &actual)| {
+                let predicted = block
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |word, (i, &p)| word | ((p >> o) & 1) << i);
+                let live = u64::MAX >> (64 - block.len());
+                ((predicted ^ actual) & live).count_ones() as usize
+            })
+            .sum();
     }
     stats
 }
@@ -217,7 +327,11 @@ fn tally_failures(nobs: usize, preds: &[u64], batch: &ShotBatch) -> DecodeStats 
 /// random syndromes — batch predictions agree with one-shot decoding,
 /// are identical with a cold or warm memo cache, and do not change with
 /// the worker count (1, 4, or 16 threads), nor do one-shot predictions
-/// made concurrently by 4 workers.
+/// made concurrently by 4 workers. Batches of 1, 63, 64, 65, 1023, 1024
+/// and 1025 shots (the edges of a 64-shot word and of a 1024-shot
+/// decode chunk) with random observable flips must agree shot by shot
+/// with one-shot decoding, tally exactly the failures their
+/// predictions imply, and ignore bits set past the last shot.
 ///
 /// Shared by implementors as a conformance test; see
 /// `tests/decoder_trait.rs` for its use on [`MwpmDecoder`].
@@ -226,7 +340,7 @@ fn tally_failures(nobs: usize, preds: &[u64], batch: &ShotBatch) -> DecodeStats 
 ///
 /// Panics (via assertions) when the decoder violates an invariant.
 pub fn check_decoder_conformance<D: Decoder>(decoder: &D, circuit: &Circuit) {
-    use dqec_sim::frame::{BitTable, FrameSampler};
+    use dqec_sim::frame::FrameSampler;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -325,6 +439,72 @@ pub fn check_decoder_conformance<D: Decoder>(decoder: &D, circuit: &Circuit) {
                 decoder.decode_events(&noisy.detection_events(s)),
                 "batch and one-shot predictions must agree on shot {s}"
             );
+        }
+
+        // Word and chunk edges, with random observable flips so the
+        // tally is checked against the predictions it comes from.
+        let nobs = decoder.num_observables();
+        for shots in [1usize, 63, 64, 65, 1023, 1024, 1025] {
+            let mut batch = ShotBatch {
+                detectors: BitTable::zeros(ndet, shots),
+                observables: BitTable::zeros(nobs, shots),
+            };
+            for s in 0..shots {
+                for d in 0..ndet {
+                    batch.detectors.set(d, s, rng.gen_bool(0.08));
+                }
+                for o in 0..nobs {
+                    batch.observables.set(o, s, rng.gen_bool(0.3));
+                }
+            }
+            let preds = decoder.decode_all(&batch);
+            assert_eq!(preds.len(), shots, "decode_all must cover every shot");
+            for (s, &pred) in preds.iter().enumerate() {
+                assert_eq!(
+                    pred,
+                    decoder.decode_events(&batch.detection_events(s)),
+                    "{shots} shots: batch and one-shot predictions must agree on shot {s}"
+                );
+            }
+            let failures: Vec<usize> = (0..nobs)
+                .map(|o| {
+                    (0..shots)
+                        .filter(|&s| batch.observables.get(o, s) != ((preds[s] >> o) & 1 == 1))
+                        .count()
+                })
+                .collect();
+            let stats = decoder.decode_batch(&batch);
+            assert_eq!(stats.shots, shots);
+            assert_eq!(
+                stats.failures, failures,
+                "{shots} shots: decode_batch must tally the failures of decode_all's predictions"
+            );
+            // A bit past the last shot, in a row's last word, is not a
+            // shot: neither the event index nor the tally may see it.
+            if shots % 64 != 0 {
+                let mut stray = batch.clone();
+                for table in [&mut stray.detectors, &mut stray.observables] {
+                    for row in 0..table.rows() {
+                        let words = table.row_mut(row);
+                        words[words.len() - 1] |= 1 << 63;
+                    }
+                }
+                let (clean_ev, stray_ev) = (batch.shot_events(), stray.shot_events());
+                assert!(
+                    (0..shots).all(|s| clean_ev.events_of(s) == stray_ev.events_of(s)),
+                    "shot_events must ignore bits past the last shot"
+                );
+                assert_eq!(
+                    decoder.decode_all(&stray),
+                    preds,
+                    "{shots} shots: a bit past the last shot must not change a prediction"
+                );
+                assert_eq!(
+                    decoder.decode_batch(&stray).failures,
+                    failures,
+                    "{shots} shots: a bit past the last shot must not be tallied"
+                );
+            }
         }
     }
 }
@@ -725,6 +905,9 @@ pub struct GraphDecoder<K: Kernel> {
     /// otherwise.
     z_kernel: Option<K>,
     x_kernel: Option<K>,
+    /// The detector ids with a node in a graph that holds a kernel,
+    /// ascending: the rows a batch decode reads.
+    owned_detectors: Vec<u32>,
     num_observables: usize,
     /// What in-place reweighting to a different baseline error rate
     /// needs.
@@ -815,9 +998,10 @@ impl<K: Kernel> GraphDecoder<K> {
                 .any(|e| e.observables != 0)
                 .then(|| K::from_graph(graph))
         };
-        GraphDecoder {
+        let mut decoder = GraphDecoder {
             z_kernel: kernel(&z_graph),
             x_kernel: kernel(&x_graph),
+            owned_detectors: Vec::new(),
             z_graph,
             x_graph,
             num_observables: noisy.observables().len(),
@@ -829,7 +1013,17 @@ impl<K: Kernel> GraphDecoder<K> {
                 probabilities,
             },
             scratch_pool: ScratchPool::default(),
-        }
+        };
+        let owned = (0..noisy.detectors().len() as u32)
+            .filter(|&d| {
+                decoder
+                    .kernels()
+                    .iter()
+                    .any(|(graph, kernel)| kernel.is_some() && graph.node_of_detector(d).is_some())
+            })
+            .collect();
+        decoder.owned_detectors = owned;
+        decoder
     }
 
     /// The Z-basis decoding graph.
@@ -852,14 +1046,6 @@ impl<K: Kernel> GraphDecoder<K> {
         ]
     }
 
-    /// Whether detector `det` has a node in a graph that holds a
-    /// kernel.
-    fn owns(&self, det: u32) -> bool {
-        self.kernels()
-            .iter()
-            .any(|(graph, kernel)| kernel.is_some() && graph.node_of_detector(det).is_some())
-    }
-
     /// Decodes the kernel-holding bases with caller-owned scratch.
     /// Equivalent to [`Decoder::decode_events`], but a tight loop around
     /// it performs no allocation at all. Each graph has nodes only for
@@ -874,20 +1060,25 @@ impl<K: Kernel> GraphDecoder<K> {
     /// The scratch-reusing, syndrome-memoizing batch decode: fans
     /// fixed-size shot chunks out over worker threads, gives each chunk
     /// a private [`ChunkState`] borrowed from the pool, and decodes
-    /// each shot directly into a preallocated output. A shot's events
-    /// are first filtered down to the detectors of kernel-holding
-    /// graphs; that list is the empty-shot check, the memo key and the
-    /// kernels' input, so a shot whose events all belong to the other
-    /// basis predicts 0 without a lookup. Chunk boundaries depend only
-    /// on the shot count and decoding is contractually deterministic,
-    /// so predictions are identical for any worker count and any pool
-    /// state. Also returns the batch's aggregate syndrome-cache hit/miss
-    /// deltas and kernel counters for observability.
+    /// each shot directly into a preallocated output. Each chunk first
+    /// indexes its shots' events on the owned detectors' rows of the
+    /// detector table (the detectors of kernel-holding graphs; other
+    /// rows are never read). A shot's list is the empty-shot check, the
+    /// memo key and the kernels' input, so a shot whose events all
+    /// belong to the other basis predicts 0 without a lookup. Chunk
+    /// boundaries depend only on the shot count and decoding is
+    /// contractually deterministic, so predictions are identical for
+    /// any worker count and any pool state. Also returns the batch's
+    /// aggregate syndrome-cache hit/miss deltas and kernel counters for
+    /// observability.
     fn decode_chunked(&self, batch: &ShotBatch) -> (Vec<u64>, ChunkCounters) {
-        let ev = batch.shot_events();
-        let shots = ev.shots();
-        let ev = &ev;
-        let mut out = vec![0u64; shots];
+        let detectors = &batch.detectors;
+        // A batch with fewer detector rows than the circuit has no
+        // events on the missing ones.
+        let rows = &self.owned_detectors[..self
+            .owned_detectors
+            .partition_point(|&d| (d as usize) < detectors.rows())];
+        let mut out = vec![0u64; detectors.shots()];
         let chunks: Vec<(usize, &mut [u64])> = out
             .chunks_mut(DECODE_CHUNK)
             .enumerate()
@@ -900,13 +1091,12 @@ impl<K: Kernel> GraphDecoder<K> {
                     let ChunkState {
                         scratch,
                         cache,
-                        owned,
+                        index,
                     } = state;
+                    index.build(detectors, rows, lo, slot.len());
                     let (h0, m0) = (cache.hits(), cache.misses());
                     for (i, pred) in slot.iter_mut().enumerate() {
-                        owned.clear();
-                        owned.extend(ev.events_of(lo + i).iter().filter(|&&d| self.owns(d)));
-                        let events = &owned[..];
+                        let events = index.of(i);
                         *pred = if events.is_empty() {
                             0
                         } else if events.len() > CACHE_KEY_MAX_EVENTS {

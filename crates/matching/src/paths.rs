@@ -139,51 +139,55 @@ impl PathTables {
     /// built from — was reweighted in place (by its decoder's
     /// [`Decoder::reweight`](crate::Decoder::reweight)), reusing the cached
     /// shortest-path trees: each row's distances are first re-derived
-    /// along its old tree in O(V + E) and accepted when the
-    /// shortest-path certificate (no edge can relax any distance
-    /// further) holds; only rows whose tree went stale re-run Dijkstra.
-    /// Under the paper's noise model a p-change shifts every edge
-    /// weight by nearly the same amount, so trees almost always
-    /// survive.
+    /// along its old tree in O(V + E), parents before children (a
+    /// breadth-first walk of the tree from the source), and accepted
+    /// when the shortest-path certificate (no edge can relax any
+    /// distance further) holds; only rows whose tree went stale re-run
+    /// Dijkstra, warm-started from those bounds. Trees often go stale:
+    /// moving the union-find decoder of a defective l = 7 patch between
+    /// p = 5e-4 and 1e-3 re-ran Dijkstra on 84 % of its rows.
     pub fn repair(&mut self, graph: &DecodingGraph) {
         let total = self.total;
         debug_assert_eq!(total, graph.adjacency().total());
         let (edges, weights, ends) = (graph.edges(), graph.weights(), &graph.adjacency().ends);
-        let mut order: Vec<u32> = (0..total as u32).collect();
+        // Each row's old tree as children lists (`first_child[v]`, then
+        // `next_sibling` along them), and the breadth-first order.
+        let mut first_child = vec![NO_PRED; total];
+        let mut next_sibling = vec![NO_PRED; total];
+        let mut order: Vec<u32> = Vec::with_capacity(total);
         let mut row = RowScratch::new(graph);
         for src in 0..total {
             let at = src * total..(src + 1) * total;
-            let old = &self.cells[at.clone()];
-            // Parents settled before children, so increasing old
-            // distance is a topological order of the old tree.
-            order.sort_unstable_by(|&a, &b| {
-                old[a as usize]
-                    .0
-                    .total_cmp(&old[b as usize].0)
-                    .then(a.cmp(&b))
-            });
             let pred = &mut self.pred[at.clone()];
             let RowScratch { d, par, heap, .. } = &mut row;
-            for &t in order.iter() {
-                let t = t as usize;
-                if t == src {
-                    d[t] = 0.0;
-                    par[t] = 0;
-                    continue;
+            first_child.fill(NO_PRED);
+            for (t, &e) in pred.iter().enumerate() {
+                if e != NO_PRED && t != src {
+                    let (a, b) = ends[e as usize];
+                    let parent = if a as usize == t { b } else { a } as usize;
+                    next_sibling[t] = first_child[parent];
+                    first_child[parent] = t as u32;
                 }
-                match pred[t] {
-                    NO_PRED => {
-                        // Unreachable before; weights cannot change that.
-                        d[t] = f64::INFINITY;
-                        par[t] = 0;
-                    }
-                    e => {
-                        let e = e as usize;
-                        let (a, b) = ends[e];
-                        let parent = if a as usize == t { b } else { a } as usize;
-                        d[t] = d[parent] + weights[e];
-                        par[t] = par[parent] ^ edges[e].observables;
-                    }
+            }
+            // Vertices the old tree did not reach stay unreachable:
+            // weights cannot change that.
+            d.fill(f64::INFINITY);
+            par.fill(0);
+            d[src] = 0.0;
+            order.clear();
+            order.push(src as u32);
+            let mut next = 0;
+            while let Some(&parent) = order.get(next) {
+                next += 1;
+                let parent = parent as usize;
+                let mut child = first_child[parent];
+                while child != NO_PRED {
+                    let t = child as usize;
+                    let e = pred[t] as usize;
+                    d[t] = d[parent] + weights[e];
+                    par[t] = par[parent] ^ edges[e].observables;
+                    order.push(child);
+                    child = next_sibling[t];
                 }
             }
             // The tree distances are upper bounds achieved by real
@@ -191,8 +195,7 @@ impl PathTables {
             // warm-started Dijkstra: seed the heap with every edge
             // relaxation that still improves a bound, then run the
             // usual pop-min/relax loop to the fixed point. Rows whose
-            // tree survived the weight change (the common case under a
-            // uniform p-shift) skip the loop entirely.
+            // tree survived the weight change skip the loop entirely.
             for (e, (&(a, b), &w)) in ends.iter().zip(weights).enumerate() {
                 let (a, b) = (a as usize, b as usize);
                 if d[a] + w < d[b] {

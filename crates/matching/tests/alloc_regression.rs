@@ -6,12 +6,15 @@
 //! per-call overhead, e.g. the returned stats), i.e. the per-shot cost
 //! is zero — on a toy repetition code, and on a defective l = 7 patch
 //! at p = 2·10⁻³, where the matcher's alternating trees and blossoms
-//! (their arenas, the queue) are in play. Sampled shots repeat, and the
-//! memo hides what the kernel does on the rest, so the union-find
-//! kernel is also driven directly: a warm `decode_events_with` over
-//! banks of random dense syndromes (growth loop, peeling, the flush of
-//! defects stranded between absorbers) allocates nothing at all — the
-//! standard a warm `FrameProgram::sample` is held to as well. The
+//! (their arenas, the queue) are in play. The constant itself is
+//! pinned too ([`WARM_DECODE_BATCH_ALLOCS`]), so a per-batch buffer —
+//! an event index of the whole batch, say — cannot come back
+//! unnoticed. Sampled shots repeat, and the memo hides what the kernel
+//! does on the rest, so the union-find kernel is also driven directly:
+//! a warm `decode_events_with` over banks of random dense syndromes
+//! (growth loop, peeling, the flush of defects stranded between
+//! absorbers) allocates nothing at all — the standard a warm
+//! `FrameProgram::sample` is held to as well. The
 //! reweight side is pinned the same way: a warm
 //! `ParametricDem::probabilities_into` allocates nothing, and a warm
 //! `MwpmDecoder::reweight` allocates as often on a defective l = 5
@@ -105,6 +108,12 @@ fn reweight_fixtures() -> [(u32, Circuit); 2] {
     ]
 }
 
+/// What a warm sequential `decode_batch` allocates, whatever the shot
+/// count: the prediction vector, the chunk list, the per-chunk
+/// counters and the failure tally. Event indexing runs per chunk in
+/// pooled buffers and adds nothing.
+const WARM_DECODE_BATCH_ALLOCS: usize = 4;
+
 /// Warm steady-state allocation count of `decode_batch` on `shots`
 /// random shots of `circuit`, with the first (cold) decode's tally: two
 /// warm-up decodes populate the scratch and the syndrome memo, then
@@ -152,6 +161,11 @@ fn warm_decode_batch_allocations_do_not_scale_with_shots() {
                 "{fixture}/{name}: warm decode_batch allocations scale with shot count \
                  (2k shots: {small} allocs, 8k shots: {large} allocs) — \
                  per-shot allocations must be zero"
+            );
+            assert_eq!(
+                small, WARM_DECODE_BATCH_ALLOCS,
+                "{fixture}/{name}: a warm decode_batch allocates more than its per-call \
+                 buffers"
             );
             eprintln!(
                 "{fixture}/{name}: warm decode_batch = {small} allocs/call (shot-independent); \
