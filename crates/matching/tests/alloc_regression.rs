@@ -20,7 +20,9 @@
 //! `MwpmDecoder::reweight` allocates as often on a defective l = 5
 //! patch as on an l = 7 one (no allocation per mechanism or per edge).
 //! So does a cold graph build: `DecodingGraph::css_pair` from a
-//! parametric DEM sizes every buffer before filling it.
+//! parametric DEM sizes every buffer before filling it, and so do the
+//! two compiles of the symptom pass beneath it,
+//! `ParametricDem::from_noisy` and `FrameProgram::new`.
 
 mod support {
     pub mod counting_alloc;
@@ -294,5 +296,36 @@ fn graph_build_allocations_do_not_scale_with_the_mechanism_count() {
         seen[0].2, seen[1].2,
         "DecodingGraph::css_pair allocations scale with the DEM: {seen:?} \
          as (l, mechanisms, allocs)"
+    );
+}
+
+#[test]
+fn symptom_compiles_allocate_as_often_at_every_size() {
+    let mut seen = Vec::new();
+    for (l, clean) in reweight_fixtures() {
+        let (noisy, params) = NoiseModel::new(2e-3).apply_with_params(&clean);
+        let (dem_allocs, mechanisms) = count_allocs(|| {
+            ParametricDem::from_noisy(&noisy, &params)
+                .mechanisms()
+                .count()
+        });
+        let (program_allocs, gauges) =
+            count_allocs(|| FrameProgram::new(&noisy).live_gauges().len());
+        eprintln!(
+            "l = {l}: {mechanisms} mechanisms, from_noisy = {dem_allocs} allocs; \
+             {gauges} gauges, FrameProgram::new = {program_allocs} allocs"
+        );
+        seen.push((l, mechanisms, dem_allocs, program_allocs));
+    }
+    assert!(seen[0].1 < seen[1].1, "{seen:?}");
+    assert_eq!(
+        seen[0].2, seen[1].2,
+        "ParametricDem::from_noisy allocations scale with the circuit: {seen:?} \
+         as (l, mechanisms, from_noisy allocs, FrameProgram::new allocs)"
+    );
+    assert_eq!(
+        seen[0].3, seen[1].3,
+        "FrameProgram::new allocations scale with the circuit: {seen:?} \
+         as (l, mechanisms, from_noisy allocs, FrameProgram::new allocs)"
     );
 }

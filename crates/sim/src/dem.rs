@@ -1,23 +1,25 @@
 //! Detector error model (DEM) extraction.
 //!
-//! Walks the circuit backward maintaining, for every qubit, the set of
-//! detectors and observables that an X (resp. Z) error at that point in
-//! time would flip. Reading those sets off at each noise channel yields
-//! every error *mechanism*: its symptom (flipped detectors), its logical
-//! effect (flipped observables), and the noise branches it fires from.
-//! This is the same construction Stim uses. [`ParametricDem`] is the
-//! library's one detector error model, and every decoding graph is built
-//! from it.
+//! Every error *mechanism* of a noisy circuit is read off the crate's
+//! one backward pass (the symptom compile the frame sampler reads too):
+//! for each noise channel, the detectors and observables an X or a Z on
+//! each of its qubits would flip. XOR-combining those per Pauli
+//! component gives each branch's symptom (flipped detectors), its
+//! logical effect (flipped observables), and the noise op it fires
+//! from. This is the construction Stim uses. [`ParametricDem`] is the
+//! library's one detector error model, and every decoding graph is
+//! built from it.
 //!
-//! [`ParametricDem::from_noisy`] allocates nothing per gate or per
-//! branch:
+//! [`ParametricDem::from_noisy`] allocates nothing per gate, per qubit
+//! or per branch, and as often for a large circuit as for a small one:
 //!
-//! * **Walk.** Each qubit's X and Z sets are sorted detector lists plus
-//!   an observable mask, merged in place through one reused scratch
-//!   buffer. Every non-empty branch of a noise channel is appended to
-//!   one arena: its detector ids to a single `Vec<u32>`, and a record
-//!   `(start, len, obs, noise op, component count)` beside them, with
-//!   capacity reserved from the circuit's noise ops.
+//! * **Branches.** Walking the noise channels backward, each non-empty
+//!   branch is appended to one arena: its detector ids to a single
+//!   `Vec<u32>`, and a record `(start, len, obs, noise op, component
+//!   count)` beside them. A channel's X, Z and Y = X ⊕ Z components
+//!   (and the fifteen pairs of a two-qubit channel) are merges of its
+//!   sorted symptom lists, so both arrays are sized from those lists'
+//!   lengths before the walk.
 //! * **Dedupe.** Each distinct symptom `(dets, obs)` gets a key id in
 //!   first-seen order from an open-addressed table over arena slices. A
 //!   counting sort by key groups the branches and keeps walk order
@@ -30,8 +32,9 @@
 //! probability to the bit, so an extraction is a pure function of the
 //! circuit.
 
-use crate::circuit::{Circuit, Gate1, Gate2, Noise1, Op};
+use crate::circuit::Circuit;
 use crate::noise::NoiseParam;
+use crate::symptoms::{ChannelKind, Symptoms};
 
 /// A detector error model whose mechanism probabilities can be
 /// evaluated for any baseline rate `p` without re-walking the circuit.
@@ -110,12 +113,19 @@ impl ParametricDem {
     /// Panics if `params` does not have exactly one entry per noise op
     /// or the circuit uses more than 64 observables.
     pub fn from_noisy(circuit: &Circuit, params: &[NoiseParam]) -> Self {
+        assert!(
+            circuit.observables().len() <= 64,
+            "at most 64 observables supported"
+        );
+        let symptoms = Symptoms::of(circuit);
         assert_eq!(
             params.len(),
-            circuit.num_noise_ops(),
+            symptoms.channels.len(),
             "one NoiseParam per noise op required"
         );
-        let arena = Arena::walk(circuit);
+        let arena = Arena::of(&symptoms);
+        // Free the symptom lists before the dedupe allocates its own.
+        drop(symptoms);
         let groups = Groups::of(&arena);
         let mut dets = Vec::with_capacity(arena.dets.len());
         let mut mechs = Vec::with_capacity(groups.first.len());
@@ -238,180 +248,74 @@ impl Arena {
         }
     }
 
-    /// Walks `circuit` backward and records every non-empty branch of
-    /// every noise op. A branch fires with probability
+    /// Records every non-empty branch of every noise op of `symptoms`,
+    /// backward through the circuit. A branch fires with probability
     /// `source.fraction() · op_p`.
-    fn walk(circuit: &Circuit) -> Arena {
-        assert!(
-            circuit.observables().len() <= 64,
-            "at most 64 observables supported"
-        );
-        let nq = circuit.num_qubits() as usize;
-        let records = circuit.num_measurements() as usize;
-
-        // Record -> detectors containing it (ascending, as CSR rows) and
-        // its observable mask.
-        let mut det_start = vec![0u32; records + 1];
-        for det in circuit.detectors() {
-            for &r in &det.records {
-                det_start[r as usize + 1] += 1;
-            }
+    fn of(symptoms: &Symptoms) -> Arena {
+        // Each branch's symptom is no longer than its components'
+        // outputs together, which bounds the arena, and a Y factor no
+        // longer than its X and Z, which bounds the scratch.
+        let (mut branches, mut dets, mut widest) = (0, 0, 0);
+        for channel in &symptoms.channels {
+            let [xa, za, xb, zb] = channel.segments.map(|[start, end]| (end - start) as usize);
+            let (parts, len) = match channel.kind {
+                ChannelKind::X | ChannelKind::Z => (1, xa + za),
+                ChannelKind::Depolarize1 => (3, 2 * (xa + za)),
+                ChannelKind::Depolarize2 => (15, 8 * (xa + za + xb + zb)),
+            };
+            branches += parts;
+            dets += len;
+            widest = widest.max(xa + za + xb + zb);
         }
-        for r in 0..records {
-            det_start[r + 1] += det_start[r];
-        }
-        let mut cursor = det_start.clone();
-        let mut det_ids = vec![0u32; det_start[records] as usize];
-        for (d, det) in circuit.detectors().iter().enumerate() {
-            for &r in &det.records {
-                det_ids[cursor[r as usize] as usize] = d as u32;
-                cursor[r as usize] += 1;
-            }
-        }
-        let mut obs_of_record = vec![0u64; records];
-        for (o, obs) in circuit.observables().iter().enumerate() {
-            for &r in obs {
-                obs_of_record[r as usize] ^= 1 << o;
-            }
-        }
-
-        let bound: usize = circuit
-            .ops()
-            .iter()
-            .map(|op| match op {
-                Op::Noise1 {
-                    kind: Noise1::Depolarize1,
-                    ..
-                } => 3,
-                Op::Noise1 { .. } => 1,
-                Op::Depolarize2 { .. } => 15,
-                _ => 0,
-            })
-            .sum();
         let mut arena = Arena {
-            dets: Vec::with_capacity(3 * bound),
-            branches: Vec::with_capacity(bound),
+            dets: Vec::with_capacity(dets),
+            branches: Vec::with_capacity(branches),
         };
-        let mut x_dets: Vec<Vec<u32>> = vec![Vec::new(); nq];
-        let mut z_dets: Vec<Vec<u32>> = vec![Vec::new(); nq];
-        let mut x_obs = vec![0u64; nq];
-        let mut z_obs = vec![0u64; nq];
-        let mut scratch = Vec::new();
-        let (mut y_a, mut y_b) = (Vec::new(), Vec::new());
-        let mut next_record = records;
-        let mut next_noise = circuit.num_noise_ops();
-        for op in circuit.ops().iter().rev() {
-            match *op {
-                Op::Gate1 { kind: Gate1::H, q } => {
-                    let q = q as usize;
-                    std::mem::swap(&mut x_dets[q], &mut z_dets[q]);
-                    std::mem::swap(&mut x_obs[q], &mut z_obs[q]);
-                }
-                Op::Gate1 { kind: Gate1::S, q } => {
-                    // X before S acts as Y after S.
-                    let q = q as usize;
-                    xor_assign(&mut x_dets[q], &z_dets[q], &mut scratch);
-                    x_obs[q] ^= z_obs[q];
-                }
-                Op::Gate1 { .. } => {}
-                Op::Gate2 {
-                    kind: Gate2::Cx,
-                    a,
-                    b,
-                } => {
-                    let (c, t) = (a as usize, b as usize);
-                    let x_t = std::mem::take(&mut x_dets[t]);
-                    xor_assign(&mut x_dets[c], &x_t, &mut scratch);
-                    x_dets[t] = x_t;
-                    x_obs[c] ^= x_obs[t];
-                    let z_c = std::mem::take(&mut z_dets[c]);
-                    xor_assign(&mut z_dets[t], &z_c, &mut scratch);
-                    z_dets[c] = z_c;
-                    z_obs[t] ^= z_obs[c];
-                }
-                Op::Gate2 {
-                    kind: Gate2::Cz,
-                    a,
-                    b,
-                } => {
-                    let (a, b) = (a as usize, b as usize);
-                    xor_assign(&mut x_dets[a], &z_dets[b], &mut scratch);
-                    xor_assign(&mut x_dets[b], &z_dets[a], &mut scratch);
-                    x_obs[a] ^= z_obs[b];
-                    x_obs[b] ^= z_obs[a];
-                }
-                Op::Reset { q } => {
-                    let q = q as usize;
-                    x_dets[q].clear();
-                    z_dets[q].clear();
-                    x_obs[q] = 0;
-                    z_obs[q] = 0;
-                }
-                Op::Measure { q } => {
-                    next_record -= 1;
-                    let q = q as usize;
-                    let (lo, hi) = (det_start[next_record], det_start[next_record + 1]);
-                    xor_assign(
-                        &mut x_dets[q],
-                        &det_ids[lo as usize..hi as usize],
-                        &mut scratch,
-                    );
-                    x_obs[q] ^= obs_of_record[next_record];
-                }
-                Op::Noise1 { kind, q, .. } => {
-                    next_noise -= 1;
-                    let q = q as usize;
-                    let x = (&x_dets[q][..], x_obs[q]);
-                    let z = (&z_dets[q][..], z_obs[q]);
-                    let none = (&[][..], 0);
-                    let components: &[_] = match kind {
-                        Noise1::XError => &[(x, none)],
-                        Noise1::ZError => &[(z, none)],
-                        Noise1::Depolarize1 => &[(x, none), (z, none), (x, z)],
-                    };
-                    let source = Source {
-                        noise: next_noise as u32,
-                        parts: components.len() as u8,
-                    };
-                    for &(s, t) in components {
+        let mut y = Vec::with_capacity(widest);
+        // A segment's observables sort after its detectors.
+        let nd = symptoms.num_detectors as u32;
+        let split = |segment| {
+            let outputs = symptoms.outputs_of(segment);
+            let at = outputs.partition_point(|&o| o < nd);
+            let obs = outputs[at..]
+                .iter()
+                .fold(0u64, |mask, &o| mask | 1 << (o - nd));
+            (&outputs[..at], obs)
+        };
+        for (noise, channel) in symptoms.channels.iter().enumerate().rev() {
+            let [x_a, z_a, x_b, z_b] = channel.segments.map(split);
+            let none = (&[][..], 0);
+            let mut source = Source {
+                noise: noise as u32,
+                parts: 1,
+            };
+            match channel.kind {
+                ChannelKind::X => arena.push(x_a, none, source),
+                ChannelKind::Z => arena.push(z_a, none, source),
+                ChannelKind::Depolarize1 => {
+                    source.parts = 3;
+                    for (s, t) in [(x_a, none), (z_a, none), (x_a, z_a)] {
                         arena.push(s, t, source);
                     }
                 }
-                Op::Depolarize2 { a, b, .. } => {
-                    next_noise -= 1;
-                    let source = Source {
-                        noise: next_noise as u32,
-                        parts: 15,
-                    };
-                    let (a, b) = (a as usize, b as usize);
-                    y_a.clear();
-                    xor_into(&x_dets[a], &z_dets[a], &mut y_a);
-                    y_b.clear();
-                    xor_into(&x_dets[b], &z_dets[b], &mut y_b);
+                ChannelKind::Depolarize2 => {
+                    source.parts = 15;
+                    y.clear();
+                    xor_into(x_a.0, z_a.0, &mut y);
+                    let at = y.len();
+                    xor_into(x_b.0, z_b.0, &mut y);
+                    let (y_a, y_b) = y.split_at(at);
                     // I, X, Y, Z on each qubit; every pair but I ⊗ I.
-                    let on_a = [
-                        (&[][..], 0),
-                        (&x_dets[a][..], x_obs[a]),
-                        (&y_a[..], x_obs[a] ^ z_obs[a]),
-                        (&z_dets[a][..], z_obs[a]),
-                    ];
-                    let on_b = [
-                        (&[][..], 0),
-                        (&x_dets[b][..], x_obs[b]),
-                        (&y_b[..], x_obs[b] ^ z_obs[b]),
-                        (&z_dets[b][..], z_obs[b]),
-                    ];
+                    let on_a = [none, x_a, (y_a, x_a.1 ^ z_a.1), z_a];
+                    let on_b = [none, x_b, (y_b, x_b.1 ^ z_b.1), z_b];
                     for (i, &s) in on_a.iter().enumerate() {
                         for &t in &on_b[usize::from(i == 0)..] {
                             arena.push(s, t, source);
                         }
                     }
                 }
-                Op::Tick => {}
             }
         }
-        debug_assert_eq!(next_record, 0, "record bookkeeping must balance");
-        debug_assert_eq!(next_noise, 0, "noise-op bookkeeping must balance");
         arena
     }
 }
@@ -435,8 +339,8 @@ impl Groups {
         let mask = (1usize << bits) - 1;
         let mut table = vec![u32::MAX; 1 << bits];
         let mut key_of = Vec::with_capacity(n);
-        let mut first: Vec<u32> = Vec::new();
-        let mut count: Vec<u32> = Vec::new();
+        let mut first: Vec<u32> = Vec::with_capacity(n);
+        let mut count: Vec<u32> = Vec::with_capacity(n);
         for b in 0..n as u32 {
             let symptom = arena.symptom(b);
             let mut slot = (hash(symptom) >> (64 - bits)) as usize;
@@ -544,21 +448,10 @@ fn xor_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     out.extend_from_slice(&b[j..]);
 }
 
-/// `dst ^= src` on sorted lists, merged through `scratch` (which then
-/// holds `dst`'s old buffer for the next merge).
-fn xor_assign(dst: &mut Vec<u32>, src: &[u32], scratch: &mut Vec<u32>) {
-    if src.is_empty() {
-        return;
-    }
-    scratch.clear();
-    xor_into(dst, src, scratch);
-    std::mem::swap(dst, scratch);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuit::{CheckBasis, Circuit};
+    use crate::circuit::{CheckBasis, Circuit, Noise1};
     use crate::dem_oracle::assert_matches_oracle;
     use crate::noise::NoiseModel;
     use crate::random_circuit::random_circuit;

@@ -7,16 +7,18 @@
 //! parities, for which frame sampling is exact (Gidney, Stim 2021).
 //!
 //! Every output table is XOR-linear in the frame bits the random events
-//! inject, so [`FrameProgram`] compiles each event of a circuit (a
-//! noise channel, a reset, a measurement, a qubit's initial |0>) to its
-//! *symptom*, the detectors and observables it flips, in one backward
-//! pass. Sampling XORs the symptoms of the events that fire and never
-//! interprets a gate, so a batch costs its hits, not its circuit. The
-//! order in which it draws from the RNG is the versioned sampler stream
-//! [`SAMPLER_STREAM`].
+//! inject, so [`FrameProgram`] reads each event of a circuit (a noise
+//! channel, a reset, a measurement, a qubit's initial |0>) as its
+//! *symptom*, the detectors and observables it flips, from the crate's
+//! one backward pass over the circuit, which the detector error model
+//! ([`crate::dem`]) reads too. Sampling XORs the symptoms of the events
+//! that fire and never interprets a gate, so a batch costs its hits,
+//! not its circuit. The order in which it draws from the RNG is the
+//! versioned sampler stream [`SAMPLER_STREAM`].
 
-use crate::circuit::{Circuit, Gate1, Gate2, Noise1, Op};
+use crate::circuit::Circuit;
 use crate::pauli::Pauli;
+use crate::symptoms::{Channel, ChannelKind, Segment, Symptoms};
 use rand::Rng;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -336,20 +338,6 @@ impl<'a> FrameSampler<'a> {
     }
 }
 
-/// What a noise channel can place on its qubits.
-#[derive(Debug, Clone, Copy)]
-enum ChannelKind {
-    /// `X` on its qubit.
-    X,
-    /// `Z` on its qubit.
-    Z,
-    /// One of `X`, `Y`, `Z` on its qubit, uniformly.
-    Depolarize1,
-    /// One of the fifteen non-identity Pauli pairs on its two qubits,
-    /// uniformly.
-    Depolarize2,
-}
-
 impl ChannelKind {
     /// Draws the Pauli a firing channel places, as the `(x, z)` bits of
     /// its first qubit followed by those of its second.
@@ -371,20 +359,6 @@ impl ChannelKind {
     }
 }
 
-/// A run `outputs[start..end]` of a program's output list.
-type Segment = [u32; 2];
-
-/// One noise channel of a [`FrameProgram`], compiled to its symptom:
-/// segment `i` holds the outputs that the `i`-th bit of
-/// [`ChannelKind::draw`] flips (an X on the first qubit, a Z on it, an
-/// X on the second, a Z on it); a segment the kind cannot reach is
-/// empty.
-#[derive(Debug, Clone, Copy)]
-struct Channel {
-    kind: ChannelKind,
-    segments: [Segment; 4],
-}
-
 /// One distinct firing probability of a program's noise channels: the
 /// class one geometric walk covers.
 #[derive(Debug, Clone, Copy)]
@@ -392,7 +366,8 @@ struct Class {
     p: f64,
     /// `ln(1 - p)`, which every gap of the walk divides by.
     log1m: f64,
-    /// The class's channels are `channels[previous end..end]`.
+    /// The class's channels are the ones `members[previous end..end]`
+    /// index.
     end: u32,
 }
 
@@ -414,12 +389,11 @@ pub const SAMPLER_STREAM: u64 = 2;
 /// the frame bits injected into it. Each reset and measurement
 /// randomizes its qubit's Z frame (Stim's model of collapse), and so
 /// does the circuit's start, since every qubit begins in |0>; each
-/// noise channel that fires places a Pauli. One backward pass of
-/// [`FrameProgram::new`] gives each qubit an X and a Z *sensitivity
-/// row*, the outputs an X or Z frame bit on it at that point would
-/// flip, and records the rows each random event meets. Sampling XORs
-/// each injected bit's rows into its shot's column and never touches a
-/// gate.
+/// noise channel that fires places a Pauli. [`FrameProgram::new`] reads
+/// every such event's symptom off the crate's one backward pass over
+/// the circuit (the one [`crate::dem::ParametricDem`] reads too), and
+/// sampling XORs each injected bit's symptom into its shot's column
+/// without touching a gate.
 ///
 /// A *gauge* (a random Z frame) whose Z row is empty is inert: no value
 /// of its words can change a table, so it draws nothing.
@@ -429,8 +403,9 @@ pub const SAMPLER_STREAM: u64 = 2;
 /// [`SAMPLER_STREAM`]:
 ///
 /// 1. Each live gauge, initial ones first in qubit order and then in
-///    circuit order, draws one `u64` per 64 shots (the last masked to
-///    the shot count) and XORs them into its rows.
+///    circuit order, draws one `u64` per 64 shots and at least one
+///    (the last masked to the shot count, to nothing at 0 shots) and
+///    XORs them into its symptom.
 /// 2. Each class of channels with one probability `p > 0`, in order of
 ///    first appearance, runs one geometric walk over the positions
 ///    `channel × shots + shot`, its channels counted in circuit order.
@@ -450,8 +425,10 @@ pub struct FrameProgram {
     gauges: Vec<Segment>,
     /// The classes in draw order.
     classes: Vec<Class>,
-    /// The channels of every class with `p > 0`, grouped by class, in
-    /// circuit order within one.
+    /// The indices into `channels` of every class's channels, grouped
+    /// by class, in circuit order within one.
+    members: Vec<u32>,
+    /// Every noise channel, in circuit order.
     channels: Vec<Channel>,
     /// Every symptom segment's outputs: detector `d` is `d`, observable
     /// `o` is `num_detectors + o`.
@@ -517,329 +494,64 @@ impl<T: Default> std::fmt::Debug for ScratchPool<T> {
     }
 }
 
-/// CSR feed lists from per-target record lists: `rows` of measurement
-/// `k` are the targets listing record `k`, once per listing (a record
-/// listed twice cancels, as it did in the record table).
-fn feeds<'a>(
-    num_measurements: usize,
-    targets: impl Iterator<Item = &'a [u32]> + Clone,
-) -> (Vec<u32>, Vec<u32>) {
-    let mut offsets = vec![0u32; num_measurements + 1];
-    for records in targets.clone() {
-        for &r in records {
-            offsets[r as usize + 1] += 1;
-        }
-    }
-    for k in 0..num_measurements {
-        offsets[k + 1] += offsets[k];
-    }
-    let mut cursor = offsets.clone();
-    let mut rows = vec![0u32; offsets[num_measurements] as usize];
-    for (row, records) in targets.enumerate() {
-        for &r in records {
-            rows[cursor[r as usize] as usize] = row as u32;
-            cursor[r as usize] += 1;
-        }
-    }
-    (offsets, rows)
-}
-
-/// The sensitivity rows of [`FrameProgram::new`]'s backward pass: for
-/// each qubit `q`, row `2q` (X) and row `2q + 1` (Z) hold the outputs
-/// an X or Z frame bit on `q` would flip, as `wd` detector words and
-/// then `w - wd` observable words. A row's detector words are zero
-/// outside its span, so its cost follows the few rounds of detectors
-/// it reaches rather than the whole circuit's.
-struct Sensitivity {
-    num_detectors: usize,
-    /// Words per row.
-    w: usize,
-    /// Detector words per row.
-    wd: usize,
-    words: Vec<u64>,
-    /// Per row, the detector words `lo..hi` that may be non-zero;
-    /// [`EMPTY`] when none may, so that spans unite by `min` and `max`.
-    span: Vec<(u32, u32)>,
-    /// Per row, the segment its last [`Sensitivity::push`] wrote, or
-    /// [`STALE`] once the row has changed since: a row pushed again
-    /// unchanged shares its segment.
-    pushed: Vec<Segment>,
-}
-
-/// No segment: the row must be pushed afresh.
-const STALE: Segment = [u32::MAX, 0];
-
-/// The span of no words.
-const EMPTY: (u32, u32) = (u32::MAX, 0);
-
-impl Sensitivity {
-    fn new(num_qubits: usize, num_detectors: usize, num_observables: usize) -> Self {
-        let wd = num_detectors.div_ceil(64);
-        let w = wd + num_observables.div_ceil(64);
-        Sensitivity {
-            num_detectors,
-            w,
-            wd,
-            words: vec![0; 2 * num_qubits * w],
-            span: vec![EMPTY; 2 * num_qubits],
-            pushed: vec![[0, 0]; 2 * num_qubits],
-        }
-    }
-
-    /// `row[dst] ^= row[src]`, for `dst != src`.
-    fn xor(&mut self, dst: usize, src: usize) {
-        let (lo, hi) = self.span[src];
-        let into = &mut self.span[dst];
-        *into = (into.0.min(lo), into.1.max(hi));
-        self.pushed[dst] = STALE;
-        let (d, s) = (dst * self.w, src * self.w);
-        for i in lo as usize..hi as usize {
-            let word = self.words[s + i];
-            self.words[d + i] ^= word;
-        }
-        for i in self.wd..self.w {
-            let word = self.words[s + i];
-            self.words[d + i] ^= word;
-        }
-    }
-
-    /// Exchanges rows `a` and `b`.
-    fn swap(&mut self, a: usize, b: usize) {
-        let (sa, sb) = (self.span[a], self.span[b]);
-        let (lo, hi) = (sa.0.min(sb.0) as usize, sa.1.max(sb.1) as usize);
-        for i in (lo..hi).chain(self.wd..self.w) {
-            self.words.swap(a * self.w + i, b * self.w + i);
-        }
-        self.span.swap(a, b);
-        self.pushed.swap(a, b);
-    }
-
-    /// Empties row `r`.
-    fn clear(&mut self, r: usize) {
-        let (lo, hi) = std::mem::replace(&mut self.span[r], EMPTY);
-        self.pushed[r] = [0, 0];
-        for i in (lo as usize..hi as usize).chain(self.wd..self.w) {
-            self.words[r * self.w + i] = 0;
-        }
-    }
-
-    /// Flips output `out` (detectors first, then observables) in row
-    /// `r`.
-    fn flip(&mut self, r: usize, out: usize) {
-        let (i, bit) = if out < self.num_detectors {
-            let i = out / 64;
-            let span = &mut self.span[r];
-            *span = (span.0.min(i as u32), span.1.max(i as u32 + 1));
-            (i, out % 64)
-        } else {
-            let o = out - self.num_detectors;
-            (self.wd + o / 64, o % 64)
-        };
-        self.words[r * self.w + i] ^= 1 << bit;
-        self.pushed[r] = STALE;
-    }
-
-    /// The segment of `outputs` holding the outputs of row `r`,
-    /// ascending: the one its last push wrote if the row has not
-    /// changed since, or else a new one appended. Trims the row's span
-    /// to its non-zero words on the way.
-    fn push(&mut self, r: usize, outputs: &mut Vec<u32>) -> Segment {
-        if self.pushed[r] != STALE {
-            return self.pushed[r];
-        }
-        let start = outputs.len() as u32;
-        let (lo, hi) = self.span[r];
-        let row = &self.words[r * self.w..(r + 1) * self.w];
-        let mut trimmed = EMPTY;
-        for i in lo..hi {
-            let word = row[i as usize];
-            if word != 0 {
-                trimmed = (trimmed.0.min(i), i + 1);
-                let mut bits = word;
-                while bits != 0 {
-                    outputs.push(i * 64 + bits.trailing_zeros());
-                    bits &= bits - 1;
-                }
-            }
-        }
-        self.span[r] = trimmed;
-        for (i, &word) in row[self.wd..].iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                outputs.push((self.num_detectors + i * 64) as u32 + bits.trailing_zeros());
-                bits &= bits - 1;
-            }
-        }
-        self.pushed[r] = [start, outputs.len() as u32];
-        self.pushed[r]
-    }
-}
-
 impl FrameProgram {
-    /// Compiles `circuit` in one backward pass.
-    ///
-    /// Walking the circuit backwards from empty sensitivity rows (one
-    /// bit per detector, then one per observable), each gate conjugates
-    /// the rows as it conjugates frames: H swaps them, S does
-    /// `x ^= z`, CX(c, t) does `x[c] ^= x[t]` and `z[t] ^= z[c]`,
-    /// CZ(a, b) does `x[a] ^= z[b]` and `x[b] ^= z[a]`. A measurement
-    /// records `z[q]` as its gauge's rows and then adds the outputs it
-    /// feeds to `x[q]`, since an X bit flips its record and survives
-    /// it. A reset records `z[q]` as its gauge's rows and then clears
-    /// both rows, since no earlier frame bit on `q` survives it. A
-    /// noise channel records the rows of its qubits. What is left at
-    /// the start are the initial gauges' rows.
+    /// Compiles `circuit`: one backward pass gives every event its
+    /// symptom, and the channels with `p > 0` are grouped into their
+    /// probability classes.
     ///
     /// # Panics
     ///
     /// Panics on a two-qubit operation whose qubits coincide, which
     /// [`Circuit`]'s builder methods reject.
     pub fn new(circuit: &Circuit) -> Self {
-        let m = circuit.num_measurements() as usize;
-        let num_detectors = circuit.detectors().len();
-        let (det_offsets, det_rows) =
-            feeds(m, circuit.detectors().iter().map(|d| d.records.as_slice()));
-        let (obs_offsets, obs_rows) = feeds(m, circuit.observables().iter().map(Vec::as_slice));
-        let num_qubits = circuit.num_qubits() as usize;
-        let mut rows = Sensitivity::new(num_qubits, num_detectors, circuit.observables().len());
-        let (x, z) = (|q: u32| 2 * q as usize, |q: u32| 2 * q as usize + 1);
+        let Symptoms {
+            num_detectors,
+            outputs,
+            mut gauges,
+            channels,
+            rates,
+        } = Symptoms::of(circuit);
 
-        // A forward count sizes every list, so the backward pass fills
-        // them from their ends: the gauges, and each class's channels.
+        // Count each class's channels, in order of first appearance,
+        // then list them through one cursor per class.
         let mut classes: Vec<Class> = Vec::new();
-        let mut num_gauges = 0;
-        for op in circuit.ops() {
-            match *op {
-                Op::Reset { .. } | Op::Measure { .. } => num_gauges += 1,
-                Op::Noise1 { p, .. } | Op::Depolarize2 { p, .. } if p > 0.0 => {
-                    match classes.iter_mut().find(|c| c.p.to_bits() == p.to_bits()) {
-                        Some(class) => class.end += 1,
-                        None => classes.push(Class {
-                            p,
-                            log1m: (1.0 - p).ln(),
-                            end: 1,
-                        }),
-                    }
-                }
-                _ => {}
+        for &p in &rates {
+            if p <= 0.0 {
+                // A channel that never fires draws nothing.
+                continue;
+            }
+            match classes.iter_mut().find(|c| c.p.to_bits() == p.to_bits()) {
+                Some(class) => class.end += 1,
+                None => classes.push(Class {
+                    p,
+                    log1m: (1.0 - p).ln(),
+                    end: 1,
+                }),
             }
         }
         let mut cursor = Vec::with_capacity(classes.len());
         let mut end = 0;
         for class in &mut classes {
+            cursor.push(end as usize);
             end += class.end;
             class.end = end;
-            cursor.push(end as usize);
         }
-        let unset = Channel {
-            kind: ChannelKind::X,
-            segments: [[0, 0]; 4],
-        };
-        let mut channels = vec![unset; end as usize];
-        let mut gauges: Vec<Segment> = vec![[0, 0]; num_gauges];
-        let mut outputs: Vec<u32> = Vec::with_capacity(2 * circuit.ops().len());
-        let mut k = m;
-        // Every class was counted forward, so the search always finds.
-        let mut add = |p: f64, channel: Channel| {
+        let mut members = vec![0; end as usize];
+        for (i, &p) in rates.iter().enumerate() {
             if let Some(class) = classes.iter().position(|c| c.p.to_bits() == p.to_bits()) {
-                cursor[class] -= 1;
-                channels[cursor[class]] = channel;
-            }
-        };
-        for op in circuit.ops().iter().rev() {
-            if let Op::Gate2 { a, b, .. } | Op::Depolarize2 { a, b, .. } = *op {
-                assert_ne!(a, b, "two-qubit operation on one qubit");
-            }
-            match *op {
-                Op::Gate1 { kind: Gate1::H, q } => rows.swap(x(q), z(q)),
-                Op::Gate1 { kind: Gate1::S, q } => rows.xor(x(q), z(q)),
-                // Paulis commute with a Pauli frame up to sign.
-                Op::Gate1 { .. } | Op::Tick => {}
-                Op::Gate2 {
-                    kind: Gate2::Cx,
-                    a: c,
-                    b: t,
-                } => {
-                    rows.xor(x(c), x(t));
-                    rows.xor(z(t), z(c));
-                }
-                Op::Gate2 {
-                    kind: Gate2::Cz,
-                    a,
-                    b,
-                } => {
-                    rows.xor(x(a), z(b));
-                    rows.xor(x(b), z(a));
-                }
-                Op::Measure { q } => {
-                    k -= 1;
-                    num_gauges -= 1;
-                    gauges[num_gauges] = rows.push(z(q), &mut outputs);
-                    let dets = &det_rows[det_offsets[k] as usize..det_offsets[k + 1] as usize];
-                    let obs = obs_rows[obs_offsets[k] as usize..obs_offsets[k + 1] as usize]
-                        .iter()
-                        .map(|&o| o as usize + num_detectors);
-                    for out in dets.iter().map(|&d| d as usize).chain(obs) {
-                        rows.flip(x(q), out);
-                    }
-                }
-                Op::Reset { q } => {
-                    num_gauges -= 1;
-                    gauges[num_gauges] = rows.push(z(q), &mut outputs);
-                    rows.clear(x(q));
-                    rows.clear(z(q));
-                }
-                // A channel that never fires draws nothing.
-                Op::Noise1 { p, .. } | Op::Depolarize2 { p, .. } if p <= 0.0 => {}
-                Op::Noise1 { kind, q, p } => {
-                    let (kind, has_x, has_z) = match kind {
-                        Noise1::XError => (ChannelKind::X, true, false),
-                        Noise1::ZError => (ChannelKind::Z, false, true),
-                        Noise1::Depolarize1 => (ChannelKind::Depolarize1, true, true),
-                    };
-                    let mut segments = [[0, 0]; 4];
-                    if has_x {
-                        segments[0] = rows.push(x(q), &mut outputs);
-                    }
-                    if has_z {
-                        segments[1] = rows.push(z(q), &mut outputs);
-                    }
-                    add(p, Channel { kind, segments });
-                }
-                Op::Depolarize2 { a, b, p } => {
-                    let segments = [
-                        rows.push(x(a), &mut outputs),
-                        rows.push(z(a), &mut outputs),
-                        rows.push(x(b), &mut outputs),
-                        rows.push(z(b), &mut outputs),
-                    ];
-                    let kind = ChannelKind::Depolarize2;
-                    add(p, Channel { kind, segments });
-                }
+                members[cursor[class]] = i as u32;
+                cursor[class] += 1;
             }
         }
 
-        let mut live = Vec::with_capacity(num_qubits + gauges.len());
-        let mut live_gauges = Vec::new();
-        for q in 0..num_qubits as u32 {
-            let at = rows.push(z(q), &mut outputs);
-            live.push(at[0] < at[1]);
-            if at[0] < at[1] {
-                live_gauges.push(at);
-            }
-        }
-        for &at in &gauges {
-            live.push(at[0] < at[1]);
-            if at[0] < at[1] {
-                live_gauges.push(at);
-            }
-        }
-
+        let live: Vec<bool> = gauges.iter().map(|&[start, end]| start < end).collect();
+        gauges.retain(|&[start, end]| start < end);
         FrameProgram {
             num_detectors,
             num_observables: circuit.observables().len(),
-            gauges: live_gauges,
+            gauges,
             classes,
+            members,
             channels,
             outputs,
             live,
@@ -894,12 +606,12 @@ impl FrameProgram {
         batch.detectors.reset(self.num_detectors, shots);
         batch.observables.reset(self.num_observables, shots);
 
-        // Mask to keep random bits within the shot count in the last word.
-        let tail_bits = shots % 64;
-        let tail_mask = if tail_bits == 0 {
-            u64::MAX
-        } else {
-            (1u64 << tail_bits) - 1
+        // Mask to keep random bits within the shot count in the last
+        // word; at 0 shots that word is padding, and keeps no bit.
+        let tail_mask = match shots % 64 {
+            0 if shots == 0 => 0,
+            0 => u64::MAX,
+            tail => (1u64 << tail) - 1,
         };
         for &segment in &self.gauges {
             for i in 0..w {
@@ -910,10 +622,10 @@ impl FrameProgram {
         }
         let mut start = 0;
         for class in &self.classes {
-            let channels = &self.channels[start..class.end as usize];
+            let members = &self.members[start..class.end as usize];
             start = class.end as usize;
-            sample_hits(class, channels.len() * shots, rng, |at, rng| {
-                let channel = &channels[at / shots];
+            sample_hits(class, members.len() * shots, rng, |at, rng| {
+                let channel = &self.channels[members[at / shots] as usize];
                 let xz = channel.kind.draw(rng);
                 self.hit(batch, channel, xz, at % shots);
             });
@@ -961,7 +673,7 @@ fn sample_hits<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuit::CheckBasis;
+    use crate::circuit::{CheckBasis, Noise1};
     use crate::frame_oracle::assert_program_matches;
     use crate::random_circuit::random_circuit;
     use rand::rngs::StdRng;
@@ -990,13 +702,22 @@ mod tests {
             let flags = program.live_gauges();
             live += flags.iter().filter(|&&l| l).count();
             inert += flags.iter().filter(|&&l| !l).count();
-            for shots in [1usize, 16, 63, 64, 65, 1000, 4096] {
+            for shots in [0usize, 1, 16, 63, 64, 65, 1000, 4096] {
                 let std = StdRng::seed_from_u64(seed ^ 1);
                 assert_program_matches(&program, &c, shots, &std);
                 // The cursor the sweep checkpoints would persist.
                 let chacha = ChaCha8Rng::seed_from_u64(seed ^ 2);
                 let (ours, theirs) = assert_program_matches(&program, &c, shots, &chacha);
                 assert_eq!(ours.word_pos(), theirs.word_pos(), "seed {seed}");
+            }
+            // A 0-shot batch has no bits, padding included, though each
+            // live gauge still draws its one word.
+            let mut scratch = FrameScratch::default();
+            let empty = program.sample(0, &mut StdRng::seed_from_u64(seed), &mut scratch);
+            for table in [&empty.detectors, &empty.observables] {
+                for row in 0..table.rows() {
+                    assert_eq!(table.count_row(row), 0, "seed {seed}: 0-shot row {row}");
+                }
             }
         }
         // Both branches of the sampler's gauge step were exercised.

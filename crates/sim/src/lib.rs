@@ -59,6 +59,7 @@ pub mod f2;
 pub mod frame;
 pub mod noise;
 pub mod pauli;
+mod symptoms;
 pub mod tableau;
 
 pub use circuit::{CheckBasis, Circuit, MeasRecord};
@@ -73,7 +74,8 @@ pub use tableau::ReferenceSample;
 #[path = "../tests/support/random_circuit.rs"]
 mod random_circuit;
 
-/// The extraction [`dem`] replaced: the oracle of its unit tests.
+/// An independent reference walk for [`dem`]: the oracle of its unit
+/// tests.
 #[cfg(test)]
 #[path = "../tests/support/dem_oracle.rs"]
 mod dem_oracle;

@@ -1,7 +1,10 @@
-//! The detector-error-model extraction `dqec_sim::dem` replaced, kept
-//! as the oracle its arena walk and first-seen dedupe must reproduce bit
-//! for bit: one heap `Vec` per sensitivity set, a fresh merged `Vec` per
-//! XOR, and every branch's symptom cloned into a `HashMap` key.
+//! The independent reference for the detector error model: a walk of
+//! its own over the circuit, which shares no code with the crate's one
+//! backward pass (the symptom compile that `ParametricDem::from_noisy`
+//! and `FrameProgram` both read) nor with its arena and dedupe. It
+//! keeps one heap `Vec` per sensitivity set, merges into a fresh `Vec`
+//! per XOR, and clones every branch's symptom into a `HashMap` key; the
+//! extraction must reproduce it bit for bit.
 //!
 //! Written against `crate::{circuit, dem, noise}`, so it compiles as a
 //! unit-test module of `dqec_sim` and inside an integration test that

@@ -67,7 +67,9 @@ pub fn reference_sample<R: Rng>(
 ) -> ShotBatch {
     let nq = c.num_qubits() as usize;
     let w = shots.div_ceil(64).max(1);
-    let tail_mask = if shots.is_multiple_of(64) {
+    let tail_mask = if shots == 0 {
+        0
+    } else if shots.is_multiple_of(64) {
         u64::MAX
     } else {
         (1u64 << (shots % 64)) - 1
