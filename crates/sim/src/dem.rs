@@ -110,8 +110,10 @@ impl ParametricDem {
     ///
     /// # Panics
     ///
-    /// Panics if `params` does not have exactly one entry per noise op
-    /// or the circuit uses more than 64 observables.
+    /// Panics if `params` does not have exactly one entry per noise op,
+    /// if the circuit uses more than 64 observables, or on a two-qubit
+    /// operation whose qubits coincide, which [`Circuit`]'s builder
+    /// methods reject.
     pub fn from_noisy(circuit: &Circuit, params: &[NoiseParam]) -> Self {
         assert!(
             circuit.observables().len() <= 64,
